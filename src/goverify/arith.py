@@ -5,10 +5,16 @@ Exact data lives in numpy arrays of dtype ``object`` whose entries are
 comparison against zero goes through a :class:`ToleranceProfile`, exact
 comparisons are literal equality.
 
-The exact kernels are certified: rank and nullspace results produced via the
-fast modular screening path are verified in rational arithmetic before they
-are returned, and fall back to plain fraction Gauss elimination whenever the
-verification fails.
+Hot kernels work on integers instead: :func:`clear_denominators` turns a
+Fraction array into ``(ints, scale)`` and :func:`from_ints` turns it back.
+Integer arrays are int64 while a bound on their entries rules out overflow in
+the next product (``_int64_safe``) and Python ints in object arrays otherwise,
+so :func:`int_matmul` and the other integer kernels are exact either way.
+
+The exact kernels are certified: nullspace results produced via the fast
+modular screening path are verified by an exact integer product with the
+denominator-cleared candidate before they are returned, and fall back to
+plain fraction Gauss elimination whenever the verification fails.
 """
 
 from __future__ import annotations
@@ -126,11 +132,13 @@ def clear_denominators(arr: np.ndarray) -> tuple[np.ndarray, int]:
     scale = 1
     for v in flat:
         scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in flat]
-    out = np.array(ints, dtype=object).reshape(arr.shape)
-    if not ints or max(abs(x) for x in ints) < 2**60:
-        out = out.astype(np.int64)
-    return out, scale
+    ints = np.array([int(v * scale) for v in flat], dtype=object).reshape(arr.shape)
+    return _narrow(ints), scale
+
+
+def _narrow(ints: np.ndarray) -> np.ndarray:
+    """An array of Python ints as int64 when every entry is below 2**60."""
+    return ints.astype(np.int64) if _max_abs(ints) < 2**60 else ints
 
 
 def from_ints(ints: np.ndarray, denom: int = 1) -> np.ndarray:
@@ -146,6 +154,19 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.max(np.abs(arr))) if arr.size else 0
 
 
+def _int64_safe(a: np.ndarray, b: np.ndarray, inner: int) -> bool:
+    """Whether every sum of ``inner`` products of entries of ``a`` and ``b`` fits int64."""
+    return (a.dtype == np.int64 and b.dtype == np.int64
+            and max(1, _max_abs(a)) * max(1, _max_abs(b)) * max(1, inner) < 2**62)
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``a @ b`` of integer arrays: int64 when safe, Python ints otherwise."""
+    if _int64_safe(a, b, a.shape[-1]):
+        return a @ b
+    return np.matmul(a.astype(object), b.astype(object))
+
+
 def exact_tensordot(a_int: np.ndarray, a_scale: int, b_int: np.ndarray, b_scale: int,
                     axes, inner: int) -> np.ndarray:
     """Exact tensordot of two denominator-cleared arrays, vectorized when safe.
@@ -153,12 +174,9 @@ def exact_tensordot(a_int: np.ndarray, a_scale: int, b_int: np.ndarray, b_scale:
     ``inner`` is the total length of the contracted axes, used for the int64
     overflow bound; the object fallback is equally exact, just slower.
     """
-    if a_int.dtype == np.int64 and b_int.dtype == np.int64:
-        bound = max(1, _max_abs(a_int)) * max(1, _max_abs(b_int)) * max(1, inner)
-        if bound < 2**62:
-            return from_ints(np.tensordot(a_int, b_int, axes), a_scale * b_scale)
-    result = np.tensordot(a_int.astype(object), b_int.astype(object), axes)
-    return from_ints(result, a_scale * b_scale)
+    if not _int64_safe(a_int, b_int, inner):
+        a_int, b_int = a_int.astype(object), b_int.astype(object)
+    return from_ints(np.tensordot(a_int, b_int, axes), a_scale * b_scale)
 
 
 def exact_matmul(A, B) -> np.ndarray:
@@ -167,23 +185,15 @@ def exact_matmul(A, B) -> np.ndarray:
     B = np.asarray(B, dtype=object)
     a, sa = clear_denominators(A)
     b, sb = clear_denominators(B)
-    inner = A.shape[-1] if A.ndim else 1
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        bound = max(1, _max_abs(a)) * max(1, _max_abs(b)) * max(1, inner)
-        if bound < 2**62:
-            return from_ints(a @ b, sa * sb)
+    if _int64_safe(a, b, A.shape[-1] if A.ndim else 1):
+        return from_ints(a @ b, sa * sb)
     return np.dot(A, B)
 
 
 def _int_rows(arr: np.ndarray) -> np.ndarray:
     """Clear denominators independently per row (rank/nullspace invariant)."""
-    rows = []
-    for r in range(arr.shape[0]):
-        ints, _ = clear_denominators(arr[r])
-        rows.append(ints.astype(object))
-    if not rows:
-        return np.zeros(arr.shape, dtype=object)
-    return np.stack(rows)
+    rows = [clear_denominators(row)[0].astype(object) for row in arr]
+    return _narrow(np.stack(rows)) if rows else np.zeros(arr.shape, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +278,7 @@ def _modp_pivots(mat_int: np.ndarray, reduce_above: bool = False):
     ids refer to the original numbering and ``reduced`` is the working array
     (fully reduced rref when ``reduce_above``).
     """
-    work = (np.asarray(mat_int, dtype=object) % _P).astype(np.int64)
+    work = (np.asarray(mat_int) % _P).astype(np.int64)
     nrows, ncols = work.shape
     row_ids = np.arange(nrows)
     piv_rows: list[int] = []
@@ -331,14 +341,21 @@ def _reconstruct_nullspace(reduced: np.ndarray, piv_cols: list[int], ncols: int)
     return basis
 
 
+def _annihilates(ints: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether the integer matrix ``ints`` kills every row of the rational ``basis``."""
+    return not np.any(int_matmul(ints, _int_rows(basis).T))
+
+
 def nullspace_exact(mat: np.ndarray) -> np.ndarray:
     """Certified rational nullspace basis (rows) of ``mat``.
 
     Fast path: a single modular elimination locates independent rows; the
     candidate basis is then rebuilt exactly from those rows and verified
-    against the full matrix.  Because rank over GF(p) never exceeds rank over
-    the rationals, a verified candidate pins the nullity exactly.  On any
-    verification failure the plain rational elimination is used instead.
+    against the full matrix, as an integer product with the row-cleared
+    candidate (int64 when safe, Python ints otherwise).  Because rank over
+    GF(p) never exceeds rank over the rationals, a verified candidate pins
+    the nullity exactly.  On any verification failure the plain rational
+    elimination is used instead.
     """
     arr = np.asarray(mat)
     if arr.ndim != 2:
@@ -355,15 +372,13 @@ def nullspace_exact(mat: np.ndarray) -> np.ndarray:
     if rank_p == ncols:
         return qzeros((0, ncols))
     candidate = _reconstruct_nullspace(reduced[:rank_p], piv_cols, ncols)
-    if candidate is not None and is_zero(exact_matmul(ints.astype(object), candidate.T)):
+    if candidate is not None and _annihilates(ints, candidate):
         return candidate
-    sub = arr[piv_rows]
-    rows, pivots = _rref(sub)
+    rows, pivots = _rref(arr[piv_rows])
     candidate = _nullspace_from_rref(rows, pivots, ncols)
-    if len(pivots) == rank_p and candidate.shape[0] == ncols - rank_p:
-        product = exact_matmul(ints.astype(object), candidate.T)
-        if is_zero(product):
-            return candidate
+    if len(pivots) == rank_p and candidate.shape[0] == ncols - rank_p \
+            and _annihilates(ints, candidate):
+        return candidate
     rows, pivots = _rref(arr)
     return _nullspace_from_rref(rows, pivots, ncols)
 

@@ -136,10 +136,6 @@ class StructureAlgebra:
         return arith.exact_tensordot(c_int, c_scale, x_int, x_scale, ([0], [0]), self.dim).T
 
     @cached_property
-    def ad_basis(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.tensor[i].T for i in range(self.dim))
-
-    @cached_property
     def int_tensor(self) -> tuple[np.ndarray, int]:
         """Denominator-cleared structure tensor (ints, scale)."""
         return arith.clear_denominators(self.tensor)
@@ -218,11 +214,6 @@ class StructureAlgebra:
         return canonical
 
 
-def killing_form(algebra: StructureAlgebra) -> SymmetricForm:
-    """The Killing form B(X,Y) = tr(ad_X ad_Y) of ``algebra``."""
-    return algebra.killing
-
-
 def attach_form(algebra: StructureAlgebra, matrix) -> StructureAlgebra:
     """Attach a user-supplied invariant inner product, verifying its properties."""
     form = SymmetricForm(qarray(matrix))
@@ -265,8 +256,6 @@ def _build_so(n: int) -> StructureAlgebra:
     # [A_ab, A_cd] = d_bc A_ad + d_ad A_bc - d_bd A_ac - d_ac A_bd
     for x, (a, b) in enumerate(pairs):
         for y, (c, dd) in enumerate(pairs):
-            row = tensor[x, y]
-            del row
             if b == c:
                 add(a, dd, (x, y), Fraction(1))
             if a == dd:
@@ -480,14 +469,6 @@ def direct_sum(algebras: list[StructureAlgebra]) -> StructureAlgebra:
     return out
 
 
-def summand_slices(algebras: list[StructureAlgebra]) -> list[slice]:
-    out, offset = [], 0
-    for a in algebras:
-        out.append(slice(offset, offset + a.dim))
-        offset += a.dim
-    return out
-
-
 # ---------------------------------------------------------------------------
 # block embeddings of orthogonal products
 # ---------------------------------------------------------------------------
@@ -628,8 +609,5 @@ def ingest_structure_table(source: str) -> StructureAlgebra:
             raise ValidationError(f"duplicate entry for ({i},{j},{k})")
         tensor[i - 1, j - 1, k - 1] = value
     alg = StructureAlgebra(dim=dim, tensor=tensor, name="table")
-    try:
-        alg.validate()
-    except ValidationError:
-        raise
+    alg.validate()
     return alg

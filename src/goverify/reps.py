@@ -72,64 +72,62 @@ def ad_restriction(acting: Subspace, space: Subspace) -> AdRestriction:
 # linear systems for intertwiners and commutants
 # ---------------------------------------------------------------------------
 
-def _int_action(matrix: np.ndarray) -> np.ndarray:
-    ints, _ = arith.clear_denominators(matrix)
-    return ints
+def _int_stacks(*restrictions: AdRestriction) -> list[np.ndarray]:
+    """Each restriction's action matrices as an integer stack (count, d, d).
+
+    All stacks share one common denominator, which is dropped: scaling every
+    action matrix by the same nonzero integer leaves the equivariance
+    nullspace unchanged.
+    """
+    stacks = [np.stack(r.matrices) for r in restrictions]
+    ints, _ = arith.clear_denominators(np.concatenate([m.reshape(-1) for m in stacks]))
+    ends = np.cumsum([m.size for m in stacks])
+    return [part.reshape(m.shape) for part, m in zip(np.split(ints, ends[:-1]), stacks)]
 
 
 def _intertwiner_block(rho_dom: np.ndarray, rho_cod: np.ndarray) -> np.ndarray:
     """Rows enforcing rho_cod T = T rho_dom on vec(T), T of shape (cod, dom)."""
-    d_dom = rho_dom.shape[0]
-    d_cod = rho_cod.shape[0]
-    a, sa = arith.clear_denominators(rho_cod)
-    b, sb = arith.clear_denominators(rho_dom)
-    scale_a, scale_b = int(sb), int(sa)  # cross-multiply to a common denominator
-    left = np.kron(a * scale_a, np.eye(d_dom, dtype=a.dtype))
-    right = np.kron(np.eye(d_cod, dtype=b.dtype), (b * scale_b).T)
-    return left - right
+    left = np.kron(rho_cod, np.eye(rho_dom.shape[0], dtype=np.int64))
+    return left - np.kron(np.eye(rho_cod.shape[0], dtype=np.int64), rho_dom.T)
 
 
-def _solve_equivariance(blocks_for, count: int, unknowns: int, seed_tag: str):
-    """Nullspace of the joint system of ``count`` equivariance blocks.
+def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, seed_tag: str) -> np.ndarray:
+    """Rows vec(T) of the maps T with cod[i] T = T dom[i] for every generator i.
 
-    ``blocks_for(coeffs)`` must return the block of the linear combination
-    ``sum coeffs[i] X_i`` of acting elements.  A small random generating
-    subset is solved first and the candidate basis is verified against every
-    single block; verified candidates are sound because the full kernel is
-    contained in any subset kernel.
+    ``dom`` and ``cod`` are integer stacks of the generators' action matrices
+    (see :func:`_int_stacks`).  Up to three generators are solved jointly.
+    Otherwise a small random generating subset -- two integer combinations
+    of all generators -- is solved first.  Each candidate
+    basis is then checked exactly against every single generator as
+    ``cod[i] T - T dom[i] == 0`` on the denominator-cleared candidate, an
+    O(d^3) product per generator; the block of the first failing generator
+    joins the system and the solve repeats.  Verified candidates are sound
+    because the full kernel is contained in any subset kernel.  Blocks are
+    int64 Kronecker products, or Python ints where int64 could overflow.
     """
-    if count == 0 or unknowns == 0:
-        return arith.qeye(unknowns)
-    singles = [None] * count
-
-    def single(i):
-        if singles[i] is None:
-            coeffs = [0] * count
-            coeffs[i] = 1
-            singles[i] = blocks_for(coeffs)
-        return singles[i]
-
+    count, unknowns = dom.shape[0], dom.shape[1] * cod.shape[1]
     if count <= 3:
-        system = np.concatenate([single(i) for i in range(count)], axis=0)
+        system = np.concatenate([_intertwiner_block(dom[i], cod[i]) for i in range(count)])
         return arith.nullspace_exact(system)
 
     rng = random.Random(f"equiv:{seed_tag}:{count}:{unknowns}")
-    chosen = [blocks_for([rng.randint(-9, 9) for _ in range(count)]) for _ in range(2)]
+    chosen = []
+    for _ in range(2):
+        coeffs = np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64)
+        dom_c, cod_c = (arith.int_matmul(coeffs, stack.reshape(count, -1)).reshape(stack.shape[1:])
+                        for stack in (dom, cod))
+        chosen.append(_intertwiner_block(dom_c, cod_c))
     pending = list(range(count))
     for _round in range(count + 1):
-        system = np.concatenate(chosen, axis=0)
-        candidate = arith.nullspace_exact(system)
+        candidate = arith.nullspace_exact(np.concatenate(chosen, axis=0))
         if candidate.shape[0] == 0:
             return candidate
-        failing = None
-        for i in pending:
-            block = single(i)
-            if not is_zero(arith.exact_matmul(block.astype(object), candidate.T)):
-                failing = i
-                break
+        maps = arith.clear_denominators(candidate)[0].reshape(-1, cod.shape[1], dom.shape[1])
+        failing = next((i for i in pending if np.any(
+            arith.int_matmul(cod[i], maps) != arith.int_matmul(maps, dom[i]))), None)
         if failing is None:
             return candidate
-        chosen.append(single(failing))
+        chosen.append(_intertwiner_block(dom[failing], cod[failing]))
         pending.remove(failing)
     raise arith.ExactComputationError("equivariance system did not stabilize")  # pragma: no cover
 
@@ -157,17 +155,7 @@ def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> I
     if acting.dim == 0:
         basis = tuple(_unit_matrix(d2, d1, r, c) for r in range(d2) for c in range(d1))
         return IntertwinerSpace(dom, cod, basis)
-    dom_ints = [_int_action(m) for m in dom.matrices]
-    cod_ints = [_int_action(m) for m in cod.matrices]
-
-    def blocks_for(coeffs):
-        rho1 = sum(c * m for c, m in zip(coeffs, dom.matrices))
-        rho2 = sum(c * m for c, m in zip(coeffs, cod.matrices))
-        return _intertwiner_block(np.asarray(rho1, dtype=object), np.asarray(rho2, dtype=object))
-
-    null = _solve_equivariance(blocks_for, acting.dim, d1 * d2,
-                               seed_tag=f"itw:{d1}:{d2}")
-    del dom_ints, cod_ints
+    null = _solve_equivariance(*_int_stacks(dom, cod), seed_tag=f"itw:{d1}:{d2}")
     basis = tuple(null[r].reshape(d2, d1) for r in range(null.shape[0]))
     return IntertwinerSpace(dom, cod, basis)
 
@@ -205,22 +193,16 @@ def symmetric_commutant(restriction: AdRestriction, form: SymmetricForm) -> list
     swap = np.array([b * p + a for a in range(p) for b in range(p)])
     sym_rows = sym_rows - np.kron(np.eye(p, dtype=gram_int.dtype), gram_int.T)[:, swap]
 
-    count = restriction.acting.dim
-
-    def blocks_for(coeffs):
-        rho = sum(c * m for c, m in zip(coeffs, restriction.matrices))
-        rho = np.asarray(rho, dtype=object)
-        return _intertwiner_block(rho, rho)
-
-    if count:
-        comm_null = _solve_equivariance(blocks_for, count, p * p, seed_tag=f"comm:{p}")
+    if restriction.acting.dim:
+        rho, = _int_stacks(restriction)
+        comm_null = _solve_equivariance(rho, rho, seed_tag=f"comm:{p}")
         if comm_null.shape[0] == 0:
             return []
-        reduced = arith.exact_matmul(sym_rows.astype(object), comm_null.T)
-        inner = arith.nullspace_exact(reduced)
+        null_ints, _ = arith.clear_denominators(comm_null)
+        inner = arith.nullspace_exact(arith.int_matmul(sym_rows, null_ints.T))
         vectors = arith.exact_matmul(inner, comm_null) if inner.shape[0] else qzeros((0, p * p))
     else:
-        vectors = arith.nullspace_exact(sym_rows.astype(object))
+        vectors = arith.nullspace_exact(sym_rows)
     return [vectors[r].reshape(p, p) for r in range(vectors.shape[0])]
 
 

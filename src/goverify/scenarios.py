@@ -10,6 +10,7 @@ machine reports.
 from __future__ import annotations
 
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,8 +219,12 @@ def run_check(spec: ScenarioSpec, workers: int = 1) -> Report:
     for check in CHECK_ORDER:
         if check not in spec.checks:
             continue
-        handler = _CHECKS[check]
-        handler(built, rep, workers=workers)
+        before = len(rep.records)
+        start = time.perf_counter()
+        _CHECKS[check](built, rep, workers=workers)
+        elapsed = time.perf_counter() - start
+        for record in rep.records[before:]:
+            rep.timings[record["name"]] = elapsed
     return rep
 
 

@@ -328,8 +328,9 @@ def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
     result = Subspace(algebra, arith.nullspace_exact(system), check=False)
     # structural cross-check: n_g(k) = k + c_m(k), Q-orthogonally
     cm = centralizer_in(space, complement)
-    assert result.dim == space.dim + cm.dim, "normalizer decomposition failed"
-    assert result.contains_space(space) and result.contains_space(cm)
+    if result.dim != space.dim + cm.dim or not (result.contains_space(space)
+                                                and result.contains_space(cm)):
+        raise arith.ExactComputationError("normalizer differs from k + c_m(k)")
     memo[key] = result
     return result
 
@@ -394,8 +395,12 @@ def _centralizer_witness(space: Subspace, element: np.ndarray, attempt: int) -> 
     system = arith.exact_matmul(ad_h, space.basis.T)
     null = arith.nullspace_exact(system)
     vectors = arith.exact_matmul(null, space.basis) if null.shape[0] else qzeros((0, algebra.dim))
-    abelian = all(is_zero(algebra.bracket(vectors[i], vectors[j]))
-                  for i in range(vectors.shape[0]) for j in range(i + 1, vectors.shape[0]))
+    # all brackets [v_a, v_b] at once, on cleared integers: the vectors' large
+    # denominators would push algebra.bracket onto Fraction arithmetic
+    ints, _ = arith.clear_denominators(vectors)
+    half = arith.int_matmul(ints, algebra.int_tensor[0].reshape(algebra.dim, -1))
+    brackets = arith.int_matmul(ints, half.reshape(-1, algebra.dim, algebra.dim))
+    abelian = not np.any(brackets[np.triu_indices(vectors.shape[0], 1)])
     return CartanWitness(element, vectors, attempt, abelian)
 
 
@@ -435,11 +440,6 @@ class RegularityReport:
 
     def __bool__(self):
         return self.regular
-
-
-def has_maximal_rank(space: Subspace, seed: int = 0) -> bool:
-    full = Subspace.full(space.algebra)
-    return rank_estimate(space, seed=seed).value == rank_estimate(full, seed=seed).value
 
 
 def is_regular(space: Subspace, seed: int = 0) -> RegularityReport:

@@ -214,3 +214,24 @@ def test_eigenspaces_float_with_form():
     out = arith.symmetric_eigenspaces(op, form, backend=arith.FLOAT)
     values = sorted(v for v, _ in out)
     assert abs(values[0] - 0.0) < 1e-9 and abs(values[1] - 3.0) < 1e-9
+
+
+def test_nullspace_python_int_check_matches_int64(monkeypatch):
+    rng = np.random.RandomState(11)
+    base = rng.randint(-3, 4, size=(6, 40))
+    stack = np.concatenate([base * (i + 1) for i in range(40)], axis=0).astype(np.int64)
+    # same nullspace, entries past int64 range that a float product would round
+    huge = stack.astype(object) * 3**45
+    plain = arith.nullspace_exact(stack)
+    dtypes = []
+    product = arith.int_matmul
+
+    def recording_matmul(a, b):
+        dtypes.append(a.dtype)
+        return product(a, b)
+
+    monkeypatch.setattr(arith, "int_matmul", recording_matmul)
+    scaled = arith.nullspace_exact(huge)
+    assert dtypes == [object]  # the modular candidate was checked on Python ints
+    assert plain.shape == (40 - arith.rank_exact(base), 40)
+    assert scaled.shape == plain.shape and arith.is_zero(scaled - plain)

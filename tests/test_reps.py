@@ -1,6 +1,8 @@
 """Intertwiners, isotypic decompositions and the weak-regularity decision."""
 
+import dataclasses
 import random
+import types
 
 import numpy as np
 import pytest
@@ -227,3 +229,67 @@ def test_exploratory_so7_in_so8_runs_and_is_symmetric():
     forward = modules_disjoint(k, k, p)
     backward = modules_disjoint(k, p, k)
     assert forward == backward
+
+
+# -- integer kernel: Python-int fallback and candidate rejection ---------------
+
+def _scaled(action, factor):
+    return dataclasses.replace(action, matrices=tuple(m * factor for m in action.matrices))
+
+
+def _same_basis(first, second):
+    return len(first) == len(second) and all(is_zero(a - b) for a, b in zip(first, second))
+
+
+def test_symmetric_commutant_python_int_path_matches_int64(so4_ideals):
+    so4, full, _ = so4_ideals
+    action = ad_restriction(full, full)
+    scaled = _scaled(action, 2**60)  # same equivariance nullspace, entries past int64 range
+    assert reps._int_stacks(action)[0].dtype == np.int64
+    assert reps._int_stacks(scaled)[0].dtype == object
+    plain = symmetric_commutant(action, so4.form())
+    assert len(plain) == 2  # one scalar per simple ideal
+    assert _same_basis(plain, symmetric_commutant(scaled, so4.form()))
+
+
+def test_intertwiner_space_python_int_path_matches_int64(so4_ideals, monkeypatch):
+    _, full, _ = so4_ideals
+    plain = intertwiner_space(full, full, full)
+    assert plain.dim == 2
+    restrict = reps.ad_restriction
+    monkeypatch.setattr(reps, "ad_restriction",
+                        lambda acting, space: _scaled(restrict(acting, space), 2**60))
+    scaled = intertwiner_space(full, full, full)
+    assert reps._int_stacks(scaled.domain, scaled.codomain)[0].dtype == object
+    assert _same_basis(plain.basis, scaled.basis)
+
+
+def test_candidate_failing_a_generator_is_rejected(so4_ideals, monkeypatch):
+    _, full, _ = so4_ideals
+    rho, = reps._int_stacks(ad_restriction(full, full))
+    count = rho.shape[0]
+    direct = arith.nullspace_exact(np.concatenate([reps._intertwiner_block(r, r) for r in rho]))
+
+    class FirstGeneratorOnly:
+        """Random combinations that are all just the first generator."""
+
+        def __init__(self, seed):
+            self.calls = 0
+
+        def randint(self, low, high):
+            self.calls += 1
+            return 1 if self.calls % count == 1 else 0
+
+    candidates = []
+    solve = arith.nullspace_exact
+
+    def recording_nullspace(mat):
+        candidates.append(solve(mat))
+        return candidates[-1]
+
+    monkeypatch.setattr(reps, "random", types.SimpleNamespace(Random=FirstGeneratorOnly))
+    monkeypatch.setattr(arith, "nullspace_exact", recording_nullspace)
+    result = reps._solve_equivariance(rho, rho, seed_tag="test")
+    assert candidates[0].shape[0] > direct.shape[0]  # commutant of one generator only
+    assert len(candidates) > 1
+    assert result.shape == direct.shape and is_zero(result - direct)

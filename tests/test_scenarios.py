@@ -1,14 +1,15 @@
 """Scenario pipeline: builders, sweeps, catalog entries, replay."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from goverify import arith
 from goverify.metrics import BlockSpec
-from goverify.scenarios import (ScenarioSpec, build_scenario, grid_parameter_tuples,
-                                parse_blockspec, replay_report, run_check,
-                                scenario_catalog)
+from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, build_scenario,
+                                grid_parameter_tuples, parse_blockspec, replay_report,
+                                run_check, scenario_catalog)
 
 
 def test_grid_tuples_deterministic_and_alternating():
@@ -127,3 +128,27 @@ def test_consistency_chain_on_scenario_metrics():
         assert go.natred_condition_check(operator, kprime, complement)
         verdict = go.go_verdict(operator, kprime, go.SamplingStrategy(seed=1, random_count=8))
         assert not verdict.disproved
+
+
+def _timed_spec():
+    return ScenarioSpec(
+        name="timed", algebra={"family": "so", "n": 6}, subgroup={"partition": [2, 2, 2]},
+        metric={"params": ["1", "2", "3", "1", "1", "2"]}, checks=ALL_CHECKS, samples=4)
+
+
+def test_human_report_shows_a_time_for_every_check():
+    report = run_check(_timed_spec())
+    names = [r["name"] for r in report.records]
+    assert sorted(report.timings) == sorted(names)
+    human = report.to_human()
+    for name in names:
+        assert re.search(rf"^  {re.escape(name)}: .* \[\d+\.\d\ds\]$", human, re.M), name
+
+
+def test_timings_leave_machine_bytes_unchanged():
+    report = run_check(_timed_spec())
+    text = report.to_machine()
+    assert report.timings and "timing" not in text
+    report.timings.clear()
+    assert report.to_machine() == text
+    assert run_check(_timed_spec()).to_machine() == text

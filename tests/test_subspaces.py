@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from goverify import arith
+from goverify import arith, subspaces
 from goverify.arith import is_zero, q, qarray
 from goverify.lie import build_classical, direct_sum, embed_so_partition
 from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
@@ -251,3 +251,17 @@ def test_form_orthogonality_flag(so6_layout):
     assert so6_layout.subalgebra.is_form_orthogonal(form)
     skew = Subspace(g, qarray([[1] + [0] * 14, [1, 1] + [0] * 13]))
     assert not skew.is_form_orthogonal(form)
+
+
+def test_normalizer_cross_check_raises_on_wrong_centralizer(monkeypatch):
+    k = embed_so_partition(6, (2, 2, 2)).subalgebra  # fresh algebra: nothing memoized
+    monkeypatch.setattr(subspaces, "centralizer_in", lambda space, within: within)
+    with pytest.raises(arith.ExactComputationError, match="normalizer"):
+        normalizer(k)
+
+
+def test_centralizer_witness_detects_nonabelian_centralizer():
+    g = build_classical("so", 4)
+    # ad of the zero element vanishes, so its centralizer is all of so(4)
+    witness = subspaces._centralizer_witness(Subspace.full(g), arith.qzeros(g.dim), 1)
+    assert witness.dim == 6 and not witness.abelian
