@@ -132,7 +132,8 @@ def clear_denominators(arr: np.ndarray) -> tuple[np.ndarray, int]:
     scale = 1
     for v in flat:
         scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    ints = np.array([int(v * scale) for v in flat], dtype=object).reshape(arr.shape)
+    ints = np.array([int(v.numerator) * (scale // v.denominator) for v in flat],
+                    dtype=object).reshape(arr.shape)
     return _narrow(ints), scale
 
 

@@ -31,7 +31,6 @@ rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -78,10 +77,10 @@ class SymmetricForm:
         """Exact check of B([X,Y],Z) + B(Y,[X,Z]) = 0 on all basis triples."""
         c_int, _ = algebra.int_tensor
         b_int, _ = arith.clear_denominators(self.matrix)
-        c_obj = c_int.astype(object)
-        b_obj = b_int.astype(object)
-        t1 = np.tensordot(c_obj, b_obj, axes=([2], [0]))          # t1[i,j,k] = B([e_i,e_j], e_k)
-        t2 = np.tensordot(c_obj, b_obj, axes=([2], [1]))          # t2[i,k,j] = B(e_j, [e_i,e_k])
+        if not arith._int64_safe(c_int, b_int, 2 * algebra.dim):
+            c_int, b_int = c_int.astype(object), b_int.astype(object)
+        t1 = np.tensordot(c_int, b_int, axes=([2], [0]))          # t1[i,j,k] = B([e_i,e_j], e_k)
+        t2 = np.tensordot(c_int, b_int, axes=([2], [1]))          # t2[i,k,j] = B(e_j, [e_i,e_k])
         return is_zero(t1 + np.transpose(t2, (0, 2, 1)))
 
 
@@ -148,18 +147,33 @@ class StructureAlgebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Exact antisymmetry, Jacobi and realization checks; raises on failure."""
-        c_int, _ = self.int_tensor
-        c = c_int.astype(object)
-        anti = c + np.transpose(c, (1, 0, 2))
-        if not is_zero(anti):
-            idx = next(zip(*np.nonzero(np.vectorize(lambda v: v != 0)(anti))))
-            raise ValidationError(f"antisymmetry fails at (i,j,k)={tuple(int(a)+1 for a in idx)}")
-        prod = np.tensordot(c, c, axes=([2], [0]))  # prod[i,j,k,l] = [[e_i,e_j],e_k]_l
-        jac = prod + np.transpose(prod, (1, 2, 0, 3)) + np.transpose(prod, (2, 0, 1, 3))
-        if not is_zero(jac):
-            idx = next(zip(*np.nonzero(np.vectorize(lambda v: v != 0)(jac))))
-            raise ValidationError(f"Jacobi fails at (i,j,k,l)={tuple(int(a)+1 for a in idx)}")
+        """Exact antisymmetry, Jacobi and realization checks; raises on failure.
+
+        Both axioms are checked on the denominator-cleared tensor, int64 when
+        every Jacobi sum fits and Python ints otherwise.  Jacobi is checked one
+        first index at a time, so no d**4 array is built; the reported index
+        is the lexicographically first failing one.
+        """
+        c, _ = self.int_tensor
+        d = self.dim
+        if not arith._int64_safe(c, c, 3 * d):
+            c = c.astype(object)
+        failing = np.argwhere(c + np.transpose(c, (1, 0, 2)))
+        if failing.size:
+            raise ValidationError(
+                f"antisymmetry fails at (i,j,k)={tuple(int(a)+1 for a in failing[0])}")
+        right = c.reshape(d, d * d)                     # right[m, (k,l)] = c[m,k,l]
+        left = c.reshape(d * d, d)                      # left[(j,k), m] = c[j,k,m]
+        for i in range(d):
+            # jac[j,k,l] = [[e_i,e_j],e_k]_l + [[e_k,e_i],e_j]_l + [[e_j,e_k],e_i]_l
+            ci = c[:, i, :]                             # ci[a,m] = c[a,i,m]
+            jac = (c[i] @ right).reshape(d, d, d)
+            jac = jac + np.transpose((ci @ right).reshape(d, d, d), (1, 0, 2))
+            jac = jac + (left @ ci).reshape(d, d, d)
+            failing = np.argwhere(jac)
+            if failing.size:
+                raise ValidationError(
+                    f"Jacobi fails at (i,j,k,l)={tuple(int(a)+1 for a in (i, *failing[0]))}")
         if self.realization is not None:
             self._validate_realization()
 
@@ -168,9 +182,11 @@ class StructureAlgebra:
             raise ValidationError("realization length does not match dim")
         mats, _ = arith.clear_denominators(np.stack(self.realization))
         c_int, cscale = self.int_tensor
-        mats, c_int = _widen([mats, c_int], mats, c_int, extra=cscale)
         # cscale * [R_i, R_j] must equal sum_k c_int[i,j,k] R_k, entrywise.
-        comm = np.einsum("iab,jbc->ijac", mats, mats)
+        if not (arith._int64_safe(mats, mats, 2 * mats.shape[-1] * cscale)
+                and arith._int64_safe(c_int, mats, self.dim)):
+            mats, c_int = mats.astype(object), c_int.astype(object)
+        comm = mats[:, None] @ mats[None, :]
         comm = comm - np.transpose(comm, (1, 0, 2, 3))
         expected = np.tensordot(c_int, mats, axes=([2], [0]))
         diff = comm * cscale - expected
@@ -187,14 +203,9 @@ class StructureAlgebra:
     @cached_property
     def killing(self) -> SymmetricForm:
         c_int, scale = self.int_tensor
-        c = c_int.astype(object)
-        b_int = np.tensordot(c, c, axes=([1, 2], [2, 1]))  # B[i,j] = tr(ad_i ad_j)
-        b = qzeros((self.dim, self.dim))
-        s2 = Fraction(1, scale * scale)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                b[i, j] = b_int[i, j] * s2
-        return SymmetricForm(b)
+        # B[i,j] = tr(ad_i ad_j) = sum_{k,l} c[i,k,l] c[j,l,k]
+        return SymmetricForm(arith.exact_tensordot(c_int, scale, c_int, scale,
+                                                   ([1, 2], [2, 1]), self.dim * self.dim))
 
     @cached_property
     def canonical_form(self) -> SymmetricForm | None:
@@ -357,62 +368,31 @@ def _sp_basis(n: int) -> tuple[list[str], list[np.ndarray]]:
     return labels, mats
 
 
-def _widen(arrays, *bound_parts, extra: int = 1):
-    """Promote int64 arrays to object ints when products could overflow."""
-    bound = extra
-    for part in bound_parts:
-        m = int(np.max(np.abs(part))) if part.size else 0
-        bound *= max(1, m) * max(part.shape)
-    if bound < 2**62:
-        return arrays
-    return [a.astype(object) for a in arrays]
-
-
 def _tensor_from_realization(mats: list[np.ndarray]) -> np.ndarray:
     """Exact structure constants of a closed family of realization matrices.
 
-    Brackets are expanded over the basis by solving against the entrywise
-    Gram matrix of the flattened realization; closure is verified exactly.
+    Brackets are expanded over the basis through the inverse of the entrywise
+    Gram matrix of the flattened realization, cleared to integers once; the
+    coordinates and the closure check are integer products (int64 when safe,
+    Python ints otherwise), and closure is verified exactly.
     """
     d = len(mats)
     stack, fscale = arith.clear_denominators(np.stack(mats))
-    stack, = _widen([stack], stack, stack)
     flat = stack.reshape(d, -1)                               # S_i = fscale * R_i, flattened
-    gram = flat @ flat.T
-    comm = np.einsum("iab,jbc->ijac", stack, stack)
-    comm = (comm - np.transpose(comm, (1, 0, 2, 3))).reshape(d, d, -1)
-    rhs = np.tensordot(comm, flat, axes=([2], [1]))           # rhs[i,j,a] = <[S_i,S_j], S_a>
-    diag = np.diagonal(gram).copy()
-    if np.any(gram - np.diag(diag) != 0) or np.any(diag == 0):
-        # non-orthogonal basis: exact Gram solve (small families only)
-        gram_rows, pivots = arith._rref(np.concatenate([qarray(gram.astype(object)), qeye(d)], axis=1))
-        if len(pivots) != d:
-            raise ContractViolation("realization matrices are linearly dependent")
-        gram_inv = qarray([row[d:] for row in gram_rows])
-        coords = np.tensordot(rhs.astype(object), gram_inv.T, axes=([2], [0]))
-        recon = np.tensordot(coords, flat.astype(object), axes=([2], [0]))
-        if not is_zero(recon - comm.astype(object)):
-            raise ContractViolation("realization family is not bracket-closed")
-        tensor = coords / fscale
-    else:
-        # orthogonal basis: coords[i,j,a] = rhs[i,j,a] / diag[a]; verify closure
-        # against lcm-scaled integers so everything stays vectorized.
-        lcm_diag = 1
-        for v in diag:
-            lcm_diag = lcm_diag * int(v) // math.gcd(lcm_diag, int(v))
-        mult = np.array([lcm_diag // int(v) for v in diag])
-        coords_int = rhs * mult[None, None, :]
-        coords_int, comm_chk = _widen([coords_int, comm], coords_int, flat, extra=lcm_diag)
-        recon = np.tensordot(coords_int, flat, axes=([2], [0]))
-        if np.any(recon != comm_chk * lcm_diag):
-            raise ContractViolation("realization family is not bracket-closed")
-        denom = lcm_diag * fscale
-        tensor = np.empty((d, d, d), dtype=object)
-        flat_coords = coords_int.reshape(-1)
-        flat_tensor = tensor.reshape(-1)
-        for idx in range(flat_tensor.shape[0]):
-            flat_tensor[idx] = Fraction(int(flat_coords[idx]), denom)
-    return np.asarray(tensor, dtype=object)
+    gram = arith.int_matmul(flat, flat.T)
+    rows, pivots = arith._rref(np.concatenate([qarray(gram), qeye(d)], axis=1))
+    if len(pivots) != d:
+        raise ContractViolation("realization matrices are linearly dependent")
+    gram_inv, gscale = arith.clear_denominators(qarray([row[d:] for row in rows]))
+    comm = arith.int_matmul(stack[:, None], stack[None, :])
+    comm = (comm - np.transpose(comm, (1, 0, 2, 3))).reshape(d * d, -1)
+    rhs = arith.int_matmul(comm, flat.T)                      # rhs[(i,j),a] = <[S_i,S_j], S_a>
+    coords = arith.int_matmul(rhs, gram_inv)                  # [S_i,S_j] = sum_a coords S_a / gscale
+    if not arith._int64_safe(comm, np.array([gscale]), 1):    # comm * gscale must not wrap
+        comm = comm.astype(object)
+    if np.any(arith.int_matmul(coords, flat) != comm * gscale):
+        raise ContractViolation("realization family is not bracket-closed")
+    return arith.from_ints(coords.reshape(d, d, d), gscale * fscale)
 
 
 def build_classical(family: str, n: int) -> StructureAlgebra:

@@ -120,6 +120,19 @@ class MetricOperator:
                                        check=False))
         return tuple(pieces)
 
+    @cached_property
+    def isometry_subalgebra(self) -> Subspace:
+        """Maximal subalgebra whose adjoint operators are metric-skew.
+
+        Solves ad_X^T H + H ad_X = 0 for X, with H the metric's matrix; the
+        solution space is verified to be bracket-closed.
+        """
+        null = arith.nullspace_exact(skewness_system(self).astype(object))
+        space = Subspace(self.algebra, null, check=False)
+        if not is_subalgebra(space):  # pragma: no cover - mathematically impossible
+            raise arith.ExactComputationError("isometry candidate is not a subalgebra")
+        return space
+
     def is_scalar(self) -> Fraction | None:
         value = self.matrix[0, 0]
         return value if is_zero(self.matrix - value * arith.qeye(self.algebra.dim)) else None
@@ -268,18 +281,8 @@ def skewness_system(operator: MetricOperator) -> np.ndarray:
 
 
 def isometry_subalgebra(operator: MetricOperator) -> Subspace:
-    """Maximal subalgebra whose adjoint operators are metric-skew.
-
-    Solves ad_X^T H + H ad_X = 0 for X, with H the metric's matrix; the
-    solution space is verified to be bracket-closed.
-    """
-    algebra = operator.algebra
-    null = arith.nullspace_exact(skewness_system(operator).astype(object))
-    space = Subspace(algebra, null, check=False)
-    check = is_subalgebra(space)
-    if not check:  # pragma: no cover - mathematically impossible
-        raise arith.ExactComputationError("isometry candidate is not a subalgebra")
-    return space
+    """Maximal subalgebra whose adjoint operators are metric-skew (cached on the operator)."""
+    return operator.isometry_subalgebra
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +393,7 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
     if scalar is not None:
         dec = DecomposedSubalgebra(center=Subspace.zero(algebra), ideals=(full,))
         return DaZiReport(True, full, dec, (scalar,), None, "scalar (bi-invariant)")
-    kprime = isometry_subalgebra(operator)
+    kprime = operator.isometry_subalgebra
     dec = ideal_decomposition(kprime, seed=seed)
     complement = orthogonal_complement(kprime, form)
     pieces = [dec.center, *dec.ideals, complement]

@@ -428,11 +428,16 @@ def grid_parameter_tuples(partition, count: int, seed: int):
         yield t, kind, params
 
 
+def _grid_operator(built: BuiltScenario, params: dict) -> MetricOperator:
+    """The block metric of one grid-sweep tuple, from its block parameters."""
+    blocks = tuple((built.named[n], params[n]) for n in _block_names(built.layout.partition))
+    return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks))
+
+
 def _sweep_tuple(built: BuiltScenario, index: int, kind: str, params: dict) -> dict:
     spec = built.spec
     names = _block_names(built.layout.partition)
-    blocks = tuple((built.named[n], params[n]) for n in names)
-    operator = metrics.metric_from_blocks(built.algebra, BlockSpec(blocks))
+    operator = _grid_operator(built, params)
     strategy = go.SamplingStrategy(seed=spec.seed * 100003 + index, random_count=spec.samples)
     kprime = metrics.isometry_subalgebra(operator)
     verdict = go.go_verdict(operator, kprime, strategy)
@@ -568,16 +573,20 @@ def _flag_tuples(count: int, seed: int):
         yield t, (a, b, c), mus
 
 
+def _flag_operator(built: BuiltScenario, center, mus) -> MetricOperator:
+    """The metric of one flag-sweep tuple: torus block ``[[a, b], [b, c]]``, root scalars."""
+    a, b, c = center
+    blocks = tuple((built.named[f"r{i}"], mu) for i, mu in enumerate(mus, start=1))
+    torus_block = (built.named["t"], arith.qarray([[a, b], [b, c]]))
+    return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, torus_block))
+
+
 def _check_flag_sweep(built: BuiltScenario, rep: Report, **_):
     spec = built.spec
-    torus = built.named["t"]
-    root_pieces = [built.named[f"r{i}"] for i in (1, 2, 3)]
     count = int(spec.metric["flaggrid"]["tuples"])
     results = []
     for t, (a, b, c), mus in _flag_tuples(count, spec.seed):
-        center = (torus, arith.qarray([[a, b], [b, c]]))
-        blocks = tuple((piece, mu) for piece, mu in zip(root_pieces, mus))
-        operator = metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, center))
+        operator = _flag_operator(built, (a, b, c), mus)
         strategy = go.SamplingStrategy(seed=spec.seed * 100003 + t, random_count=spec.samples)
         kprime = metrics.isometry_subalgebra(operator)
         verdict = go.go_verdict(operator, kprime, strategy)
@@ -619,8 +628,9 @@ CHECK_ORDER = CHECK_ORDER + ("flag-sweep",)
 def replay_report(text: str) -> dict:
     """Re-verify every embedded exact certificate of a machine report.
 
-    Counterexamples are replayed through the rank-gap check and witnesses
-    through the defining identity; returns counts and a ``verified`` flag.
+    Counterexamples, including those of grid and flag sweep tuples, are
+    replayed through the rank-gap check and witnesses through the defining
+    identity; returns the ``verified`` and ``failed`` counts and ``ok``.
     """
     from .report import parse_machine
     header, records, _summary = parse_machine(text)
@@ -637,14 +647,16 @@ def replay_report(text: str) -> dict:
             ok, bad = _replay_go_record(operator, subgroup, record)
             verified += ok
             failed += bad
-        elif name == "sweep" and not record.get("flag"):
-            names = _block_names(built.layout.partition)
+        elif name == "sweep":
             for tup in record["tuples"]:
                 if tup["counterexample"] is None:
                     continue
-                params = {n: Fraction(v) for n, v in tup["params"].items()}
-                blocks = tuple((built.named[n], params[n]) for n in names)
-                operator = metrics.metric_from_blocks(built.algebra, BlockSpec(blocks))
+                if record.get("flag"):
+                    operator = _flag_operator(built, [Fraction(v) for v in tup["center"]],
+                                              [Fraction(v) for v in tup["root_scalars"]])
+                else:
+                    operator = _grid_operator(
+                        built, {n: Fraction(v) for n, v in tup["params"].items()})
                 kprime = metrics.isometry_subalgebra(operator)
                 ok, bad = _replay_counterexample(operator, kprime, tup["counterexample"])
                 verified += ok

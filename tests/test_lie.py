@@ -66,6 +66,68 @@ def test_validation_catches_broken_antisymmetry():
         broken.validate()
 
 
+def _first_failure(tensor):
+    """Brute-force reference: the first failing antisymmetry or Jacobi index, 1-based."""
+    d = tensor.shape[0]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if tensor[i, j, k] + tensor[j, i, k] != 0:
+                    return "antisymmetry", (i + 1, j + 1, k + 1)
+    for i, j, k, l in np.ndindex(d, d, d, d):
+        cyclic = sum(tensor[i, j, m] * tensor[m, k, l] + tensor[j, k, m] * tensor[m, i, l]
+                     + tensor[k, i, m] * tensor[m, j, l] for m in range(d))
+        if cyclic != 0:
+            return "Jacobi", (i + 1, j + 1, k + 1, l + 1)
+    return None
+
+
+def _python_int_path(algebra):
+    c_int, _ = algebra.int_tensor
+    return not arith._int64_safe(c_int, c_int, 3 * algebra.dim)
+
+
+def test_scaled_tensor_validates_on_python_ints():
+    """Jacobi is quadratic and antisymmetry linear, so scaling keeps both."""
+    so5 = build_classical("so", 5)
+    scaled = lie.StructureAlgebra(dim=so5.dim, tensor=so5.tensor * 2**40)
+    assert _python_int_path(scaled)
+    scaled.validate()
+    assert is_zero(scaled.killing.matrix - so5.killing.matrix * 2**80)
+    assert scaled.killing.is_ad_invariant(scaled)
+
+
+@pytest.mark.parametrize("kind", ["antisymmetry", "Jacobi"])
+def test_broken_entry_reports_the_reference_index_on_both_paths(kind):
+    tensor = build_classical("so", 5).tensor.copy()
+    tensor[3, 6, 8] += 1                       # [e4,e7] gains a stray e9 component
+    if kind == "Jacobi":
+        tensor[6, 3, 8] -= 1                   # ... kept antisymmetric
+    expected_kind, idx = _first_failure(tensor)
+    assert expected_kind == kind
+    messages = []
+    for scale in (1, 2**40):
+        algebra = lie.StructureAlgebra(dim=10, tensor=tensor * scale)
+        assert _python_int_path(algebra) == (scale != 1)
+        with pytest.raises(ValidationError) as excinfo:
+            algebra.validate()
+        messages.append(str(excinfo.value))
+    letters = "(i,j,k,l)" if kind == "Jacobi" else "(i,j,k)"
+    assert messages == [f"{kind} fails at {letters}={idx}"] * 2
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2)])
+def test_realization_tensor_on_python_ints_scales_exactly(family, n):
+    """Scaling every realization matrix by s scales the structure constants by s."""
+    _, mats = lie._su_basis(n) if family == "su" else lie._sp_basis(n)
+    mats = [m * 2**40 for m in mats]
+    stack, _ = arith.clear_denominators(np.stack(mats))
+    assert not arith._int64_safe(stack, stack, stack.shape[-1])
+    scaled = lie._tensor_from_realization(mats)
+    assert is_zero(scaled - build_classical(family, n).tensor * 2**40)
+    lie.StructureAlgebra(dim=len(mats), tensor=scaled, realization=tuple(mats)).validate()
+
+
 def test_killing_constant_so_n():
     """Q(A_ij, A_ij) = 2(n-2), off-diagonal zero, against the trace oracle."""
     for n in (3, 5, 6):

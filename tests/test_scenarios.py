@@ -1,5 +1,6 @@
 """Scenario pipeline: builders, sweeps, catalog entries, replay."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -90,6 +91,19 @@ def test_sweep_records_embed_replayable_counterexamples():
     disproved = [t for t in record["tuples"] if t["go"] == "Disproved"]
     assert disproved and all(t["counterexample"] is not None for t in disproved)
     assert outcome["verified"] == len(disproved)
+
+
+def test_flag_sweep_counterexamples_replay():
+    spec = scenario_catalog()["su3-torus-flag"]
+    spec = ScenarioSpec.from_obj({**spec.to_obj(), "metric": {"flaggrid": {"tuples": 4}}})
+    text = run_check(spec).to_machine()
+    assert replay_report(text) == {"verified": 2, "failed": 0, "ok": True}
+    lines = [json.loads(line) for line in text.splitlines()]
+    record = next(r for r in lines if r.get("name") == "sweep")
+    tup = next(t for t in record["tuples"] if t["counterexample"] is not None)
+    tup["counterexample"]["rank_a"] += 1
+    tampered = "\n".join(json.dumps(r, sort_keys=True) for r in lines) + "\n"
+    assert replay_report(tampered) == {"verified": 1, "failed": 1, "ok": False}
 
 
 def test_sweep_workers_merge_deterministically():
