@@ -15,6 +15,14 @@ The exact kernels are certified: nullspace results produced via the fast
 modular screening path are verified by an exact integer product with the
 denominator-cleared candidate before they are returned, and fall back to
 plain fraction Gauss elimination whenever the verification fails.
+
+The modular screening elimination (:func:`_modp_pivots`) reduces wide
+systems in panels of ``_PANEL = 64`` columns.  Each panel's update of the
+other rows is one matrix product mod ``_P``, done by :func:`_mulmod` as
+float64 BLAS products on 16-bit limbs.  Residues are below ``2**31`` and
+limbs below ``2**16``, so a sum of at most 64 products stays below ``2**53``
+and every product is exact, whatever the BLAS summation order or thread
+count.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ EXACT = "exact"
 FLOAT = "float"
 
 _P = 2_147_483_647  # prime modulus for the screening eliminations
+_PANEL = 64         # columns per elimination panel, fixed by the 2**53 bound in _mulmod
+_CHUNK = 256        # rows per trailing panel update, to keep temporaries small
 _X = sympy.Symbol("x")
 
 
@@ -272,18 +282,14 @@ def rank_exact(mat: np.ndarray) -> int:
     return r
 
 
-def _modp_pivots(mat_int: np.ndarray, reduce_above: bool = False):
-    """Row echelon elimination mod ``_P``.
+def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], list[tuple[int, int]]]:
+    """Scalar elimination mod ``_P`` of ``work`` in place, one pivot at a time.
 
-    Returns ``(rank, pivot row ids, pivot cols, reduced)`` where pivot row
-    ids refer to the original numbering and ``reduced`` is the working array
-    (fully reduced rref when ``reduce_above``).
+    Returns the pivot columns and the row swaps ``(r, pr)`` in the order made.
     """
-    work = (np.asarray(mat_int) % _P).astype(np.int64)
     nrows, ncols = work.shape
-    row_ids = np.arange(nrows)
-    piv_rows: list[int] = []
     piv_cols: list[int] = []
+    swaps: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -294,7 +300,7 @@ def _modp_pivots(mat_int: np.ndarray, reduce_above: bool = False):
         pr = r + int(nz[0])
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
-            row_ids[[r, pr]] = row_ids[[pr, r]]
+            swaps.append((r, pr))
         inv = pow(int(work[r, c]), _P - 2, _P)
         work[r, c:] = (work[r, c:] * inv) % _P
         lo = 0 if reduce_above else r + 1
@@ -302,10 +308,86 @@ def _modp_pivots(mat_int: np.ndarray, reduce_above: bool = False):
         others = others[others != r]
         if others.size:
             work[others, c:] = (work[others, c:] - work[others, c][:, None] * work[r, c:][None, :]) % _P
-        piv_rows.append(int(row_ids[r]))
         piv_cols.append(c)
         r += 1
-    return r, piv_rows, piv_cols, work
+    return piv_cols, swaps
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``(a @ b) % _P`` of int64 residues, with at most ``_PANEL`` inner terms.
+
+    Float64 products on the 16-bit limbs of ``b``: every partial sum is an
+    integer below ``_PANEL * (_P - 1) * 0xFFFF < 2**53``, hence exact in any
+    summation order.
+    """
+    if a.shape[-1] > _PANEL:
+        raise ContractViolation(f"_mulmod sums at most {_PANEL} products")
+    af = a.astype(np.float64)
+    low = (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64) % _P
+    high = (af @ (b >> 16).astype(np.float64)).astype(np.int64) % _P
+    return (low + (high << 16)) % _P
+
+
+def _modp_pivots(mat_int: np.ndarray, reduce_above: bool = False):
+    """Row echelon elimination mod ``_P``.
+
+    Returns ``(rank, pivot row ids, pivot cols, reduced)`` where pivot row
+    ids refer to the original numbering and ``reduced`` is the working array
+    (fully reduced rref when ``reduce_above``).
+
+    With ``reduce_above`` and more than ``_PANEL`` columns this is blocked
+    Gauss-Jordan over panels of ``_PANEL`` columns.  The scalar loop, forward
+    only, finds a panel's pivots and row swaps on the narrow block; the pivot
+    rows are multiplied by the inverse of their pivot block, and every other
+    row drops its pivot-column part as one :func:`_mulmod` product (exact:
+    ``_PANEL`` inner terms keep float64 partial sums below ``2**53``).  The
+    rref mod p is unique, so all four outputs equal the scalar loop's.
+    """
+    work = (np.asarray(mat_int) % _P).astype(np.int64)
+    nrows, ncols = work.shape
+    row_ids = np.arange(nrows)
+    if not reduce_above or ncols <= _PANEL:
+        piv_cols, swaps = _eliminate_modp(work, reduce_above)
+        _swap_rows(row_ids, swaps)
+        return len(piv_cols), row_ids[:len(piv_cols)].tolist(), piv_cols, work
+    piv_cols = []
+    r = 0
+    for c0 in range(0, ncols, _PANEL):
+        if r == nrows:
+            break
+        cols, swaps = _eliminate_modp(work[r:, c0:c0 + _PANEL].copy(), reduce_above=False)
+        if not cols:
+            continue
+        swaps = [(r + a, r + b) for a, b in swaps]
+        _swap_rows(work, swaps)
+        _swap_rows(row_ids, swaps)
+        k = len(cols)
+        pcols = [c0 + c for c in cols]
+        pivots = work[r:r + k, c0:]
+        pivots[:] = _mulmod(_inverse_modp(work[r:r + k, pcols]), pivots)
+        for lo, hi in ((0, r), (r + k, nrows)):
+            for start in range(lo, hi, _CHUNK):
+                rows = work[start:min(start + _CHUNK, hi)]
+                rows[:, c0:] -= _mulmod(rows[:, pcols], pivots)
+                rows[:, c0:] %= _P
+        piv_cols.extend(pcols)
+        r += k
+    return r, row_ids[:r].tolist(), piv_cols, work
+
+
+def _swap_rows(arr: np.ndarray, swaps: list[tuple[int, int]]) -> None:
+    for a, b in swaps:
+        arr[[a, b]] = arr[[b, a]]
+
+
+def _inverse_modp(block: np.ndarray) -> np.ndarray:
+    """Inverse mod ``_P`` of an invertible square residue block, by the scalar loop on ``[A | I]``."""
+    k = block.shape[0]
+    aug = np.concatenate([block, np.eye(k, dtype=np.int64)], axis=1)
+    piv_cols, _ = _eliminate_modp(aug, reduce_above=True)
+    if piv_cols != list(range(k)):
+        raise ExactComputationError("pivot block is singular mod p")
+    return aug[:, k:]
 
 
 def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:

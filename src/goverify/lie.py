@@ -119,14 +119,9 @@ class StructureAlgebra:
         c_int, c_scale = self.int_tensor
         x_int, x_scale = arith.clear_denominators(np.asarray(x, dtype=object))
         y_int, y_scale = arith.clear_denominators(np.asarray(y, dtype=object))
-        if all(a.dtype == np.int64 for a in (c_int, x_int, y_int)):
-            bound = max(1, arith._max_abs(c_int)) * max(1, arith._max_abs(x_int)) \
-                * max(1, arith._max_abs(y_int)) * self.dim * self.dim
-            if bound < 2**62:
-                t1 = np.tensordot(c_int, y_int, axes=([1], [0]))
-                return arith.from_ints(x_int @ t1, c_scale * x_scale * y_scale)
-        t1 = np.tensordot(self.tensor, np.asarray(y, dtype=object), axes=([1], [0]))
-        return np.dot(np.asarray(x, dtype=object), t1)
+        d = self.dim
+        x_c = arith.int_matmul(x_int, c_int.reshape(d, d * d)).reshape(d, d)  # sum_i x_i c_ij^k
+        return arith.from_ints(arith.int_matmul(y_int, x_c), c_scale * x_scale * y_scale)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad_x, columns indexed by basis vectors."""

@@ -55,9 +55,10 @@ def ad_restriction(acting: Subspace, space: Subspace) -> AdRestriction:
     """Action matrices of ``acting`` on ``space``; raises if not invariant."""
     if acting.algebra is not space.algebra:
         raise ContractViolation("acting and space must share an ambient algebra")
+    basis_int, basis_scale = space.int_basis
     mats = []
-    for i in range(acting.dim):
-        image = arith.exact_matmul(acting.ad_matrices[i], space.basis.T)
+    for i, (ad_int, ad_scale) in enumerate(acting.int_ad_matrices):
+        image = arith.from_ints(arith.int_matmul(ad_int, basis_int.T), ad_scale * basis_scale)
         coords = space.coords_matrix(image)
         if coords is None:
             raise ContractViolation(

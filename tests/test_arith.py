@@ -235,3 +235,56 @@ def test_nullspace_python_int_check_matches_int64(monkeypatch):
     assert dtypes == [object]  # the modular candidate was checked on Python ints
     assert plain.shape == (40 - arith.rank_exact(base), 40)
     assert scaled.shape == plain.shape and arith.is_zero(scaled - plain)
+
+
+# -- blocked modular elimination ----------------------------------------------
+
+def _scalar_modp_pivots(mat, monkeypatch):
+    """The one-pivot-at-a-time loop: a panel wider than any test matrix."""
+    with monkeypatch.context() as patched:
+        patched.setattr(arith, "_PANEL", 10**9)
+        return arith._modp_pivots(mat, reduce_above=True)
+
+
+def _rank_deficient(rng):
+    return rng.randint(-3, 4, size=(180, 40)) @ rng.randint(-3, 4, size=(40, 210))
+
+
+def _pivotless_panel(rng):
+    """Columns 64..127 are combinations of columns 0..63: no pivot in panel two."""
+    first = rng.randint(-3, 4, size=(160, 64))
+    return np.concatenate([first, first @ rng.randint(-2, 3, size=(64, 64)),
+                           rng.randint(-3, 4, size=(160, 70))], axis=1)
+
+
+@pytest.mark.parametrize("build", [
+    _rank_deficient,
+    _pivotless_panel,
+    lambda rng: rng.randint(-5, 6, size=(100, 250)),                # rows run out mid-panel
+    lambda rng: rng.randint(-2**40, 2**40, size=(150, 200), dtype=np.int64),
+    lambda rng: rng.randint(-5, 6, size=(130, 140)).astype(object) * (2**70 + 1),
+], ids=["rank-deficient", "pivotless-panel", "wide", "int64-large", "python-int"])
+def test_panel_elimination_matches_scalar_loop(build, monkeypatch):
+    mat = build(np.random.RandomState(5))
+    assert mat.shape[1] > 2 * arith._PANEL
+    rank, piv_rows, piv_cols, reduced = arith._modp_pivots(mat, reduce_above=True)
+    ref_rank, ref_rows, ref_cols, ref_reduced = _scalar_modp_pivots(mat, monkeypatch)
+    assert (rank, piv_rows, piv_cols) == (ref_rank, ref_rows, ref_cols)
+    assert np.array_equal(reduced[:rank], ref_reduced[:ref_rank])
+    if build is _rank_deficient:
+        assert rank == 40
+    if build is _pivotless_panel:
+        assert not [c for c in piv_cols if 64 <= c < 128]
+
+
+def test_mulmod_exact_at_its_bound():
+    assert arith._PANEL * (arith._P - 1) * 0xFFFF < 2**53
+    rng = np.random.RandomState(7)
+    a = rng.randint(arith._P - 2**20, arith._P, size=(5, arith._PANEL), dtype=np.int64)
+    a[0] = arith._P - 1
+    b = np.full((arith._PANEL, 9), arith._P - 1, dtype=np.int64)
+    expected = (a.astype(object) @ b.astype(object)) % arith._P
+    assert np.array_equal(arith._mulmod(a, b), expected.astype(np.int64))
+    with pytest.raises(ContractViolation):
+        arith._mulmod(np.ones((1, arith._PANEL + 1), dtype=np.int64),
+                      np.ones((arith._PANEL + 1, 1), dtype=np.int64))

@@ -297,3 +297,17 @@ def test_random_small_so_roundtrip(n):
 def test_validity_up_to_so10():
     for n in range(2, 11):
         build_classical("so", n)  # validates internally
+
+
+def test_bracket_on_python_ints_matches_fraction_reference():
+    so5 = build_classical("so", 5)
+    scaled = lie.StructureAlgebra(dim=so5.dim, tensor=so5.tensor * 2**40)
+    rng = np.random.RandomState(2)
+    x = np.array([q(int(v)) / 7 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
+    y = np.array([q(int(v)) / 11 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
+    c_int, _ = scaled.int_tensor
+    x_int, _ = arith.clear_denominators(x)
+    assert not arith._int64_safe(x_int, c_int.reshape(10, 100), 10)
+    reference = np.dot(x, np.tensordot(scaled.tensor, y, axes=([1], [0])))
+    assert is_zero(scaled.bracket(x, y) - reference)
+    assert is_zero(scaled.bracket(x, y) - so5.bracket(x, y) * 2**40)
