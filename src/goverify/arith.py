@@ -16,6 +16,12 @@ modular screening path are verified by an exact integer product with the
 denominator-cleared candidate before they are returned, and fall back to
 plain fraction Gauss elimination whenever the verification fails.
 
+Exact solves and ranks run on integers: :func:`_eliminate_int` is
+fraction-free (Bareiss) elimination of the row-cleared matrix, forward for
+:func:`rank_exact` and Gauss-Jordan for :func:`solve_int`.  Each step
+divides by the previous pivot; the quotients are minors of the input, so
+every division is exact, and Gauss-Jordan leaves ``det * rref``.
+
 The modular screening elimination (:func:`_modp_pivots`) reduces wide
 systems in panels of ``_PANEL = 64`` columns.  Each panel's update of the
 other rows is one matrix product mod ``_P``, done by :func:`_mulmod` as
@@ -241,45 +247,60 @@ def _rref(mat: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return rows, pivots
 
 
-def _nullspace_from_rref(rows: list[list[Fraction]], pivots: list[int], ncols: int) -> np.ndarray:
+def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: int = 1) -> np.ndarray:
+    """Nullspace basis (rows) from ``rows``, which are ``det`` times an rref."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = qzeros((len(free), ncols))
     for b, fc in enumerate(free):
         basis[b, fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            basis[b, pc] = -rows[r][fc]
+            basis[b, pc] = Fraction(-rows[r][fc], det)
     return basis
 
 
 def rank_exact(mat: np.ndarray) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    arr = np.asarray(mat, dtype=object)
+    arr = np.asarray(mat)
     if arr.size == 0:
         return 0
-    work = [[int(v) for v in row] for row in _int_rows(arr)]
+    ints = arr if np.issubdtype(arr.dtype, np.integer) else _int_rows(arr)
+    return len(_eliminate_int(ints.tolist(), reduce_above=False)[0])
+
+
+def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``work`` in place.
+
+    Returns the pivot columns and the last pivot ``det``.  Each step replaces
+    every other row by ``(p * row - head * pivot_row) // prev`` with ``p`` the
+    new pivot and ``prev`` the one before; every quotient is a minor of the
+    row-permuted input, so each division is exact.  Forward only, the first
+    rows are an echelon form; with ``reduce_above`` (Gauss-Jordan) every
+    pivot row ends equal to ``det`` times its row of the rref.
+    """
     nrows = len(work)
-    ncols = len(work[0])
+    ncols = len(work[0]) if nrows else 0
+    piv_cols: list[int] = []
     prev = 1
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
         wr = work[r]
-        for i in range(r + 1, nrows):
+        p = wr[c]
+        lo = 0 if reduce_above else c
+        for i in range(0 if reduce_above else r + 1, nrows):
             wi = work[i]
-            if all(x == 0 for x in wi[c:]):
-                continue
             head = wi[c]
-            for j in range(c + 1, ncols):
-                wi[j] = (wi[j] * wr[c] - head * wr[j]) // prev
-            wi[c] = 0
-        prev = wr[c]
+            if i != r and (head or p != prev):
+                wi[lo:] = [(x * p - head * y) // prev for x, y in zip(wi[lo:], wr[lo:])]
+        prev = p
+        piv_cols.append(c)
         r += 1
-        if r == nrows:
-            break
-    return r
+    return piv_cols, prev
 
 
 def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], list[tuple[int, int]]]:
@@ -505,19 +526,26 @@ def solve_linear(A, b, backend: str = EXACT, tol: ToleranceProfile = DEFAULT_TOL
 
 
 def _solve_exact(A: np.ndarray, b: np.ndarray):
-    nrows, ncols = A.shape
-    aug = qzeros((nrows, ncols + 1))
-    aug[:, :ncols] = np.asarray(A, dtype=object)
-    aug[:, ncols] = np.asarray(b, dtype=object)
-    rows, pivots = _rref(aug)
+    aug = np.concatenate([np.asarray(A, dtype=object), np.asarray(b, dtype=object)[:, None]], axis=1)
+    return solve_int(_int_rows(aug))
+
+
+def solve_int(aug: np.ndarray):
+    """Solve the rational system whose integer augmented matrix is ``aug = [A | b]``.
+
+    Any row may carry its own positive scale.  One fraction-free Gauss-Jordan
+    pass leaves ``det * rref``; ``x`` sets the free variables to 0 and the
+    nullspace is read off ``rows / det``, so both equal the rref's.
+    """
+    ncols = aug.shape[1] - 1
+    rows = aug.tolist()
+    pivots, det = _eliminate_int(rows, reduce_above=True)
     if ncols in pivots:
-        rank_ab = len(pivots)
-        return Inconsistent(rank_a=rank_ab - 1, rank_ab=rank_ab)
+        return Inconsistent(rank_a=len(pivots) - 1, rank_ab=len(pivots))
     x = qzeros(ncols)
     for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    null_basis = _nullspace_from_rref([row[:ncols] for row in rows], pivots, ncols)
-    return Solution(x=x, nullspace=null_basis)
+        x[pc] = Fraction(rows[r][ncols], det)
+    return Solution(x=x, nullspace=_nullspace_from_rref(rows, pivots, ncols, det))
 
 
 def _solve_float(A: np.ndarray, b: np.ndarray, tol: ToleranceProfile):

@@ -73,26 +73,23 @@ class GoVerdict:
 
 
 def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction):
-    """Matrix and right side of the linear system [W, L X] = [L X, X] in W."""
-    algebra = operator.algebra
+    """Integer augmented matrix ``[A | b]`` and its scale for [W, L X] = [L X, X] in W.
+
+    Column i of A is [k_i, L X] and b is [L X, X]: ``ad(L X)`` applied to the
+    cleared basis of k and to the cleared direction, with the two parts
+    brought to one common scale, so ``[A | b] / scale`` is the rational
+    system.  The products are :func:`arith.int_matmul`, int64 when safe and
+    Python ints otherwise; the result holds Python ints.
+    """
+    d = operator.algebra.dim
+    c_int, c_scale = operator.algebra.int_tensor
     lx_int, lx_scale = operator.apply_int(direction)
-    c_int, c_scale = algebra.int_tensor
     basis_int, basis_scale = subalgebra.int_basis
     x_int, x_scale = arith.clear_denominators(np.asarray(direction, dtype=object))
-    dtypes_ok = lx_scale is not None and all(
-        a.dtype == np.int64 for a in (lx_int, c_int, basis_int, x_int))
-    if dtypes_ok:
-        top = max(1, arith._max_abs(c_int)) * max(1, arith._max_abs(lx_int)) * algebra.dim
-        if top * max(1, arith._max_abs(basis_int), arith._max_abs(x_int)) * algebra.dim < 2**62:
-            ad_lx = np.tensordot(c_int, lx_int, axes=([0], [0])).T
-            a = arith.from_ints(-(ad_lx @ basis_int.T), c_scale * lx_scale * basis_scale)
-            b = arith.from_ints(ad_lx @ x_int, c_scale * lx_scale * x_scale)
-            return a, b
-    lx = operator.apply(direction)
-    ad_lx = algebra.ad(lx)
-    a = -arith.exact_matmul(ad_lx, subalgebra.basis.T)  # columns [k_i, L X]
-    b = algebra.bracket(lx, np.asarray(direction, dtype=object))
-    return a, b
+    ad_lx = arith.int_matmul(lx_int, c_int.reshape(d, d * d)).reshape(d, d).T
+    a = arith.int_matmul(ad_lx, basis_int.T).astype(object) * -x_scale
+    b = arith.int_matmul(ad_lx, x_int).astype(object) * basis_scale
+    return np.concatenate([a, b[:, None]], axis=1), c_scale * lx_scale * basis_scale * x_scale
 
 
 def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
@@ -106,19 +103,20 @@ def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
     """
     if check_equivariance and not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
-    a, b = _witness_system(operator, subalgebra, direction)
+    aug, scale = _witness_system(operator, subalgebra, direction)
     if backend == arith.FLOAT:
-        sol = arith.solve_linear(a, b, backend=arith.FLOAT, tol=tol)
+        sol = arith.solve_linear(arith.from_ints(aug[:, :-1], scale), arith.from_ints(aug[:, -1], scale),
+                                 backend=arith.FLOAT, tol=tol)
         if isinstance(sol, arith.Inconsistent):
             return Unsolvable(np.asarray(direction), sol.rank_a, sol.rank_ab)
         w = sol.x @ arith.to_float(subalgebra.basis) if subalgebra.dim else np.zeros(operator.algebra.dim)
         lx = arith.to_float(operator.apply(direction))
         residual = _float_bracket(operator.algebra, w + arith.to_float(np.asarray(direction, dtype=object)), lx)
         return GoCertificate(np.asarray(direction), w, float(np.max(np.abs(residual))) if residual.size else 0.0)
-    if is_zero(b):
+    if is_zero(aug[:, -1]):
         # [X, L X] = 0 already; the zero witness is minimal
         return GoCertificate(np.asarray(direction, dtype=object), qzeros(operator.algebra.dim))
-    sol = arith.solve_linear(a, b)
+    sol = arith.solve_int(aug)
     if isinstance(sol, arith.Inconsistent):
         return Unsolvable(np.asarray(direction, dtype=object), sol.rank_a, sol.rank_ab)
     coeffs = _minimal_norm(sol, subalgebra, operator)
@@ -230,9 +228,8 @@ def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
 def replay_counterexample(operator: MetricOperator, subalgebra: Subspace,
                           counterexample: Unsolvable) -> bool:
     """Re-verify the exact rank gap of a disproving direction."""
-    a, b = _witness_system(operator, subalgebra, counterexample.direction)
-    aug = np.concatenate([a, np.asarray(b, dtype=object)[:, None]], axis=1)
-    rank_a = arith.rank_exact(a)
+    aug, _ = _witness_system(operator, subalgebra, counterexample.direction)
+    rank_a = arith.rank_exact(aug[:, :-1])
     rank_ab = arith.rank_exact(aug)
     return rank_a == counterexample.rank_a and rank_ab == counterexample.rank_ab \
         and rank_a < rank_ab
@@ -260,25 +257,25 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     Checked through the symmetrized coefficient tensor on basis triples; the
     decomposition must be reductive ([k, m] inside m).
     """
-    algebra = operator.algebra
-    for i in range(subalgebra.dim):
-        image = arith.exact_matmul(subalgebra.ad_matrices[i], complement.basis.T)
+    d = operator.algebra.dim
+    m_int, m_scale = complement.int_basis
+    for ad_int, ad_scale in subalgebra.int_ad_matrices:
+        image = arith.from_ints(arith.int_matmul(ad_int, m_int.T), ad_scale * m_scale)
         if complement.coords_matrix(image) is None:
             raise ContractViolation("decomposition is not reductive: [k, m] escapes m")
     if complement.dim == 0:
         return NatredResult(True)
     m = complement.dim
     # U[a,b,c] = metric([v_a, v_c]_m, v_b); condition: U[a,b,c] + U[b,a,c] = 0
-    brackets = qzeros((m, m, algebra.dim))
-    for a in range(m):
-        images = arith.exact_matmul(algebra.ad(complement.basis[a]), complement.basis.T)
-        brackets[a] = images.T
+    c_int, c_scale = operator.algebra.int_tensor
+    left = arith.int_matmul(m_int, c_int.reshape(d, d * d)).reshape(m, d, d)  # sum_i v_a^i c_ij^k
+    brackets = arith.int_matmul(m_int, left)                                  # [a, c, k] = [v_a, v_c]_k
     proj = _projection_matrix(complement, operator.form)
     h = operator.metric_matrix
-    flat = brackets.reshape(m * m, algebra.dim)
+    flat, flat_scale = brackets.reshape(m * m, d), c_scale * m_scale * m_scale
     if backend == arith.FLOAT:
-        u = arith.to_float(flat) @ arith.to_float(proj).T @ arith.to_float(h) \
-            @ arith.to_float(complement.basis).T
+        u = arith.to_float(arith.from_ints(flat, flat_scale)) @ arith.to_float(proj).T \
+            @ arith.to_float(h) @ arith.to_float(complement.basis).T
         u = u.reshape(m, m, m)
         total = np.transpose(u, (0, 2, 1)) + np.transpose(u, (2, 0, 1))
         worst = float(np.max(np.abs(total)))
@@ -286,9 +283,10 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
             return NatredResult(True)
         idx = np.unravel_index(int(np.argmax(np.abs(total))), total.shape)
         return NatredResult(False, tuple(int(v) for v in idx), worst)
-    projected = arith.exact_matmul(flat, proj.T)
-    u = arith.exact_matmul(arith.exact_matmul(projected, h), complement.basis.T)
-    u = u.reshape(m, m, m)                      # u[a,c,b] = metric([v_a,v_c]_m, v_b)
+    p_int, p_scale = arith.clear_denominators(proj)
+    h_int, h_scale = arith.clear_denominators(h)
+    u = arith.int_matmul(arith.int_matmul(arith.int_matmul(flat, p_int.T), h_int), m_int.T)
+    u = u.reshape(m, m, m)                      # u[a,c,b] = metric([v_a,v_c]_m, v_b) * scale
     total = np.transpose(u, (0, 2, 1)) + np.transpose(u, (2, 0, 1))
     if is_zero(total):
         return NatredResult(True)
@@ -296,7 +294,8 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
         for b in range(m):
             for c in range(m):
                 if total[a, b, c] != 0:
-                    return NatredResult(False, (a, b, c), total[a, b, c])
+                    scale = flat_scale * p_scale * h_scale * m_scale
+                    return NatredResult(False, (a, b, c), Fraction(int(total[a, b, c]), scale))
     raise AssertionError("unreachable")  # pragma: no cover
 
 

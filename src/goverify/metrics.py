@@ -73,19 +73,14 @@ class MetricOperator:
         """Denominator-cleared image (ints, scale) of a vector under L."""
         m_int, m_scale = self.int_matrix
         x_int, x_scale = arith.clear_denominators(np.asarray(x, dtype=object))
-        if m_int.dtype == np.int64 and x_int.dtype == np.int64:
-            bound = max(1, arith._max_abs(m_int)) * max(1, arith._max_abs(x_int)) * m_int.shape[1]
-            if bound < 2**62:
-                return m_int @ x_int, m_scale * x_scale
-        return np.dot(self.matrix, np.asarray(x, dtype=object)), None
+        return arith.int_matmul(m_int, x_int), m_scale * x_scale
 
     def metric_inner(self, x, y):
         return np.dot(np.asarray(x, dtype=object),
                       arith.exact_matmul(self.metric_matrix, np.asarray(y, dtype=object)))
 
     def apply(self, x) -> np.ndarray:
-        ints, scale = self.apply_int(x)
-        return arith.from_ints(ints, scale) if scale is not None else ints
+        return arith.from_ints(*self.apply_int(x))
 
     @cached_property
     def eigenspaces(self) -> tuple[tuple[Fraction, Subspace], ...]:

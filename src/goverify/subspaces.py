@@ -93,46 +93,24 @@ class Subspace:
 
     @cached_property
     def _int_solver(self) -> tuple[np.ndarray, int]:
-        return arith.clear_denominators(self._solver)
-
-    @cached_property
-    def _solver(self) -> np.ndarray:
-        """Row-operation transform T with T @ basis.T = [I_k; 0] (stacked)."""
-        d = self.algebra.dim
-        aug = np.concatenate([self.basis.T, arith.qeye(d)], axis=1)
+        """Cleared row-operation transform T with T @ basis.T = [I_k; 0] (stacked)."""
+        aug = np.concatenate([self.basis.T, arith.qeye(self.algebra.dim)], axis=1)
         rows, pivots = arith._rref(aug)
         if list(pivots[:self.dim]) != list(range(self.dim)):  # pragma: no cover
             raise ContractViolation("basis rows are linearly dependent")
-        return qarray([row[self.dim:] for row in rows])
+        return arith.clear_denominators(qarray([row[self.dim:] for row in rows]))
 
-    def coords(self, vector):
-        """Coordinates of ``vector`` in this basis, or None if outside."""
-        vector = np.asarray(vector, dtype=object)
+    def coords(self, vectors) -> np.ndarray | None:
+        """Coordinates of a vector or of column vectors; None if any is outside."""
+        vectors = np.asarray(vectors, dtype=object)
         if self.dim == 0:
-            return qzeros(0) if is_zero(vector) else None
-        y, denom = self._apply_solver(vector)
-        if not is_zero(y[self.dim:]):
-            return None
-        return arith.from_ints(y[:self.dim], denom) if denom is not None else y[:self.dim]
-
-    def coords_matrix(self, vectors_cols: np.ndarray) -> np.ndarray | None:
-        """Coordinates of column vectors; None if any column is outside."""
-        if self.dim == 0:
-            return qzeros((0, vectors_cols.shape[1])) if is_zero(vectors_cols) else None
-        y, denom = self._apply_solver(np.asarray(vectors_cols, dtype=object))
-        if not is_zero(y[self.dim:]):
-            return None
-        return arith.from_ints(y[:self.dim], denom) if denom is not None else y[:self.dim]
-
-    def _apply_solver(self, rhs: np.ndarray):
-        """Solver transform applied to a vector/matrix: (result, denom|None)."""
+            return qzeros((0,) + vectors.shape[1:]) if is_zero(vectors) else None
         s_int, s_scale = self._int_solver
-        r_int, r_scale = arith.clear_denominators(rhs)
-        if s_int.dtype == np.int64 and r_int.dtype == np.int64:
-            bound = max(1, arith._max_abs(s_int)) * max(1, arith._max_abs(r_int)) * s_int.shape[1]
-            if bound < 2**62:
-                return s_int @ r_int, s_scale * r_scale
-        return np.dot(self._solver, np.asarray(rhs, dtype=object)), None
+        r_int, r_scale = arith.clear_denominators(vectors)
+        y = arith.int_matmul(s_int, r_int)
+        return arith.from_ints(y[:self.dim], s_scale * r_scale) if is_zero(y[self.dim:]) else None
+
+    coords_matrix = coords
 
     def contains(self, vector) -> bool:
         return self.coords(vector) is not None
@@ -182,14 +160,11 @@ class Subspace:
     def random_element(self, rng: random.Random, bound: int = 9) -> np.ndarray:
         """Deterministic random combination with small integer coefficients."""
         while True:
-            coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(self.dim)]
-            if any(c != 0 for c in coeffs) or self.dim == 0:
+            coeffs = [rng.randint(-bound, bound) for _ in range(self.dim)]
+            if any(coeffs) or self.dim == 0:
                 break
-        vec = qzeros(self.algebra.dim)
-        for c, row in zip(coeffs, self.basis):
-            if c != 0:
-                vec = vec + c * row
-        return vec
+        basis_int, scale = self.int_basis
+        return arith.from_ints(arith.int_matmul(np.array(coeffs, dtype=np.int64), basis_int), scale)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.algebra.name or self.algebra.dim})"

@@ -1,5 +1,6 @@
 """Kernel-level properties of the dual-backend linear algebra."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +289,101 @@ def test_mulmod_exact_at_its_bound():
     with pytest.raises(ContractViolation):
         arith._mulmod(np.ones((1, arith._PANEL + 1), dtype=np.int64),
                       np.ones((arith._PANEL + 1, 1), dtype=np.int64))
+
+
+# -- fraction-free integer solve and rank ---------------------------------------
+
+def _reference_solve(A, b):
+    """Plain Fraction Gauss-Jordan on [A | b]: ('inconsistent', rank_a, rank_ab),
+    or ('solution', x with free variables 0, nullspace rows), and the rank of A."""
+    rows = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(A.tolist(), b.tolist())]
+    ncols = A.shape[1]
+    pivots = []
+    for c in range(ncols + 1):
+        pr = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [v - rows[i][c] * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    rank_a = len([c for c in pivots if c < ncols])
+    if ncols in pivots:
+        return ("inconsistent", rank_a, len(pivots)), rank_a
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][ncols]
+    null = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        null.append(vec)
+    return ("solution", x, null), rank_a
+
+
+def _as_tuple(out):
+    if isinstance(out, Inconsistent):
+        return ("inconsistent", out.rank_a, out.rank_ab)
+    return ("solution", list(out.x), out.nullspace.tolist())
+
+
+def _random_system(rng, kind):
+    """A rational system A x = b of the named kind, up to 9 x 9."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    inner = rng.randint(0, min(nrows, ncols) - (kind == "rank-deficient"))
+    left = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7])) for _ in range(inner)]
+            for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-6, 6)) for _ in range(ncols)] for _ in range(inner)]
+    A = qzeros((nrows, ncols)) + (np.dot(qarray(left), qarray(right)) if inner else 0)
+    if kind == "zero-columns":
+        A[:, rng.sample(range(ncols), rng.randint(1, ncols))] = Fraction(0)
+    if kind == "negative-pivots":
+        A[:, 0] = [-abs(v) - 1 for v in A[:, 0]]
+    if kind == "past-int64":
+        A = A * Fraction(3**45, 11)
+    if kind == "inconsistent":
+        b = qarray([rng.randint(-5, 5) for _ in range(nrows)])
+    else:
+        b = np.dot(A, qarray([rng.randint(-3, 3) for _ in range(ncols)]))
+    return A, b
+
+
+@pytest.mark.parametrize("kind", ["rank-deficient", "inconsistent", "zero-columns",
+                                  "negative-pivots", "past-int64"])
+def test_integer_solve_and_rank_match_fraction_reference(kind):
+    rng = random.Random(kind)
+    for _ in range(150):
+        A, b = _random_system(rng, kind)
+        expected, rank_a = _reference_solve(A, b)
+        assert _as_tuple(arith.solve_linear(A, b)) == expected
+        assert arith.rank_exact(A) == rank_a
+        # the integer entry point, each row of [A | b] with its own scale
+        aug = arith._int_rows(np.concatenate([A, b[:, None]], axis=1)).astype(object)
+        aug = aug * np.array([[rng.randint(1, 4)] for _ in range(A.shape[0])], dtype=object)
+        assert _as_tuple(arith.solve_int(aug)) == expected
+
+
+def test_integer_solve_without_columns_or_rows():
+    assert _as_tuple(arith.solve_linear(qzeros((3, 0)), qarray([0, 0, 0]))) == ("solution", [], [])
+    assert _as_tuple(arith.solve_linear(qzeros((2, 0)), qarray([0, 1]))) == ("inconsistent", 0, 1)
+    out = arith.solve_linear(qzeros((0, 2)), qzeros(0))
+    assert list(out.x) == [0, 0] and arith.is_zero(out.nullspace - qeye(2))
+    assert arith.rank_exact(qzeros((0, 3))) == 0 and arith.rank_exact(qzeros((3, 3))) == 0
+
+
+def test_gauss_jordan_pivot_rows_are_det_times_rref():
+    rng = np.random.RandomState(3)
+    mat = rng.randint(-9, 10, size=(7, 4)) @ rng.randint(-9, 10, size=(4, 9))
+    mat[:, 2] = 0
+    rows = mat.tolist()
+    pivots, det = arith._eliminate_int(rows, reduce_above=True)
+    ref_rows, ref_pivots = arith._rref(mat.astype(object))
+    assert pivots == ref_pivots and len(pivots) == 4
+    for r in range(len(pivots)):
+        assert rows[r] == [v * det for v in ref_rows[r]]
+    assert not any(any(row) for row in rows[len(pivots):])

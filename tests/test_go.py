@@ -144,6 +144,19 @@ def test_natred_fails_with_witness_triple(so6):
     m = orthogonal_complement(k, layout.algebra.form())
     result = natred_condition_check(op, k, m)
     assert not result and result.witness_triple is not None
+    # the witness value is metric([v_a, v_c]_m, v_b) + metric([v_b, v_c]_m, v_a)
+    a, b, c = (m.basis[i] for i in result.witness_triple)
+    proj = go._projection_matrix(m, op.form)
+    g = layout.algebra
+    expected = op.metric_inner(np.dot(proj, g.bracket(a, c)), b) + \
+        op.metric_inner(np.dot(proj, g.bracket(b, c)), a)
+    assert expected != 0 and result.witness_value == expected
+    scaled = natred_condition_check(op.rescale(Fraction(5, 3)), k, m)
+    assert scaled.witness_triple == result.witness_triple
+    assert scaled.witness_value == expected * Fraction(5, 3)
+    halved = natred_condition_check(op, k, Subspace(layout.algebra, m.basis * Fraction(1, 2)))
+    assert halved.witness_triple == result.witness_triple
+    assert halved.witness_value == expected / 8
     float_result = natred_condition_check(op, k, m, backend=arith.FLOAT)
     assert not float_result
 
@@ -265,3 +278,43 @@ def test_split_reports_only_for_disproved(so6):
     assert not report.ok
     assert report.coset_verdict.disproved
     assert report.bi_invariant_on_subalgebra  # the torus block itself is fine
+
+
+def test_go_verdict_on_python_ints_matches_int64(so6, monkeypatch):
+    """A metric scaled past int64 runs the direction loop on Python ints and
+    reaches the same counterexample as the unscaled one."""
+    layout, named = so6
+    op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
+    big = op.rescale(Fraction(3**40, 7))
+    assert big.int_matrix[0].dtype == object
+    plain = go_verdict(op, layout.subalgebra, STRATEGY)
+    dtypes = []
+    product = arith.int_matmul
+
+    def recording_matmul(a, b):
+        dtypes.append(a.dtype)
+        return product(a, b)
+
+    monkeypatch.setattr(arith, "int_matmul", recording_matmul)
+    scaled = go_verdict(big, layout.subalgebra, STRATEGY)
+    assert object in dtypes
+    assert plain.disproved and scaled.disproved
+    assert scaled.samples == plain.samples
+    assert scaled.counterexample_label == plain.counterexample_label
+    assert (scaled.counterexample.rank_a, scaled.counterexample.rank_ab) == \
+        (plain.counterexample.rank_a, plain.counterexample.rank_ab)
+    assert list(scaled.counterexample.direction) == list(plain.counterexample.direction)
+    assert replay_counterexample(big, layout.subalgebra, scaled.counterexample)
+
+
+def test_witnesses_on_python_ints_match_int64(so6):
+    layout, named = so6
+    op = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
+    merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
+    plain = go_verdict(op, merged, STRATEGY, keep_certificates=True)
+    big = op.rescale(Fraction(3**40, 7))
+    scaled = go_verdict(big, merged, STRATEGY, keep_certificates=True)
+    assert not scaled.disproved and scaled.samples == plain.samples
+    for mine, ref in zip(scaled.certificates, plain.certificates):
+        assert list(mine.witness) == list(ref.witness)
+        assert replay_certificate(big, mine, merged)

@@ -1,5 +1,6 @@
 """Scenario pipeline: builders, sweeps, catalog entries, replay."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -166,3 +167,33 @@ def test_timings_leave_machine_bytes_unchanged():
     report.timings.clear()
     assert report.to_machine() == text
     assert run_check(_timed_spec()).to_machine() == text
+
+
+def _golden_specs():
+    catalog = scenario_catalog()
+    flag = catalog["su3-torus-flag"]
+    return {
+        "so6-probe": ScenarioSpec(
+            name="determinism-probe", algebra={"family": "so", "n": 6},
+            subgroup={"partition": [2, 2, 2]}, metric={"grid": {"tuples": 6}},
+            checks=("validate", "sweep"), samples=8, seed=99),
+        "triple-shape-demo": catalog["triple-shape-demo"],
+        "su3-torus-flag": ScenarioSpec.from_obj(
+            {**flag.to_obj(), "metric": {"flaggrid": {"tuples": 4}}}),
+    }
+
+
+# sha256 of each machine report, recorded before the integer direction loop
+# (integer direction sampling and fraction-free witness solves) replaced the
+# Fraction one; a kernel change that is meant to be exact must keep them.
+GOLDEN_SHA256 = {
+    "so6-probe": "b8e88216ceddcfc9c3b10409e1414d92ca90a796707ae8f4aa261386aaab12cd",
+    "triple-shape-demo": "66b76f3e57624ebdf16c4c4cbbb094f5d671cb7f9e81aaf35f95b4326bddea4a",
+    "su3-torus-flag": "003354c4d94641894d22a4c6cde2a6d52f1565b79fe25ff903443f31ffdbba9a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_machine_report_bytes_are_pinned(name):
+    text = run_check(_golden_specs()[name]).to_machine()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]

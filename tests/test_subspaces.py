@@ -1,5 +1,8 @@
 """Subspace calculus: complements, centralizers, normalizers, rank, ideals."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -265,3 +268,44 @@ def test_centralizer_witness_detects_nonabelian_centralizer():
     # ad of the zero element vanishes, so its centralizer is all of so(4)
     witness = subspaces._centralizer_witness(Subspace.full(g), arith.qzeros(g.dim), 1)
     assert witness.dim == 6 and not witness.abelian
+
+
+# -- random elements ---------------------------------------------------------------
+
+def _fraction_random_element(space, rng, bound=9):
+    """Direction sampling as a Fraction sum over basis rows (the reference)."""
+    while True:
+        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(space.dim)]
+        if any(c != 0 for c in coeffs) or space.dim == 0:
+            break
+    vec = arith.qzeros(space.algebra.dim)
+    for c, row in zip(coeffs, space.basis):
+        if c != 0:
+            vec = vec + c * row
+    return vec
+
+
+def _spaces():
+    layout = embed_so_partition(6, (2, 2, 2))
+    g = layout.algebra
+    basis = layout.offdiag_blocks[(1, 2)].basis
+    mixed = qarray([basis[0] * Fraction(1, 3) + basis[1] * Fraction(2, 7),
+                    basis[1] * Fraction(5, 2), basis[2] - basis[3] * Fraction(1, 9)])
+    return {"full": Subspace.full(g),
+            "denominators": Subspace(g, mixed),
+            "past-int64": Subspace(g, mixed * Fraction(3**45, 11)),
+            "zero": Subspace.zero(g)}
+
+
+@pytest.mark.parametrize("name", ["full", "denominators", "past-int64", "zero"])
+def test_random_element_matches_fraction_loop(name):
+    space = _spaces()[name]
+    for seed in range(25):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = space.random_element(rng)
+        expected = _fraction_random_element(space, ref_rng)
+        assert got.dtype == object and all(isinstance(v, Fraction) for v in got)
+        assert list(got) == list(expected)
+        assert rng.getstate() == ref_rng.getstate()
+    if name == "past-int64":
+        assert space.int_basis[0].dtype == object
