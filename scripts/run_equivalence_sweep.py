@@ -26,7 +26,6 @@ def main() -> int:
     parser.add_argument("--tuples", type=int, default=200)
     parser.add_argument("--samples", type=int, default=24)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
 
@@ -38,7 +37,7 @@ def main() -> int:
         checks=("validate", "sweep"),
         samples=args.samples, seed=args.seed)
     start = time.time()
-    report = run_check(spec, workers=args.workers)
+    report = run_check(spec)
     elapsed = time.time() - start
     record = next(r for r in report.records if r["name"] == "sweep")
     by_kind: dict[str, list] = {}

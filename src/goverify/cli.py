@@ -122,7 +122,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("what", choices=["equivalence"])
     _add_common(p_sweep, metric=False)
     p_sweep.add_argument("--tuples", type=int, default=200)
-    p_sweep.add_argument("--workers", type=int, default=1)
 
     p_scenario = sub.add_parser("scenario", help="built-in case studies")
     scenario_sub = p_scenario.add_subparsers(dest="what", required=True)
@@ -133,7 +132,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--tuples", type=int, default=None,
                        help="override grid size (smoke runs)")
     p_run.add_argument("--samples", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--out", type=Path)
     p_run.add_argument("--machine", action="store_true")
 
@@ -161,7 +159,7 @@ def _dispatch(args) -> int:
         spec = _spec_from_args(args, "cli-sweep-equivalence", ("validate", "sweep"))
         spec = ScenarioSpec.from_obj({**spec.to_obj(),
                                       "metric": {"grid": {"tuples": args.tuples}}})
-        return _emit(run_check(spec, workers=args.workers), args)
+        return _emit(run_check(spec), args)
 
     if args.verb == "scenario":
         catalog = scenario_catalog()
@@ -184,7 +182,7 @@ def _dispatch(args) -> int:
                 if key in obj["metric"]:
                     obj["metric"] = {key: {"tuples": args.tuples}}
         spec = ScenarioSpec.from_obj(obj)
-        return _emit(run_check(spec, workers=args.workers), args)
+        return _emit(run_check(spec), args)
 
     if args.verb == "replay":
         outcome = scenarios.replay_report(args.report.read_text())

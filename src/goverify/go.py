@@ -20,8 +20,8 @@ from . import arith, reps
 from .arith import ContractViolation, is_zero, qzeros
 from .metrics import (MetricOperator, bi_invariance_check, equivariance_check,
                       invariant_subspace)
-from .subspaces import (Subspace, centralizer_in, ideal_decomposition, normalizer,
-                        orthogonal_complement)
+from .subspaces import (Subspace, centralizer_in_complement, ideal_decomposition, normalizer,
+                        orthogonal_complement, projection_ints, span_memo)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,8 @@ def _directions(operator: MetricOperator, strategy: SamplingStrategy,
         if strategy.basis_vectors:
             for i in range(within.dim):
                 out.append((f"basis:{i}", within.basis[i]))
-        pieces = tuple(p.intersect(within) for p in operator.invariant_pieces)
+        pieces = tuple(span_memo(p, lambda p=p: p.intersect(within), "intersect", within.sort_key())
+                       for p in operator.invariant_pieces)
     if strategy.structured:
         pieces = [p for p in pieces if p.dim > 0]
         for i in range(len(pieces)):
@@ -301,11 +302,7 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
 
 def _projection_matrix(space: Subspace, form) -> np.ndarray:
     """Matrix of the form-orthogonal projection onto ``space``."""
-    gram = space.gram(form)
-    rows, pivots = arith._rref(np.concatenate([gram, arith.qeye(space.dim)], axis=1))
-    gram_inv = np.asarray([row[space.dim:] for row in rows], dtype=object)
-    dual = arith.exact_matmul(gram_inv, arith.exact_matmul(space.basis, form.matrix))
-    return arith.exact_matmul(space.basis.T, dual)
+    return arith.from_ints(*projection_ints(space, form))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +320,9 @@ class HypothesisFlags:
 
 
 def hypothesis_flags(subalgebra: Subspace, seed: int = 0) -> HypothesisFlags:
-    form = subalgebra.algebra.form()
-    dec = ideal_decomposition(subalgebra, seed=seed)
-    c_m = centralizer_in(subalgebra, orthogonal_complement(subalgebra, form))
-    return HypothesisFlags(semisimple=dec.center.dim == 0, self_normalizing=c_m.dim == 0)
+    return span_memo(subalgebra, lambda: HypothesisFlags(
+        semisimple=ideal_decomposition(subalgebra, seed=seed).center.dim == 0,
+        self_normalizing=centralizer_in_complement(subalgebra).dim == 0), "flags", seed)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ complement, any positive block on the center).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,10 +19,11 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, q, qarray, qzeros
+from .arith import ContractViolation, is_zero, q, qarray
 from .lie import StructureAlgebra, SymmetricForm
 from .subspaces import (DecomposedSubalgebra, Subspace, ideal_decomposition,
-                        is_subalgebra, orthogonal_complement)
+                        is_subalgebra, orthogonal_complement, projection_ints,
+                        shared_subspace)
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,11 @@ class MetricOperator:
         Solves ad_X^T H + H ad_X = 0 for X, with H the metric's matrix; the
         solution space is verified to be bracket-closed.
         """
-        null = arith.nullspace_exact(skewness_system(self).astype(object))
-        space = Subspace(self.algebra, null, check=False)
-        if not is_subalgebra(space):  # pragma: no cover - mathematically impossible
+        space = Subspace(self.algebra, arith.nullspace_exact(skewness_system(self)), check=False)
+        shared = shared_subspace(space, "isometry")   # closure is checked once per span
+        if shared is space and not is_subalgebra(space):  # pragma: no cover - mathematically impossible
             raise arith.ExactComputationError("isometry candidate is not a subalgebra")
-        return space
+        return shared
 
     def is_scalar(self) -> Fraction | None:
         value = self.matrix[0, 0]
@@ -153,22 +155,13 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
     Blocks must be pairwise orthogonal for the form and span the algebra;
     parameters must be positive.  The optional center block contributes an
     arbitrary positive-definite symmetric matrix in its subspace coordinates.
+    The operator is ``sum(value * P)`` over the blocks' form-orthogonal
+    projectors ``P``, which are memoized per span.
     """
     form = form or algebra.form()
     d = algebra.dim
-    total = 0
-    stacked = []
-    diag_blocks = []
-    for space, value in spec.blocks:
-        value = q(value)
-        if value <= 0:
-            raise ContractViolation("block parameters must be positive")
-        total += space.dim
-        stacked.append(space.basis)
-        block = qzeros((space.dim, space.dim))
-        for i in range(space.dim):
-            block[i, i] = value
-        diag_blocks.append(block)
+    if any(q(value) <= 0 for _, value in spec.blocks):
+        raise ContractViolation("block parameters must be positive")
     if spec.center_block is not None:
         center, inner = spec.center_block
         inner = qarray(inner)
@@ -177,39 +170,34 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
         if not arith.is_positive_definite_exact(inner):
             raise ContractViolation("center block must be a symmetric positive definite "
                                     "inner-product matrix")
-        gram = center.gram(form)
-        rows, pivots = arith._rref(np.concatenate([gram, arith.qeye(center.dim)], axis=1))
-        gram_inv = qarray([row[center.dim:] for row in rows])
-        block = arith.exact_matmul(gram_inv, inner)   # operator block: Q(Lu, v) = inner(u, v)
-        total += center.dim
-        stacked.append(center.basis)
-        diag_blocks.append(block)
+    spaces = [s for s in spec.subspaces() if s.dim]
+    total = sum(s.dim for s in spaces)
     if total != d:
         raise ContractViolation(f"blocks span dimension {total}, expected {d}")
-    basis = np.concatenate([b for b in stacked if b.shape[0]], axis=0)
-    gram = arith.exact_matmul(basis, arith.exact_matmul(form.matrix, basis.T))
-    offset_i = 0
-    for bi in diag_blocks:
-        offset_j = 0
-        for bj in diag_blocks:
-            if offset_j != offset_i:
-                if not is_zero(gram[offset_i:offset_i + bi.shape[0], offset_j:offset_j + bj.shape[0]]):
-                    raise ContractViolation("blocks are not orthogonal for the form")
-            offset_j += bj.shape[0]
-        offset_i += bi.shape[0]
-    diag = qzeros((d, d))
-    offset = 0
-    for block in diag_blocks:
-        k = block.shape[0]
-        diag[offset:offset + k, offset:offset + k] = block
-        offset += k
-    # L = C D C^{-1} with C the column matrix of the stacked block bases
-    cols = basis.T
-    rows, pivots = arith._rref(np.concatenate([cols, arith.qeye(d)], axis=1))
-    if len(pivots) != d:
+    # each block's rows are scaled by a positive integer, which keeps zero blocks zero
+    basis = np.concatenate([s.int_basis[0] for s in spaces], axis=0)
+    gram = arith.int_matmul(basis, arith.int_matmul(arith.clear_denominators(form.matrix)[0], basis.T))
+    starts = np.cumsum([0] + [s.dim for s in spaces])
+    for a in range(len(spaces)):
+        if not is_zero(gram[starts[a]:starts[a + 1], starts[a + 1]:]):
+            raise ContractViolation("blocks are not orthogonal for the form")
+    # on integers: parts[i] is the i-th projector times the common scale
+    cleared = [projection_ints(s, form) for s in spaces]
+    scale = math.lcm(*(sc for _, sc in cleared))
+    parts = [p.astype(object) * (scale // sc) for p, sc in cleared]
+    if not is_zero(sum(parts) - np.eye(d, dtype=object) * scale):
         raise ContractViolation("blocks do not span the algebra")
-    cols_inv = qarray([row[d:] for row in rows])
-    matrix = arith.exact_matmul(arith.exact_matmul(cols, diag), cols_inv)
+    # the center's projector, if any, comes last and is left out by zip
+    weights, w_scale = arith.clear_denominators(qarray([v for s, v in spec.blocks if s.dim]))
+    matrix = arith.from_ints(sum((int(w) * p for w, p in zip(weights, parts)),
+                                 np.zeros((d, d), dtype=object)), w_scale * scale)
+    if spec.center_block is not None and center.dim:
+        # Q(L u, v) = inner(u, v) on the center: L = B^T G^-1 inner G^-1 B Q there
+        rows, pivots = arith._rref(np.concatenate([center.gram(form), arith.qeye(center.dim)], axis=1))
+        gram_inv = qarray([row[center.dim:] for row in rows])
+        inner_dual = arith.exact_matmul(arith.exact_matmul(gram_inv, inner), gram_inv)
+        matrix = matrix + arith.exact_matmul(center.basis.T, arith.exact_matmul(
+            inner_dual, arith.exact_matmul(center.basis, form.matrix)))
     return MetricOperator(algebra, matrix, form, spec)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from . import arith
 from .arith import ContractViolation, is_zero, qzeros
 from .lie import SymmetricForm
-from .subspaces import (Subspace, algebra_memo, centralizer_in, normalizer,
-                        orthogonal_complement)
+from .subspaces import (Subspace, centralizer_in_complement, normalizer,
+                        orthogonal_complement, span_memo)
 
 
 @dataclass(frozen=True)
@@ -340,23 +340,19 @@ def is_weakly_regular(space: Subspace, seed: int = 0) -> WeakRegularityReport:
     form = algebra.form()
     if space.dim == 0:
         return WeakRegularityReport(True, 0, 0, algebra.dim, 0)
-    memo = algebra_memo(algebra)
-    key = ("weakreg", seed, id(algebra.inner_product), space.sort_key())
-    if key in memo:
-        return memo[key]
-    norm = normalizer(space, form)
-    complement = orthogonal_complement(space, form)
-    c_m = centralizer_in(space, complement)
-    p = orthogonal_complement(norm, form)
-    itw = intertwiner_space(norm, space, p)
-    memo[key] = WeakRegularityReport(
-        weakly_regular=itw.dim == 0,
-        dim_subalgebra=space.dim,
-        dim_centralizer_in_complement=c_m.dim,
-        dim_opposite=p.dim,
-        intertwiner_dim=itw.dim,
-    )
-    return memo[key]
+
+    def build():
+        norm = normalizer(space, form)
+        p = orthogonal_complement(norm, form)
+        itw = intertwiner_space(norm, space, p)
+        return WeakRegularityReport(
+            weakly_regular=itw.dim == 0,
+            dim_subalgebra=space.dim,
+            dim_centralizer_in_complement=centralizer_in_complement(space, form).dim,
+            dim_opposite=p.dim,
+            intertwiner_dim=itw.dim,
+        )
+    return span_memo(space, build, "weakreg", seed, id(algebra.inner_product))
 
 
 def criterion_weak_regularity(space: Subspace) -> bool:

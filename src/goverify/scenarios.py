@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,7 +211,7 @@ def parse_blockspec(text: str, named: dict) -> BlockSpec:
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def run_check(spec: ScenarioSpec, workers: int = 1) -> Report:
+def run_check(spec: ScenarioSpec) -> Report:
     """Execute the requested checks in dependency order and build the report."""
     built = build_scenario(spec)
     rep = Report(spec=spec.to_obj(), seed=spec.seed, backend=spec.backend)
@@ -221,14 +220,14 @@ def run_check(spec: ScenarioSpec, workers: int = 1) -> Report:
             continue
         before = len(rep.records)
         start = time.perf_counter()
-        _CHECKS[check](built, rep, workers=workers)
+        _CHECKS[check](built, rep)
         elapsed = time.perf_counter() - start
         for record in rep.records[before:]:
             rep.timings[record["name"]] = elapsed
     return rep
 
 
-def _check_validate(built: BuiltScenario, rep: Report, **_):
+def _check_validate(built: BuiltScenario, rep: Report):
     algebra = built.algebra
     algebra.validate()
     killing = algebra.killing
@@ -240,7 +239,7 @@ def _check_validate(built: BuiltScenario, rep: Report, **_):
     })
 
 
-def _check_regular(built: BuiltScenario, rep: Report, **_):
+def _check_regular(built: BuiltScenario, rep: Report):
     result = is_regular(_require_subgroup(built), seed=built.spec.seed)
     rep.add({
         "record": "check", "name": "regular", "verdict": bool(result.regular),
@@ -252,7 +251,7 @@ def _check_regular(built: BuiltScenario, rep: Report, **_):
     })
 
 
-def _check_weakly_regular(built: BuiltScenario, rep: Report, **_):
+def _check_weakly_regular(built: BuiltScenario, rep: Report):
     k = _require_subgroup(built)
     result = reps.is_weakly_regular(k, seed=built.spec.seed)
     sufficient = reps.criterion_weak_regularity(k)
@@ -270,7 +269,7 @@ def _check_weakly_regular(built: BuiltScenario, rep: Report, **_):
     })
 
 
-def _check_equivariance(built: BuiltScenario, rep: Report, **_):
+def _check_equivariance(built: BuiltScenario, rep: Report):
     spec = built.spec
     result = metrics.equivariance_check(_require_metric(built), _require_subgroup(built),
                                         backend=spec.backend, tol=spec.tol)
@@ -310,7 +309,7 @@ def _strategy(spec: ScenarioSpec) -> go.SamplingStrategy:
     return go.SamplingStrategy(seed=spec.seed, random_count=spec.samples)
 
 
-def _check_go(built: BuiltScenario, rep: Report, **_):
+def _check_go(built: BuiltScenario, rep: Report):
     spec = built.spec
     operator = _require_metric(built)
     strategy = _strategy(spec)
@@ -326,7 +325,7 @@ def _check_go(built: BuiltScenario, rep: Report, **_):
     rep.add(record)
 
 
-def _check_natred(built: BuiltScenario, rep: Report, **_):
+def _check_natred(built: BuiltScenario, rep: Report):
     spec = built.spec
     operator = _require_metric(built)
     k = _require_subgroup(built)
@@ -339,7 +338,7 @@ def _check_natred(built: BuiltScenario, rep: Report, **_):
     })
 
 
-def _check_dazi(built: BuiltScenario, rep: Report, **_):
+def _check_dazi(built: BuiltScenario, rep: Report):
     operator = _require_metric(built)
     result = metrics.dazi_structure_check(operator, seed=built.spec.seed)
     rep.add({
@@ -355,7 +354,7 @@ def _check_dazi(built: BuiltScenario, rep: Report, **_):
     })
 
 
-def _check_split(built: BuiltScenario, rep: Report, **_):
+def _check_split(built: BuiltScenario, rep: Report):
     spec = built.spec
     result = go.split_check(_require_metric(built), _require_subgroup(built),
                             _strategy(spec), seed=spec.seed)
@@ -471,18 +470,13 @@ def _sweep_tuple(built: BuiltScenario, index: int, kind: str, params: dict) -> d
     return record
 
 
-def _check_sweep(built: BuiltScenario, rep: Report, workers: int = 1, **_):
+def _check_sweep(built: BuiltScenario, rep: Report):
     spec = built.spec
     if built.layout is None:
         raise ContractViolation("equivalence sweep needs a partition subgroup")
     count = int(spec.metric["grid"]["tuples"]) if spec.metric and "grid" in spec.metric else 200
-    jobs = list(grid_parameter_tuples(built.layout.partition, count, spec.seed))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: _sweep_tuple(built, *job), jobs))
-    else:
-        results = [_sweep_tuple(built, t, kind, params) for t, kind, params in jobs]
-    results.sort(key=lambda r: r["index"])
+    results = [_sweep_tuple(built, t, kind, params)
+               for t, kind, params in grid_parameter_tuples(built.layout.partition, count, spec.seed)]
     disagreements = sum(1 for r in results if not r["agree"])
     rep.add({
         "record": "check", "name": "sweep", "verdict": disagreements == 0,
@@ -581,7 +575,7 @@ def _flag_operator(built: BuiltScenario, center, mus) -> MetricOperator:
     return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, torus_block))
 
 
-def _check_flag_sweep(built: BuiltScenario, rep: Report, **_):
+def _check_flag_sweep(built: BuiltScenario, rep: Report):
     spec = built.spec
     count = int(spec.metric["flaggrid"]["tuples"])
     results = []

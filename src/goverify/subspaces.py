@@ -4,6 +4,12 @@ A :class:`Subspace` is an ordered list of coordinate vectors (rows of
 ``basis``) spanning a linear subspace of the ambient algebra.  All
 computations here are exact; the float backend appears only where a
 tolerance-based variant is explicitly requested (rank estimation).
+
+Structural results are memoized per span (:func:`span_memo`, keyed by the
+rref in :meth:`Subspace.sort_key`), so a sweep that meets one subalgebra on
+many metrics computes its complement, normalizer, ideals and projector once.
+A stored subspace serves every basis of its span; that is sound because each
+stored basis is canonical: an rref, or a nullspace basis read off an rref.
 """
 
 from __future__ import annotations
@@ -71,9 +77,6 @@ class Subspace:
     def _rref(self):
         rows, pivots = arith._rref(self.basis) if self.dim else ([], [])
         return qarray([rows[r] for r in range(len(pivots))]) if pivots else qzeros((0, self.algebra.dim)), tuple(pivots)
-
-    def canonical_basis(self) -> np.ndarray:
-        return self._rref[0]
 
     @cached_property
     def _sort_key(self) -> tuple:
@@ -212,12 +215,28 @@ def parse_subspace(algebra, text: str) -> Subspace:
 # memoization of structural results (algebras and subspaces are immutable)
 # ---------------------------------------------------------------------------
 
-def algebra_memo(algebra) -> dict:
-    memo = getattr(algebra, "_memo", None)
-    if memo is None:
-        memo = {}
-        algebra._memo = memo
-    return memo
+def span_memo(space: Subspace, build, kind: str, *extras):
+    """``build()``, computed once per algebra for the key ``(kind, *extras, span)``."""
+    memo = space.algebra.__dict__.setdefault("_memo", {})
+    key = (kind, *extras, space.sort_key())
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _form_memo(space: Subspace, form: SymmetricForm, build, kind: str):
+    """:func:`span_memo` keyed also by ``id(form)``; holding the form keeps that id unique."""
+    return span_memo(space, lambda: (form, build()), kind, id(form))[1]
+
+
+def shared_subspace(space: Subspace, kind: str) -> Subspace:
+    """The subspace stored under ``kind`` for this span (``space`` itself if
+    new), sharing its cached integer data; ``space``'s basis must be canonical,
+    so a stored basis that differs from it is an error."""
+    stored = span_memo(space, lambda: space, kind)
+    if not np.array_equal(stored.basis, space.basis):
+        raise arith.ExactComputationError(f"stored {kind} basis differs for the same span")
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +249,22 @@ def orthogonal_complement(space: Subspace, form: SymmetricForm) -> Subspace:
         raise ContractViolation("orthogonal complement needs a positive definite form")
     if space.dim == 0:
         return Subspace.full(space.algebra)
-    conditions = arith.exact_matmul(space.basis, form.matrix)
-    return Subspace(space.algebra, arith.nullspace_exact(conditions), check=False)
+    return _form_memo(space, form, lambda: Subspace(space.algebra, arith.nullspace_exact(
+        arith.exact_matmul(space.basis, form.matrix)), check=False), "complement")
+
+
+def projection_ints(space: Subspace, form: SymmetricForm) -> tuple[np.ndarray, int]:
+    """``(ints, scale)`` of ``B^T G^-1 B Q``, the form-orthogonal projection onto
+    ``space`` (memoized per span and form).  Scaling ``B`` or ``Q`` leaves it
+    unchanged, so it is formed from their cleared integers around ``G^-1``."""
+    def build():
+        b_int, q_int = space.int_basis[0], arith.clear_denominators(form.matrix)[0]
+        bq = arith.int_matmul(b_int, q_int)
+        gram = arith.from_ints(arith.int_matmul(bq, b_int.T))
+        rows, pivots = arith._rref(np.concatenate([gram, arith.qeye(space.dim)], axis=1))
+        g_inv, g_scale = arith.clear_denominators(qarray([row[space.dim:] for row in rows]))
+        return arith.int_matmul(b_int.T, arith.int_matmul(g_inv, bq)), g_scale
+    return _form_memo(space, form, build, "projector")
 
 
 def centralizer_in(target: Subspace, within: Subspace) -> Subspace:
@@ -286,35 +319,32 @@ def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
     decomposition; the normalizer itself is form-independent.
     """
     algebra = space.algebra
-    memo = algebra_memo(algebra)
-    key = ("normalizer", space.sort_key())
-    if key in memo:
-        return memo[key]
-    check = is_subalgebra(space)
-    if not check:
-        raise ContractViolation(f"normalizer requires a subalgebra; pair {check.witness_pair} escapes")
     form = form or algebra.form()
-    if space.dim == 0:
-        return Subspace.full(algebra)
-    complement = orthogonal_complement(space, form)
-    proj = arith.exact_matmul(complement.basis, form.matrix)   # row kernel of this = Q-orthogonal to m
-    blocks = [-arith.exact_matmul(proj, mat) for mat in space.ad_matrices]
-    system = np.concatenate(blocks, axis=0)
-    result = Subspace(algebra, arith.nullspace_exact(system), check=False)
-    # structural cross-check: n_g(k) = k + c_m(k), Q-orthogonally
-    cm = centralizer_in(space, complement)
-    if result.dim != space.dim + cm.dim or not (result.contains_space(space)
-                                                and result.contains_space(cm)):
-        raise arith.ExactComputationError("normalizer differs from k + c_m(k)")
-    memo[key] = result
-    return result
+    def build():
+        check = is_subalgebra(space)
+        if not check:
+            raise ContractViolation(f"normalizer requires a subalgebra; pair {check.witness_pair} escapes")
+        if space.dim == 0:
+            return Subspace.full(algebra)
+        complement = orthogonal_complement(space, form)
+        proj = arith.exact_matmul(complement.basis, form.matrix)   # row kernel of this = Q-orthogonal to m
+        blocks = [-arith.exact_matmul(proj, mat) for mat in space.ad_matrices]
+        system = np.concatenate(blocks, axis=0)
+        result = Subspace(algebra, arith.nullspace_exact(system), check=False)
+        # structural cross-check: n_g(k) = k + c_m(k), Q-orthogonally
+        cm = centralizer_in_complement(space, form)
+        if result.dim != space.dim + cm.dim or not (result.contains_space(space)
+                                                    and result.contains_space(cm)):
+            raise arith.ExactComputationError("normalizer differs from k + c_m(k)")
+        return result
+    return span_memo(space, build, "normalizer")
 
 
 def centralizer_in_complement(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
-    """c_m(k): centralizer of the subalgebra inside its form-complement."""
-    algebra = space.algebra
-    form = form or algebra.form()
-    return centralizer_in(space, orthogonal_complement(space, form))
+    """c_m(k): centralizer of the subalgebra inside its form-complement (memoized)."""
+    form = form or space.algebra.form()
+    return _form_memo(space, form, lambda: centralizer_in(space, orthogonal_complement(space, form)),
+                      "c_m")
 
 
 # ---------------------------------------------------------------------------
@@ -466,32 +496,28 @@ def ideal_decomposition(space: Subspace, seed: int = 0) -> DecomposedSubalgebra:
     itself; the ideals are the isotypic components of the derived part acting
     on itself (pairwise inequivalent, hence recovered exactly).
     """
-    memo = algebra_memo(space.algebra)
-    key = ("ideals", seed, space.sort_key())
-    if key in memo:
-        return memo[key]
-    check = is_subalgebra(space)
-    if not check:
-        raise ContractViolation("ideal decomposition requires a subalgebra")
-    center = centralizer_in(space, space)
-    derived = derived_subalgebra(space)
-    if center.dim + derived.dim != space.dim or center.intersect(derived).dim != 0:
-        raise ContractViolation("subalgebra is not reductive (center + derived != whole); "
-                                "only compact-type inputs are supported")
-    if derived.dim == 0:
-        memo[key] = DecomposedSubalgebra(center=center, ideals=())
-        return memo[key]
-    from . import reps  # local import: reps builds on this module
-    decomposition = reps.isotypic_decomposition(derived, derived, seed=seed)
-    ideals = tuple(sorted(decomposition.components, key=Subspace.sort_key))
-    for ideal in ideals:
-        if not is_subalgebra(ideal):
-            raise arith.ExactComputationError("ideal candidate is not bracket-closed")
-    for a in range(len(ideals)):
-        for b in range(a + 1, len(ideals)):
-            for i in range(ideals[a].dim):
-                for j in range(ideals[b].dim):
-                    if not is_zero(space.algebra.bracket(ideals[a].basis[i], ideals[b].basis[j])):
-                        raise arith.ExactComputationError("ideal candidates do not commute")
-    memo[key] = DecomposedSubalgebra(center=center, ideals=ideals)
-    return memo[key]
+    def build():
+        check = is_subalgebra(space)
+        if not check:
+            raise ContractViolation("ideal decomposition requires a subalgebra")
+        center = centralizer_in(space, space)
+        derived = derived_subalgebra(space)
+        if center.dim + derived.dim != space.dim or center.intersect(derived).dim != 0:
+            raise ContractViolation("subalgebra is not reductive (center + derived != whole); "
+                                    "only compact-type inputs are supported")
+        if derived.dim == 0:
+            return DecomposedSubalgebra(center=center, ideals=())
+        from . import reps  # local import: reps builds on this module
+        decomposition = reps.isotypic_decomposition(derived, derived, seed=seed)
+        ideals = tuple(sorted(decomposition.components, key=Subspace.sort_key))
+        for ideal in ideals:
+            if not is_subalgebra(ideal):
+                raise arith.ExactComputationError("ideal candidate is not bracket-closed")
+        for a in range(len(ideals)):
+            for b in range(a + 1, len(ideals)):
+                for i in range(ideals[a].dim):
+                    for j in range(ideals[b].dim):
+                        if not is_zero(space.algebra.bracket(ideals[a].basis[i], ideals[b].basis[j])):
+                            raise arith.ExactComputationError("ideal candidates do not commute")
+        return DecomposedSubalgebra(center=center, ideals=ideals)
+    return span_memo(space, build, "ideals", seed)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goverify import arith, metrics
+from goverify import arith, metrics, subspaces
 from goverify.arith import is_zero, q, qarray, qeye
 from goverify.lie import build_classical, embed_so_partition
 from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
@@ -56,6 +56,15 @@ def test_blocks_must_span(so6):
         metric_from_blocks(layout.algebra, BlockSpec(blocks))
 
 
+def test_blocks_must_be_orthogonal(so6):
+    layout, named = so6
+    tilted = Subspace(layout.algebra, named["k1"].basis + named["m1_2"].basis[:1])
+    blocks = ((tilted, Fraction(1)),) + tuple((named[n], Fraction(1)) for n in PARAM_NAMES[1:])
+    assert sum(space.dim for space, _ in blocks) == layout.algebra.dim
+    with pytest.raises(arith.ContractViolation, match="blocks are not orthogonal for the form"):
+        metric_from_blocks(layout.algebra, BlockSpec(blocks))
+
+
 def test_blocks_must_not_overlap(so6):
     layout, named = so6
     blocks = tuple((named[n], Fraction(1)) for n in PARAM_NAMES) + ((named["k1"], Fraction(2)),)
@@ -102,6 +111,19 @@ def test_isometry_subalgebra_branches(so6):
     # all equal: everything
     op3 = block_metric(layout, named, [5, 5, 5, 5, 5, 5])
     assert isometry_subalgebra(op3).dim == 15
+
+
+def test_isometry_subalgebra_is_shared_per_span():
+    layout = embed_so_partition(6, (2, 2, 2))   # fresh algebra: nothing memoized
+    named = layout.named_subspaces()
+    kp = isometry_subalgebra(block_metric(layout, named, [2, 2, 7, 2, 3, 3]))
+    assert isometry_subalgebra(block_metric(layout, named, [5, 5, 1, 5, 4, 4])) is kp
+    # a different basis stored for the same span is an error, not a silent swap
+    other = embed_so_partition(6, (2, 2, 2))
+    op = block_metric(other, other.named_subspaces(), [2, 2, 7, 2, 3, 3])
+    subspaces.shared_subspace(Subspace(other.algebra, kp.basis * 2), "isometry")
+    with pytest.raises(arith.ExactComputationError, match="basis differs"):
+        isometry_subalgebra(op)
 
 
 def test_isometry_subalgebra_contains_equivariant_skew_subalgebras(so6):

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from goverify import arith
+from goverify import arith, go, reps, subspaces
 from goverify.metrics import BlockSpec
-from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, build_scenario,
+from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _sweep_tuple, build_scenario,
                                 grid_parameter_tuples, parse_blockspec, replay_report,
                                 run_check, scenario_catalog)
 
@@ -107,15 +108,6 @@ def test_flag_sweep_counterexamples_replay():
     assert replay_report(tampered) == {"verified": 1, "failed": 1, "ok": False}
 
 
-def test_sweep_workers_merge_deterministically():
-    spec = ScenarioSpec(
-        name="mini", algebra={"family": "so", "n": 6}, subgroup={"partition": [2, 2, 2]},
-        metric={"grid": {"tuples": 6}}, checks=("sweep",), samples=6, seed=2)
-    sequential = run_check(spec, workers=1).to_machine()
-    threaded = run_check(spec, workers=3).to_machine()
-    assert sequential == threaded
-
-
 def test_so12_scenario_spec_shape():
     spec = scenario_catalog()["so12-partition4-genmet1"]
     built = build_scenario(spec)
@@ -197,3 +189,55 @@ GOLDEN_SHA256 = {
 def test_machine_report_bytes_are_pinned(name):
     text = run_check(_golden_specs()[name]).to_machine()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+# -- the span memo ---------------------------------------------------------------
+
+def _grid_records(order, fresh_build_per_tuple=False):
+    """``_sweep_tuple`` records of a 12-tuple so(6)/(2,2,2) grid, computed in ``order``."""
+    spec = ScenarioSpec(name="memo", algebra={"family": "so", "n": 6},
+                        subgroup={"partition": [2, 2, 2]}, metric={"grid": {"tuples": 12}},
+                        checks=("sweep",), samples=6, seed=3)
+    jobs = list(grid_parameter_tuples((2, 2, 2), 12, spec.seed))
+    shared = build_scenario(spec)
+    records = {}
+    for t in order:
+        built = build_scenario(spec) if fresh_build_per_tuple else shared
+        records[t] = _sweep_tuple(built, *jobs[t])
+    return records
+
+
+def test_sweep_records_do_not_depend_on_memo_state():
+    forward = _grid_records(range(12))
+    assert forward == _grid_records(reversed(range(12)))
+    assert forward == _grid_records(range(12), fresh_build_per_tuple=True)
+    assert {r["go"] for r in forward.values()} == {"Disproved", "NotDisproved"}
+
+
+def test_sweep_builds_each_span_result_once(monkeypatch):
+    """On one build, every memoized result is built once per key, and
+    centralizer_in (not memoized itself) runs once per pair of spans."""
+    builds = Counter()
+    original_memo = subspaces.span_memo
+
+    def counting_memo(space, build, kind, *extras):
+        def counted():
+            builds[(kind, *extras, space.sort_key())] += 1
+            return build()
+        return original_memo(space, counted, kind, *extras)
+
+    for module in (subspaces, go, reps):
+        monkeypatch.setattr(module, "span_memo", counting_memo)
+    pairs = Counter()
+    original_centralizer = subspaces.centralizer_in
+
+    def counting_centralizer(target, within):
+        pairs[(target.sort_key(), within.sort_key())] += 1
+        return original_centralizer(target, within)
+
+    monkeypatch.setattr(subspaces, "centralizer_in", counting_centralizer)
+    _grid_records(range(12))
+    assert builds and max(builds.values()) == 1
+    kinds = Counter(key[0] for key in builds)
+    assert kinds["complement"] >= 2 and kinds["flags"] >= 2 and kinds["intersect"] >= 2
+    assert pairs and max(pairs.values()) == 1

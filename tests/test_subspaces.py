@@ -309,3 +309,24 @@ def test_random_element_matches_fraction_loop(name):
         assert rng.getstate() == ref_rng.getstate()
     if name == "past-int64":
         assert space.int_basis[0].dtype == object
+
+
+# -- the span memo ------------------------------------------------------------------
+
+def test_shared_subspace_returns_the_stored_instance_and_rejects_another_basis():
+    g = build_classical("so", 4)
+    first = Subspace.from_indices(g, [0, 1])
+    assert subspaces.shared_subspace(first, "test") is first
+    assert subspaces.shared_subspace(Subspace.from_indices(g, [0, 1]), "test") is first
+    with pytest.raises(arith.ExactComputationError, match="basis differs"):
+        subspaces.shared_subspace(Subspace(g, first.basis * 2), "test")
+
+
+def test_span_memo_keys_by_span_not_by_basis():
+    g = build_classical("so", 4)
+    k = Subspace.from_indices(g, [0, 1])
+    complement = orthogonal_complement(k, g.form())
+    assert orthogonal_complement(Subspace(g, k.basis[::-1] * 3), g.form()) is complement
+    assert subspaces.span_memo(k, lambda: "first", "probe") == "first"
+    assert subspaces.span_memo(Subspace(g, k.basis * 5), lambda: "second", "probe") == "first"
+    assert subspaces.span_memo(k, lambda: "other", "probe", 1) == "other"
