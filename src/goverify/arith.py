@@ -11,16 +11,18 @@ Integer arrays are int64 while a bound on their entries rules out overflow in
 the next product (``_int64_safe``) and Python ints in object arrays otherwise,
 so :func:`int_matmul` and the other integer kernels are exact either way.
 
-The exact kernels are certified: nullspace results produced via the fast
-modular screening path are verified by an exact integer product with the
-denominator-cleared candidate before they are returned, and fall back to
-plain fraction Gauss elimination whenever the verification fails.
-
-Exact solves and ranks run on integers: :func:`_eliminate_int` is
-fraction-free (Bareiss) elimination of the row-cleared matrix, forward for
-:func:`rank_exact` and Gauss-Jordan for :func:`solve_int`.  Each step
-divides by the previous pivot; the quotients are minors of the input, so
+Exact ranks, solves, nullspaces, rrefs and inverses all run
+:func:`_eliminate_int`, fraction-free (Bareiss, Math. Comp. 22, 1968)
+elimination of the row-cleared integer matrix: forward for
+:func:`rank_exact`, Gauss-Jordan for :func:`solve_int`,
+:func:`nullspace_exact`, :func:`rref_exact` and :func:`inverse_int`.  Each
+step divides by the previous pivot; the quotients are minors of the input, so
 every division is exact, and Gauss-Jordan leaves ``det * rref``.
+
+Nullspaces are certified: a candidate from the fast modular screening path is
+verified by an exact integer product with the row-cleared candidate before it
+is returned, and Bareiss elimination takes over whenever rational
+reconstruction or the verification fails.
 
 The modular screening elimination (:func:`_modp_pivots`) reduces wide
 systems in panels of ``_PANEL = 64`` columns.  Each panel's update of the
@@ -36,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -208,44 +209,27 @@ def exact_matmul(A, B) -> np.ndarray:
 
 
 def _int_rows(arr: np.ndarray) -> np.ndarray:
-    """Clear denominators independently per row (rank/nullspace invariant)."""
-    rows = [clear_denominators(row)[0].astype(object) for row in arr]
-    return _narrow(np.stack(rows)) if rows else np.zeros(arr.shape, dtype=np.int64)
+    """:func:`_int_row_lists` as an array, int64 when small; integer arrays pass through."""
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr
+    return _narrow(np.array(_int_row_lists(arr), dtype=object).reshape(arr.shape))
+
+
+def _int_row_lists(arr: np.ndarray) -> list[list[int]]:
+    """Rows as lists of Python ints, each row's denominators cleared on its own
+    (which keeps rank, rref and nullspace)."""
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.tolist()
+    rows = []
+    for row in arr.tolist():
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([int(v.numerator) * (scale // v.denominator) for v in row])
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # exact elimination
 # ---------------------------------------------------------------------------
-
-def _rref(mat: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
-    rows = [[q(v) for v in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        if pivot != 1:
-            rows[r] = [v / pivot for v in rows[r]]
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri = rows[i]
-                for j in range(c, ncols):
-                    if rr[j] != 0:
-                        ri[j] = ri[j] - f * rr[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
 
 def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: int = 1) -> np.ndarray:
     """Nullspace basis (rows) from ``rows``, which are ``det`` times an rref."""
@@ -260,11 +244,7 @@ def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: i
 
 def rank_exact(mat: np.ndarray) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    arr = np.asarray(mat)
-    if arr.size == 0:
-        return 0
-    ints = arr if np.issubdtype(arr.dtype, np.integer) else _int_rows(arr)
-    return len(_eliminate_int(ints.tolist(), reduce_above=False)[0])
+    return len(_eliminate_int(_int_row_lists(np.asarray(mat)), reduce_above=False)[0])
 
 
 def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
@@ -295,12 +275,43 @@ def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int]
         for i in range(0 if reduce_above else r + 1, nrows):
             wi = work[i]
             head = wi[c]
-            if i != r and (head or p != prev):
+            if i == r:
+                continue
+            if head:
                 wi[lo:] = [(x * p - head * y) // prev for x, y in zip(wi[lo:], wr[lo:])]
+            elif p != prev and any(wi):         # a zero row stays zero
+                wi[lo:] = [x * p // prev for x in wi[lo:]]
         prev = p
         piv_cols.append(c)
         r += 1
     return piv_cols, prev
+
+
+def rref_exact(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Nonzero rows of the reduced row echelon form (Fractions) and its pivot columns."""
+    arr = np.asarray(mat)
+    rows = _int_row_lists(arr)
+    pivots, det = _eliminate_int(rows, reduce_above=True)
+    top = np.array(rows[:len(pivots)], dtype=object).reshape(len(pivots), arr.shape[1])
+    return from_ints(top, det), pivots
+
+
+def inverse_int(ints: np.ndarray, scale: int = 1) -> tuple[np.ndarray, int]:
+    """``(ints, scale)`` of the inverse of ``M = ints / scale``, exactly as
+    :func:`clear_denominators` gives it, from Gauss-Jordan on ``[ints | scale*I]``.
+
+    A tall ``M`` of full column rank gets the right block ``T`` of the rref of
+    ``[M | I]``, with ``T @ M = [I; 0]``.  Raises if the columns are dependent.
+    """
+    n, k = ints.shape
+    rows = [row + [scale * (i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    pivots, det = _eliminate_int(rows, reduce_above=True)
+    if pivots[:k] != list(range(k)):
+        raise ContractViolation("matrix columns are linearly dependent")
+    g = math.gcd(det, *(v for row in rows for v in row[k:]))
+    g = -g if det < 0 else g
+    inv = np.array([[v // g for v in row[k:]] for row in rows], dtype=object)
+    return _narrow(inv.reshape(n, n)), det // g
 
 
 def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], list[tuple[int, int]]]:
@@ -453,38 +464,37 @@ def _annihilates(ints: np.ndarray, basis: np.ndarray) -> bool:
 def nullspace_exact(mat: np.ndarray) -> np.ndarray:
     """Certified rational nullspace basis (rows) of ``mat``.
 
-    Fast path: a single modular elimination locates independent rows; the
-    candidate basis is then rebuilt exactly from those rows and verified
-    against the full matrix, as an integer product with the row-cleared
-    candidate (int64 when safe, Python ints otherwise).  Because rank over
-    GF(p) never exceeds rank over the rationals, a verified candidate pins
-    the nullity exactly.  On any verification failure the plain rational
-    elimination is used instead.
+    Small systems run fraction-free (Bareiss) Gauss-Jordan on the row-cleared
+    integers.  Larger ones are screened mod ``_P``: the modular pivots locate
+    independent rows and rational reconstruction gives a candidate, verified
+    against the full matrix as an integer product (int64 when safe, Python
+    ints otherwise).  Rank over GF(p) never exceeds rank over the rationals,
+    so a verified candidate pins the nullity exactly.  Otherwise Bareiss runs
+    on the modular pivot rows and, if that candidate fails too, on all rows.
     """
     arr = np.asarray(mat)
     if arr.ndim != 2:
         raise ContractViolation("nullspace expects a 2-d matrix")
     nrows, ncols = arr.shape
-    if nrows == 0 or ncols == 0:
-        return qeye(ncols) if ncols else qzeros((0, 0))
     if nrows * ncols <= 1_200:
-        rows, pivots = _rref(arr)
-        return _nullspace_from_rref(rows, pivots, ncols)
-
-    ints = arr if arr.dtype != object else _int_rows(arr)
+        return _nullspace_int(_int_row_lists(arr), ncols)
+    ints = _int_rows(arr)
     rank_p, piv_rows, piv_cols, reduced = _modp_pivots(ints, reduce_above=True)
     if rank_p == ncols:
         return qzeros((0, ncols))
     candidate = _reconstruct_nullspace(reduced[:rank_p], piv_cols, ncols)
     if candidate is not None and _annihilates(ints, candidate):
         return candidate
-    rows, pivots = _rref(arr[piv_rows])
-    candidate = _nullspace_from_rref(rows, pivots, ncols)
-    if len(pivots) == rank_p and candidate.shape[0] == ncols - rank_p \
-            and _annihilates(ints, candidate):
+    candidate = _nullspace_int(ints[piv_rows].tolist(), ncols)
+    if candidate.shape[0] == ncols - rank_p and _annihilates(ints, candidate):
         return candidate
-    rows, pivots = _rref(arr)
-    return _nullspace_from_rref(rows, pivots, ncols)
+    return _nullspace_int(ints.tolist(), ncols)
+
+
+def _nullspace_int(rows: list[list[int]], ncols: int) -> np.ndarray:
+    """Nullspace basis (rows) of integer rows, by fraction-free Gauss-Jordan in place."""
+    pivots, det = _eliminate_int(rows, reduce_above=True)
+    return _nullspace_from_rref(rows, pivots, ncols, det)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, q, qarray, qeye, qzeros
+from .arith import ContractViolation, is_zero, q, qarray, qzeros
 
 
 class ValidationError(ValueError):
@@ -375,10 +375,10 @@ def _tensor_from_realization(mats: list[np.ndarray]) -> np.ndarray:
     stack, fscale = arith.clear_denominators(np.stack(mats))
     flat = stack.reshape(d, -1)                               # S_i = fscale * R_i, flattened
     gram = arith.int_matmul(flat, flat.T)
-    rows, pivots = arith._rref(np.concatenate([qarray(gram), qeye(d)], axis=1))
-    if len(pivots) != d:
-        raise ContractViolation("realization matrices are linearly dependent")
-    gram_inv, gscale = arith.clear_denominators(qarray([row[d:] for row in rows]))
+    try:
+        gram_inv, gscale = arith.inverse_int(gram)
+    except ContractViolation:
+        raise ContractViolation("realization matrices are linearly dependent") from None
     comm = arith.int_matmul(stack[:, None], stack[None, :])
     comm = (comm - np.transpose(comm, (1, 0, 2, 3))).reshape(d * d, -1)
     rhs = arith.int_matmul(comm, flat.T)                      # rhs[(i,j),a] = <[S_i,S_j], S_a>

@@ -193,8 +193,7 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
                                  np.zeros((d, d), dtype=object)), w_scale * scale)
     if spec.center_block is not None and center.dim:
         # Q(L u, v) = inner(u, v) on the center: L = B^T G^-1 inner G^-1 B Q there
-        rows, pivots = arith._rref(np.concatenate([center.gram(form), arith.qeye(center.dim)], axis=1))
-        gram_inv = qarray([row[center.dim:] for row in rows])
+        gram_inv = arith.from_ints(*arith.inverse_int(*arith.clear_denominators(center.gram(form))))
         inner_dual = arith.exact_matmul(arith.exact_matmul(gram_inv, inner), gram_inv)
         matrix = matrix + arith.exact_matmul(center.basis.T, arith.exact_matmul(
             inner_dual, arith.exact_matmul(center.basis, form.matrix)))

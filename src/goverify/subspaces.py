@@ -63,9 +63,7 @@ class Subspace:
         vectors = np.asarray(vectors, dtype=object)
         if vectors.size == 0:
             return Subspace.zero(algebra)
-        rows, pivots = arith._rref(vectors)
-        basis = qarray([rows[r] for r in range(len(pivots))]) if pivots else qzeros((0, algebra.dim))
-        return Subspace(algebra, basis, check=False)
+        return Subspace(algebra, arith.rref_exact(vectors)[0], check=False)
 
     # -- basic queries --------------------------------------------------------
 
@@ -74,14 +72,9 @@ class Subspace:
         return self.basis.shape[0]
 
     @cached_property
-    def _rref(self):
-        rows, pivots = arith._rref(self.basis) if self.dim else ([], [])
-        return qarray([rows[r] for r in range(len(pivots))]) if pivots else qzeros((0, self.algebra.dim)), tuple(pivots)
-
-    @cached_property
     def _sort_key(self) -> tuple:
-        rows, pivots = self._rref
-        return (self.dim, pivots, tuple(arith.fraction_str(v) for v in rows.reshape(-1)))
+        rows, pivots = arith.rref_exact(self.basis)
+        return (self.dim, tuple(pivots), tuple(arith.fraction_str(v) for v in rows.reshape(-1)))
 
     def sort_key(self) -> tuple:
         return self._sort_key
@@ -97,11 +90,7 @@ class Subspace:
     @cached_property
     def _int_solver(self) -> tuple[np.ndarray, int]:
         """Cleared row-operation transform T with T @ basis.T = [I_k; 0] (stacked)."""
-        aug = np.concatenate([self.basis.T, arith.qeye(self.algebra.dim)], axis=1)
-        rows, pivots = arith._rref(aug)
-        if list(pivots[:self.dim]) != list(range(self.dim)):  # pragma: no cover
-            raise ContractViolation("basis rows are linearly dependent")
-        return arith.clear_denominators(qarray([row[self.dim:] for row in rows]))
+        return arith.inverse_int(self.int_basis[0].T, self.int_basis[1])
 
     def coords(self, vectors) -> np.ndarray | None:
         """Coordinates of a vector or of column vectors; None if any is outside."""
@@ -260,9 +249,7 @@ def projection_ints(space: Subspace, form: SymmetricForm) -> tuple[np.ndarray, i
     def build():
         b_int, q_int = space.int_basis[0], arith.clear_denominators(form.matrix)[0]
         bq = arith.int_matmul(b_int, q_int)
-        gram = arith.from_ints(arith.int_matmul(bq, b_int.T))
-        rows, pivots = arith._rref(np.concatenate([gram, arith.qeye(space.dim)], axis=1))
-        g_inv, g_scale = arith.clear_denominators(qarray([row[space.dim:] for row in rows]))
+        g_inv, g_scale = arith.inverse_int(arith.int_matmul(bq, b_int.T))
         return arith.int_matmul(b_int.T, arith.int_matmul(g_inv, bq)), g_scale
     return _form_memo(space, form, build, "projector")
 

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from goverify import arith
 from goverify.arith import (ContractViolation, ExactComputationError, Inconsistent,
                             Solution, ToleranceProfile, q, qarray, qeye, qzeros)
+from goverify.lie import build_classical
+from goverify.subspaces import Subspace, rank_estimate
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -165,7 +168,7 @@ def test_eigenspace_reconstruction(diag_values):
     recon = qzeros((n, n))
     for value, basis in out:
         gram = np.dot(basis, basis.T)
-        rows, pivots = arith._rref(np.concatenate([gram, qeye(basis.shape[0])], axis=1))
+        rows, pivots = _reference_rref(np.concatenate([gram, qeye(basis.shape[0])], axis=1))
         inv = qarray([row[basis.shape[0]:] for row in rows])
         recon = recon + value * np.dot(basis.T, np.dot(inv, basis))
     assert arith.is_zero(recon - s)
@@ -293,13 +296,12 @@ def test_mulmod_exact_at_its_bound():
 
 # -- fraction-free integer solve and rank ---------------------------------------
 
-def _reference_solve(A, b):
-    """Plain Fraction Gauss-Jordan on [A | b]: ('inconsistent', rank_a, rank_ab),
-    or ('solution', x with free variables 0, nullspace rows), and the rank of A."""
-    rows = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(A.tolist(), b.tolist())]
-    ncols = A.shape[1]
+def _reference_rref(mat):
+    """Plain Fraction Gauss-Jordan: (all rows, the rref's nonzero ones first; pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(mat).tolist()]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
-    for c in range(ncols + 1):
+    for c in range(ncols):
         pr = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
@@ -310,12 +312,16 @@ def _reference_solve(A, b):
             if i != r and rows[i][c] != 0:
                 rows[i] = [v - rows[i][c] * w for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
-    rank_a = len([c for c in pivots if c < ncols])
-    if ncols in pivots:
-        return ("inconsistent", rank_a, len(pivots)), rank_a
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
+    return rows, pivots
+
+
+def _reference_nullspace(mat):
+    """Nullspace rows read off the reference rref of ``mat``."""
+    return _nullspace_rows(*_reference_rref(mat), np.asarray(mat).shape[1])
+
+
+def _nullspace_rows(rows, pivots, ncols):
+    """One nullspace row per free column among the first ``ncols`` of an rref."""
     null = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
@@ -323,7 +329,28 @@ def _reference_solve(A, b):
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
         null.append(vec)
-    return ("solution", x, null), rank_a
+    return null
+
+
+def _reference_inverse(mat):
+    """Inverse of a square rational matrix from the reference rref of ``[M | I]``."""
+    n = len(mat)
+    rows, _ = _reference_rref(np.concatenate([qarray(mat), qeye(n)], axis=1))
+    return qarray([row[n:] for row in rows])
+
+
+def _reference_solve(A, b):
+    """Plain Fraction Gauss-Jordan on [A | b]: ('inconsistent', rank_a, rank_ab),
+    or ('solution', x with free variables 0, nullspace rows), and the rank of A."""
+    rows, pivots = _reference_rref(np.concatenate([A, b[:, None]], axis=1))
+    ncols = A.shape[1]
+    rank_a = len([c for c in pivots if c < ncols])
+    if ncols in pivots:
+        return ("inconsistent", rank_a, len(pivots)), rank_a
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][ncols]
+    return ("solution", x, _nullspace_rows(rows, pivots, ncols)), rank_a
 
 
 def _as_tuple(out):
@@ -362,6 +389,9 @@ def test_integer_solve_and_rank_match_fraction_reference(kind):
         expected, rank_a = _reference_solve(A, b)
         assert _as_tuple(arith.solve_linear(A, b)) == expected
         assert arith.rank_exact(A) == rank_a
+        rows, pivots = arith.rref_exact(A)
+        ref_rows, ref_pivots = _reference_rref(A)
+        assert pivots == ref_pivots and rows.tolist() == ref_rows[:len(pivots)]
         # the integer entry point, each row of [A | b] with its own scale
         aug = arith._int_rows(np.concatenate([A, b[:, None]], axis=1)).astype(object)
         aug = aug * np.array([[rng.randint(1, 4)] for _ in range(A.shape[0])], dtype=object)
@@ -382,8 +412,134 @@ def test_gauss_jordan_pivot_rows_are_det_times_rref():
     mat[:, 2] = 0
     rows = mat.tolist()
     pivots, det = arith._eliminate_int(rows, reduce_above=True)
-    ref_rows, ref_pivots = arith._rref(mat.astype(object))
+    ref_rows, ref_pivots = _reference_rref(mat.astype(object))
     assert pivots == ref_pivots and len(pivots) == 4
     for r in range(len(pivots)):
         assert rows[r] == [v * det for v in ref_rows[r]]
     assert not any(any(row) for row in rows[len(pivots):])
+
+
+# -- Bareiss paths of nullspace_exact, against the Fraction reference -----------
+
+def _record(monkeypatch, name, probe=lambda *args, **kwargs: None):
+    """Wrap ``arith.<name>``; each call appends ``(probe(*args), result)``."""
+    calls = []
+    original = getattr(arith, name)
+
+    def wrapper(*args, **kwargs):
+        seen = probe(*args, **kwargs)
+        out = original(*args, **kwargs)
+        calls.append((seen, out))
+        return out
+
+    monkeypatch.setattr(arith, name, wrapper)
+    return calls
+
+
+def _rows_and_max(work, reduce_above):
+    return len(work), max(abs(v) for row in work for v in row)
+
+
+@pytest.fixture(scope="module")
+def so9_rank_system():
+    """The first centralizer system of ``rank_estimate`` on all of so(9), as it
+    reaches ``nullspace_exact``: 36 x 36, nullity 4, nullspace entries near 54 bits."""
+    systems = []
+    original = arith.nullspace_exact
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(arith, "nullspace_exact", lambda m: systems.append(m) or original(m))
+        rank_estimate(Subspace.full(build_classical("so", 9)), retries=1)
+    return systems[0]
+
+
+@pytest.mark.parametrize("scale", [1, 3**45])
+def test_failed_reconstruction_runs_bareiss_on_the_pivot_rows(so9_rank_system, scale, monkeypatch):
+    system = so9_rank_system * scale
+    reconstructions = _record(monkeypatch, "_reconstruct_nullspace")
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    null = arith.nullspace_exact(system)
+    assert [out is None for _, out in reconstructions] == [True]
+    assert [rows for (rows, _), _ in eliminations] == [32]   # the pivot rows only
+    biggest = eliminations[0][0][1]
+    assert biggest >= 2**63 if scale != 1 else biggest < 2**63
+    assert null.tolist() == _reference_nullspace(so9_rank_system)
+
+
+def test_rank_drop_mod_p_runs_bareiss_on_all_rows(monkeypatch):
+    rng = np.random.RandomState(5)
+    mat = rng.randint(-9, 10, size=(30, 50))
+    mat[29] = mat[0]
+    mat[29, 7] += arith._P            # equal to row 0 mod p, independent over the rationals
+    assert mat.size > 1_200
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    null = arith.nullspace_exact(mat)
+    assert [rows for (rows, _), _ in eliminations] == [29, 30]
+    assert null.shape == (20, 50) and null.tolist() == _reference_nullspace(mat)
+
+
+def test_small_nullspace_runs_bareiss_directly(monkeypatch):
+    rng = random.Random("small")
+    systems = [_random_system(rng, kind)[0] for kind in
+               ("rank-deficient", "zero-columns", "negative-pivots", "past-int64") for _ in range(10)]
+    screens = _record(monkeypatch, "_modp_pivots")
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    for A in systems:
+        assert arith.nullspace_exact(A).tolist() == _reference_nullspace(A)
+    assert screens == [] and len(eliminations) == len(systems)
+
+
+# -- inverse_int ------------------------------------------------------------------
+
+def _nonsingular(rng, n, kind):
+    """A nonsingular integer n x n matrix of the named kind."""
+    bound = 2**40 if kind == "past-int64-out" else 9
+    while True:
+        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        det = sympy.Matrix(m).det()
+        if det:
+            break
+    if kind == "negative-det" and det > 0:
+        m[0] = [-v for v in m[0]]
+    if kind == "small":
+        return np.array(m, dtype=np.int64)
+    return np.array(m, dtype=object) * (3**45 if kind == "past-int64-in" else 1)
+
+
+@pytest.mark.parametrize("kind", ["small", "negative-det", "past-int64-in", "past-int64-out"])
+def test_inverse_int_is_the_cleared_reference_inverse(kind):
+    rng = random.Random(kind)
+    dtypes = []
+    for n in range(1, 7):
+        m = _nonsingular(rng, n, kind)
+        if kind == "negative-det":
+            assert sympy.Matrix(m.tolist()).det() < 0
+        ints, scale = arith.inverse_int(m)
+        ref_ints, ref_scale = arith.clear_denominators(_reference_inverse(m))
+        assert scale == ref_scale and ints.dtype == ref_ints.dtype
+        assert np.array_equal(ints, ref_ints)
+        dtypes.append(ints.dtype)
+    # entries of det * M^-1 are (n-1)-minors: past int64 from n = 3 on at 2**40
+    expected = [object if kind == "past-int64-out" and n >= 3 else np.int64 for n in range(1, 7)]
+    assert dtypes == [np.dtype(t) for t in expected]
+
+
+def test_inverse_int_rejects_singular_matrices():
+    for m in ([[1, 2], [2, 4]], [[0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ContractViolation):
+            arith.inverse_int(np.array(m, dtype=np.int64))
+
+
+def test_inverse_int_of_a_scaled_and_of_a_tall_matrix():
+    m = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=np.int64)
+    ints, scale = arith.inverse_int(m, 6)
+    ref_ints, ref_scale = arith.clear_denominators(_reference_inverse(qarray(m) / 6))
+    assert scale == ref_scale and np.array_equal(ints, ref_ints)
+    # a tall matrix of full column rank: T is the right block of the rref of [M | I]
+    tall = m[:, :2]
+    ints, scale = arith.inverse_int(tall, 6)
+    rows, _ = _reference_rref(np.concatenate([qarray(tall) / 6, qeye(3)], axis=1))
+    ref_ints, ref_scale = arith.clear_denominators(qarray([row[2:] for row in rows]))
+    assert scale == ref_scale and np.array_equal(ints, ref_ints)
+    assert np.array_equal(ints @ tall, np.eye(3, 2, dtype=np.int64) * 6 * scale)
+    with pytest.raises(ContractViolation):
+        arith.inverse_int(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))

@@ -128,6 +128,12 @@ def test_realization_tensor_on_python_ints_scales_exactly(family, n):
     lie.StructureAlgebra(dim=len(mats), tensor=scaled, realization=tuple(mats)).validate()
 
 
+def test_dependent_realization_matrices_are_rejected():
+    _, mats = lie._su_basis(3)
+    with pytest.raises(arith.ContractViolation, match="realization matrices are linearly dependent"):
+        lie._tensor_from_realization(mats + [mats[0] * 2 - mats[3]])
+
+
 def test_killing_constant_so_n():
     """Q(A_ij, A_ij) = 2(n-2), off-diagonal zero, against the trace oracle."""
     for n in (3, 5, 6):

@@ -14,6 +14,7 @@ from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
                               invariant_subspace, isometry_subalgebra,
                               metric_from_blocks, restrict_operator)
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement
+from test_arith import _reference_rref
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 
@@ -172,7 +173,7 @@ def test_bi_invariance_fails_for_ideal_mixing():
     # a rotation coupling the two ideals: symmetric for Q but not ideal-diagonal
     basis = np.concatenate([i1.basis, i2.basis], axis=0)
     cols = basis.T
-    rows, pivots = arith._rref(np.concatenate([cols, qeye(6)], axis=1))
+    rows, pivots = _reference_rref(np.concatenate([cols, qeye(6)], axis=1))
     cols_inv = qarray([row[6:] for row in rows])
     mix = qeye(6) * q(2)
     mix[0, 3] = mix[3, 0] = q(1)

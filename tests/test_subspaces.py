@@ -8,12 +8,14 @@ import pytest
 import scipy.linalg
 from goverify import arith, subspaces
 from goverify.arith import is_zero, q, qarray
-from goverify.lie import build_classical, direct_sum, embed_so_partition
+from goverify.lie import (build_classical, direct_sum, embed_so_partition,
+                          ingest_structure_table, serialize_structure_table)
 from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
                                 centralizer_in_complement, derived_subalgebra,
                                 ideal_decomposition, is_regular, is_subalgebra,
                                 normalizer, orthogonal_complement, rank_estimate,
                                 rank_estimate_float)
+from test_arith import _reference_nullspace
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +106,32 @@ def test_normalizer_of_cartan_in_so5():
     cm = centralizer_in(cartan, orthogonal_complement(cartan, so5.form()))
     assert n.dim == cartan.dim + cm.dim
     assert n.contains_space(cartan)
+
+
+def test_rank_and_normalizer_on_an_ingested_structure_table(monkeypatch):
+    """so(7) read back from its structure table: every nullspace, small or
+    screened, equals the Fraction reference, and ranks and normalizer equal
+    those on the built algebra."""
+    layout = embed_so_partition(7, (2, 2, 3))
+    table = ingest_structure_table(serialize_structure_table(layout.algebra))
+    shapes = []
+    original = arith.nullspace_exact
+
+    def checked(mat):
+        out = original(mat)
+        assert out.tolist() == _reference_nullspace(mat)
+        shapes.append(mat.shape)
+        return out
+
+    monkeypatch.setattr(arith, "nullspace_exact", checked)
+    found = normalizer(Subspace(table, layout.subalgebra.basis))
+    ranks = (rank_estimate(Subspace.full(table)).value, rank_estimate(found).value)
+    monkeypatch.undo()
+    assert min(r * c for r, c in shapes) <= 1_200 < max(r * c for r, c in shapes)
+    expected = normalizer(layout.subalgebra)
+    assert found.basis.tolist() == expected.basis.tolist()
+    assert ranks == (rank_estimate(Subspace.full(layout.algebra)).value,
+                     rank_estimate(expected).value) == (3, 3)
 
 
 def test_normalizer_requires_subalgebra(so6_layout):
