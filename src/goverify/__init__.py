@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .arith import (  # noqa: F401
     EXACT,
-    FLOAT,
     ContractViolation,
     ExactComputationError,
-    ToleranceProfile,
     q,
     qarray,
 )

@@ -1,9 +1,9 @@
-"""Dual-backend scalar arithmetic and dense linear-algebra kernels.
+"""Exact rational arithmetic and dense linear-algebra kernels.
 
 Exact data lives in numpy arrays of dtype ``object`` whose entries are
-:class:`fractions.Fraction`; float data is plain ``float64``.  Every float
-comparison against zero goes through a :class:`ToleranceProfile`, exact
-comparisons are literal equality.
+:class:`fractions.Fraction`, and comparisons against zero are literal
+equality.  There is no floating-point backend: each kernel has one exact
+code path.
 
 Hot kernels work on integers instead: :func:`clear_denominators` turns a
 Fraction array into ``(ints, scale)`` and :func:`from_ints` turns it back.
@@ -40,11 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 import sympy
 
 EXACT = "exact"
-FLOAT = "float"
 
 _P = 2_147_483_647  # prime modulus for the screening eliminations
 _PANEL = 64         # columns per elimination panel, fixed by the 2**53 bound in _mulmod
@@ -57,29 +55,7 @@ class ContractViolation(ValueError):
 
 
 class ExactComputationError(RuntimeError):
-    """The exact backend cannot produce a certified result for this input."""
-
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Thresholds governing every zero decision of the float backend.
-
-    rank_epsilon: singular values below ``rank_epsilon * s_max`` count as zero.
-    residual_epsilon: a linear system is solvable iff the least-squares
-        residual max-norm stays below this.
-    eigen_gap_epsilon: eigenvalues closer than this are clustered together.
-    """
-
-    rank_epsilon: float = 1e-9
-    residual_epsilon: float = 1e-8
-    eigen_gap_epsilon: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.rank_epsilon, self.residual_epsilon, self.eigen_gap_epsilon) <= 0.0:
-            raise ContractViolation("all tolerances must be strictly positive")
-
-
-DEFAULT_TOL = ToleranceProfile()
+    """An exact kernel cannot produce a certified result for this input."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +93,6 @@ def qeye(n: int) -> np.ndarray:
     for i in range(n):
         arr[i, i] = Fraction(1)
     return arr
-
-
-def to_float(arr: np.ndarray) -> np.ndarray:
-    return np.asarray(arr, dtype=float)
 
 
 def is_zero(arr: np.ndarray) -> bool:
@@ -511,31 +483,18 @@ class Solution:
 
 @dataclass(frozen=True)
 class Inconsistent:
-    """Witness that ``A x = b`` has no solution.
-
-    On the exact backend ``rank_a < rank_ab`` is the certificate; on the float
-    backend ``residual`` is the least-squares max-norm residual.
-    """
+    """Witness that ``A x = b`` has no solution: ``rank_a < rank_ab``."""
 
     rank_a: int
     rank_ab: int
-    residual: float = 0.0
 
 
-def solve_linear(A, b, backend: str = EXACT, tol: ToleranceProfile = DEFAULT_TOL):
+def solve_linear(A, b):
     """Solve ``A x = b`` returning :class:`Solution` or :class:`Inconsistent`."""
     A = np.asarray(A)
     b = np.asarray(b)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ContractViolation(f"solve_linear shape mismatch: {A.shape} vs {b.shape}")
-    if backend == EXACT:
-        return _solve_exact(A, b)
-    if backend == FLOAT:
-        return _solve_float(to_float(A), to_float(b), tol)
-    raise ContractViolation(f"unknown backend {backend!r}")
-
-
-def _solve_exact(A: np.ndarray, b: np.ndarray):
     aug = np.concatenate([np.asarray(A, dtype=object), np.asarray(b, dtype=object)[:, None]], axis=1)
     return solve_int(_int_rows(aug))
 
@@ -558,72 +517,16 @@ def solve_int(aug: np.ndarray):
     return Solution(x=x, nullspace=_nullspace_from_rref(rows, pivots, ncols, det))
 
 
-def _solve_float(A: np.ndarray, b: np.ndarray, tol: ToleranceProfile):
-    if A.size == 0:
-        residual = float(np.max(np.abs(b))) if b.size else 0.0
-        if residual > tol.residual_epsilon:
-            return Inconsistent(rank_a=0, rank_ab=1, residual=residual)
-        return Solution(x=np.zeros(A.shape[1]), nullspace=np.eye(A.shape[1]))
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-    if residual > tol.residual_epsilon:
-        aug = np.concatenate([A, b[:, None]], axis=1)
-        return Inconsistent(rank_a=rank_float(A, tol), rank_ab=rank_float(aug, tol),
-                            residual=residual)
-    return Solution(x=x, nullspace=nullspace_float(A, tol))
-
-
-def rank(A, backend: str = EXACT, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    A = np.asarray(A)
-    if backend == EXACT:
-        return rank_exact(A)
-    if backend == FLOAT:
-        return rank_float(to_float(A), tol)
-    raise ContractViolation(f"unknown backend {backend!r}")
-
-
-def rank_float(A: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_epsilon * s[0]))
-
-
-def nullspace(A, backend: str = EXACT, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    A = np.asarray(A)
-    if backend == EXACT:
-        return nullspace_exact(A)
-    if backend == FLOAT:
-        return nullspace_float(to_float(A), tol)
-    raise ContractViolation(f"unknown backend {backend!r}")
-
-
-def nullspace_float(A: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1])
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    cutoff = tol.rank_epsilon * (s[0] if s.size and s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
-    return vh[r:]
-
-
 # ---------------------------------------------------------------------------
 # symmetric operators
 # ---------------------------------------------------------------------------
 
-def is_self_adjoint(S, form=None, backend: str = EXACT, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+def is_self_adjoint(S, form=None) -> bool:
     """Whether ``S`` is self-adjoint for the positive form ``form`` (default: dot)."""
     S = np.asarray(S)
-    n = S.shape[0]
-    G = np.asarray(form) if form is not None else (qeye(n) if backend == EXACT else np.eye(n))
+    G = np.asarray(form) if form is not None else qeye(S.shape[0])
     GS = np.dot(G, S)
-    if backend == EXACT:
-        return is_zero(GS - GS.T)
-    GS = to_float(GS)
-    scale = max(1.0, float(np.max(np.abs(GS))))
-    return float(np.max(np.abs(GS - GS.T))) <= tol.residual_epsilon * scale
+    return is_zero(GS - GS.T)
 
 
 def is_positive_definite_exact(S: np.ndarray) -> bool:
@@ -703,7 +606,7 @@ def _reduce_against(echelon: list[list[Fraction]], vec: np.ndarray):
 def _dependence(chain: list[np.ndarray]) -> list[Fraction]:
     """Monic dependence coefficients: chain[-1] = sum c_i chain[i]."""
     mat = np.stack(chain[:-1]).T
-    sol = _solve_exact(mat, chain[-1])
+    sol = solve_linear(mat, chain[-1])
     if isinstance(sol, Inconsistent):  # pragma: no cover - contradicts chain construction
         raise ExactComputationError("krylov dependence solve failed")
     coeffs = [-c for c in sol.x]
@@ -754,48 +657,22 @@ def primary_invariant_split(C: np.ndarray) -> list[tuple[sympy.Poly, np.ndarray]
     return pieces
 
 
-def symmetric_eigenspaces(S, form=None, backend: str = EXACT,
-                          tol: ToleranceProfile = DEFAULT_TOL) -> list[tuple[object, np.ndarray]]:
+def symmetric_eigenspaces(S, form=None) -> list[tuple[Fraction, np.ndarray]]:
     """Eigen-decomposition of an operator self-adjoint for a positive form.
 
-    Returns ``(eigenvalue, basis rows)`` sorted by eigenvalue.  The exact
-    backend requires a rational spectrum (guaranteed for block-scalar
-    operators built by this package) and raises
-    :class:`ExactComputationError` otherwise; the float backend clusters
-    eigenvalues with ``tol.eigen_gap_epsilon``.
+    Returns ``(eigenvalue, basis rows)`` sorted by eigenvalue.  The spectrum
+    must be rational (guaranteed for block-scalar operators built by this
+    package); :class:`ExactComputationError` is raised otherwise.
     """
-    S = np.asarray(S)
-    n = S.shape[0]
-    if not is_self_adjoint(S, form, backend=backend, tol=tol):
+    if not is_self_adjoint(S, form):
         raise ContractViolation("operator is not self-adjoint for the supplied form")
-    if backend == EXACT:
-        out = []
-        for factor, basis in primary_invariant_split(np.asarray(S, dtype=object)):
-            if factor.degree() != 1:
-                raise ExactComputationError(
-                    f"irrational eigenvalues (factor {factor.expr}); use the float backend")
-            lead, constant = factor.all_coeffs()
-            root = sympy.Rational(-constant, lead)
-            value = Fraction(int(sympy.numer(root)), int(sympy.denom(root)))
-            out.append((value, basis))
-        out.sort(key=lambda p: p[0])
-        return out
-    if backend != FLOAT:
-        raise ContractViolation(f"unknown backend {backend!r}")
-    Sf = to_float(S)
-    if form is None:
-        values, vectors = np.linalg.eigh((Sf + Sf.T) / 2.0)
-    else:
-        G = to_float(np.asarray(form))
-        A = G @ Sf
-        values, vectors = scipy.linalg.eigh((A + A.T) / 2.0, G)
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
-    gap = tol.eigen_gap_epsilon * max(1.0, float(np.max(np.abs(values))) if n else 1.0)
-    clusters: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > gap:
-            clusters.append((float(np.mean(values[start:i])), vectors[:, start:i].T))
-            start = i
-    return clusters
+    out = []
+    for factor, basis in primary_invariant_split(np.asarray(S, dtype=object)):
+        if factor.degree() != 1:
+            raise ExactComputationError(f"irrational eigenvalues (factor {factor.expr})")
+        lead, constant = factor.all_coeffs()
+        root = sympy.Rational(-constant, lead)
+        value = Fraction(int(sympy.numer(root)), int(sympy.denom(root)))
+        out.append((value, basis))
+    out.sort(key=lambda p: p[0])
+    return out

@@ -16,18 +16,23 @@ from .lie import ValidationError
 from .scenarios import ALL_CHECKS, ScenarioSpec, run_check, scenario_catalog
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2, which
+    here means a negative verdict; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser, metric: bool = True):
     parser.add_argument("--family", choices=["so", "su", "sp", "abelian"])
     parser.add_argument("--n", type=int)
     parser.add_argument("--table", type=Path, help="structure-table file instead of a family")
     parser.add_argument("--partition", help="comma-separated parts, e.g. 2,2,2")
     parser.add_argument("--subspace", type=Path, help="subgroup basis file (subspace format)")
-    parser.add_argument("--backend", choices=[arith.EXACT, arith.FLOAT], default=arith.EXACT)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=64)
-    parser.add_argument("--tol-rank", type=float, default=1e-9)
-    parser.add_argument("--tol-residual", type=float, default=1e-8)
-    parser.add_argument("--tol-eigen-gap", type=float, default=1e-7)
     parser.add_argument("--out", type=Path, help="write the machine report here")
     parser.add_argument("--machine", action="store_true", help="print the machine report")
     if metric:
@@ -75,10 +80,8 @@ def _spec_from_args(args, name: str, checks: tuple[str, ...]) -> ScenarioSpec:
         subgroup=_subgroup_spec(args),
         metric=_metric_spec(args),
         checks=checks,
-        backend=args.backend,
         seed=args.seed,
         samples=args.samples,
-        tolerances=(args.tol_rank, args.tol_residual, args.tol_eigen_gap),
     )
 
 
@@ -104,9 +107,9 @@ CHECK_SETS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="goverify",
-                                     description="geodesic-orbit / naturally-reductive "
-                                                 "metric verifier for compact Lie algebras")
+    parser = _Parser(prog="goverify",
+                     description="geodesic-orbit / naturally-reductive "
+                                 "metric verifier for compact Lie algebras")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_algebra = sub.add_parser("algebra", help="algebra-level operations")

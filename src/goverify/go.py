@@ -45,7 +45,6 @@ class GoCertificate:
 
     direction: np.ndarray
     witness: np.ndarray
-    residual: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class Unsolvable:
 @dataclass(frozen=True)
 class GoVerdict:
     disproved: bool
-    backend: str
     samples: int
     strategy: SamplingStrategy
     counterexample: Unsolvable | None = None
@@ -73,27 +71,26 @@ class GoVerdict:
 
 
 def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction):
-    """Integer augmented matrix ``[A | b]`` and its scale for [W, L X] = [L X, X] in W.
+    """Integer augmented matrix ``[A | b]`` for [W, L X] = [L X, X] in W.
 
     Column i of A is [k_i, L X] and b is [L X, X]: ``ad(L X)`` applied to the
     cleared basis of k and to the cleared direction, with the two parts
-    brought to one common scale, so ``[A | b] / scale`` is the rational
-    system.  The products are :func:`arith.int_matmul`, int64 when safe and
-    Python ints otherwise; the result holds Python ints.
+    brought to one common scale, so ``[A | b]`` is a positive multiple of the
+    rational system.  The products are :func:`arith.int_matmul`, int64 when
+    safe and Python ints otherwise; the result holds Python ints.
     """
     d = operator.algebra.dim
-    c_int, c_scale = operator.algebra.int_tensor
-    lx_int, lx_scale = operator.apply_int(direction)
+    c_int, _ = operator.algebra.int_tensor
+    lx_int, _ = operator.apply_int(direction)
     basis_int, basis_scale = subalgebra.int_basis
     x_int, x_scale = arith.clear_denominators(np.asarray(direction, dtype=object))
     ad_lx = arith.int_matmul(lx_int, c_int.reshape(d, d * d)).reshape(d, d).T
     a = arith.int_matmul(ad_lx, basis_int.T).astype(object) * -x_scale
     b = arith.int_matmul(ad_lx, x_int).astype(object) * basis_scale
-    return np.concatenate([a, b[:, None]], axis=1), c_scale * lx_scale * basis_scale * x_scale
+    return np.concatenate([a, b[:, None]], axis=1)
 
 
 def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
-                backend: str = arith.EXACT, tol: arith.ToleranceProfile = arith.DEFAULT_TOL,
                 check_equivariance: bool = True):
     """Witness solve for one direction: GoCertificate or Unsolvable.
 
@@ -103,16 +100,7 @@ def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
     """
     if check_equivariance and not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
-    aug, scale = _witness_system(operator, subalgebra, direction)
-    if backend == arith.FLOAT:
-        sol = arith.solve_linear(arith.from_ints(aug[:, :-1], scale), arith.from_ints(aug[:, -1], scale),
-                                 backend=arith.FLOAT, tol=tol)
-        if isinstance(sol, arith.Inconsistent):
-            return Unsolvable(np.asarray(direction), sol.rank_a, sol.rank_ab)
-        w = sol.x @ arith.to_float(subalgebra.basis) if subalgebra.dim else np.zeros(operator.algebra.dim)
-        lx = arith.to_float(operator.apply(direction))
-        residual = _float_bracket(operator.algebra, w + arith.to_float(np.asarray(direction, dtype=object)), lx)
-        return GoCertificate(np.asarray(direction), w, float(np.max(np.abs(residual))) if residual.size else 0.0)
+    aug = _witness_system(operator, subalgebra, direction)
     if is_zero(aug[:, -1]):
         # [X, L X] = 0 already; the zero witness is minimal
         return GoCertificate(np.asarray(direction, dtype=object), qzeros(operator.algebra.dim))
@@ -126,11 +114,6 @@ def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
     if not is_zero(check):  # pragma: no cover - solver identity
         raise arith.ExactComputationError("witness verification failed")
     return GoCertificate(np.asarray(direction, dtype=object), witness)
-
-
-def _float_bracket(algebra, x, y):
-    tensor = arith.to_float(algebra.tensor)
-    return x @ np.tensordot(tensor, y, axes=([1], [0]))
 
 
 def _minimal_norm(sol: arith.Solution, subalgebra: Subspace, operator: MetricOperator):
@@ -184,15 +167,13 @@ def _directions(operator: MetricOperator, strategy: SamplingStrategy,
 
 def go_verdict(operator: MetricOperator, subalgebra: Subspace,
                strategy: SamplingStrategy = SamplingStrategy(),
-               backend: str = arith.EXACT, tol: arith.ToleranceProfile = arith.DEFAULT_TOL,
                within: Subspace | None = None,
                keep_certificates: bool = False) -> GoVerdict:
     """Sweep sampled directions; Disproved on the first exact inconsistency.
 
-    On the float backend an inconsistent-looking sample is escalated to the
-    exact backend before it may disprove anything: negative verdicts always
-    carry an exact rank-gap certificate.  NotDisproved is explicitly a
-    sampling outcome, not a proof.
+    Every witness system is solved exactly, so a negative verdict carries an
+    exact rank-gap certificate.  NotDisproved is explicitly a sampling
+    outcome, not a proof.
     """
     if not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
@@ -200,18 +181,14 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
     count = 0
     for label, direction in _directions(operator, strategy, within):
         count += 1
-        result = go_solve_at(operator, subalgebra, direction, backend=backend, tol=tol,
-                             check_equivariance=False)
-        if isinstance(result, Unsolvable) and backend == arith.FLOAT:
-            result = go_solve_at(operator, subalgebra, direction, backend=arith.EXACT,
-                                 check_equivariance=False)
+        result = go_solve_at(operator, subalgebra, direction, check_equivariance=False)
         if isinstance(result, Unsolvable):
-            return GoVerdict(True, backend, count, strategy, counterexample=result,
+            return GoVerdict(True, count, strategy, counterexample=result,
                              counterexample_label=label,
                              certificates=tuple(certificates) if keep_certificates else ())
         if keep_certificates:
             certificates.append(result)
-    return GoVerdict(False, backend, count, strategy,
+    return GoVerdict(False, count, strategy,
                      certificates=tuple(certificates) if keep_certificates else ())
 
 
@@ -229,7 +206,7 @@ def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
 def replay_counterexample(operator: MetricOperator, subalgebra: Subspace,
                           counterexample: Unsolvable) -> bool:
     """Re-verify the exact rank gap of a disproving direction."""
-    aug, _ = _witness_system(operator, subalgebra, counterexample.direction)
+    aug = _witness_system(operator, subalgebra, counterexample.direction)
     rank_a = arith.rank_exact(aug[:, :-1])
     rank_ab = arith.rank_exact(aug)
     return rank_a == counterexample.rank_a and rank_ab == counterexample.rank_ab \
@@ -251,8 +228,7 @@ class NatredResult:
 
 
 def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
-                           complement: Subspace, backend: str = arith.EXACT,
-                           tol: arith.ToleranceProfile = arith.DEFAULT_TOL) -> NatredResult:
+                           complement: Subspace) -> NatredResult:
     """Vanishing of metric([X,Y]_m, X) for all X, Y in the complement.
 
     Checked through the symmetrized coefficient tensor on basis triples; the
@@ -274,16 +250,6 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     proj = _projection_matrix(complement, operator.form)
     h = operator.metric_matrix
     flat, flat_scale = brackets.reshape(m * m, d), c_scale * m_scale * m_scale
-    if backend == arith.FLOAT:
-        u = arith.to_float(arith.from_ints(flat, flat_scale)) @ arith.to_float(proj).T \
-            @ arith.to_float(h) @ arith.to_float(complement.basis).T
-        u = u.reshape(m, m, m)
-        total = np.transpose(u, (0, 2, 1)) + np.transpose(u, (2, 0, 1))
-        worst = float(np.max(np.abs(total)))
-        if worst <= tol.residual_epsilon * max(1.0, float(np.max(np.abs(u)))):
-            return NatredResult(True)
-        idx = np.unravel_index(int(np.argmax(np.abs(total))), total.shape)
-        return NatredResult(False, tuple(int(v) for v in idx), worst)
     p_int, p_scale = arith.clear_denominators(proj)
     h_int, h_scale = arith.clear_denominators(h)
     u = arith.int_matmul(arith.int_matmul(arith.int_matmul(flat, p_int.T), h_int), m_int.T)

@@ -208,39 +208,23 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
 class EquivarianceResult:
     ok: bool
     witness_index: int | None = None
-    witness_residual: np.ndarray | None = None
 
     def __bool__(self):
         return self.ok
 
 
-def equivariance_check(operator: MetricOperator, space: Subspace,
-                       backend: str = arith.EXACT,
-                       tol: arith.ToleranceProfile = arith.DEFAULT_TOL) -> EquivarianceResult:
-    """Whether the operator commutes with ad_X for every basis vector of ``space``."""
-    if backend == arith.FLOAT:
-        op = arith.to_float(operator.matrix)
-        scale = max(1.0, float(np.max(np.abs(op))))
-        for i in range(space.dim):
-            mat = arith.to_float(space.ad_matrices[i])
-            comm = mat @ op - op @ mat
-            if float(np.max(np.abs(comm))) > tol.residual_epsilon * scale:
-                return EquivarianceResult(False, i, comm)
-        return EquivarianceResult(True)
+def equivariance_check(operator: MetricOperator, space: Subspace) -> EquivarianceResult:
+    """Whether the operator commutes with ad_X for every basis vector of ``space``.
+
+    Both products of each commutator carry the scale of the cleared operator
+    times that of the cleared ``ad_X``, so their integer difference is zero
+    exactly when the commutator is.
+    """
     op_int, _ = operator.int_matrix
     for i in range(space.dim):
         mat_int, _ = space.int_ad_matrices[i]
-        if op_int.dtype == np.int64 and mat_int.dtype == np.int64:
-            bound = max(1, arith._max_abs(op_int)) * max(1, arith._max_abs(mat_int)) * op_int.shape[1]
-            if bound < 2**62:
-                comm = mat_int @ op_int - op_int @ mat_int
-                if np.any(comm):
-                    return EquivarianceResult(False, i, comm)
-                continue
-        mat = space.ad_matrices[i]
-        comm = arith.exact_matmul(mat, operator.matrix) - arith.exact_matmul(operator.matrix, mat)
-        if not is_zero(comm):
-            return EquivarianceResult(False, i, comm)
+        if np.any(arith.int_matmul(mat_int, op_int) - arith.int_matmul(op_int, mat_int)):
+            return EquivarianceResult(False, i)
     return EquivarianceResult(True)
 
 

@@ -27,10 +27,7 @@ def encode_fraction(value) -> str:
 
 
 def encode_vector(vec) -> list:
-    arr = np.asarray(vec)
-    if arr.dtype != object:
-        return [float(v) for v in arr]
-    return [encode_fraction(v) for v in arr]
+    return [encode_fraction(v) for v in vec]
 
 
 def decode_vector(items) -> np.ndarray:
@@ -49,7 +46,6 @@ def spec_hash(spec_obj: dict) -> str:
 class Report:
     spec: dict
     seed: int
-    backend: str
     records: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
@@ -71,7 +67,7 @@ class Report:
             "schema": SCHEMA_VERSION,
             "tool_version": __version__,
             "seed": self.seed,
-            "backend": self.backend,
+            "backend": arith.EXACT,
             "spec": self.spec,
             "spec_hash": spec_hash(self.spec),
         }
@@ -87,7 +83,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_human(self) -> str:
-        out = [f"goverify report  (seed={self.seed}, backend={self.backend}, "
+        out = [f"goverify report  (seed={self.seed}, backend={arith.EXACT}, "
                f"spec {spec_hash(self.spec)[:12]})"]
         for r in self.records:
             out.append(_human_record(r, self.timings.get(r.get("name", ""), None)))

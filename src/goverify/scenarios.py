@@ -2,9 +2,8 @@
 
 A :class:`ScenarioSpec` pins everything needed to reproduce a run: the
 algebra (family/size or an embedded structure table), the subgroup, the
-metric (explicit parameters, block-spec text, or a seeded grid), the checks,
-backend, tolerances and seed.  Identical spec + seed yields byte-identical
-machine reports.
+metric (explicit parameters, block-spec text, or a seeded grid), the checks
+and the seed.  Identical spec + seed yields byte-identical machine reports.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, go, metrics, reps
-from .arith import ContractViolation, ToleranceProfile, q
+from .arith import ContractViolation, q
 from .lie import (EmbeddingLayout, StructureAlgebra, build_classical, embed_so_partition,
                   ingest_structure_table, serialize_structure_table)
 from .metrics import BlockSpec, MetricOperator
@@ -35,37 +34,33 @@ class ScenarioSpec:
     subgroup: dict | None = None
     metric: dict | None = None
     checks: tuple[str, ...] = ("validate",)
-    backend: str = arith.EXACT
     seed: int = 0
     samples: int = 64
-    tolerances: tuple[float, float, float] = (1e-9, 1e-8, 1e-7)
 
     def to_obj(self) -> dict:
+        # "backend" and "tolerances" are constants kept so that spec hashes
+        # and report bytes stay those of earlier versions
         return {
             "name": self.name,
             "algebra": self.algebra,
             "subgroup": self.subgroup,
             "metric": self.metric,
             "checks": list(self.checks),
-            "backend": self.backend,
+            "backend": arith.EXACT,
             "seed": self.seed,
             "samples": self.samples,
-            "tolerances": list(self.tolerances),
+            "tolerances": [1e-09, 1e-08, 1e-07],
         }
 
     @staticmethod
     def from_obj(obj: dict) -> "ScenarioSpec":
+        """The spec of ``obj``; ``tolerances`` is ignored and only the exact backend is accepted."""
+        if obj.get("backend", arith.EXACT) != arith.EXACT:
+            raise ContractViolation(f"unknown backend {obj['backend']!r}: only 'exact' is supported")
         return ScenarioSpec(
             name=obj["name"], algebra=obj["algebra"], subgroup=obj.get("subgroup"),
             metric=obj.get("metric"), checks=tuple(obj.get("checks", ())),
-            backend=obj.get("backend", arith.EXACT), seed=int(obj.get("seed", 0)),
-            samples=int(obj.get("samples", 64)),
-            tolerances=tuple(obj.get("tolerances", (1e-9, 1e-8, 1e-7))))
-
-    @property
-    def tol(self) -> ToleranceProfile:
-        r, s, e = self.tolerances
-        return ToleranceProfile(rank_epsilon=r, residual_epsilon=s, eigen_gap_epsilon=e)
+            seed=int(obj.get("seed", 0)), samples=int(obj.get("samples", 64)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +209,7 @@ def parse_blockspec(text: str, named: dict) -> BlockSpec:
 def run_check(spec: ScenarioSpec) -> Report:
     """Execute the requested checks in dependency order and build the report."""
     built = build_scenario(spec)
-    rep = Report(spec=spec.to_obj(), seed=spec.seed, backend=spec.backend)
+    rep = Report(spec=spec.to_obj(), seed=spec.seed)
     for check in CHECK_ORDER:
         if check not in spec.checks:
             continue
@@ -270,12 +265,10 @@ def _check_weakly_regular(built: BuiltScenario, rep: Report):
 
 
 def _check_equivariance(built: BuiltScenario, rep: Report):
-    spec = built.spec
-    result = metrics.equivariance_check(_require_metric(built), _require_subgroup(built),
-                                        backend=spec.backend, tol=spec.tol)
+    result = metrics.equivariance_check(_require_metric(built), _require_subgroup(built))
     rep.add({
         "record": "check", "name": "equivariance", "verdict": bool(result),
-        "negative": not bool(result), "backend": spec.backend,
+        "negative": not bool(result), "backend": arith.EXACT,
         "witness_index": result.witness_index,
     })
 
@@ -285,7 +278,7 @@ def _go_record(name: str, verdict: go.GoVerdict, subject: str,
     record = {
         "record": "check", "name": name, "verdict": verdict.kind,
         "negative": verdict.disproved, "with_respect_to": subject,
-        "samples": verdict.samples, "backend": verdict.backend,
+        "samples": verdict.samples, "backend": arith.EXACT,
         "strategy": {"seed": verdict.strategy.seed, "random_count": verdict.strategy.random_count,
                      "structured": verdict.strategy.structured,
                      "basis_vectors": verdict.strategy.basis_vectors},
@@ -310,30 +303,26 @@ def _strategy(spec: ScenarioSpec) -> go.SamplingStrategy:
 
 
 def _check_go(built: BuiltScenario, rep: Report):
-    spec = built.spec
     operator = _require_metric(built)
-    strategy = _strategy(spec)
+    strategy = _strategy(built.spec)
     kprime = metrics.isometry_subalgebra(operator)
     if built.subgroup is not None:
-        verdict = go.go_verdict(operator, built.subgroup, strategy, backend=spec.backend,
-                                tol=spec.tol, keep_certificates=True)
+        verdict = go.go_verdict(operator, built.subgroup, strategy, keep_certificates=True)
         rep.add(_go_record("go", verdict, "subgroup", keep_certificates=True))
-    verdict_iso = go.go_verdict(operator, kprime, strategy, backend=spec.backend,
-                                tol=spec.tol, keep_certificates=True)
+    verdict_iso = go.go_verdict(operator, kprime, strategy, keep_certificates=True)
     record = _go_record("go-isometry", verdict_iso, "isometry-subalgebra", keep_certificates=True)
     record["isometry_dim"] = kprime.dim
     rep.add(record)
 
 
 def _check_natred(built: BuiltScenario, rep: Report):
-    spec = built.spec
     operator = _require_metric(built)
     k = _require_subgroup(built)
     m = orthogonal_complement(k, built.algebra.form())
-    result = go.natred_condition_check(operator, k, m, backend=spec.backend, tol=spec.tol)
+    result = go.natred_condition_check(operator, k, m)
     rep.add({
         "record": "check", "name": "natred", "verdict": bool(result),
-        "negative": not bool(result), "backend": spec.backend,
+        "negative": not bool(result), "backend": arith.EXACT,
         "witness_triple": list(result.witness_triple) if result.witness_triple else None,
     })
 

@@ -2,8 +2,7 @@
 
 A :class:`Subspace` is an ordered list of coordinate vectors (rows of
 ``basis``) spanning a linear subspace of the ambient algebra.  All
-computations here are exact; the float backend appears only where a
-tolerance-based variant is explicitly requested (rank estimation).
+computations here are exact.
 
 Structural results are memoized per span (:func:`span_memo`, keyed by the
 rref in :meth:`Subspace.sort_key`), so a sweep that meets one subalgebra on
@@ -272,7 +271,6 @@ def centralizer_in(target: Subspace, within: Subspace) -> Subspace:
 class SubalgebraCheck:
     ok: bool
     witness_pair: tuple[int, int] | None = None
-    witness_residual: np.ndarray | None = None
 
     def __bool__(self):
         return self.ok
@@ -285,18 +283,8 @@ def is_subalgebra(space: Subspace) -> SubalgebraCheck:
         for j in range(i + 1, space.dim):
             b = algebra.bracket(space.basis[i], space.basis[j])
             if space.coords(b) is None:
-                proj = b - _project(space, b)
-                return SubalgebraCheck(False, (i, j), proj)
+                return SubalgebraCheck(False, (i, j))
     return SubalgebraCheck(True)
-
-
-def _project(space: Subspace, vector: np.ndarray) -> np.ndarray:
-    """Euclidean-coordinate projection used only for witness reporting."""
-    if space.dim == 0:
-        return qzeros(space.algebra.dim)
-    gram = np.dot(space.basis, space.basis.T)
-    sol = arith.solve_linear(gram, np.dot(space.basis, vector))
-    return np.dot(sol.x, space.basis)
 
 
 def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
@@ -394,32 +382,6 @@ def _centralizer_witness(space: Subspace, element: np.ndarray, attempt: int) -> 
     brackets = arith.int_matmul(ints, half.reshape(-1, algebra.dim, algebra.dim))
     abelian = not np.any(brackets[np.triu_indices(vectors.shape[0], 1)])
     return CartanWitness(element, vectors, attempt, abelian)
-
-
-def rank_estimate_float(algebra: StructureAlgebra, basis_rows: np.ndarray,
-                        retries: int = 5, seed: int = 0,
-                        tol: arith.ToleranceProfile = arith.DEFAULT_TOL) -> int:
-    """Float-backend rank estimate for a subalgebra given by float basis rows.
-
-    Same sampling scheme as :func:`rank_estimate` with every zero decision
-    routed through ``tol``; used for screening and for conjugation-invariance
-    properties where the conjugated basis is no longer rational.
-    """
-    basis = np.asarray(basis_rows, dtype=float)
-    k = basis.shape[0]
-    if k == 0:
-        return 0
-    rng = random.Random(f"rank:{seed}:{k}")
-    tensor_f = arith.to_float(algebra.tensor)
-    best = None
-    for _ in range(retries):
-        coeffs = np.array([rng.randint(-9, 9) for _ in range(k)], dtype=float)
-        h = coeffs @ basis
-        ad_h = np.tensordot(tensor_f, h, axes=([0], [0])).T
-        null = arith.nullspace_float(ad_h @ basis.T, tol)
-        if best is None or null.shape[0] < best:
-            best = null.shape[0]
-    return int(best)
 
 
 @dataclass(frozen=True)

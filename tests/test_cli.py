@@ -8,7 +8,7 @@ import pytest
 
 from goverify import scenarios
 from goverify.cli import main
-from goverify.report import parse_machine
+from goverify.report import parse_machine, spec_hash
 from goverify.scenarios import ScenarioSpec, replay_report, scenario_catalog
 
 
@@ -140,12 +140,33 @@ def test_spec_roundtrip():
     assert again == spec
 
 
-def test_float_backend_pipeline(capsys):
-    code, out, _ = run_cli(["check", "go", "--family", "so", "--n", "6",
-                            "--partition", "2,2,2", "--params", "1,2,3,4,5,6",
-                            "--backend", "float", "--samples", "4"], capsys)
-    assert code == 2
-    assert "Disproved" in out  # exact escalation still certifies the negative
+def test_float_backend_pipeline(tmp_path, capsys):
+    """Asking for the deleted float backend is a usage error (exit 1), never a
+    negative verdict (exit 2), on the command line and in a replayed report."""
+    args = ["check", "go", "--family", "so", "--n", "6", "--partition", "2,2,2",
+            "--params", "1,2,3,4,5,6", "--samples", "4"]
+    for bad in (["--backend", "float"], ["--samples", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args + bad)
+        assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    path = tmp_path / "report.jsonl"
+    assert run_cli(args + ["--out", str(path)], capsys)[0] == 2
+    header, *rest = path.read_text().splitlines()
+    header = json.loads(header)
+    assert header["backend"] == header["spec"]["backend"] == "exact"
+    header["spec"]["backend"] = "float"
+    header["spec_hash"] = spec_hash(header["spec"])
+    path.write_text("\n".join([json.dumps(header)] + rest) + "\n")
+    code, _, err = run_cli(["replay", str(path)], capsys)
+    assert code == 1 and "float" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, goverify.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_subspace_file_subgroup(tmp_path, capsys):

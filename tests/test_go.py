@@ -98,15 +98,6 @@ def test_go_verdict_disproved_and_replay(so6):
     assert replay_counterexample(op, layout.subalgebra, verdict.counterexample)
 
 
-def test_go_verdict_float_escalates_to_exact(so6):
-    layout, named = so6
-    op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
-    verdict = go_verdict(op, layout.subalgebra, STRATEGY, backend=arith.FLOAT)
-    assert verdict.disproved
-    # the counterexample is still an exact rank-gap certificate
-    assert replay_counterexample(op, layout.subalgebra, verdict.counterexample)
-
-
 def test_eigenspace_pair_completeness(so6):
     """Whenever some direction disproves, a two-piece sum already does."""
     layout, named = so6
@@ -157,8 +148,6 @@ def test_natred_fails_with_witness_triple(so6):
     halved = natred_condition_check(op, k, Subspace(layout.algebra, m.basis * Fraction(1, 2)))
     assert halved.witness_triple == result.witness_triple
     assert halved.witness_value == expected / 8
-    float_result = natred_condition_check(op, k, m, backend=arith.FLOAT)
-    assert not float_result
 
 
 def test_natred_requires_reductive_complement(so6):

@@ -93,7 +93,10 @@ def test_equivariance_over_defining_torus(so6):
     full = Subspace.full(layout.algebra)
     result = equivariance_check(op, full)
     assert not result and result.witness_index is not None
-    assert equivariance_check(op, full, backend=arith.FLOAT).ok is False
+    # cleared entries past int64: the commutators are taken on Python ints
+    big = op.rescale(Fraction(3**40, 7))
+    assert big.int_matrix[0].dtype == object
+    assert equivariance_check(big, full).witness_index == result.witness_index
     scalar = block_metric(layout, named, [2, 2, 2, 2, 2, 2])
     assert equivariance_check(scalar, full)
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from goverify import arith, subspaces
 from goverify.arith import is_zero, q, qarray
 from goverify.lie import (build_classical, direct_sum, embed_so_partition,
@@ -13,8 +12,7 @@ from goverify.lie import (build_classical, direct_sum, embed_so_partition,
 from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
                                 centralizer_in_complement, derived_subalgebra,
                                 ideal_decomposition, is_regular, is_subalgebra,
-                                normalizer, orthogonal_complement, rank_estimate,
-                                rank_estimate_float)
+                                normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
 
 
@@ -188,26 +186,36 @@ def test_maximal_rank_implies_trivial_complement_centralizer(so6_layout):
             assert centralizer_in_complement(layout.subalgebra).dim == 0
 
 
-def test_rank_estimate_float_agrees(so6_layout):
-    g = so6_layout.algebra
-    k = so6_layout.subalgebra
-    exact = rank_estimate(k).value
-    assert rank_estimate_float(g, arith.to_float(k.basis)) == exact
-
-
 def test_rank_invariant_under_exp_ad_conjugation():
-    """Conjugating by an inner automorphism keeps the float rank estimate."""
-    import random
+    """Conjugating by a rational inner automorphism keeps the exact rank estimate.
+
+    ``g = (I - A)(I + A)^-1``, the Cayley transform of a rational skew ``A``, is
+    a rational element of SO(5); ``X -> g X g^T`` acts on the so(5) matrices
+    ``E_ij - E_ji`` of the basis.
+    """
     g = build_classical("so", 5)
     layout = embed_so_partition(5, (2, 3))
     k = layout.subalgebra
     base = rank_estimate(k).value
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     rng = random.Random(7)
+    eye = arith.qeye(5)
     for trial in range(3):
-        z = Subspace.full(g).random_element(rng)
-        auto = scipy.linalg.expm(arith.to_float(g.ad(z)) * 0.1)
-        conj = arith.to_float(k.basis) @ auto.T
-        assert rank_estimate_float(g, conj, seed=trial) == base
+        a = arith.qzeros((5, 5))
+        for i, j in pairs:
+            a[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            a[j, i] = -a[i, j]
+        inv = arith.from_ints(*arith.inverse_int(*arith.clear_denominators(eye + a)))
+        rot = np.dot(eye - a, inv)
+        assert is_zero(np.dot(rot, rot.T) - eye) and not is_zero(rot - eye)
+        rows = []
+        for x in k.basis:
+            mat = sum(x[p] * g.realization[p] for p in range(g.dim))
+            conj = np.dot(np.dot(rot, mat), rot.T)
+            rows.append([conj[i, j] for i, j in pairs])
+        image = Subspace(g, qarray(rows))
+        assert is_subalgebra(image)
+        assert rank_estimate(image, seed=trial).value == base
 
 
 # -- ideal decomposition ---------------------------------------------------------
