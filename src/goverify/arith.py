@@ -31,23 +31,32 @@ float64 BLAS products on 16-bit limbs.  Residues are below ``2**31`` and
 limbs below ``2**16``, so a sum of at most 64 products stays below ``2**53``
 and every product is exact, whatever the BLAS summation order or thread
 count.
+
+Primary decompositions (:func:`primary_invariant_split`) split a matrix along
+the irreducible factors of its minimal polynomial.
+:func:`minimal_polynomial_exact` builds that polynomial from Krylov chains
+with ``lcm(m, ann(e)) = m * ann(m(C) e)``, so it needs no polynomial gcd.
+:func:`rational_factors` screens for rational roots with ``np.roots``, keeps
+a candidate only when exact integer division by its linear factor leaves no
+remainder, and hands whatever is left of degree 2 or more to sympy, which is
+imported only then.  The screen can miss a root, which costs time, but it
+cannot change a factor.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 EXACT = "exact"
 
 _P = 2_147_483_647  # prime modulus for the screening eliminations
 _PANEL = 64         # columns per elimination panel, fixed by the 2**53 bound in _mulmod
 _CHUNK = 256        # rows per trailing panel update, to keep temporaries small
-_X = sympy.Symbol("x")
 
 
 class ContractViolation(ValueError):
@@ -548,39 +557,110 @@ def is_positive_definite_exact(S: np.ndarray) -> bool:
     return True
 
 
-def minimal_polynomial_exact(C: np.ndarray) -> sympy.Poly:
-    """Minimal polynomial of a rational square matrix, via Krylov chains.
+def minimal_polynomial_exact(C: np.ndarray) -> list[Fraction]:
+    """Monic minimal polynomial of a rational square matrix, coefficients
+    highest degree first, via Krylov chains.
 
-    The minimal polynomial equals the least common multiple of the local
-    annihilators of any spanning set of vectors; standard basis vectors are
-    used, stopping early once the running degree reaches the matrix size.
+    The minimal polynomial is the least common multiple of the local
+    annihilators ``ann(e)`` of the standard basis vectors.  Each step uses
+    ``lcm(m, ann(e)) = m * ann(m(C) e)``: a vector that the running ``m``
+    does not kill starts a Krylov chain at ``m(C) e``, and ``m`` is multiplied
+    by that chain's monic dependence polynomial.  The loop stops early once
+    the degree reaches the matrix size.  A monic lcm is unique, so this is
+    the polynomial sympy's ``lcm`` gives, without sympy; :func:`rational_factors`
+    factors it by a screened, exactly verified rational-root search and
+    imports sympy only for a factor of degree 2 or more.
     """
     C = np.asarray(C, dtype=object)
     n = C.shape[0]
-    if n == 0:
-        return sympy.Poly(1, _X, domain="QQ")
-    poly = sympy.Poly(1, _X, domain="QQ")
+    poly = [Fraction(1)]
     for seed in range(n):
-        if poly.degree() >= n:
+        if len(poly) > n:
             break
-        if poly.degree() > 0 and is_zero(_eval_poly_vector(poly, C, _unit(n, seed))):
+        start = _eval_poly_vector(poly, C, _unit(n, seed))
+        if is_zero(start):
             continue
-        chain = [_unit(n, seed)]
+        chain = [start]
         echelon: list[list[Fraction]] = []
-        coeffs = None
-        while True:
-            vec = chain[-1]
-            rep = _reduce_against(echelon, vec)
-            if rep is None:
-                dep = _dependence(chain)
-                coeffs = dep
-                break
+        while (rep := _reduce_against(echelon, chain[-1])) is not None:
             echelon.append(rep)
-            chain.append(np.dot(C, vec))
-        local = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in coeffs])),
-                           _X, domain="QQ")
-        poly = sympy.lcm(poly, local)
-    return sympy.Poly(poly, _X, domain="QQ").monic()
+            chain.append(np.dot(C, chain[-1]))
+        poly = _poly_mul(poly, _dependence(chain)[::-1])
+    return poly
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def rational_factors(poly: list) -> list[list[int]]:
+    """Distinct irreducible factors over the rationals of a polynomial with
+    rational coefficients (highest degree first).
+
+    Each factor is a primitive integer coefficient list with a positive lead,
+    and the list is in ``sympy.Poly.factor_list`` order: by length, then
+    multiplicity, then coefficients.  Rational roots are screened
+    numerically: each root ``z`` of ``np.roots`` on the primitive integer form
+    ``a_d x^d + ... + a_0`` gives the candidate
+    ``Fraction(z.real).limit_denominator(|a_d|)`` (a root ``p/q`` in lowest
+    terms has ``q | a_d``).  A candidate counts only when exact division by
+    ``q x - p`` leaves remainder 0, so the screen can miss a root but never
+    invent one.  Whatever is left of degree 2 or more is factored by sympy,
+    which is imported only then.
+    """
+    rest = _primitive(poly)
+    mults: Counter[tuple[int, ...]] = Counter()
+    for root in _root_candidates(rest):
+        while len(rest) > 1 and (quotient := _deflate(rest, root)) is not None:
+            rest = quotient
+            mults[root.denominator, -root.numerator] += 1
+    if len(rest) == 2:
+        mults[tuple(rest)] += 1
+    elif len(rest) > 2:
+        import sympy
+        for factor, mult in sympy.Poly(rest, sympy.Symbol("x")).factor_list()[1]:
+            mults[tuple(_primitive([int(c) for c in factor.all_coeffs()]))] += mult
+    return [list(f) for f in sorted(mults, key=lambda f: (len(f), mults[f], f))]
+
+
+def _primitive(poly: list) -> list[int]:
+    """The primitive integer multiple of ``poly`` with a positive lead."""
+    coeffs = [Fraction(c) for c in poly]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c.numerator) * (scale // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    g = -g if ints[0] < 0 else g
+    return [v // g for v in ints]
+
+
+def _root_candidates(ints: list[int]) -> set[Fraction]:
+    """Rational numbers near the real parts of the roots ``np.roots`` finds."""
+    try:
+        roots = np.roots(np.array([float(v) for v in ints]))
+    except (OverflowError, np.linalg.LinAlgError):
+        return set()
+    bound = abs(ints[0])
+    return {Fraction(float(z.real)).limit_denominator(bound)
+            for z in roots if np.isfinite(z.real)}
+
+
+def _deflate(ints: list[int], root: Fraction) -> list[int] | None:
+    """Quotient of the integer polynomial ``ints`` by ``q x - p`` for
+    ``root = p/q``, or None when it leaves a remainder."""
+    p, d = root.numerator, root.denominator
+    out: list[int] = []
+    prev = 0
+    for a in ints[:-1]:
+        num = a + p * prev
+        if num % d:
+            return None
+        prev = num // d
+        out.append(prev)
+    return out if ints[-1] + p * prev == 0 else None
 
 
 def _unit(n: int, i: int) -> np.ndarray:
@@ -614,39 +694,35 @@ def _dependence(chain: list[np.ndarray]) -> list[Fraction]:
     return coeffs
 
 
-def _eval_poly_vector(poly: sympy.Poly, C: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _eval_poly_vector(poly: list, C: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = qzeros(v.shape[0])
-    for c in poly.all_coeffs():
-        cf = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        out = np.dot(C, out) + cf * v
+    for c in poly:
+        out = np.dot(C, out) + c * v
     return out
 
 
-def _eval_poly_matrix(poly: sympy.Poly, C: np.ndarray) -> np.ndarray:
+def _eval_poly_matrix(poly: list, C: np.ndarray) -> np.ndarray:
     n = C.shape[0]
     out = qzeros((n, n))
     eye = qeye(n)
-    for c in poly.all_coeffs():
-        cf = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        out = np.dot(C, out) + cf * eye
+    for c in poly:
+        out = np.dot(C, out) + c * eye
     return out
 
 
-def primary_invariant_split(C: np.ndarray) -> list[tuple[sympy.Poly, np.ndarray]]:
+def primary_invariant_split(C: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
     """Primary decomposition of a rational matrix over the rationals.
 
     Returns ``(factor, basis rows)`` per irreducible factor of the minimal
-    polynomial; the kernels are exact and their dimensions sum to the ambient
-    dimension whenever ``C`` is diagonalizable (always, for form-symmetric
-    inputs).
+    polynomial, in :func:`rational_factors` form and order; the kernels are
+    exact and their dimensions sum to the ambient dimension whenever ``C`` is
+    diagonalizable (always, for form-symmetric inputs).
     """
     C = np.asarray(C, dtype=object)
     n = C.shape[0]
-    poly = minimal_polynomial_exact(C)
     pieces = []
     total = 0
-    for factor, _mult in poly.factor_list()[1]:
-        factor = sympy.Poly(factor, _X, domain="QQ")
+    for factor in rational_factors(minimal_polynomial_exact(C)):
         kernel = nullspace_exact(_eval_poly_matrix(factor, C))
         if kernel.shape[0]:
             pieces.append((factor, kernel))
@@ -668,11 +744,9 @@ def symmetric_eigenspaces(S, form=None) -> list[tuple[Fraction, np.ndarray]]:
         raise ContractViolation("operator is not self-adjoint for the supplied form")
     out = []
     for factor, basis in primary_invariant_split(np.asarray(S, dtype=object)):
-        if factor.degree() != 1:
-            raise ExactComputationError(f"irrational eigenvalues (factor {factor.expr})")
-        lead, constant = factor.all_coeffs()
-        root = sympy.Rational(-constant, lead)
-        value = Fraction(int(sympy.numer(root)), int(sympy.denom(root)))
-        out.append((value, basis))
+        if len(factor) != 2:
+            raise ExactComputationError(f"irrational eigenvalues (factor coefficients {factor})")
+        lead, constant = factor
+        out.append((Fraction(-constant, lead), basis))
     out.sort(key=lambda p: p[0])
     return out

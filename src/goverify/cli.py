@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValidationError, arith.ContractViolation) as exc:
+    except (ValidationError, arith.ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -147,15 +147,25 @@ def _verdict_text(name: str, verdict, reason: str = "") -> str:
 
 
 def parse_machine(text: str) -> tuple[dict, list[dict], dict]:
-    """Split a machine report into header, records, and summary."""
+    """Split a machine report into header, records, and summary.
+
+    Raises :class:`arith.ContractViolation` for a line that is not a JSON
+    object, a missing header or summary, and a header whose spec no longer
+    matches its ``spec_hash``.
+    """
     header = None
     summary = None
     records = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise arith.ContractViolation(f"malformed report: line {number} is not JSON ({exc})")
+        if not isinstance(obj, dict):
+            raise arith.ContractViolation(f"malformed report: line {number} is not a JSON object")
         kind = obj.get("record")
         if kind == "header":
             header = obj
@@ -164,7 +174,7 @@ def parse_machine(text: str) -> tuple[dict, list[dict], dict]:
         else:
             records.append(obj)
     if header is None or summary is None:
-        raise ValueError("malformed report: missing header or summary")
-    if spec_hash(header["spec"]) != header["spec_hash"]:
-        raise ValueError("report spec hash mismatch")
+        raise arith.ContractViolation("malformed report: missing header or summary")
+    if "spec" not in header or spec_hash(header["spec"]) != header.get("spec_hash"):
+        raise arith.ContractViolation("report spec hash mismatch")
     return header, records, summary

@@ -374,10 +374,12 @@ def _centralizer_witness(space: Subspace, element: np.ndarray, attempt: int) -> 
     ad_h = algebra.ad(element)
     system = arith.exact_matmul(ad_h, space.basis.T)
     null = arith.nullspace_exact(system)
-    vectors = arith.exact_matmul(null, space.basis) if null.shape[0] else qzeros((0, algebra.dim))
-    # all brackets [v_a, v_b] at once, on cleared integers: the vectors' large
-    # denominators would push algebra.bracket onto Fraction arithmetic
-    ints, _ = arith.clear_denominators(vectors)
+    # the centralizer and all brackets [v_a, v_b] on cleared integers: the
+    # nullspace's large denominators would push both onto Fraction arithmetic
+    null_int, null_scale = arith.clear_denominators(null)
+    basis_int, basis_scale = space.int_basis
+    ints = arith.int_matmul(null_int, basis_int)
+    vectors = arith.from_ints(ints, null_scale * basis_scale)
     half = arith.int_matmul(ints, algebra.int_tensor[0].reshape(algebra.dim, -1))
     brackets = arith.int_matmul(ints, half.reshape(-1, algebra.dim, algebra.dim))
     abelian = not np.any(brackets[np.triu_indices(vectors.shape[0], 1)])

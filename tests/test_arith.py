@@ -1,5 +1,6 @@
 """Kernel-level properties of the exact linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -172,7 +173,7 @@ def test_eigenspace_reconstruction(diag_values):
 def test_minimal_polynomial_and_primary_split():
     c = qarray([[0, 1], [1, 0]])
     poly = arith.minimal_polynomial_exact(c)
-    assert poly.degree() == 2
+    assert len(poly) - 1 == 2
     parts = arith.primary_invariant_split(c)
     assert sorted(p.shape[0] for _, p in parts) == [1, 1]
     # irrational pair stays one rational-primary component
@@ -515,3 +516,117 @@ def test_inverse_int_of_a_scaled_and_of_a_tall_matrix():
     assert np.array_equal(ints @ tall, np.eye(3, 2, dtype=np.int64) * 6 * scale)
     with pytest.raises(ContractViolation):
         arith.inverse_int(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))
+
+
+# -- rational factoring of minimal polynomials, against sympy -------------------
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_factors(poly):
+    """``sympy.Poly.factor_list`` over QQ, each factor primitive over the integers."""
+    factors = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in poly],
+                         _X, domain="QQ").factor_list()[1]
+    out = []
+    for factor, _mult in factors:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in factor.all_coeffs()]
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        g = math.gcd(*ints) * (1 if ints[0] > 0 else -1)
+        out.append([v // g for v in ints])
+    return out
+
+
+def _product(factors, constant=Fraction(1)):
+    out = [constant]
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+               for k in range(len(out) + len(f) - 1)]
+    return out
+
+
+def _companion(poly):
+    """Companion matrix of a polynomial (highest degree first): its minimal
+    polynomial is the monic ``poly``."""
+    monic = [Fraction(c) / poly[0] for c in poly]
+    d = len(monic) - 1
+    c = qzeros((d, d))
+    for i in range(1, d):
+        c[i, i - 1] = Fraction(1)
+    for i in range(d):
+        c[i, d - 1] = -monic[d - i]
+    return c
+
+
+def _irreducible(coeffs):
+    return math.gcd(*coeffs) == 1 and sympy.Poly(coeffs, _X).is_irreducible
+
+
+_linear = st.tuples(st.integers(1, 6), st.integers(-9, 9)).filter(
+    lambda t: math.gcd(*t) == 1).map(list)
+_nonlinear = st.integers(2, 3).flatmap(
+    lambda d: st.tuples(st.integers(1, 5), *[st.integers(-9, 9)] * d)).map(list).filter(_irreducible)
+_factor_sets = st.tuples(st.lists(_linear, max_size=3, unique_by=tuple),
+                         st.lists(_nonlinear, max_size=2, unique_by=tuple)).map(
+    lambda p: p[0] + p[1]).filter(lambda fs: 1 <= sum(len(f) - 1 for f in fs) <= 6)
+_constants = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_sets, _constants)
+def test_rational_factors_match_sympy(factors, constant):
+    poly = _product(factors, constant)
+    out = arith.rational_factors(poly)
+    assert out == _sympy_factors(poly)
+    assert sorted(out) == sorted(factors)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_factor_sets)
+def test_sympy_fallback_gives_the_same_factors_and_pieces(factors):
+    """With the numeric root screen switched off sympy factors everything; the
+    factors and the primary split stay identical."""
+    poly = _product(factors)
+    c = _companion(poly)
+    assert arith.minimal_polynomial_exact(c) == [v / poly[0] for v in poly]
+    screened = arith.rational_factors(poly), arith.primary_invariant_split(c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_root_candidates", lambda ints: set())
+        fallback = arith.rational_factors(poly), arith.primary_invariant_split(c)
+    assert screened[0] == fallback[0] == [f for f, _ in screened[1]]
+    assert [(f, k.tolist()) for f, k in screened[1]] == [(f, k.tolist()) for f, k in fallback[1]]
+
+
+def test_minimal_polynomial_is_the_lcm_of_local_annihilators():
+    f1, f2, f3 = [1, -2], [3, 1], [1, 0, -5]
+    blocks = [_companion(_product([f1, f2])), _companion(_product([f2, f3])), _companion(f1)]
+    n = sum(b.shape[0] for b in blocks)
+    c = qzeros((n, n))
+    at = 0
+    for b in blocks:
+        c[at:at + b.shape[0], at:at + b.shape[0]] = b
+        at += b.shape[0]
+    expected = _product([f1, f2, f3], Fraction(1, 3))
+    assert arith.minimal_polynomial_exact(c) == expected
+    assert [f for f, _ in arith.primary_invariant_split(c)] == _sympy_factors(expected)
+
+
+def test_rational_factors_with_huge_coefficients():
+    big = 3**45
+    factors = [[2, -big], [big, 1], [1, 0, big], [1, 1, 1]]
+    poly = _product(factors, Fraction(big, 7))
+    assert arith.rational_factors(poly) == _sympy_factors(poly)
+    assert sorted(arith.rational_factors(poly)) == sorted(factors)
+    # past the float range the screen finds nothing and sympy factors it all
+    huge = _product([[1, -10**400], [1, 0, -2]])
+    assert arith.rational_factors(huge) == [[1, -10**400], [1, 0, -2]]
+
+
+@pytest.mark.parametrize("factors", [
+    [[1, 0], [1, 0], [2, -1], [3, -1]],                  # x^2 (2x - 1)(3x - 1)
+    [[1, 0, 1], [1, 0, 1], [1, 1, 1], [1, -1], [1, -1]],   # repeated quadratic, screened root
+])
+def test_rational_factors_order_repeated_factors_like_sympy(factors):
+    """sympy orders by length, then multiplicity, then coefficients."""
+    poly = _product(factors)
+    assert arith.rational_factors(poly) == _sympy_factors(poly)

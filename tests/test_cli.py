@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -167,6 +168,50 @@ def test_float_backend_pipeline(tmp_path, capsys):
 def test_cli_import_leaves_scipy_out():
     code = "import sys, goverify.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_sweep_splits_without_importing_sympy():
+    """An so(6)/(2,2,2) sweep splits commutant elements (primary_invariant_split)
+    on rational roots alone, so sympy never enters the process.  Tuple 5 is the
+    first merged-block tuple, whose isotypic decomposition needs a split."""
+    code = textwrap.dedent("""
+        import sys
+        import goverify.cli
+        from goverify import arith
+        from goverify.scenarios import ScenarioSpec, run_check
+        calls = []
+        split = arith.primary_invariant_split
+        arith.primary_invariant_split = lambda c: calls.append(c.shape) or split(c)
+        run_check(ScenarioSpec(name="guard", algebra={"family": "so", "n": 6},
+                               subgroup={"partition": [2, 2, 2]},
+                               metric={"grid": {"tuples": 6}}, checks=("sweep",),
+                               samples=4, seed=1))
+        print(len(calls), "sympy" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    calls, sympy_loaded = out.stdout.split()
+    assert int(calls) > 0 and sympy_loaded == "False"
+
+
+def _rename_spec_in_header(path):
+    header, *rest = path.read_text().splitlines()
+    header = json.loads(header)
+    header["spec"]["name"] = "renamed"
+    path.write_text("\n".join([json.dumps(header)] + rest) + "\n")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_rename_spec_in_header, "spec hash mismatch"),
+    (lambda path: path.write_text(path.read_text() + "not json\n"), "is not JSON"),
+    (lambda path: path.unlink(), "report.jsonl"),
+], ids=["edited-header", "non-json-line", "missing-file"])
+def test_replay_of_a_bad_report_is_an_error_line(damage, message, tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    run_cli(["sweep", "equivalence", "--family", "so", "--n", "6", "--partition", "2,2,2",
+             "--tuples", "2", "--samples", "4", "--out", str(path)], capsys)
+    damage(path)
+    code, _, err = run_cli(["replay", str(path)], capsys)
+    assert code == 1 and err.startswith("error:") and message in err
 
 
 def test_subspace_file_subgroup(tmp_path, capsys):
