@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from goverify.scenarios import ScenarioSpec, run_check, scenario_catalog
+from goverify.scenarios import ScenarioSpec, run_check, scenario_catalog, with_sweep_tuples
 
 
 def main() -> int:
@@ -28,11 +28,9 @@ def main() -> int:
         obj = spec.to_obj()
         if args.seed is not None:
             obj["seed"] = args.seed
-        if args.smoke and obj.get("metric"):
-            for key in ("grid", "flaggrid"):
-                if key in obj["metric"]:
-                    obj["metric"] = {key: {"tuples": 12}}
         spec = ScenarioSpec.from_obj(obj)
+        if args.smoke:
+            spec = with_sweep_tuples(spec, 12)
         start = time.time()
         report = run_check(spec)
         elapsed = time.time() - start

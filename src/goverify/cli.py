@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import arith, scenarios
 from .lie import ValidationError
-from .scenarios import ALL_CHECKS, ScenarioSpec, run_check, scenario_catalog
+from .scenarios import ALL_CHECKS, ScenarioSpec, run_check, scenario_catalog, with_sweep_tuples
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +102,7 @@ CHECK_SETS = {
     "go": ("validate", "equivariance", "go"),
     "natred": ("validate", "equivariance", "natred", "dazi"),
     "split": ("validate", "weakly-regular", "equivariance", "go", "split"),
-    "all": ("validate",) + tuple(c for c in ALL_CHECKS if c != "validate"),
+    "all": ALL_CHECKS,
 }
 
 
@@ -180,11 +180,9 @@ def _dispatch(args) -> int:
             obj["seed"] = args.seed
         if args.samples is not None:
             obj["samples"] = args.samples
-        if args.tuples is not None and obj.get("metric"):
-            for key in ("grid", "flaggrid"):
-                if key in obj["metric"]:
-                    obj["metric"] = {key: {"tuples": args.tuples}}
         spec = ScenarioSpec.from_obj(obj)
+        if args.tuples is not None:
+            spec = with_sweep_tuples(spec, args.tuples)
         return _emit(run_check(spec), args)
 
     if args.verb == "replay":

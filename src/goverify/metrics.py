@@ -56,7 +56,7 @@ class MetricOperator:
         self.form = form or algebra.form()
         self.block_spec = block_spec
         if check:
-            h = arith.exact_matmul(self.form.matrix, self.matrix)
+            h = self.metric_matrix
             if not is_zero(h - h.T):
                 raise ContractViolation("operator is not self-adjoint for the form")
             if not arith.is_positive_definite_exact(h):

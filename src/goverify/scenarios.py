@@ -8,6 +8,7 @@ and the seed.  Identical spec + seed yields byte-identical machine reports.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
@@ -18,12 +19,8 @@ from .arith import ContractViolation, q
 from .lie import (EmbeddingLayout, StructureAlgebra, build_classical, embed_so_partition,
                   ingest_structure_table, serialize_structure_table)
 from .metrics import BlockSpec, MetricOperator
-from .report import Report, encode_fraction, encode_vector
+from .report import Report, decode_vector, encode_fraction, encode_vector, parse_machine
 from .subspaces import Subspace, is_regular, orthogonal_complement
-
-CHECK_ORDER = ("validate", "regular", "weakly-regular", "equivariance",
-               "go", "natred", "dazi", "split", "sweep")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -136,7 +133,7 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         named["p"] = orthogonal_complement(outer, form)
         subgroup = inner
     metric = None
-    if spec.metric is not None and "grid" not in spec.metric and "flaggrid" not in spec.metric:
+    if spec.metric is not None and not any(key in spec.metric for key, _, _ in _SWEEPS.values()):
         metric = build_metric(spec.metric, algebra, layout, named)
     return BuiltScenario(spec=spec, algebra=algebra, layout=layout, named=named,
                          subgroup=subgroup, metric=metric)
@@ -208,6 +205,11 @@ def parse_blockspec(text: str, named: dict) -> BlockSpec:
 
 def run_check(spec: ScenarioSpec) -> Report:
     """Execute the requested checks in dependency order and build the report."""
+    # "go-isometry" names the second record of "go", so a spec may list it beside "go"
+    unknown = [c for c in spec.checks if c not in _CHECKS
+               and not (c == "go-isometry" and "go" in spec.checks)]
+    if unknown:
+        raise ContractViolation(f"unknown checks {unknown} in scenario {spec.name!r}")
     built = build_scenario(spec)
     rep = Report(spec=spec.to_obj(), seed=spec.seed)
     for check in CHECK_ORDER:
@@ -282,20 +284,25 @@ def _go_record(name: str, verdict: go.GoVerdict, subject: str,
         "strategy": {"seed": verdict.strategy.seed, "random_count": verdict.strategy.random_count,
                      "structured": verdict.strategy.structured,
                      "basis_vectors": verdict.strategy.basis_vectors},
-        "counterexample": None,
+        "counterexample": _counterexample(verdict),
     }
-    if verdict.counterexample is not None:
-        record["counterexample"] = {
-            "label": verdict.counterexample_label,
-            "direction": encode_vector(verdict.counterexample.direction),
-            "rank_a": verdict.counterexample.rank_a,
-            "rank_ab": verdict.counterexample.rank_ab,
-        }
     if keep_certificates:
         record["certificates"] = [
             {"direction": encode_vector(c.direction), "witness": encode_vector(c.witness)}
             for c in verdict.certificates]
     return record
+
+
+def _counterexample(verdict: go.GoVerdict) -> dict | None:
+    """The replayable record of a verdict's counterexample, or ``None`` without one."""
+    if verdict.counterexample is None:
+        return None
+    return {
+        "label": verdict.counterexample_label,
+        "direction": encode_vector(verdict.counterexample.direction),
+        "rank_a": verdict.counterexample.rank_a,
+        "rank_ab": verdict.counterexample.rank_ab,
+    }
 
 
 def _strategy(spec: ScenarioSpec) -> go.SamplingStrategy:
@@ -375,8 +382,16 @@ def _require_metric(built: BuiltScenario) -> MetricOperator:
 
 
 # ---------------------------------------------------------------------------
-# the equivalence sweep
+# the equivalence sweeps
 # ---------------------------------------------------------------------------
+
+def with_sweep_tuples(spec: ScenarioSpec, count: int) -> ScenarioSpec:
+    """``spec`` with ``count`` sweep tuples; a spec without a sweep grid is returned as it is."""
+    for key, _, _ in _SWEEPS.values():
+        if spec.metric and key in spec.metric:
+            return dataclasses.replace(spec, metric={key: {"tuples": count}})
+    return spec
+
 
 def grid_parameter_tuples(partition, count: int, seed: int):
     """Seeded parameter tuples: alternately fully generic and normal-form shaped."""
@@ -416,65 +431,119 @@ def grid_parameter_tuples(partition, count: int, seed: int):
         yield t, kind, params
 
 
-def _grid_operator(built: BuiltScenario, params: dict) -> MetricOperator:
-    """The block metric of one grid-sweep tuple, from its block parameters."""
-    blocks = tuple((built.named[n], params[n]) for n in _block_names(built.layout.partition))
+def _grid_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
+    """The block metric of one grid-sweep tuple, from the block parameters of its ``params``."""
+    params = fields["params"]
+    blocks = tuple((built.named[n], Fraction(params[n])) for n in _block_names(built.layout.partition))
     return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks))
 
 
-def _sweep_tuple(built: BuiltScenario, index: int, kind: str, params: dict) -> dict:
+def _flag_tuples(count: int, seed: int):
+    """Seeded flag-sweep ``(index, fields)``: a torus ``center`` and ``root_scalars``, equal on odd indices."""
+    for t in range(count):
+        rng = random.Random(f"flag:{seed}:{t}")
+
+        def rand_pos():
+            return Fraction(rng.randint(1, 9), rng.randint(1, 3))
+
+        a = rand_pos()
+        b = Fraction(rng.randint(-2, 2), 4)
+        c = rand_pos() + b * b / a  # Schur bound keeps the block positive definite
+        mus = [rand_pos() for _ in range(3)]
+        if t % 2 == 1:
+            mus = [mus[0]] * 3
+        yield t, {"center": [encode_fraction(v) for v in (a, b, c)],
+                  "root_scalars": [encode_fraction(m) for m in mus]}
+
+
+def _flag_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
+    """The metric of one flag-sweep tuple: torus block ``[[a, b], [b, c]]``, root scalars."""
+    a, b, c = (Fraction(v) for v in fields["center"])
+    blocks = tuple((built.named[f"r{i}"], Fraction(mu))
+                   for i, mu in enumerate(fields["root_scalars"], start=1))
+    torus_block = (built.named["t"], arith.qarray([[a, b], [b, c]]))
+    return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, torus_block))
+
+
+# each sweep check's metric key for the tuple count, the builder of a tuple's
+# operator and the tuple-record fields that builder reads
+_SWEEPS = {"sweep": ("grid", _grid_operator, ("params",)),
+           "flag-sweep": ("flaggrid", _flag_operator, ("center", "root_scalars"))}
+
+
+def _sweep_tuple(built: BuiltScenario, check: str, index: int, fields: dict):
+    """Check one tuple of either sweep kind.
+
+    ``check``'s builder makes the operator from the tuple's record ``fields``.
+    The geodesic-orbit verdict relative to its isometry subalgebra is compared
+    with the D'Atri-Ziller normal form.  Returns the tuple record (``index``,
+    ``fields``, both verdicts, ``agree``, the counterexample), the operator,
+    the isometry subalgebra and the verdict.
+    """
     spec = built.spec
-    names = _block_names(built.layout.partition)
-    operator = _grid_operator(built, params)
+    _, build, _ = _SWEEPS[check]
+    operator = build(built, fields)
     strategy = go.SamplingStrategy(seed=spec.seed * 100003 + index, random_count=spec.samples)
     kprime = metrics.isometry_subalgebra(operator)
     verdict = go.go_verdict(operator, kprime, strategy)
-    dazi = metrics.dazi_structure_check(operator, seed=spec.seed)
-    agree = (not verdict.disproved) == bool(dazi.verdict)
-    record = {
-        "index": index, "kind": kind,
-        "params": {n: encode_fraction(params[n]) for n in names},
-        "kprime_dim": kprime.dim,
-        "go": verdict.kind, "dazi": bool(dazi.verdict), "agree": agree,
-        "samples": verdict.samples,
-        "counterexample": None,
-        "normalizer_equivariant": None,
-        "split_ok": None,
-    }
-    if verdict.counterexample is not None:
-        record["counterexample"] = {
-            "label": verdict.counterexample_label,
-            "direction": encode_vector(verdict.counterexample.direction),
-            "rank_a": verdict.counterexample.rank_a,
-            "rank_ab": verdict.counterexample.rank_ab,
-        }
-    else:
-        # normalizer equivariance over both the partition subgroup and the
-        # isometry subalgebra, plus the splitting of the restriction blocks
-        ne_sub = go.normalizer_equivariance_check(operator, built.subgroup, seed=spec.seed)
-        ne_iso = go.normalizer_equivariance_check(operator, kprime, seed=spec.seed)
+    dazi = bool(metrics.dazi_structure_check(operator, seed=spec.seed).verdict)
+    record = {"index": index, **fields, "kprime_dim": kprime.dim, "go": verdict.kind,
+              "dazi": dazi, "agree": (not verdict.disproved) == dazi,
+              "counterexample": _counterexample(verdict)}
+    return record, operator, kprime, verdict
+
+
+def _add_sweep(rep: Report, records: list[dict], **summary):
+    """Add the ``sweep`` record of the tuple ``records`` with the sweep kind's ``summary`` fields."""
+    disagreements = sum(1 for r in records if not r["agree"])
+    rep.add({
+        "record": "check", "name": "sweep", "verdict": disagreements == 0,
+        "negative": disagreements != 0, "count": len(records),
+        "disagreements": disagreements,
+        "not_disproved": sum(1 for r in records if r["go"] == "NotDisproved"),
+        "tuples": records, **summary,
+    })
+
+
+def _grid_follow_up(built: BuiltScenario, record: dict, operator: MetricOperator,
+                    kprime: Subspace, verdict: go.GoVerdict):
+    """Add to a grid-sweep tuple record the sample count and, when NotDisproved, normalizer
+    equivariance over the partition subgroup and the isometry subalgebra and the
+    splitting of the restriction blocks."""
+    seed = built.spec.seed
+    record.update(samples=verdict.samples, normalizer_equivariant=None, split_ok=None)
+    if verdict.counterexample is None:
+        ne_sub = go.normalizer_equivariance_check(operator, built.subgroup, seed=seed)
+        ne_iso = go.normalizer_equivariance_check(operator, kprime, seed=seed)
         record["normalizer_equivariant"] = bool(ne_sub.ok and ne_iso.ok)
-        split = go.split_check(operator, kprime, strategy, seed=spec.seed)
-        record["split_ok"] = bool(split.ok)
-    return record
+        record["split_ok"] = bool(go.split_check(operator, kprime, verdict.strategy, seed=seed).ok)
 
 
 def _check_sweep(built: BuiltScenario, rep: Report):
+    """The grid sweep: seeded block parameters of a partition subgroup, with the grid follow-up."""
     spec = built.spec
     if built.layout is None:
         raise ContractViolation("equivalence sweep needs a partition subgroup")
     count = int(spec.metric["grid"]["tuples"]) if spec.metric and "grid" in spec.metric else 200
-    results = [_sweep_tuple(built, t, kind, params)
-               for t, kind, params in grid_parameter_tuples(built.layout.partition, count, spec.seed)]
-    disagreements = sum(1 for r in results if not r["agree"])
-    rep.add({
-        "record": "check", "name": "sweep", "verdict": disagreements == 0,
-        "negative": disagreements != 0,
-        "partition": list(built.layout.partition),
-        "count": count, "disagreements": disagreements,
-        "not_disproved": sum(1 for r in results if r["go"] == "NotDisproved"),
-        "tuples": results,
-    })
+    records = []
+    for t, kind, params in grid_parameter_tuples(built.layout.partition, count, spec.seed):
+        fields = {"kind": kind, "params": {n: encode_fraction(v) for n, v in params.items()}}
+        result = _sweep_tuple(built, "sweep", t, fields)
+        _grid_follow_up(built, *result)
+        records.append(result[0])
+    _add_sweep(rep, records, partition=list(built.layout.partition))
+
+
+def _check_flag_sweep(built: BuiltScenario, rep: Report):
+    """The flag sweep: seeded torus blocks and root scalars on su(3) over its diagonal torus."""
+    spec = built.spec
+    if not spec.metric or "flaggrid" not in spec.metric:
+        raise ContractViolation("flag sweep needs a 'flaggrid' metric")
+    if sorted(built.named) != ["r1", "r2", "r3", "t"]:
+        raise ContractViolation("flag sweep needs the cartan-diagonal subgroup of su(3)")
+    count = int(spec.metric["flaggrid"]["tuples"])
+    _add_sweep(rep, [_sweep_tuple(built, "flag-sweep", t, fields)[0]
+                     for t, fields in _flag_tuples(count, spec.seed)], flag=True)
 
 
 _CHECKS = {
@@ -487,10 +556,12 @@ _CHECKS = {
     "dazi": _check_dazi,
     "split": _check_split,
     "sweep": _check_sweep,
+    "flag-sweep": _check_flag_sweep,
 }
 
-ALL_CHECKS = ("validate", "regular", "weakly-regular", "equivariance",
-              "go", "natred", "dazi", "split")
+CHECK_ORDER = tuple(_CHECKS)
+
+ALL_CHECKS = tuple(c for c in CHECK_ORDER if c not in _SWEEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -539,71 +610,6 @@ def scenario_catalog() -> dict[str, ScenarioSpec]:
     return catalog
 
 
-# the flag sweep is scenario-specific: tuples of (center block, root scalars)
-def _flag_tuples(count: int, seed: int):
-    for t in range(count):
-        rng = random.Random(f"flag:{seed}:{t}")
-
-        def rand_pos():
-            return Fraction(rng.randint(1, 9), rng.randint(1, 3))
-
-        a = rand_pos()
-        b = Fraction(rng.randint(-2, 2), 4)
-        c = rand_pos() + b * b / a  # Schur bound keeps the block positive definite
-        mus = [rand_pos() for _ in range(3)]
-        if t % 2 == 1:
-            mus = [mus[0]] * 3
-        yield t, (a, b, c), mus
-
-
-def _flag_operator(built: BuiltScenario, center, mus) -> MetricOperator:
-    """The metric of one flag-sweep tuple: torus block ``[[a, b], [b, c]]``, root scalars."""
-    a, b, c = center
-    blocks = tuple((built.named[f"r{i}"], mu) for i, mu in enumerate(mus, start=1))
-    torus_block = (built.named["t"], arith.qarray([[a, b], [b, c]]))
-    return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, torus_block))
-
-
-def _check_flag_sweep(built: BuiltScenario, rep: Report):
-    spec = built.spec
-    count = int(spec.metric["flaggrid"]["tuples"])
-    results = []
-    for t, (a, b, c), mus in _flag_tuples(count, spec.seed):
-        operator = _flag_operator(built, (a, b, c), mus)
-        strategy = go.SamplingStrategy(seed=spec.seed * 100003 + t, random_count=spec.samples)
-        kprime = metrics.isometry_subalgebra(operator)
-        verdict = go.go_verdict(operator, kprime, strategy)
-        dazi = metrics.dazi_structure_check(operator, seed=spec.seed)
-        agree = (not verdict.disproved) == bool(dazi.verdict)
-        record = {
-            "index": t,
-            "center": [encode_fraction(a), encode_fraction(b), encode_fraction(c)],
-            "root_scalars": [encode_fraction(m) for m in mus],
-            "kprime_dim": kprime.dim, "go": verdict.kind, "dazi": bool(dazi.verdict),
-            "agree": agree, "counterexample": None,
-        }
-        if verdict.counterexample is not None:
-            record["counterexample"] = {
-                "label": verdict.counterexample_label,
-                "direction": encode_vector(verdict.counterexample.direction),
-                "rank_a": verdict.counterexample.rank_a,
-                "rank_ab": verdict.counterexample.rank_ab,
-            }
-        results.append(record)
-    disagreements = sum(1 for r in results if not r["agree"])
-    rep.add({
-        "record": "check", "name": "sweep", "verdict": disagreements == 0,
-        "negative": disagreements != 0, "count": count,
-        "disagreements": disagreements, "flag": True,
-        "not_disproved": sum(1 for r in results if r["go"] == "NotDisproved"),
-        "tuples": results,
-    })
-
-
-_CHECKS["flag-sweep"] = _check_flag_sweep
-CHECK_ORDER = CHECK_ORDER + ("flag-sweep",)
-
-
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -613,62 +619,53 @@ def replay_report(text: str) -> dict:
 
     Counterexamples, including those of grid and flag sweep tuples, are
     replayed through the rank-gap check and witnesses through the defining
-    identity; returns the ``verified`` and ``failed`` counts and ``ok``.
+    identity; returns the ``verified`` and ``failed`` counts and ``ok``.  A
+    sweep tuple's operator is rebuilt from its record by the builder of the
+    spec's sweep check; a sweep record of another kind, or a tuple without
+    that kind's fields, is a :class:`ContractViolation`.
     """
-    from .report import parse_machine
     header, records, _summary = parse_machine(text)
     spec = ScenarioSpec.from_obj(header["spec"])
     built = build_scenario(spec)
-    verified = 0
-    failed = 0
+    outcomes = []
     for record in records:
         name = record.get("name")
         if name in ("go", "go-isometry"):
             operator = _require_metric(built)
             subgroup = built.subgroup if record["with_respect_to"] == "subgroup" \
                 else metrics.isometry_subalgebra(operator)
-            ok, bad = _replay_go_record(operator, subgroup, record)
-            verified += ok
-            failed += bad
+            outcomes += _replay_go_record(operator, subgroup, record)
         elif name == "sweep":
+            kind = "flag-sweep" if record.get("flag") else "sweep"
+            if {c for c in spec.checks if c in _SWEEPS} != {kind}:
+                raise ContractViolation(f"a {kind} record does not fit the sweep checks "
+                                        f"of scenario {spec.name!r}")
+            _, build, fields = _SWEEPS[kind]
             for tup in record["tuples"]:
-                if tup["counterexample"] is None:
-                    continue
-                if record.get("flag"):
-                    operator = _flag_operator(built, [Fraction(v) for v in tup["center"]],
-                                              [Fraction(v) for v in tup["root_scalars"]])
-                else:
-                    operator = _grid_operator(
-                        built, {n: Fraction(v) for n, v in tup["params"].items()})
-                kprime = metrics.isometry_subalgebra(operator)
-                ok, bad = _replay_counterexample(operator, kprime, tup["counterexample"])
-                verified += ok
-                failed += bad
-    return {"verified": verified, "failed": failed, "ok": failed == 0}
+                missing = [f for f in ("counterexample", *fields) if f not in tup]
+                if missing:
+                    raise ContractViolation(f"{kind} tuple {tup.get('index')} lacks {missing}")
+                if tup["counterexample"] is not None:
+                    operator = build(built, tup)
+                    outcomes.append(_replay_counterexample(
+                        operator, metrics.isometry_subalgebra(operator), tup["counterexample"]))
+    failed = outcomes.count(False)
+    return {"verified": outcomes.count(True), "failed": failed, "ok": failed == 0}
 
 
-def _replay_go_record(operator, subgroup, record) -> tuple[int, int]:
-    from .report import decode_vector
-    verified = failed = 0
+def _replay_go_record(operator, subgroup, record) -> list[bool]:
+    outcomes = []
     if record.get("counterexample"):
-        ok, bad = _replay_counterexample(operator, subgroup, record["counterexample"])
-        verified += ok
-        failed += bad
+        outcomes.append(_replay_counterexample(operator, subgroup, record["counterexample"]))
     for cert in record.get("certificates", []):
         certificate = go.GoCertificate(direction=decode_vector(cert["direction"]),
                                        witness=decode_vector(cert["witness"]))
-        if go.replay_certificate(operator, certificate, subgroup):
-            verified += 1
-        else:
-            failed += 1
-    return verified, failed
+        outcomes.append(go.replay_certificate(operator, certificate, subgroup))
+    return outcomes
 
 
-def _replay_counterexample(operator, subgroup, payload) -> tuple[int, int]:
-    from .report import decode_vector
+def _replay_counterexample(operator, subgroup, payload) -> bool:
     counterexample = go.Unsolvable(direction=decode_vector(payload["direction"]),
                                    rank_a=int(payload["rank_a"]),
                                    rank_ab=int(payload["rank_ab"]))
-    if go.replay_counterexample(operator, subgroup, counterexample):
-        return 1, 0
-    return 0, 1
+    return go.replay_counterexample(operator, subgroup, counterexample)

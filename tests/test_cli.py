@@ -200,11 +200,22 @@ def _rename_spec_in_header(path):
     path.write_text("\n".join([json.dumps(header)] + rest) + "\n")
 
 
+def _edit_sweep_record(edit):
+    def damage(path):
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(next(r for r in lines if r.get("name") == "sweep"))
+        path.write_text("\n".join(json.dumps(r) for r in lines) + "\n")
+    return damage
+
+
 @pytest.mark.parametrize("damage, message", [
     (_rename_spec_in_header, "spec hash mismatch"),
     (lambda path: path.write_text(path.read_text() + "not json\n"), "is not JSON"),
     (lambda path: path.unlink(), "report.jsonl"),
-], ids=["edited-header", "non-json-line", "missing-file"])
+    (_edit_sweep_record(lambda r: r.update(flag=True)), "does not fit the sweep checks"),
+    (_edit_sweep_record(lambda r: r["tuples"][0].pop("params")), "lacks ['params']"),
+], ids=["edited-header", "non-json-line", "missing-file", "flag-on-grid-sweep",
+        "tuple-without-params"])
 def test_replay_of_a_bad_report_is_an_error_line(damage, message, tmp_path, capsys):
     path = tmp_path / "report.jsonl"
     run_cli(["sweep", "equivalence", "--family", "so", "--n", "6", "--partition", "2,2,2",

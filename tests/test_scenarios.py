@@ -10,9 +10,10 @@ import pytest
 
 from goverify import arith, go, reps, subspaces
 from goverify.metrics import BlockSpec
-from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _sweep_tuple, build_scenario,
-                                grid_parameter_tuples, parse_blockspec, replay_report,
-                                run_check, scenario_catalog)
+from goverify.report import encode_fraction
+from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _grid_follow_up, _sweep_tuple,
+                                build_scenario, grid_parameter_tuples, parse_blockspec,
+                                replay_report, run_check, scenario_catalog, with_sweep_tuples)
 
 
 def test_grid_tuples_deterministic_and_alternating():
@@ -108,6 +109,34 @@ def test_flag_sweep_counterexamples_replay():
     assert replay_report(tampered) == {"verified": 1, "failed": 1, "ok": False}
 
 
+def test_unknown_check_names_are_rejected():
+    spec = ScenarioSpec(name="typo", algebra={"family": "so", "n": 6},
+                        checks=("validate", "sweeep", "go-isometry"))
+    with pytest.raises(arith.ContractViolation, match=r"unknown checks \['sweeep', 'go-isometry'\]"):
+        run_check(spec)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"metric": None}, "needs a 'flaggrid' metric"),
+    ({"algebra": {"family": "so", "n": 6}, "subgroup": {"partition": [2, 2, 2]}},
+     "needs the cartan-diagonal subgroup"),
+], ids=["no-flaggrid", "partition-subgroup"])
+def test_flag_sweep_rejects_inputs_it_cannot_sweep(changes, message):
+    spec = ScenarioSpec.from_obj({**scenario_catalog()["su3-torus-flag"].to_obj(),
+                                  "metric": {"flaggrid": {"tuples": 2}}, **changes})
+    with pytest.raises(arith.ContractViolation, match=message):
+        run_check(spec)
+
+
+def test_with_sweep_tuples_resizes_either_sweep_kind():
+    catalog = scenario_catalog()
+    for name, key in (("so6-222-grid", "grid"), ("su3-torus-flag", "flaggrid")):
+        resized = with_sweep_tuples(catalog[name], 4)
+        assert resized.to_obj() == {**catalog[name].to_obj(), "metric": {key: {"tuples": 4}}}
+    for name in ("so9-333-regularity", "triple-shape-demo"):
+        assert with_sweep_tuples(catalog[name], 4) == catalog[name]
+
+
 def test_so12_scenario_spec_shape():
     spec = scenario_catalog()["so12-partition4-genmet1"]
     built = build_scenario(spec)
@@ -198,16 +227,20 @@ def test_machine_report_bytes_are_pinned(name):
 # -- the span memo ---------------------------------------------------------------
 
 def _grid_records(order, fresh_build_per_tuple=False):
-    """``_sweep_tuple`` records of a 12-tuple so(6)/(2,2,2) grid, computed in ``order``."""
+    """Grid-sweep tuple records of a 12-tuple so(6)/(2,2,2) grid, each made by
+    ``_sweep_tuple`` and ``_grid_follow_up``, computed in ``order``."""
     spec = ScenarioSpec(name="memo", algebra={"family": "so", "n": 6},
                         subgroup={"partition": [2, 2, 2]}, metric={"grid": {"tuples": 12}},
                         checks=("sweep",), samples=6, seed=3)
-    jobs = list(grid_parameter_tuples((2, 2, 2), 12, spec.seed))
+    jobs = [(t, {"kind": kind, "params": {n: encode_fraction(v) for n, v in params.items()}})
+            for t, kind, params in grid_parameter_tuples((2, 2, 2), 12, spec.seed)]
     shared = build_scenario(spec)
     records = {}
     for t in order:
         built = build_scenario(spec) if fresh_build_per_tuple else shared
-        records[t] = _sweep_tuple(built, *jobs[t])
+        result = _sweep_tuple(built, "sweep", *jobs[t])
+        _grid_follow_up(built, *result)
+        records[t] = result[0]
     return records
 
 
