@@ -166,18 +166,6 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.astype(object), b.astype(object))
 
 
-def exact_tensordot(a_int: np.ndarray, a_scale: int, b_int: np.ndarray, b_scale: int,
-                    axes, inner: int) -> np.ndarray:
-    """Exact tensordot of two denominator-cleared arrays, vectorized when safe.
-
-    ``inner`` is the total length of the contracted axes, used for the int64
-    overflow bound; the object fallback is equally exact, just slower.
-    """
-    if not _int64_safe(a_int, b_int, inner):
-        a_int, b_int = a_int.astype(object), b_int.astype(object)
-    return from_ints(np.tensordot(a_int, b_int, axes), a_scale * b_scale)
-
-
 def exact_matmul(A, B) -> np.ndarray:
     """Exact matrix product, vectorized over int64 whenever safe."""
     A = np.asarray(A, dtype=object)

@@ -79,12 +79,9 @@ def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction):
     rational system.  The products are :func:`arith.int_matmul`, int64 when
     safe and Python ints otherwise; the result holds Python ints.
     """
-    d = operator.algebra.dim
-    c_int, _ = operator.algebra.int_tensor
-    lx_int, _ = operator.apply_int(direction)
+    ad_lx, _ = operator.algebra.contract(operator.apply_int(direction)[0])
     basis_int, basis_scale = subalgebra.int_basis
     x_int, x_scale = arith.clear_denominators(np.asarray(direction, dtype=object))
-    ad_lx = arith.int_matmul(lx_int, c_int.reshape(d, d * d)).reshape(d, d).T
     a = arith.int_matmul(ad_lx, basis_int.T).astype(object) * -x_scale
     b = arith.int_matmul(ad_lx, x_int).astype(object) * basis_scale
     return np.concatenate([a, b[:, None]], axis=1)
@@ -234,7 +231,6 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     Checked through the symmetrized coefficient tensor on basis triples; the
     decomposition must be reductive ([k, m] inside m).
     """
-    d = operator.algebra.dim
     m_int, m_scale = complement.int_basis
     for ad_int, ad_scale in subalgebra.int_ad_matrices:
         image = arith.from_ints(arith.int_matmul(ad_int, m_int.T), ad_scale * m_scale)
@@ -244,12 +240,11 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
         return NatredResult(True)
     m = complement.dim
     # U[a,b,c] = metric([v_a, v_c]_m, v_b); condition: U[a,b,c] + U[b,a,c] = 0
-    c_int, c_scale = operator.algebra.int_tensor
-    left = arith.int_matmul(m_int, c_int.reshape(d, d * d)).reshape(m, d, d)  # sum_i v_a^i c_ij^k
-    brackets = arith.int_matmul(m_int, left)                                  # [a, c, k] = [v_a, v_c]_k
+    ads, ad_scale = operator.algebra.contract(m_int)                         # ads[a] = ad(v_a)
+    brackets = np.transpose(arith.int_matmul(ads, m_int.T), (0, 2, 1))       # [a, c, k] = [v_a, v_c]_k
     proj = _projection_matrix(complement, operator.form)
     h = operator.metric_matrix
-    flat, flat_scale = brackets.reshape(m * m, d), c_scale * m_scale * m_scale
+    flat, flat_scale = brackets.reshape(m * m, -1), ad_scale * m_scale * m_scale
     p_int, p_scale = arith.clear_denominators(proj)
     h_int, h_scale = arith.clear_denominators(h)
     u = arith.int_matmul(arith.int_matmul(arith.int_matmul(flat, p_int.T), h_int), m_int.T)
@@ -257,13 +252,9 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     total = np.transpose(u, (0, 2, 1)) + np.transpose(u, (2, 0, 1))
     if is_zero(total):
         return NatredResult(True)
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if total[a, b, c] != 0:
-                    scale = flat_scale * p_scale * h_scale * m_scale
-                    return NatredResult(False, (a, b, c), Fraction(int(total[a, b, c]), scale))
-    raise AssertionError("unreachable")  # pragma: no cover
+    a, b, c = (int(t) for t in np.argwhere(total)[0])    # the first failing triple
+    scale = flat_scale * p_scale * h_scale * m_scale
+    return NatredResult(False, (a, b, c), Fraction(int(total[a, b, c]), scale))
 
 
 def _projection_matrix(space: Subspace, form) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Structure-constant models of compact Lie algebras.
 
-An algebra is a basis ``e_1, ..., e_d`` together with the tensor ``c`` of
-bracket coefficients, ``[e_i, e_j] = sum_k c[i,j,k] e_k``.  All structure
-constants are exact rationals; validation (antisymmetry, Jacobi, agreement
-with an optional matrix realization) is exact.
+An algebra is a basis ``e_1, ..., e_d`` with ``[e_i, e_j] = sum_k c[i,j,k] e_k``.
+As in de Graaf, *Lie Algebras: Theory and Algorithms* (2000), ch. 1, only
+nonzero constants are stored: :attr:`StructureAlgebra.coo` holds read-only
+integer arrays ``(i, j, k, c)``, 0-based and sorted by ``(i, j, k)``, with
+``c[i,j,k] = c / scale`` for one positive, reduced ``scale``.  Every
+contraction with the constants goes through :meth:`StructureAlgebra.contract`,
+which returns ``ad(v)`` as integers and a scale.  Validation (antisymmetry,
+Jacobi, an optional matrix realization) is exact and sparse, and runs once per
+algebra: a success is recorded in :attr:`StructureAlgebra.validated`.
 
 Basis conventions
 -----------------
@@ -31,14 +36,15 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, q, qarray, qzeros
+from .arith import ContractViolation, is_zero, qarray, qzeros
 
 
 class ValidationError(ValueError):
@@ -75,64 +81,92 @@ class SymmetricForm:
 
     def is_ad_invariant(self, algebra: "StructureAlgebra") -> bool:
         """Exact check of B([X,Y],Z) + B(Y,[X,Z]) = 0 on all basis triples."""
-        c_int, _ = algebra.int_tensor
-        b_int, _ = arith.clear_denominators(self.matrix)
-        if not arith._int64_safe(c_int, b_int, 2 * algebra.dim):
-            c_int, b_int = c_int.astype(object), b_int.astype(object)
-        t1 = np.tensordot(c_int, b_int, axes=([2], [0]))          # t1[i,j,k] = B([e_i,e_j], e_k)
-        t2 = np.tensordot(c_int, b_int, axes=([2], [1]))          # t2[i,k,j] = B(e_j, [e_i,e_k])
-        return is_zero(t1 + np.transpose(t2, (0, 2, 1)))
+        return not np.any(algebra.skewness(arith.clear_denominators(self.matrix)[0]))
 
 
 # ---------------------------------------------------------------------------
 # the algebra itself
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StructureAlgebra:
     """A finite-dimensional real Lie algebra given by structure constants.
 
-    Instances are treated as immutable after validation.  ``realization``
-    optionally holds real-embedded basis matrices whose commutators must
-    reproduce the tensor.
+    The constants come as ``coo=(i, j, k, c)`` and ``scale`` (integer entries
+    in any order, repeats summed) or as a dense ``tensor`` of rationals.
+    ``realization`` optionally holds real-embedded basis matrices whose
+    commutators must reproduce the constants.
     """
 
-    dim: int
-    tensor: np.ndarray
-    labels: tuple[str, ...] = ()
-    realization: tuple[np.ndarray, ...] | None = None
-    name: str = ""
-    inner_product: SymmetricForm | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.tensor = np.asarray(self.tensor, dtype=object)
-        if self.tensor.shape != (self.dim, self.dim, self.dim):
-            raise ContractViolation("structure tensor shape does not match dim")
-        if not self.labels:
-            self.labels = tuple(f"e{i+1}" for i in range(self.dim))
-        if len(self.labels) != self.dim:
+    def __init__(self, dim: int, tensor=None, labels: tuple[str, ...] = (),
+                 realization: tuple[np.ndarray, ...] | None = None, name: str = "",
+                 inner_product: SymmetricForm | None = None, *, coo=None, scale: int = 1):
+        if tensor is not None:
+            tensor = np.asarray(tensor, dtype=object)
+            if tensor.shape != (dim, dim, dim):
+                raise ContractViolation("structure tensor shape does not match dim")
+            where = np.nonzero(tensor != 0)
+            ints, scale = arith.clear_denominators(tensor[where])
+            coo = (*where, ints)
+        self.dim = dim
+        self.coo, self.scale = _canonical_coo(dim, coo or ((), (), (), ()), scale)
+        self.labels = tuple(labels) or tuple(f"e{i+1}" for i in range(dim))
+        if len(self.labels) != dim:
             raise ContractViolation("label count does not match dim")
+        self.realization = realization
+        self.name = name
+        self.inner_product = inner_product
+        self.validated = False
 
     # -- basic operations ---------------------------------------------------
 
+    def contract(self, v) -> tuple[np.ndarray, int]:
+        """``ad(v)`` as ``(ints, scale)``: ``ints[..., k, j] / scale = [v, e_j]_k``.
+
+        ``v`` is a vector or a stack of row vectors, rational or int64 (taken
+        at scale 1).  The sums are int64 when a bound rules out overflow and
+        Python ints otherwise.
+        """
+        v = np.asarray(v)
+        v_int, v_scale = (v, 1) if v.dtype == np.int64 else arith.clear_denominators(v)
+        i, c, starts, places = self._contraction
+        out = np.zeros(v.shape[:-1] + (self.dim ** 2,), dtype=np.int64)
+        if places.size:
+            if not arith._int64_safe(v_int, c, self.dim):    # a place sums at most dim terms
+                v_int, c, out = v_int.astype(object), c.astype(object), out.astype(object)
+            out[..., places] = np.add.reduceat(v_int[..., i] * c, starts, axis=-1)
+        return out.reshape(v.shape[:-1] + (self.dim, self.dim)), self.scale * v_scale
+
+    @cached_property
+    def _contraction(self):
+        """Entries grouped by place ``k * dim + j`` in ``ad(v)``: their first indices
+        and coefficients in group order, the group starts and the places."""
+        i, j, k, c = self.coo
+        order = np.argsort(k * self.dim + j, kind="stable")
+        places, starts = np.unique((k * self.dim + j)[order], return_index=True)
+        return i[order], c[order], starts, places
+
     def bracket(self, x, y) -> np.ndarray:
-        c_int, c_scale = self.int_tensor
-        x_int, x_scale = arith.clear_denominators(np.asarray(x, dtype=object))
+        ad_x, scale = self.contract(x)
         y_int, y_scale = arith.clear_denominators(np.asarray(y, dtype=object))
-        d = self.dim
-        x_c = arith.int_matmul(x_int, c_int.reshape(d, d * d)).reshape(d, d)  # sum_i x_i c_ij^k
-        return arith.from_ints(arith.int_matmul(y_int, x_c), c_scale * x_scale * y_scale)
+        return arith.from_ints(arith.int_matmul(ad_x, y_int), scale * y_scale)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad_x, columns indexed by basis vectors."""
-        c_int, c_scale = self.int_tensor
-        x_int, x_scale = arith.clear_denominators(np.asarray(x, dtype=object))
-        return arith.exact_tensordot(c_int, c_scale, x_int, x_scale, ([0], [0]), self.dim).T
+        return arith.from_ints(*self.contract(x))
+
+    def skewness(self, h_int: np.ndarray) -> np.ndarray:
+        """``ad_i^T H + H ad_i`` stacked over i: ``[i,j,k] = H([e_i,e_j],e_k) + H(e_j,[e_i,e_k])``."""
+        ads, _ = self.contract(np.eye(self.dim, dtype=np.int64))
+        return arith.int_matmul(np.transpose(ads, (0, 2, 1)), h_int) + arith.int_matmul(h_int, ads)
 
     @cached_property
-    def int_tensor(self) -> tuple[np.ndarray, int]:
-        """Denominator-cleared structure tensor (ints, scale)."""
-        return arith.clear_denominators(self.tensor)
+    def tensor(self) -> np.ndarray:
+        """Read-only dense ``d x d x d`` Fraction view of the constants, built on first use."""
+        i, j, k, c = self.coo
+        out = qzeros((self.dim,) * 3)
+        out[i, j, k] = arith.from_ints(c, self.scale)
+        out.flags.writeable = False
+        return out
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = qzeros(self.dim)
@@ -144,63 +178,67 @@ class StructureAlgebra:
     def validate(self) -> None:
         """Exact antisymmetry, Jacobi and realization checks; raises on failure.
 
-        Both axioms are checked on the denominator-cleared tensor, int64 when
-        every Jacobi sum fits and Python ints otherwise.  Jacobi is checked one
-        first index at a time, so no d**4 array is built; the reported index
-        is the lexicographically first failing one.
+        A success is recorded in ``validated`` and a later call returns at
+        once.  The axioms are summed over the stored entries, int64 when every
+        Jacobi sum fits and Python ints otherwise; the reported index is the
+        lexicographically first failing one.
         """
-        c, _ = self.int_tensor
+        if self.validated:
+            return
         d = self.dim
+        i, j, k, c = self.coo
         if not arith._int64_safe(c, c, 3 * d):
             c = c.astype(object)
-        failing = np.argwhere(c + np.transpose(c, (1, 0, 2)))
-        if failing.size:
-            raise ValidationError(
-                f"antisymmetry fails at (i,j,k)={tuple(int(a)+1 for a in failing[0])}")
-        right = c.reshape(d, d * d)                     # right[m, (k,l)] = c[m,k,l]
-        left = c.reshape(d * d, d)                      # left[(j,k), m] = c[j,k,m]
-        for i in range(d):
-            # jac[j,k,l] = [[e_i,e_j],e_k]_l + [[e_k,e_i],e_j]_l + [[e_j,e_k],e_i]_l
-            ci = c[:, i, :]                             # ci[a,m] = c[a,i,m]
-            jac = (c[i] @ right).reshape(d, d, d)
-            jac = jac + np.transpose((ci @ right).reshape(d, d, d), (1, 0, 2))
-            jac = jac + (left @ ci).reshape(d, d, d)
-            failing = np.argwhere(jac)
-            if failing.size:
-                raise ValidationError(
-                    f"Jacobi fails at (i,j,k,l)={tuple(int(a)+1 for a in (i, *failing[0]))}")
+        _check_sums("antisymmetry", d, np.ravel_multi_index(
+            (np.r_[i, j], np.r_[j, i], np.r_[k, k]), (d,) * 3), np.r_[c, c])
+        # T(a,b,g,l) = [[e_a,e_b],e_g]_l = sum_m c[a,b,m] c[m,g,l]: join each entry
+        # (a,b,m) with the entries (m,g,l), which are contiguous since i is sorted
+        lo, count = np.searchsorted(i, k), np.bincount(i, minlength=d)[k]
+        left = np.repeat(np.arange(k.size), count)
+        right = np.arange(left.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        a, b, g, l = i[left], j[left], j[right], k[right]
+        term = c[left] * c[right]
+        # J(i,j,k,l) = T(i,j,k,l) + T(k,i,j,l) + T(j,k,i,l), so T(a,b,g,l) is a
+        # summand of J(a,b,g,l), J(b,g,a,l) and J(g,a,b,l)
+        _check_sums("Jacobi", d, np.ravel_multi_index(
+            (np.r_[a, b, g], np.r_[b, g, a], np.r_[g, a, b], np.r_[l, l, l]), (d,) * 4),
+            np.tile(term, 3))
         if self.realization is not None:
             self._validate_realization()
+        self.validated = True
 
     def _validate_realization(self) -> None:
         if len(self.realization) != self.dim:
             raise ValidationError("realization length does not match dim")
         mats, _ = arith.clear_denominators(np.stack(self.realization))
-        c_int, cscale = self.int_tensor
-        # cscale * [R_i, R_j] must equal sum_k c_int[i,j,k] R_k, entrywise.
-        if not (arith._int64_safe(mats, mats, 2 * mats.shape[-1] * cscale)
-                and arith._int64_safe(c_int, mats, self.dim)):
-            mats, c_int = mats.astype(object), c_int.astype(object)
-        comm = mats[:, None] @ mats[None, :]
-        comm = comm - np.transpose(comm, (1, 0, 2, 3))
-        expected = np.tensordot(c_int, mats, axes=([2], [0]))
-        diff = comm * cscale - expected
-        if np.any(diff != 0):
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    if np.any(diff[i, j] != 0):
-                        raise ValidationError(
-                            f"realization bracket mismatch at basis pair ({i+1},{j+1})")
-            raise ValidationError("realization bracket mismatch")
+        d = self.dim
+        i, j, k, c = self.coo
+        # scale * [R_a, R_b] must equal sum_k c[a,b,k] R_k, entrywise, for a < b
+        if not (arith._int64_safe(mats, mats, 2 * mats.shape[-1] * self.scale)
+                and arith._int64_safe(c, mats, d)):
+            mats, c = mats.astype(object), c.astype(object)
+        rows = np.searchsorted(i, np.arange(d + 1))
+        for a in range(d - 1):
+            later = mats[a + 1:]
+            diff = (mats[a] @ later - later @ mats[a]) * self.scale
+            mine = np.arange(rows[a], rows[a + 1])
+            mine = mine[j[mine] > a]
+            np.subtract.at(diff, j[mine] - a - 1, c[mine, None, None] * mats[k[mine]])
+            failing = np.flatnonzero((diff != 0).reshape(d - a - 1, -1).any(axis=1))
+            if failing.size:
+                raise ValidationError(
+                    f"realization bracket mismatch at basis pair ({a+1},{a+2+failing[0]})")
 
     # -- derived structure ---------------------------------------------------
 
     @cached_property
     def killing(self) -> SymmetricForm:
-        c_int, scale = self.int_tensor
-        # B[i,j] = tr(ad_i ad_j) = sum_{k,l} c[i,k,l] c[j,l,k]
-        return SymmetricForm(arith.exact_tensordot(c_int, scale, c_int, scale,
-                                                   ([1, 2], [2, 1]), self.dim * self.dim))
+        d = self.dim
+        ads, scale = self.contract(np.eye(d, dtype=np.int64))
+        # B[i,j] = tr(ad_i ad_j) = sum_{k,l} ad_i[k,l] ad_j[l,k]
+        flat = ads.reshape(d, d * d)
+        flat_t = np.transpose(ads, (0, 2, 1)).reshape(d, d * d)
+        return SymmetricForm(arith.from_ints(arith.int_matmul(flat, flat_t.T), scale * scale))
 
     @cached_property
     def canonical_form(self) -> SymmetricForm | None:
@@ -218,6 +256,37 @@ class StructureAlgebra:
                 "algebra has no positive canonical form; attach an invariant inner "
                 "product with attach_form() first")
         return canonical
+
+
+def _canonical_coo(dim: int, coo, scale: int) -> tuple[tuple[np.ndarray, ...], int]:
+    """Read-only sorted COO arrays with repeats summed, zeros dropped and the scale reduced."""
+    index = np.array(coo[:3], dtype=np.int64).reshape(3, -1)
+    keys = np.ravel_multi_index(index, (dim,) * 3)     # a ValueError unless every index < dim
+    keys, c = _sum_by_key(keys, np.asarray(coo[3], dtype=object).reshape(-1))
+    keys, c = keys[c != 0], c[c != 0]
+    g = math.gcd(scale, *c.tolist())
+    arrays = (*np.unravel_index(keys, (dim,) * 3), arith._narrow(c // g))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays, scale // g
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the exact sum of each key's values."""
+    order = np.argsort(keys, kind="stable")
+    keys, starts = np.unique(keys[order], return_index=True)
+    return keys, np.add.reduceat(values[order], starts) if keys.size else values[:0]
+
+
+def _check_sums(axiom: str, dim: int, keys: np.ndarray, values: np.ndarray) -> None:
+    """Raise for the lexicographically first index tuple whose values sum to nonzero."""
+    keys, sums = _sum_by_key(keys, values)
+    failing = keys[sums != 0]
+    if failing.size:
+        letters = "ijk" if axiom == "antisymmetry" else "ijkl"
+        index = np.unravel_index(failing[0], (dim,) * len(letters))
+        raise ValidationError(f"{axiom} fails at ({','.join(letters)})="
+                              f"{tuple(int(t) + 1 for t in index)}")
 
 
 def attach_form(algebra: StructureAlgebra, matrix) -> StructureAlgebra:
@@ -249,37 +318,31 @@ def _so_pairs(n: int) -> list[tuple[int, int]]:
 def _build_so(n: int) -> StructureAlgebra:
     pairs = _so_pairs(n)
     d = len(pairs)
-    tensor = qzeros((d, d, d))
-
-    def add(a, b, cd, value):
-        if a == b:
-            return
-        if a < b:
-            tensor[cd][so_pair_index(n, a, b)] += value
-        else:
-            tensor[cd][so_pair_index(n, b, a)] -= value
-
-    # [A_ab, A_cd] = d_bc A_ad + d_ad A_bc - d_bd A_ac - d_ac A_bd
-    for x, (a, b) in enumerate(pairs):
-        for y, (c, dd) in enumerate(pairs):
-            if b == c:
-                add(a, dd, (x, y), Fraction(1))
-            if a == dd:
-                add(b, c, (x, y), Fraction(1))
-            if b == dd:
-                add(a, c, (x, y), Fraction(-1))
-            if a == c:
-                add(b, dd, (x, y), Fraction(-1))
+    first, second = np.array(pairs, dtype=np.int64).reshape(d, 2).T
+    position = np.zeros((n + 1, n + 1), dtype=np.int64)
+    position[first, second] = np.arange(d)
+    x, y = np.divmod(np.arange(d * d), d)
+    a, b, c, dd = first[x], second[x], first[y], second[y]
+    # [A_ab, A_cd] = d_bc A_ad + d_ad A_bc - d_bd A_ac - d_ac A_bd, with A_qp = -A_pq, A_pp = 0
+    entries = []
+    for hit, p, r, sign in ((b == c, a, dd, 1), (a == dd, b, c, 1),
+                            (b == dd, a, c, -1), (a == c, b, dd, -1)):
+        hit &= p != r
+        p, r = p[hit], r[hit]
+        entries.append((x[hit], y[hit], position[np.minimum(p, r), np.maximum(p, r)],
+                        np.where(p < r, sign, -sign)))
+    coo = tuple(np.concatenate(column) for column in zip(*entries))
     labels = tuple(f"A{i}_{j}" for (i, j) in pairs)
-    realization = tuple(_so_matrix(n, i, j) for (i, j) in pairs)
-    return StructureAlgebra(dim=d, tensor=tensor, labels=labels,
+    realization = tuple(_sparse_matrix(n, (i, j, 1), (j, i, -1)) for (i, j) in pairs)
+    return StructureAlgebra(dim=d, coo=coo, labels=labels,
                             realization=realization, name=f"so({n})")
 
 
-def _so_matrix(n: int, i: int, j: int) -> np.ndarray:
+def _sparse_matrix(n: int, *entries) -> np.ndarray:
+    """The n x n Fraction matrix with the 1-based ``(row, col, value)`` entries, zero elsewhere."""
     m = qzeros((n, n))
-    m[i - 1, j - 1] = Fraction(1)
-    m[j - 1, i - 1] = Fraction(-1)
+    for r, c, v in entries:
+        m[r - 1, c - 1] = Fraction(v)
     return m
 
 
@@ -295,25 +358,15 @@ def _complex_embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _su_basis(n: int) -> tuple[list[str], list[np.ndarray]]:
+    z = qzeros((n, n))
     labels, mats = [], []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            re = qzeros((n, n))
-            re[i - 1, j - 1] = Fraction(1)
-            re[j - 1, i - 1] = Fraction(-1)
-            labels.append(f"S{i}_{j}")
-            mats.append(_complex_embed(re, qzeros((n, n))))
-            im = qzeros((n, n))
-            im[i - 1, j - 1] = Fraction(1)
-            im[j - 1, i - 1] = Fraction(1)
-            labels.append(f"T{i}_{j}")
-            mats.append(_complex_embed(qzeros((n, n)), im))
+    for i, j in _so_pairs(n):
+        labels += [f"S{i}_{j}", f"T{i}_{j}"]
+        mats += [_complex_embed(_sparse_matrix(n, (i, j, 1), (j, i, -1)), z),
+                 _complex_embed(z, _sparse_matrix(n, (i, j, 1), (j, i, 1)))]
     for k in range(1, n):
-        im = qzeros((n, n))
-        im[k - 1, k - 1] = Fraction(1)
-        im[k, k] = Fraction(-1)
         labels.append(f"D{k}")
-        mats.append(_complex_embed(qzeros((n, n)), im))
+        mats.append(_complex_embed(z, _sparse_matrix(n, (k, k, 1), (k + 1, k + 1, -1))))
     return labels, mats
 
 
@@ -332,39 +385,23 @@ def _sp_basis(n: int) -> tuple[list[str], list[np.ndarray]]:
 
     z = qzeros((n, n))
     labels, mats = [], []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            re = qzeros((n, n))
-            re[i - 1, j - 1] = Fraction(1)
-            re[j - 1, i - 1] = Fraction(-1)
-            labels.append(f"AS{i}_{j}")
-            mats.append(block(re, z, z, z))
-            im = qzeros((n, n))
-            im[i - 1, j - 1] = Fraction(1)
-            im[j - 1, i - 1] = Fraction(1)
-            labels.append(f"AT{i}_{j}")
-            mats.append(block(z, im, z, z))
+    for i, j in _so_pairs(n):
+        labels += [f"AS{i}_{j}", f"AT{i}_{j}"]
+        mats += [block(_sparse_matrix(n, (i, j, 1), (j, i, -1)), z, z, z),
+                 block(z, _sparse_matrix(n, (i, j, 1), (j, i, 1)), z, z)]
     for k in range(1, n + 1):
-        im = qzeros((n, n))
-        im[k - 1, k - 1] = Fraction(1)
         labels.append(f"AD{k}")
-        mats.append(block(z, im, z, z))
+        mats.append(block(z, _sparse_matrix(n, (k, k, 1)), z, z))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            sym = qzeros((n, n))
-            sym[i - 1, j - 1] += Fraction(1)
-            sym[j - 1, i - 1] += Fraction(1)
-            if i == j:
-                sym[i - 1, j - 1] = Fraction(1)
-            labels.append(f"BR{i}_{j}")
-            mats.append(block(z, z, sym, z))
-            labels.append(f"BI{i}_{j}")
-            mats.append(block(z, z, z, sym))
+            sym = _sparse_matrix(n, (i, j, 1), (j, i, 1))
+            labels += [f"BR{i}_{j}", f"BI{i}_{j}"]
+            mats += [block(z, z, sym, z), block(z, z, z, sym)]
     return labels, mats
 
 
-def _tensor_from_realization(mats: list[np.ndarray]) -> np.ndarray:
-    """Exact structure constants of a closed family of realization matrices.
+def _tensor_from_realization(mats: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], int]:
+    """Exact structure constants ``(coo, scale)`` of a closed family of realization matrices.
 
     Brackets are expanded over the basis through the inverse of the entrywise
     Gram matrix of the flattened realization, cleared to integers once; the
@@ -387,7 +424,8 @@ def _tensor_from_realization(mats: list[np.ndarray]) -> np.ndarray:
         comm = comm.astype(object)
     if np.any(arith.int_matmul(coords, flat) != comm * gscale):
         raise ContractViolation("realization family is not bracket-closed")
-    return arith.from_ints(coords.reshape(d, d, d), gscale * fscale)
+    pair, k = np.nonzero(coords)
+    return (*np.divmod(pair, d), k, coords[pair, k]), gscale * fscale
 
 
 def build_classical(family: str, n: int) -> StructureAlgebra:
@@ -399,8 +437,7 @@ def build_classical(family: str, n: int) -> StructureAlgebra:
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if family == "abelian":
-        alg = StructureAlgebra(dim=n, tensor=qzeros((n, n, n)),
-                               labels=tuple(f"Z{i+1}" for i in range(n)), name=f"abelian({n})")
+        alg = StructureAlgebra(dim=n, labels=tuple(f"Z{i+1}" for i in range(n)), name=f"abelian({n})")
         alg._known_simple = False
     elif family == "so":
         if n < 2:
@@ -411,13 +448,15 @@ def build_classical(family: str, n: int) -> StructureAlgebra:
         if n < 2:
             raise ContractViolation("su(n) requires n >= 2")
         labels, mats = _su_basis(n)
-        alg = StructureAlgebra(dim=len(mats), tensor=_tensor_from_realization(mats),
-                               labels=tuple(labels), realization=tuple(mats), name=f"su({n})")
+        coo, scale = _tensor_from_realization(mats)
+        alg = StructureAlgebra(dim=len(mats), coo=coo, scale=scale, labels=tuple(labels),
+                               realization=tuple(mats), name=f"su({n})")
         alg._known_simple = True
     elif family == "sp":
         labels, mats = _sp_basis(n)
-        alg = StructureAlgebra(dim=len(mats), tensor=_tensor_from_realization(mats),
-                               labels=tuple(labels), realization=tuple(mats), name=f"sp({n})")
+        coo, scale = _tensor_from_realization(mats)
+        alg = StructureAlgebra(dim=len(mats), coo=coo, scale=scale, labels=tuple(labels),
+                               realization=tuple(mats), name=f"sp({n})")
         alg._known_simple = True
     else:
         raise ContractViolation(f"unsupported family {family!r}")
@@ -427,18 +466,13 @@ def build_classical(family: str, n: int) -> StructureAlgebra:
 
 def direct_sum(algebras: list[StructureAlgebra]) -> StructureAlgebra:
     """Block-diagonal direct sum; summands commute."""
-    dims = [a.dim for a in algebras]
-    d = sum(dims)
-    tensor = qzeros((d, d, d))
-    labels = []
-    offset = 0
-    for idx, a in enumerate(algebras):
-        sl = slice(offset, offset + a.dim)
-        tensor[sl, sl, sl] = a.tensor
-        labels.extend(f"{idx+1}:{lab}" for lab in a.labels)
-        offset += a.dim
-    name = " + ".join(a.name or "?" for a in algebras)
-    out = StructureAlgebra(dim=d, tensor=tensor, labels=tuple(labels), name=name)
+    scale = math.lcm(*(a.scale for a in algebras))
+    offsets = np.cumsum([0] + [a.dim for a in algebras])
+    parts = [(*(index + offset for index in a.coo[:3]), a.coo[3].astype(object) * (scale // a.scale))
+             for a, offset in zip(algebras, offsets)]
+    labels = tuple(f"{idx+1}:{lab}" for idx, a in enumerate(algebras) for lab in a.labels)
+    out = StructureAlgebra(dim=int(offsets[-1]), coo=[np.concatenate(col) for col in zip(*parts)],
+                           scale=scale, labels=labels, name=" + ".join(a.name or "?" for a in algebras))
     if len(algebras) > 1:
         out._known_simple = False
     return out
@@ -529,26 +563,23 @@ def embed_so_partition(source, partition) -> EmbeddingLayout:
 # ---------------------------------------------------------------------------
 
 def serialize_structure_table(algebra: StructureAlgebra) -> str:
-    """Text form of the structure tensor: ``dim d`` then ``i j k value`` lines.
+    """Text form of the structure constants: ``dim d`` then ``i j k value`` lines.
 
     Indices are 1-based and every nonzero entry is listed explicitly (both
-    bracket orientations), so the round-trip through
-    :func:`ingest_structure_table` is bit-exact.
+    bracket orientations), in lexicographic index order, so the round-trip
+    through :func:`ingest_structure_table` is bit-exact.
     """
+    i, j, k, c = (a.tolist() for a in algebra.coo)
     lines = [f"dim {algebra.dim}"]
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k in range(algebra.dim):
-                v = algebra.tensor[i, j, k]
-                if v != 0:
-                    lines.append(f"{i+1} {j+1} {k+1} {arith.fraction_str(v)}")
+    lines += [f"{a+1} {b+1} {g+1} {arith.fraction_str(Fraction(v, algebra.scale))}"
+              for a, b, g, v in zip(i, j, k, c)]
     return "\n".join(lines) + "\n"
 
 
 def ingest_structure_table(source: str) -> StructureAlgebra:
     """Parse and validate a structure table; raises :class:`ValidationError`."""
     dim = None
-    entries: list[tuple[int, int, int, Fraction]] = []
+    entries: dict[tuple[int, int, int], Fraction] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -575,14 +606,13 @@ def ingest_structure_table(source: str) -> StructureAlgebra:
             raise ValidationError(f"line {lineno}: malformed entry") from exc
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise ValidationError(f"line {lineno}: index out of range")
-        entries.append((i, j, k, value))
+        if entries.get((i, j, k), 0) != 0:
+            raise ValidationError(f"duplicate entry for ({i},{j},{k})")
+        entries[(i, j, k)] = value
     if dim is None:
         raise ValidationError("missing dim header")
-    tensor = qzeros((dim, dim, dim))
-    for i, j, k, value in entries:
-        if tensor[i - 1, j - 1, k - 1] != 0:
-            raise ValidationError(f"duplicate entry for ({i},{j},{k})")
-        tensor[i - 1, j - 1, k - 1] = value
-    alg = StructureAlgebra(dim=dim, tensor=tensor, name="table")
+    index = np.array(list(entries), dtype=np.int64).reshape(-1, 3) - 1
+    ints, scale = arith.clear_denominators(np.array(list(entries.values()), dtype=object))
+    alg = StructureAlgebra(dim=dim, coo=(*index.T, ints), scale=scale, name="table")
     alg.validate()
     return alg

@@ -230,20 +230,9 @@ def equivariance_check(operator: MetricOperator, space: Subspace) -> Equivarianc
 
 def skewness_system(operator: MetricOperator) -> np.ndarray:
     """Columns i: the matrix of ad_{e_i}^T H + H ad_{e_i}, flattened."""
-    algebra = operator.algebra
-    d = algebra.dim
+    d = operator.algebra.dim
     h_int, _ = arith.clear_denominators(operator.metric_matrix)
-    system = np.zeros((d * d, d), dtype=h_int.dtype if h_int.dtype == np.int64 else object)
-    c_int, _ = algebra.int_tensor
-    for i in range(d):
-        ad_i = c_int[i].T
-        if h_int.dtype == np.int64 and c_int.dtype == np.int64:
-            block = ad_i.T @ h_int + h_int @ ad_i
-        else:
-            block = np.dot(ad_i.astype(object).T, h_int.astype(object)) + \
-                np.dot(h_int.astype(object), ad_i.astype(object))
-        system[:, i] = block.reshape(-1)
-    return system
+    return operator.algebra.skewness(h_int).reshape(d, d * d).T
 
 
 def isometry_subalgebra(operator: MetricOperator) -> Subspace:

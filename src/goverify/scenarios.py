@@ -226,7 +226,8 @@ def run_check(spec: ScenarioSpec) -> Report:
 
 def _check_validate(built: BuiltScenario, rep: Report):
     algebra = built.algebra
-    algebra.validate()
+    if not algebra.validated:  # build_algebra validates every algebra it returns
+        raise ContractViolation(f"algebra of scenario {built.spec.name!r} was never validated")
     killing = algebra.killing
     rep.add({
         "record": "check", "name": "validate", "verdict": True, "negative": False,
@@ -433,8 +434,10 @@ def grid_parameter_tuples(partition, count: int, seed: int):
 
 def _grid_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
     """The block metric of one grid-sweep tuple, from the block parameters of its ``params``."""
-    params = fields["params"]
-    blocks = tuple((built.named[n], Fraction(params[n])) for n in _block_names(built.layout.partition))
+    params, names = fields["params"], _block_names(built.layout.partition)
+    if missing := [n for n in names if n not in params]:
+        raise ContractViolation(f"grid tuple {fields.get('index')} lacks parameters {missing}")
+    blocks = tuple((built.named[n], Fraction(params[n])) for n in names)
     return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks))
 
 
@@ -631,9 +634,11 @@ def replay_report(text: str) -> dict:
     for record in records:
         name = record.get("name")
         if name in ("go", "go-isometry"):
+            subject = record.get("with_respect_to")
+            if subject not in ("subgroup", "isometry-subalgebra"):
+                raise ContractViolation(f"{name} record has with_respect_to {subject!r}")
             operator = _require_metric(built)
-            subgroup = built.subgroup if record["with_respect_to"] == "subgroup" \
-                else metrics.isometry_subalgebra(operator)
+            subgroup = built.subgroup if subject == "subgroup" else metrics.isometry_subalgebra(operator)
             outcomes += _replay_go_record(operator, subgroup, record)
         elif name == "sweep":
             kind = "flag-sweep" if record.get("flag") else "sweep"

@@ -84,7 +84,7 @@ class Subspace:
 
     @cached_property
     def int_ad_matrices(self) -> tuple:
-        return tuple(arith.clear_denominators(m) for m in self.ad_matrices)
+        return tuple(self.algebra.contract(self.basis[r]) for r in range(self.dim))
 
     @cached_property
     def _int_solver(self) -> tuple[np.ndarray, int]:
@@ -370,19 +370,15 @@ def rank_estimate(space: Subspace, retries: int = 5, seed: int = 0) -> RankEstim
 
 
 def _centralizer_witness(space: Subspace, element: np.ndarray, attempt: int) -> CartanWitness:
-    algebra = space.algebra
-    ad_h = algebra.ad(element)
-    system = arith.exact_matmul(ad_h, space.basis.T)
-    null = arith.nullspace_exact(system)
+    null = arith.nullspace_exact(arith.exact_matmul(space.algebra.ad(element), space.basis.T))
     # the centralizer and all brackets [v_a, v_b] on cleared integers: the
     # nullspace's large denominators would push both onto Fraction arithmetic
     null_int, null_scale = arith.clear_denominators(null)
     basis_int, basis_scale = space.int_basis
     ints = arith.int_matmul(null_int, basis_int)
     vectors = arith.from_ints(ints, null_scale * basis_scale)
-    half = arith.int_matmul(ints, algebra.int_tensor[0].reshape(algebra.dim, -1))
-    brackets = arith.int_matmul(ints, half.reshape(-1, algebra.dim, algebra.dim))
-    abelian = not np.any(brackets[np.triu_indices(vectors.shape[0], 1)])
+    brackets = arith.int_matmul(space.algebra.contract(ints)[0], ints.T)   # [a, k, b] = [v_a, v_b]_k
+    abelian = not np.any(np.transpose(brackets, (0, 2, 1))[np.triu_indices(len(ints), 1)])
     return CartanWitness(element, vectors, attempt, abelian)
 
 

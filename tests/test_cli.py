@@ -214,8 +214,11 @@ def _edit_sweep_record(edit):
     (lambda path: path.unlink(), "report.jsonl"),
     (_edit_sweep_record(lambda r: r.update(flag=True)), "does not fit the sweep checks"),
     (_edit_sweep_record(lambda r: r["tuples"][0].pop("params")), "lacks ['params']"),
+    (_edit_sweep_record(lambda r: [t["params"].pop("k1") for t in r["tuples"]]),
+     "lacks parameters ['k1']"),
+    (_edit_sweep_record(lambda r: r.update(name="go")), "go record has with_respect_to None"),
 ], ids=["edited-header", "non-json-line", "missing-file", "flag-on-grid-sweep",
-        "tuple-without-params"])
+        "tuple-without-params", "tuple-without-a-block-parameter", "go-record-without-subject"])
 def test_replay_of_a_bad_report_is_an_error_line(damage, message, tmp_path, capsys):
     path = tmp_path / "report.jsonl"
     run_cli(["sweep", "equivalence", "--family", "so", "--n", "6", "--partition", "2,2,2",

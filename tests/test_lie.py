@@ -1,5 +1,9 @@
 """Structure algebras: builders, validation, Killing form, embeddings, tables."""
 
+import re
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,8 +87,8 @@ def _first_failure(tensor):
 
 
 def _python_int_path(algebra):
-    c_int, _ = algebra.int_tensor
-    return not arith._int64_safe(c_int, c_int, 3 * algebra.dim)
+    c = algebra.coo[3]
+    return not arith._int64_safe(c, c, 3 * algebra.dim)
 
 
 def test_scaled_tensor_validates_on_python_ints():
@@ -116,6 +120,51 @@ def test_broken_entry_reports_the_reference_index_on_both_paths(kind):
     assert messages == [f"{kind} fails at {letters}={idx}"] * 2
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([("so", 5), ("su", 3), ("sp", 2)]), st.data())
+def test_sparse_validation_matches_the_reference_on_both_paths(algebra, data):
+    """One perturbed entry, antisymmetric or not: validate names the oracle's index,
+    at scale 1 on int64 and at scale 2**40 on Python ints."""
+    tensor = build_classical(*algebra).tensor.copy()
+    d = tensor.shape[0]
+    i, j, k = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+    delta = Fraction(data.draw(st.sampled_from([-2, -1, 1, 3])), data.draw(st.integers(1, 2)))
+    tensor[i, j, k] += delta
+    if data.draw(st.booleans()):
+        tensor[j, i, k] -= delta                # kept antisymmetric; a no-op when i == j
+    expected = _first_failure(tensor)
+    for scale in (1, 2**40):
+        scaled = lie.StructureAlgebra(dim=d, tensor=tensor * scale)
+        assert _python_int_path(scaled) == (scale != 1)
+        if expected is None:
+            scaled.validate()
+            continue
+        kind, idx = expected
+        letters = "(i,j,k,l)" if kind == "Jacobi" else "(i,j,k)"
+        with pytest.raises(ValidationError) as excinfo:
+            scaled.validate()
+        assert str(excinfo.value) == f"{kind} fails at {letters}={idx}"
+
+
+def test_structure_constants_are_read_only_and_validated_once(monkeypatch):
+    so4 = build_classical("so", 4)
+    assert so4.validated
+    for arr in (*so4.coo, so4.tensor):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    monkeypatch.setattr(lie, "_check_sums", None)
+    so4.validate()                              # recorded, so no axiom is checked again
+
+
+@pytest.mark.parametrize("n,limit", [(12, 0.5), (16, 1.0)])
+def test_large_so_builds_and_validates_quickly(n, limit):
+    start = time.perf_counter()
+    algebra = build_classical("so", n)
+    elapsed = time.perf_counter() - start
+    assert algebra.validated and len(algebra.coo[0]) == algebra.dim * 2 * (n - 2)
+    assert elapsed < limit, f"so({n}) build and validation took {elapsed:.2f} s"
+
+
 @pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2)])
 def test_realization_tensor_on_python_ints_scales_exactly(family, n):
     """Scaling every realization matrix by s scales the structure constants by s."""
@@ -123,9 +172,22 @@ def test_realization_tensor_on_python_ints_scales_exactly(family, n):
     mats = [m * 2**40 for m in mats]
     stack, _ = arith.clear_denominators(np.stack(mats))
     assert not arith._int64_safe(stack, stack, stack.shape[-1])
-    scaled = lie._tensor_from_realization(mats)
-    assert is_zero(scaled - build_classical(family, n).tensor * 2**40)
-    lie.StructureAlgebra(dim=len(mats), tensor=scaled, realization=tuple(mats)).validate()
+    coo, scale = lie._tensor_from_realization(mats)
+    scaled = lie.StructureAlgebra(dim=len(mats), coo=coo, scale=scale, realization=tuple(mats))
+    assert is_zero(scaled.tensor - build_classical(family, n).tensor * 2**40)
+    scaled.validate()
+
+
+def test_realization_mismatch_names_the_first_failing_pair():
+    so4 = build_classical("so", 4)
+    mats = list(so4.realization)
+    mats[2], mats[4] = mats[4], mats[2]
+    a, b = next((a, b) for a in range(6) for b in range(a + 1, 6)
+                if not is_zero(np.dot(mats[a], mats[b]) - np.dot(mats[b], mats[a])
+                               - sum(so4.tensor[a, b, k] * mats[k] for k in range(6))))
+    algebra = lie.StructureAlgebra(dim=6, coo=so4.coo, realization=tuple(mats))
+    with pytest.raises(ValidationError, match=re.escape(f"basis pair ({a + 1},{b + 1})")):
+        algebra.validate()
 
 
 def test_dependent_realization_matrices_are_rejected():
@@ -279,7 +341,13 @@ def test_table_missing_antisymmetric_mate_rejected():
 def test_table_jacobi_violation_reported_with_indices():
     text = "dim 3\n1 2 3 1\n2 1 3 -1\n1 3 2 1\n3 1 2 -1\n2 3 1 1\n3 2 1 -1\n" \
            "1 2 2 1\n2 1 2 -1\n"
-    with pytest.raises(ValidationError):
+    tensor = qzeros((3, 3, 3))
+    for line in text.splitlines()[1:]:
+        i, j, k, v = (int(p) for p in line.split())
+        tensor[i - 1, j - 1, k - 1] = q(v)
+    kind, idx = _first_failure(tensor)
+    assert kind == "Jacobi"
+    with pytest.raises(ValidationError, match=re.escape(f"Jacobi fails at (i,j,k,l)={idx}")):
         ingest_structure_table(text)
 
 
@@ -311,9 +379,8 @@ def test_bracket_on_python_ints_matches_fraction_reference():
     rng = np.random.RandomState(2)
     x = np.array([q(int(v)) / 7 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
     y = np.array([q(int(v)) / 11 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
-    c_int, _ = scaled.int_tensor
     x_int, _ = arith.clear_denominators(x)
-    assert not arith._int64_safe(x_int, c_int.reshape(10, 100), 10)
+    assert not arith._int64_safe(x_int, scaled.coo[3], 10)
     reference = np.dot(x, np.tensordot(scaled.tensor, y, axes=([1], [0])))
     assert is_zero(scaled.bracket(x, y) - reference)
     assert is_zero(scaled.bracket(x, y) - so5.bracket(x, y) * 2**40)

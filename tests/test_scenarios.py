@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from goverify import arith, go, reps, subspaces
+from goverify import arith, go, lie, reps, subspaces
 from goverify.metrics import BlockSpec
 from goverify.report import encode_fraction
 from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _grid_follow_up, _sweep_tuple,
@@ -28,6 +28,25 @@ def test_grid_tuples_deterministic_and_alternating():
         assert all(v > 0 for v in params.values())
         if kind == "all-equal":
             assert len(set(params.values())) == 1
+
+
+@pytest.mark.parametrize("algebra", [
+    {"family": "so", "n": 5},
+    {"table": lie.serialize_structure_table(lie.build_classical("so", 5))},
+], ids=["family", "table"])
+def test_each_algebra_is_validated_once(algebra, monkeypatch):
+    """The validate check reads the record that building the algebra left; a
+    replay validates the algebra it rebuilds from the report header, once."""
+    calls = []
+    validate = lie.StructureAlgebra.validate
+    monkeypatch.setattr(lie.StructureAlgebra, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    spec = ScenarioSpec(name="once", algebra=algebra, subgroup={"indices": [0, 1, 4]},
+                        metric={"scalar": "2"}, checks=("validate", "go"), samples=4)
+    text = run_check(spec).to_machine()
+    assert len(calls) == 1 and '"name":"validate","negative":false' in text
+    assert replay_report(text)["verified"] > 0
+    assert len(calls) == 2 and calls[1] is not calls[0]
 
 
 def test_grid_merge_pattern_shape():
