@@ -1,27 +1,23 @@
 """Exact rational arithmetic and dense linear-algebra kernels.
 
-Exact data lives in numpy arrays of dtype ``object`` whose entries are
-:class:`fractions.Fraction`, and comparisons against zero are literal
-equality.  There is no floating-point backend: each kernel has one exact
-code path.
-
-Hot kernels work on integers instead: :func:`clear_denominators` turns a
-Fraction array into ``(ints, scale)`` and :func:`from_ints` turns it back.
-Integer arrays are int64 while a bound on their entries rules out overflow in
-the next product (``_int64_safe``) and Python ints in object arrays otherwise,
-so :func:`int_matmul` and the other integer kernels are exact either way.
+Exact data lives in :class:`Scaled` values, an integer array over one
+positive scale, like FLINT's cleared-denominator rational matrices
+(``fmpq_mat_get_fmpz_mat_matwise``, ``fmpq_mat_mul_cleared``).  Fractions
+appear only at the edges: parsing (:meth:`Scaled.of`), single entries and the
+report.  There is no floating-point backend, and zero tests are literal.
 
 Exact ranks, solves, nullspaces, rrefs and inverses all run
 :func:`_eliminate_int`, fraction-free (Bareiss, Math. Comp. 22, 1968)
-elimination of the row-cleared integer matrix: forward for
-:func:`rank_exact`, Gauss-Jordan for :func:`solve_int`,
-:func:`nullspace_exact`, :func:`rref_exact` and :func:`inverse_int`.  Each
-step divides by the previous pivot; the quotients are minors of the input, so
+elimination of the integer matrix: forward for :func:`rank_exact` and
+:func:`is_positive_definite_exact` (whose pivots are the leading principal
+minors, Sylvester's criterion), Gauss-Jordan for :func:`solve_int`,
+:func:`nullspace_exact`, :func:`rref_exact` and :func:`inverse`.  Each step
+divides by the previous pivot; the quotients are minors of the input, so
 every division is exact, and Gauss-Jordan leaves ``det * rref``.
 
 Nullspaces are certified: a candidate from the fast modular screening path is
-verified by an exact integer product with the row-cleared candidate before it
-is returned, and Bareiss elimination takes over whenever rational
+verified by an exact integer product with the candidate before it is
+returned, and Bareiss elimination takes over whenever rational
 reconstruction or the verification fails.
 
 The modular screening elimination (:func:`_modp_pivots`) reduces wide
@@ -33,14 +29,13 @@ and every product is exact, whatever the BLAS summation order or thread
 count.
 
 Primary decompositions (:func:`primary_invariant_split`) split a matrix along
-the irreducible factors of its minimal polynomial.
-:func:`minimal_polynomial_exact` builds that polynomial from Krylov chains
-with ``lcm(m, ann(e)) = m * ann(m(C) e)``, so it needs no polynomial gcd.
-:func:`rational_factors` screens for rational roots with ``np.roots``, keeps
-a candidate only when exact integer division by its linear factor leaves no
-remainder, and hands whatever is left of degree 2 or more to sympy, which is
-imported only then.  The screen can miss a root, which costs time, but it
-cannot change a factor.
+the irreducible factors of its minimal polynomial, built from Krylov chains
+of the integer matrix with ``lcm(m, ann(e)) = m * ann(m(C) e)`` and evaluated
+by Horner's rule on the same integers.  :func:`rational_factors` screens for rational roots with
+``np.roots``, keeps a candidate only when exact integer division by its
+linear factor leaves no remainder, and hands whatever is left of degree 2 or
+more to sympy, which is imported only then.  The screen can miss a root,
+which costs time, but it cannot change a factor.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ class ExactComputationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# construction helpers for exact arrays
+# Fraction helpers for the edges
 # ---------------------------------------------------------------------------
 
 def q(value) -> Fraction:
@@ -104,7 +99,9 @@ def qeye(n: int) -> np.ndarray:
     return arr
 
 
-def is_zero(arr: np.ndarray) -> bool:
+def is_zero(arr) -> bool:
+    if isinstance(arr, Scaled):
+        return not np.any(arr.ints)
     arr = np.asarray(arr)
     if arr.dtype != object:
         return not np.any(arr)
@@ -116,28 +113,10 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-# ---------------------------------------------------------------------------
-# integer scaling (shared fast path)
-# ---------------------------------------------------------------------------
-
-def clear_denominators(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """Return ``(ints, scale)`` with ``ints == arr * scale`` entrywise.
-
-    The integer array uses dtype int64 when every entry fits comfortably,
-    otherwise dtype object with python ints (still exact).
-    """
-    flat = np.asarray(arr, dtype=object).reshape(-1)
-    scale = 1
-    for v in flat:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    ints = np.array([int(v.numerator) * (scale // v.denominator) for v in flat],
-                    dtype=object).reshape(arr.shape)
-    return _narrow(ints), scale
-
-
-def _narrow(ints: np.ndarray) -> np.ndarray:
-    """An array of Python ints as int64 when every entry is below 2**60."""
-    return ints.astype(np.int64) if _max_abs(ints) < 2**60 else ints
+def clear_denominators(arr) -> tuple[np.ndarray, int]:
+    """Return ``(ints, scale)`` with ``ints == arr * scale`` entrywise and the least such scale."""
+    value = Scaled.of(arr)
+    return value.ints, value.scale
 
 
 def from_ints(ints: np.ndarray, denom: int = 1) -> np.ndarray:
@@ -149,74 +128,242 @@ def from_ints(ints: np.ndarray, denom: int = 1) -> np.ndarray:
     return out.reshape(ints.shape)
 
 
-def _max_abs(arr: np.ndarray) -> int:
-    return int(np.max(np.abs(arr))) if arr.size else 0
+# ---------------------------------------------------------------------------
+# the scaled-integer array
+# ---------------------------------------------------------------------------
+
+_PRODUCT_LIMIT = 2**62   # int64 products, sums and their operands' bounds stay below this
+_NARROW_LIMIT = 2**60    # Python-int arrays and scalar multiples below this become int64
 
 
-def _int64_safe(a: np.ndarray, b: np.ndarray, inner: int) -> bool:
-    """Whether every sum of ``inner`` products of entries of ``a`` and ``b`` fits int64."""
-    return (a.dtype == np.int64 and b.dtype == np.int64
-            and max(1, _max_abs(a)) * max(1, _max_abs(b)) * max(1, inner) < 2**62)
+class Scaled:
+    """The exact rational array ``ints / scale``: integers and one positive scale.
 
+    ``ints`` is int64 or an object array of Python ints.  :attr:`bound`, an
+    upper bound on the absolute entries computed at most once, decides in
+    O(1) whether a product can stay int64 (``bound * bound * inner < 2**62``);
+    past that, int64 operands are first divided by their gcd, and whatever
+    still does not fit runs on Python ints, is divided by its gcd and goes
+    back to int64 when it fits.  Values are immutable and support ``@``,
+    ``+``, ``-``, scalar products, indexing (a single entry is a Fraction),
+    ``.T`` and ``reshape``.  :meth:`fractions` (also ``np.asarray``) is the
+    Fraction view, built on demand and never cached.
+    """
 
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ``a @ b`` of integer arrays: int64 when safe, Python ints otherwise."""
-    if _int64_safe(a, b, a.shape[-1]):
-        return a @ b
-    return np.matmul(a.astype(object), b.astype(object))
+    __slots__ = ("ints", "scale", "_bound")
+    __array_ufunc__ = None     # ndarray operands defer to the reflected operators below
 
+    def __init__(self, ints, scale: int = 1, bound: int | None = None):
+        ints = np.asarray(ints)
+        if ints.dtype == object:
+            bound = Scaled._scan(ints)
+            if bound < _NARROW_LIMIT:
+                ints = ints.astype(np.int64)
+        elif ints.dtype != np.int64:
+            if not np.issubdtype(ints.dtype, np.integer):
+                raise ContractViolation(f"exact integers cannot have dtype {ints.dtype}")
+            ints = ints.astype(np.int64)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "scale", int(scale))
+        object.__setattr__(self, "_bound", bound)
 
-def exact_matmul(A, B) -> np.ndarray:
-    """Exact matrix product, vectorized over int64 whenever safe."""
-    A = np.asarray(A, dtype=object)
-    B = np.asarray(B, dtype=object)
-    a, sa = clear_denominators(A)
-    b, sb = clear_denominators(B)
-    if _int64_safe(a, b, A.shape[-1] if A.ndim else 1):
-        return from_ints(a @ b, sa * sb)
-    return np.dot(A, B)
+    def __setattr__(self, name, value):
+        raise AttributeError("Scaled values are immutable")
 
+    @classmethod
+    def of(cls, value) -> "Scaled":
+        """``value`` as a Scaled: integer arrays at scale 1; Fractions, ints or
+        numeric strings (nested lists or arrays) over their least common denominator."""
+        if isinstance(value, Scaled):
+            return value
+        arr = np.asarray(value)
+        if np.issubdtype(arr.dtype, np.integer):
+            return cls(arr)
+        flat = qarray(arr).reshape(-1)
+        scale = math.lcm(*(v.denominator for v in flat))
+        ints = np.array([v.numerator * (scale // v.denominator) for v in flat], dtype=object)
+        return cls(ints.reshape(arr.shape), scale)
 
-def _int_rows(arr: np.ndarray) -> np.ndarray:
-    """:func:`_int_row_lists` as an array, int64 when small; integer arrays pass through."""
-    if np.issubdtype(arr.dtype, np.integer):
-        return arr
-    return _narrow(np.array(_int_row_lists(arr), dtype=object).reshape(arr.shape))
+    @staticmethod
+    def zeros(shape) -> "Scaled":
+        return Scaled(np.zeros(shape, dtype=np.int64), 1, 0)
 
+    @staticmethod
+    def concat(parts, axis: int = 0) -> "Scaled":
+        """The parts joined along ``axis`` over the lcm of their scales."""
+        scale = math.lcm(*(p.scale for p in parts))
+        return Scaled(np.concatenate([(p * (scale // p.scale)).ints for p in parts], axis=axis),
+                      scale)
 
-def _int_row_lists(arr: np.ndarray) -> list[list[int]]:
-    """Rows as lists of Python ints, each row's denominators cleared on its own
-    (which keeps rank, rref and nullspace)."""
-    if np.issubdtype(arr.dtype, np.integer):
-        return arr.tolist()
-    rows = []
-    for row in arr.tolist():
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([int(v.numerator) * (scale // v.denominator) for v in row])
-    return rows
+    @staticmethod
+    def _scan(ints: np.ndarray) -> int:
+        return int(np.max(np.abs(ints))) if ints.size else 0
+
+    @staticmethod
+    def _exact(ints, scale: int) -> "Scaled":
+        """A Python-int result over ``scale``, divided by the gcd of its entries and scale."""
+        ints = np.asarray(ints, dtype=object)
+        g = math.gcd(scale, *ints.reshape(-1).tolist())
+        return Scaled(ints // g, scale // g) if g > 1 else Scaled(ints, scale)
+
+    # -- queries -------------------------------------------------------------
+
+    @property
+    def bound(self) -> int:
+        if self._bound is None:
+            object.__setattr__(self, "_bound", Scaled._scan(self.ints))
+        return self._bound
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.ints.shape
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def fits(self, other: "Scaled", inner: int) -> bool:
+        """Whether every sum of ``inner`` products of entries of both fits int64."""
+        return (self.ints.dtype == np.int64 and other.ints.dtype == np.int64
+                and max(1, self.bound) * max(1, other.bound) * max(1, inner) < _PRODUCT_LIMIT)
+
+    def reduced(self) -> "Scaled":
+        """The same value with the integers and the scale divided by their gcd."""
+        if self.scale == 1:
+            return self
+        if self.ints.dtype == object:
+            return Scaled._exact(self.ints, self.scale)
+        g = math.gcd(self.scale, int(np.gcd.reduce(self.ints.reshape(-1))) if self.ints.size else 0)
+        if g == 1:
+            return self
+        return Scaled(self.ints // g, self.scale // g, None if self._bound is None else self._bound // g)
+
+    def equals(self, other) -> bool:
+        """Equality of values (shape and every entry)."""
+        other = Scaled.of(other)
+        return self.shape == other.shape and not np.any((self - other).ints)
+
+    def scalar(self) -> Fraction | None:
+        """``c`` when this square matrix is ``c`` times the identity, else None."""
+        diag = np.diagonal(self.ints)
+        if np.any(self.ints - np.diag(diag)) or np.any(diag != diag[0]):
+            return None
+        return Fraction(int(diag[0]), self.scale)
+
+    def strs(self) -> list[str]:
+        """:func:`fraction_str` of every entry in row-major order, read off the integers."""
+        out = []
+        for n in self.ints.reshape(-1).tolist():
+            g = math.gcd(n, self.scale)
+            out.append(str(n // g) if g == self.scale else f"{n // g}/{self.scale // g}")
+        return out
+
+    def fractions(self) -> np.ndarray:
+        """The Fraction array of the value, built afresh on every call."""
+        return from_ints(self.ints, self.scale)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.fractions() if dtype is None else self.fractions().astype(dtype)
+
+    def tolist(self) -> list:
+        return self.fractions().tolist()
+
+    # -- views ---------------------------------------------------------------
+
+    def __getitem__(self, key):
+        part = self.ints[key]
+        if isinstance(part, np.ndarray):
+            return Scaled(part, self.scale, self._bound)
+        return Fraction(int(part), self.scale)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def T(self) -> "Scaled":
+        return Scaled(self.ints.T, self.scale, self._bound)
+
+    def transpose(self, *axes) -> "Scaled":
+        return Scaled(self.ints.transpose(*axes), self.scale, self._bound)
+
+    def reshape(self, *shape) -> "Scaled":
+        return Scaled(self.ints.reshape(*shape), self.scale, self._bound)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __matmul__(self, other) -> "Scaled":
+        a, b = self, Scaled.of(other)
+        inner = a.ints.shape[-1] if a.ints.ndim else 1
+        if not a.fits(b, inner):
+            a, b = (s.reduced() if s.ints.dtype == np.int64 else s for s in (a, b))
+        if a.fits(b, inner):
+            return Scaled(a.ints @ b.ints, a.scale * b.scale)
+        return Scaled._exact(np.matmul(a.ints.astype(object), b.ints.astype(object)),
+                             a.scale * b.scale)
+
+    def __mul__(self, k) -> "Scaled":
+        if isinstance(k, (Scaled, np.ndarray)):
+            return NotImplemented
+        k = q(k)
+        num = k.numerator
+        if self.ints.dtype == np.int64 and max(1, self.bound) * abs(num) < _NARROW_LIMIT:
+            return Scaled(self.ints * num if num != 1 else self.ints,
+                          self.scale * k.denominator, self.bound * abs(num))
+        return Scaled(self.ints.astype(object) * num, self.scale * k.denominator)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Scaled":
+        return Scaled(-self.ints, self.scale, self._bound)
+
+    def __add__(self, other) -> "Scaled":
+        if isinstance(other, int) and other == 0:   # the start of sum()
+            return self
+        other = Scaled.of(other)
+        scale = math.lcm(self.scale, other.scale)
+        fa, fb = scale // self.scale, scale // other.scale
+        if (self.ints.dtype == np.int64 and other.ints.dtype == np.int64
+                and max(1, self.bound) * fa + max(1, other.bound) * fb < _PRODUCT_LIMIT):
+            return Scaled((self.ints if fa == 1 else self.ints * fa)
+                          + (other.ints if fb == 1 else other.ints * fb), scale)
+        return Scaled._exact(self.ints.astype(object) * fa + other.ints.astype(object) * fb, scale)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Scaled":
+        return self + -Scaled.of(other)
+
+    def __rsub__(self, other) -> "Scaled":
+        return -self + other
 
 
 # ---------------------------------------------------------------------------
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: int = 1) -> np.ndarray:
+def _over(rows: list[list[int]], det: int, ncols: int) -> Scaled:
+    """The integer ``rows`` divided by ``det``, reduced."""
+    ints = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    return Scaled._exact(-ints if det < 0 else ints, abs(det))
+
+
+def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: int = 1) -> Scaled:
     """Nullspace basis (rows) from ``rows``, which are ``det`` times an rref."""
     free = [c for c in range(ncols) if c not in pivots]
-    basis = qzeros((len(free), ncols))
+    basis = [[0] * ncols for _ in free]
     for b, fc in enumerate(free):
-        basis[b, fc] = Fraction(1)
+        basis[b][fc] = det
         for r, pc in enumerate(pivots):
-            basis[b, pc] = Fraction(-rows[r][fc], det)
-    return basis
+            basis[b][pc] = -rows[r][fc]
+    return _over(basis, det, ncols)
 
 
-def rank_exact(mat: np.ndarray) -> int:
+def rank_exact(mat) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    return len(_eliminate_int(_int_row_lists(np.asarray(mat)), reduce_above=False)[0])
+    return len(_eliminate_int(Scaled.of(mat).ints.tolist(), reduce_above=False)[0])
 
 
-def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
+def _eliminate_int(work: list[list[int]], reduce_above: bool,
+                   minors: list[int] | None = None) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination of the integer rows ``work`` in place.
 
     Returns the pivot columns and the last pivot ``det``.  Each step replaces
@@ -224,7 +371,8 @@ def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int]
     new pivot and ``prev`` the one before; every quotient is a minor of the
     row-permuted input, so each division is exact.  Forward only, the first
     rows are an echelon form; with ``reduce_above`` (Gauss-Jordan) every
-    pivot row ends equal to ``det`` times its row of the rref.
+    pivot row ends equal to ``det`` times its row of the rref.  ``minors``
+    receives each step's entry at the pivot position before any row swap.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -237,6 +385,8 @@ def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int]
         pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
+        if minors is not None:
+            minors.append(work[r][c])
         work[r], work[pr] = work[pr], work[r]
         wr = work[r]
         p = wr[c]
@@ -256,31 +406,29 @@ def _eliminate_int(work: list[list[int]], reduce_above: bool) -> tuple[list[int]
     return piv_cols, prev
 
 
-def rref_exact(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Nonzero rows of the reduced row echelon form (Fractions) and its pivot columns."""
-    arr = np.asarray(mat)
-    rows = _int_row_lists(arr)
+def rref_exact(mat) -> tuple[Scaled, list[int]]:
+    """Nonzero rows of the reduced row echelon form and its pivot columns."""
+    value = Scaled.of(mat)
+    rows = value.ints.tolist()
     pivots, det = _eliminate_int(rows, reduce_above=True)
-    top = np.array(rows[:len(pivots)], dtype=object).reshape(len(pivots), arr.shape[1])
-    return from_ints(top, det), pivots
+    return _over(rows[:len(pivots)], det, value.shape[1]), pivots
 
 
-def inverse_int(ints: np.ndarray, scale: int = 1) -> tuple[np.ndarray, int]:
-    """``(ints, scale)`` of the inverse of ``M = ints / scale``, exactly as
-    :func:`clear_denominators` gives it, from Gauss-Jordan on ``[ints | scale*I]``.
+def inverse(mat) -> Scaled:
+    """The inverse of a square ``mat``, from Gauss-Jordan on ``[ints | scale*I]``.
 
-    A tall ``M`` of full column rank gets the right block ``T`` of the rref of
-    ``[M | I]``, with ``T @ M = [I; 0]``.  Raises if the columns are dependent.
+    A tall ``mat`` of full column rank gets the right block ``T`` of the rref
+    of ``[mat | I]``, with ``T @ mat = [I; 0]``.  Raises if the columns are
+    dependent.
     """
-    n, k = ints.shape
-    rows = [row + [scale * (i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    value = Scaled.of(mat)
+    n, k = value.shape
+    rows = [row + [value.scale * (i == j) for j in range(n)]
+            for i, row in enumerate(value.ints.tolist())]
     pivots, det = _eliminate_int(rows, reduce_above=True)
     if pivots[:k] != list(range(k)):
         raise ContractViolation("matrix columns are linearly dependent")
-    g = math.gcd(det, *(v for row in rows for v in row[k:]))
-    g = -g if det < 0 else g
-    inv = np.array([[v // g for v in row[k:]] for row in rows], dtype=object)
-    return _narrow(inv.reshape(n, n)), det // g
+    return _over([row[k:] for row in rows], det, n)
 
 
 def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], list[tuple[int, int]]]:
@@ -408,59 +556,52 @@ def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _reconstruct_nullspace(reduced: np.ndarray, piv_cols: list[int], ncols: int):
+def _reconstruct_nullspace(reduced: np.ndarray, piv_cols: list[int], ncols: int) -> Scaled | None:
     """Candidate rational nullspace from a fully reduced modular rref."""
     free = [c for c in range(ncols) if c not in piv_cols]
-    basis = qzeros((len(free), ncols))
+    recs = [[(pc, _rational_reconstruct(_P - int(reduced[r, fc])))
+             for r, pc in enumerate(piv_cols) if reduced[r, fc]] for fc in free]
+    if any(v is None for row in recs for _, v in row):
+        return None
+    scale = math.lcm(*(v.denominator for row in recs for _, v in row))
+    basis = [[0] * ncols for _ in free]
     for b, fc in enumerate(free):
-        basis[b, fc] = Fraction(1)
-        for r, pc in enumerate(piv_cols):
-            value = int(reduced[r, fc])
-            if value == 0:
-                continue
-            rec = _rational_reconstruct(_P - value)
-            if rec is None:
-                return None
-            basis[b, pc] = rec
-    return basis
+        basis[b][fc] = scale
+        for pc, v in recs[b]:
+            basis[b][pc] = v.numerator * (scale // v.denominator)
+    return _over(basis, scale, ncols)
 
 
-def _annihilates(ints: np.ndarray, basis: np.ndarray) -> bool:
-    """Whether the integer matrix ``ints`` kills every row of the rational ``basis``."""
-    return not np.any(int_matmul(ints, _int_rows(basis).T))
-
-
-def nullspace_exact(mat: np.ndarray) -> np.ndarray:
+def nullspace_exact(mat) -> Scaled:
     """Certified rational nullspace basis (rows) of ``mat``.
 
-    Small systems run fraction-free (Bareiss) Gauss-Jordan on the row-cleared
-    integers.  Larger ones are screened mod ``_P``: the modular pivots locate
+    Small systems run fraction-free (Bareiss) Gauss-Jordan on the integers.
+    Larger ones are screened mod ``_P``: the modular pivots locate
     independent rows and rational reconstruction gives a candidate, verified
     against the full matrix as an integer product (int64 when safe, Python
     ints otherwise).  Rank over GF(p) never exceeds rank over the rationals,
     so a verified candidate pins the nullity exactly.  Otherwise Bareiss runs
     on the modular pivot rows and, if that candidate fails too, on all rows.
     """
-    arr = np.asarray(mat)
-    if arr.ndim != 2:
+    value = Scaled.of(mat)
+    if value.ints.ndim != 2:
         raise ContractViolation("nullspace expects a 2-d matrix")
-    nrows, ncols = arr.shape
+    nrows, ncols = value.shape
     if nrows * ncols <= 1_200:
-        return _nullspace_int(_int_row_lists(arr), ncols)
-    ints = _int_rows(arr)
-    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(ints, reduce_above=True)
+        return _nullspace_int(value.ints.tolist(), ncols)
+    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints, reduce_above=True)
     if rank_p == ncols:
-        return qzeros((0, ncols))
+        return Scaled.zeros((0, ncols))
     candidate = _reconstruct_nullspace(reduced[:rank_p], piv_cols, ncols)
-    if candidate is not None and _annihilates(ints, candidate):
+    if candidate is not None and not np.any((value @ candidate.T).ints):
         return candidate
-    candidate = _nullspace_int(ints[piv_rows].tolist(), ncols)
-    if candidate.shape[0] == ncols - rank_p and _annihilates(ints, candidate):
+    candidate = _nullspace_int(value.ints[piv_rows].tolist(), ncols)
+    if candidate.shape[0] == ncols - rank_p and not np.any((value @ candidate.T).ints):
         return candidate
-    return _nullspace_int(ints.tolist(), ncols)
+    return _nullspace_int(value.ints.tolist(), ncols)
 
 
-def _nullspace_int(rows: list[list[int]], ncols: int) -> np.ndarray:
+def _nullspace_int(rows: list[list[int]], ncols: int) -> Scaled:
     """Nullspace basis (rows) of integer rows, by fraction-free Gauss-Jordan in place."""
     pivots, det = _eliminate_int(rows, reduce_above=True)
     return _nullspace_from_rref(rows, pivots, ncols, det)
@@ -474,8 +615,8 @@ def _nullspace_int(rows: list[list[int]], ncols: int) -> np.ndarray:
 class Solution:
     """A particular solution together with a nullspace basis (rows)."""
 
-    x: np.ndarray
-    nullspace: np.ndarray
+    x: Scaled
+    nullspace: Scaled
 
 
 @dataclass(frozen=True)
@@ -488,12 +629,10 @@ class Inconsistent:
 
 def solve_linear(A, b):
     """Solve ``A x = b`` returning :class:`Solution` or :class:`Inconsistent`."""
-    A = np.asarray(A)
-    b = np.asarray(b)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
+    A, b = Scaled.of(A), Scaled.of(b)
+    if A.ints.ndim != 2 or b.ints.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ContractViolation(f"solve_linear shape mismatch: {A.shape} vs {b.shape}")
-    aug = np.concatenate([np.asarray(A, dtype=object), np.asarray(b, dtype=object)[:, None]], axis=1)
-    return solve_int(_int_rows(aug))
+    return solve_int(Scaled.concat([A, b.reshape(-1, 1)], axis=1).ints)
 
 
 def solve_int(aug: np.ndarray):
@@ -508,46 +647,34 @@ def solve_int(aug: np.ndarray):
     pivots, det = _eliminate_int(rows, reduce_above=True)
     if ncols in pivots:
         return Inconsistent(rank_a=len(pivots) - 1, rank_ab=len(pivots))
-    x = qzeros(ncols)
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[r][ncols], det)
-    return Solution(x=x, nullspace=_nullspace_from_rref(rows, pivots, ncols, det))
+        x[pc] = rows[r][ncols]
+    return Solution(x=_over([x], det, ncols)[0],
+                    nullspace=_nullspace_from_rref(rows, pivots, ncols, det))
 
 
 # ---------------------------------------------------------------------------
 # symmetric operators
 # ---------------------------------------------------------------------------
 
-def is_self_adjoint(S, form=None) -> bool:
-    """Whether ``S`` is self-adjoint for the positive form ``form`` (default: dot)."""
-    S = np.asarray(S)
-    G = np.asarray(form) if form is not None else qeye(S.shape[0])
-    GS = np.dot(G, S)
-    return is_zero(GS - GS.T)
+def is_positive_definite_exact(S) -> bool:
+    """Exact positive definiteness of a symmetric rational matrix.
 
-
-def is_positive_definite_exact(S: np.ndarray) -> bool:
-    """Exact positive definiteness of a symmetric rational matrix (pivot signs)."""
-    S = np.asarray(S, dtype=object)
-    if not is_zero(S - S.T):
+    Sylvester's criterion on the Bareiss pivots of the integers: while no
+    row swap occurs the k-th pivot is the k-th leading principal minor.
+    """
+    value = Scaled.of(S)
+    if np.any(value.ints != value.ints.T):
         raise ContractViolation("positive definiteness test expects a symmetric matrix")
-    n = S.shape[0]
-    work = [[q(v) for v in row] for row in S]
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = work[i][k] / pivot
-            if f != 0:
-                for j in range(k, n):
-                    work[i][j] = work[i][j] - f * work[k][j]
-    return True
+    minors: list[int] = []
+    pivots, _ = _eliminate_int(value.ints.tolist(), reduce_above=False, minors=minors)
+    return pivots == list(range(value.shape[0])) and all(m > 0 for m in minors)
 
 
-def minimal_polynomial_exact(C: np.ndarray) -> list[Fraction]:
+def minimal_polynomial_exact(C) -> list[Fraction]:
     """Monic minimal polynomial of a rational square matrix, coefficients
-    highest degree first, via Krylov chains.
+    highest degree first, via Krylov chains of the integer matrix.
 
     The minimal polynomial is the least common multiple of the local
     annihilators ``ann(e)`` of the standard basis vectors.  Each step uses
@@ -555,26 +682,26 @@ def minimal_polynomial_exact(C: np.ndarray) -> list[Fraction]:
     does not kill starts a Krylov chain at ``m(C) e``, and ``m`` is multiplied
     by that chain's monic dependence polynomial.  The loop stops early once
     the degree reaches the matrix size.  A monic lcm is unique, so this is
-    the polynomial sympy's ``lcm`` gives, without sympy; :func:`rational_factors`
-    factors it by a screened, exactly verified rational-root search and
-    imports sympy only for a factor of degree 2 or more.
+    the polynomial sympy's ``lcm`` gives, without sympy.  The chains run on
+    ``c = scale * C``, whose minimal polynomial ``m_c`` gives
+    ``m_C(x) = m_c(scale * x) / scale**deg``.
     """
-    C = np.asarray(C, dtype=object)
-    n = C.shape[0]
+    value = Scaled.of(C)
+    c, n = Scaled(value.ints), value.shape[0]
     poly = [Fraction(1)]
     for seed in range(n):
         if len(poly) > n:
             break
-        start = _eval_poly_vector(poly, C, _unit(n, seed))
+        start = _eval_poly(_primitive(poly), c, Scaled(np.eye(n, dtype=np.int64)[seed]))
         if is_zero(start):
             continue
         chain = [start]
-        echelon: list[list[Fraction]] = []
-        while (rep := _reduce_against(echelon, chain[-1])) is not None:
+        echelon: list[list[int]] = []
+        while (rep := _reduce_against(echelon, chain[-1].ints.tolist())) is not None:
             echelon.append(rep)
-            chain.append(np.dot(C, chain[-1]))
+            chain.append(c @ chain[-1])
         poly = _poly_mul(poly, _dependence(chain)[::-1])
-    return poly
+    return [a / value.scale ** i for i, a in enumerate(poly)]
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -651,67 +778,55 @@ def _deflate(ints: list[int], root: Fraction) -> list[int] | None:
     return out if ints[-1] + p * prev == 0 else None
 
 
-def _unit(n: int, i: int) -> np.ndarray:
-    v = qzeros(n)
-    v[i] = Fraction(1)
-    return v
-
-
-def _reduce_against(echelon: list[list[Fraction]], vec: np.ndarray):
-    """Reduce ``vec`` against echelon rows; append-ready row or None if dependent."""
-    work = [q(v) for v in vec]
+def _reduce_against(echelon: list[list[int]], work: list[int]) -> list[int] | None:
+    """Reduce integer ``work`` fraction-free against echelon rows; the
+    primitive row to append, or None if it is dependent."""
     for row in echelon:
-        lead = next(i for i, v in enumerate(row) if v != 0)
-        if work[lead] != 0:
-            f = work[lead] / row[lead]
-            for j in range(lead, len(work)):
-                work[j] = work[j] - f * row[j]
-    if all(v == 0 for v in work):
+        lead = next(i for i, v in enumerate(row) if v)
+        if work[lead]:
+            p, h = row[lead], work[lead]
+            work = [p * w - h * x for w, x in zip(work, row)]
+    if not any(work):
         return None
-    return work
+    g = math.gcd(*work)
+    return [w // g for w in work]
 
 
-def _dependence(chain: list[np.ndarray]) -> list[Fraction]:
+def _dependence(chain: list[Scaled]) -> list[Fraction]:
     """Monic dependence coefficients: chain[-1] = sum c_i chain[i]."""
-    mat = np.stack(chain[:-1]).T
+    mat = Scaled.concat([v.reshape(-1, 1) for v in chain[:-1]], axis=1)
     sol = solve_linear(mat, chain[-1])
     if isinstance(sol, Inconsistent):  # pragma: no cover - contradicts chain construction
         raise ExactComputationError("krylov dependence solve failed")
-    coeffs = [-c for c in sol.x]
-    coeffs.append(Fraction(1))
-    return coeffs
+    return [-c for c in sol.x] + [Fraction(1)]
 
 
-def _eval_poly_vector(poly: list, C: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = qzeros(v.shape[0])
-    for c in poly:
-        out = np.dot(C, out) + c * v
+def _eval_poly(poly: list[int], c: Scaled, v: Scaled) -> Scaled:
+    """``poly(c) @ v`` by Horner's rule, for integer coefficients (highest first)."""
+    out = Scaled.zeros(v.shape)
+    for a in poly:
+        out = c @ out + v * a
     return out
 
 
-def _eval_poly_matrix(poly: list, C: np.ndarray) -> np.ndarray:
-    n = C.shape[0]
-    out = qzeros((n, n))
-    eye = qeye(n)
-    for c in poly:
-        out = np.dot(C, out) + c * eye
-    return out
-
-
-def primary_invariant_split(C: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
+def primary_invariant_split(C) -> list[tuple[list[int], Scaled]]:
     """Primary decomposition of a rational matrix over the rationals.
 
     Returns ``(factor, basis rows)`` per irreducible factor of the minimal
     polynomial, in :func:`rational_factors` form and order; the kernels are
     exact and their dimensions sum to the ambient dimension whenever ``C`` is
-    diagonalizable (always, for form-symmetric inputs).
+    diagonalizable (always, for form-symmetric inputs).  A factor
+    ``sum(a_i x**(d-i))`` is evaluated as ``sum(a_i scale**i c**(d-i))`` on
+    ``c = scale * C``, a positive multiple with the same kernel.
     """
-    C = np.asarray(C, dtype=object)
-    n = C.shape[0]
+    value = Scaled.of(C)
+    c, n = Scaled(value.ints), value.shape[0]
+    eye = Scaled(np.eye(n, dtype=np.int64))
     pieces = []
     total = 0
-    for factor in rational_factors(minimal_polynomial_exact(C)):
-        kernel = nullspace_exact(_eval_poly_matrix(factor, C))
+    for factor in rational_factors(minimal_polynomial_exact(value)):
+        kernel = nullspace_exact(_eval_poly([a * value.scale ** i for i, a in enumerate(factor)],
+                                            c, eye))
         if kernel.shape[0]:
             pieces.append((factor, kernel))
             total += kernel.shape[0]
@@ -721,17 +836,18 @@ def primary_invariant_split(C: np.ndarray) -> list[tuple[list[int], np.ndarray]]
     return pieces
 
 
-def symmetric_eigenspaces(S, form=None) -> list[tuple[Fraction, np.ndarray]]:
+def symmetric_eigenspaces(S, form=None) -> list[tuple[Fraction, Scaled]]:
     """Eigen-decomposition of an operator self-adjoint for a positive form.
 
     Returns ``(eigenvalue, basis rows)`` sorted by eigenvalue.  The spectrum
     must be rational (guaranteed for block-scalar operators built by this
     package); :class:`ExactComputationError` is raised otherwise.
     """
-    if not is_self_adjoint(S, form):
+    gs = Scaled.of(S) if form is None else Scaled.of(form) @ Scaled.of(S)
+    if np.any(gs.ints != gs.ints.T):
         raise ContractViolation("operator is not self-adjoint for the supplied form")
     out = []
-    for factor, basis in primary_invariant_split(np.asarray(S, dtype=object)):
+    for factor, basis in primary_invariant_split(S):
         if len(factor) != 2:
             raise ExactComputationError(f"irrational eigenvalues (factor coefficients {factor})")
         lead, constant = factor

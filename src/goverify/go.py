@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith, reps
-from .arith import ContractViolation, is_zero, qzeros
+from .arith import ContractViolation, Scaled, is_zero
 from .metrics import (MetricOperator, bi_invariance_check, equivariance_check,
                       invariant_subspace)
 from .subspaces import (Subspace, centralizer_in_complement, ideal_decomposition, normalizer,
-                        orthogonal_complement, projection_ints, span_memo)
+                        orthogonal_complement, projector, span_memo)
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,15 @@ class SamplingStrategy:
 class GoCertificate:
     """A replayable witness: [W + X, L X] = 0 exactly."""
 
-    direction: np.ndarray
-    witness: np.ndarray
+    direction: Scaled
+    witness: Scaled
 
 
 @dataclass(frozen=True)
 class Unsolvable:
     """Exact certificate that no witness exists for this direction."""
 
-    direction: np.ndarray
+    direction: Scaled
     rank_a: int
     rank_ab: int
 
@@ -70,21 +70,16 @@ class GoVerdict:
         return "Disproved" if self.disproved else "NotDisproved"
 
 
-def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction):
-    """Integer augmented matrix ``[A | b]`` for [W, L X] = [L X, X] in W.
+def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction: Scaled):
+    """Integer augmented matrix ``[A | b]`` for [W, L X] = [L X, X] in W, and ``ad(L X)``.
 
     Column i of A is [k_i, L X] and b is [L X, X]: ``ad(L X)`` applied to the
-    cleared basis of k and to the cleared direction, with the two parts
-    brought to one common scale, so ``[A | b]`` is a positive multiple of the
-    rational system.  The products are :func:`arith.int_matmul`, int64 when
-    safe and Python ints otherwise; the result holds Python ints.
+    basis of k and to the direction, brought to one common scale, so
+    ``[A | b]`` is a positive multiple of the rational system.
     """
-    ad_lx, _ = operator.algebra.contract(operator.apply_int(direction)[0])
-    basis_int, basis_scale = subalgebra.int_basis
-    x_int, x_scale = arith.clear_denominators(np.asarray(direction, dtype=object))
-    a = arith.int_matmul(ad_lx, basis_int.T).astype(object) * -x_scale
-    b = arith.int_matmul(ad_lx, x_int).astype(object) * basis_scale
-    return np.concatenate([a, b[:, None]], axis=1)
+    ad_lx = operator.algebra.contract(operator.apply(direction))
+    aug = Scaled.concat([-(ad_lx @ subalgebra.basis.T), (ad_lx @ direction).reshape(-1, 1)], axis=1)
+    return aug.ints, ad_lx
 
 
 def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
@@ -97,20 +92,18 @@ def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
     """
     if check_equivariance and not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
-    aug = _witness_system(operator, subalgebra, direction)
-    if is_zero(aug[:, -1]):
+    direction = Scaled.of(direction)
+    aug, ad_lx = _witness_system(operator, subalgebra, direction)
+    if not np.any(aug[:, -1]):
         # [X, L X] = 0 already; the zero witness is minimal
-        return GoCertificate(np.asarray(direction, dtype=object), qzeros(operator.algebra.dim))
+        return GoCertificate(direction, Scaled.zeros(operator.algebra.dim))
     sol = arith.solve_int(aug)
     if isinstance(sol, arith.Inconsistent):
-        return Unsolvable(np.asarray(direction, dtype=object), sol.rank_a, sol.rank_ab)
-    coeffs = _minimal_norm(sol, subalgebra, operator)
-    witness = arith.exact_matmul(coeffs, subalgebra.basis) if subalgebra.dim else qzeros(operator.algebra.dim)
-    check = operator.algebra.bracket(witness + np.asarray(direction, dtype=object),
-                                     operator.apply(direction))
-    if not is_zero(check):  # pragma: no cover - solver identity
+        return Unsolvable(direction, sol.rank_a, sol.rank_ab)
+    witness = _minimal_norm(sol, subalgebra, operator) @ subalgebra.basis
+    if not is_zero(ad_lx @ (witness + direction)):  # [W + X, L X]; pragma: no cover - solver identity
         raise arith.ExactComputationError("witness verification failed")
-    return GoCertificate(np.asarray(direction, dtype=object), witness)
+    return GoCertificate(direction, witness)
 
 
 def _minimal_norm(sol: arith.Solution, subalgebra: Subspace, operator: MetricOperator):
@@ -119,12 +112,10 @@ def _minimal_norm(sol: arith.Solution, subalgebra: Subspace, operator: MetricOpe
         return sol.x
     gram = subalgebra.gram(operator.form)
     n = sol.nullspace
-    normal = arith.exact_matmul(n, arith.exact_matmul(gram, n.T))
-    rhs = -arith.exact_matmul(n, arith.exact_matmul(gram, sol.x))
-    t = arith.solve_linear(normal, rhs)
+    t = arith.solve_linear(n @ gram @ n.T, -(n @ (gram @ sol.x)))
     if isinstance(t, arith.Inconsistent):  # pragma: no cover - gram is definite
         raise arith.ExactComputationError("minimal-norm solve failed")
-    return sol.x + arith.exact_matmul(t.x, n)
+    return sol.x + t.x @ n
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +183,17 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
 def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
                        subalgebra: Subspace) -> bool:
     """Re-verify a witness exactly: membership in k and the defining identity."""
-    if not subalgebra.contains(certificate.witness):
+    witness = Scaled.of(certificate.witness)
+    if not subalgebra.contains(witness):
         return False
-    check = operator.algebra.bracket(
-        np.asarray(certificate.witness, dtype=object) + np.asarray(certificate.direction, dtype=object),
-        operator.apply(certificate.direction))
-    return is_zero(check)
+    return is_zero(operator.algebra.bracket(witness + certificate.direction,
+                                            operator.apply(certificate.direction)))
 
 
 def replay_counterexample(operator: MetricOperator, subalgebra: Subspace,
                           counterexample: Unsolvable) -> bool:
     """Re-verify the exact rank gap of a disproving direction."""
-    aug = _witness_system(operator, subalgebra, counterexample.direction)
+    aug, _ = _witness_system(operator, subalgebra, Scaled.of(counterexample.direction))
     rank_a = arith.rank_exact(aug[:, :-1])
     rank_ab = arith.rank_exact(aug)
     return rank_a == counterexample.rank_a and rank_ab == counterexample.rank_ab \
@@ -231,35 +221,21 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     Checked through the symmetrized coefficient tensor on basis triples; the
     decomposition must be reductive ([k, m] inside m).
     """
-    m_int, m_scale = complement.int_basis
-    for ad_int, ad_scale in subalgebra.int_ad_matrices:
-        image = arith.from_ints(arith.int_matmul(ad_int, m_int.T), ad_scale * m_scale)
-        if complement.coords_matrix(image) is None:
-            raise ContractViolation("decomposition is not reductive: [k, m] escapes m")
+    image = subalgebra.brackets(complement)                 # [i, :, c] = [k_i, v_c]
+    if complement.coords(image.transpose(1, 0, 2).reshape(operator.algebra.dim, -1)) is None:
+        raise ContractViolation("decomposition is not reductive: [k, m] escapes m")
     if complement.dim == 0:
         return NatredResult(True)
     m = complement.dim
     # U[a,b,c] = metric([v_a, v_c]_m, v_b); condition: U[a,b,c] + U[b,a,c] = 0
-    ads, ad_scale = operator.algebra.contract(m_int)                         # ads[a] = ad(v_a)
-    brackets = np.transpose(arith.int_matmul(ads, m_int.T), (0, 2, 1))       # [a, c, k] = [v_a, v_c]_k
-    proj = _projection_matrix(complement, operator.form)
-    h = operator.metric_matrix
-    flat, flat_scale = brackets.reshape(m * m, -1), ad_scale * m_scale * m_scale
-    p_int, p_scale = arith.clear_denominators(proj)
-    h_int, h_scale = arith.clear_denominators(h)
-    u = arith.int_matmul(arith.int_matmul(arith.int_matmul(flat, p_int.T), h_int), m_int.T)
-    u = u.reshape(m, m, m)                      # u[a,c,b] = metric([v_a,v_c]_m, v_b) * scale
-    total = np.transpose(u, (0, 2, 1)) + np.transpose(u, (2, 0, 1))
+    flat = complement.brackets(complement).transpose(0, 2, 1).reshape(m * m, -1)  # [(a,c), k]
+    proj = projector(complement, operator.form)
+    u = (flat @ proj.T @ operator.metric_matrix @ complement.basis.T).reshape(m, m, m)
+    total = u.transpose(0, 2, 1) + u.transpose(2, 0, 1)    # u[a,c,b] = metric([v_a,v_c]_m, v_b)
     if is_zero(total):
         return NatredResult(True)
-    a, b, c = (int(t) for t in np.argwhere(total)[0])    # the first failing triple
-    scale = flat_scale * p_scale * h_scale * m_scale
-    return NatredResult(False, (a, b, c), Fraction(int(total[a, b, c]), scale))
-
-
-def _projection_matrix(space: Subspace, form) -> np.ndarray:
-    """Matrix of the form-orthogonal projection onto ``space``."""
-    return arith.from_ints(*projection_ints(space, form))
+    a, b, c = (int(t) for t in np.argwhere(total.ints)[0])    # the first failing triple
+    return NatredResult(False, (a, b, c), total[a, b, c])
 
 
 # ---------------------------------------------------------------------------
@@ -305,55 +281,6 @@ def normalizer_equivariance_check(operator: MetricOperator,
     norm = normalizer(subalgebra)
     result = equivariance_check(operator, norm)
     return NormalizerEquivarianceReport(result.ok, flags, norm.dim, result.witness_index)
-
-
-def two_step_identity_check(operator: MetricOperator, subalgebra: Subspace,
-                            z, w) -> bool:
-    """Joint vanishing of the two equivalent geodesic expressions.
-
-    With X = Z - W the expressions [Z-W, L(Z-W)] - L[Z,W] and [W+X, LX]
-    coincide under equivariance over the subalgebra; they are evaluated
-    independently and must vanish together.
-    """
-    algebra = operator.algebra
-    z = np.asarray(z, dtype=object)
-    w = np.asarray(w, dtype=object)
-    if not subalgebra.contains(w):
-        raise ContractViolation("second argument must lie in the subalgebra")
-    x = z - w
-    first = algebra.bracket(x, operator.apply(x)) - operator.apply(algebra.bracket(z, w))
-    second = algebra.bracket(w + x, operator.apply(x))
-    if is_zero(first) != is_zero(second):  # pragma: no cover - equivariance identity
-        raise arith.ExactComputationError("two-step identity expressions disagree")
-    return is_zero(first) and is_zero(second)
-
-
-def geodesic_lemma_solvable(operator: MetricOperator, subalgebra: Subspace,
-                            complement: Subspace, direction) -> bool:
-    """Solvability of the projected form of the geodesic condition.
-
-    System in W: metric([W + X, Y]_m, X) = 0 for all basis Y of m.  Kept as
-    an independent route; agreement with the unprojected witness system is
-    asserted on scenarios, and any disagreement is surfaced by tests rather
-    than silently resolved.
-    """
-    algebra = operator.algebra
-    x = np.asarray(direction, dtype=object)
-    proj = _projection_matrix(complement, operator.form)
-    h = operator.metric_matrix
-    hx = arith.exact_matmul(arith.exact_matmul(proj.T, h), x)  # y -> metric(y_m ... ) weights
-    rows = []
-    rhs = []
-    for j in range(complement.dim):
-        y = complement.basis[j]
-        ad_y = algebra.ad(y)
-        # metric([W, Y]_m, X) = -(ad_Y W)^T proj^T H X
-        rows.append(-arith.exact_matmul(arith.exact_matmul(subalgebra.basis, ad_y.T), hx))
-        rhs.append(-np.dot(algebra.bracket(x, y), hx))
-    a = np.stack(rows).reshape(complement.dim, subalgebra.dim) if subalgebra.dim else \
-        qzeros((complement.dim, 0))
-    sol = arith.solve_linear(a, np.asarray(rhs, dtype=object))
-    return isinstance(sol, arith.Solution)
 
 
 @dataclass(frozen=True)

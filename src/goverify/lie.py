@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, qarray, qzeros
+from .arith import ContractViolation, Scaled, qzeros
 
 
 class ValidationError(ValueError):
@@ -59,11 +59,11 @@ class ValidationError(ValueError):
 class SymmetricForm:
     """A symmetric bilinear form in basis coordinates."""
 
-    matrix: np.ndarray
+    matrix: Scaled
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=object)
-        if not is_zero(mat - mat.T):
+        mat = Scaled.of(self.matrix)
+        if np.any(mat.ints != mat.ints.T):
             raise ContractViolation("form matrix must be symmetric")
         object.__setattr__(self, "matrix", mat)
 
@@ -77,11 +77,11 @@ class SymmetricForm:
         return arith.rank_exact(self.matrix) < n
 
     def inner(self, x, y) -> Fraction:
-        return np.dot(np.asarray(x, dtype=object), np.dot(self.matrix, np.asarray(y, dtype=object)))
+        return (Scaled.of(x) @ (self.matrix @ Scaled.of(y)))[()]
 
     def is_ad_invariant(self, algebra: "StructureAlgebra") -> bool:
         """Exact check of B([X,Y],Z) + B(Y,[X,Z]) = 0 on all basis triples."""
-        return not np.any(algebra.skewness(arith.clear_denominators(self.matrix)[0]))
+        return not np.any(algebra.skewness(self.matrix).ints)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,8 @@ class StructureAlgebra:
             if tensor.shape != (dim, dim, dim):
                 raise ContractViolation("structure tensor shape does not match dim")
             where = np.nonzero(tensor != 0)
-            ints, scale = arith.clear_denominators(tensor[where])
-            coo = (*where, ints)
+            entries = Scaled.of(tensor[where])
+            coo, scale = (*where, entries.ints), entries.scale
         self.dim = dim
         self.coo, self.scale = _canonical_coo(dim, coo or ((), (), (), ()), scale)
         self.labels = tuple(labels) or tuple(f"e{i+1}" for i in range(dim))
@@ -119,22 +119,28 @@ class StructureAlgebra:
 
     # -- basic operations ---------------------------------------------------
 
-    def contract(self, v) -> tuple[np.ndarray, int]:
-        """``ad(v)`` as ``(ints, scale)``: ``ints[..., k, j] / scale = [v, e_j]_k``.
+    def contract(self, v) -> Scaled:
+        """``ad(v)``: entry ``[..., k, j]`` is ``[v, e_j]_k``.
 
-        ``v`` is a vector or a stack of row vectors, rational or int64 (taken
-        at scale 1).  The sums are int64 when a bound rules out overflow and
-        Python ints otherwise.
+        ``v`` is a vector or a stack of row vectors (a :class:`Scaled`, or
+        anything :meth:`Scaled.of` takes).  The sums are int64 when the
+        bounds rule out overflow and Python ints otherwise.
         """
-        v = np.asarray(v)
-        v_int, v_scale = (v, 1) if v.dtype == np.int64 else arith.clear_denominators(v)
+        v = Scaled.of(v)
         i, c, starts, places = self._contraction
-        out = np.zeros(v.shape[:-1] + (self.dim ** 2,), dtype=np.int64)
+        v_int, out = v.ints, np.zeros(v.shape[:-1] + (self.dim ** 2,), dtype=np.int64)
         if places.size:
-            if not arith._int64_safe(v_int, c, self.dim):    # a place sums at most dim terms
+            if not v.fits(self._constants, self.dim):    # a place sums at most dim terms
                 v_int, c, out = v_int.astype(object), c.astype(object), out.astype(object)
             out[..., places] = np.add.reduceat(v_int[..., i] * c, starts, axis=-1)
-        return out.reshape(v.shape[:-1] + (self.dim, self.dim)), self.scale * v_scale
+        return Scaled(out.reshape(v.shape[:-1] + (self.dim, self.dim)), self.scale * v.scale)
+
+    ad = contract
+
+    @cached_property
+    def _constants(self) -> Scaled:
+        """The stored constants ``c`` (over ``scale``), which carry their bound."""
+        return Scaled(self.coo[3], self.scale)
 
     @cached_property
     def _contraction(self):
@@ -145,33 +151,25 @@ class StructureAlgebra:
         places, starts = np.unique((k * self.dim + j)[order], return_index=True)
         return i[order], c[order], starts, places
 
-    def bracket(self, x, y) -> np.ndarray:
-        ad_x, scale = self.contract(x)
-        y_int, y_scale = arith.clear_denominators(np.asarray(y, dtype=object))
-        return arith.from_ints(arith.int_matmul(ad_x, y_int), scale * y_scale)
+    def bracket(self, x, y) -> Scaled:
+        return self.contract(x) @ Scaled.of(y)
 
-    def ad(self, x) -> np.ndarray:
-        """Matrix of ad_x, columns indexed by basis vectors."""
-        return arith.from_ints(*self.contract(x))
-
-    def skewness(self, h_int: np.ndarray) -> np.ndarray:
+    def skewness(self, h) -> Scaled:
         """``ad_i^T H + H ad_i`` stacked over i: ``[i,j,k] = H([e_i,e_j],e_k) + H(e_j,[e_i,e_k])``."""
-        ads, _ = self.contract(np.eye(self.dim, dtype=np.int64))
-        return arith.int_matmul(np.transpose(ads, (0, 2, 1)), h_int) + arith.int_matmul(h_int, ads)
+        ads, h = self.contract(np.eye(self.dim, dtype=np.int64)), Scaled.of(h)
+        return ads.transpose(0, 2, 1) @ h + h @ ads
 
-    @cached_property
+    @property
     def tensor(self) -> np.ndarray:
-        """Read-only dense ``d x d x d`` Fraction view of the constants, built on first use."""
-        i, j, k, c = self.coo
+        """Read-only dense ``d x d x d`` Fraction view of the constants, built on every use."""
+        i, j, k, _ = self.coo
         out = qzeros((self.dim,) * 3)
-        out[i, j, k] = arith.from_ints(c, self.scale)
+        out[i, j, k] = self._constants.fractions()
         out.flags.writeable = False
         return out
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        v = qzeros(self.dim)
-        v[i] = Fraction(1)
-        return v
+    def basis_vector(self, i: int) -> Scaled:
+        return Scaled(np.eye(self.dim, dtype=np.int64)[i], 1, 1)
 
     # -- validation ----------------------------------------------------------
 
@@ -187,7 +185,7 @@ class StructureAlgebra:
             return
         d = self.dim
         i, j, k, c = self.coo
-        if not arith._int64_safe(c, c, 3 * d):
+        if not self._constants.fits(self._constants, 3 * d):
             c = c.astype(object)
         _check_sums("antisymmetry", d, np.ravel_multi_index(
             (np.r_[i, j], np.r_[j, i], np.r_[k, k]), (d,) * 3), np.r_[c, c])
@@ -210,12 +208,12 @@ class StructureAlgebra:
     def _validate_realization(self) -> None:
         if len(self.realization) != self.dim:
             raise ValidationError("realization length does not match dim")
-        mats, _ = arith.clear_denominators(np.stack(self.realization))
-        d = self.dim
+        stack = Scaled.of(np.stack(self.realization))
+        mats, d = stack.ints, self.dim
         i, j, k, c = self.coo
         # scale * [R_a, R_b] must equal sum_k c[a,b,k] R_k, entrywise, for a < b
-        if not (arith._int64_safe(mats, mats, 2 * mats.shape[-1] * self.scale)
-                and arith._int64_safe(c, mats, d)):
+        if not (stack.fits(stack, 2 * mats.shape[-1] * self.scale)
+                and self._constants.fits(stack, d)):
             mats, c = mats.astype(object), c.astype(object)
         rows = np.searchsorted(i, np.arange(d + 1))
         for a in range(d - 1):
@@ -233,12 +231,26 @@ class StructureAlgebra:
 
     @cached_property
     def killing(self) -> SymmetricForm:
+        """``B[a,b] = tr(ad_a ad_b) = sum c[a,l,k] c[b,k,l]``, summed over the stored entries.
+
+        Each entry ``(a, l, k)`` is joined with the entries ``(b, k, l)``,
+        which :attr:`_contraction` keeps contiguous as the group of place
+        ``k * dim + l``.
+        """
         d = self.dim
-        ads, scale = self.contract(np.eye(d, dtype=np.int64))
-        # B[i,j] = tr(ad_i ad_j) = sum_{k,l} ad_i[k,l] ad_j[l,k]
-        flat = ads.reshape(d, d * d)
-        flat_t = np.transpose(ads, (0, 2, 1)).reshape(d, d * d)
-        return SymmetricForm(arith.from_ints(arith.int_matmul(flat, flat_t.T), scale * scale))
+        i, j, k, c = self.coo
+        first, coef, starts, places = self._contraction
+        group = np.minimum(np.searchsorted(places, j * d + k), max(places.size - 1, 0))
+        hit = places[group] == j * d + k
+        count = np.where(hit, np.diff(np.r_[starts, first.size])[group], 0)
+        left = np.repeat(np.arange(i.size), count)
+        right = np.arange(left.size) + np.repeat(starts[group] - np.cumsum(count) + count, count)
+        if not self._constants.fits(self._constants, d * d):
+            c, coef = c.astype(object), coef.astype(object)
+        keys, sums = _sum_by_key(i[left] * d + first[right], c[left] * coef[right])
+        out = np.zeros(d * d, dtype=sums.dtype)
+        out[keys] = sums
+        return SymmetricForm(Scaled(out.reshape(d, d), self.scale ** 2))
 
     @cached_property
     def canonical_form(self) -> SymmetricForm | None:
@@ -265,7 +277,7 @@ def _canonical_coo(dim: int, coo, scale: int) -> tuple[tuple[np.ndarray, ...], i
     keys, c = _sum_by_key(keys, np.asarray(coo[3], dtype=object).reshape(-1))
     keys, c = keys[c != 0], c[c != 0]
     g = math.gcd(scale, *c.tolist())
-    arrays = (*np.unravel_index(keys, (dim,) * 3), arith._narrow(c // g))
+    arrays = (*np.unravel_index(keys, (dim,) * 3), Scaled(c // g).ints)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays, scale // g
@@ -291,7 +303,7 @@ def _check_sums(axiom: str, dim: int, keys: np.ndarray, values: np.ndarray) -> N
 
 def attach_form(algebra: StructureAlgebra, matrix) -> StructureAlgebra:
     """Attach a user-supplied invariant inner product, verifying its properties."""
-    form = SymmetricForm(qarray(matrix))
+    form = SymmetricForm(matrix)
     if not form.positive_definite:
         raise ContractViolation("supplied form is not positive definite")
     if not form.is_ad_invariant(algebra):
@@ -409,23 +421,20 @@ def _tensor_from_realization(mats: list[np.ndarray]) -> tuple[tuple[np.ndarray, 
     Python ints otherwise), and closure is verified exactly.
     """
     d = len(mats)
-    stack, fscale = arith.clear_denominators(np.stack(mats))
-    flat = stack.reshape(d, -1)                               # S_i = fscale * R_i, flattened
-    gram = arith.int_matmul(flat, flat.T)
+    cleared = Scaled.of(np.stack(mats))
+    stack = Scaled(cleared.ints)                              # S_i = scale * R_i
+    flat = stack.reshape(d, -1)
     try:
-        gram_inv, gscale = arith.inverse_int(gram)
+        gram_inv = arith.inverse(flat @ flat.T)
     except ContractViolation:
         raise ContractViolation("realization matrices are linearly dependent") from None
-    comm = arith.int_matmul(stack[:, None], stack[None, :])
-    comm = (comm - np.transpose(comm, (1, 0, 2, 3))).reshape(d * d, -1)
-    rhs = arith.int_matmul(comm, flat.T)                      # rhs[(i,j),a] = <[S_i,S_j], S_a>
-    coords = arith.int_matmul(rhs, gram_inv)                  # [S_i,S_j] = sum_a coords S_a / gscale
-    if not arith._int64_safe(comm, np.array([gscale]), 1):    # comm * gscale must not wrap
-        comm = comm.astype(object)
-    if np.any(arith.int_matmul(coords, flat) != comm * gscale):
+    comm = stack[:, None] @ stack[None, :]
+    comm = (comm - comm.transpose(1, 0, 2, 3)).reshape(d * d, -1)
+    coords = comm @ flat.T @ gram_inv                         # [S_i,S_j] = sum_a coords[(i,j),a] S_a
+    if not (coords @ flat).equals(comm):
         raise ContractViolation("realization family is not bracket-closed")
-    pair, k = np.nonzero(coords)
-    return (*np.divmod(pair, d), k, coords[pair, k]), gscale * fscale
+    pair, k = np.nonzero(coords.ints)
+    return (*np.divmod(pair, d), k, coords.ints[pair, k]), coords.scale * cleared.scale
 
 
 def build_classical(family: str, n: int) -> StructureAlgebra:
@@ -612,7 +621,7 @@ def ingest_structure_table(source: str) -> StructureAlgebra:
     if dim is None:
         raise ValidationError("missing dim header")
     index = np.array(list(entries), dtype=np.int64).reshape(-1, 3) - 1
-    ints, scale = arith.clear_denominators(np.array(list(entries.values()), dtype=object))
-    alg = StructureAlgebra(dim=dim, coo=(*index.T, ints), scale=scale, name="table")
+    values = Scaled.of(np.array(list(entries.values()), dtype=object))
+    alg = StructureAlgebra(dim=dim, coo=(*index.T, values.ints), scale=values.scale, name="table")
     alg.validate()
     return alg

@@ -6,12 +6,13 @@ product Q, with metric(X, Y) = Q(L X, Y).  This module builds block-scalar
 operators, checks equivariance, computes the full isometry subalgebra, and
 recognizes the naturally reductive normal form on simple algebras (scalar
 blocks on the ideals of the isometry subalgebra, one scalar on the
-complement, any positive block on the center).
+complement, any positive block on the center).  Operators are
+:class:`arith.Scaled` matrices; building, checking, applying and restricting
+them are integer products.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,10 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, q, qarray
+from .arith import ContractViolation, Scaled, q
 from .lie import StructureAlgebra, SymmetricForm
 from .subspaces import (DecomposedSubalgebra, Subspace, ideal_decomposition,
-                        is_subalgebra, orthogonal_complement, projection_ints,
+                        is_subalgebra, orthogonal_complement, projector,
                         shared_subspace)
 
 
@@ -37,7 +38,7 @@ class BlockSpec:
     """
 
     blocks: tuple[tuple[Subspace, Fraction], ...]
-    center_block: tuple[Subspace, np.ndarray] | None = None
+    center_block: tuple[Subspace, Scaled | np.ndarray] | None = None
 
     def subspaces(self):
         out = [s for s, _ in self.blocks]
@@ -52,37 +53,23 @@ class MetricOperator:
     def __init__(self, algebra: StructureAlgebra, matrix, form: SymmetricForm | None = None,
                  block_spec: BlockSpec | None = None, check: bool = True):
         self.algebra = algebra
-        self.matrix = np.asarray(matrix, dtype=object)
+        self.matrix = Scaled.of(matrix).reduced()
         self.form = form or algebra.form()
         self.block_spec = block_spec
         if check:
             h = self.metric_matrix
-            if not is_zero(h - h.T):
+            if np.any(h.ints != h.ints.T):
                 raise ContractViolation("operator is not self-adjoint for the form")
             if not arith.is_positive_definite_exact(h):
                 raise ContractViolation("metric operator is not positive definite")
 
     @cached_property
-    def metric_matrix(self) -> np.ndarray:
+    def metric_matrix(self) -> Scaled:
         """Matrix H of the metric inner product: metric(x,y) = x^T H y."""
-        return arith.exact_matmul(self.form.matrix, self.matrix)
+        return self.form.matrix @ self.matrix
 
-    @cached_property
-    def int_matrix(self) -> tuple[np.ndarray, int]:
-        return arith.clear_denominators(self.matrix)
-
-    def apply_int(self, x) -> tuple[np.ndarray, int]:
-        """Denominator-cleared image (ints, scale) of a vector under L."""
-        m_int, m_scale = self.int_matrix
-        x_int, x_scale = arith.clear_denominators(np.asarray(x, dtype=object))
-        return arith.int_matmul(m_int, x_int), m_scale * x_scale
-
-    def metric_inner(self, x, y):
-        return np.dot(np.asarray(x, dtype=object),
-                      arith.exact_matmul(self.metric_matrix, np.asarray(y, dtype=object)))
-
-    def apply(self, x) -> np.ndarray:
-        return arith.from_ints(*self.apply_int(x))
+    def apply(self, x) -> Scaled:
+        return self.matrix @ Scaled.of(x)
 
     @cached_property
     def eigenspaces(self) -> tuple[tuple[Fraction, Subspace], ...]:
@@ -113,8 +100,7 @@ class MetricOperator:
         if center.dim:
             block = restrict_operator(self, center)
             for _factor, rows in arith.primary_invariant_split(block):
-                pieces.append(Subspace(self.algebra, arith.exact_matmul(rows, center.basis),
-                                       check=False))
+                pieces.append(Subspace(self.algebra, rows @ center.basis, check=False))
         return tuple(pieces)
 
     @cached_property
@@ -131,21 +117,7 @@ class MetricOperator:
         return shared
 
     def is_scalar(self) -> Fraction | None:
-        value = self.matrix[0, 0]
-        return value if is_zero(self.matrix - value * arith.qeye(self.algebra.dim)) else None
-
-    def rescale(self, factor) -> "MetricOperator":
-        factor = q(factor)
-        if factor <= 0:
-            raise ContractViolation("scaling factor must be positive")
-        spec = None
-        if self.block_spec is not None:
-            center = self.block_spec.center_block
-            spec = BlockSpec(
-                blocks=tuple((s, v * factor) for s, v in self.block_spec.blocks),
-                center_block=None if center is None else (
-                    center[0], np.asarray(center[1], dtype=object) * factor))
-        return MetricOperator(self.algebra, self.matrix * factor, self.form, spec, check=False)
+        return self.matrix.scalar()
 
 
 def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
@@ -164,7 +136,7 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
         raise ContractViolation("block parameters must be positive")
     if spec.center_block is not None:
         center, inner = spec.center_block
-        inner = qarray(inner)
+        inner = Scaled.of(inner)
         if inner.shape != (center.dim, center.dim):
             raise ContractViolation("center block shape mismatch")
         if not arith.is_positive_definite_exact(inner):
@@ -175,28 +147,21 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
     if total != d:
         raise ContractViolation(f"blocks span dimension {total}, expected {d}")
     # each block's rows are scaled by a positive integer, which keeps zero blocks zero
-    basis = np.concatenate([s.int_basis[0] for s in spaces], axis=0)
-    gram = arith.int_matmul(basis, arith.int_matmul(arith.clear_denominators(form.matrix)[0], basis.T))
+    basis = Scaled.concat([Scaled(s.basis.ints) for s in spaces])
+    gram = (basis @ Scaled(form.matrix.ints) @ basis.T).ints
     starts = np.cumsum([0] + [s.dim for s in spaces])
     for a in range(len(spaces)):
-        if not is_zero(gram[starts[a]:starts[a + 1], starts[a + 1]:]):
+        if np.any(gram[starts[a]:starts[a + 1], starts[a + 1]:]):
             raise ContractViolation("blocks are not orthogonal for the form")
-    # on integers: parts[i] is the i-th projector times the common scale
-    cleared = [projection_ints(s, form) for s in spaces]
-    scale = math.lcm(*(sc for _, sc in cleared))
-    parts = [p.astype(object) * (scale // sc) for p, sc in cleared]
-    if not is_zero(sum(parts) - np.eye(d, dtype=object) * scale):
+    projectors = [projector(s, form) for s in spaces]
+    if not sum(projectors).equals(np.eye(d, dtype=np.int64)):
         raise ContractViolation("blocks do not span the algebra")
     # the center's projector, if any, comes last and is left out by zip
-    weights, w_scale = arith.clear_denominators(qarray([v for s, v in spec.blocks if s.dim]))
-    matrix = arith.from_ints(sum((int(w) * p for w, p in zip(weights, parts)),
-                                 np.zeros((d, d), dtype=object)), w_scale * scale)
+    matrix = sum(p * v for p, v in zip(projectors, [v for s, v in spec.blocks if s.dim]))
     if spec.center_block is not None and center.dim:
         # Q(L u, v) = inner(u, v) on the center: L = B^T G^-1 inner G^-1 B Q there
-        gram_inv = arith.from_ints(*arith.inverse_int(*arith.clear_denominators(center.gram(form))))
-        inner_dual = arith.exact_matmul(arith.exact_matmul(gram_inv, inner), gram_inv)
-        matrix = matrix + arith.exact_matmul(center.basis.T, arith.exact_matmul(
-            inner_dual, arith.exact_matmul(center.basis, form.matrix)))
+        gram_inv = arith.inverse(center.gram(form))
+        matrix = matrix + center.basis.T @ (gram_inv @ inner @ gram_inv) @ center.basis @ form.matrix
     return MetricOperator(algebra, matrix, form, spec)
 
 
@@ -216,23 +181,18 @@ class EquivarianceResult:
 def equivariance_check(operator: MetricOperator, space: Subspace) -> EquivarianceResult:
     """Whether the operator commutes with ad_X for every basis vector of ``space``.
 
-    Both products of each commutator carry the scale of the cleared operator
-    times that of the cleared ``ad_X``, so their integer difference is zero
-    exactly when the commutator is.
+    All commutators are one stacked integer product each way; the witness
+    is the first basis vector whose commutator is nonzero.
     """
-    op_int, _ = operator.int_matrix
-    for i in range(space.dim):
-        mat_int, _ = space.int_ad_matrices[i]
-        if np.any(arith.int_matmul(mat_int, op_int) - arith.int_matmul(op_int, mat_int)):
-            return EquivarianceResult(False, i)
-    return EquivarianceResult(True)
+    ads, op = space.ad_matrices, operator.matrix
+    failing = np.flatnonzero((ads @ op - op @ ads).ints.any(axis=(1, 2)))
+    return EquivarianceResult(False, int(failing[0])) if failing.size else EquivarianceResult(True)
 
 
-def skewness_system(operator: MetricOperator) -> np.ndarray:
+def skewness_system(operator: MetricOperator) -> Scaled:
     """Columns i: the matrix of ad_{e_i}^T H + H ad_{e_i}, flattened."""
     d = operator.algebra.dim
-    h_int, _ = arith.clear_denominators(operator.metric_matrix)
-    return operator.algebra.skewness(h_int).reshape(d, d * d).T
+    return operator.algebra.skewness(operator.metric_matrix).reshape(d, d * d).T
 
 
 def isometry_subalgebra(operator: MetricOperator) -> Subspace:
@@ -245,14 +205,12 @@ def isometry_subalgebra(operator: MetricOperator) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def invariant_subspace(operator: MetricOperator, space: Subspace) -> bool:
-    if space.dim == 0:
-        return True
-    return space.coords_matrix(arith.exact_matmul(operator.matrix, space.basis.T)) is not None
+    return space.dim == 0 or space.coords(operator.matrix @ space.basis.T) is not None
 
 
-def restrict_operator(operator: MetricOperator, space: Subspace) -> np.ndarray:
+def restrict_operator(operator: MetricOperator, space: Subspace) -> Scaled:
     """Matrix of the operator on an invariant subspace, in its basis."""
-    coords = space.coords_matrix(arith.exact_matmul(operator.matrix, space.basis.T))
+    coords = space.coords(operator.matrix @ space.basis.T)
     if coords is None:
         raise ContractViolation("subspace is not invariant under the operator")
     return coords
@@ -288,9 +246,8 @@ def bi_invariance_check(operator: MetricOperator, subalgebra: Subspace,
         if not invariant_subspace(operator, ideal):
             ok = False
             break
-        block = restrict_operator(operator, ideal)
-        value = block[0, 0]
-        if not is_zero(block - value * arith.qeye(ideal.dim)):
+        value = restrict_operator(operator, ideal).scalar()
+        if value is None:
             ok = False
             break
         scalars.append(value)
@@ -358,17 +315,15 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
                               "operator does not preserve the isometry block decomposition")
     scalars = []
     for ideal in dec.ideals:
-        block = restrict_operator(operator, ideal)
-        value = block[0, 0]
-        if not is_zero(block - value * arith.qeye(ideal.dim)):
+        value = restrict_operator(operator, ideal).scalar()
+        if value is None:
             return DaZiReport(False, kprime, dec, tuple(scalars), None,
                               "non-scalar block on a simple ideal of the isometry subalgebra")
         scalars.append(value)
     complement_scalar = None
     if complement.dim:
-        block = restrict_operator(operator, complement)
-        complement_scalar = block[0, 0]
-        if not is_zero(block - complement_scalar * arith.qeye(complement.dim)):
+        complement_scalar = restrict_operator(operator, complement).scalar()
+        if complement_scalar is None:
             return DaZiReport(False, kprime, dec, tuple(scalars), None,
                               "complement of the isometry subalgebra carries several eigenvalues")
     # rebuild from the reported blocks and compare
@@ -378,9 +333,8 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
     center_block = None
     if dec.center.dim:
         center_operator = restrict_operator(operator, dec.center)
-        center_block = (dec.center,
-                        arith.exact_matmul(dec.center.gram(form), center_operator))
+        center_block = (dec.center, dec.center.gram(form) @ center_operator)
     rebuilt = metric_from_blocks(algebra, BlockSpec(tuple(blocks), center_block), form)
-    if not is_zero(rebuilt.matrix - operator.matrix):  # pragma: no cover - rebuild identity
+    if not rebuilt.matrix.equals(operator.matrix):  # pragma: no cover - rebuild identity
         raise arith.ExactComputationError("normal-form rebuild mismatch")
     return DaZiReport(True, kprime, dec, tuple(scalars), complement_scalar, "normal form")

@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, arith
 
 SCHEMA_VERSION = 1
@@ -27,11 +25,11 @@ def encode_fraction(value) -> str:
 
 
 def encode_vector(vec) -> list:
-    return [encode_fraction(v) for v in vec]
+    return arith.Scaled.of(vec).strs()
 
 
-def decode_vector(items) -> np.ndarray:
-    return arith.qarray([Fraction(s) for s in items])
+def decode_vector(items) -> arith.Scaled:
+    return arith.Scaled.of([Fraction(s) for s in items])
 
 
 def canonical_json(obj) -> str:

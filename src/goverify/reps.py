@@ -9,13 +9,14 @@ compact subalgebras coincides with sharing an irreducible constituent.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, qzeros
+from .arith import ContractViolation, Scaled
 from .lie import SymmetricForm
 from .subspaces import (Subspace, centralizer_in_complement, normalizer,
                         orthogonal_complement, span_memo)
@@ -26,47 +27,25 @@ class AdRestriction:
     """The action of a subalgebra on an invariant subspace, in coordinates.
 
     ``matrices[i]`` is the operator of the i-th basis vector of ``acting`` on
-    ``space``, written in the basis of ``space``.
+    ``space``, written in the basis of ``space`` (one stacked array).
     """
 
     acting: Subspace
     space: Subspace
-    matrices: tuple[np.ndarray, ...]
-
-    def check_homomorphism(self) -> bool:
-        """Whether the action matrices respect brackets exactly."""
-        h = self.acting
-        for i in range(h.dim):
-            for j in range(i + 1, h.dim):
-                bracket = h.algebra.bracket(h.basis[i], h.basis[j])
-                coords = h.coords(bracket)
-                if coords is None:
-                    return False
-                expected = sum((c * m for c, m in zip(coords, self.matrices)),
-                               qzeros(self.matrices[0].shape))
-                comm = np.dot(self.matrices[i], self.matrices[j]) - \
-                    np.dot(self.matrices[j], self.matrices[i])
-                if not is_zero(comm - expected):
-                    return False
-        return True
+    matrices: Scaled
 
 
 def ad_restriction(acting: Subspace, space: Subspace) -> AdRestriction:
     """Action matrices of ``acting`` on ``space``; raises if not invariant."""
     if acting.algebra is not space.algebra:
         raise ContractViolation("acting and space must share an ambient algebra")
-    basis_int, basis_scale = space.int_basis
-    mats = []
-    for i, (ad_int, ad_scale) in enumerate(acting.int_ad_matrices):
-        image = arith.from_ints(arith.int_matmul(ad_int, basis_int.T), ad_scale * basis_scale)
-        coords = space.coords_matrix(image)
-        if coords is None:
-            raise ContractViolation(
-                f"subspace is not invariant under acting basis vector {i}")
-        mats.append(coords)
-    if space.dim == 0:
-        mats = [qzeros((0, 0)) for _ in range(acting.dim)]
-    return AdRestriction(acting=acting, space=space, matrices=tuple(mats))
+    images = acting.brackets(space)                         # [i, :, c] = [a_i, v_c]
+    k, d, p = images.shape
+    coords, outside = space.locate(images.transpose(1, 0, 2).reshape(d, k * p))
+    failing = np.flatnonzero(outside.reshape(len(outside), k, p).any(axis=(0, 2)))
+    if failing.size:
+        raise ContractViolation(f"subspace is not invariant under acting basis vector {failing[0]}")
+    return AdRestriction(acting, space, coords.reshape(p, k, p).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +55,12 @@ def ad_restriction(acting: Subspace, space: Subspace) -> AdRestriction:
 def _int_stacks(*restrictions: AdRestriction) -> list[np.ndarray]:
     """Each restriction's action matrices as an integer stack (count, d, d).
 
-    All stacks share one common denominator, which is dropped: scaling every
-    action matrix by the same nonzero integer leaves the equivariance
-    nullspace unchanged.
+    All stacks are brought to one common denominator, which is dropped:
+    scaling every action matrix by the same nonzero integer leaves the
+    equivariance nullspace unchanged.
     """
-    stacks = [np.stack(r.matrices) for r in restrictions]
-    ints, _ = arith.clear_denominators(np.concatenate([m.reshape(-1) for m in stacks]))
-    ends = np.cumsum([m.size for m in stacks])
-    return [part.reshape(m.shape) for part, m in zip(np.split(ints, ends[:-1]), stacks)]
+    scale = math.lcm(*(r.matrices.scale for r in restrictions))
+    return [(r.matrices * (scale // r.matrices.scale)).ints for r in restrictions]
 
 
 def _intertwiner_block(rho_dom: np.ndarray, rho_cod: np.ndarray) -> np.ndarray:
@@ -112,10 +89,11 @@ def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, seed_tag: str) -> np.n
         return arith.nullspace_exact(system)
 
     rng = random.Random(f"equiv:{seed_tag}:{count}:{unknowns}")
+    dom, cod = Scaled(dom), Scaled(cod)
     chosen = []
     for _ in range(2):
-        coeffs = np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64)
-        dom_c, cod_c = (arith.int_matmul(coeffs, stack.reshape(count, -1)).reshape(stack.shape[1:])
+        coeffs = Scaled(np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64))
+        dom_c, cod_c = ((coeffs @ stack.reshape(count, -1)).ints.reshape(stack.shape[1:])
                         for stack in (dom, cod))
         chosen.append(_intertwiner_block(dom_c, cod_c))
     pending = list(range(count))
@@ -123,12 +101,11 @@ def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, seed_tag: str) -> np.n
         candidate = arith.nullspace_exact(np.concatenate(chosen, axis=0))
         if candidate.shape[0] == 0:
             return candidate
-        maps = arith.clear_denominators(candidate)[0].reshape(-1, cod.shape[1], dom.shape[1])
-        failing = next((i for i in pending if np.any(
-            arith.int_matmul(cod[i], maps) != arith.int_matmul(maps, dom[i]))), None)
+        maps = Scaled(candidate.ints.reshape(-1, cod.shape[1], dom.shape[1]))
+        failing = next((i for i in pending if np.any((cod[i] @ maps - maps @ dom[i]).ints)), None)
         if failing is None:
             return candidate
-        chosen.append(_intertwiner_block(dom[failing], cod[failing]))
+        chosen.append(_intertwiner_block(dom.ints[failing], cod.ints[failing]))
         pending.remove(failing)
     raise arith.ExactComputationError("equivariance system did not stabilize")  # pragma: no cover
 
@@ -139,7 +116,7 @@ class IntertwinerSpace:
 
     domain: AdRestriction
     codomain: AdRestriction
-    basis: tuple[np.ndarray, ...]
+    basis: tuple[Scaled, ...]
 
     @property
     def dim(self) -> int:
@@ -154,17 +131,10 @@ def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> I
     if d1 == 0 or d2 == 0:
         return IntertwinerSpace(dom, cod, ())
     if acting.dim == 0:
-        basis = tuple(_unit_matrix(d2, d1, r, c) for r in range(d2) for c in range(d1))
-        return IntertwinerSpace(dom, cod, basis)
-    null = _solve_equivariance(*_int_stacks(dom, cod), seed_tag=f"itw:{d1}:{d2}")
-    basis = tuple(null[r].reshape(d2, d1) for r in range(null.shape[0]))
-    return IntertwinerSpace(dom, cod, basis)
-
-
-def _unit_matrix(rows, cols, r, c):
-    m = qzeros((rows, cols))
-    m[r, c] = Fraction(1)
-    return m
+        null = Scaled(np.eye(d2 * d1, dtype=np.int64))
+    else:
+        null = _solve_equivariance(*_int_stacks(dom, cod), seed_tag=f"itw:{d1}:{d2}")
+    return IntertwinerSpace(dom, cod, tuple(null[r].reshape(d2, d1) for r in range(null.shape[0])))
 
 
 def modules_disjoint(acting: Subspace, space1: Subspace, space2: Subspace) -> bool:
@@ -180,7 +150,7 @@ def modules_disjoint(acting: Subspace, space1: Subspace, space2: Subspace) -> bo
 # symmetric commutant and isotypic decomposition
 # ---------------------------------------------------------------------------
 
-def symmetric_commutant(restriction: AdRestriction, form: SymmetricForm) -> list[np.ndarray]:
+def symmetric_commutant(restriction: AdRestriction, form: SymmetricForm) -> list[Scaled]:
     """Basis of operators commuting with the action and symmetric for the form.
 
     Operators are returned in the coordinates of ``restriction.space``.
@@ -188,8 +158,7 @@ def symmetric_commutant(restriction: AdRestriction, form: SymmetricForm) -> list
     p = restriction.space.dim
     if p == 0:
         return []
-    gram = restriction.space.gram(form)
-    gram_int, _ = arith.clear_denominators(gram)
+    gram_int = restriction.space.gram(form).ints
     sym_rows = np.kron(gram_int, np.eye(p, dtype=gram_int.dtype))
     swap = np.array([b * p + a for a in range(p) for b in range(p)])
     sym_rows = sym_rows - np.kron(np.eye(p, dtype=gram_int.dtype), gram_int.T)[:, swap]
@@ -199,9 +168,7 @@ def symmetric_commutant(restriction: AdRestriction, form: SymmetricForm) -> list
         comm_null = _solve_equivariance(rho, rho, seed_tag=f"comm:{p}")
         if comm_null.shape[0] == 0:
             return []
-        null_ints, _ = arith.clear_denominators(comm_null)
-        inner = arith.nullspace_exact(arith.int_matmul(sym_rows, null_ints.T))
-        vectors = arith.exact_matmul(inner, comm_null) if inner.shape[0] else qzeros((0, p * p))
+        vectors = arith.nullspace_exact(Scaled(sym_rows) @ comm_null.T) @ comm_null
     else:
         vectors = arith.nullspace_exact(sym_rows)
     return [vectors[r].reshape(p, p) for r in range(vectors.shape[0])]
@@ -256,21 +223,16 @@ def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
     return IsotypicDecomposition(components, labels, mults)
 
 
-def _try_split(piece: Subspace, commutant: list[np.ndarray], rng: random.Random,
+def _try_split(piece: Subspace, commutant: list[Scaled], rng: random.Random,
                retries: int) -> list[Subspace] | None:
     for _ in range(retries):
-        combo = sum((Fraction(rng.randint(-9, 9)) * c for c in commutant),
-                    qzeros(commutant[0].shape))
+        combo = sum((rng.randint(-9, 9) * c for c in commutant), Scaled.zeros(commutant[0].shape))
         try:
             parts = arith.primary_invariant_split(combo)
         except arith.ExactComputationError:
             continue
         if len(parts) > 1:
-            out = []
-            for _factor, rows in parts:
-                vectors = arith.exact_matmul(rows, piece.basis)
-                out.append(Subspace(piece.algebra, vectors, check=False))
-            return out
+            return [Subspace(piece.algebra, rows @ piece.basis, check=False) for _, rows in parts]
     return None
 
 

@@ -1,8 +1,9 @@
 """Subspace calculus over a fixed structure algebra.
 
 A :class:`Subspace` is an ordered list of coordinate vectors (rows of
-``basis``) spanning a linear subspace of the ambient algebra.  All
-computations here are exact.
+``basis``, an :class:`arith.Scaled` over its least common denominator)
+spanning a linear subspace of the ambient algebra.  All computations here
+are exact integer products and eliminations on those rows.
 
 Structural results are memoized per span (:func:`span_memo`, keyed by the
 rref in :meth:`Subspace.sort_key`), so a sweep that meets one subalgebra on
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, is_zero, q, qarray, qzeros
+from .arith import ContractViolation, Scaled, is_zero, qarray
 from .lie import StructureAlgebra, SymmetricForm
 
 
@@ -30,37 +31,36 @@ class Subspace:
 
     def __init__(self, algebra: StructureAlgebra, basis, check: bool = True):
         self.algebra = algebra
-        basis = np.asarray(basis, dtype=object)
-        if basis.size == 0:
+        basis = Scaled.of(basis)
+        if basis.ints.size == 0:
             basis = basis.reshape(0, algebra.dim)
-        if basis.ndim != 2 or basis.shape[1] != algebra.dim:
+        if basis.ints.ndim != 2 or basis.shape[1] != algebra.dim:
             raise ContractViolation(f"basis shape {basis.shape} does not match dim {algebra.dim}")
         if check and basis.shape[0] and arith.rank_exact(basis) != basis.shape[0]:
             raise ContractViolation("basis rows are linearly dependent")
-        self.basis = basis
+        self.basis = basis.reduced()
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def zero(algebra: StructureAlgebra) -> "Subspace":
-        return Subspace(algebra, qzeros((0, algebra.dim)), check=False)
+        return Subspace(algebra, Scaled.zeros((0, algebra.dim)), check=False)
 
     @staticmethod
     def full(algebra: StructureAlgebra) -> "Subspace":
-        return Subspace(algebra, arith.qeye(algebra.dim), check=False)
+        return Subspace(algebra, np.eye(algebra.dim, dtype=np.int64), check=False)
 
     @staticmethod
     def from_indices(algebra: StructureAlgebra, indices) -> "Subspace":
-        basis = qzeros((len(indices), algebra.dim))
-        for r, i in enumerate(indices):
-            basis[r, i] = Fraction(1)
+        basis = np.zeros((len(indices), algebra.dim), dtype=np.int64)
+        basis[np.arange(len(indices)), list(indices)] = 1
         return Subspace(algebra, basis, check=False)
 
     @staticmethod
     def span(algebra: StructureAlgebra, vectors) -> "Subspace":
         """Row-space of possibly dependent vectors."""
-        vectors = np.asarray(vectors, dtype=object)
-        if vectors.size == 0:
+        vectors = Scaled.of(vectors)
+        if vectors.ints.size == 0:
             return Subspace.zero(algebra)
         return Subspace(algebra, arith.rref_exact(vectors)[0], check=False)
 
@@ -72,65 +72,53 @@ class Subspace:
 
     @cached_property
     def _sort_key(self) -> tuple:
+        """Dimension, pivots and the rref's entries as ``fraction_str`` strings."""
         rows, pivots = arith.rref_exact(self.basis)
-        return (self.dim, tuple(pivots), tuple(arith.fraction_str(v) for v in rows.reshape(-1)))
+        return (self.dim, tuple(pivots), tuple(rows.strs()))
 
     def sort_key(self) -> tuple:
         return self._sort_key
 
     @cached_property
-    def int_basis(self) -> tuple[np.ndarray, int]:
-        return arith.clear_denominators(self.basis)
+    def _solver(self) -> Scaled:
+        """The row-operation transform T with T @ basis.T = [I_k; 0] (stacked)."""
+        return arith.inverse(self.basis.T)
 
-    @cached_property
-    def int_ad_matrices(self) -> tuple:
-        return tuple(self.algebra.contract(self.basis[r]) for r in range(self.dim))
-
-    @cached_property
-    def _int_solver(self) -> tuple[np.ndarray, int]:
-        """Cleared row-operation transform T with T @ basis.T = [I_k; 0] (stacked)."""
-        return arith.inverse_int(self.int_basis[0].T, self.int_basis[1])
-
-    def coords(self, vectors) -> np.ndarray | None:
-        """Coordinates of a vector or of column vectors; None if any is outside."""
-        vectors = np.asarray(vectors, dtype=object)
+    def locate(self, vectors: Scaled) -> tuple[Scaled, np.ndarray]:
+        """Coordinates of the column ``vectors`` and whether each lies outside the span."""
         if self.dim == 0:
-            return qzeros((0,) + vectors.shape[1:]) if is_zero(vectors) else None
-        s_int, s_scale = self._int_solver
-        r_int, r_scale = arith.clear_denominators(vectors)
-        y = arith.int_matmul(s_int, r_int)
-        return arith.from_ints(y[:self.dim], s_scale * r_scale) if is_zero(y[self.dim:]) else None
+            return Scaled.zeros((0,) + vectors.shape[1:]), vectors.ints != 0
+        y = self._solver @ vectors
+        return y[:self.dim], y.ints[self.dim:] != 0
 
-    coords_matrix = coords
+    def coords(self, vectors) -> Scaled | None:
+        """Coordinates of a vector or of column vectors; None if any is outside."""
+        y, outside = self.locate(Scaled.of(vectors))
+        return None if np.any(outside) else y
 
     def contains(self, vector) -> bool:
         return self.coords(vector) is not None
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis[r]) for r in range(other.dim))
+        return self.coords(other.basis.T) is not None
 
     def spans_equal(self, other: "Subspace") -> bool:
         return self.dim == other.dim and self.contains_space(other)
 
     def add(self, other: "Subspace") -> "Subspace":
-        stacked = np.concatenate([self.basis, other.basis], axis=0) if self.dim or other.dim \
-            else qzeros((0, self.algebra.dim))
-        return Subspace.span(self.algebra, stacked)
+        return Subspace.span(self.algebra, Scaled.concat([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.algebra)
-        stacked = np.concatenate([self.basis.T, -other.basis.T], axis=1)
-        null = arith.nullspace_exact(stacked)
-        vectors = np.dot(null[:, :self.dim], self.basis) if null.shape[0] else qzeros((0, self.algebra.dim))
-        return Subspace.span(self.algebra, vectors)
+        null = arith.nullspace_exact(Scaled.concat([self.basis.T, -other.basis.T], axis=1))
+        return Subspace.span(self.algebra, null[:, :self.dim] @ self.basis)
 
-    def gram(self, form: SymmetricForm) -> np.ndarray:
+    def gram(self, form: SymmetricForm) -> Scaled:
         cache = self.__dict__.setdefault("_gram_cache", {})
         key = id(form)
         if key not in cache:
-            cache[key] = arith.exact_matmul(self.basis,
-                                            arith.exact_matmul(form.matrix, self.basis.T))
+            cache[key] = self.basis @ (form.matrix @ self.basis.T)
         return cache[key]
 
     def is_form_orthogonal(self, form: SymmetricForm) -> bool:
@@ -138,24 +126,26 @@ class Subspace:
         cache = self.__dict__.setdefault("_orth_cache", {})
         key = id(form)
         if key not in cache:
-            gram = self.gram(form)
-            off = gram - np.diag(np.diagonal(gram))
-            cache[key] = is_zero(off)
+            gram = self.gram(form).ints
+            cache[key] = not np.any(gram - np.diag(np.diagonal(gram)))
         return cache[key]
 
     @cached_property
-    def ad_matrices(self) -> tuple[np.ndarray, ...]:
-        """Adjoint operators of the basis vectors, as ambient matrices."""
-        return tuple(self.algebra.ad(self.basis[r]) for r in range(self.dim))
+    def ad_matrices(self) -> Scaled:
+        """Adjoint operators of the basis vectors, stacked as ambient matrices."""
+        return self.algebra.contract(self.basis)
 
-    def random_element(self, rng: random.Random, bound: int = 9) -> np.ndarray:
+    def brackets(self, other: "Subspace") -> Scaled:
+        """``[a, :, b]`` is the bracket of basis vector a with basis vector b of ``other``."""
+        return self.ad_matrices @ other.basis.T
+
+    def random_element(self, rng: random.Random, bound: int = 9) -> Scaled:
         """Deterministic random combination with small integer coefficients."""
         while True:
             coeffs = [rng.randint(-bound, bound) for _ in range(self.dim)]
             if any(coeffs) or self.dim == 0:
                 break
-        basis_int, scale = self.int_basis
-        return arith.from_ints(arith.int_matmul(np.array(coeffs, dtype=np.int64), basis_int), scale)
+        return Scaled(np.array(coeffs, dtype=np.int64), 1, bound) @ self.basis
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.algebra.name or self.algebra.dim})"
@@ -222,7 +212,7 @@ def shared_subspace(space: Subspace, kind: str) -> Subspace:
     new), sharing its cached integer data; ``space``'s basis must be canonical,
     so a stored basis that differs from it is an error."""
     stored = span_memo(space, lambda: space, kind)
-    if not np.array_equal(stored.basis, space.basis):
+    if not stored.basis.equals(space.basis):
         raise arith.ExactComputationError(f"stored {kind} basis differs for the same span")
     return stored
 
@@ -238,33 +228,26 @@ def orthogonal_complement(space: Subspace, form: SymmetricForm) -> Subspace:
     if space.dim == 0:
         return Subspace.full(space.algebra)
     return _form_memo(space, form, lambda: Subspace(space.algebra, arith.nullspace_exact(
-        arith.exact_matmul(space.basis, form.matrix)), check=False), "complement")
+        space.basis @ form.matrix), check=False), "complement")
 
 
-def projection_ints(space: Subspace, form: SymmetricForm) -> tuple[np.ndarray, int]:
-    """``(ints, scale)`` of ``B^T G^-1 B Q``, the form-orthogonal projection onto
-    ``space`` (memoized per span and form).  Scaling ``B`` or ``Q`` leaves it
-    unchanged, so it is formed from their cleared integers around ``G^-1``."""
+def projector(space: Subspace, form: SymmetricForm) -> Scaled:
+    """``B^T G^-1 B Q``, the form-orthogonal projection onto ``space`` (memoized
+    per span and form).  Scaling ``B`` or ``Q`` leaves it unchanged, so it is
+    formed from their integers around ``G^-1``."""
     def build():
-        b_int, q_int = space.int_basis[0], arith.clear_denominators(form.matrix)[0]
-        bq = arith.int_matmul(b_int, q_int)
-        g_inv, g_scale = arith.inverse_int(arith.int_matmul(bq, b_int.T))
-        return arith.int_matmul(b_int.T, arith.int_matmul(g_inv, bq)), g_scale
+        b, bq = Scaled(space.basis.ints), Scaled(space.basis.ints) @ Scaled(form.matrix.ints)
+        return b.T @ (arith.inverse(bq @ b.T) @ bq)
     return _form_memo(space, form, build, "projector")
 
 
 def centralizer_in(target: Subspace, within: Subspace) -> Subspace:
     """Elements of ``within`` commuting with every element of ``target``."""
-    algebra = target.algebra
     if within.dim == 0 or target.dim == 0:
         return within
-    blocks = []
-    for mat in target.ad_matrices:
-        blocks.append(-arith.exact_matmul(mat, within.basis.T))  # [w, t_i] = -ad_{t_i} w
-    system = np.concatenate(blocks, axis=0)
-    null = arith.nullspace_exact(system)
-    vectors = arith.exact_matmul(null, within.basis) if null.shape[0] else qzeros((0, algebra.dim))
-    return Subspace(algebra, vectors, check=False)
+    system = target.brackets(within)     # [t_i, w] = -[w, t_i]: the same kernel
+    null = arith.nullspace_exact(system.reshape(-1, within.dim))
+    return Subspace(target.algebra, null @ within.basis, check=False)
 
 
 @dataclass(frozen=True)
@@ -278,13 +261,11 @@ class SubalgebraCheck:
 
 def is_subalgebra(space: Subspace) -> SubalgebraCheck:
     """Closure of the span under the bracket, with an offending pair on failure."""
-    algebra = space.algebra
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            b = algebra.bracket(space.basis[i], space.basis[j])
-            if space.coords(b) is None:
-                return SubalgebraCheck(False, (i, j))
-    return SubalgebraCheck(True)
+    i, j = np.triu_indices(space.dim, 1)
+    _, outside = space.locate(space.brackets(space)[i, :, j].T)
+    failing = np.flatnonzero(outside.any(axis=0))
+    return SubalgebraCheck(False, (int(i[failing[0]]), int(j[failing[0]]))) if failing.size \
+        else SubalgebraCheck(True)
 
 
 def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
@@ -302,10 +283,10 @@ def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
         if space.dim == 0:
             return Subspace.full(algebra)
         complement = orthogonal_complement(space, form)
-        proj = arith.exact_matmul(complement.basis, form.matrix)   # row kernel of this = Q-orthogonal to m
-        blocks = [-arith.exact_matmul(proj, mat) for mat in space.ad_matrices]
-        system = np.concatenate(blocks, axis=0)
-        result = Subspace(algebra, arith.nullspace_exact(system), check=False)
+        proj = complement.basis @ form.matrix   # row kernel of this = Q-orthogonal to m
+        system = proj @ space.ad_matrices       # [k_i, X] in k for all i
+        result = Subspace(algebra, arith.nullspace_exact(system.reshape(-1, algebra.dim)),
+                          check=False)
         # structural cross-check: n_g(k) = k + c_m(k), Q-orthogonally
         cm = centralizer_in_complement(space, form)
         if result.dim != space.dim + cm.dim or not (result.contains_space(space)
@@ -330,8 +311,8 @@ def centralizer_in_complement(space: Subspace, form: SymmetricForm | None = None
 class CartanWitness:
     """A generic element whose centralizer realized the rank estimate."""
 
-    generic_element: np.ndarray
-    centralizer_basis: np.ndarray
+    generic_element: Scaled
+    centralizer_basis: Scaled
     retry_count: int
     abelian: bool
 
@@ -353,8 +334,8 @@ def rank_estimate(space: Subspace, retries: int = 5, seed: int = 0) -> RankEstim
     centralizer wins and must be abelian (a Cartan subalgebra of the input).
     """
     if space.dim == 0:
-        return RankEstimate(0, CartanWitness(qzeros(space.algebra.dim),
-                                             qzeros((0, space.algebra.dim)), 0, True))
+        return RankEstimate(0, CartanWitness(Scaled.zeros(space.algebra.dim),
+                                             Scaled.zeros((0, space.algebra.dim)), 0, True))
     rng = random.Random(f"rank:{seed}:{space.dim}")
     best: CartanWitness | None = None
     attempts = 0
@@ -369,17 +350,12 @@ def rank_estimate(space: Subspace, retries: int = 5, seed: int = 0) -> RankEstim
     return RankEstimate(best.dim, best)
 
 
-def _centralizer_witness(space: Subspace, element: np.ndarray, attempt: int) -> CartanWitness:
-    null = arith.nullspace_exact(arith.exact_matmul(space.algebra.ad(element), space.basis.T))
-    # the centralizer and all brackets [v_a, v_b] on cleared integers: the
-    # nullspace's large denominators would push both onto Fraction arithmetic
-    null_int, null_scale = arith.clear_denominators(null)
-    basis_int, basis_scale = space.int_basis
-    ints = arith.int_matmul(null_int, basis_int)
-    vectors = arith.from_ints(ints, null_scale * basis_scale)
-    brackets = arith.int_matmul(space.algebra.contract(ints)[0], ints.T)   # [a, k, b] = [v_a, v_b]_k
-    abelian = not np.any(np.transpose(brackets, (0, 2, 1))[np.triu_indices(len(ints), 1)])
-    return CartanWitness(element, vectors, attempt, abelian)
+def _centralizer_witness(space: Subspace, element, attempt: int) -> CartanWitness:
+    null = arith.nullspace_exact(space.algebra.contract(element) @ space.basis.T)
+    vectors = null @ space.basis
+    brackets = (space.algebra.contract(vectors) @ vectors.T).ints   # [a, k, b] = [v_a, v_b]_k
+    abelian = not np.any(np.transpose(brackets, (0, 2, 1))[np.triu_indices(len(vectors), 1)])
+    return CartanWitness(Scaled.of(element), vectors, attempt, abelian)
 
 
 @dataclass(frozen=True)
@@ -427,13 +403,8 @@ class DecomposedSubalgebra:
 
 
 def derived_subalgebra(space: Subspace) -> Subspace:
-    vectors = []
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            vectors.append(space.algebra.bracket(space.basis[i], space.basis[j]))
-    if not vectors:
-        return Subspace.zero(space.algebra)
-    return Subspace.span(space.algebra, np.stack(vectors))
+    i, j = np.triu_indices(space.dim, 1)
+    return Subspace.span(space.algebra, space.brackets(space)[i, :, j])
 
 
 def ideal_decomposition(space: Subspace, seed: int = 0) -> DecomposedSubalgebra:
@@ -462,9 +433,7 @@ def ideal_decomposition(space: Subspace, seed: int = 0) -> DecomposedSubalgebra:
                 raise arith.ExactComputationError("ideal candidate is not bracket-closed")
         for a in range(len(ideals)):
             for b in range(a + 1, len(ideals)):
-                for i in range(ideals[a].dim):
-                    for j in range(ideals[b].dim):
-                        if not is_zero(space.algebra.bracket(ideals[a].basis[i], ideals[b].basis[j])):
-                            raise arith.ExactComputationError("ideal candidates do not commute")
+                if not is_zero(ideals[a].brackets(ideals[b])):
+                    raise arith.ExactComputationError("ideal candidates do not commute")
         return DecomposedSubalgebra(center=center, ideals=ideals)
     return span_memo(space, build, "ideals", seed)

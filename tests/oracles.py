@@ -1,0 +1,128 @@
+"""Fraction oracles for the tests.
+
+Everything here works on plain ``Fraction`` object arrays with ``np.dot``
+(``np.asarray`` turns a ``Scaled`` value into one), so it shares no
+arithmetic with goverify's scaled-integer kernels.  These checks are kept as
+independent routes to results the package computes another way.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from goverify import arith
+from goverify.arith import ContractViolation, is_zero, q, qzeros
+from goverify.metrics import BlockSpec, MetricOperator
+from goverify.subspaces import projector
+
+
+def fractions(x) -> np.ndarray:
+    """The Fraction array of ``x`` (a ``Scaled``, an array or nested lists)."""
+    return arith.qarray(np.asarray(x))
+
+
+def fmatmul(a, b) -> np.ndarray:
+    """The exact product of two rational arrays, as Fractions."""
+    return np.dot(fractions(a), fractions(b))
+
+
+def fbracket(algebra, x, y) -> np.ndarray:
+    """``[x, y]`` summed over the dense Fraction structure tensor."""
+    return np.dot(fractions(y), np.tensordot(fractions(x), algebra.tensor, axes=1))
+
+
+def fad(algebra, x) -> np.ndarray:
+    """The matrix of ``ad_x`` from the dense Fraction structure tensor."""
+    return np.tensordot(fractions(x), algebra.tensor, axes=1).T
+
+
+def positive_definite(S) -> bool:
+    """Positive definiteness by Fraction Gaussian elimination (pivot signs)."""
+    work = [[q(v) for v in row] for row in fractions(S)]
+    n = len(work)
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = work[i][k] / pivot
+            if f != 0:
+                for j in range(k, n):
+                    work[i][j] = work[i][j] - f * work[k][j]
+    return True
+
+
+def rescale(operator: MetricOperator, factor) -> MetricOperator:
+    """The operator times a positive scalar, with its block data scaled alike."""
+    factor = q(factor)
+    if factor <= 0:
+        raise ContractViolation("scaling factor must be positive")
+    spec = None
+    if operator.block_spec is not None:
+        center = operator.block_spec.center_block
+        spec = BlockSpec(
+            blocks=tuple((s, v * factor) for s, v in operator.block_spec.blocks),
+            center_block=None if center is None else (center[0], fractions(center[1]) * factor))
+    return MetricOperator(operator.algebra, fractions(operator.matrix) * factor, operator.form,
+                          spec, check=False)
+
+
+def metric_inner(operator: MetricOperator, x, y) -> Fraction:
+    """``metric(x, y) = x^T H y``."""
+    return np.dot(fractions(x), fmatmul(operator.metric_matrix, y))
+
+
+def check_homomorphism(restriction) -> bool:
+    """Whether the action matrices of an ``AdRestriction`` respect brackets exactly."""
+    h = restriction.acting
+    mats = [fractions(m) for m in restriction.matrices]
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            coords = h.coords(fbracket(h.algebra, h.basis[i], h.basis[j]))
+            if coords is None:
+                return False
+            expected = sum((c * m for c, m in zip(fractions(coords), mats)), qzeros(mats[0].shape))
+            comm = np.dot(mats[i], mats[j]) - np.dot(mats[j], mats[i])
+            if not is_zero(comm - expected):
+                return False
+    return True
+
+
+def two_step_identity_check(operator: MetricOperator, subalgebra, z, w) -> bool:
+    """Joint vanishing of the two equivalent geodesic expressions.
+
+    With X = Z - W the expressions [Z-W, L(Z-W)] - L[Z,W] and [W+X, LX]
+    coincide under equivariance over the subalgebra; they are evaluated
+    independently and must vanish together.
+    """
+    algebra = operator.algebra
+    z, w, op = fractions(z), fractions(w), fractions(operator.matrix)
+    if not subalgebra.contains(w):
+        raise ContractViolation("second argument must lie in the subalgebra")
+    x = z - w
+    first = fbracket(algebra, x, np.dot(op, x)) - np.dot(op, fbracket(algebra, z, w))
+    second = fbracket(algebra, w + x, np.dot(op, x))
+    if is_zero(first) != is_zero(second):
+        raise arith.ExactComputationError("two-step identity expressions disagree")
+    return is_zero(first) and is_zero(second)
+
+
+def geodesic_lemma_solvable(operator: MetricOperator, subalgebra, complement, direction) -> bool:
+    """Solvability of the projected form of the geodesic condition.
+
+    System in W: metric([W + X, Y]_m, X) = 0 for all basis Y of m, an
+    independent route to the unprojected witness system.
+    """
+    algebra = operator.algebra
+    x = fractions(direction)
+    proj = fractions(projector(complement, operator.form))
+    hx = np.dot(np.dot(proj.T, fractions(operator.metric_matrix)), x)
+    rows, rhs = [], []
+    for j in range(complement.dim):
+        y = fractions(complement.basis[j])
+        # metric([W, Y]_m, X) = -(ad_Y W)^T proj^T H X
+        rows.append(-np.dot(np.dot(fractions(subalgebra.basis), fad(algebra, y).T), hx))
+        rhs.append(-np.dot(fbracket(algebra, x, y), hx))
+    a = np.stack(rows).reshape(complement.dim, subalgebra.dim) if subalgebra.dim else \
+        qzeros((complement.dim, 0))
+    return isinstance(arith.solve_linear(a, np.asarray(rhs, dtype=object)), arith.Solution)

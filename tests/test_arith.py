@@ -14,6 +14,7 @@ from goverify.arith import (ContractViolation, ExactComputationError, Inconsiste
                             Solution, q, qarray, qeye, qzeros)
 from goverify.lie import build_classical
 from goverify.subspaces import Subspace, rank_estimate
+from oracles import fmatmul, positive_definite
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -114,7 +115,7 @@ def test_nullspace_hybrid_path_matches_direct():
     stack = np.concatenate([base * q(i + 1) for i in range(40)], axis=0)
     null = arith.nullspace_exact(stack)
     assert null.shape[0] == 40 - arith.rank_exact(base)
-    assert arith.is_zero(arith.exact_matmul(stack, null.T))
+    assert arith.is_zero(fmatmul(stack, null.T))
 
 
 # -- symmetric eigenstructure ------------------------------------------------
@@ -201,13 +202,13 @@ def test_nullspace_python_int_check_matches_int64(monkeypatch):
     huge = stack.astype(object) * 3**45
     plain = arith.nullspace_exact(stack)
     dtypes = []
-    product = arith.int_matmul
+    product = arith.Scaled.__matmul__
 
     def recording_matmul(a, b):
-        dtypes.append(a.dtype)
+        dtypes.append(a.ints.dtype)
         return product(a, b)
 
-    monkeypatch.setattr(arith, "int_matmul", recording_matmul)
+    monkeypatch.setattr(arith.Scaled, "__matmul__", recording_matmul)
     scaled = arith.nullspace_exact(huge)
     assert dtypes == [object]  # the modular candidate was checked on Python ints
     assert plain.shape == (40 - arith.rank_exact(base), 40)
@@ -366,7 +367,7 @@ def test_integer_solve_and_rank_match_fraction_reference(kind):
         ref_rows, ref_pivots = _reference_rref(A)
         assert pivots == ref_pivots and rows.tolist() == ref_rows[:len(pivots)]
         # the integer entry point, each row of [A | b] with its own scale
-        aug = arith._int_rows(np.concatenate([A, b[:, None]], axis=1)).astype(object)
+        aug = arith.Scaled.of(np.concatenate([A, b[:, None]], axis=1)).ints.astype(object)
         aug = aug * np.array([[rng.randint(1, 4)] for _ in range(A.shape[0])], dtype=object)
         assert _as_tuple(arith.solve_int(aug)) == expected
 
@@ -461,7 +462,13 @@ def test_small_nullspace_runs_bareiss_directly(monkeypatch):
     assert screens == [] and len(eliminations) == len(systems)
 
 
-# -- inverse_int ------------------------------------------------------------------
+# -- inverse ----------------------------------------------------------------------
+
+def _inverse(m, scale=1):
+    """``(ints, scale)`` of the inverse of ``m / scale``."""
+    inv = arith.inverse(arith.Scaled(m, scale))
+    return inv.ints, inv.scale
+
 
 def _nonsingular(rng, n, kind):
     """A nonsingular integer n x n matrix of the named kind."""
@@ -486,7 +493,7 @@ def test_inverse_int_is_the_cleared_reference_inverse(kind):
         m = _nonsingular(rng, n, kind)
         if kind == "negative-det":
             assert sympy.Matrix(m.tolist()).det() < 0
-        ints, scale = arith.inverse_int(m)
+        ints, scale = _inverse(m)
         ref_ints, ref_scale = arith.clear_denominators(_reference_inverse(m))
         assert scale == ref_scale and ints.dtype == ref_ints.dtype
         assert np.array_equal(ints, ref_ints)
@@ -499,23 +506,23 @@ def test_inverse_int_is_the_cleared_reference_inverse(kind):
 def test_inverse_int_rejects_singular_matrices():
     for m in ([[1, 2], [2, 4]], [[0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
         with pytest.raises(ContractViolation):
-            arith.inverse_int(np.array(m, dtype=np.int64))
+            _inverse(np.array(m, dtype=np.int64))
 
 
 def test_inverse_int_of_a_scaled_and_of_a_tall_matrix():
     m = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=np.int64)
-    ints, scale = arith.inverse_int(m, 6)
+    ints, scale = _inverse(m, 6)
     ref_ints, ref_scale = arith.clear_denominators(_reference_inverse(qarray(m) / 6))
     assert scale == ref_scale and np.array_equal(ints, ref_ints)
     # a tall matrix of full column rank: T is the right block of the rref of [M | I]
     tall = m[:, :2]
-    ints, scale = arith.inverse_int(tall, 6)
+    ints, scale = _inverse(tall, 6)
     rows, _ = _reference_rref(np.concatenate([qarray(tall) / 6, qeye(3)], axis=1))
     ref_ints, ref_scale = arith.clear_denominators(qarray([row[2:] for row in rows]))
     assert scale == ref_scale and np.array_equal(ints, ref_ints)
     assert np.array_equal(ints @ tall, np.eye(3, 2, dtype=np.int64) * 6 * scale)
     with pytest.raises(ContractViolation):
-        arith.inverse_int(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))
+        _inverse(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))
 
 
 # -- rational factoring of minimal polynomials, against sympy -------------------
@@ -630,3 +637,61 @@ def test_rational_factors_order_repeated_factors_like_sympy(factors):
     """sympy orders by length, then multiplicity, then coefficients."""
     poly = _product(factors)
     assert arith.rational_factors(poly) == _sympy_factors(poly)
+
+
+# -- the Scaled type, on both of its integer paths ------------------------------
+
+def _scaled_pair(draw, rows, cols, magnitude):
+    """A Scaled with entries near ``magnitude`` (entry [0, 0] at it) and its Fraction array."""
+    ints = [[magnitude * draw(st.integers(-1, 1)) + draw(st.integers(-1000, 1000))
+             for _ in range(cols)] for _ in range(rows)]
+    ints[0][0] = magnitude + draw(st.integers(0, 1000))
+    scale = draw(st.integers(1, 60))
+    return (arith.Scaled(np.array(ints, dtype=object), scale),
+            qarray([[Fraction(v, scale) for v in row] for row in ints]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2**30, 2**61]), st.data())
+def test_scaled_arithmetic_matches_the_fraction_oracle_on_both_paths(magnitude, data):
+    """``@``, ``+``, ``-`` and scalar products equal Fraction ``np.dot`` and
+    elementwise arithmetic; entries near 2**30 run on int64, near 2**61 on Python ints."""
+    n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a, fa = _scaled_pair(data.draw, n, k, magnitude)
+    b, fb = _scaled_pair(data.draw, k, m, magnitude)
+    c, fc = _scaled_pair(data.draw, n, k, magnitude)
+    assert a.fits(b, k) == (magnitude == 2**30)
+    assert a.ints.dtype == (np.int64 if magnitude == 2**30 else object)
+    factor = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    assert (a @ b).tolist() == np.dot(fa, fb).tolist()
+    assert (a @ b[:, 0]).tolist() == np.dot(fa, fb[:, 0]).tolist()
+    assert (a + c).tolist() == (fa + fc).tolist()
+    assert (a - c).tolist() == (fa - fc).tolist()
+    assert (a * factor).tolist() == (fa * factor).tolist() == (factor * a).tolist()
+    assert (-a).T.tolist() == (-fa).T.tolist()
+    assert [str(v) for v in a.strs()] == [arith.fraction_str(v) for v in fa.reshape(-1)]
+    assert (a @ b).equals(np.dot(fa, fb)) and a.reduced().equals(fa)
+
+
+def _symmetric_of_kind(rng, n, kind):
+    """``M^T D M`` with ``M`` unit upper triangular, so its inertia is that of ``D``."""
+    d = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+    if kind == "semidefinite":
+        d[rng.randrange(n)] = Fraction(0)
+    if kind == "indefinite":
+        d[rng.randrange(n)] *= -1
+    m = qeye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return np.dot(np.dot(m.T, np.diag(d).astype(object)), m)
+
+
+@pytest.mark.parametrize("kind", ["definite", "semidefinite", "indefinite"])
+def test_positive_definite_by_bareiss_pivots_matches_fraction_elimination(kind):
+    rng = random.Random(kind)
+    for _ in range(60):
+        s = _symmetric_of_kind(rng, rng.randint(1, 7), kind)
+        assert arith.is_positive_definite_exact(s) == positive_definite(s) == (kind == "definite")
+        scaled = arith.Scaled.of(s) * 3**45        # the pivots past int64
+        assert arith.is_positive_definite_exact(scaled) == (kind == "definite")

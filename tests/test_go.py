@@ -7,16 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goverify import arith, go, metrics
+from goverify import arith, metrics, reps
 from goverify.arith import is_zero, q, qarray
-from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable,
-                         geodesic_lemma_solvable, go_solve_at, go_verdict,
+from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_solve_at, go_verdict,
                          natred_condition_check, normalizer_equivariance_check,
-                         replay_certificate, replay_counterexample, split_check,
-                         two_step_identity_check)
+                         replay_certificate, replay_counterexample, split_check)
 from goverify.lie import build_classical, direct_sum, embed_so_partition, attach_form
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
-from goverify.subspaces import Subspace, orthogonal_complement
+from goverify.subspaces import Subspace, orthogonal_complement, projector
+from oracles import geodesic_lemma_solvable, metric_inner, rescale, two_step_identity_check
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 STRATEGY = SamplingStrategy(seed=11, random_count=16)
@@ -137,12 +136,12 @@ def test_natred_fails_with_witness_triple(so6):
     assert not result and result.witness_triple is not None
     # the witness value is metric([v_a, v_c]_m, v_b) + metric([v_b, v_c]_m, v_a)
     a, b, c = (m.basis[i] for i in result.witness_triple)
-    proj = go._projection_matrix(m, op.form)
+    proj = np.asarray(projector(m, op.form))
     g = layout.algebra
-    expected = op.metric_inner(np.dot(proj, g.bracket(a, c)), b) + \
-        op.metric_inner(np.dot(proj, g.bracket(b, c)), a)
+    expected = metric_inner(op, np.dot(proj, np.asarray(g.bracket(a, c))), b) + \
+        metric_inner(op, np.dot(proj, np.asarray(g.bracket(b, c))), a)
     assert expected != 0 and result.witness_value == expected
-    scaled = natred_condition_check(op.rescale(Fraction(5, 3)), k, m)
+    scaled = natred_condition_check(rescale(op, Fraction(5, 3)), k, m)
     assert scaled.witness_triple == result.witness_triple
     assert scaled.witness_value == expected * Fraction(5, 3)
     halved = natred_condition_check(op, k, Subspace(layout.algebra, m.basis * Fraction(1, 2)))
@@ -274,17 +273,17 @@ def test_go_verdict_on_python_ints_matches_int64(so6, monkeypatch):
     reaches the same counterexample as the unscaled one."""
     layout, named = so6
     op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
-    big = op.rescale(Fraction(3**40, 7))
-    assert big.int_matrix[0].dtype == object
+    big = rescale(op, Fraction(3**40, 7))
+    assert big.matrix.ints.dtype == object
     plain = go_verdict(op, layout.subalgebra, STRATEGY)
     dtypes = []
-    product = arith.int_matmul
+    product = arith.Scaled.__matmul__
 
     def recording_matmul(a, b):
-        dtypes.append(a.dtype)
+        dtypes.append(a.ints.dtype)
         return product(a, b)
 
-    monkeypatch.setattr(arith, "int_matmul", recording_matmul)
+    monkeypatch.setattr(arith.Scaled, "__matmul__", recording_matmul)
     scaled = go_verdict(big, layout.subalgebra, STRATEGY)
     assert object in dtypes
     assert plain.disproved and scaled.disproved
@@ -301,9 +300,34 @@ def test_witnesses_on_python_ints_match_int64(so6):
     op = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
     plain = go_verdict(op, merged, STRATEGY, keep_certificates=True)
-    big = op.rescale(Fraction(3**40, 7))
+    big = rescale(op, Fraction(3**40, 7))
     scaled = go_verdict(big, merged, STRATEGY, keep_certificates=True)
     assert not scaled.disproved and scaled.samples == plain.samples
     for mine, ref in zip(scaled.certificates, plain.certificates):
         assert list(mine.witness) == list(ref.witness)
         assert replay_certificate(big, mine, merged)
+
+
+def test_direction_loop_metric_build_and_isotypic_split_build_no_fraction_array(monkeypatch):
+    """Fractions stay at the edges: with the Fraction view of ``Scaled`` and
+    ``arith.from_ints`` raising, the so(6)/(2,2,2) metric build, both kinds of
+    direction loop and the isotypic decomposition still run on a fresh algebra."""
+    layout = embed_so_partition(6, (2, 2, 2))   # fresh algebra: nothing memoized
+    named = layout.named_subspaces()
+    g = layout.algebra
+    m = orthogonal_complement(layout.subalgebra, g.form())
+    merged = embed_so_partition(g, (4, 2)).subalgebra
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction array was built")
+
+    monkeypatch.setattr(arith, "from_ints", forbidden)
+    monkeypatch.setattr(arith.Scaled, "fractions", forbidden)
+    with pytest.raises(AssertionError, match="Fraction array"):
+        np.asarray(g.basis_vector(0))
+    disproved = go_verdict(block_metric(layout, named, [1, 2, 3, 4, 5, 6]), layout.subalgebra, STRATEGY)
+    solved = go_verdict(block_metric(layout, named, [2, 2, 7, 2, 3, 3]), merged, STRATEGY,
+                        keep_certificates=True)
+    assert disproved.disproved and not solved.disproved and len(solved.certificates) == solved.samples
+    dec = reps.isotypic_decomposition(layout.subalgebra, m)
+    assert [c.dim for c in dec.components] == [2] * 6

@@ -87,8 +87,8 @@ def _first_failure(tensor):
 
 
 def _python_int_path(algebra):
-    c = algebra.coo[3]
-    return not arith._int64_safe(c, c, 3 * algebra.dim)
+    c = arith.Scaled(algebra.coo[3])
+    return not c.fits(c, 3 * algebra.dim)
 
 
 def test_scaled_tensor_validates_on_python_ints():
@@ -170,8 +170,8 @@ def test_realization_tensor_on_python_ints_scales_exactly(family, n):
     """Scaling every realization matrix by s scales the structure constants by s."""
     _, mats = lie._su_basis(n) if family == "su" else lie._sp_basis(n)
     mats = [m * 2**40 for m in mats]
-    stack, _ = arith.clear_denominators(np.stack(mats))
-    assert not arith._int64_safe(stack, stack, stack.shape[-1])
+    stack = arith.Scaled.of(np.stack(mats))
+    assert not stack.fits(stack, stack.shape[-1])
     coo, scale = lie._tensor_from_realization(mats)
     scaled = lie.StructureAlgebra(dim=len(mats), coo=coo, scale=scale, realization=tuple(mats))
     assert is_zero(scaled.tensor - build_classical(family, n).tensor * 2**40)
@@ -207,6 +207,21 @@ def test_killing_constant_so_n():
             assert -alg.killing.matrix[i, i] == expected
             for j in range(i + 1, alg.dim):
                 assert alg.killing.matrix[i, j] == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_classical("so", 5), lambda: build_classical("su", 3), lambda: build_classical("sp", 2),
+    lambda: direct_sum([build_classical("so", 3), build_classical("abelian", 1), build_classical("su", 2)]),
+], ids=["so5", "su3", "sp2", "so3+abelian1+su2"])
+def test_killing_from_stored_entries_matches_the_dense_product(build):
+    """The join over the stored constants equals the dense (d, d^2) x (d^2, d) product."""
+    algebra = build()
+    d = algebra.dim
+    ads = algebra.contract(np.eye(d, dtype=np.int64))
+    flat = ads.ints.astype(object).reshape(d, d * d)
+    flat_t = np.transpose(ads.ints, (0, 2, 1)).astype(object).reshape(d, d * d)
+    dense = arith.Scaled(flat @ flat_t.T, ads.scale ** 2)
+    assert algebra.killing.matrix.equals(dense)
 
 
 def test_killing_cross_check_matrix_trace_form():
@@ -379,8 +394,7 @@ def test_bracket_on_python_ints_matches_fraction_reference():
     rng = np.random.RandomState(2)
     x = np.array([q(int(v)) / 7 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
     y = np.array([q(int(v)) / 11 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
-    x_int, _ = arith.clear_denominators(x)
-    assert not arith._int64_safe(x_int, scaled.coo[3], 10)
+    assert not arith.Scaled.of(x).fits(arith.Scaled(scaled.coo[3]), 10)
     reference = np.dot(x, np.tensordot(scaled.tensor, y, axes=([1], [0])))
     assert is_zero(scaled.bracket(x, y) - reference)
     assert is_zero(scaled.bracket(x, y) - so5.bracket(x, y) * 2**40)
