@@ -477,26 +477,27 @@ def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (low + (high << 16)) % _P
 
 
-def _modp_pivots(mat_int: np.ndarray, reduce_above: bool = False):
-    """Row echelon elimination mod ``_P``.
+def _modp_pivots(mat_int: np.ndarray):
+    """Gauss-Jordan elimination mod ``_P``.
 
     Returns ``(rank, pivot row ids, pivot cols, reduced)`` where pivot row
-    ids refer to the original numbering and ``reduced`` is the working array
-    (fully reduced rref when ``reduce_above``).
+    ids refer to the original numbering and ``reduced`` is the working array,
+    a fully reduced rref.
 
-    With ``reduce_above`` and more than ``_PANEL`` columns this is blocked
-    Gauss-Jordan over panels of ``_PANEL`` columns.  The scalar loop, forward
-    only, finds a panel's pivots and row swaps on the narrow block; the pivot
-    rows are multiplied by the inverse of their pivot block, and every other
-    row drops its pivot-column part as one :func:`_mulmod` product (exact:
-    ``_PANEL`` inner terms keep float64 partial sums below ``2**53``).  The
-    rref mod p is unique, so all four outputs equal the scalar loop's.
+    Up to ``_PANEL`` columns this is the scalar loop.  Wider inputs run
+    blocked Gauss-Jordan over panels of ``_PANEL`` columns: the scalar loop,
+    forward only, finds a panel's pivots and row swaps on the narrow block;
+    the pivot rows are multiplied by the inverse of their pivot block, and
+    every other row drops its pivot-column part as one :func:`_mulmod`
+    product (exact: ``_PANEL`` inner terms keep float64 partial sums below
+    ``2**53``).  The rref mod p is unique, so all four outputs equal the
+    scalar loop's.
     """
     work = (np.asarray(mat_int) % _P).astype(np.int64)
     nrows, ncols = work.shape
     row_ids = np.arange(nrows)
-    if not reduce_above or ncols <= _PANEL:
-        piv_cols, swaps = _eliminate_modp(work, reduce_above)
+    if ncols <= _PANEL:
+        piv_cols, swaps = _eliminate_modp(work, reduce_above=True)
         _swap_rows(row_ids, swaps)
         return len(piv_cols), row_ids[:len(piv_cols)].tolist(), piv_cols, work
     piv_cols = []
@@ -589,7 +590,7 @@ def nullspace_exact(mat) -> Scaled:
     nrows, ncols = value.shape
     if nrows * ncols <= 1_200:
         return _nullspace_int(value.ints.tolist(), ncols)
-    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints, reduce_above=True)
+    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints)
     if rank_p == ncols:
         return Scaled.zeros((0, ncols))
     candidate = _reconstruct_nullspace(reduced[:rank_p], piv_cols, ncols)

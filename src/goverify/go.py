@@ -110,7 +110,7 @@ def _minimal_norm(sol: arith.Solution, subalgebra: Subspace, operator: MetricOpe
     """Minimal ambient-norm coefficient vector among x0 + nullspace."""
     if sol.nullspace.shape[0] == 0 or subalgebra.dim == 0:
         return sol.x
-    gram = subalgebra.gram(operator.form)
+    gram = subalgebra.gram
     n = sol.nullspace
     t = arith.solve_linear(n @ gram @ n.T, -(n @ (gram @ sol.x)))
     if isinstance(t, arith.Inconsistent):  # pragma: no cover - gram is definite
@@ -229,7 +229,7 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     m = complement.dim
     # U[a,b,c] = metric([v_a, v_c]_m, v_b); condition: U[a,b,c] + U[b,a,c] = 0
     flat = complement.brackets(complement).transpose(0, 2, 1).reshape(m * m, -1)  # [(a,c), k]
-    proj = projector(complement, operator.form)
+    proj = projector(complement)
     u = (flat @ proj.T @ operator.metric_matrix @ complement.basis.T).reshape(m, m, m)
     total = u.transpose(0, 2, 1) + u.transpose(2, 0, 1)    # u[a,c,b] = metric([v_a,v_c]_m, v_b)
     if is_zero(total):
@@ -312,11 +312,10 @@ def split_check(operator: MetricOperator, subalgebra: Subspace,
     computed and reported; when they fail the check still runs, labeled
     exploratory.
     """
-    form = operator.algebra.form()
-    weak = reps.is_weakly_regular(subalgebra, seed=seed)
+    weak = reps.is_weakly_regular(subalgebra)
     flags = hypothesis_flags(subalgebra, seed=seed)
     hypotheses = bool(weak) and flags.satisfied
-    complement = orthogonal_complement(subalgebra, form)
+    complement = orthogonal_complement(subalgebra)
     k_inv = invariant_subspace(operator, subalgebra)
     m_inv = invariant_subspace(operator, complement)
     bi = bi_invariance_check(operator, subalgebra, seed=seed) if k_inv else None

@@ -116,6 +116,7 @@ class StructureAlgebra:
         self.name = name
         self.inner_product = inner_product
         self.validated = False
+        self.form_fixed = False
 
     # -- basic operations ---------------------------------------------------
 
@@ -155,9 +156,18 @@ class StructureAlgebra:
         return self.contract(x) @ Scaled.of(y)
 
     def skewness(self, h) -> Scaled:
-        """``ad_i^T H + H ad_i`` stacked over i: ``[i,j,k] = H([e_i,e_j],e_k) + H(e_j,[e_i,e_k])``."""
-        ads, h = self.contract(np.eye(self.dim, dtype=np.int64)), Scaled.of(h)
-        return ads.transpose(0, 2, 1) @ h + h @ ads
+        """``ad_i^T H + H ad_i`` stacked over i: ``[i,j,k] = H([e_i,e_j],e_k) + H(e_j,[e_i,e_k])``.
+        For a symmetric ``H`` that is ``A + A.transpose(0, 2, 1)``, where ``A[i,j,:]`` is
+        ``sum_k c[i,j,k] H[k,:]`` over the stored entries (int64 if it cannot overflow)."""
+        h = Scaled.of(h)
+        if h.ints.ndim != 2 or np.any(h.ints != h.ints.T):
+            raise ContractViolation("skewness needs a symmetric matrix")
+        (i, j, k, c), h_int = self.coo, h.ints
+        if not self._constants.fits(h, 2 * self.dim):     # an entry of A + A^T sums 2 dim terms
+            c, h_int = c.astype(object), h_int.astype(object)
+        a = np.zeros((self.dim,) * 3, dtype=h_int.dtype)
+        np.add.at(a, (i, j), c[:, None] * h_int[k])
+        return Scaled(a + a.transpose(0, 2, 1), self.scale * h.scale)
 
     @property
     def tensor(self) -> np.ndarray:
@@ -259,15 +269,15 @@ class StructureAlgebra:
         return candidate if candidate.positive_definite else None
 
     def form(self) -> SymmetricForm:
-        """The attached invariant inner product, defaulting to -Killing."""
-        if self.inner_product is not None:
-            return self.inner_product
-        canonical = self.canonical_form
-        if canonical is None:
+        """The attached invariant inner product, defaulting to -Killing.  The first
+        read fixes it (``form_fixed``): results memoized on the algebra depend on it."""
+        form = self.inner_product if self.inner_product is not None else self.canonical_form
+        if form is None:
             raise ContractViolation(
                 "algebra has no positive canonical form; attach an invariant inner "
                 "product with attach_form() first")
-        return canonical
+        self.form_fixed = True
+        return form
 
 
 def _canonical_coo(dim: int, coo, scale: int) -> tuple[tuple[np.ndarray, ...], int]:
@@ -302,7 +312,11 @@ def _check_sums(axiom: str, dim: int, keys: np.ndarray, values: np.ndarray) -> N
 
 
 def attach_form(algebra: StructureAlgebra, matrix) -> StructureAlgebra:
-    """Attach a user-supplied invariant inner product, verifying its properties."""
+    """Attach a user-supplied invariant inner product, verifying its properties,
+    before the algebra's form is first read (memoized results are keyed by span alone)."""
+    if algebra.form_fixed:
+        raise ContractViolation("the algebra's invariant form is already in use; "
+                                "attach a form before its first use")
     form = SymmetricForm(matrix)
     if not form.positive_definite:
         raise ContractViolation("supplied form is not positive definite")

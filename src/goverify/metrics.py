@@ -21,7 +21,7 @@ import numpy as np
 
 from . import arith
 from .arith import ContractViolation, Scaled, q
-from .lie import StructureAlgebra, SymmetricForm
+from .lie import StructureAlgebra
 from .subspaces import (DecomposedSubalgebra, Subspace, ideal_decomposition,
                         is_subalgebra, orthogonal_complement, projector,
                         shared_subspace)
@@ -50,11 +50,10 @@ class BlockSpec:
 class MetricOperator:
     """A positive Q-self-adjoint operator with cached eigenstructure."""
 
-    def __init__(self, algebra: StructureAlgebra, matrix, form: SymmetricForm | None = None,
-                 block_spec: BlockSpec | None = None, check: bool = True):
+    def __init__(self, algebra: StructureAlgebra, matrix, block_spec: BlockSpec | None = None,
+                 check: bool = True):
         self.algebra = algebra
         self.matrix = Scaled.of(matrix).reduced()
-        self.form = form or algebra.form()
         self.block_spec = block_spec
         if check:
             h = self.metric_matrix
@@ -66,7 +65,7 @@ class MetricOperator:
     @cached_property
     def metric_matrix(self) -> Scaled:
         """Matrix H of the metric inner product: metric(x,y) = x^T H y."""
-        return self.form.matrix @ self.matrix
+        return self.algebra.form().matrix @ self.matrix
 
     def apply(self, x) -> Scaled:
         return self.matrix @ Scaled.of(x)
@@ -79,7 +78,7 @@ class MetricOperator:
             for space, value in self.block_spec.blocks:
                 by_value[value] = by_value.get(value, Subspace.zero(self.algebra)).add(space)
             return tuple(sorted(by_value.items(), key=lambda p: p[0]))
-        pairs = arith.symmetric_eigenspaces(self.matrix, self.form.matrix)
+        pairs = arith.symmetric_eigenspaces(self.matrix, self.algebra.form().matrix)
         return tuple((value, Subspace(self.algebra, rows, check=False)) for value, rows in pairs)
 
     @cached_property
@@ -120,8 +119,7 @@ class MetricOperator:
         return self.matrix.scalar()
 
 
-def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
-                       form: SymmetricForm | None = None) -> MetricOperator:
+def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec) -> MetricOperator:
     """Assemble the operator acting as parameter * Id on each scalar block.
 
     Blocks must be pairwise orthogonal for the form and span the algebra;
@@ -130,7 +128,7 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
     The operator is ``sum(value * P)`` over the blocks' form-orthogonal
     projectors ``P``, which are memoized per span.
     """
-    form = form or algebra.form()
+    form = algebra.form()
     d = algebra.dim
     if any(q(value) <= 0 for _, value in spec.blocks):
         raise ContractViolation("block parameters must be positive")
@@ -153,16 +151,16 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec,
     for a in range(len(spaces)):
         if np.any(gram[starts[a]:starts[a + 1], starts[a + 1]:]):
             raise ContractViolation("blocks are not orthogonal for the form")
-    projectors = [projector(s, form) for s in spaces]
+    projectors = [projector(s) for s in spaces]
     if not sum(projectors).equals(np.eye(d, dtype=np.int64)):
         raise ContractViolation("blocks do not span the algebra")
     # the center's projector, if any, comes last and is left out by zip
     matrix = sum(p * v for p, v in zip(projectors, [v for s, v in spec.blocks if s.dim]))
     if spec.center_block is not None and center.dim:
         # Q(L u, v) = inner(u, v) on the center: L = B^T G^-1 inner G^-1 B Q there
-        gram_inv = arith.inverse(center.gram(form))
+        gram_inv = arith.inverse(center.gram)
         matrix = matrix + center.basis.T @ (gram_inv @ inner @ gram_inv) @ center.basis @ form.matrix
-    return MetricOperator(algebra, matrix, form, spec)
+    return MetricOperator(algebra, matrix, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,6 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
     algebra = operator.algebra
     if not _is_simple(algebra):
         raise ContractViolation("normal-form recognition requires a simple ambient algebra")
-    form = operator.form
     scalar = operator.is_scalar()
     full = Subspace.full(algebra)
     if scalar is not None:
@@ -307,7 +304,7 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
         return DaZiReport(True, full, dec, (scalar,), None, "scalar (bi-invariant)")
     kprime = operator.isometry_subalgebra
     dec = ideal_decomposition(kprime, seed=seed)
-    complement = orthogonal_complement(kprime, form)
+    complement = orthogonal_complement(kprime)
     pieces = [dec.center, *dec.ideals, complement]
     for piece in pieces:
         if not invariant_subspace(operator, piece):
@@ -333,8 +330,8 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
     center_block = None
     if dec.center.dim:
         center_operator = restrict_operator(operator, dec.center)
-        center_block = (dec.center, dec.center.gram(form) @ center_operator)
-    rebuilt = metric_from_blocks(algebra, BlockSpec(tuple(blocks), center_block), form)
+        center_block = (dec.center, dec.center.gram @ center_operator)
+    rebuilt = metric_from_blocks(algebra, BlockSpec(tuple(blocks), center_block))
     if not rebuilt.matrix.equals(operator.matrix):  # pragma: no cover - rebuild identity
         raise arith.ExactComputationError("normal-form rebuild mismatch")
     return DaZiReport(True, kprime, dec, tuple(scalars), complement_scalar, "normal form")

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import arith
 from .arith import ContractViolation, Scaled
-from .lie import SymmetricForm
 from .subspaces import (Subspace, centralizer_in_complement, normalizer,
                         orthogonal_complement, span_memo)
 
@@ -150,15 +149,15 @@ def modules_disjoint(acting: Subspace, space1: Subspace, space2: Subspace) -> bo
 # symmetric commutant and isotypic decomposition
 # ---------------------------------------------------------------------------
 
-def symmetric_commutant(restriction: AdRestriction, form: SymmetricForm) -> list[Scaled]:
-    """Basis of operators commuting with the action and symmetric for the form.
+def symmetric_commutant(restriction: AdRestriction) -> list[Scaled]:
+    """Basis of operators commuting with the action and symmetric for the invariant form.
 
     Operators are returned in the coordinates of ``restriction.space``.
     """
     p = restriction.space.dim
     if p == 0:
         return []
-    gram_int = restriction.space.gram(form).ints
+    gram_int = restriction.space.gram.ints
     sym_rows = np.kron(gram_int, np.eye(p, dtype=gram_int.dtype))
     swap = np.array([b * p + a for a in range(p) for b in range(p)])
     sym_rows = sym_rows - np.kron(np.eye(p, dtype=gram_int.dtype), gram_int.T)[:, swap]
@@ -192,8 +191,6 @@ def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
     is labeled ``not-split-by-this-procedure`` -- downstream decisions only
     need the disjointness of distinct components, which holds either way.
     """
-    algebra = space.algebra
-    form = algebra.form()
     if space.dim == 0:
         return IsotypicDecomposition((), (), ())
     if acting.dim == 0:
@@ -205,7 +202,7 @@ def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
     while stack:
         piece = stack.pop()
         restriction = ad_restriction(acting, piece)
-        commutant = symmetric_commutant(restriction, form)
+        commutant = symmetric_commutant(restriction)
         if len(commutant) <= 1:
             final.append((piece, "irreducible"))
             continue
@@ -290,7 +287,7 @@ class WeakRegularityReport:
         return self.weakly_regular
 
 
-def is_weakly_regular(space: Subspace, seed: int = 0) -> WeakRegularityReport:
+def is_weakly_regular(space: Subspace) -> WeakRegularityReport:
     """Decide weak regularity of a subalgebra.
 
     Computes the normalizer n, the orthogonal complement p of n, and tests
@@ -298,23 +295,21 @@ def is_weakly_regular(space: Subspace, seed: int = 0) -> WeakRegularityReport:
     p -- i.e. that the total intertwiner space between them vanishes.  The
     zero subalgebra is weakly regular by convention.
     """
-    algebra = space.algebra
-    form = algebra.form()
     if space.dim == 0:
-        return WeakRegularityReport(True, 0, 0, algebra.dim, 0)
+        return WeakRegularityReport(True, 0, 0, space.algebra.dim, 0)
 
     def build():
-        norm = normalizer(space, form)
-        p = orthogonal_complement(norm, form)
+        norm = normalizer(space)
+        p = orthogonal_complement(norm)
         itw = intertwiner_space(norm, space, p)
         return WeakRegularityReport(
             weakly_regular=itw.dim == 0,
             dim_subalgebra=space.dim,
-            dim_centralizer_in_complement=centralizer_in_complement(space, form).dim,
+            dim_centralizer_in_complement=centralizer_in_complement(space).dim,
             dim_opposite=p.dim,
             intertwiner_dim=itw.dim,
         )
-    return span_memo(space, build, "weakreg", seed, id(algebra.inner_product))
+    return span_memo(space, build, "weakreg")
 
 
 def criterion_weak_regularity(space: Subspace) -> bool:
@@ -324,9 +319,7 @@ def criterion_weak_regularity(space: Subspace) -> bool:
     m, then the subalgebra is weakly regular (the normalizer only refines
     both sides).
     """
-    algebra = space.algebra
-    form = algebra.form()
     if space.dim == 0:
         return True
-    complement = orthogonal_complement(space, form)
+    complement = orthogonal_complement(space)
     return modules_disjoint(space, space, complement)

@@ -103,22 +103,21 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         rows = arith.qarray([[Fraction(v) for v in row] for row in sub["span"]])
         subgroup = Subspace(algebra, rows)
         named["k"] = subgroup
-        named["m"] = orthogonal_complement(subgroup, algebra.form())
+        named["m"] = orthogonal_complement(subgroup)
     elif "subspace" in sub:
         from .subspaces import parse_subspace
         subgroup = parse_subspace(algebra, sub["subspace"])
         named["k"] = subgroup
-        named["m"] = orthogonal_complement(subgroup, algebra.form())
+        named["m"] = orthogonal_complement(subgroup)
     elif "indices" in sub:
         subgroup = Subspace.from_indices(algebra, [int(i) for i in sub["indices"]])
         named["k"] = subgroup
-        named["m"] = orthogonal_complement(subgroup, algebra.form())
+        named["m"] = orthogonal_complement(subgroup)
     elif sub.get("kind") == "cartan-diagonal":
         idx = [i for i, lab in enumerate(algebra.labels) if lab.startswith("D")]
         subgroup = Subspace.from_indices(algebra, idx)
         named["t"] = subgroup
-        pieces = reps.isotypic_decomposition(subgroup,
-                                             orthogonal_complement(subgroup, algebra.form()),
+        pieces = reps.isotypic_decomposition(subgroup, orthogonal_complement(subgroup),
                                              seed=spec.seed)
         for i, piece in enumerate(pieces.components, start=1):
             named[f"r{i}"] = piece
@@ -127,10 +126,9 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         outer = Subspace.from_indices(algebra, [int(i) for i in sub["chain"]["outer"]])
         if not outer.contains_space(inner):
             raise ContractViolation("chain: inner subalgebra must lie inside the outer one")
-        form = algebra.form()
         named["h"] = inner
-        named["u"] = orthogonal_complement(inner, form).intersect(outer)
-        named["p"] = orthogonal_complement(outer, form)
+        named["u"] = orthogonal_complement(inner).intersect(outer)
+        named["p"] = orthogonal_complement(outer)
         subgroup = inner
     metric = None
     if spec.metric is not None and not any(key in spec.metric for key, _, _ in _SWEEPS.values()):
@@ -251,7 +249,7 @@ def _check_regular(built: BuiltScenario, rep: Report):
 
 def _check_weakly_regular(built: BuiltScenario, rep: Report):
     k = _require_subgroup(built)
-    result = reps.is_weakly_regular(k, seed=built.spec.seed)
+    result = reps.is_weakly_regular(k)
     sufficient = reps.criterion_weak_regularity(k)
     if sufficient and not result.weakly_regular:  # pragma: no cover - implication
         raise arith.ExactComputationError("sufficient criterion violated the full decision")
@@ -326,7 +324,7 @@ def _check_go(built: BuiltScenario, rep: Report):
 def _check_natred(built: BuiltScenario, rep: Report):
     operator = _require_metric(built)
     k = _require_subgroup(built)
-    m = orthogonal_complement(k, built.algebra.form())
+    m = orthogonal_complement(k)
     result = go.natred_condition_check(operator, k, m)
     rep.add({
         "record": "check", "name": "natred", "verdict": bool(result),

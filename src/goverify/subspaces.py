@@ -5,6 +5,9 @@ A :class:`Subspace` is an ordered list of coordinate vectors (rows of
 spanning a linear subspace of the ambient algebra.  All computations here
 are exact integer products and eliminations on those rows.
 
+Orthogonality, Gram matrices and projectors use the algebra's one invariant
+inner product, ``space.algebra.form()``; no function here takes a form.
+
 Structural results are memoized per span (:func:`span_memo`, keyed by the
 rref in :meth:`Subspace.sort_key`), so a sweep that meets one subalgebra on
 many metrics computes its complement, normalizer, ideals and projector once.
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import arith
 from .arith import ContractViolation, Scaled, is_zero, qarray
-from .lie import StructureAlgebra, SymmetricForm
+from .lie import StructureAlgebra
 
 
 class Subspace:
@@ -114,21 +117,10 @@ class Subspace:
         null = arith.nullspace_exact(Scaled.concat([self.basis.T, -other.basis.T], axis=1))
         return Subspace.span(self.algebra, null[:, :self.dim] @ self.basis)
 
-    def gram(self, form: SymmetricForm) -> Scaled:
-        cache = self.__dict__.setdefault("_gram_cache", {})
-        key = id(form)
-        if key not in cache:
-            cache[key] = self.basis @ (form.matrix @ self.basis.T)
-        return cache[key]
-
-    def is_form_orthogonal(self, form: SymmetricForm) -> bool:
-        """Whether the basis rows are pairwise orthogonal for ``form`` (cached)."""
-        cache = self.__dict__.setdefault("_orth_cache", {})
-        key = id(form)
-        if key not in cache:
-            gram = self.gram(form).ints
-            cache[key] = not np.any(gram - np.diag(np.diagonal(gram)))
-        return cache[key]
+    @cached_property
+    def gram(self) -> Scaled:
+        """Gram matrix of the basis rows for the algebra's invariant form."""
+        return self.basis @ (self.algebra.form().matrix @ self.basis.T)
 
     @cached_property
     def ad_matrices(self) -> Scaled:
@@ -194,17 +186,13 @@ def parse_subspace(algebra, text: str) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def span_memo(space: Subspace, build, kind: str, *extras):
-    """``build()``, computed once per algebra for the key ``(kind, *extras, span)``."""
+    """``build()``, computed once per algebra for the key ``(kind, *extras, span)``; the key
+    needs no form, since the algebra's form is fixed by its first read."""
     memo = space.algebra.__dict__.setdefault("_memo", {})
     key = (kind, *extras, space.sort_key())
     if key not in memo:
         memo[key] = build()
     return memo[key]
-
-
-def _form_memo(space: Subspace, form: SymmetricForm, build, kind: str):
-    """:func:`span_memo` keyed also by ``id(form)``; holding the form keeps that id unique."""
-    return span_memo(space, lambda: (form, build()), kind, id(form))[1]
 
 
 def shared_subspace(space: Subspace, kind: str) -> Subspace:
@@ -221,24 +209,26 @@ def shared_subspace(space: Subspace, kind: str) -> Subspace:
 # constructions
 # ---------------------------------------------------------------------------
 
-def orthogonal_complement(space: Subspace, form: SymmetricForm) -> Subspace:
+def orthogonal_complement(space: Subspace) -> Subspace:
     """Form-orthogonal complement; requires a positive-definite form."""
+    form = space.algebra.form()
     if not form.positive_definite:
         raise ContractViolation("orthogonal complement needs a positive definite form")
     if space.dim == 0:
         return Subspace.full(space.algebra)
-    return _form_memo(space, form, lambda: Subspace(space.algebra, arith.nullspace_exact(
+    return span_memo(space, lambda: Subspace(space.algebra, arith.nullspace_exact(
         space.basis @ form.matrix), check=False), "complement")
 
 
-def projector(space: Subspace, form: SymmetricForm) -> Scaled:
+def projector(space: Subspace) -> Scaled:
     """``B^T G^-1 B Q``, the form-orthogonal projection onto ``space`` (memoized
-    per span and form).  Scaling ``B`` or ``Q`` leaves it unchanged, so it is
-    formed from their integers around ``G^-1``."""
+    per span).  Scaling ``B`` or ``Q`` leaves it unchanged, so it is formed
+    from their integers around ``G^-1``."""
     def build():
-        b, bq = Scaled(space.basis.ints), Scaled(space.basis.ints) @ Scaled(form.matrix.ints)
+        b = Scaled(space.basis.ints)
+        bq = b @ Scaled(space.algebra.form().matrix.ints)
         return b.T @ (arith.inverse(bq @ b.T) @ bq)
-    return _form_memo(space, form, build, "projector")
+    return span_memo(space, build, "projector")
 
 
 def centralizer_in(target: Subspace, within: Subspace) -> Subspace:
@@ -268,27 +258,26 @@ def is_subalgebra(space: Subspace) -> SubalgebraCheck:
         else SubalgebraCheck(True)
 
 
-def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
+def normalizer(space: Subspace) -> Subspace:
     """Normalizer of a subalgebra, cross-checked against k + centralizer-in-m.
 
     The ambient algebra's invariant form is used for the cross-check
     decomposition; the normalizer itself is form-independent.
     """
     algebra = space.algebra
-    form = form or algebra.form()
     def build():
         check = is_subalgebra(space)
         if not check:
             raise ContractViolation(f"normalizer requires a subalgebra; pair {check.witness_pair} escapes")
         if space.dim == 0:
             return Subspace.full(algebra)
-        complement = orthogonal_complement(space, form)
-        proj = complement.basis @ form.matrix   # row kernel of this = Q-orthogonal to m
+        complement = orthogonal_complement(space)
+        proj = complement.basis @ algebra.form().matrix   # row kernel of this = Q-orthogonal to m
         system = proj @ space.ad_matrices       # [k_i, X] in k for all i
         result = Subspace(algebra, arith.nullspace_exact(system.reshape(-1, algebra.dim)),
                           check=False)
         # structural cross-check: n_g(k) = k + c_m(k), Q-orthogonally
-        cm = centralizer_in_complement(space, form)
+        cm = centralizer_in_complement(space)
         if result.dim != space.dim + cm.dim or not (result.contains_space(space)
                                                     and result.contains_space(cm)):
             raise arith.ExactComputationError("normalizer differs from k + c_m(k)")
@@ -296,11 +285,9 @@ def normalizer(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
     return span_memo(space, build, "normalizer")
 
 
-def centralizer_in_complement(space: Subspace, form: SymmetricForm | None = None) -> Subspace:
+def centralizer_in_complement(space: Subspace) -> Subspace:
     """c_m(k): centralizer of the subalgebra inside its form-complement (memoized)."""
-    form = form or space.algebra.form()
-    return _form_memo(space, form, lambda: centralizer_in(space, orthogonal_complement(space, form)),
-                      "c_m")
+    return span_memo(space, lambda: centralizer_in(space, orthogonal_complement(space)), "c_m")
 
 
 # ---------------------------------------------------------------------------

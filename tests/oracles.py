@@ -63,8 +63,7 @@ def rescale(operator: MetricOperator, factor) -> MetricOperator:
         spec = BlockSpec(
             blocks=tuple((s, v * factor) for s, v in operator.block_spec.blocks),
             center_block=None if center is None else (center[0], fractions(center[1]) * factor))
-    return MetricOperator(operator.algebra, fractions(operator.matrix) * factor, operator.form,
-                          spec, check=False)
+    return MetricOperator(operator.algebra, fractions(operator.matrix) * factor, spec, check=False)
 
 
 def metric_inner(operator: MetricOperator, x, y) -> Fraction:
@@ -115,7 +114,7 @@ def geodesic_lemma_solvable(operator: MetricOperator, subalgebra, complement, di
     """
     algebra = operator.algebra
     x = fractions(direction)
-    proj = fractions(projector(complement, operator.form))
+    proj = fractions(projector(complement))
     hx = np.dot(np.dot(proj.T, fractions(operator.metric_matrix)), x)
     rows, rhs = [], []
     for j in range(complement.dim):

@@ -148,7 +148,7 @@ def test_criterion_4_naturally_reductive_implies_go():
         params = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(nparams)]
         algebra, subalgebra, blocks = builder(params)
         operator = metric_from_blocks(algebra, BlockSpec(tuple(blocks)))
-        complement = orthogonal_complement(subalgebra, algebra.form())
+        complement = orthogonal_complement(subalgebra)
         assert go.natred_condition_check(operator, subalgebra, complement)
         verdict = go.go_verdict(operator, subalgebra,
                                 go.SamplingStrategy(seed=index, random_count=12),

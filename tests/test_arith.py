@@ -221,7 +221,7 @@ def _scalar_modp_pivots(mat, monkeypatch):
     """The one-pivot-at-a-time loop: a panel wider than any test matrix."""
     with monkeypatch.context() as patched:
         patched.setattr(arith, "_PANEL", 10**9)
-        return arith._modp_pivots(mat, reduce_above=True)
+        return arith._modp_pivots(mat)
 
 
 def _rank_deficient(rng):
@@ -245,7 +245,7 @@ def _pivotless_panel(rng):
 def test_panel_elimination_matches_scalar_loop(build, monkeypatch):
     mat = build(np.random.RandomState(5))
     assert mat.shape[1] > 2 * arith._PANEL
-    rank, piv_rows, piv_cols, reduced = arith._modp_pivots(mat, reduce_above=True)
+    rank, piv_rows, piv_cols, reduced = arith._modp_pivots(mat)
     ref_rank, ref_rows, ref_cols, ref_reduced = _scalar_modp_pivots(mat, monkeypatch)
     assert (rank, piv_rows, piv_cols) == (ref_rank, ref_rows, ref_cols)
     assert np.array_equal(reduced[:rank], ref_reduced[:ref_rank])

@@ -115,7 +115,7 @@ def test_natred_scalar_metric_any_reductive_complement(so6):
     layout, named = so6
     op = block_metric(layout, named, [3] * 6)
     k = layout.subalgebra
-    m = orthogonal_complement(k, layout.algebra.form())
+    m = orthogonal_complement(k)
     assert natred_condition_check(op, k, m)
 
 
@@ -123,7 +123,7 @@ def test_natred_dazi_form_true_for_defining_subalgebra(so6):
     layout, named = so6
     op = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
-    m = orthogonal_complement(merged, layout.algebra.form())
+    m = orthogonal_complement(merged)
     assert natred_condition_check(op, merged, m)
 
 
@@ -131,12 +131,12 @@ def test_natred_fails_with_witness_triple(so6):
     layout, named = so6
     op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
     k = layout.subalgebra
-    m = orthogonal_complement(k, layout.algebra.form())
+    m = orthogonal_complement(k)
     result = natred_condition_check(op, k, m)
     assert not result and result.witness_triple is not None
     # the witness value is metric([v_a, v_c]_m, v_b) + metric([v_b, v_c]_m, v_a)
     a, b, c = (m.basis[i] for i in result.witness_triple)
-    proj = np.asarray(projector(m, op.form))
+    proj = np.asarray(projector(m))
     g = layout.algebra
     expected = metric_inner(op, np.dot(proj, np.asarray(g.bracket(a, c))), b) + \
         metric_inner(op, np.dot(proj, np.asarray(g.bracket(b, c))), a)
@@ -232,7 +232,7 @@ def test_geodesic_lemma_route_agrees_with_witness_route(so6):
     for params, k in ((([2, 2, 7, 2, 3, 3]), embed_so_partition(g, (4, 2)).subalgebra),
                       (([1, 2, 3, 4, 5, 6]), layout.subalgebra)):
         op = block_metric(layout, named, params)
-        m = orthogonal_complement(k, g.form())
+        m = orthogonal_complement(k)
         for _ in range(6):
             x = m.random_element(rng)
             strict = isinstance(go_solve_at(op, k, x), GoCertificate)
@@ -315,7 +315,7 @@ def test_direction_loop_metric_build_and_isotypic_split_build_no_fraction_array(
     layout = embed_so_partition(6, (2, 2, 2))   # fresh algebra: nothing memoized
     named = layout.named_subspaces()
     g = layout.algebra
-    m = orthogonal_complement(layout.subalgebra, g.form())
+    m = orthogonal_complement(layout.subalgebra)
     merged = embed_so_partition(g, (4, 2)).subalgebra
 
     def forbidden(*args, **kwargs):

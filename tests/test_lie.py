@@ -13,6 +13,8 @@ from goverify.arith import is_zero, q, qzeros
 from goverify.lie import (ValidationError, build_classical, direct_sum, embed_so_partition,
                           ingest_structure_table, serialize_structure_table,
                           so_pair_index)
+from goverify.subspaces import Subspace, orthogonal_complement
+from oracles import fad, fmatmul
 
 
 def brute_force_killing(algebra):
@@ -233,6 +235,32 @@ def test_killing_cross_check_matrix_trace_form():
             assert alg.killing.matrix[i, j] == q(3) * np.trace(np.dot(mats[i], mats[j]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_classical("so", 5), lambda: build_classical("su", 3), lambda: build_classical("sp", 2),
+    lambda: direct_sum([build_classical("so", 3), build_classical("abelian", 1), build_classical("su", 2)]),
+], ids=["so5", "su3", "sp2", "so3+abelian1+su2"])
+@pytest.mark.parametrize("size", [1, 2**61])
+def test_skewness_from_stored_entries_matches_the_fraction_oracle(build, size):
+    """``ad_i^T H + H ad_i`` from the dense Fraction ad matrices, for a generic
+    symmetric H; ``size`` 2**61 forces the Python-int path."""
+    algebra = build()
+    d = algebra.dim
+    rng = np.random.RandomState(d)
+    h = rng.randint(-9, 10, size=(d, d)).astype(object) * size
+    h = arith.Scaled(h + h.T, 3)
+    out = algebra.skewness(h)
+    assert out.ints.dtype == (object if size > 1 else np.int64)
+    for i in range(d):
+        ad = fad(algebra, algebra.basis_vector(i))
+        assert is_zero(out[i] - (fmatmul(ad.T, h) + fmatmul(h, ad)))
+
+
+def test_skewness_rejects_a_non_symmetric_matrix():
+    so3 = build_classical("so", 3)
+    with pytest.raises(arith.ContractViolation, match="symmetric"):
+        so3.skewness(np.triu(np.ones((3, 3), dtype=np.int64)))
+
+
 def test_killing_ad_invariance():
     for family, n in (("so", 6), ("su", 3), ("sp", 2)):
         alg = build_classical(family, n)
@@ -252,6 +280,22 @@ def test_attach_form_validation():
     so3 = build_classical("so", 3)
     with pytest.raises(arith.ContractViolation):
         lie.attach_form(so3, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+def test_attach_form_refuses_once_the_form_is_in_use():
+    """Results memoized on the algebra are keyed by span alone, so the form
+    is fixed by its first read."""
+    so3 = build_classical("so", 3)
+    lie.attach_form(so3, np.eye(3, dtype=np.int64))          # before any use: accepted
+    assert not so3.form_fixed
+    assert so3.form().matrix.equals(np.eye(3, dtype=np.int64)) and so3.form_fixed
+    with pytest.raises(arith.ContractViolation, match="already in use"):
+        lie.attach_form(so3, 2 * np.eye(3, dtype=np.int64))
+    assert so3.form().matrix.equals(np.eye(3, dtype=np.int64))
+    so5 = build_classical("so", 5)
+    orthogonal_complement(Subspace.from_indices(so5, [0]))   # reads the -Killing default
+    with pytest.raises(arith.ContractViolation, match="already in use"):
+        lie.attach_form(so5, -so5.killing.matrix)
 
 
 def test_direct_sum_blocks_commute():

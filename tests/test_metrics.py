@@ -235,11 +235,11 @@ def test_center_block_inner_product_convention():
     idx = [i for i, lab in enumerate(su3.labels) if lab.startswith("D")]
     torus = Subspace.from_indices(su3, idx)
     from goverify import reps
-    m = orthogonal_complement(torus, su3.form())
+    m = orthogonal_complement(torus)
     pieces = reps.isotypic_decomposition(torus, m).components
     inner = qarray([[2, 1], [1, 3]])
     spec = BlockSpec(tuple((p, Fraction(5)) for p in pieces), (torus, inner))
     op = metric_from_blocks(su3, spec)
     block = restrict_operator(op, torus)
-    gram = torus.gram(su3.form())
+    gram = torus.gram
     assert is_zero(fmatmul(gram, block) - inner)

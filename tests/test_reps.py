@@ -58,7 +58,7 @@ def test_intertwiner_between_so4_ideals_vanishes(so4_ideals):
 def test_intertwiner_k_vs_m_vanishes(so6_layout):
     g = so6_layout.algebra
     k = so6_layout.subalgebra
-    m = orthogonal_complement(k, g.form())
+    m = orthogonal_complement(k)
     assert intertwiner_space(k, k, m).dim == 0
 
 
@@ -97,7 +97,7 @@ def test_trivial_action_intertwiners_are_everything():
 def test_symmetric_commutant_scalar_for_adjoint_of_simple():
     so3 = build_classical("so", 3)
     full = Subspace.full(so3)
-    comm = symmetric_commutant(ad_restriction(full, full), so3.form())
+    comm = symmetric_commutant(ad_restriction(full, full))
     assert len(comm) == 1
 
 
@@ -114,7 +114,7 @@ def test_isotypic_so6_m_splits_into_six_planes(so6_layout):
     """Each 4-dimensional coupling block splits in two for the (2,2,2) torus."""
     g = so6_layout.algebra
     k = so6_layout.subalgebra
-    m = orthogonal_complement(k, g.form())
+    m = orthogonal_complement(k)
     dec = isotypic_decomposition(k, m)
     assert [c.dim for c in dec.components] == [2] * 6
     for (i, j), block in so6_layout.offdiag_blocks.items():
@@ -130,7 +130,7 @@ def test_isotypic_so9_three_blocks():
     layout = embed_so_partition(9, (3, 3, 3))
     g = layout.algebra
     k = layout.subalgebra
-    m = orthogonal_complement(k, g.form())
+    m = orthogonal_complement(k)
     dec = isotypic_decomposition(k, m)
     assert [c.dim for c in dec.components] == [9, 9, 9]
     blocks = list(layout.offdiag_blocks.values())
@@ -141,7 +141,7 @@ def test_isotypic_so9_three_blocks():
 def test_isotypic_components_invariant(so6_layout):
     g = so6_layout.algebra
     k = so6_layout.subalgebra
-    m = orthogonal_complement(k, g.form())
+    m = orthogonal_complement(k)
     dec = isotypic_decomposition(k, m)
     for component in dec.components:
         for i in range(k.dim):
@@ -166,7 +166,7 @@ def test_schur_property_sampled(so6_layout):
     """Nonzero intertwiners between irreducible components are invertible."""
     g = so6_layout.algebra
     k = so6_layout.subalgebra
-    m = orthogonal_complement(k, g.form())
+    m = orthogonal_complement(k)
     dec = isotypic_decomposition(k, m)
     rng = random.Random(5)
     c0 = dec.components[0]
@@ -226,7 +226,7 @@ def test_exploratory_so7_in_so8_runs_and_is_symmetric():
     attach_form(g, (-g.killing.matrix))
     idx = [so_pair_index(8, i, j) for i in range(1, 8) for j in range(i + 1, 8)]
     k = Subspace.from_indices(g, idx)
-    p = orthogonal_complement(k, g.form())
+    p = orthogonal_complement(k)
     forward = modules_disjoint(k, k, p)
     backward = modules_disjoint(k, p, k)
     assert forward == backward
@@ -248,9 +248,9 @@ def test_symmetric_commutant_python_int_path_matches_int64(so4_ideals):
     scaled = _scaled(action, 2**60)  # same equivariance nullspace, entries past int64 range
     assert reps._int_stacks(action)[0].dtype == np.int64
     assert reps._int_stacks(scaled)[0].dtype == object
-    plain = symmetric_commutant(action, so4.form())
+    plain = symmetric_commutant(action)
     assert len(plain) == 2  # one scalar per simple ideal
-    assert _same_basis(plain, symmetric_commutant(scaled, so4.form()))
+    assert _same_basis(plain, symmetric_commutant(scaled))
 
 
 def test_intertwiner_space_python_int_path_matches_int64(so4_ideals, monkeypatch):

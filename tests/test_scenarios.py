@@ -179,7 +179,7 @@ def test_consistency_chain_on_scenario_metrics():
         dazi = metrics.dazi_structure_check(operator)
         assert dazi.verdict
         kprime = dazi.isometry_subalgebra
-        complement = orthogonal_complement(kprime, built.algebra.form())
+        complement = orthogonal_complement(kprime)
         assert go.natred_condition_check(operator, kprime, complement)
         verdict = go.go_verdict(operator, kprime, go.SamplingStrategy(seed=1, random_count=8))
         assert not verdict.disproved
@@ -221,6 +221,7 @@ def _golden_specs():
         "su3-torus-flag": ScenarioSpec.from_obj(
             {**flag.to_obj(), "metric": {"flaggrid": {"tuples": 4}}}),
         "so9-333-regularity": catalog["so9-333-regularity"],
+        "so12-partition4-genmet1": catalog["so12-partition4-genmet1"],
     }
 
 
@@ -229,11 +230,15 @@ def _golden_specs():
 # Fraction one; a kernel change that is meant to be exact must keep them.  The
 # so(9) report, recorded before the Fraction rref was replaced by Bareiss
 # elimination, is the one whose rank estimates fail rational reconstruction.
+# The so(12) report, recorded while every form-dependent function still took
+# the form as an argument, is the only catalog one that runs go, natred, dazi
+# and split on a large algebra.
 GOLDEN_SHA256 = {
     "so6-probe": "b8e88216ceddcfc9c3b10409e1414d92ca90a796707ae8f4aa261386aaab12cd",
     "triple-shape-demo": "66b76f3e57624ebdf16c4c4cbbb094f5d671cb7f9e81aaf35f95b4326bddea4a",
     "su3-torus-flag": "003354c4d94641894d22a4c6cde2a6d52f1565b79fe25ff903443f31ffdbba9a",
     "so9-333-regularity": "74ce939d8ae2547347bf6689cb29a2372ead8e31f2e013cdc0d778d1e3b1bb4d",
+    "so12-partition4-genmet1": "be93d0fe581f7791062a3293f7b249fd1bfeccafda241bac344d2bb7cf0d6879",
 }
 
 

@@ -55,11 +55,11 @@ def test_is_subalgebra_with_witness(so6_layout):
 def test_orthogonal_complement_dims(so6_layout):
     g = so6_layout.algebra
     form = g.form()
-    m = orthogonal_complement(so6_layout.subalgebra, form)
+    m = orthogonal_complement(so6_layout.subalgebra)
     assert m.dim == 12
     assert m.spans_equal(so6_layout.complement)
-    assert orthogonal_complement(Subspace.zero(g), form).dim == 15
-    assert orthogonal_complement(Subspace.full(g), form).dim == 0
+    assert orthogonal_complement(Subspace.zero(g)).dim == 15
+    assert orthogonal_complement(Subspace.full(g)).dim == 0
     # mutual orthogonality is exact
     gram = fmatmul(so6_layout.subalgebra.basis, fmatmul(form.matrix, m.basis.T))
     assert is_zero(gram)
@@ -68,7 +68,7 @@ def test_orthogonal_complement_dims(so6_layout):
 def test_centralizer_examples(so6_layout):
     g = so6_layout.algebra
     k = so6_layout.subalgebra
-    m = orthogonal_complement(k, g.form())
+    m = orthogonal_complement(k)
     assert centralizer_in(k, m).dim == 0
     within = Subspace.from_indices(g, [0, 1, 2])
     assert centralizer_in(Subspace.zero(g), within).spans_equal(within)
@@ -101,7 +101,7 @@ def test_normalizer_of_cartan_in_so5():
     from goverify.lie import so_pair_index
     cartan = Subspace.from_indices(so5, [so_pair_index(5, 1, 2), so_pair_index(5, 3, 4)])
     n = normalizer(cartan)
-    cm = centralizer_in(cartan, orthogonal_complement(cartan, so5.form()))
+    cm = centralizer_in(cartan, orthogonal_complement(cartan))
     assert n.dim == cartan.dim + cm.dim
     assert n.contains_space(cartan)
 
@@ -284,14 +284,6 @@ def test_subspace_serialization_roundtrip(so6_layout):
         parse_subspace(g, "1 2 3\n")
 
 
-def test_form_orthogonality_flag(so6_layout):
-    g = so6_layout.algebra
-    form = g.form()
-    assert so6_layout.subalgebra.is_form_orthogonal(form)
-    skew = Subspace(g, qarray([[1] + [0] * 14, [1, 1] + [0] * 13]))
-    assert not skew.is_form_orthogonal(form)
-
-
 def test_normalizer_cross_check_raises_on_wrong_centralizer(monkeypatch):
     k = embed_so_partition(6, (2, 2, 2)).subalgebra  # fresh algebra: nothing memoized
     monkeypatch.setattr(subspaces, "centralizer_in", lambda space, within: within)
@@ -361,8 +353,8 @@ def test_shared_subspace_returns_the_stored_instance_and_rejects_another_basis()
 def test_span_memo_keys_by_span_not_by_basis():
     g = build_classical("so", 4)
     k = Subspace.from_indices(g, [0, 1])
-    complement = orthogonal_complement(k, g.form())
-    assert orthogonal_complement(Subspace(g, k.basis[::-1] * 3), g.form()) is complement
+    complement = orthogonal_complement(k)
+    assert orthogonal_complement(Subspace(g, k.basis[::-1] * 3)) is complement
     assert subspaces.span_memo(k, lambda: "first", "probe") == "first"
     assert subspaces.span_memo(Subspace(g, k.basis * 5), lambda: "second", "probe") == "first"
     assert subspaces.span_memo(k, lambda: "other", "probe", 1) == "other"
