@@ -20,13 +20,17 @@ verified by an exact integer product with the candidate before it is
 returned, and Bareiss elimination takes over whenever rational
 reconstruction or the verification fails.
 
-The modular screening elimination (:func:`_modp_pivots`) reduces wide
-systems in panels of ``_PANEL = 64`` columns.  Each panel's update of the
-other rows is one matrix product mod ``_P``, done by :func:`_mulmod` as
-float64 BLAS products on 16-bit limbs.  Residues are below ``2**31`` and
-limbs below ``2**16``, so a sum of at most 64 products stays below ``2**53``
-and every product is exact, whatever the BLAS summation order or thread
-count.
+Modular screening works over GF(``_P``): :func:`kernel_modp` gives the
+canonical kernel (identity on the free columns of the rref) and :func:`_lift`
+its rational reconstruction, for :func:`nullspace_exact` and the
+equivariance solver of :mod:`goverify.reps`.  The elimination
+(:func:`_modp_pivots`) reduces wide systems in panels of ``_PANEL = 64``
+columns; each panel's update of the other rows is one :func:`_mulmod`
+product mod ``_P`` (float64 BLAS products on 16-bit limbs), and
+:func:`matmul_modp` sums such products over longer inner dimensions.
+Residues are below ``2**31`` and limbs below ``2**16``, so a sum of at most
+64 products stays below ``2**53`` and every product is exact, whatever the
+BLAS summation order or thread count.
 
 Primary decompositions (:func:`primary_invariant_split`) split a matrix along
 the irreducible factors of its minimal polynomial, built from Krylov chains
@@ -52,6 +56,7 @@ EXACT = "exact"
 _P = 2_147_483_647  # prime modulus for the screening eliminations
 _PANEL = 64         # columns per elimination panel, fixed by the 2**53 bound in _mulmod
 _CHUNK = 256        # rows per trailing panel update, to keep temporaries small
+_DIRECT = 1_200     # systems with at most this many entries skip the modular screen
 
 
 class ContractViolation(ValueError):
@@ -540,6 +545,31 @@ def _inverse_modp(block: np.ndarray) -> np.ndarray:
     return aug[:, k:]
 
 
+def matmul_modp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``(a @ b) % _P`` of int64 residues: :func:`_mulmod` summed over
+    slices of at most ``_PANEL`` of the inner dimension."""
+    out = _mulmod(a[..., :_PANEL], b[..., :_PANEL, :])
+    for s in range(_PANEL, a.shape[-1], _PANEL):
+        out = (out + _mulmod(a[..., s:s + _PANEL], b[..., s:s + _PANEL, :])) % _P
+    return out
+
+
+def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int]) -> np.ndarray:
+    """Kernel basis (rows) mod ``_P`` read off a fully reduced rref: the
+    identity on the free columns, minus the rref's entries on the pivot columns."""
+    free = sorted(set(range(reduced.shape[1])) - set(piv_cols))
+    kernel = np.eye(reduced.shape[1], dtype=np.int64)[free]
+    kernel[:, piv_cols] = (-reduced[:rank, free].T) % _P
+    return kernel
+
+
+def kernel_modp(mat) -> np.ndarray:
+    """The canonical kernel basis (rows) of an integer matrix over GF(``_P``):
+    the identity on the free columns of its rref."""
+    rank, _, piv_cols, reduced = _modp_pivots(mat)
+    return _kernel_rows(reduced, rank, piv_cols)
+
+
 def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
     """Rational n/d with n = a*d mod modulus and |n|, d below sqrt(modulus/2)."""
     bound = math.isqrt(modulus // 2)
@@ -557,20 +587,15 @@ def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _reconstruct_nullspace(reduced: np.ndarray, piv_cols: list[int], ncols: int) -> Scaled | None:
-    """Candidate rational nullspace from a fully reduced modular rref."""
-    free = [c for c in range(ncols) if c not in piv_cols]
-    recs = [[(pc, _rational_reconstruct(_P - int(reduced[r, fc])))
-             for r, pc in enumerate(piv_cols) if reduced[r, fc]] for fc in free]
-    if any(v is None for row in recs for _, v in row):
+def _lift(residues: np.ndarray) -> Scaled | None:
+    """The rational matrix whose entries reconstruct from ``residues`` mod ``_P``, or None."""
+    flat = residues.reshape(-1).tolist()
+    fracs = {a: _rational_reconstruct(a) for a in set(flat)}
+    if None in fracs.values():
         return None
-    scale = math.lcm(*(v.denominator for row in recs for _, v in row))
-    basis = [[0] * ncols for _ in free]
-    for b, fc in enumerate(free):
-        basis[b][fc] = scale
-        for pc, v in recs[b]:
-            basis[b][pc] = v.numerator * (scale // v.denominator)
-    return _over(basis, scale, ncols)
+    scale = math.lcm(*(v.denominator for v in fracs.values()))
+    ints = {a: v.numerator * (scale // v.denominator) for a, v in fracs.items()}
+    return Scaled._exact(np.array([ints[a] for a in flat], dtype=object).reshape(residues.shape), scale)
 
 
 def nullspace_exact(mat) -> Scaled:
@@ -588,12 +613,12 @@ def nullspace_exact(mat) -> Scaled:
     if value.ints.ndim != 2:
         raise ContractViolation("nullspace expects a 2-d matrix")
     nrows, ncols = value.shape
-    if nrows * ncols <= 1_200:
+    if nrows * ncols <= _DIRECT:
         return _nullspace_int(value.ints.tolist(), ncols)
     rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints)
     if rank_p == ncols:
         return Scaled.zeros((0, ncols))
-    candidate = _reconstruct_nullspace(reduced[:rank_p], piv_cols, ncols)
+    candidate = _lift(_kernel_rows(reduced, rank_p, piv_cols))
     if candidate is not None and not np.any((value @ candidate.T).ints):
         return candidate
     candidate = _nullspace_int(value.ints[piv_rows].tolist(), ncols)

@@ -68,45 +68,44 @@ def _intertwiner_block(rho_dom: np.ndarray, rho_cod: np.ndarray) -> np.ndarray:
     return left - np.kron(np.eye(rho_cod.shape[0], dtype=np.int64), rho_dom.T)
 
 
-def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, seed_tag: str) -> np.ndarray:
+def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, seed_tag: str) -> Scaled:
     """Rows vec(T) of the maps T with cod[i] T = T dom[i] for every generator i.
 
     ``dom`` and ``cod`` are integer stacks of the generators' action matrices
-    (see :func:`_int_stacks`).  Up to three generators are solved jointly.
-    Otherwise a small random generating subset -- two integer combinations
-    of all generators -- is solved first.  Each candidate
-    basis is then checked exactly against every single generator as
-    ``cod[i] T - T dom[i] == 0`` on the denominator-cleared candidate, an
-    O(d^3) product per generator; the block of the first failing generator
-    joins the system and the solve repeats.  Verified candidates are sound
-    because the full kernel is contained in any subset kernel.  Blocks are
-    int64 Kronecker products, or Python ints where int64 could overflow.
+    (see :func:`_int_stacks`).  Over GF(p), the block of one constraint -- a
+    random integer combination of the generators, or generator 0 when there
+    are at most three -- is eliminated to its canonical kernel (identity on
+    the free columns); each later constraint (a second combination, then
+    every generator) replaces that basis by the canonical kernel of its
+    residual ``cod[i] T - T dom[i]`` times the basis.  The product is the
+    canonical kernel of the stacked system, so one rational lift gives the
+    basis :func:`arith.nullspace_exact` returns for the stacked blocks of all
+    generators.  It is checked exactly against every generator (rank mod p
+    never exceeds the rational rank, so it then spans the kernel); small
+    systems, a failed lift and a failed check take that exact call.
     """
     count, unknowns = dom.shape[0], dom.shape[1] * cod.shape[1]
-    if count <= 3:
-        system = np.concatenate([_intertwiner_block(dom[i], cod[i]) for i in range(count)])
-        return arith.nullspace_exact(system)
-
-    rng = random.Random(f"equiv:{seed_tag}:{count}:{unknowns}")
-    dom, cod = Scaled(dom), Scaled(cod)
-    chosen = []
-    for _ in range(2):
-        coeffs = Scaled(np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64))
-        dom_c, cod_c = ((coeffs @ stack.reshape(count, -1)).ints.reshape(stack.shape[1:])
-                        for stack in (dom, cod))
-        chosen.append(_intertwiner_block(dom_c, cod_c))
-    pending = list(range(count))
-    for _round in range(count + 1):
-        candidate = arith.nullspace_exact(np.concatenate(chosen, axis=0))
-        if candidate.shape[0] == 0:
-            return candidate
-        maps = Scaled(candidate.ints.reshape(-1, cod.shape[1], dom.shape[1]))
-        failing = next((i for i in pending if np.any((cod[i] @ maps - maps @ dom[i]).ints)), None)
-        if failing is None:
-            return candidate
-        chosen.append(_intertwiner_block(dom.ints[failing], cod.ints[failing]))
-        pending.remove(failing)
-    raise arith.ExactComputationError("equivariance system did not stabilize")  # pragma: no cover
+    if count * unknowns * unknowns > arith._DIRECT:
+        res_dom, res_cod = ((stack % arith._P).astype(np.int64) for stack in (dom, cod))
+        constraints = list(zip(res_dom, res_cod))
+        if count > 3:
+            rng = random.Random(f"equiv:{seed_tag}:{count}:{unknowns}")
+            coeffs = np.array([[rng.randint(-9, 9) for _ in range(count)] for _ in range(2)]) % arith._P
+            combos = [arith.matmul_modp(coeffs, res.reshape(count, -1)).reshape(2, *res.shape[1:])
+                      for res in (res_dom, res_cod)]
+            constraints[:0] = zip(*combos)
+        basis = arith.kernel_modp(_intertwiner_block(*constraints[0]))
+        for dom_i, cod_i in constraints[1:]:
+            maps = basis.reshape(-1, cod.shape[1], dom.shape[1])
+            residual = (arith.matmul_modp(cod_i, maps) - arith.matmul_modp(maps, dom_i)) % arith._P
+            if np.any(residual):
+                basis = arith.matmul_modp(arith.kernel_modp(residual.reshape(len(basis), -1).T), basis)
+        candidate = arith._lift(basis)
+        if candidate is not None:
+            maps = Scaled(candidate.ints.reshape(-1, cod.shape[1], dom.shape[1]))
+            if not any(np.any((Scaled(c) @ maps - maps @ Scaled(d)).ints) for d, c in zip(dom, cod)):
+                return candidate
+    return arith.nullspace_exact(np.concatenate([_intertwiner_block(d, c) for d, c in zip(dom, cod)]))
 
 
 @dataclass(frozen=True)

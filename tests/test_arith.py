@@ -268,6 +268,19 @@ def test_mulmod_exact_at_its_bound():
                       np.ones((arith._PANEL + 1, 1), dtype=np.int64))
 
 
+def test_matmul_modp_exact_past_one_panel():
+    inner = 2 * arith._PANEL + 1
+    a = np.full((3, inner), arith._P - 1, dtype=np.int64)
+    b = np.full((inner, 4), arith._P - 1, dtype=np.int64)
+    b[inner // 2] = np.arange(4)
+    expected = (a.astype(object) @ b.astype(object)) % arith._P
+    assert np.array_equal(arith.matmul_modp(a, b), expected.astype(np.int64))
+    stack = np.stack([b, b[::-1]])        # stacked maps, multiplied on either side
+    for left, right in ((a, stack), (stack.transpose(0, 2, 1), b)):
+        expected = (left.astype(object) @ right.astype(object)) % arith._P
+        assert np.array_equal(arith.matmul_modp(left, right), expected.astype(np.int64))
+
+
 # -- fraction-free integer solve and rank ---------------------------------------
 
 def _reference_rref(mat):
@@ -429,7 +442,7 @@ def so9_rank_system():
 @pytest.mark.parametrize("scale", [1, 3**45])
 def test_failed_reconstruction_runs_bareiss_on_the_pivot_rows(so9_rank_system, scale, monkeypatch):
     system = so9_rank_system * scale
-    reconstructions = _record(monkeypatch, "_reconstruct_nullspace")
+    reconstructions = _record(monkeypatch, "_lift")
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
     assert [out is None for _, out in reconstructions] == [True]

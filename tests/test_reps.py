@@ -265,11 +265,80 @@ def test_intertwiner_space_python_int_path_matches_int64(so4_ideals, monkeypatch
     assert _same_basis(plain.basis, scaled.basis)
 
 
+def _stacked_kernel(dom, cod):
+    """The reference: ``nullspace_exact`` of the stacked blocks of every generator."""
+    return arith.nullspace_exact(np.concatenate([reps._intertwiner_block(d, c) for d, c in zip(dom, cod)]))
+
+
+def _identical(result, expected):
+    """Equal as Scaled values down to the representation: scale, dtype and integers."""
+    return (result.scale == expected.scale and result.ints.dtype == expected.ints.dtype
+            and result.ints.tolist() == expected.ints.tolist())
+
+
+@pytest.fixture(scope="module")
+def equivariance_problems():
+    so4 = build_classical("so", 4)
+    full4 = Subspace.full(so4)
+    so33 = embed_so_partition(6, (3, 3))
+    so222 = embed_so_partition(6, (2, 2, 2))
+    k222 = so222.subalgebra
+    return {
+        "so4-commutant": reps._int_stacks(*[ad_restriction(full4, full4)] * 2),
+        "dom-ne-cod": reps._int_stacks(ad_restriction(so33.subalgebra, so33.offdiag_blocks[(1, 2)]),
+                                       ad_restriction(so33.subalgebra, Subspace.full(so33.algebra))),
+        "three-generators": reps._int_stacks(ad_restriction(k222, so222.offdiag_blocks[(1, 2)]),
+                                             ad_restriction(k222, orthogonal_complement(k222))),
+        "python-int": reps._int_stacks(*[_scaled(ad_restriction(full4, full4), 2**60)] * 2),
+    }
+
+
+@pytest.mark.parametrize("name", ["so4-commutant", "dom-ne-cod", "three-generators", "python-int"])
+def test_solve_equivariance_equals_stacked_nullspace(equivariance_problems, name):
+    dom, cod = equivariance_problems[name]
+    count, unknowns = dom.shape[0], dom.shape[1] * cod.shape[1]
+    assert count * unknowns * unknowns > arith._DIRECT    # the modular path, not the direct one
+    assert (count <= 3) == (name == "three-generators")
+    assert (dom.dtype == object) == (name == "python-int")
+    result = reps._solve_equivariance(dom, cod, seed_tag="test")
+    expected = _stacked_kernel(dom, cod)
+    assert _identical(result, expected)
+    assert result.shape[0] > 0
+    if name in ("so4-commutant", "python-int"):
+        assert result.shape[0] == 2
+
+
+def test_failed_lift_falls_back_to_the_stacked_nullspace(equivariance_problems, monkeypatch):
+    dom, cod = equivariance_problems["so4-commutant"]
+    expected = _stacked_kernel(dom, cod)
+    exact = []
+    solve = arith.nullspace_exact
+    monkeypatch.setattr(arith, "_lift", lambda residues: None)
+    monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
+    result = reps._solve_equivariance(dom, cod, seed_tag="test")
+    assert exact == [(dom.shape[0] * 36, 36)]
+    assert _identical(result, expected)
+
+
+def test_modular_kernel_too_large_fails_the_exact_check(equivariance_problems, monkeypatch):
+    dom, _ = equivariance_problems["so4-commutant"]
+    shifted = dom.copy()
+    shifted[0, 0, 1] += arith._P      # the same system mod p, a different one over the rationals
+    expected = _stacked_kernel(shifted, shifted)
+    assert expected.shape[0] < 2
+    lifts = []
+    lift = arith._lift
+    monkeypatch.setattr(arith, "_lift", lambda residues: lifts.append(residues.shape) or lift(residues))
+    result = reps._solve_equivariance(shifted, shifted, seed_tag="test")
+    assert lifts[0] == (2, 36)        # the modular kernel is the unshifted commutant
+    assert _identical(result, expected)
+
+
 def test_candidate_failing_a_generator_is_rejected(so4_ideals, monkeypatch):
     _, full, _ = so4_ideals
     rho, = reps._int_stacks(ad_restriction(full, full))
     count = rho.shape[0]
-    direct = arith.nullspace_exact(np.concatenate([reps._intertwiner_block(r, r) for r in rho]))
+    direct = _stacked_kernel(rho, rho)
 
     class FirstGeneratorOnly:
         """Random combinations that are all just the first generator."""
@@ -281,16 +350,21 @@ def test_candidate_failing_a_generator_is_rejected(so4_ideals, monkeypatch):
             self.calls += 1
             return 1 if self.calls % count == 1 else 0
 
-    candidates = []
-    solve = arith.nullspace_exact
-
-    def recording_nullspace(mat):
-        candidates.append(solve(mat))
-        return candidates[-1]
-
+    kernels = []
+    kernel_modp = arith.kernel_modp
     monkeypatch.setattr(reps, "random", types.SimpleNamespace(Random=FirstGeneratorOnly))
-    monkeypatch.setattr(arith, "nullspace_exact", recording_nullspace)
+    monkeypatch.setattr(arith, "kernel_modp", lambda mat: kernels.append(kernel_modp(mat)) or kernels[-1])
     result = reps._solve_equivariance(rho, rho, seed_tag="test")
-    assert candidates[0].shape[0] > direct.shape[0]  # commutant of one generator only
-    assert len(candidates) > 1
-    assert result.shape == direct.shape and is_zero(result - direct)
+    assert kernels[0].shape[0] > direct.shape[0]  # commutant of one generator only
+    assert len(kernels) > 1                        # later generators restrict it
+    assert _identical(result, direct)
+
+
+def test_so8_commutant_eliminates_no_stacked_system(monkeypatch):
+    so8 = build_classical("so", 8)
+    full = Subspace.full(so8)
+    heights = []
+    pivots = arith._modp_pivots
+    monkeypatch.setattr(arith, "_modp_pivots", lambda mat: heights.append(len(mat)) or pivots(mat))
+    assert len(symmetric_commutant(ad_restriction(full, full))) == 1
+    assert max(heights) == 784
