@@ -202,7 +202,7 @@ class Scaled:
 
     @staticmethod
     def _scan(ints: np.ndarray) -> int:
-        return int(np.max(np.abs(ints))) if ints.size else 0
+        return max(int(ints.max()), -int(ints.min())) if ints.size else 0
 
     @staticmethod
     def _exact(ints, scale: int) -> "Scaled":

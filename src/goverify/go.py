@@ -6,6 +6,10 @@ with [W + X, L X] = 0.  Per direction this is a linear system in W; an
 inconsistent system in exact arithmetic is a proof that the metric is not
 geodesic orbit (the criterion is an equivalence), while a solvable sweep
 over sampled directions is reported as NotDisproved, never as a proof.
+
+A verdict screens all sampled directions as one stack: where [X, L X] = 0
+the zero witness already works, and only the other directions get an exact
+solve.
 """
 
 from __future__ import annotations
@@ -70,30 +74,34 @@ class GoVerdict:
         return "Disproved" if self.disproved else "NotDisproved"
 
 
-def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction: Scaled):
+def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction: Scaled,
+                    ad_lx: Scaled | None = None):
     """Integer augmented matrix ``[A | b]`` for [W, L X] = [L X, X] in W, and ``ad(L X)``.
 
     Column i of A is [k_i, L X] and b is [L X, X]: ``ad(L X)`` applied to the
     basis of k and to the direction, brought to one common scale, so
-    ``[A | b]`` is a positive multiple of the rational system.
+    ``[A | b]`` is a positive multiple of the rational system.  ``ad(L X)`` is
+    built here unless the caller has it already.
     """
-    ad_lx = operator.algebra.contract(operator.apply(direction))
+    if ad_lx is None:
+        ad_lx = operator.algebra.contract(operator.apply(direction))
     aug = Scaled.concat([-(ad_lx @ subalgebra.basis.T), (ad_lx @ direction).reshape(-1, 1)], axis=1)
     return aug.ints, ad_lx
 
 
 def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
-                check_equivariance: bool = True):
+                check_equivariance: bool = True, ad_lx: Scaled | None = None):
     """Witness solve for one direction: GoCertificate or Unsolvable.
 
     The metric must be equivariant over the subalgebra (two-sided invariance);
     the returned witness has minimal norm for the ambient inner product among
     all solutions, making certificates deterministic and replayable.
+    ``ad_lx`` is ``ad(L X)`` when the caller has computed it already.
     """
     if check_equivariance and not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
     direction = Scaled.of(direction)
-    aug, ad_lx = _witness_system(operator, subalgebra, direction)
+    aug, ad_lx = _witness_system(operator, subalgebra, direction, ad_lx)
     if not np.any(aug[:, -1]):
         # [X, L X] = 0 already; the zero witness is minimal
         return GoCertificate(direction, Scaled.zeros(operator.algebra.dim))
@@ -123,34 +131,32 @@ def _minimal_norm(sol: arith.Solution, subalgebra: Subspace, operator: MetricOpe
 # ---------------------------------------------------------------------------
 
 def _directions(operator: MetricOperator, strategy: SamplingStrategy,
-                within: Subspace | None = None):
-    """Deterministic ordered stream of (label, direction) samples."""
-    algebra = operator.algebra
-    out = []
-    if within is None:
-        if strategy.basis_vectors:
-            for i in range(algebra.dim):
-                out.append((f"basis:{i}", algebra.basis_vector(i)))
-        pieces = operator.invariant_pieces
-    else:
-        if strategy.basis_vectors:
-            for i in range(within.dim):
-                out.append((f"basis:{i}", within.basis[i]))
-        pieces = tuple(span_memo(p, lambda p=p: p.intersect(within), "intersect", within.sort_key())
-                       for p in operator.invariant_pieces)
+                within: Subspace | None = None) -> tuple[list[str], Scaled]:
+    """Deterministic ordered samples: their labels and the ``(N, dim)`` stack
+    of directions (basis rows, then pair sums, then random elements)."""
+    space = within if within is not None else Subspace.full(operator.algebra)
+    labels, parts = [], []
+    if strategy.basis_vectors:
+        labels += [f"basis:{i}" for i in range(space.dim)]
+        parts.append(space.basis)
     if strategy.structured:
+        pieces = operator.invariant_pieces if within is None else tuple(
+            span_memo(p, lambda p=p: p.intersect(within), "intersect", within.sort_key())
+            for p in operator.invariant_pieces)
         pieces = [p for p in pieces if p.dim > 0]
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
                 rng = random.Random(f"pair:{strategy.seed}:{i}:{j}")
                 vi = pieces[i].random_element(rng)
                 vj = pieces[j].random_element(rng)
-                out.append((f"pair:{i}:{j}", vi + vj))
-    space = within if within is not None else Subspace.full(algebra)
-    for r in range(strategy.random_count):
-        rng = random.Random(f"random:{strategy.seed}:{r}")
-        out.append((f"random:{r}", space.random_element(rng)))
-    return out
+                labels.append(f"pair:{i}:{j}")
+                parts.append((vi + vj).reshape(1, -1))
+    coeffs = [space.random_coefficients(random.Random(f"random:{strategy.seed}:{r}"))
+              for r in range(strategy.random_count)]
+    labels += [f"random:{r}" for r in range(strategy.random_count)]
+    parts.append(Scaled(np.array(coeffs, dtype=np.int64).reshape(len(coeffs), space.dim))
+                 @ space.basis)
+    return labels, Scaled.concat(parts)
 
 
 def go_verdict(operator: MetricOperator, subalgebra: Subspace,
@@ -159,24 +165,31 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
                keep_certificates: bool = False) -> GoVerdict:
     """Sweep sampled directions; Disproved on the first exact inconsistency.
 
-    Every witness system is solved exactly, so a negative verdict carries an
-    exact rank-gap certificate.  NotDisproved is explicitly a sampling
-    outcome, not a proof.
+    All directions are screened as one stack: ``L X``, ``ad(L X)`` and
+    ``[L X, X]`` are batched products.  A direction with ``[L X, X] = 0`` has
+    the zero witness; every other one is solved exactly with its row of the
+    stacked ``ad(L X)``, so a negative verdict carries an exact rank-gap
+    certificate.  NotDisproved is explicitly a sampling outcome, not a proof.
     """
     if not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
+    labels, directions = _directions(operator, strategy, within)
+    ad_lx = operator.algebra.contract(directions @ operator.matrix.T)   # row n: ad(L X_n)
+    moves = np.any((ad_lx @ directions.reshape(*directions.shape, 1)).ints != 0, axis=(1, 2))
     certificates = []
-    count = 0
-    for label, direction in _directions(operator, strategy, within):
-        count += 1
-        result = go_solve_at(operator, subalgebra, direction, check_equivariance=False)
+    for n, label in enumerate(labels):
+        if moves[n]:
+            result = go_solve_at(operator, subalgebra, directions[n], check_equivariance=False,
+                                 ad_lx=ad_lx[n])
+        else:
+            result = GoCertificate(directions[n], Scaled.zeros(operator.algebra.dim))
         if isinstance(result, Unsolvable):
-            return GoVerdict(True, count, strategy, counterexample=result,
+            return GoVerdict(True, n + 1, strategy, counterexample=result,
                              counterexample_label=label,
                              certificates=tuple(certificates) if keep_certificates else ())
         if keep_certificates:
             certificates.append(result)
-    return GoVerdict(False, count, strategy,
+    return GoVerdict(False, len(labels), strategy,
                      certificates=tuple(certificates) if keep_certificates else ())
 
 

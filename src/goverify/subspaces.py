@@ -131,13 +131,17 @@ class Subspace:
         """``[a, :, b]`` is the bracket of basis vector a with basis vector b of ``other``."""
         return self.ad_matrices @ other.basis.T
 
-    def random_element(self, rng: random.Random, bound: int = 9) -> Scaled:
-        """Deterministic random combination with small integer coefficients."""
+    def random_coefficients(self, rng: random.Random, bound: int = 9) -> list[int]:
+        """Deterministic small integer coefficients, not all zero unless ``dim`` is 0."""
         while True:
             coeffs = [rng.randint(-bound, bound) for _ in range(self.dim)]
             if any(coeffs) or self.dim == 0:
-                break
-        return Scaled(np.array(coeffs, dtype=np.int64), 1, bound) @ self.basis
+                return coeffs
+
+    def random_element(self, rng: random.Random, bound: int = 9) -> Scaled:
+        """Deterministic random combination with small integer coefficients."""
+        coeffs = np.array(self.random_coefficients(rng, bound), dtype=np.int64)
+        return Scaled(coeffs, 1, bound) @ self.basis
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.algebra.name or self.algebra.dim})"

@@ -3,17 +3,23 @@
 Everything here works on plain ``Fraction`` object arrays with ``np.dot``
 (``np.asarray`` turns a ``Scaled`` value into one), so it shares no
 arithmetic with goverify's scaled-integer kernels.  These checks are kept as
-independent routes to results the package computes another way.
+independent routes to results the package computes another way.  The one
+exception is :func:`go_verdict_by_direction`, the per-direction route to a
+geodesic-orbit verdict: one exact ``go_solve_at`` for every sampled direction,
+against which the batched screen of ``go.go_verdict`` is checked.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from goverify import arith
 from goverify.arith import ContractViolation, is_zero, q, qzeros
-from goverify.metrics import BlockSpec, MetricOperator
-from goverify.subspaces import projector
+from goverify.go import GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
+from goverify.metrics import BlockSpec, MetricOperator, equivariance_check
+from goverify.subspaces import Subspace, projector
 
 
 def fractions(x) -> np.ndarray:
@@ -125,3 +131,43 @@ def geodesic_lemma_solvable(operator: MetricOperator, subalgebra, complement, di
     a = np.stack(rows).reshape(complement.dim, subalgebra.dim) if subalgebra.dim else \
         qzeros((complement.dim, 0))
     return isinstance(arith.solve_linear(a, np.asarray(rhs, dtype=object)), arith.Solution)
+
+
+def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, within=None) -> list:
+    """``(label, direction)`` pairs built one direction at a time: basis rows,
+    sums of random elements of two invariant pieces, then random elements."""
+    space = within if within is not None else Subspace.full(operator.algebra)
+    out = []
+    if strategy.basis_vectors:
+        out += [(f"basis:{i}", space.basis[i]) for i in range(space.dim)]
+    if strategy.structured:
+        pieces = [p if within is None else p.intersect(within) for p in operator.invariant_pieces]
+        pieces = [p for p in pieces if p.dim > 0]
+        for i, j in itertools.combinations(range(len(pieces)), 2):
+            rng = random.Random(f"pair:{strategy.seed}:{i}:{j}")
+            vi = pieces[i].random_element(rng)
+            vj = pieces[j].random_element(rng)
+            out.append((f"pair:{i}:{j}", vi + vj))
+    for r in range(strategy.random_count):
+        rng = random.Random(f"random:{strategy.seed}:{r}")
+        out.append((f"random:{r}", space.random_element(rng)))
+    return out
+
+
+def go_verdict_by_direction(operator: MetricOperator, subalgebra, strategy: SamplingStrategy,
+                            within=None, keep_certificates: bool = False) -> GoVerdict:
+    """The geodesic-orbit verdict with one ``go_solve_at`` per sampled direction."""
+    if not equivariance_check(operator, subalgebra):
+        raise ContractViolation("metric operator is not equivariant over the subalgebra")
+    certificates = []
+    directions = sampled_directions(operator, strategy, within)
+    for count, (label, direction) in enumerate(directions, start=1):
+        result = go_solve_at(operator, subalgebra, direction, check_equivariance=False)
+        if isinstance(result, Unsolvable):
+            return GoVerdict(True, count, strategy, counterexample=result,
+                             counterexample_label=label,
+                             certificates=tuple(certificates) if keep_certificates else ())
+        if keep_certificates:
+            certificates.append(result)
+    return GoVerdict(False, len(directions), strategy,
+                     certificates=tuple(certificates) if keep_certificates else ())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goverify import arith, metrics, reps
+from goverify import arith, go, metrics, reps
 from goverify.arith import is_zero, q, qarray
 from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_solve_at, go_verdict,
                          natred_condition_check, normalizer_equivariance_check,
@@ -15,7 +15,8 @@ from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_solve_a
 from goverify.lie import build_classical, direct_sum, embed_so_partition, attach_form
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
 from goverify.subspaces import Subspace, orthogonal_complement, projector
-from oracles import geodesic_lemma_solvable, metric_inner, rescale, two_step_identity_check
+from oracles import (fbracket, fmatmul, geodesic_lemma_solvable, go_verdict_by_direction,
+                     metric_inner, rescale, sampled_directions, two_step_identity_check)
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 STRATEGY = SamplingStrategy(seed=11, random_count=16)
@@ -107,6 +108,77 @@ def test_eigenspace_pair_completeness(so6):
         pairs_only = go_verdict(op, kp, SamplingStrategy(seed=11, random_count=0,
                                                          basis_vectors=False))
         assert full.disproved == pairs_only.disproved
+
+
+def _fields(verdict):
+    """Every field of a verdict, with exact vectors as their shape and Fraction entries."""
+    def vec(v):
+        return v.shape, list(v)
+    cex = verdict.counterexample
+    return (verdict.kind, verdict.samples, verdict.strategy, verdict.counterexample_label,
+            None if cex is None else (vec(cex.direction), cex.rank_a, cex.rank_ab),
+            [(vec(c.direction), vec(c.witness)) for c in verdict.certificates])
+
+
+def _verdict_case(so6, name):
+    """Arguments of ``go_verdict`` for one named case."""
+    layout, named = so6
+    k = layout.subalgebra
+    merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
+    full = Subspace.full(layout.algebra)
+    distinct = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
+    dazi = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
+    scalar = block_metric(layout, named, [2] * 6)
+    return {
+        "disproved": (distinct, k, STRATEGY, None, False),
+        "solved-with-certificates": (dazi, merged, STRATEGY, None, True),
+        "coset-sweep": (dazi, k, STRATEGY, orthogonal_complement(k), True),
+        "python-ints": (rescale(distinct, Fraction(3**40, 7)), k, STRATEGY, None, False),
+        "zero-dimensional-within": (scalar, full, STRATEGY, orthogonal_complement(full), True),
+        "no-samples": (dazi, merged, SamplingStrategy(basis_vectors=False, structured=False,
+                                                      random_count=0), None, True),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["disproved", "solved-with-certificates", "coset-sweep",
+                                  "python-ints", "zero-dimensional-within", "no-samples"])
+def test_batched_verdict_equals_per_direction_oracle(so6, name):
+    """The batched screen gives the verdict of one exact solve per direction:
+    kind, samples, counterexample and every certificate."""
+    op, k, strategy, within, keep = _verdict_case(so6, name)
+    got = go_verdict(op, k, strategy, within=within, keep_certificates=keep)
+    expected = go_verdict_by_direction(op, k, strategy, within=within, keep_certificates=keep)
+    assert _fields(got) == _fields(expected)
+    if name == "disproved":
+        assert got.disproved and got.counterexample_label.startswith("pair:")
+    if name == "solved-with-certificates":
+        assert not got.disproved and len(got.certificates) == got.samples > 0
+    if name == "python-ints":
+        assert op.matrix.ints.dtype == object and got.disproved
+    if name == "zero-dimensional-within":
+        assert len(got.certificates) == got.samples == STRATEGY.random_count
+    if name == "no-samples":
+        assert got.samples == 0 and not got.disproved
+
+
+def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
+    """Only a direction with [L X, X] != 0 reaches the exact witness solve."""
+    layout, named = so6
+    op = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
+    merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
+    moving = sum(1 for _, x in sampled_directions(op, STRATEGY)
+                 if not is_zero(fbracket(layout.algebra, fmatmul(op.matrix, x), x)))
+    calls = []
+    solve = go.go_solve_at
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(go, "go_solve_at", counting_solve)
+    verdict = go_verdict(op, merged, STRATEGY)
+    assert not verdict.disproved
+    assert 0 < len(calls) == moving < verdict.samples
 
 
 # -- trilinear condition -----------------------------------------------------------
