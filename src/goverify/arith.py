@@ -861,22 +861,3 @@ def primary_invariant_split(C) -> list[tuple[list[int], Scaled]]:
                                     "(matrix is not semisimple over the rationals)")
     return pieces
 
-
-def symmetric_eigenspaces(S, form=None) -> list[tuple[Fraction, Scaled]]:
-    """Eigen-decomposition of an operator self-adjoint for a positive form.
-
-    Returns ``(eigenvalue, basis rows)`` sorted by eigenvalue.  The spectrum
-    must be rational (guaranteed for block-scalar operators built by this
-    package); :class:`ExactComputationError` is raised otherwise.
-    """
-    gs = Scaled.of(S) if form is None else Scaled.of(form) @ Scaled.of(S)
-    if np.any(gs.ints != gs.ints.T):
-        raise ContractViolation("operator is not self-adjoint for the supplied form")
-    out = []
-    for factor, basis in primary_invariant_split(S):
-        if len(factor) != 2:
-            raise ExactComputationError(f"irrational eigenvalues (factor coefficients {factor})")
-        lead, constant = factor
-        out.append((Fraction(-constant, lead), basis))
-    out.sort(key=lambda p: p[0])
-    return out

@@ -265,10 +265,10 @@ class HypothesisFlags:
         return self.semisimple or self.self_normalizing
 
 
-def hypothesis_flags(subalgebra: Subspace, seed: int = 0) -> HypothesisFlags:
+def hypothesis_flags(subalgebra: Subspace) -> HypothesisFlags:
     return span_memo(subalgebra, lambda: HypothesisFlags(
-        semisimple=ideal_decomposition(subalgebra, seed=seed).center.dim == 0,
-        self_normalizing=centralizer_in_complement(subalgebra).dim == 0), "flags", seed)
+        semisimple=ideal_decomposition(subalgebra).center.dim == 0,
+        self_normalizing=centralizer_in_complement(subalgebra).dim == 0), "flags")
 
 
 @dataclass(frozen=True)
@@ -283,14 +283,14 @@ class NormalizerEquivarianceReport:
 
 
 def normalizer_equivariance_check(operator: MetricOperator,
-                                  subalgebra: Subspace, seed: int = 0) -> NormalizerEquivarianceReport:
+                                  subalgebra: Subspace) -> NormalizerEquivarianceReport:
     """Equivariance of the metric over the normalizer of the subalgebra.
 
     For geodesic-orbit metrics with a semisimple or self-normalizing
     subalgebra this must hold; the hypothesis flags are reported, not
     assumed.
     """
-    flags = hypothesis_flags(subalgebra, seed=seed)
+    flags = hypothesis_flags(subalgebra)
     norm = normalizer(subalgebra)
     result = equivariance_check(operator, norm)
     return NormalizerEquivarianceReport(result.ok, flags, norm.dim, result.witness_index)
@@ -313,8 +313,7 @@ class SplitReport:
 
 
 def split_check(operator: MetricOperator, subalgebra: Subspace,
-                strategy: SamplingStrategy = SamplingStrategy(),
-                seed: int = 0) -> SplitReport:
+                strategy: SamplingStrategy = SamplingStrategy()) -> SplitReport:
     """Block-splitting of a candidate geodesic-orbit metric.
 
     Verifies that the operator preserves both the subalgebra and its
@@ -326,12 +325,12 @@ def split_check(operator: MetricOperator, subalgebra: Subspace,
     exploratory.
     """
     weak = reps.is_weakly_regular(subalgebra)
-    flags = hypothesis_flags(subalgebra, seed=seed)
+    flags = hypothesis_flags(subalgebra)
     hypotheses = bool(weak) and flags.satisfied
     complement = orthogonal_complement(subalgebra)
     k_inv = invariant_subspace(operator, subalgebra)
     m_inv = invariant_subspace(operator, complement)
-    bi = bi_invariance_check(operator, subalgebra, seed=seed) if k_inv else None
+    bi = bi_invariance_check(operator, subalgebra) if k_inv else None
     coset = None
     if m_inv:
         coset = go_verdict(operator, subalgebra, strategy, within=complement)

@@ -92,21 +92,14 @@ class StructureAlgebra:
     """A finite-dimensional real Lie algebra given by structure constants.
 
     The constants come as ``coo=(i, j, k, c)`` and ``scale`` (integer entries
-    in any order, repeats summed) or as a dense ``tensor`` of rationals.
+    in any order, repeats summed).
     ``realization`` optionally holds real-embedded basis matrices whose
     commutators must reproduce the constants.
     """
 
-    def __init__(self, dim: int, tensor=None, labels: tuple[str, ...] = (),
+    def __init__(self, dim: int, labels: tuple[str, ...] = (),
                  realization: tuple[np.ndarray, ...] | None = None, name: str = "",
                  inner_product: SymmetricForm | None = None, *, coo=None, scale: int = 1):
-        if tensor is not None:
-            tensor = np.asarray(tensor, dtype=object)
-            if tensor.shape != (dim, dim, dim):
-                raise ContractViolation("structure tensor shape does not match dim")
-            where = np.nonzero(tensor != 0)
-            entries = Scaled.of(tensor[where])
-            coo, scale = (*where, entries.ints), entries.scale
         self.dim = dim
         self.coo, self.scale = _canonical_coo(dim, coo or ((), (), (), ()), scale)
         self.labels = tuple(labels) or tuple(f"e{i+1}" for i in range(dim))
@@ -512,30 +505,16 @@ class EmbeddingLayout:
     ``factor_subspaces[i]`` spans the i-th diagonal block; ``offdiag_blocks``
     maps each pair ``(i, j)`` (1-based, i < j) to the span of the basis
     elements coupling blocks i and j, a module of dimension ``k_i * k_j``.
+    ``subalgebra`` is the full diagonal product so(k_1) + ... + so(k_s) and
+    ``complement`` the sum of the off-diagonal blocks.
     """
 
     algebra: StructureAlgebra
     partition: tuple[int, ...]
     factor_subspaces: tuple
     offdiag_blocks: dict
-
-    @cached_property
-    def subalgebra(self):
-        """The full diagonal product so(k_1) + ... + so(k_s)."""
-        from .subspaces import Subspace
-        out = Subspace.zero(self.algebra)
-        for factor in self.factor_subspaces:
-            out = out.add(factor)
-        return out
-
-    @cached_property
-    def complement(self):
-        """The sum of the off-diagonal blocks."""
-        from .subspaces import Subspace
-        out = Subspace.zero(self.algebra)
-        for block in self.offdiag_blocks.values():
-            out = out.add(block)
-        return out
+    subalgebra: Subspace
+    complement: Subspace
 
     def named_subspaces(self) -> dict:
         names = {"k": self.subalgebra, "m": self.complement}
@@ -568,17 +547,16 @@ def embed_so_partition(source, partition) -> EmbeddingLayout:
     for k in partition:
         offsets.append(offsets[-1] + k)
     ranges = [range(offsets[i] + 1, offsets[i + 1] + 1) for i in range(len(partition))]
-    factors = []
-    for rng in ranges:
-        idx = [so_pair_index(n, a, b) for a in rng for b in rng if a < b]
-        factors.append(Subspace.from_indices(algebra, idx))
-    blocks = {}
-    for i in range(len(partition)):
-        for j in range(i + 1, len(partition)):
-            idx = [so_pair_index(n, a, b) for a in ranges[i] for b in ranges[j]]
-            blocks[(i + 1, j + 1)] = Subspace.from_indices(algebra, idx)
-    return EmbeddingLayout(algebra=algebra, partition=partition,
-                           factor_subspaces=tuple(factors), offdiag_blocks=blocks)
+    factor_idx = [[so_pair_index(n, a, b) for a in rng for b in rng if a < b] for rng in ranges]
+    block_idx = {(i + 1, j + 1): [so_pair_index(n, a, b) for a in ranges[i] for b in ranges[j]]
+                 for i in range(len(partition)) for j in range(i + 1, len(partition))}
+    # unit rows at the sorted union of the indices: already the rref of the sum
+    return EmbeddingLayout(
+        algebra=algebra, partition=partition,
+        factor_subspaces=tuple(Subspace.from_indices(algebra, idx) for idx in factor_idx),
+        offdiag_blocks={key: Subspace.from_indices(algebra, idx) for key, idx in block_idx.items()},
+        subalgebra=Subspace.from_indices(algebra, sorted(sum(factor_idx, []))),
+        complement=Subspace.from_indices(algebra, sorted(sum(block_idx.values(), []))))
 
 
 # ---------------------------------------------------------------------------

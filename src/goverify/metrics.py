@@ -48,9 +48,9 @@ class BlockSpec:
 
 
 class MetricOperator:
-    """A positive Q-self-adjoint operator with cached eigenstructure."""
+    """A positive Q-self-adjoint operator with the block data it was built from."""
 
-    def __init__(self, algebra: StructureAlgebra, matrix, block_spec: BlockSpec | None = None,
+    def __init__(self, algebra: StructureAlgebra, matrix, block_spec: BlockSpec,
                  check: bool = True):
         self.algebra = algebra
         self.matrix = Scaled.of(matrix).reduced()
@@ -71,35 +71,25 @@ class MetricOperator:
         return self.matrix @ Scaled.of(x)
 
     @cached_property
-    def eigenspaces(self) -> tuple[tuple[Fraction, Subspace], ...]:
-        """Eigenvalues with eigenspaces, from block data when available."""
-        if self.block_spec is not None and self.block_spec.center_block is None:
-            by_value: dict[Fraction, Subspace] = {}
-            for space, value in self.block_spec.blocks:
-                by_value[value] = by_value.get(value, Subspace.zero(self.algebra)).add(space)
-            return tuple(sorted(by_value.items(), key=lambda p: p[0]))
-        pairs = arith.symmetric_eigenspaces(self.matrix, self.algebra.form().matrix)
-        return tuple((value, Subspace(self.algebra, rows, check=False)) for value, rows in pairs)
-
-    @cached_property
     def invariant_pieces(self) -> tuple[Subspace, ...]:
-        """Finest exact L-invariant splitting (eigenspaces when rational).
+        """Finest exact L-invariant splitting read off the block data.
 
-        With a free center block whose spectrum is irrational the center's
-        primary components stand in for its eigenspaces; every piece is still
-        exactly L-invariant, which is all the sampling strategies need.
+        The scalar blocks sharing a value span one eigenspace (as an rref), in
+        increasing order of value.  A free center block adds its primary
+        components, which stand in for its eigenspaces when its spectrum is
+        irrational; every piece is still exactly L-invariant, which is all the
+        sampling strategies need.
         """
-        if self.block_spec is None or self.block_spec.center_block is None:
-            return tuple(space for _, space in self.eigenspaces)
-        by_value: dict[Fraction, Subspace] = {}
+        by_value: dict[Fraction, list[Scaled]] = {}
         for space, value in self.block_spec.blocks:
-            by_value[value] = by_value.get(value, Subspace.zero(self.algebra)).add(space)
-        pieces = [space for _, space in sorted(by_value.items(), key=lambda p: p[0])]
-        center, _ = self.block_spec.center_block
-        if center.dim:
-            block = restrict_operator(self, center)
-            for _factor, rows in arith.primary_invariant_split(block):
-                pieces.append(Subspace(self.algebra, rows @ center.basis, check=False))
+            by_value.setdefault(value, []).append(space.basis)
+        pieces = [Subspace.span(self.algebra, Scaled.concat(bases))
+                  for _, bases in sorted(by_value.items(), key=lambda p: p[0])]
+        if self.block_spec.center_block is not None:
+            center, _ = self.block_spec.center_block
+            if center.dim:
+                for _factor, rows in arith.primary_invariant_split(restrict_operator(self, center)):
+                    pieces.append(Subspace(self.algebra, rows @ center.basis, check=False))
         return tuple(pieces)
 
     @cached_property
@@ -225,8 +215,7 @@ class BiInvarianceReport:
         return self.ok
 
 
-def bi_invariance_check(operator: MetricOperator, subalgebra: Subspace,
-                        seed: int = 0) -> BiInvarianceReport:
+def bi_invariance_check(operator: MetricOperator, subalgebra: Subspace) -> BiInvarianceReport:
     """Whether the restriction to a subalgebra defines a bi-invariant metric.
 
     The block form is checked literally: the restriction must preserve the
@@ -236,7 +225,7 @@ def bi_invariance_check(operator: MetricOperator, subalgebra: Subspace,
         return BiInvarianceReport(True, None, (), True)
     if not invariant_subspace(operator, subalgebra):
         return BiInvarianceReport(False)
-    dec = ideal_decomposition(subalgebra, seed=seed)
+    dec = ideal_decomposition(subalgebra)
     center_ok = invariant_subspace(operator, dec.center)
     scalars = []
     ok = center_ok
@@ -285,7 +274,7 @@ def _is_simple(algebra: StructureAlgebra) -> bool:
     return algebra._known_simple
 
 
-def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
+def dazi_structure_check(operator: MetricOperator) -> DaZiReport:
     """Recognize the naturally reductive normal form on a simple algebra.
 
     Computes the full isometry subalgebra k', decomposes it into center and
@@ -303,7 +292,7 @@ def dazi_structure_check(operator: MetricOperator, seed: int = 0) -> DaZiReport:
         dec = DecomposedSubalgebra(center=Subspace.zero(algebra), ideals=(full,))
         return DaZiReport(True, full, dec, (scalar,), None, "scalar (bi-invariant)")
     kprime = operator.isometry_subalgebra
-    dec = ideal_decomposition(kprime, seed=seed)
+    dec = ideal_decomposition(kprime)
     complement = orthogonal_complement(kprime)
     pieces = [dec.center, *dec.ideals, complement]
     for piece in pieces:

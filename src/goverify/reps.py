@@ -135,13 +135,19 @@ def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> I
     return IntertwinerSpace(dom, cod, tuple(null[r].reshape(d2, d1) for r in range(null.shape[0])))
 
 
+def intertwiner_dim(acting: Subspace, space1: Subspace, space2: Subspace) -> int:
+    """Dimension of the intertwiner space, solved once per triple of spans."""
+    return span_memo(acting, lambda: intertwiner_space(acting, space1, space2).dim,
+                     "intertwiner", space1.sort_key(), space2.sort_key())
+
+
 def modules_disjoint(acting: Subspace, space1: Subspace, space2: Subspace) -> bool:
     """True iff no nonzero intertwiner exists between the two modules.
 
     For completely reducible actions this is exactly the statement that the
     modules share no irreducible constituent.
     """
-    return intertwiner_space(acting, space1, space2).dim == 0
+    return intertwiner_dim(acting, space1, space2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +157,24 @@ def modules_disjoint(acting: Subspace, space1: Subspace, space2: Subspace) -> bo
 def symmetric_commutant(restriction: AdRestriction) -> list[Scaled]:
     """Basis of operators commuting with the action and symmetric for the invariant form.
 
-    Operators are returned in the coordinates of ``restriction.space``.
+    Operators are returned in the coordinates of ``restriction.space``.  An
+    operator T is form-symmetric iff ``G T`` is a symmetric matrix, G the Gram
+    matrix of the space's basis; that constraint is imposed on the commutant
+    maps (all maps when nothing acts) as ``G T - (G T)^T = 0``.
     """
     p = restriction.space.dim
     if p == 0:
         return []
-    gram_int = restriction.space.gram.ints
-    sym_rows = np.kron(gram_int, np.eye(p, dtype=gram_int.dtype))
-    swap = np.array([b * p + a for a in range(p) for b in range(p)])
-    sym_rows = sym_rows - np.kron(np.eye(p, dtype=gram_int.dtype), gram_int.T)[:, swap]
-
     if restriction.acting.dim:
         rho, = _int_stacks(restriction)
         comm_null = _solve_equivariance(rho, rho, seed_tag=f"comm:{p}")
-        if comm_null.shape[0] == 0:
-            return []
-        vectors = arith.nullspace_exact(Scaled(sym_rows) @ comm_null.T) @ comm_null
     else:
-        vectors = arith.nullspace_exact(sym_rows)
+        comm_null = Scaled(np.eye(p * p, dtype=np.int64))   # nothing acts: every map commutes
+    if comm_null.shape[0] == 0:
+        return []
+    gt = Scaled(restriction.space.gram.ints) @ comm_null.reshape(-1, p, p)   # G T per map
+    sym_system = (gt - gt.transpose(0, 2, 1)).reshape(-1, p * p).T
+    vectors = arith.nullspace_exact(sym_system) @ comm_null
     return [vectors[r].reshape(p, p) for r in range(vectors.shape[0])]
 
 
@@ -179,13 +185,13 @@ class IsotypicDecomposition:
     multiplicities: tuple[int | None, ...]
 
 
-def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
-                           retries: int = 3) -> IsotypicDecomposition:
+def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecomposition:
     """Isotypic decomposition of the action of ``acting`` on ``space``.
 
     Splits with primary decompositions of generic symmetric commutant
-    elements over the rationals, then merges pieces whose mutual intertwiner
-    space is nonzero.  A piece whose symmetric commutant is scalar is
+    elements over the rationals (up to three fixed pseudo-random combinations
+    per piece, from the stream ``isotypic:0:{dim}``), then merges pieces whose
+    mutual intertwiner space is nonzero.  A piece whose symmetric commutant is scalar is
     irreducible (its label says so); a piece that resists rational splitting
     is labeled ``not-split-by-this-procedure`` -- downstream decisions only
     need the disjointness of distinct components, which holds either way.
@@ -194,7 +200,7 @@ def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
         return IsotypicDecomposition((), (), ())
     if acting.dim == 0:
         return IsotypicDecomposition((space,), ("trivial",), (space.dim,))
-    rng = random.Random(f"isotypic:{seed}:{space.dim}")
+    rng = random.Random(f"isotypic:0:{space.dim}")
 
     final: list[tuple[Subspace, str]] = []
     stack = [space]
@@ -205,7 +211,7 @@ def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
         if len(commutant) <= 1:
             final.append((piece, "irreducible"))
             continue
-        split = _try_split(piece, commutant, rng, retries)
+        split = _try_split(piece, commutant, rng)
         if split is None:
             final.append((piece, "not-split-by-this-procedure"))
         else:
@@ -219,9 +225,9 @@ def isotypic_decomposition(acting: Subspace, space: Subspace, seed: int = 0,
     return IsotypicDecomposition(components, labels, mults)
 
 
-def _try_split(piece: Subspace, commutant: list[Scaled], rng: random.Random,
-               retries: int) -> list[Subspace] | None:
-    for _ in range(retries):
+def _try_split(piece: Subspace, commutant: list[Scaled],
+               rng: random.Random) -> list[Subspace] | None:
+    for _ in range(3):
         combo = sum((rng.randint(-9, 9) * c for c in commutant), Scaled.zeros(commutant[0].shape))
         try:
             parts = arith.primary_invariant_split(combo)
@@ -300,13 +306,13 @@ def is_weakly_regular(space: Subspace) -> WeakRegularityReport:
     def build():
         norm = normalizer(space)
         p = orthogonal_complement(norm)
-        itw = intertwiner_space(norm, space, p)
+        itw_dim = intertwiner_dim(norm, space, p)
         return WeakRegularityReport(
-            weakly_regular=itw.dim == 0,
+            weakly_regular=itw_dim == 0,
             dim_subalgebra=space.dim,
             dim_centralizer_in_complement=centralizer_in_complement(space).dim,
             dim_opposite=p.dim,
-            intertwiner_dim=itw.dim,
+            intertwiner_dim=itw_dim,
         )
     return span_memo(space, build, "weakreg")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, go, metrics, reps
-from .arith import ContractViolation, q
+from .arith import ContractViolation
 from .lie import (EmbeddingLayout, StructureAlgebra, build_classical, embed_so_partition,
                   ingest_structure_table, serialize_structure_table)
 from .metrics import BlockSpec, MetricOperator
@@ -99,26 +99,16 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         layout = embed_so_partition(algebra, tuple(sub["partition"]))
         named = layout.named_subspaces()
         subgroup = layout.subalgebra
-    elif "span" in sub:
-        rows = arith.qarray([[Fraction(v) for v in row] for row in sub["span"]])
-        subgroup = Subspace(algebra, rows)
-        named["k"] = subgroup
-        named["m"] = orthogonal_complement(subgroup)
     elif "subspace" in sub:
         from .subspaces import parse_subspace
         subgroup = parse_subspace(algebra, sub["subspace"])
-        named["k"] = subgroup
-        named["m"] = orthogonal_complement(subgroup)
-    elif "indices" in sub:
-        subgroup = Subspace.from_indices(algebra, [int(i) for i in sub["indices"]])
         named["k"] = subgroup
         named["m"] = orthogonal_complement(subgroup)
     elif sub.get("kind") == "cartan-diagonal":
         idx = [i for i, lab in enumerate(algebra.labels) if lab.startswith("D")]
         subgroup = Subspace.from_indices(algebra, idx)
         named["t"] = subgroup
-        pieces = reps.isotypic_decomposition(subgroup, orthogonal_complement(subgroup),
-                                             seed=spec.seed)
+        pieces = reps.isotypic_decomposition(subgroup, orthogonal_complement(subgroup))
         for i, piece in enumerate(pieces.components, start=1):
             named[f"r{i}"] = piece
     elif "chain" in sub:
@@ -130,6 +120,9 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         named["u"] = orthogonal_complement(inner).intersect(outer)
         named["p"] = orthogonal_complement(outer)
         subgroup = inner
+    elif sub:
+        raise ContractViolation(f"unknown subgroup {sorted(sub)}: expected 'partition', "
+                                "'subspace', 'chain' or kind 'cartan-diagonal'")
     metric = None
     if spec.metric is not None and not any(key in spec.metric for key, _, _ in _SWEEPS.values()):
         metric = build_metric(spec.metric, algebra, layout, named)
@@ -137,24 +130,32 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
                          subgroup=subgroup, metric=metric)
 
 
+def _rational(text, where: str) -> Fraction:
+    """``Fraction(text)``; a malformed value is a :class:`ContractViolation` naming ``where``."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ContractViolation(f"{where}: malformed rational {text!r}") from exc
+
+
 def build_metric(metric_spec: dict, algebra: StructureAlgebra,
                  layout: EmbeddingLayout | None, named: dict) -> MetricOperator:
     if "scalar" in metric_spec:
-        value = q(Fraction(metric_spec["scalar"]))
+        value = _rational(metric_spec["scalar"], "scalar")
         blocks = ((Subspace.full(algebra), value),)
         return metrics.metric_from_blocks(algebra, BlockSpec(blocks))
     if "params" in metric_spec:
         if layout is None:
             raise ContractViolation("params metric needs a partition subgroup")
         names = _block_names(layout.partition)
-        values = [Fraction(v) for v in metric_spec["params"]]
+        values = [_rational(v, "params") for v in metric_spec["params"]]
         if len(values) != len(names):
             raise ContractViolation(f"expected {len(names)} parameters {names}")
         blocks = tuple((named[n], v) for n, v in zip(names, values))
         return metrics.metric_from_blocks(algebra, BlockSpec(blocks))
     if "triple" in metric_spec:
-        x = Fraction(metric_spec["triple"]["x"])
-        y = Fraction(metric_spec["triple"]["y"])
+        x = _rational(metric_spec["triple"]["x"], "triple")
+        y = _rational(metric_spec["triple"]["y"], "triple")
         blocks = ((named["h"], Fraction(1)), (named["u"], x), (named["p"], y))
         return metrics.metric_from_blocks(algebra, BlockSpec(blocks))
     if "blockspec" in metric_spec:
@@ -178,13 +179,13 @@ def parse_blockspec(text: str, named: dict) -> BlockSpec:
             continue
         parts = line.split()
         if parts[0] == "block" and len(parts) == 4 and parts[2] == "scalar":
-            name, value = parts[1], Fraction(parts[3])
+            name, value = parts[1], _rational(parts[3], f"line {lineno}")
         elif parts[0] == "centerblock" and len(parts) >= 4 and parts[2] == "matrix":
             name = parts[1]
             if name not in named:
                 raise ContractViolation(f"line {lineno}: unknown subspace {name!r}")
             space = named[name]
-            entries = [Fraction(v) for v in parts[3:]]
+            entries = [_rational(v, f"line {lineno}") for v in parts[3:]]
             if len(entries) != space.dim * space.dim:
                 raise ContractViolation(f"line {lineno}: center block needs {space.dim}^2 entries")
             center = (space, arith.qarray(entries).reshape(space.dim, space.dim))
@@ -236,7 +237,7 @@ def _check_validate(built: BuiltScenario, rep: Report):
 
 
 def _check_regular(built: BuiltScenario, rep: Report):
-    result = is_regular(_require_subgroup(built), seed=built.spec.seed)
+    result = is_regular(_require_subgroup(built))
     rep.add({
         "record": "check", "name": "regular", "verdict": bool(result.regular),
         "negative": not result.regular,
@@ -335,7 +336,7 @@ def _check_natred(built: BuiltScenario, rep: Report):
 
 def _check_dazi(built: BuiltScenario, rep: Report):
     operator = _require_metric(built)
-    result = metrics.dazi_structure_check(operator, seed=built.spec.seed)
+    result = metrics.dazi_structure_check(operator)
     rep.add({
         "record": "check", "name": "dazi", "verdict": bool(result.verdict),
         "negative": not result.verdict,
@@ -350,9 +351,7 @@ def _check_dazi(built: BuiltScenario, rep: Report):
 
 
 def _check_split(built: BuiltScenario, rep: Report):
-    spec = built.spec
-    result = go.split_check(_require_metric(built), _require_subgroup(built),
-                            _strategy(spec), seed=spec.seed)
+    result = go.split_check(_require_metric(built), _require_subgroup(built), _strategy(built.spec))
     rep.add({
         "record": "check", "name": "split", "verdict": bool(result.ok),
         "negative": not result.ok,
@@ -487,7 +486,7 @@ def _sweep_tuple(built: BuiltScenario, check: str, index: int, fields: dict):
     strategy = go.SamplingStrategy(seed=spec.seed * 100003 + index, random_count=spec.samples)
     kprime = metrics.isometry_subalgebra(operator)
     verdict = go.go_verdict(operator, kprime, strategy)
-    dazi = bool(metrics.dazi_structure_check(operator, seed=spec.seed).verdict)
+    dazi = bool(metrics.dazi_structure_check(operator).verdict)
     record = {"index": index, **fields, "kprime_dim": kprime.dim, "go": verdict.kind,
               "dazi": dazi, "agree": (not verdict.disproved) == dazi,
               "counterexample": _counterexample(verdict)}
@@ -511,13 +510,12 @@ def _grid_follow_up(built: BuiltScenario, record: dict, operator: MetricOperator
     """Add to a grid-sweep tuple record the sample count and, when NotDisproved, normalizer
     equivariance over the partition subgroup and the isometry subalgebra and the
     splitting of the restriction blocks."""
-    seed = built.spec.seed
     record.update(samples=verdict.samples, normalizer_equivariant=None, split_ok=None)
     if verdict.counterexample is None:
-        ne_sub = go.normalizer_equivariance_check(operator, built.subgroup, seed=seed)
-        ne_iso = go.normalizer_equivariance_check(operator, kprime, seed=seed)
+        ne_sub = go.normalizer_equivariance_check(operator, built.subgroup)
+        ne_iso = go.normalizer_equivariance_check(operator, kprime)
         record["normalizer_equivariant"] = bool(ne_sub.ok and ne_iso.ok)
-        record["split_ok"] = bool(go.split_check(operator, kprime, verdict.strategy, seed=seed).ok)
+        record["split_ok"] = bool(go.split_check(operator, kprime, verdict.strategy).ok)
 
 
 def _check_sweep(built: BuiltScenario, rep: Report):

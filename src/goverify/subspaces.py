@@ -131,17 +131,16 @@ class Subspace:
         """``[a, :, b]`` is the bracket of basis vector a with basis vector b of ``other``."""
         return self.ad_matrices @ other.basis.T
 
-    def random_coefficients(self, rng: random.Random, bound: int = 9) -> list[int]:
-        """Deterministic small integer coefficients, not all zero unless ``dim`` is 0."""
+    def random_coefficients(self, rng: random.Random) -> list[int]:
+        """Deterministic integer coefficients in [-9, 9], not all zero unless ``dim`` is 0."""
         while True:
-            coeffs = [rng.randint(-bound, bound) for _ in range(self.dim)]
+            coeffs = [rng.randint(-9, 9) for _ in range(self.dim)]
             if any(coeffs) or self.dim == 0:
                 return coeffs
 
-    def random_element(self, rng: random.Random, bound: int = 9) -> Scaled:
-        """Deterministic random combination with small integer coefficients."""
-        coeffs = np.array(self.random_coefficients(rng, bound), dtype=np.int64)
-        return Scaled(coeffs, 1, bound) @ self.basis
+    def random_element(self, rng: random.Random) -> Scaled:
+        """Deterministic random combination with coefficients in [-9, 9]."""
+        return Scaled(np.array(self.random_coefficients(rng), dtype=np.int64), 1, 9) @ self.basis
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.algebra.name or self.algebra.dim})"
@@ -300,11 +299,9 @@ def centralizer_in_complement(space: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class CartanWitness:
-    """A generic element whose centralizer realized the rank estimate."""
+    """The centralizer of the generic element that realized the rank estimate."""
 
-    generic_element: Scaled
     centralizer_basis: Scaled
-    retry_count: int
     abelian: bool
 
     @property
@@ -318,35 +315,35 @@ class RankEstimate:
     witness: CartanWitness
 
 
-def rank_estimate(space: Subspace, retries: int = 5, seed: int = 0) -> RankEstimate:
+def rank_estimate(space: Subspace) -> RankEstimate:
     """Rank of a compact subalgebra as the minimal generic-centralizer dimension.
 
-    Seeded sampling with ``retries`` draws; the witness with the smallest
-    centralizer wins and must be abelian (a Cartan subalgebra of the input).
+    Five fixed pseudo-random elements (stream ``rank:0:{dim}``, more only while
+    the best is not abelian); the witness with the smallest centralizer wins
+    and must be abelian (a Cartan subalgebra of the input).  The rank does not
+    depend on which generic elements were drawn.
     """
     if space.dim == 0:
-        return RankEstimate(0, CartanWitness(Scaled.zeros(space.algebra.dim),
-                                             Scaled.zeros((0, space.algebra.dim)), 0, True))
-    rng = random.Random(f"rank:{seed}:{space.dim}")
+        return RankEstimate(0, CartanWitness(Scaled.zeros((0, space.algebra.dim)), True))
+    rng = random.Random(f"rank:0:{space.dim}")
     best: CartanWitness | None = None
     attempts = 0
-    while attempts < retries or (best is not None and not best.abelian):
-        if attempts >= retries + 8:
+    while attempts < 5 or not best.abelian:
+        if attempts >= 13:
             raise arith.ExactComputationError("rank estimate failed to find an abelian centralizer")
-        h = space.random_element(rng)
-        witness = _centralizer_witness(space, h, attempts + 1)
+        witness = _centralizer_witness(space, space.random_element(rng))
         attempts += 1
         if best is None or witness.dim < best.dim:
             best = witness
     return RankEstimate(best.dim, best)
 
 
-def _centralizer_witness(space: Subspace, element, attempt: int) -> CartanWitness:
+def _centralizer_witness(space: Subspace, element) -> CartanWitness:
     null = arith.nullspace_exact(space.algebra.contract(element) @ space.basis.T)
     vectors = null @ space.basis
     brackets = (space.algebra.contract(vectors) @ vectors.T).ints   # [a, k, b] = [v_a, v_b]_k
     abelian = not np.any(np.transpose(brackets, (0, 2, 1))[np.triu_indices(len(vectors), 1)])
-    return CartanWitness(Scaled.of(element), vectors, attempt, abelian)
+    return CartanWitness(vectors, abelian)
 
 
 @dataclass(frozen=True)
@@ -361,7 +358,7 @@ class RegularityReport:
         return self.regular
 
 
-def is_regular(space: Subspace, seed: int = 0) -> RegularityReport:
+def is_regular(space: Subspace) -> RegularityReport:
     """Regularity: the normalizer attains the ambient rank.
 
     A subalgebra normalized by a Cartan subalgebra t of the ambient algebra
@@ -370,12 +367,12 @@ def is_regular(space: Subspace, seed: int = 0) -> RegularityReport:
     """
     algebra = space.algebra
     full = Subspace.full(algebra)
-    rank_g = rank_estimate(full, seed=seed).value
+    rank_g = rank_estimate(full).value
     if space.dim == 0:
         return RegularityReport(True, rank_g == 0, rank_g, 0, rank_g)
-    rank_k = rank_estimate(space, seed=seed).value
+    rank_k = rank_estimate(space).value
     norm = normalizer(space)
-    rank_n = rank_estimate(norm, seed=seed).value
+    rank_n = rank_estimate(norm).value
     return RegularityReport(rank_n == rank_g, rank_k == rank_g, rank_g, rank_k, rank_n)
 
 
@@ -398,7 +395,7 @@ def derived_subalgebra(space: Subspace) -> Subspace:
     return Subspace.span(space.algebra, space.brackets(space)[i, :, j])
 
 
-def ideal_decomposition(space: Subspace, seed: int = 0) -> DecomposedSubalgebra:
+def ideal_decomposition(space: Subspace) -> DecomposedSubalgebra:
     """Split a compact subalgebra into its center and simple ideals.
 
     The center is the kernel of the adjoint action of the subalgebra on
@@ -417,7 +414,7 @@ def ideal_decomposition(space: Subspace, seed: int = 0) -> DecomposedSubalgebra:
         if derived.dim == 0:
             return DecomposedSubalgebra(center=center, ideals=())
         from . import reps  # local import: reps builds on this module
-        decomposition = reps.isotypic_decomposition(derived, derived, seed=seed)
+        decomposition = reps.isotypic_decomposition(derived, derived)
         ideals = tuple(sorted(decomposition.components, key=Subspace.sort_key))
         for ideal in ideals:
             if not is_subalgebra(ideal):
@@ -427,4 +424,4 @@ def ideal_decomposition(space: Subspace, seed: int = 0) -> DecomposedSubalgebra:
                 if not is_zero(ideals[a].brackets(ideals[b])):
                     raise arith.ExactComputationError("ideal candidates do not commute")
         return DecomposedSubalgebra(center=center, ideals=ideals)
-    return span_memo(space, build, "ideals", seed)
+    return span_memo(space, build, "ideals")

@@ -18,6 +18,7 @@ import numpy as np
 from goverify import arith
 from goverify.arith import ContractViolation, is_zero, q, qzeros
 from goverify.go import GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
+from goverify.lie import StructureAlgebra
 from goverify.metrics import BlockSpec, MetricOperator, equivariance_check
 from goverify.subspaces import Subspace, projector
 
@@ -25,6 +26,15 @@ from goverify.subspaces import Subspace, projector
 def fractions(x) -> np.ndarray:
     """The Fraction array of ``x`` (a ``Scaled``, an array or nested lists)."""
     return arith.qarray(np.asarray(x))
+
+
+def algebra_from_tensor(tensor) -> StructureAlgebra:
+    """The (unvalidated) algebra whose dense rational structure tensor is ``tensor``,
+    stored as the COO arrays of its nonzero entries."""
+    tensor = np.asarray(tensor, dtype=object)
+    where = np.nonzero(tensor != 0)
+    entries = arith.Scaled.of(tensor[where])
+    return StructureAlgebra(dim=tensor.shape[0], coo=(*where, entries.ints), scale=entries.scale)
 
 
 def fmatmul(a, b) -> np.ndarray:
@@ -63,12 +73,10 @@ def rescale(operator: MetricOperator, factor) -> MetricOperator:
     factor = q(factor)
     if factor <= 0:
         raise ContractViolation("scaling factor must be positive")
-    spec = None
-    if operator.block_spec is not None:
-        center = operator.block_spec.center_block
-        spec = BlockSpec(
-            blocks=tuple((s, v * factor) for s, v in operator.block_spec.blocks),
-            center_block=None if center is None else (center[0], fractions(center[1]) * factor))
+    center = operator.block_spec.center_block
+    spec = BlockSpec(
+        blocks=tuple((s, v * factor) for s, v in operator.block_spec.blocks),
+        center_block=None if center is None else (center[0], fractions(center[1]) * factor))
     return MetricOperator(operator.algebra, fractions(operator.matrix) * factor, spec, check=False)
 
 

@@ -128,6 +128,22 @@ def test_machine_report_schema(tmp_path, capsys):
     assert summary["record"] == "summary"
 
 
+@pytest.mark.parametrize("flag, value, where", [
+    ("--params", "1,2,x,4,5,6", "params: malformed rational 'x'"),
+    ("--scalar", "abc", "scalar: malformed rational 'abc'"),
+    ("--blockspec", "block k1 scalar 2\nblock k2 scalar abc\n", "line 2: malformed rational 'abc'"),
+], ids=["params", "scalar", "blockspec"])
+def test_malformed_rational_is_an_error_line(flag, value, where, tmp_path):
+    if flag == "--blockspec":
+        (tmp_path / "metric.blocks").write_text(value)
+        value = str(tmp_path / "metric.blocks")
+    out = subprocess.run([sys.executable, "-m", "goverify", "check", "natred", "--family", "so",
+                          "--n", "6", "--partition", "2,2,2", flag, value],
+                         capture_output=True, text=True)
+    assert out.returncode == 1 and out.stderr.startswith("error:")
+    assert where in out.stderr and "Traceback" not in out.stderr
+
+
 def test_cli_entrypoint_subprocess():
     out = subprocess.run([sys.executable, "-m", "goverify", "scenario", "list"],
                          capture_output=True, text=True)

@@ -14,7 +14,7 @@ from goverify.lie import (ValidationError, build_classical, direct_sum, embed_so
                           ingest_structure_table, serialize_structure_table,
                           so_pair_index)
 from goverify.subspaces import Subspace, orthogonal_complement
-from oracles import fad, fmatmul
+from oracles import algebra_from_tensor, fad, fmatmul
 
 
 def brute_force_killing(algebra):
@@ -59,7 +59,7 @@ def test_validation_catches_broken_jacobi():
     tensor = qzeros((3, 3, 3))
     tensor[0, 1, 2], tensor[1, 0, 2] = q(1), q(-1)
     tensor[0, 2, 0], tensor[2, 0, 0] = q(1), q(-1)
-    broken = lie.StructureAlgebra(dim=3, tensor=tensor)
+    broken = algebra_from_tensor(tensor)
     with pytest.raises(ValidationError, match="Jacobi"):
         broken.validate()
 
@@ -67,7 +67,7 @@ def test_validation_catches_broken_jacobi():
 def test_validation_catches_broken_antisymmetry():
     tensor = qzeros((3, 3, 3))
     tensor[0, 1, 2] = q(1)
-    broken = lie.StructureAlgebra(dim=3, tensor=tensor)
+    broken = algebra_from_tensor(tensor)
     with pytest.raises(ValidationError, match="antisymmetry"):
         broken.validate()
 
@@ -96,7 +96,7 @@ def _python_int_path(algebra):
 def test_scaled_tensor_validates_on_python_ints():
     """Jacobi is quadratic and antisymmetry linear, so scaling keeps both."""
     so5 = build_classical("so", 5)
-    scaled = lie.StructureAlgebra(dim=so5.dim, tensor=so5.tensor * 2**40)
+    scaled = algebra_from_tensor(so5.tensor * 2**40)
     assert _python_int_path(scaled)
     scaled.validate()
     assert is_zero(scaled.killing.matrix - so5.killing.matrix * 2**80)
@@ -113,7 +113,7 @@ def test_broken_entry_reports_the_reference_index_on_both_paths(kind):
     assert expected_kind == kind
     messages = []
     for scale in (1, 2**40):
-        algebra = lie.StructureAlgebra(dim=10, tensor=tensor * scale)
+        algebra = algebra_from_tensor(tensor * scale)
         assert _python_int_path(algebra) == (scale != 1)
         with pytest.raises(ValidationError) as excinfo:
             algebra.validate()
@@ -136,7 +136,7 @@ def test_sparse_validation_matches_the_reference_on_both_paths(algebra, data):
         tensor[j, i, k] -= delta                # kept antisymmetric; a no-op when i == j
     expected = _first_failure(tensor)
     for scale in (1, 2**40):
-        scaled = lie.StructureAlgebra(dim=d, tensor=tensor * scale)
+        scaled = algebra_from_tensor(tensor * scale)
         assert _python_int_path(scaled) == (scale != 1)
         if expected is None:
             scaled.validate()
@@ -434,7 +434,7 @@ def test_validity_up_to_so10():
 
 def test_bracket_on_python_ints_matches_fraction_reference():
     so5 = build_classical("so", 5)
-    scaled = lie.StructureAlgebra(dim=so5.dim, tensor=so5.tensor * 2**40)
+    scaled = algebra_from_tensor(so5.tensor * 2**40)
     rng = np.random.RandomState(2)
     x = np.array([q(int(v)) / 7 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
     y = np.array([q(int(v)) / 11 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)

@@ -14,7 +14,6 @@ from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
                               invariant_subspace, isometry_subalgebra,
                               metric_from_blocks, restrict_operator)
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement
-from test_arith import _reference_rref
 from oracles import fmatmul, metric_inner, rescale
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
@@ -39,16 +38,32 @@ def test_scalar_metric_is_identity_scaled(so6):
 
 
 def test_eigenvalue_multiplicities_from_blocks(so6):
+    """The invariant pieces are the eigenspaces, in increasing order of value."""
     layout, named = so6
     op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
-    assert [(v, s.dim) for v, s in op.eigenspaces] == \
+    assert [(restrict_operator(op, s).scalar(), s.dim) for s in op.invariant_pieces] == \
         [(1, 1), (2, 1), (3, 1), (4, 4), (5, 4), (6, 4)]
+    # blocks sharing a value make one piece
+    merged = block_metric(layout, named, [2, 1, 2, 1, 2, 1])
+    assert [(restrict_operator(merged, s).scalar(), s.dim) for s in merged.invariant_pieces] == \
+        [(1, 9), (2, 6)]
 
 
 def test_blocks_must_be_positive(so6):
     layout, named = so6
     with pytest.raises(arith.ContractViolation):
         block_metric(layout, named, [1, 2, 3, 4, 5, 0])
+
+
+def test_operator_must_be_self_adjoint_and_positive(so6):
+    layout, named = so6
+    op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
+    skewed = np.asarray(op.matrix).copy()
+    skewed[0, 1] += 1                        # Q is diagonal, so Q L is no longer symmetric
+    with pytest.raises(arith.ContractViolation, match="self-adjoint"):
+        MetricOperator(layout.algebra, skewed, op.block_spec)
+    with pytest.raises(arith.ContractViolation, match="positive definite"):
+        MetricOperator(layout.algebra, -np.asarray(op.matrix), op.block_spec)
 
 
 def test_blocks_must_span(so6):
@@ -138,7 +153,7 @@ def test_isometry_subalgebra_contains_equivariant_skew_subalgebras(so6):
     assert kp.contains_space(layout.subalgebra)
     assert equivariance_check(op, kp)
     # eigenspaces of the operator are invariant under the isometry subalgebra
-    for _value, space in op.eigenspaces:
+    for space in op.invariant_pieces:
         for i in range(kp.dim):
             image = fmatmul(kp.ad_matrices[i], space.basis.T)
             assert space.coords(image) is not None
@@ -173,16 +188,14 @@ def test_bi_invariance_fails_for_ideal_mixing():
     so4 = build_classical("so", 4)
     full = Subspace.full(so4)
     dec = ideal_decomposition(full)
-    i1, i2 = dec.ideals
-    # a rotation coupling the two ideals: symmetric for Q but not ideal-diagonal
-    basis = np.concatenate([i1.basis, i2.basis], axis=0)
-    cols = basis.T
-    rows, pivots = _reference_rref(np.concatenate([cols, qeye(6)], axis=1))
-    cols_inv = qarray([row[6:] for row in rows])
-    mix = qeye(6) * q(2)
-    mix[0, 3] = mix[3, 0] = q(1)
-    matrix = fmatmul(fmatmul(cols, mix), cols_inv)
-    op = MetricOperator(so4, matrix)
+    a, b = np.asarray(dec.ideals[0].basis), np.asarray(dec.ideals[1].basis)
+    # blocks coupling the two ideals (their bases are Q-orthogonal of equal norm):
+    # L = 2 on both, plus a[0] <-> b[0], so a[0] + b[0] has eigenvalue 3 and a[0] - b[0] 1
+    blocks = ((Subspace(so4, qarray([a[0] + b[0]])), Fraction(3)),
+              (Subspace(so4, qarray([a[0] - b[0]])), Fraction(1)),
+              (Subspace(so4, qarray([a[1], a[2], b[1], b[2]])), Fraction(2)))
+    op = metric_from_blocks(so4, BlockSpec(blocks))
+    assert is_zero(fmatmul(op.matrix, a[0]) - (2 * a[0] + b[0]))
     assert not bi_invariance_check(op, full)
 
 

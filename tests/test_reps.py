@@ -101,6 +101,19 @@ def test_symmetric_commutant_scalar_for_adjoint_of_simple():
     assert len(comm) == 1
 
 
+def test_symmetric_commutant_without_action_is_every_symmetric_map():
+    layout = embed_so_partition(6, (2, 2, 2))
+    m = layout.offdiag_blocks[(1, 2)]
+    comm = symmetric_commutant(ad_restriction(Subspace.zero(layout.algebra), m))
+    p = m.dim
+    assert len(comm) == p * (p + 1) // 2
+    flat = np.array([np.asarray(t).ravel() for t in comm])
+    assert arith.rank_exact(arith.qarray(flat)) == len(comm)
+    for t in comm:                          # form-symmetric: G T is a symmetric matrix
+        gt = fmatmul(m.gram, t)
+        assert is_zero(gt - gt.T)
+
+
 def test_isotypic_single_component_adjoint():
     so3 = build_classical("so", 3)
     full = Subspace.full(so3)

@@ -30,6 +30,11 @@ def test_grid_tuples_deterministic_and_alternating():
             assert len(set(params.values())) == 1
 
 
+# basis vectors 1, 2 and 5 of so(5): the so(3) on the first three coordinates
+_SO5_SO3_TEXT = "ambient 10\nrows 3\n" + "".join(
+    " ".join("1" if c == i else "0" for c in range(10)) + "\n" for i in (0, 1, 4))
+
+
 @pytest.mark.parametrize("algebra", [
     {"family": "so", "n": 5},
     {"table": lie.serialize_structure_table(lie.build_classical("so", 5))},
@@ -41,7 +46,7 @@ def test_each_algebra_is_validated_once(algebra, monkeypatch):
     validate = lie.StructureAlgebra.validate
     monkeypatch.setattr(lie.StructureAlgebra, "validate",
                         lambda self: calls.append(self) or validate(self))
-    spec = ScenarioSpec(name="once", algebra=algebra, subgroup={"indices": [0, 1, 4]},
+    spec = ScenarioSpec(name="once", algebra=algebra, subgroup={"subspace": _SO5_SO3_TEXT},
                         metric={"scalar": "2"}, checks=("validate", "go"), samples=4)
     text = run_check(spec).to_machine()
     assert len(calls) == 1 and '"name":"validate","negative":false' in text
@@ -132,6 +137,13 @@ def test_unknown_check_names_are_rejected():
     spec = ScenarioSpec(name="typo", algebra={"family": "so", "n": 6},
                         checks=("validate", "sweeep", "go-isometry"))
     with pytest.raises(arith.ContractViolation, match=r"unknown checks \['sweeep', 'go-isometry'\]"):
+        run_check(spec)
+
+
+def test_unknown_subgroup_kinds_are_rejected():
+    spec = ScenarioSpec(name="typo", algebra={"family": "so", "n": 5},
+                        subgroup={"indices": [0, 1, 4]}, checks=("validate",))
+    with pytest.raises(arith.ContractViolation, match=r"unknown subgroup \['indices'\]"):
         run_check(spec)
 
 
@@ -302,3 +314,43 @@ def test_sweep_builds_each_span_result_once(monkeypatch):
     kinds = Counter(key[0] for key in builds)
     assert kinds["complement"] >= 2 and kinds["flags"] >= 2 and kinds["intersect"] >= 2
     assert pairs and max(pairs.values()) == 1
+
+
+# -- structural results take no seed ----------------------------------------------
+
+def _pipeline_so9(seed):
+    return ScenarioSpec(name="pipeline-so9", algebra={"family": "so", "n": 9},
+                        subgroup={"partition": [3, 3, 3]},
+                        metric={"params": ["2", "2", "3", "2", "1", "1"]},
+                        checks=ALL_CHECKS, samples=16, seed=seed)
+
+
+def test_structural_records_do_not_depend_on_the_seed():
+    """Ranks, regularity, weak regularity, equivariance, natred and the normal
+    form are canonical; only the sampled geodesic-orbit records may move."""
+    spec = scenario_catalog()["so9-333-regularity"]
+    at = {seed: run_check(ScenarioSpec.from_obj({**spec.to_obj(), "seed": seed})).records
+          for seed in (0, 5)}
+    assert at[0] == at[5]
+    structural = ("validate", "regular", "weakly-regular", "equivariance", "natred", "dazi")
+    records = {seed: [r for r in run_check(_pipeline_so9(seed)).records if r["name"] in structural]
+               for seed in (1, 5)}
+    assert [r["name"] for r in records[1]] == list(structural)
+    assert records[1] == records[5]
+
+
+def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
+    """The weak-regularity decision and its sufficient criterion meet the same
+    system when the subalgebra is self-normalizing: one equivariance solve on
+    so(9)/so(3)^3, and one intertwiner space fewer on the full so(9) pipeline."""
+    calls = Counter()
+    for name in ("_solve_equivariance", "intertwiner_space"):
+        original = getattr(reps, name)
+        monkeypatch.setattr(reps, name, lambda *args, name=name, original=original, **kwargs:
+                            calls.update([name]) or original(*args, **kwargs))
+    report = run_check(scenario_catalog()["so9-333-regularity"])
+    assert calls["_solve_equivariance"] == 1
+    assert [r["self_normalizing"] for r in report.records if r["name"] == "weakly-regular"] == [True]
+    calls.clear()
+    run_check(_pipeline_so9(1))
+    assert calls["intertwiner_space"] == 5
