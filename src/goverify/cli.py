@@ -54,7 +54,11 @@ def _subgroup_spec(args) -> dict | None:
     if args.partition and getattr(args, "subspace", None):
         raise SystemExit("error: give either --partition or --subspace")
     if args.partition:
-        return {"partition": [int(p) for p in args.partition.split(",")]}
+        try:
+            return {"partition": [int(p) for p in args.partition.split(",")]}
+        except ValueError:
+            raise SystemExit("error: --partition needs comma-separated integers, "
+                             f"not {args.partition!r}") from None
     if getattr(args, "subspace", None):
         return {"subspace": args.subspace.read_text()}
     return None

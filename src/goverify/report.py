@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+
+import numpy as np
 
 from . import __version__, arith
 
@@ -28,8 +31,26 @@ def encode_vector(vec) -> list:
     return arith.Scaled.of(vec).strs()
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _decode_rational(text) -> tuple[int, int]:
+    """``n`` or ``n/d`` (d positive) as the reduced pair ``(n, d)``."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    if den == 0:
+        raise arith.ContractViolation(f"malformed rational {text!r} in an encoded vector")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def decode_vector(items) -> arith.Scaled:
-    return arith.Scaled.of([Fraction(s) for s in items])
+    """Encoded entries, parsed as two ints each, over their least common denominator."""
+    if not isinstance(items, list):
+        raise arith.ContractViolation("an encoded vector must be a list of strings")
+    pairs = [_decode_rational(s) for s in items]
+    scale = math.lcm(*(d for _, d in pairs))
+    return arith.Scaled(np.array([n * (scale // d) for n, d in pairs], dtype=object), scale)
 
 
 def canonical_json(obj) -> str:

@@ -62,50 +62,68 @@ def _int_stacks(*restrictions: AdRestriction) -> list[np.ndarray]:
     return [(r.matrices * (scale // r.matrices.scale)).ints for r in restrictions]
 
 
-def _intertwiner_block(rho_dom: np.ndarray, rho_cod: np.ndarray) -> np.ndarray:
-    """Rows enforcing rho_cod T = T rho_dom on vec(T), T of shape (cod, dom)."""
-    left = np.kron(rho_cod, np.eye(rho_dom.shape[0], dtype=np.int64))
-    return left - np.kron(np.eye(rho_cod.shape[0], dtype=np.int64), rho_dom.T)
+def _equations(unknowns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (rows, cols) of T with one equation each: every unknown's
+    first entry (the upper triangle when ``unknowns`` is symmetric)."""
+    _, first = np.unique(unknowns, return_index=True)
+    return np.divmod(first, unknowns.shape[1])
 
 
-def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, seed_tag: str) -> Scaled:
-    """Rows vec(T) of the maps T with cod[i] T = T dom[i] for every generator i.
+def _block(rho_dom: np.ndarray, rho_cod: np.ndarray, unknowns: np.ndarray) -> np.ndarray:
+    """Rows enforcing ``rho_cod T = T rho_dom`` on the unknowns of T, where
+    ``unknowns[a, b]`` numbers the unknown at entry (a, b) of T; scattered
+    straight from the action matrices."""
+    rows, cols = _equations(unknowns)
+    eq = np.arange(len(rows))[:, None]
+    block = np.zeros((len(rows), len(rows)), dtype=rho_dom.dtype)
+    np.add.at(block, (eq, unknowns[:, cols].T), rho_cod[rows])          # sum_c cod[a,c] T[c,b]
+    np.subtract.at(block, (eq, unknowns[rows]), rho_dom[:, cols].T)     # sum_c T[a,c] dom[c,b]
+    return block
+
+
+def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
+                        seed_tag: str) -> Scaled:
+    """The maps T with cod[i] T = T dom[i] for every generator i, as rows of unknowns.
 
     ``dom`` and ``cod`` are integer stacks of the generators' action matrices
-    (see :func:`_int_stacks`).  Over GF(p), the block of one constraint -- a
-    random integer combination of the generators, or generator 0 when there
-    are at most three -- is eliminated to its canonical kernel (identity on
-    the free columns); each later constraint (a second combination, then
-    every generator) replaces that basis by the canonical kernel of its
-    residual ``cod[i] T - T dom[i]`` times the basis.  The product is the
-    canonical kernel of the stacked system, so one rational lift gives the
-    basis :func:`arith.nullspace_exact` returns for the stacked blocks of all
-    generators.  It is checked exactly against every generator (rank mod p
-    never exceeds the rational rank, so it then spans the kernel); small
-    systems, a failed lift and a failed check take that exact call.
+    (see :func:`_int_stacks`); ``unknowns`` numbers the unknowns of T by entry,
+    every entry for intertwiners and the upper triangle of a symmetric T, whose
+    equations are then symmetric too, for the commutant.
+    Over GF(p), the block of one constraint -- a random integer combination
+    of the generators, or generator 0 when there are at most three -- is
+    eliminated to its canonical kernel (identity on the free columns); each
+    later constraint (a second combination, then every generator) replaces
+    that basis by the canonical kernel of its residual ``cod[i] T - T dom[i]``
+    times the basis.  The product is the canonical kernel of the stacked
+    system, so one rational lift gives the basis :func:`arith.nullspace_exact`
+    returns for the stacked blocks of all generators.  It is checked exactly
+    against every generator (rank mod p never exceeds the rational rank, so it
+    then spans the kernel); small systems, a failed lift and a failed check
+    take that exact call.
     """
-    count, unknowns = dom.shape[0], dom.shape[1] * cod.shape[1]
-    if count * unknowns * unknowns > arith._DIRECT:
+    rows, cols = _equations(unknowns)
+    count, size = dom.shape[0], len(rows)
+    if count * size * size > arith._DIRECT:
         res_dom, res_cod = ((stack % arith._P).astype(np.int64) for stack in (dom, cod))
         constraints = list(zip(res_dom, res_cod))
         if count > 3:
-            rng = random.Random(f"equiv:{seed_tag}:{count}:{unknowns}")
+            rng = random.Random(f"equiv:{seed_tag}:{count}:{size}")
             coeffs = np.array([[rng.randint(-9, 9) for _ in range(count)] for _ in range(2)]) % arith._P
             combos = [arith.matmul_modp(coeffs, res.reshape(count, -1)).reshape(2, *res.shape[1:])
                       for res in (res_dom, res_cod)]
             constraints[:0] = zip(*combos)
-        basis = arith.kernel_modp(_intertwiner_block(*constraints[0]))
+        basis = arith.kernel_modp(_block(*constraints[0], unknowns))
         for dom_i, cod_i in constraints[1:]:
-            maps = basis.reshape(-1, cod.shape[1], dom.shape[1])
+            maps = basis[:, unknowns]
             residual = (arith.matmul_modp(cod_i, maps) - arith.matmul_modp(maps, dom_i)) % arith._P
             if np.any(residual):
-                basis = arith.matmul_modp(arith.kernel_modp(residual.reshape(len(basis), -1).T), basis)
+                basis = arith.matmul_modp(arith.kernel_modp(residual[:, rows, cols].T), basis)
         candidate = arith._lift(basis)
         if candidate is not None:
-            maps = Scaled(candidate.ints.reshape(-1, cod.shape[1], dom.shape[1]))
+            maps = Scaled(candidate.ints[:, unknowns])
             if not any(np.any((Scaled(c) @ maps - maps @ Scaled(d)).ints) for d, c in zip(dom, cod)):
                 return candidate
-    return arith.nullspace_exact(np.concatenate([_intertwiner_block(d, c) for d, c in zip(dom, cod)]))
+    return arith.nullspace_exact(np.concatenate([_block(d, c, unknowns) for d, c in zip(dom, cod)]))
 
 
 @dataclass(frozen=True)
@@ -131,7 +149,8 @@ def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> I
     if acting.dim == 0:
         null = Scaled(np.eye(d2 * d1, dtype=np.int64))
     else:
-        null = _solve_equivariance(*_int_stacks(dom, cod), seed_tag=f"itw:{d1}:{d2}")
+        entries = np.arange(d2 * d1).reshape(d2, d1)
+        null = _solve_equivariance(*_int_stacks(dom, cod), entries, seed_tag=f"itw:{d1}:{d2}")
     return IntertwinerSpace(dom, cod, tuple(null[r].reshape(d2, d1) for r in range(null.shape[0])))
 
 
@@ -157,25 +176,26 @@ def modules_disjoint(acting: Subspace, space1: Subspace, space2: Subspace) -> bo
 def symmetric_commutant(restriction: AdRestriction) -> list[Scaled]:
     """Basis of operators commuting with the action and symmetric for the invariant form.
 
-    Operators are returned in the coordinates of ``restriction.space``.  An
-    operator T is form-symmetric iff ``G T`` is a symmetric matrix, G the Gram
-    matrix of the space's basis; that constraint is imposed on the commutant
-    maps (all maps when nothing acts) as ``G T - (G T)^T = 0``.
+    Operators are returned in the coordinates of ``restriction.space``.  T is
+    form-symmetric iff ``S = G T`` is a symmetric matrix, G the Gram matrix of
+    the space's basis, so the unknowns are the upper triangle of S.  The form
+    is ad-invariant, ``rho^T G = -G rho``, so ``rho T = T rho`` iff
+    ``S rho + rho^T S = 0``: the intertwining equation from ``rho`` to
+    ``-rho^T`` on symmetric maps.  Returns ``T = G^-1 S``.
     """
     p = restriction.space.dim
     if p == 0:
         return []
+    unknowns = np.zeros((p, p), dtype=np.int64)
+    upper = np.triu_indices(p)
+    unknowns[upper] = unknowns[upper[::-1]] = np.arange(len(upper[0]))
     if restriction.acting.dim:
         rho, = _int_stacks(restriction)
-        comm_null = _solve_equivariance(rho, rho, seed_tag=f"comm:{p}")
+        sym = _solve_equivariance(rho, -rho.transpose(0, 2, 1), unknowns, seed_tag=f"comm:{p}")
     else:
-        comm_null = Scaled(np.eye(p * p, dtype=np.int64))   # nothing acts: every map commutes
-    if comm_null.shape[0] == 0:
-        return []
-    gt = Scaled(restriction.space.gram.ints) @ comm_null.reshape(-1, p, p)   # G T per map
-    sym_system = (gt - gt.transpose(0, 2, 1)).reshape(-1, p * p).T
-    vectors = arith.nullspace_exact(sym_system) @ comm_null
-    return [vectors[r].reshape(p, p) for r in range(vectors.shape[0])]
+        sym = Scaled(np.eye(len(upper[0]), dtype=np.int64))   # nothing acts: every symmetric S
+    maps = arith.inverse(restriction.space.gram) @ Scaled(sym.ints[:, unknowns], sym.scale)
+    return [maps[r] for r in range(len(maps))]
 
 
 @dataclass(frozen=True)

@@ -434,7 +434,8 @@ def _grid_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
     params, names = fields["params"], _block_names(built.layout.partition)
     if missing := [n for n in names if n not in params]:
         raise ContractViolation(f"grid tuple {fields.get('index')} lacks parameters {missing}")
-    blocks = tuple((built.named[n], Fraction(params[n])) for n in names)
+    where = f"grid tuple {fields.get('index')} params"
+    blocks = tuple((built.named[n], _rational(params[n], where)) for n in names)
     return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks))
 
 
@@ -458,8 +459,12 @@ def _flag_tuples(count: int, seed: int):
 
 def _flag_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
     """The metric of one flag-sweep tuple: torus block ``[[a, b], [b, c]]``, root scalars."""
-    a, b, c = (Fraction(v) for v in fields["center"])
-    blocks = tuple((built.named[f"r{i}"], Fraction(mu))
+    where = f"flag tuple {fields.get('index')}"
+    center = [_rational(v, f"{where} center") for v in fields["center"]]
+    if len(center) != 3:
+        raise ContractViolation(f"{where} center has {len(center)} entries, not 3")
+    a, b, c = center
+    blocks = tuple((built.named[f"r{i}"], _rational(mu, f"{where} root_scalars"))
                    for i, mu in enumerate(fields["root_scalars"], start=1))
     torus_block = (built.named["t"], arith.qarray([[a, b], [b, c]]))
     return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, torus_block))

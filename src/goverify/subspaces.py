@@ -157,23 +157,26 @@ def serialize_subspace(space: Subspace) -> str:
 
 def parse_subspace(algebra, text: str) -> Subspace:
     """Parse the subspace text format against an ambient algebra."""
-    ambient = rows = None
+    rows = None
     vectors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "ambient":
-            ambient = int(parts[1])
-            if ambient != algebra.dim:
-                raise ContractViolation(f"line {lineno}: ambient {ambient} != {algebra.dim}")
-        elif parts[0] == "rows":
-            rows = int(parts[1])
+        if parts[0] in ("ambient", "rows"):
+            try:
+                value = int(parts[1])
+            except (IndexError, ValueError):
+                raise ContractViolation(f"line {lineno}: malformed header {line!r}") from None
+            if parts[0] == "rows":
+                rows = value
+            elif value != algebra.dim:
+                raise ContractViolation(f"line {lineno}: ambient {value} != {algebra.dim}")
         else:
             try:
                 vectors.append([Fraction(v) for v in parts])
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ContractViolation(f"line {lineno}: malformed coordinate") from exc
             if len(vectors[-1]) != algebra.dim:
                 raise ContractViolation(f"line {lineno}: expected {algebra.dim} coordinates")

@@ -6,7 +6,10 @@ arithmetic with goverify's scaled-integer kernels.  These checks are kept as
 independent routes to results the package computes another way.  The one
 exception is :func:`go_verdict_by_direction`, the per-direction route to a
 geodesic-orbit verdict: one exact ``go_solve_at`` for every sampled direction,
-against which the batched screen of ``go.go_verdict`` is checked.
+against which the batched screen of ``go.go_verdict`` is checked.  Another is
+:func:`symmetric_commutant_two_stage`, the commutant solved on all entries of
+T and then cut to the form-symmetric maps, against which the solve on the
+symmetric unknowns of ``reps.symmetric_commutant`` is checked.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from goverify import arith
+from goverify import arith, reps
 from goverify.arith import ContractViolation, is_zero, q, qzeros
 from goverify.go import GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
 from goverify.lie import StructureAlgebra
@@ -99,6 +102,26 @@ def check_homomorphism(restriction) -> bool:
             if not is_zero(comm - expected):
                 return False
     return True
+
+
+def symmetric_commutant_two_stage(restriction) -> list:
+    """The symmetric commutant in two stages: every map T commuting with the
+    action (the equivariance solve on all p**2 entries of T), then the maps
+    among them with ``G T`` symmetric (a second exact nullspace)."""
+    p = restriction.space.dim
+    if p == 0:
+        return []
+    if restriction.acting.dim:
+        rho, = reps._int_stacks(restriction)
+        comm = reps._solve_equivariance(rho, rho, np.arange(p * p).reshape(p, p), seed_tag=f"comm:{p}")
+    else:
+        comm = arith.Scaled(np.eye(p * p, dtype=np.int64))
+    if comm.shape[0] == 0:
+        return []
+    gt = restriction.space.gram @ comm.reshape(-1, p, p)
+    sym_system = (gt - gt.transpose(0, 2, 1)).reshape(-1, p * p).T
+    vectors = arith.nullspace_exact(sym_system) @ comm
+    return [vectors[r].reshape(p, p) for r in range(vectors.shape[0])]
 
 
 def two_step_identity_check(operator: MetricOperator, subalgebra, z, w) -> bool:

@@ -233,8 +233,11 @@ def _edit_sweep_record(edit):
     (_edit_sweep_record(lambda r: [t["params"].pop("k1") for t in r["tuples"]]),
      "lacks parameters ['k1']"),
     (_edit_sweep_record(lambda r: r.update(name="go")), "go record has with_respect_to None"),
+    (_edit_sweep_record(lambda r: [t["params"].update(k1="x") for t in r["tuples"]]),
+     "params: malformed rational 'x'"),
 ], ids=["edited-header", "non-json-line", "missing-file", "flag-on-grid-sweep",
-        "tuple-without-params", "tuple-without-a-block-parameter", "go-record-without-subject"])
+        "tuple-without-params", "tuple-without-a-block-parameter", "go-record-without-subject",
+        "tuple-with-a-malformed-parameter"])
 def test_replay_of_a_bad_report_is_an_error_line(damage, message, tmp_path, capsys):
     path = tmp_path / "report.jsonl"
     run_cli(["sweep", "equivalence", "--family", "so", "--n", "6", "--partition", "2,2,2",
@@ -242,6 +245,44 @@ def test_replay_of_a_bad_report_is_an_error_line(damage, message, tmp_path, caps
     damage(path)
     code, _, err = run_cli(["replay", str(path)], capsys)
     assert code == 1 and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("center", lambda values: ["x", *values[1:]]),
+    ("root_scalars", lambda values: [*values[:-1], "1/0"]),
+    ("center", lambda values: values[:2]),
+])
+def test_replay_of_a_malformed_flag_tuple_is_an_error_line(field, edit, tmp_path, capsys):
+    path = tmp_path / "flag.jsonl"
+    run_cli(["scenario", "run", "su3-torus-flag", "--tuples", "2", "--out", str(path)], capsys)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for tup in next(r for r in lines if r.get("name") == "sweep")["tuples"]:
+        tup[field] = edit(tup[field])
+    path.write_text("\n".join(json.dumps(r) for r in lines) + "\n")
+    code, _, err = run_cli(["replay", str(path)], capsys)
+    assert code == 1 and err.startswith("error: flag tuple 0") and field in err
+
+
+def _cli_error(*args):
+    out = subprocess.run([sys.executable, "-m", "goverify", *args], capture_output=True, text=True)
+    return out.returncode, out.stderr
+
+
+def test_malformed_partition_is_an_error_line():
+    code, err = _cli_error("check", "regular", "--family", "so", "--n", "6", "--partition", "2,x")
+    assert code == 1 and err.startswith("error:") and "'2,x'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", ["ambient x", "rows x"])
+def test_malformed_subspace_header_is_an_error_line(header, tmp_path):
+    from goverify.lie import embed_so_partition
+    from goverify.subspaces import serialize_subspace
+    text = serialize_subspace(embed_so_partition(6, (2, 2, 2)).subalgebra).splitlines()
+    path = tmp_path / "bad.subspace"
+    path.write_text("\n".join([header if line.startswith(header.split()[0]) else line
+                               for line in text]) + "\n")
+    code, err = _cli_error("check", "regular", "--family", "so", "--n", "6", "--subspace", str(path))
+    assert code == 1 and err.startswith("error:") and header in err and "Traceback" not in err
 
 
 def test_subspace_file_subgroup(tmp_path, capsys):

@@ -15,7 +15,7 @@ from goverify.reps import (ad_restriction, criterion_weak_regularity, intertwine
                            is_weakly_regular, isotypic_decomposition, modules_disjoint,
                            symmetric_commutant)
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement
-from oracles import check_homomorphism, fmatmul
+from oracles import check_homomorphism, fmatmul, symmetric_commutant_two_stage
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +279,16 @@ def test_intertwiner_space_python_int_path_matches_int64(so4_ideals, monkeypatch
 
 
 def _stacked_kernel(dom, cod):
-    """The reference: ``nullspace_exact`` of the stacked blocks of every generator."""
-    return arith.nullspace_exact(np.concatenate([reps._intertwiner_block(d, c) for d, c in zip(dom, cod)]))
+    """The reference: ``nullspace_exact`` of the stacked Kronecker blocks
+    ``cod_i (x) I - I (x) dom_i^T`` of every generator, on vec(T)."""
+    eye_dom, eye_cod = (np.eye(stack.shape[1], dtype=np.int64) for stack in (dom, cod))
+    return arith.nullspace_exact(np.concatenate([np.kron(c, eye_dom) - np.kron(eye_cod, d.T)
+                                                 for d, c in zip(dom, cod)]))
+
+
+def _entries(dom, cod):
+    """Every entry of T, of shape (cod, dom), as its own unknown."""
+    return np.arange(cod.shape[1] * dom.shape[1]).reshape(cod.shape[1], dom.shape[1])
 
 
 def _identical(result, expected):
@@ -313,7 +321,7 @@ def test_solve_equivariance_equals_stacked_nullspace(equivariance_problems, name
     assert count * unknowns * unknowns > arith._DIRECT    # the modular path, not the direct one
     assert (count <= 3) == (name == "three-generators")
     assert (dom.dtype == object) == (name == "python-int")
-    result = reps._solve_equivariance(dom, cod, seed_tag="test")
+    result = reps._solve_equivariance(dom, cod, _entries(dom, cod), seed_tag="test")
     expected = _stacked_kernel(dom, cod)
     assert _identical(result, expected)
     assert result.shape[0] > 0
@@ -328,7 +336,7 @@ def test_failed_lift_falls_back_to_the_stacked_nullspace(equivariance_problems, 
     solve = arith.nullspace_exact
     monkeypatch.setattr(arith, "_lift", lambda residues: None)
     monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
-    result = reps._solve_equivariance(dom, cod, seed_tag="test")
+    result = reps._solve_equivariance(dom, cod, _entries(dom, cod), seed_tag="test")
     assert exact == [(dom.shape[0] * 36, 36)]
     assert _identical(result, expected)
 
@@ -342,7 +350,7 @@ def test_modular_kernel_too_large_fails_the_exact_check(equivariance_problems, m
     lifts = []
     lift = arith._lift
     monkeypatch.setattr(arith, "_lift", lambda residues: lifts.append(residues.shape) or lift(residues))
-    result = reps._solve_equivariance(shifted, shifted, seed_tag="test")
+    result = reps._solve_equivariance(shifted, shifted, _entries(shifted, shifted), seed_tag="test")
     assert lifts[0] == (2, 36)        # the modular kernel is the unshifted commutant
     assert _identical(result, expected)
 
@@ -367,7 +375,7 @@ def test_candidate_failing_a_generator_is_rejected(so4_ideals, monkeypatch):
     kernel_modp = arith.kernel_modp
     monkeypatch.setattr(reps, "random", types.SimpleNamespace(Random=FirstGeneratorOnly))
     monkeypatch.setattr(arith, "kernel_modp", lambda mat: kernels.append(kernel_modp(mat)) or kernels[-1])
-    result = reps._solve_equivariance(rho, rho, seed_tag="test")
+    result = reps._solve_equivariance(rho, rho, _entries(rho, rho), seed_tag="test")
     assert kernels[0].shape[0] > direct.shape[0]  # commutant of one generator only
     assert len(kernels) > 1                        # later generators restrict it
     assert _identical(result, direct)
@@ -380,4 +388,106 @@ def test_so8_commutant_eliminates_no_stacked_system(monkeypatch):
     pivots = arith._modp_pivots
     monkeypatch.setattr(arith, "_modp_pivots", lambda mat: heights.append(len(mat)) or pivots(mat))
     assert len(symmetric_commutant(ad_restriction(full, full))) == 1
-    assert max(heights) == 784
+    assert max(heights) == 406    # the upper triangle of S = G T: 28 * 29 / 2 unknowns
+
+
+# -- symmetric commutant on the symmetric unknowns S = G T ---------------------
+
+def _su3_torus(algebra):
+    return Subspace.from_indices(algebra, [i for i, lab in enumerate(algebra.labels)
+                                           if lab.startswith("D")])
+
+
+def _k_on_m(layout, shear=False):
+    """k acting on its complement m; with ``shear``, on m in the basis ``U B``
+    (U unit upper triangular), whose Gram matrix is not scalar, so the action
+    matrices are not skew."""
+    m = orthogonal_complement(layout.subalgebra)
+    if shear:
+        u = np.eye(m.dim, dtype=np.int64) + np.triu(np.arange(m.dim) % 3 - 1, 1)
+        m = Subspace(m.algebra, arith.Scaled(u) @ m.basis, check=False)
+    return ad_restriction(layout.subalgebra, m)
+
+
+@pytest.fixture(scope="module")
+def commutant_cases():
+    full8, full4 = (Subspace.full(build_classical("so", n)) for n in (8, 4))
+    torus = _su3_torus(build_classical("su", 3))
+    so6 = embed_so_partition(6, (2, 2, 2))
+    return {
+        "so8-adjoint": ad_restriction(full8, full8),
+        "so4-adjoint": ad_restriction(full4, full4),
+        "so6-k-on-m": _k_on_m(so6),
+        "so6-k-on-sheared-m": _k_on_m(so6, shear=True),
+        "so9-k-on-m": _k_on_m(embed_so_partition(9, (3, 3, 3))),
+        "su3-torus": ad_restriction(torus, orthogonal_complement(torus)),
+        "zero-acting": ad_restriction(Subspace.zero(so6.algebra), orthogonal_complement(so6.subalgebra)),
+        "python-int": _scaled(ad_restriction(full4, full4), 2**60),
+    }
+
+
+def _same_span(first, second):
+    """Equally many independent maps, spanning one space."""
+    def rank(maps):
+        return arith.rank_exact(arith.Scaled.concat([t.reshape(1, -1) for t in maps]))
+    if len(first) != len(second):
+        return False
+    return not first or rank(first) == rank(second) == rank([*first, *second]) == len(first)
+
+
+@pytest.mark.parametrize("name", ["so8-adjoint", "so4-adjoint", "so6-k-on-m", "so6-k-on-sheared-m",
+                                  "so9-k-on-m", "su3-torus", "zero-acting", "python-int"])
+def test_symmetric_commutant_spans_the_two_stage_oracle(commutant_cases, name):
+    restriction = commutant_cases[name]
+    comm = symmetric_commutant(restriction)
+    assert _same_span(comm, symmetric_commutant_two_stage(restriction))
+    gram, rho = restriction.space.gram, restriction.matrices
+    for t in comm:
+        assert (gram @ t).equals((gram @ t).T)              # form-symmetric
+        assert (rho @ t).equals(t @ rho)                     # commutes with every generator
+
+
+@pytest.mark.parametrize("name", ["so4-adjoint", "so6-k-on-sheared-m"])
+def test_symmetric_commutant_failed_lift_falls_back_to_the_exact_solve(commutant_cases, name,
+                                                                       monkeypatch):
+    restriction = commutant_cases[name]
+    expected = symmetric_commutant_two_stage(restriction)
+    p, count = restriction.space.dim, restriction.acting.dim
+    exact = []
+    solve = arith.nullspace_exact
+    monkeypatch.setattr(arith, "_lift", lambda residues: None)
+    monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
+    comm = symmetric_commutant(restriction)
+    size = p * (p + 1) // 2
+    assert exact == [(count * size, size)]                   # the stacked system on S alone
+    assert _same_span(comm, expected)
+
+
+def _decompositions(case):
+    """Ideal and isotypic decompositions of one case, on a freshly built algebra."""
+    if case == "so8":
+        return [ideal_decomposition(Subspace.full(build_classical("so", 8)))]
+    if case == "so9-333":
+        layout = embed_so_partition(9, (3, 3, 3))
+        k = layout.subalgebra
+        return [ideal_decomposition(k), isotypic_decomposition(k, orthogonal_complement(k))]
+    torus = _su3_torus(build_classical("su", 3))
+    return [isotypic_decomposition(torus, orthogonal_complement(torus))]
+
+
+def _pieces(decomposition):
+    """The subspaces of an ideal or isotypic decomposition, and the isotypic labels."""
+    if hasattr(decomposition, "ideals"):
+        return decomposition.ideals, ()
+    return decomposition.components, (decomposition.labels, decomposition.multiplicities)
+
+
+@pytest.mark.parametrize("case", ["so8", "so9-333", "su3-torus"])
+def test_decompositions_equal_those_built_on_the_oracle(case, monkeypatch):
+    solved = _decompositions(case)
+    monkeypatch.setattr(reps, "symmetric_commutant", symmetric_commutant_two_stage)
+    oracle = _decompositions(case)
+    for got, expected in zip(solved, oracle):
+        (pieces, tags), (want, want_tags) = _pieces(got), _pieces(expected)
+        assert tags == want_tags and len(pieces) == len(want)
+        assert all(a.basis.equals(b.basis) for a, b in zip(pieces, want))

@@ -10,7 +10,7 @@ import pytest
 
 from goverify import arith, go, lie, reps, subspaces
 from goverify.metrics import BlockSpec
-from goverify.report import encode_fraction
+from goverify.report import decode_vector, encode_fraction
 from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _grid_follow_up, _sweep_tuple,
                                 build_scenario, grid_parameter_tuples, parse_blockspec,
                                 replay_report, run_check, scenario_catalog, with_sweep_tuples)
@@ -337,6 +337,38 @@ def test_structural_records_do_not_depend_on_the_seed():
                for seed in (1, 5)}
     assert [r["name"] for r in records[1]] == list(structural)
     assert records[1] == records[5]
+
+
+# -- report decoding -------------------------------------------------------------
+
+def _encoded_vectors(obj):
+    """Every ``direction`` and ``witness`` list in a parsed report, at any depth."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key in ("direction", "witness"):
+                yield value
+            else:
+                yield from _encoded_vectors(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _encoded_vectors(value)
+
+
+def test_decoded_vectors_equal_the_fraction_parse():
+    specs = (_pipeline_so9(1), scenario_catalog()["so12-partition4-genmet1"])
+    records = [json.loads(line) for spec in specs for line in run_check(spec).to_machine().splitlines()]
+    vectors = list(_encoded_vectors(records))
+    assert len(vectors) > 100
+    for items in vectors:
+        decoded = decode_vector(items)
+        assert decoded.tolist() == [Fraction(s) for s in items]
+        assert decoded.equals(arith.Scaled.of([Fraction(s) for s in items]))
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/-2", "x", "1.5", "", "1/", " 1", "+1", "1e3"])
+def test_decoding_rejects_anything_but_n_or_n_over_d(text):
+    with pytest.raises(arith.ContractViolation, match="malformed rational"):
+        decode_vector(["1", text])
 
 
 def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
