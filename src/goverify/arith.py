@@ -20,6 +20,14 @@ verified by an exact integer product with the candidate before it is
 returned, and Bareiss elimination takes over whenever rational
 reconstruction or the verification fails.
 
+Solves that must return a solution or a rank gap run Bareiss.  Stacks of
+small systems whose solvability is all a caller needs go to
+:func:`certify_consistent`: one Gauss-Jordan elimination mod ``_P`` over the
+whole stack, rational reconstruction of each particular solution and one
+exact product to check them.  It certifies or leaves a system undecided,
+never declares one inconsistent; undecided systems fall back to
+:func:`solve_int`.
+
 Modular screening works over GF(``_P``): :func:`kernel_modp` gives the
 canonical kernel (identity on the free columns of the rref) and :func:`_lift`
 its rational reconstruction, for :func:`nullspace_exact` and the
@@ -455,7 +463,7 @@ def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], li
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
             swaps.append((r, pr))
-        inv = pow(int(work[r, c]), _P - 2, _P)
+        inv = pow(int(work[r, c]), -1, _P)
         work[r, c:] = (work[r, c:] * inv) % _P
         lo = 0 if reduce_above else r + 1
         others = lo + np.flatnonzero(work[lo:, c])
@@ -678,6 +686,79 @@ def solve_int(aug: np.ndarray):
         x[pc] = rows[r][ncols]
     return Solution(x=_over([x], det, ncols)[0],
                     nullspace=_nullspace_from_rref(rows, pivots, ncols, det))
+
+
+def certify_consistent(aug) -> np.ndarray:
+    """Which of the stacked systems ``aug[n] = [A_n | b_n]`` provably have a rational solution.
+
+    ``aug`` holds integers (int64 or Python ints) of shape ``(N, rows, k + 1)``;
+    each system may carry its own positive scale.  ``mask[n]`` is True when
+    the particular solution of :func:`_certified_solutions` satisfies
+    ``A_n x_n = b_n`` exactly.  False means undecided, never inconsistent:
+    rank can drop mod ``_P`` and reconstruction can fail, so such systems
+    belong to :func:`solve_int`.
+    """
+    return _certified_solutions(aug)[:, -1] != 0
+
+
+def _certified_solutions(aug) -> np.ndarray:
+    """Integer vectors ``y[n]`` with ``aug[n] @ y[n] == 0`` checked exactly, and
+    ``y[n, -1] = -d_n < 0`` where certified; zero rows where undecided.
+
+    One Gauss-Jordan elimination mod ``_P`` runs on the whole stack, column
+    by column, each system taking its own first nonzero pivot row.  A system
+    that is consistent mod ``_P`` gives the particular solution with its free
+    variables 0; its entries are rationally reconstructed over one common
+    denominator ``d_n``, so ``y[n] = [d_n x_n, -d_n]``, and every candidate
+    is checked by one stacked :class:`Scaled` product.
+    """
+    aug = np.asarray(aug)
+    if aug.ndim != 3:
+        raise ContractViolation("certify_consistent expects a stack of augmented matrices")
+    nsys, nrows, ncols = aug.shape
+    work = (aug % _P).astype(np.int64)
+    every = np.arange(nsys)
+    free = np.ones((nsys, nrows), dtype=bool)             # rows not yet holding a pivot
+    pivot_row = np.full((nsys, ncols - 1), -1)
+    for c in range(ncols - 1):
+        open_rows = (work[:, :, c] != 0) & free
+        pr = open_rows.argmax(axis=1)
+        has = open_rows[every, pr]
+        if not has.any():
+            continue
+        pivots = work[every, pr]
+        inv = [pow(v, -1, _P) if h else 0 for v, h in zip(pivots[:, c].tolist(), has.tolist())]
+        pivots = pivots * np.array(inv, dtype=np.int64)[:, None] % _P
+        # residues stay below 2**31, so every product fits int64
+        work -= (work[:, :, c] * has[:, None])[:, :, None] * pivots[:, None, :]
+        work %= _P
+        work[every[has], pr[has]] = pivots[has]
+        free[every[has], pr[has]] = False
+        pivot_row[has, c] = pr[has]
+    y = np.zeros((nsys, ncols), dtype=object)
+    # free rows are zero on A; a system is consistent mod p iff they are zero on b
+    consistent = np.flatnonzero(~np.any((work[:, :, -1] != 0) & free, axis=1))
+    if consistent.size == 0:
+        return y
+    # the particular solution: each pivot row's b on its column, 0 on the free columns
+    piv = pivot_row[consistent]
+    residues = np.where(piv >= 0, work[consistent[:, None], np.maximum(piv, 0), -1], 0)
+    fracs = {}
+    for a in set(residues.ravel().tolist()):     # np.unique would import numpy.ma, 1 MiB
+        if (v := _rational_reconstruct(a)) is not None:
+            fracs[a] = (v.numerator, v.denominator)
+    lifted, lifts = [], []
+    for n, row in zip(consistent.tolist(), residues.tolist()):
+        if all(a in fracs for a in row):
+            xs = [fracs[a] for a in row]
+            d = math.lcm(*(den for _, den in xs))
+            lifts.append([num * (d // den) for num, den in xs] + [-d])
+            lifted.append(n)
+    if lifted:
+        y[lifted] = lifts
+        residual = Scaled(aug[lifted]) @ Scaled(y[lifted][:, :, None])
+        y[np.array(lifted)[np.any(residual.ints != 0, axis=(1, 2))]] = 0
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,13 @@ geodesic orbit (the criterion is an equivalence), while a solvable sweep
 over sampled directions is reported as NotDisproved, never as a proof.
 
 A verdict screens all sampled directions as one stack: where [X, L X] = 0
-the zero witness already works, and only the other directions get an exact
-solve.
+the zero witness already works.  A verdict that keeps no certificates hands
+the witness systems of the other directions to one stacked modular solve,
+:func:`arith.certify_consistent`; a system it certifies has a checked
+rational solution, and only the ones it leaves undecided get an exact
+Bareiss solve, in label order, so the first inconsistent direction and its
+rank gap are those of solving every direction.  A verdict that keeps
+certificates solves every moving direction for its minimal-norm witness.
 """
 
 from __future__ import annotations
@@ -167,30 +172,38 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
 
     All directions are screened as one stack: ``L X``, ``ad(L X)`` and
     ``[L X, X]`` are batched products.  A direction with ``[L X, X] = 0`` has
-    the zero witness; every other one is solved exactly with its row of the
-    stacked ``ad(L X)``, so a negative verdict carries an exact rank-gap
-    certificate.  NotDisproved is explicitly a sampling outcome, not a proof.
+    the zero witness.  Without ``keep_certificates`` the witness systems of
+    all other directions go to one :func:`arith.certify_consistent`, and only
+    those it leaves undecided are solved; with it, every one of them is
+    solved for its minimal-norm witness.  Exact solves take the direction's
+    row of the stacked ``ad(L X)``, in label order, so a negative verdict
+    carries the exact rank-gap certificate of the first failing direction.
+    NotDisproved is explicitly a sampling outcome, not a proof.
     """
     if not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
     labels, directions = _directions(operator, strategy, within)
     ad_lx = operator.algebra.contract(directions @ operator.matrix.T)   # row n: ad(L X_n)
-    moves = np.any((ad_lx @ directions.reshape(*directions.shape, 1)).ints != 0, axis=(1, 2))
+    bracket = ad_lx @ directions.reshape(*directions.shape, 1)          # row n: [L X_n, X_n]
+    unsolved = np.any(bracket.ints != 0, axis=(1, 2))
+    if not keep_certificates:
+        moving = np.flatnonzero(unsolved)
+        aug = Scaled.concat([-(ad_lx[moving] @ subalgebra.basis.T), bracket[moving]], axis=2)
+        unsolved[moving[arith.certify_consistent(aug.ints)]] = False
     certificates = []
     for n, label in enumerate(labels):
-        if moves[n]:
-            result = go_solve_at(operator, subalgebra, directions[n], check_equivariance=False,
-                                 ad_lx=ad_lx[n])
-        else:
-            result = GoCertificate(directions[n], Scaled.zeros(operator.algebra.dim))
+        if not unsolved[n]:
+            if keep_certificates:
+                certificates.append(GoCertificate(directions[n], Scaled.zeros(operator.algebra.dim)))
+            continue
+        result = go_solve_at(operator, subalgebra, directions[n], check_equivariance=False,
+                             ad_lx=ad_lx[n])
         if isinstance(result, Unsolvable):
             return GoVerdict(True, n + 1, strategy, counterexample=result,
-                             counterexample_label=label,
-                             certificates=tuple(certificates) if keep_certificates else ())
+                             counterexample_label=label, certificates=tuple(certificates))
         if keep_certificates:
             certificates.append(result)
-    return GoVerdict(False, len(labels), strategy,
-                     certificates=tuple(certificates) if keep_certificates else ())
+    return GoVerdict(False, len(labels), strategy, certificates=tuple(certificates))
 
 
 def replay_certificate(operator: MetricOperator, certificate: GoCertificate,

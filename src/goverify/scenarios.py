@@ -523,12 +523,20 @@ def _grid_follow_up(built: BuiltScenario, record: dict, operator: MetricOperator
         record["split_ok"] = bool(go.split_check(operator, kprime, verdict.strategy).ok)
 
 
+def _tuple_count(count: int) -> int:
+    """``count`` as a sweep's tuple count; an empty sweep would pass with agreement 0/0."""
+    if count < 1:
+        raise ContractViolation(f"a sweep needs at least one tuple, not {count}")
+    return count
+
+
 def _check_sweep(built: BuiltScenario, rep: Report):
     """The grid sweep: seeded block parameters of a partition subgroup, with the grid follow-up."""
     spec = built.spec
     if built.layout is None:
         raise ContractViolation("equivalence sweep needs a partition subgroup")
-    count = int(spec.metric["grid"]["tuples"]) if spec.metric and "grid" in spec.metric else 200
+    count = _tuple_count(int(spec.metric["grid"]["tuples"]) if spec.metric and "grid" in spec.metric
+                         else 200)
     records = []
     for t, kind, params in grid_parameter_tuples(built.layout.partition, count, spec.seed):
         fields = {"kind": kind, "params": {n: encode_fraction(v) for n, v in params.items()}}
@@ -545,7 +553,7 @@ def _check_flag_sweep(built: BuiltScenario, rep: Report):
         raise ContractViolation("flag sweep needs a 'flaggrid' metric")
     if sorted(built.named) != ["r1", "r2", "r3", "t"]:
         raise ContractViolation("flag sweep needs the cartan-diagonal subgroup of su(3)")
-    count = int(spec.metric["flaggrid"]["tuples"])
+    count = _tuple_count(int(spec.metric["flaggrid"]["tuples"]))
     _add_sweep(rep, [_sweep_tuple(built, "flag-sweep", t, fields)[0]
                      for t, fields in _flag_tuples(count, spec.seed)], flag=True)
 

@@ -474,6 +474,62 @@ def test_small_nullspace_runs_bareiss_directly(monkeypatch):
     assert screens == [] and len(eliminations) == len(systems)
 
 
+# -- the stacked consistency screen -----------------------------------------------
+
+def _random_stack(rng, nsys, nrows, ncols):
+    """``(nsys, nrows, ncols + 1)`` augmented systems: consistent ones with integer
+    or rational solutions, rank-deficient ones, and ones whose last equation
+    repeats the first with another right-hand side."""
+    stack = np.zeros((nsys, nrows, ncols + 1), dtype=np.int64)
+    for n in range(nsys):
+        a = rng.randint(-3, 4, size=(nrows, ncols))
+        if n % 4 == 1 and ncols > 1:
+            a[:, -1] = 2 * a[:, 0] - a[:, 1]
+        x = rng.randint(-3, 4, size=ncols)
+        b = a @ x
+        if n % 4 == 3:
+            a[-1], b[-1] = a[0], b[0] + 1
+        stack[n, :, :-1] = a * (rng.randint(1, 4) if n % 4 == 2 else 1)   # x / d solves it
+        stack[n, :, -1] = b
+    return stack
+
+
+@pytest.mark.parametrize("scale", [1, 3**40])
+def test_certify_consistent_matches_the_exact_solve(scale):
+    """Every certified system has the :func:`solve_int` solution, with the same
+    particular x; these small systems keep their minors far below ``_P``, so
+    every consistent one is certified."""
+    rng = np.random.RandomState(17)
+    counts = {True: 0, False: 0}
+    for _ in range(60):
+        shape = rng.randint(0, 7), rng.randint(1, 7), rng.randint(0, 5)
+        aug = _random_stack(rng, *shape)
+        aug = aug if scale == 1 else aug.astype(object) * scale
+        mask = arith.certify_consistent(aug)
+        solutions = arith._certified_solutions(aug)
+        assert mask.dtype == bool and mask.shape == (shape[0],)
+        for n in range(shape[0]):
+            sol = arith.solve_int(aug[n])
+            assert mask[n] == isinstance(sol, Solution)
+            counts[bool(mask[n])] += 1
+            if mask[n]:
+                x = arith.Scaled(solutions[n, :-1], -solutions[n, -1])
+                assert x.equals(sol.x)
+    assert min(counts.values()) > 20
+
+
+def test_certify_consistent_leaves_systems_that_mislead_mod_p_undecided():
+    """A pivot divisible by ``_P`` is lost mod p, and a system consistent mod p
+    only fails the exact check; both are left to the exact solve."""
+    aug = np.array([[[arith._P, 1]]])
+    assert arith.certify_consistent(aug).tolist() == [False]
+    sol = arith.solve_int(aug[0])
+    assert isinstance(sol, Solution) and list(sol.x) == [Fraction(1, arith._P)]
+    aug = np.array([[[1, 1], [1 + arith._P, 1]]])
+    assert arith.certify_consistent(aug).tolist() == [False]
+    assert isinstance(arith.solve_int(aug[0]), Inconsistent)
+
+
 # -- inverse ----------------------------------------------------------------------
 
 def _inverse(m, scale=1):

@@ -268,6 +268,17 @@ def _cli_error(*args):
     return out.returncode, out.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "equivalence", "--family", "so", "--n", "6", "--partition", "2,2,2", "--tuples", "-3"],
+    ["scenario", "run", "so6-222-grid", "--tuples", "0"],
+    ["scenario", "run", "su3-torus-flag", "--tuples", "-1"],
+])
+def test_empty_sweep_is_an_error_line(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err.startswith("error:") and "at least one tuple" in err
+    assert "agreement" not in out
+
+
 def test_malformed_partition_is_an_error_line():
     code, err = _cli_error("check", "regular", "--family", "so", "--n", "6", "--partition", "2,x")
     assert code == 1 and err.startswith("error:") and "'2,x'" in err and "Traceback" not in err

@@ -137,15 +137,21 @@ def _verdict_case(so6, name):
         "zero-dimensional-within": (scalar, full, STRATEGY, orthogonal_complement(full), True),
         "no-samples": (dazi, merged, SamplingStrategy(basis_vectors=False, structured=False,
                                                       random_count=0), None, True),
+        "reconstruction-fails": (distinct, k, STRATEGY, None, False),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["disproved", "solved-with-certificates", "coset-sweep",
-                                  "python-ints", "zero-dimensional-within", "no-samples"])
-def test_batched_verdict_equals_per_direction_oracle(so6, name):
+                                  "python-ints", "zero-dimensional-within", "no-samples",
+                                  "reconstruction-fails"])
+def test_batched_verdict_equals_per_direction_oracle(so6, name, monkeypatch):
     """The batched screen gives the verdict of one exact solve per direction:
-    kind, samples, counterexample and every certificate."""
+    kind, samples, counterexample and every certificate.  With rational
+    reconstruction failing, the stacked consistency screen certifies nothing
+    and every moving direction falls back to its exact solve."""
     op, k, strategy, within, keep = _verdict_case(so6, name)
+    if name == "reconstruction-fails":
+        monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
     got = go_verdict(op, k, strategy, within=within, keep_certificates=keep)
     expected = go_verdict_by_direction(op, k, strategy, within=within, keep_certificates=keep)
     assert _fields(got) == _fields(expected)
@@ -162,12 +168,15 @@ def test_batched_verdict_equals_per_direction_oracle(so6, name):
 
 
 def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
-    """Only a direction with [L X, X] != 0 reaches the exact witness solve."""
+    """Only a direction with [L X, X] != 0 reaches an exact witness solve: every
+    one of them when certificates are kept, otherwise only those the stacked
+    consistency screen leaves undecided."""
     layout, named = so6
-    op = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
+    dazi = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
+    distinct = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
     merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
-    moving = sum(1 for _, x in sampled_directions(op, STRATEGY)
-                 if not is_zero(fbracket(layout.algebra, fmatmul(op.matrix, x), x)))
+    moving = sum(1 for _, x in sampled_directions(dazi, STRATEGY)
+                 if not is_zero(fbracket(layout.algebra, fmatmul(dazi.matrix, x), x)))
     calls = []
     solve = go.go_solve_at
 
@@ -176,9 +185,17 @@ def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(go, "go_solve_at", counting_solve)
-    verdict = go_verdict(op, merged, STRATEGY)
+    verdict = go_verdict(dazi, merged, STRATEGY, keep_certificates=True)
     assert not verdict.disproved
     assert 0 < len(calls) == moving < verdict.samples
+
+    calls.clear()
+    assert not go_verdict(dazi, merged, STRATEGY).disproved
+    assert calls == []
+
+    verdict = go_verdict(distinct, layout.subalgebra, STRATEGY)
+    assert verdict.disproved and len(calls) >= 1
+    assert calls[-1].equals(verdict.counterexample.direction)
 
 
 # -- trilinear condition -----------------------------------------------------------
