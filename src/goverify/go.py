@@ -25,11 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import arith, reps
+from . import arith
 from .arith import ContractViolation, Scaled, is_zero
 from .metrics import (MetricOperator, bi_invariance_check, equivariance_check,
                       invariant_subspace)
-from .subspaces import (Subspace, centralizer_in_complement, ideal_decomposition, normalizer,
+from .subspaces import (Subspace, centralizer_in, centralizer_in_complement, normalizer,
                         orthogonal_complement, projector, span_memo)
 
 
@@ -279,8 +279,14 @@ class HypothesisFlags:
 
 
 def hypothesis_flags(subalgebra: Subspace) -> HypothesisFlags:
+    """Whether k is semisimple and whether it is self-normalizing (memoized per span).
+
+    A compact k is reductive, so it is semisimple exactly when its center,
+    the centralizer of k in k, is zero; it is self-normalizing exactly when
+    its centralizer in the complement is zero.
+    """
     return span_memo(subalgebra, lambda: HypothesisFlags(
-        semisimple=ideal_decomposition(subalgebra).center.dim == 0,
+        semisimple=centralizer_in(subalgebra, subalgebra).dim == 0,
         self_normalizing=centralizer_in_complement(subalgebra).dim == 0), "flags")
 
 
@@ -312,14 +318,10 @@ def normalizer_equivariance_check(operator: MetricOperator,
 @dataclass(frozen=True)
 class SplitReport:
     ok: bool
-    hypotheses_met: bool
-    weakly_regular: bool
-    flags: HypothesisFlags
     subalgebra_invariant: bool
     complement_invariant: bool
     bi_invariant_on_subalgebra: bool
     coset_verdict: GoVerdict | None
-    exploratory: bool
 
     def __bool__(self):
         return self.ok
@@ -329,26 +331,18 @@ def split_check(operator: MetricOperator, subalgebra: Subspace,
                 strategy: SamplingStrategy = SamplingStrategy()) -> SplitReport:
     """Block-splitting of a candidate geodesic-orbit metric.
 
-    Verifies that the operator preserves both the subalgebra and its
-    orthogonal complement, that the restriction to the subalgebra is
-    bi-invariant, and that the complement restriction passes the coset
-    witness sweep ([W + X, L X] = 0 with X ranging over the complement).
-    The hypotheses (weak regularity plus semisimple-or-self-normalizing) are
-    computed and reported; when they fail the check still runs, labeled
-    exploratory.
+    Verifies that the operator preserves both the subalgebra k and its
+    orthogonal complement m, that the restriction to k is bi-invariant (L
+    commutes with ad(k) on k, :func:`metrics.bi_invariance_check`), and that
+    the complement restriction passes the coset witness sweep
+    ([W + X, L X] = 0 with X ranging over m).  The theorem's hypotheses on k
+    are not decided here.
     """
-    weak = reps.is_weakly_regular(subalgebra)
-    flags = hypothesis_flags(subalgebra)
-    hypotheses = bool(weak) and flags.satisfied
     complement = orthogonal_complement(subalgebra)
     k_inv = invariant_subspace(operator, subalgebra)
     m_inv = invariant_subspace(operator, complement)
-    bi = bi_invariance_check(operator, subalgebra) if k_inv else None
-    coset = None
-    if m_inv:
-        coset = go_verdict(operator, subalgebra, strategy, within=complement)
-    ok = k_inv and m_inv and bool(bi) and coset is not None and not coset.disproved
-    return SplitReport(ok=ok, hypotheses_met=hypotheses, weakly_regular=bool(weak),
-                       flags=flags, subalgebra_invariant=k_inv, complement_invariant=m_inv,
-                       bi_invariant_on_subalgebra=bool(bi), coset_verdict=coset,
-                       exploratory=not hypotheses)
+    bi = k_inv and bi_invariance_check(operator, subalgebra)
+    coset = go_verdict(operator, subalgebra, strategy, within=complement) if m_inv else None
+    ok = k_inv and m_inv and bi and coset is not None and not coset.disproved
+    return SplitReport(ok=ok, subalgebra_invariant=k_inv, complement_invariant=m_inv,
+                       bi_invariant_on_subalgebra=bi, coset_verdict=coset)

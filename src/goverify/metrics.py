@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, Scaled, q
+from .arith import ContractViolation, Scaled, is_zero, q
 from .lie import StructureAlgebra
 from .subspaces import (DecomposedSubalgebra, Subspace, ideal_decomposition,
                         is_subalgebra, orthogonal_complement, projector,
@@ -204,41 +204,19 @@ def restrict_operator(operator: MetricOperator, space: Subspace) -> Scaled:
     return coords
 
 
-@dataclass(frozen=True)
-class BiInvarianceReport:
-    ok: bool
-    decomposition: DecomposedSubalgebra | None = None
-    ideal_scalars: tuple[Fraction, ...] = ()
-    center_preserved: bool = False
+def bi_invariance_check(operator: MetricOperator, subalgebra: Subspace) -> bool:
+    """Whether the restriction to a subalgebra k defines a bi-invariant metric.
 
-    def __bool__(self):
-        return self.ok
-
-
-def bi_invariance_check(operator: MetricOperator, subalgebra: Subspace) -> BiInvarianceReport:
-    """Whether the restriction to a subalgebra defines a bi-invariant metric.
-
-    The block form is checked literally: the restriction must preserve the
-    center, preserve each simple ideal, and act as a positive scalar there.
+    By definition Q(L., .) must be ad(k)-invariant on k.  Q is ad-invariant
+    and nondegenerate on k and L is Q-self-adjoint, so
+    ``Q(L[Z,X], Y) + Q(LX, [Z,Y]) = Q((L ad_Z - ad_Z L) X, Y)``: L must
+    preserve k and commute with ad_Z on k for every basis vector Z of k, one
+    stacked integer product.
     """
-    if subalgebra.dim == 0:
-        return BiInvarianceReport(True, None, (), True)
     if not invariant_subspace(operator, subalgebra):
-        return BiInvarianceReport(False)
-    dec = ideal_decomposition(subalgebra)
-    center_ok = invariant_subspace(operator, dec.center)
-    scalars = []
-    ok = center_ok
-    for ideal in dec.ideals:
-        if not invariant_subspace(operator, ideal):
-            ok = False
-            break
-        value = restrict_operator(operator, ideal).scalar()
-        if value is None:
-            ok = False
-            break
-        scalars.append(value)
-    return BiInvarianceReport(ok, dec, tuple(scalars), center_ok)
+        return False
+    ads, op = subalgebra.ad_matrices, operator.matrix
+    return is_zero((ads @ op - op @ ads) @ subalgebra.basis.T)
 
 
 # ---------------------------------------------------------------------------

@@ -351,15 +351,21 @@ def _check_dazi(built: BuiltScenario, rep: Report):
 
 
 def _check_split(built: BuiltScenario, rep: Report):
-    result = go.split_check(_require_metric(built), _require_subgroup(built), _strategy(built.spec))
+    """The split, with the splitting theorem's hypotheses on the subgroup k: weakly regular, and
+    semisimple or self-normalizing.  When they fail the split is still checked, as exploratory."""
+    k = _require_subgroup(built)
+    weak = bool(reps.is_weakly_regular(k))
+    flags = go.hypothesis_flags(k)
+    result = go.split_check(_require_metric(built), k, _strategy(built.spec))
+    hypotheses = weak and flags.satisfied
     rep.add({
         "record": "check", "name": "split", "verdict": bool(result.ok),
         "negative": not result.ok,
-        "hypotheses_met": result.hypotheses_met,
-        "exploratory": result.exploratory,
-        "weakly_regular": result.weakly_regular,
-        "semisimple": result.flags.semisimple,
-        "self_normalizing": result.flags.self_normalizing,
+        "hypotheses_met": hypotheses,
+        "exploratory": not hypotheses,
+        "weakly_regular": weak,
+        "semisimple": flags.semisimple,
+        "self_normalizing": flags.self_normalizing,
         "subalgebra_invariant": result.subalgebra_invariant,
         "complement_invariant": result.complement_invariant,
         "bi_invariant_on_subalgebra": result.bi_invariant_on_subalgebra,
@@ -669,17 +675,34 @@ def replay_report(text: str) -> dict:
 
 def _replay_go_record(operator, subgroup, record) -> list[bool]:
     outcomes = []
-    if record.get("counterexample"):
+    if record.get("counterexample") is not None:
         outcomes.append(_replay_counterexample(operator, subgroup, record["counterexample"]))
     for cert in record.get("certificates", []):
-        certificate = go.GoCertificate(direction=decode_vector(cert["direction"]),
-                                       witness=decode_vector(cert["witness"]))
+        certificate = _decode_payload(go.GoCertificate, cert, operator.algebra.dim)
         outcomes.append(go.replay_certificate(operator, certificate, subgroup))
     return outcomes
 
 
 def _replay_counterexample(operator, subgroup, payload) -> bool:
-    counterexample = go.Unsolvable(direction=decode_vector(payload["direction"]),
-                                   rank_a=int(payload["rank_a"]),
-                                   rank_ab=int(payload["rank_ab"]))
+    counterexample = _decode_payload(go.Unsolvable, payload, operator.algebra.dim)
     return go.replay_counterexample(operator, subgroup, counterexample)
+
+
+def _decode_payload(kind, payload, dim: int):
+    """The certificate or counterexample ``kind`` from its report ``payload``: an object with
+    every field of ``kind``, each rank an int and each vector ``dim`` encoded rationals.
+    Anything else is a :class:`ContractViolation`."""
+    what = "certificate" if kind is go.GoCertificate else "counterexample"
+    payload = payload if isinstance(payload, dict) else {}
+    fields = {f.name: payload.get(f.name) for f in dataclasses.fields(kind)}
+    if missing := [name for name in fields if name not in payload]:
+        raise ContractViolation(f"{what} lacks {missing}")
+    for name, value in fields.items():
+        if name in ("rank_a", "rank_ab"):
+            if type(value) is not int:
+                raise ContractViolation(f"{what} {name} {value!r} is not an int")
+            continue
+        fields[name] = decode_vector(value)
+        if fields[name].shape != (dim,):
+            raise ContractViolation(f"{what} {name} has {len(value)} entries, not {dim}")
+    return kind(**fields)

@@ -388,10 +388,6 @@ class DecomposedSubalgebra:
     center: Subspace
     ideals: tuple[Subspace, ...]
 
-    @property
-    def semisimple(self) -> bool:
-        return self.center.dim == 0
-
 
 def derived_subalgebra(space: Subspace) -> Subspace:
     i, j = np.triu_indices(space.dim, 1)

@@ -9,7 +9,10 @@ geodesic-orbit verdict: one exact ``go_solve_at`` for every sampled direction,
 against which the batched screen of ``go.go_verdict`` is checked.  Another is
 :func:`symmetric_commutant_two_stage`, the commutant solved on all entries of
 T and then cut to the form-symmetric maps, against which the solve on the
-symmetric unknowns of ``reps.symmetric_commutant`` is checked.
+symmetric unknowns of ``reps.symmetric_commutant`` is checked.  And
+:func:`bi_invariant_by_blocks` decides bi-invariance through the ideal
+decomposition, against which the commutation check of
+``metrics.bi_invariance_check`` is checked.
 """
 
 import itertools
@@ -22,8 +25,9 @@ from goverify import arith, reps
 from goverify.arith import ContractViolation, is_zero, q, qzeros
 from goverify.go import GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
 from goverify.lie import StructureAlgebra
-from goverify.metrics import BlockSpec, MetricOperator, equivariance_check
-from goverify.subspaces import Subspace, projector
+from goverify.metrics import (BlockSpec, MetricOperator, equivariance_check, invariant_subspace,
+                              restrict_operator)
+from goverify.subspaces import Subspace, ideal_decomposition, projector
 
 
 def fractions(x) -> np.ndarray:
@@ -122,6 +126,19 @@ def symmetric_commutant_two_stage(restriction) -> list:
     sym_system = (gt - gt.transpose(0, 2, 1)).reshape(-1, p * p).T
     vectors = arith.nullspace_exact(sym_system) @ comm
     return [vectors[r].reshape(p, p) for r in range(vectors.shape[0])]
+
+
+def bi_invariant_by_blocks(operator: MetricOperator, subalgebra) -> bool:
+    """Bi-invariance on a subalgebra in block form: the operator preserves it,
+    its center and each of its simple ideals, and is a scalar on each ideal."""
+    if subalgebra.dim == 0:
+        return True
+    if not invariant_subspace(operator, subalgebra):
+        return False
+    dec = ideal_decomposition(subalgebra)
+    return invariant_subspace(operator, dec.center) and all(
+        invariant_subspace(operator, ideal) and restrict_operator(operator, ideal).scalar() is not None
+        for ideal in dec.ideals)
 
 
 def two_step_identity_check(operator: MetricOperator, subalgebra, z, w) -> bool:

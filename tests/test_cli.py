@@ -263,6 +263,50 @@ def test_replay_of_a_malformed_flag_tuple_is_an_error_line(field, edit, tmp_path
     assert code == 1 and err.startswith("error: flag tuple 0") and field in err
 
 
+@pytest.fixture(scope="module")
+def certified_reports(tmp_path_factory):
+    """Machine reports with GO certificates (so(5)/(2,3)) and with sweep-tuple
+    counterexamples (so(6)/(2,2,2), 4 tuples), as lists of JSON records."""
+    out = tmp_path_factory.mktemp("certified")
+    reports = {}
+    for kind, args in (("go", ["check", "go", "--family", "so", "--n", "5", "--partition", "2,3",
+                               "--params", "1,2,3", "--samples", "2"]),
+                       ("sweep", ["scenario", "run", "so6-222-grid", "--tuples", "4",
+                                  "--samples", "4"])):
+        path = out / f"{kind}.jsonl"
+        assert main([*args, "--out", str(path)]) in (0, 2)
+        reports[kind] = [json.loads(line) for line in path.read_text().splitlines()]
+    return reports
+
+
+def _first_certificate(records):
+    return next(r for r in records if r.get("certificates"))["certificates"]
+
+
+def _first_tuple_counterexample(records):
+    sweep = next(r for r in records if r.get("name") == "sweep")
+    return next(t["counterexample"] for t in sweep["tuples"] if t["counterexample"])
+
+
+@pytest.mark.parametrize("kind, damage, message", [
+    ("go", lambda r: _first_certificate(r)[0]["direction"].pop(), "direction has 9 entries, not 10"),
+    ("go", lambda r: _first_certificate(r).__setitem__(0, {}), "certificate lacks ['direction', 'witness']"),
+    ("sweep", lambda r: _first_tuple_counterexample(r)["direction"].pop(),
+     "direction has 14 entries, not 15"),
+    ("sweep", lambda r: _first_tuple_counterexample(r).pop("rank_a"), "counterexample lacks ['rank_a']"),
+    ("sweep", lambda r: _first_tuple_counterexample(r).update(rank_a="x"), "rank_a 'x' is not an int"),
+], ids=["short-certificate-direction", "empty-certificate", "short-tuple-direction",
+        "tuple-without-rank_a", "tuple-with-a-string-rank_a"])
+def test_replay_of_a_malformed_certificate_is_an_error_line(certified_reports, kind, damage,
+                                                            message, tmp_path):
+    records = json.loads(json.dumps(certified_reports[kind]))
+    damage(records)
+    path = tmp_path / "report.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    code, err = _cli_error("replay", str(path))
+    assert code == 1 and err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def _cli_error(*args):
     out = subprocess.run([sys.executable, "-m", "goverify", *args], capture_output=True, text=True)
     return out.returncode, out.stderr

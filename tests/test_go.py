@@ -14,7 +14,8 @@ from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_solve_a
                          replay_certificate, replay_counterexample, split_check)
 from goverify.lie import build_classical, direct_sum, embed_so_partition, attach_form
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
-from goverify.subspaces import Subspace, orthogonal_complement, projector
+from goverify.scenarios import ScenarioSpec, run_check
+from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement, projector
 from oracles import (fbracket, fmatmul, geodesic_lemma_solvable, go_verdict_by_direction,
                      metric_inner, rescale, sampled_directions, two_step_identity_check)
 
@@ -331,11 +332,39 @@ def test_geodesic_lemma_route_agrees_with_witness_route(so6):
 
 # -- splitting -----------------------------------------------------------------------
 
+def _su3_torus():
+    su3 = build_classical("su", 3)
+    return Subspace.from_indices(su3, [i for i, lab in enumerate(su3.labels) if lab.startswith("D")])
+
+
+@pytest.mark.parametrize("build, semisimple", [
+    (lambda: embed_so_partition(9, (3, 3, 3)).subalgebra, True),
+    (lambda: embed_so_partition(8, (2, 3, 3)).subalgebra, False),
+    (_su3_torus, False),
+    (lambda: Subspace.full(build_classical("so", 8)), True),
+], ids=["so3-cubed-in-so9", "so2-so3-so3-in-so8", "su3-torus", "so8"])
+def test_semisimple_flag_is_a_zero_center(build, semisimple):
+    k = build()
+    assert go.hypothesis_flags(k).semisimple == (ideal_decomposition(k).center.dim == 0) == semisimple
+
+
+def _split_record(n, partition, params):
+    """The ``split`` record of ``run_check`` on so(n) over a partition subgroup."""
+    spec = ScenarioSpec(name="split", algebra={"family": "so", "n": n},
+                        subgroup={"partition": list(partition)},
+                        metric={"params": [str(p) for p in params]}, checks=("split",),
+                        samples=STRATEGY.random_count, seed=STRATEGY.seed)
+    record, = run_check(spec).records
+    return record
+
+
 def test_split_bi_invariant(so6):
     layout, named = so6
     op = block_metric(layout, named, [2] * 6)
     report = split_check(op, layout.subalgebra, STRATEGY)
-    assert report.ok and report.hypotheses_met and not report.exploratory
+    assert report.ok and report.bi_invariant_on_subalgebra
+    record = _split_record(6, (2, 2, 2), [2] * 6)
+    assert record["verdict"] and record["hypotheses_met"] and not record["exploratory"]
 
 
 def test_split_dazi_branch_with_respect_to_isometry(so6):
@@ -344,8 +373,13 @@ def test_split_dazi_branch_with_respect_to_isometry(so6):
     kp = isometry_subalgebra(op)
     report = split_check(op, kp, STRATEGY)
     assert report.ok
-    assert report.weakly_regular and report.hypotheses_met
     assert report.coset_verdict and not report.coset_verdict.disproved
+    # k' is so(4) + so(2), the partition (4, 2) subgroup, and the metric is the
+    # (4, 2) block metric with k1 = 2, k2 = 7 and m1_2 = 3
+    assert kp.spans_equal(embed_so_partition(layout.algebra, (4, 2)).subalgebra)
+    record = _split_record(6, (4, 2), [2, 7, 3])
+    assert record["verdict"] and record["coset_verdict"] == "NotDisproved"
+    assert record["weakly_regular"] and record["hypotheses_met"]
 
 
 def test_split_reports_only_for_disproved(so6):

@@ -14,7 +14,7 @@ from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
                               invariant_subspace, isometry_subalgebra,
                               metric_from_blocks, restrict_operator)
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement
-from oracles import fmatmul, metric_inner, rescale
+from oracles import bi_invariant_by_blocks, fmatmul, metric_inner, rescale
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 
@@ -171,32 +171,81 @@ def test_restrict_operator_and_invariance(so6):
                                        qarray([[1] + [0] * 13 + [1]])))
 
 
-def test_bi_invariance_on_so4():
+def _so4_ideal_scalars():
+    """so(4) with the scalars 2 and 3 on its two simple ideals."""
     so4 = build_classical("so", 4)
     full = Subspace.full(so4)
-    dec = ideal_decomposition(full)
-    blocks = tuple(zip(dec.ideals, (Fraction(2), Fraction(3))))
-    op = metric_from_blocks(so4, BlockSpec(blocks))
-    report = bi_invariance_check(op, full)
-    assert report and sorted(report.ideal_scalars) == [2, 3]
+    blocks = tuple(zip(ideal_decomposition(full).ideals, (Fraction(2), Fraction(3))))
+    return metric_from_blocks(so4, BlockSpec(blocks)), full
+
+
+def _so4_ideal_mixing():
+    """so(4) with blocks coupling its two ideals (their bases are Q-orthogonal of
+    equal norm): L = 2 on both, plus a[0] <-> b[0], so a[0] + b[0] has eigenvalue
+    3 and a[0] - b[0] 1."""
+    so4 = build_classical("so", 4)
+    full = Subspace.full(so4)
+    a, b = (np.asarray(ideal.basis) for ideal in ideal_decomposition(full).ideals)
+    blocks = ((Subspace(so4, qarray([a[0] + b[0]])), Fraction(3)),
+              (Subspace(so4, qarray([a[0] - b[0]])), Fraction(1)),
+              (Subspace(so4, qarray([a[1], a[2], b[1], b[2]])), Fraction(2)))
+    return metric_from_blocks(so4, BlockSpec(blocks)), full
+
+
+def test_bi_invariance_on_so4():
+    op, full = _so4_ideal_scalars()
+    assert bi_invariance_check(op, full)
+    ideals = ideal_decomposition(full).ideals
+    assert sorted(restrict_operator(op, ideal).scalar() for ideal in ideals) == [2, 3]
     # identity restriction is bi-invariant
-    one = metric_from_blocks(so4, BlockSpec(((full, Fraction(1)),)))
+    one = metric_from_blocks(op.algebra, BlockSpec(((full, Fraction(1)),)))
     assert bi_invariance_check(one, full)
 
 
 def test_bi_invariance_fails_for_ideal_mixing():
-    so4 = build_classical("so", 4)
-    full = Subspace.full(so4)
-    dec = ideal_decomposition(full)
-    a, b = np.asarray(dec.ideals[0].basis), np.asarray(dec.ideals[1].basis)
-    # blocks coupling the two ideals (their bases are Q-orthogonal of equal norm):
-    # L = 2 on both, plus a[0] <-> b[0], so a[0] + b[0] has eigenvalue 3 and a[0] - b[0] 1
-    blocks = ((Subspace(so4, qarray([a[0] + b[0]])), Fraction(3)),
-              (Subspace(so4, qarray([a[0] - b[0]])), Fraction(1)),
-              (Subspace(so4, qarray([a[1], a[2], b[1], b[2]])), Fraction(2)))
-    op = metric_from_blocks(so4, BlockSpec(blocks))
+    op, full = _so4_ideal_mixing()
+    a, b = (np.asarray(ideal.basis) for ideal in ideal_decomposition(full).ideals)
     assert is_zero(fmatmul(op.matrix, a[0]) - (2 * a[0] + b[0]))
     assert not bi_invariance_check(op, full)
+
+
+def _so7_non_scalar_center_block():
+    """so(2) + so(2) + so(3) in so(7): a free block [[2, 1], [1, 3]] on its center."""
+    layout = embed_so_partition(7, (2, 2, 3))
+    named = layout.named_subspaces()
+    center = named["k1"].add(named["k2"])
+    blocks = tuple((named[n], Fraction(v)) for n, v in
+                   (("k3", 5), ("m1_2", 1), ("m1_3", 2), ("m2_3", 3)))
+    spec = BlockSpec(blocks, (center, qarray([[2, 1], [1, 3]])))
+    return metric_from_blocks(layout.algebra, spec), layout.subalgebra
+
+
+def _so5_center_mixed_into_ideal():
+    """so(2) + so(3) in so(5) with L coupling the so(2) generator c to an so(3) vector a."""
+    layout = embed_so_partition(5, (2, 3))
+    named = layout.named_subspaces()
+    c, = np.asarray(named["k1"].basis)
+    a = np.asarray(named["k2"].basis)
+    g = layout.algebra
+    blocks = ((Subspace(g, qarray([c + a[0]])), Fraction(3)),
+              (Subspace(g, qarray([c - a[0]])), Fraction(1)),
+              (Subspace(g, qarray(a[1:])), Fraction(2)), (named["m1_2"], Fraction(5)))
+    return metric_from_blocks(g, BlockSpec(blocks)), layout.subalgebra
+
+
+@pytest.mark.parametrize("build, expected", [
+    (_so4_ideal_scalars, True),
+    (_so4_ideal_mixing, False),
+    (_so7_non_scalar_center_block, True),
+    (_so5_center_mixed_into_ideal, False),
+], ids=["so4-ideal-scalars", "so4-ideal-mixing", "non-scalar-center-block",
+        "center-mixed-into-an-ideal"])
+def test_bi_invariance_agrees_with_the_block_form(build, expected):
+    """Commuting with ad(k) on k is the block form: a preserved center and a
+    scalar on each preserved simple ideal."""
+    op, k = build()
+    assert invariant_subspace(op, k)
+    assert bi_invariance_check(op, k) == bi_invariant_by_blocks(op, k) == expected
 
 
 # -- normal form recognition -----------------------------------------------------

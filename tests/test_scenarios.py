@@ -1,5 +1,6 @@
 """Scenario pipeline: builders, sweeps, catalog entries, replay."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from goverify import arith, go, lie, reps, subspaces
+from goverify import arith, go, lie, metrics, reps, subspaces
 from goverify.metrics import BlockSpec
 from goverify.report import decode_vector, encode_fraction
 from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _grid_follow_up, _sweep_tuple,
                                 build_scenario, grid_parameter_tuples, parse_blockspec,
                                 replay_report, run_check, scenario_catalog, with_sweep_tuples)
+from oracles import bi_invariant_by_blocks
 
 
 def test_grid_tuples_deterministic_and_alternating():
@@ -374,7 +376,10 @@ def test_decoding_rejects_anything_but_n_or_n_over_d(text):
 def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
     """The weak-regularity decision and its sufficient criterion meet the same
     system when the subalgebra is self-normalizing: one equivariance solve on
-    so(9)/so(3)^3, and one intertwiner space fewer on the full so(9) pipeline."""
+    so(9)/so(3)^3.  The full so(9) pipeline solves two intertwiner spaces: the
+    weak-regularity one, which the split check's hypotheses reuse, and the one
+    that the ideal decomposition of the isometry algebra so(6) + so(3) in the
+    dazi check needs; bi-invariance and semisimplicity decompose nothing."""
     calls = Counter()
     for name in ("_solve_equivariance", "intertwiner_space"):
         original = getattr(reps, name)
@@ -385,4 +390,65 @@ def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
     assert [r["self_normalizing"] for r in report.records if r["name"] == "weakly-regular"] == [True]
     calls.clear()
     run_check(_pipeline_so9(1))
-    assert calls["intertwiner_space"] == 5
+    assert calls["intertwiner_space"] == 2
+
+
+def test_bi_invariance_agrees_with_the_block_form_on_the_catalog(monkeypatch):
+    """Every subalgebra, with its metric, that a catalog split check or grid
+    follow-up meets: the catalog's split checks, and its grid sweeps at 10
+    tuples, which cover every tuple kind of a three-block partition."""
+    pairs = []
+    split_check = go.split_check
+    monkeypatch.setattr(go, "split_check", lambda op, k, strategy:
+                        pairs.append((op, k)) or split_check(op, k, strategy))
+    for spec in scenario_catalog().values():
+        if "split" in spec.checks:
+            run_check(dataclasses.replace(spec, checks=("split",)))
+        elif "sweep" in spec.checks:
+            run_check(dataclasses.replace(with_sweep_tuples(spec, 10), checks=("sweep",)))
+    verdicts = [metrics.bi_invariance_check(op, k) for op, k in pairs]
+    assert verdicts == [bi_invariant_by_blocks(op, k) for op, k in pairs]
+    assert len(pairs) > 10 and True in verdicts
+
+
+def test_split_and_hypotheses_decompose_no_ideals_and_solve_no_weak_regularity(monkeypatch):
+    """On a 4-tuple so(8)/(2,3,3) sweep (its tuple 3 has all of so(8) as isometry
+    algebra), bi-invariance, the hypothesis flags and the split never run an ideal
+    decomposition, no isotypic decomposition runs on the 28-dimensional so(8), and
+    no weak-regularity decision runs at all."""
+    depth, ideals_inside, isotypic_dims, weak = [0], [], [], []
+
+    def entering(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((go, "split_check"), (go, "hypothesis_flags"),
+                         (go, "bi_invariance_check"), (metrics, "bi_invariance_check")):
+        entering(module, name)
+    ideal_decomposition = subspaces.ideal_decomposition
+    for module in (subspaces, metrics, go):
+        if hasattr(module, "ideal_decomposition"):
+            monkeypatch.setattr(module, "ideal_decomposition", lambda space: ideals_inside.append(
+                depth[0]) or ideal_decomposition(space))
+    isotypic, is_weakly_regular = reps.isotypic_decomposition, reps.is_weakly_regular
+    monkeypatch.setattr(reps, "isotypic_decomposition", lambda acting, space: isotypic_dims.append(
+        space.dim) or isotypic(acting, space))
+    monkeypatch.setattr(reps, "is_weakly_regular", lambda space: weak.append(space.dim)
+                        or is_weakly_regular(space))
+    report = run_check(ScenarioSpec(name="so8", algebra={"family": "so", "n": 8},
+                                    subgroup={"partition": [2, 3, 3]},
+                                    metric={"grid": {"tuples": 4}}, checks=("sweep",),
+                                    samples=24, seed=1))
+    sweep, = report.records
+    assert [t["kprime_dim"] for t in sweep["tuples"]][3] == 28
+    assert [t["split_ok"] for t in sweep["tuples"]][3] is True
+    assert ideals_inside and not any(ideals_inside)    # dazi still decomposes its k'
+    assert isotypic_dims and 28 not in isotypic_dims
+    assert weak == []
