@@ -15,10 +15,14 @@ minors, Sylvester's criterion), Gauss-Jordan for :func:`solve_int`,
 divides by the previous pivot; the quotients are minors of the input, so
 every division is exact, and Gauss-Jordan leaves ``det * rref``.
 
-Nullspaces are certified: a candidate from the fast modular screening path is
+Nullspaces are certified: a candidate from the modular screening path is
 verified by an exact integer product with the candidate before it is
-returned, and Bareiss elimination takes over whenever rational
-reconstruction or the verification fails.
+returned.  When the reconstruction mod ``_P`` fails or does not verify,
+:func:`_crt_lift` combines it with the kernels mod the further primes of
+``_CRT_PRIMES`` by the Chinese remainder theorem (Dixon, Numer. Math. 40,
+1982; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5) and
+verifies each reconstruction over the growing modulus the same way.  Bareiss
+elimination takes over only when no lift verifies.
 
 Solves that must return a solution or a rank gap run Bareiss.  Stacks of
 small systems whose solvability is all a caller needs go to
@@ -28,14 +32,17 @@ exact product to check them.  It certifies or leaves a system undecided,
 never declares one inconsistent; undecided systems fall back to
 :func:`solve_int`.
 
-Modular screening works over GF(``_P``): :func:`kernel_modp` gives the
+Modular screening works over GF(p) for primes ``p < 2**31``, passed
+explicitly: ``_P`` for screening, ranks and :func:`kernel_modp`, and
+``_CRT_PRIMES`` for the multi-prime lift.  :func:`kernel_modp` gives the
 canonical kernel (identity on the free columns of the rref) and :func:`_lift`
 its rational reconstruction, for :func:`nullspace_exact` and the
-equivariance solver of :mod:`goverify.reps`.  The elimination
-(:func:`_modp_pivots`) reduces wide systems in panels of ``_PANEL = 64``
-columns; each panel's update of the other rows is one :func:`_mulmod`
-product mod ``_P`` (float64 BLAS products on 16-bit limbs), and
-:func:`matmul_modp` sums such products over longer inner dimensions.
+equivariance solver of :mod:`goverify.reps`; the rank estimate of
+:mod:`goverify.subspaces` ranks its generic elements by :func:`_modp_pivots`
+alone.  The elimination (:func:`_modp_pivots`) reduces wide systems in
+panels of ``_PANEL = 64`` columns; each panel's update of the other rows is
+one :func:`_mulmod` product mod p (float64 BLAS products on 16-bit limbs),
+and :func:`matmul_modp` sums such products over longer inner dimensions.
 Residues are below ``2**31`` and limbs below ``2**16``, so a sum of at most
 64 products stays below ``2**53`` and every product is exact, whatever the
 BLAS summation order or thread count.
@@ -62,6 +69,14 @@ import numpy as np
 EXACT = "exact"
 
 _P = 2_147_483_647  # prime modulus for the screening eliminations
+# further primes below 2**31 (so that _mulmod stays exact) for the multi-prime lift
+_CRT_PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483_549,
+               2_147_483_543, 2_147_483_497, 2_147_483_489, 2_147_483_477, 2_147_483_423,
+               2_147_483_399, 2_147_483_353, 2_147_483_323, 2_147_483_269, 2_147_483_249,
+               2_147_483_237, 2_147_483_179, 2_147_483_171, 2_147_483_137, 2_147_483_123,
+               2_147_483_077, 2_147_483_069, 2_147_483_059, 2_147_483_053, 2_147_483_033,
+               2_147_483_029, 2_147_482_951, 2_147_482_949, 2_147_482_943, 2_147_482_937,
+               2_147_482_921)
 _PANEL = 64         # columns per elimination panel, fixed by the 2**53 bound in _mulmod
 _CHUNK = 256        # rows per trailing panel update, to keep temporaries small
 _DIRECT = 1_200     # systems with at most this many entries skip the modular screen
@@ -444,8 +459,9 @@ def inverse(mat) -> Scaled:
     return _over([row[k:] for row in rows], det, n)
 
 
-def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], list[tuple[int, int]]]:
-    """Scalar elimination mod ``_P`` of ``work`` in place, one pivot at a time.
+def _eliminate_modp(work: np.ndarray, reduce_above: bool,
+                    p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Scalar elimination mod the prime ``p`` of ``work`` in place, one pivot at a time.
 
     Returns the pivot columns and the row swaps ``(r, pr)`` in the order made.
     """
@@ -463,35 +479,36 @@ def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], li
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
             swaps.append((r, pr))
-        inv = pow(int(work[r, c]), -1, _P)
-        work[r, c:] = (work[r, c:] * inv) % _P
+        inv = pow(int(work[r, c]), -1, p)
+        work[r, c:] = (work[r, c:] * inv) % p
         lo = 0 if reduce_above else r + 1
         others = lo + np.flatnonzero(work[lo:, c])
         others = others[others != r]
         if others.size:
-            work[others, c:] = (work[others, c:] - work[others, c][:, None] * work[r, c:][None, :]) % _P
+            work[others, c:] = (work[others, c:] - work[others, c][:, None] * work[r, c:][None, :]) % p
         piv_cols.append(c)
         r += 1
     return piv_cols, swaps
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ``(a @ b) % _P`` of int64 residues, with at most ``_PANEL`` inner terms.
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``(a @ b) % p`` of int64 residues mod a prime ``p < 2**31``, with
+    at most ``_PANEL`` inner terms.
 
     Float64 products on the 16-bit limbs of ``b``: every partial sum is an
-    integer below ``_PANEL * (_P - 1) * 0xFFFF < 2**53``, hence exact in any
+    integer below ``_PANEL * (p - 1) * 0xFFFF < 2**53``, hence exact in any
     summation order.
     """
     if a.shape[-1] > _PANEL:
         raise ContractViolation(f"_mulmod sums at most {_PANEL} products")
     af = a.astype(np.float64)
-    low = (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64) % _P
-    high = (af @ (b >> 16).astype(np.float64)).astype(np.int64) % _P
-    return (low + (high << 16)) % _P
+    low = (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64) % p
+    high = (af @ (b >> 16).astype(np.float64)).astype(np.int64) % p
+    return (low + (high << 16)) % p
 
 
-def _modp_pivots(mat_int: np.ndarray):
-    """Gauss-Jordan elimination mod ``_P``.
+def _modp_pivots(mat_int: np.ndarray, p: int):
+    """Gauss-Jordan elimination mod the prime ``p < 2**31``.
 
     Returns ``(rank, pivot row ids, pivot cols, reduced)`` where pivot row
     ids refer to the original numbering and ``reduced`` is the working array,
@@ -503,14 +520,14 @@ def _modp_pivots(mat_int: np.ndarray):
     the pivot rows are multiplied by the inverse of their pivot block, and
     every other row drops its pivot-column part as one :func:`_mulmod`
     product (exact: ``_PANEL`` inner terms keep float64 partial sums below
-    ``2**53``).  The rref mod p is unique, so all four outputs equal the
+    ``2**53``).  The rref mod ``p`` is unique, so all four outputs equal the
     scalar loop's.
     """
-    work = (np.asarray(mat_int) % _P).astype(np.int64)
+    work = (np.asarray(mat_int) % p).astype(np.int64)
     nrows, ncols = work.shape
     row_ids = np.arange(nrows)
     if ncols <= _PANEL:
-        piv_cols, swaps = _eliminate_modp(work, reduce_above=True)
+        piv_cols, swaps = _eliminate_modp(work, reduce_above=True, p=p)
         _swap_rows(row_ids, swaps)
         return len(piv_cols), row_ids[:len(piv_cols)].tolist(), piv_cols, work
     piv_cols = []
@@ -518,7 +535,7 @@ def _modp_pivots(mat_int: np.ndarray):
     for c0 in range(0, ncols, _PANEL):
         if r == nrows:
             break
-        cols, swaps = _eliminate_modp(work[r:, c0:c0 + _PANEL].copy(), reduce_above=False)
+        cols, swaps = _eliminate_modp(work[r:, c0:c0 + _PANEL].copy(), reduce_above=False, p=p)
         if not cols:
             continue
         swaps = [(r + a, r + b) for a, b in swaps]
@@ -527,12 +544,12 @@ def _modp_pivots(mat_int: np.ndarray):
         k = len(cols)
         pcols = [c0 + c for c in cols]
         pivots = work[r:r + k, c0:]
-        pivots[:] = _mulmod(_inverse_modp(work[r:r + k, pcols]), pivots)
+        pivots[:] = _mulmod(_inverse_modp(work[r:r + k, pcols], p), pivots, p)
         for lo, hi in ((0, r), (r + k, nrows)):
             for start in range(lo, hi, _CHUNK):
                 rows = work[start:min(start + _CHUNK, hi)]
-                rows[:, c0:] -= _mulmod(rows[:, pcols], pivots)
-                rows[:, c0:] %= _P
+                rows[:, c0:] -= _mulmod(rows[:, pcols], pivots, p)
+                rows[:, c0:] %= p
         piv_cols.extend(pcols)
         r += k
     return r, row_ids[:r].tolist(), piv_cols, work
@@ -543,11 +560,11 @@ def _swap_rows(arr: np.ndarray, swaps: list[tuple[int, int]]) -> None:
         arr[[a, b]] = arr[[b, a]]
 
 
-def _inverse_modp(block: np.ndarray) -> np.ndarray:
-    """Inverse mod ``_P`` of an invertible square residue block, by the scalar loop on ``[A | I]``."""
+def _inverse_modp(block: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod ``p`` of an invertible square residue block, by the scalar loop on ``[A | I]``."""
     k = block.shape[0]
     aug = np.concatenate([block, np.eye(k, dtype=np.int64)], axis=1)
-    piv_cols, _ = _eliminate_modp(aug, reduce_above=True)
+    piv_cols, _ = _eliminate_modp(aug, reduce_above=True, p=p)
     if piv_cols != list(range(k)):
         raise ExactComputationError("pivot block is singular mod p")
     return aug[:, k:]
@@ -556,26 +573,26 @@ def _inverse_modp(block: np.ndarray) -> np.ndarray:
 def matmul_modp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact ``(a @ b) % _P`` of int64 residues: :func:`_mulmod` summed over
     slices of at most ``_PANEL`` of the inner dimension."""
-    out = _mulmod(a[..., :_PANEL], b[..., :_PANEL, :])
+    out = _mulmod(a[..., :_PANEL], b[..., :_PANEL, :], _P)
     for s in range(_PANEL, a.shape[-1], _PANEL):
-        out = (out + _mulmod(a[..., s:s + _PANEL], b[..., s:s + _PANEL, :])) % _P
+        out = (out + _mulmod(a[..., s:s + _PANEL], b[..., s:s + _PANEL, :], _P)) % _P
     return out
 
 
-def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int]) -> np.ndarray:
-    """Kernel basis (rows) mod ``_P`` read off a fully reduced rref: the
+def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int], p: int) -> np.ndarray:
+    """Kernel basis (rows) mod ``p`` read off a fully reduced rref: the
     identity on the free columns, minus the rref's entries on the pivot columns."""
     free = sorted(set(range(reduced.shape[1])) - set(piv_cols))
     kernel = np.eye(reduced.shape[1], dtype=np.int64)[free]
-    kernel[:, piv_cols] = (-reduced[:rank, free].T) % _P
+    kernel[:, piv_cols] = (-reduced[:rank, free].T) % p
     return kernel
 
 
 def kernel_modp(mat) -> np.ndarray:
     """The canonical kernel basis (rows) of an integer matrix over GF(``_P``):
     the identity on the free columns of its rref."""
-    rank, _, piv_cols, reduced = _modp_pivots(mat)
-    return _kernel_rows(reduced, rank, piv_cols)
+    rank, _, piv_cols, reduced = _modp_pivots(mat, _P)
+    return _kernel_rows(reduced, rank, piv_cols, _P)
 
 
 def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
@@ -597,25 +614,60 @@ def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
 
 def _lift(residues: np.ndarray) -> Scaled | None:
     """The rational matrix whose entries reconstruct from ``residues`` mod ``_P``, or None."""
+    return _reconstruct(residues, _P)
+
+
+def _reconstruct(residues: np.ndarray, modulus: int) -> Scaled | None:
+    """The rational matrix whose entries reconstruct from ``residues`` mod
+    ``modulus``, or None as soon as one entry does not."""
     flat = residues.reshape(-1).tolist()
-    fracs = {a: _rational_reconstruct(a) for a in set(flat)}
-    if None in fracs.values():
-        return None
+    fracs = {}
+    for a in set(flat):
+        if (v := _rational_reconstruct(a, modulus)) is None:
+            return None
+        fracs[a] = v
     scale = math.lcm(*(v.denominator for v in fracs.values()))
     ints = {a: v.numerator * (scale // v.denominator) for a, v in fracs.items()}
     return Scaled._exact(np.array([ints[a] for a in flat], dtype=object).reshape(residues.shape), scale)
+
+
+def _crt_lift(value: Scaled, rank: int, piv_cols: list[int], kernel: np.ndarray) -> Scaled | None:
+    """The verified nullspace lifted from ``kernel`` mod ``_P`` and the kernels
+    mod the primes of ``_CRT_PRIMES``, or None when none of the lifts verifies.
+
+    A prime whose rank or pivot columns differ from ``_P``'s is skipped.  The
+    others' canonical kernels are combined by the Chinese remainder theorem;
+    after each one the combination is rationally reconstructed over the
+    product of the primes used, and a candidate is returned only once
+    ``value @ candidate.T`` is exactly zero.
+    """
+    residues, modulus = kernel.astype(object), _P
+    for p in _CRT_PRIMES:
+        rank_p, _, cols, reduced = _modp_pivots(value.ints, p)
+        if rank_p != rank or cols != piv_cols:
+            continue
+        step = (_kernel_rows(reduced, rank, piv_cols, p) - residues) * pow(modulus, -1, p) % p
+        residues, modulus = residues + modulus * step, modulus * p
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None and not np.any((value @ candidate.T).ints):
+            return candidate
+    return None
 
 
 def nullspace_exact(mat) -> Scaled:
     """Certified rational nullspace basis (rows) of ``mat``.
 
     Small systems run fraction-free (Bareiss) Gauss-Jordan on the integers.
-    Larger ones are screened mod ``_P``: the modular pivots locate
-    independent rows and rational reconstruction gives a candidate, verified
-    against the full matrix as an integer product (int64 when safe, Python
-    ints otherwise).  Rank over GF(p) never exceeds rank over the rationals,
-    so a verified candidate pins the nullity exactly.  Otherwise Bareiss runs
-    on the modular pivot rows and, if that candidate fails too, on all rows.
+    Larger ones are screened mod ``_P``: the modular rref gives the canonical
+    kernel (the identity on its free columns), whose rational reconstruction
+    is a candidate, verified against the full matrix as an integer product
+    (int64 when safe, Python ints otherwise).  When that candidate fails,
+    :func:`_crt_lift` adds the kernels mod further primes by the Chinese
+    remainder theorem and verifies each reconstruction the same way.  A
+    candidate has ``ncols - rank_p`` independent rows and rank mod p never
+    exceeds rank over the rationals, so a verified one pins the nullity
+    exactly.  Otherwise Bareiss runs on the modular pivot rows and, if that
+    candidate fails too, on all rows.
     """
     value = Scaled.of(mat)
     if value.ints.ndim != 2:
@@ -623,11 +675,15 @@ def nullspace_exact(mat) -> Scaled:
     nrows, ncols = value.shape
     if nrows * ncols <= _DIRECT:
         return _nullspace_int(value.ints.tolist(), ncols)
-    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints)
+    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints, _P)
     if rank_p == ncols:
         return Scaled.zeros((0, ncols))
-    candidate = _lift(_kernel_rows(reduced, rank_p, piv_cols))
+    kernel = _kernel_rows(reduced, rank_p, piv_cols, _P)
+    candidate = _lift(kernel)
     if candidate is not None and not np.any((value @ candidate.T).ints):
+        return candidate
+    candidate = _crt_lift(value, rank_p, piv_cols, kernel)
+    if candidate is not None:
         return candidate
     candidate = _nullspace_int(value.ints[piv_rows].tolist(), ncols)
     if candidate.shape[0] == ncols - rank_p and not np.any((value @ candidate.T).ints):

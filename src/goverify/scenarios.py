@@ -613,6 +613,13 @@ def scenario_catalog() -> dict[str, ScenarioSpec]:
         checks=("validate", "regular", "weakly-regular", "equivariance", "go",
                 "natred", "dazi", "split"),
         samples=16)
+    catalog["so16-partition4"] = ScenarioSpec(
+        name="so16-partition4", algebra={"family": "so", "n": 16},
+        subgroup={"partition": [4, 4, 4, 4]},
+        metric={"params": ["1", "2", "3", "4", "9/2", "11/2", "13/2", "15/2", "17/2", "19/2"]},
+        checks=("validate", "regular", "weakly-regular", "equivariance", "go",
+                "natred", "dazi", "split"),
+        samples=16)
     catalog["su3-torus-flag"] = ScenarioSpec(
         name="su3-torus-flag", algebra={"family": "su", "n": 3},
         subgroup={"kind": "cartan-diagonal"},
@@ -639,8 +646,9 @@ def replay_report(text: str) -> dict:
     replayed through the rank-gap check and witnesses through the defining
     identity; returns the ``verified`` and ``failed`` counts and ``ok``.  A
     sweep tuple's operator is rebuilt from its record by the builder of the
-    spec's sweep check; a sweep record of another kind, or a tuple without
-    that kind's fields, is a :class:`ContractViolation`.
+    spec's sweep check.  A sweep record of another kind, a tuple without that
+    kind's fields, and a record whose tuples or certificates are not a list
+    are each a :class:`ContractViolation`.
     """
     header, records, _summary = parse_machine(text)
     spec = ScenarioSpec.from_obj(header["spec"])
@@ -661,7 +669,8 @@ def replay_report(text: str) -> dict:
                 raise ContractViolation(f"a {kind} record does not fit the sweep checks "
                                         f"of scenario {spec.name!r}")
             _, build, fields = _SWEEPS[kind]
-            for tup in record["tuples"]:
+            for tup in _payload_list(record.get("tuples"), f"{kind} record tuples"):
+                tup = tup if isinstance(tup, dict) else {}
                 missing = [f for f in ("counterexample", *fields) if f not in tup]
                 if missing:
                     raise ContractViolation(f"{kind} tuple {tup.get('index')} lacks {missing}")
@@ -677,7 +686,7 @@ def _replay_go_record(operator, subgroup, record) -> list[bool]:
     outcomes = []
     if record.get("counterexample") is not None:
         outcomes.append(_replay_counterexample(operator, subgroup, record["counterexample"]))
-    for cert in record.get("certificates", []):
+    for cert in _payload_list(record.get("certificates", []), f"{record['name']} record certificates"):
         certificate = _decode_payload(go.GoCertificate, cert, operator.algebra.dim)
         outcomes.append(go.replay_certificate(operator, certificate, subgroup))
     return outcomes
@@ -686,6 +695,13 @@ def _replay_go_record(operator, subgroup, record) -> list[bool]:
 def _replay_counterexample(operator, subgroup, payload) -> bool:
     counterexample = _decode_payload(go.Unsolvable, payload, operator.algebra.dim)
     return go.replay_counterexample(operator, subgroup, counterexample)
+
+
+def _payload_list(value, what: str) -> list:
+    """``value`` when it is a list; anything else is a :class:`ContractViolation`."""
+    if not isinstance(value, list):
+        raise ContractViolation(f"{what} is {type(value).__name__}, not a list")
+    return value
 
 
 def _decode_payload(kind, payload, dim: int):

@@ -319,26 +319,45 @@ class RankEstimate:
 
 
 def rank_estimate(space: Subspace) -> RankEstimate:
-    """Rank of a compact subalgebra as the minimal generic-centralizer dimension.
+    """Rank of a compact subalgebra as the minimal generic-centralizer dimension
+    (memoized per span).
 
-    Five fixed pseudo-random elements (stream ``rank:0:{dim}``, more only while
-    the best is not abelian); the witness with the smallest centralizer wins
-    and must be abelian (a Cartan subalgebra of the input).  The rank does not
-    depend on which generic elements were drawn.
+    Five fixed pseudo-random elements ``h`` (stream ``rank:0:{dim}``) are
+    drawn and each system ``ad(h)`` on the subalgebra is ranked mod ``_P``.
+    A rank mod p never exceeds the rational rank, so ``dim - rank_p`` bounds
+    the centralizer from above; only the first element of largest modular
+    rank gets its centralizer computed exactly, and that centralizer must be
+    abelian.  While it is not, further elements are drawn (13 in all at
+    most), and one is computed exactly only when its modular nullity is below
+    the best exact dimension.  An abelian centralizer in a compact algebra is
+    a Cartan subalgebra, so its dimension is the rank, whichever element
+    produced it, and no other draw can undercut it.
     """
     if space.dim == 0:
         return RankEstimate(0, CartanWitness(Scaled.zeros((0, space.algebra.dim)), True))
-    rng = random.Random(f"rank:0:{space.dim}")
-    best: CartanWitness | None = None
-    attempts = 0
-    while attempts < 5 or not best.abelian:
-        if attempts >= 13:
+
+    def build():
+        rng = random.Random(f"rank:0:{space.dim}")
+        elements = [space.random_element(rng) for _ in range(5)]
+        nullities = [_nullity_modp(space, h) for h in elements]
+        best = _centralizer_witness(space, elements[nullities.index(min(nullities))])
+        for _ in range(8):
+            if best.abelian:
+                break
+            element = space.random_element(rng)
+            if _nullity_modp(space, element) < best.dim:
+                best = _centralizer_witness(space, element)
+        if not best.abelian:
             raise arith.ExactComputationError("rank estimate failed to find an abelian centralizer")
-        witness = _centralizer_witness(space, space.random_element(rng))
-        attempts += 1
-        if best is None or witness.dim < best.dim:
-            best = witness
-    return RankEstimate(best.dim, best)
+        return RankEstimate(best.dim, best)
+    return span_memo(space, build, "rank")
+
+
+def _nullity_modp(space: Subspace, element) -> int:
+    """``dim`` minus the rank mod ``_P`` of ``ad(element)`` on the subalgebra: an
+    upper bound on the dimension of the element's centralizer in it."""
+    system = space.algebra.contract(element) @ space.basis.T
+    return space.dim - arith._modp_pivots(system.ints, arith._P)[0]
 
 
 def _centralizer_witness(space: Subspace, element) -> CartanWitness:

@@ -12,7 +12,10 @@ T and then cut to the form-symmetric maps, against which the solve on the
 symmetric unknowns of ``reps.symmetric_commutant`` is checked.  And
 :func:`bi_invariant_by_blocks` decides bi-invariance through the ideal
 decomposition, against which the commutation check of
-``metrics.bi_invariance_check`` is checked.
+``metrics.bi_invariance_check`` is checked.  Last,
+:func:`rank_estimate_all_exact` builds every drawn element's centralizer
+exactly, against which the modular-first ``subspaces.rank_estimate`` is
+checked.
 """
 
 import itertools
@@ -27,7 +30,8 @@ from goverify.go import GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
 from goverify.lie import StructureAlgebra
 from goverify.metrics import (BlockSpec, MetricOperator, equivariance_check, invariant_subspace,
                               restrict_operator)
-from goverify.subspaces import Subspace, ideal_decomposition, projector
+from goverify.subspaces import (CartanWitness, RankEstimate, Subspace, _centralizer_witness,
+                                ideal_decomposition, projector)
 
 
 def fractions(x) -> np.ndarray:
@@ -219,3 +223,22 @@ def go_verdict_by_direction(operator: MetricOperator, subalgebra, strategy: Samp
             certificates.append(result)
     return GoVerdict(False, len(directions), strategy,
                      certificates=tuple(certificates) if keep_certificates else ())
+
+
+def rank_estimate_all_exact(space: Subspace) -> RankEstimate:
+    """The rank estimate with an exact centralizer for every drawn element: five
+    elements of the stream ``rank:0:{dim}``, more (13 in all at most) while the
+    smallest centralizer so far is not abelian; the first smallest one wins."""
+    if space.dim == 0:
+        return RankEstimate(0, CartanWitness(arith.Scaled.zeros((0, space.algebra.dim)), True))
+    rng = random.Random(f"rank:0:{space.dim}")
+    best = None
+    attempts = 0
+    while attempts < 5 or not best.abelian:
+        if attempts >= 13:
+            raise arith.ExactComputationError("rank estimate failed to find an abelian centralizer")
+        witness = _centralizer_witness(space, space.random_element(rng))
+        attempts += 1
+        if best is None or witness.dim < best.dim:
+            best = witness
+    return RankEstimate(best.dim, best)

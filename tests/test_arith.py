@@ -13,7 +13,7 @@ from goverify import arith
 from goverify.arith import (ContractViolation, ExactComputationError, Inconsistent,
                             Solution, q, qarray, qeye, qzeros)
 from goverify.lie import build_classical
-from goverify.subspaces import Subspace, rank_estimate
+from goverify.subspaces import Subspace
 from oracles import fmatmul, positive_definite
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -216,11 +216,11 @@ def test_nullspace_python_int_check_matches_int64(monkeypatch):
 
 # -- blocked modular elimination ----------------------------------------------
 
-def _scalar_modp_pivots(mat, monkeypatch):
+def _scalar_modp_pivots(mat, p, monkeypatch):
     """The one-pivot-at-a-time loop: a panel wider than any test matrix."""
     with monkeypatch.context() as patched:
         patched.setattr(arith, "_PANEL", 10**9)
-        return arith._modp_pivots(mat)
+        return arith._modp_pivots(mat, p)
 
 
 def _rank_deficient(rng):
@@ -244,27 +244,29 @@ def _pivotless_panel(rng):
 def test_panel_elimination_matches_scalar_loop(build, monkeypatch):
     mat = build(np.random.RandomState(5))
     assert mat.shape[1] > 2 * arith._PANEL
-    rank, piv_rows, piv_cols, reduced = arith._modp_pivots(mat)
-    ref_rank, ref_rows, ref_cols, ref_reduced = _scalar_modp_pivots(mat, monkeypatch)
-    assert (rank, piv_rows, piv_cols) == (ref_rank, ref_rows, ref_cols)
-    assert np.array_equal(reduced[:rank], ref_reduced[:ref_rank])
-    if build is _rank_deficient:
-        assert rank == 40
-    if build is _pivotless_panel:
-        assert not [c for c in piv_cols if 64 <= c < 128]
+    for p in (arith._P, arith._CRT_PRIMES[-1]):
+        rank, piv_rows, piv_cols, reduced = arith._modp_pivots(mat, p)
+        ref_rank, ref_rows, ref_cols, ref_reduced = _scalar_modp_pivots(mat, p, monkeypatch)
+        assert (rank, piv_rows, piv_cols) == (ref_rank, ref_rows, ref_cols)
+        assert np.array_equal(reduced[:rank], ref_reduced[:ref_rank])
+        if build is _rank_deficient:
+            assert rank == 40
+        if build is _pivotless_panel:
+            assert not [c for c in piv_cols if 64 <= c < 128]
 
 
 def test_mulmod_exact_at_its_bound():
     assert arith._PANEL * (arith._P - 1) * 0xFFFF < 2**53
+    assert max(arith._CRT_PRIMES) < arith._P
     rng = np.random.RandomState(7)
     a = rng.randint(arith._P - 2**20, arith._P, size=(5, arith._PANEL), dtype=np.int64)
     a[0] = arith._P - 1
     b = np.full((arith._PANEL, 9), arith._P - 1, dtype=np.int64)
     expected = (a.astype(object) @ b.astype(object)) % arith._P
-    assert np.array_equal(arith._mulmod(a, b), expected.astype(np.int64))
+    assert np.array_equal(arith._mulmod(a, b, arith._P), expected.astype(np.int64))
     with pytest.raises(ContractViolation):
         arith._mulmod(np.ones((1, arith._PANEL + 1), dtype=np.int64),
-                      np.ones((arith._PANEL + 1, 1), dtype=np.int64))
+                      np.ones((arith._PANEL + 1, 1), dtype=np.int64), arith._P)
 
 
 def test_matmul_modp_exact_past_one_panel():
@@ -428,20 +430,91 @@ def _rows_and_max(work, reduce_above):
 
 @pytest.fixture(scope="module")
 def so9_rank_system():
-    """The first centralizer system of ``rank_estimate`` on all of so(9), as it
-    reaches ``nullspace_exact``: 36 x 36, nullity 4, nullspace entries near 54 bits."""
-    systems = []
-    original = arith.nullspace_exact
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(arith, "nullspace_exact", lambda m: systems.append(m) or original(m))
-        rank_estimate(Subspace.full(build_classical("so", 9)))
-    return systems[0]
+    """The system ``ad(h)`` on all of so(9) for the first element ``h`` of the
+    ``rank_estimate`` stream, as it reaches ``nullspace_exact``: 36 x 36,
+    nullity 4, nullspace entries near 55 bits."""
+    full = Subspace.full(build_classical("so", 9))
+    element = full.random_element(random.Random(f"rank:0:{full.dim}"))
+    return full.algebra.contract(element) @ full.basis.T
+
+
+def test_crt_primes_are_distinct_primes_below_the_mulmod_bound():
+    primes = arith._CRT_PRIMES
+    assert len(set(primes)) == len(primes) and arith._P not in primes
+    assert all(sympy.isprime(p) and p < 2**31 for p in primes)
+
+
+def test_reconstruction_mod_p_needs_no_second_prime(monkeypatch):
+    rng = np.random.RandomState(11)
+    base = rng.randint(-3, 4, size=(6, 40))
+    stack = np.concatenate([base * (i + 1) for i in range(40)], axis=0)
+    reconstructions = _record(monkeypatch, "_lift")
+    crt = _record(monkeypatch, "_crt_lift")
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    null = arith.nullspace_exact(stack)
+    assert [out is None for _, out in reconstructions] == [False]
+    assert crt == [] and eliminations == []
+    assert null.tolist() == _reference_nullspace(stack)
+
+
+@pytest.mark.parametrize("scale", [1, 3**45])
+def test_failed_reconstruction_mod_p_lifts_over_several_primes(so9_rank_system, scale, monkeypatch):
+    system = so9_rank_system * scale
+    reconstructions = _record(monkeypatch, "_lift")
+    crt = _record(monkeypatch, "_crt_lift")
+    primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    null = arith.nullspace_exact(system)
+    assert [out is None for _, out in reconstructions] == [True]
+    assert [out is None for _, out in crt] == [False] and eliminations == []
+    used = [p for p, _ in primes]
+    assert used[0] == arith._P and used[1:] == list(arith._CRT_PRIMES[:len(used) - 1])
+    assert len(used) >= 3    # 55-bit entries need a modulus of more than 62 bits
+    assert null.tolist() == _reference_nullspace(so9_rank_system)
+    bound = math.isqrt(arith._P // 2)
+    assert max(max(abs(v.numerator), v.denominator) for v in null.fractions().reshape(-1)) > bound
+
+
+def _rank_drop_at(system, p):
+    """``system`` with one more row: its row 0 plus ``p`` on a free column, so
+    that the rank rises by one over the rationals but not mod ``p``."""
+    ints = system.ints
+    _, pivots = _reference_rref(ints.astype(object))
+    row = ints[0].copy()
+    row[next(c for c in range(ints.shape[1]) if c not in pivots)] += p
+    return np.concatenate([ints, row[None, :]])
+
+
+def _pivots_move_at(system, p):
+    """``system`` beside the block ``[[p, 1]]``: the same rank over the
+    rationals and mod ``p``, whose pivot moves from column 36 to 37 mod ``p``."""
+    ints = system.ints
+    out = np.zeros((ints.shape[0] + 1, ints.shape[1] + 2), dtype=np.int64)
+    out[:-1, :-2] = ints
+    out[-1, -2:] = (p, 1)
+    return out
+
+
+@pytest.mark.parametrize("build", [_rank_drop_at, _pivots_move_at], ids=["rank", "pivot-columns"])
+def test_prime_with_other_rank_or_pivots_is_skipped(so9_rank_system, build, monkeypatch):
+    skipped = arith._CRT_PRIMES[0]
+    mat = build(so9_rank_system, skipped)
+    screens = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
+    kernels = _record(monkeypatch, "_kernel_rows", lambda reduced, rank, cols, p: p)
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    null = arith.nullspace_exact(mat)
+    ranks = {p: (rank, cols) for p, (rank, _, cols, _) in screens}
+    assert ranks[skipped] != ranks[arith._P]
+    assert skipped not in [p for p, _ in kernels] and len(kernels) >= 3
+    assert eliminations == []
+    assert null.tolist() == _reference_nullspace(mat)
 
 
 @pytest.mark.parametrize("scale", [1, 3**45])
 def test_failed_reconstruction_runs_bareiss_on_the_pivot_rows(so9_rank_system, scale, monkeypatch):
     system = so9_rank_system * scale
     reconstructions = _record(monkeypatch, "_lift")
+    monkeypatch.setattr(arith, "_crt_lift", lambda value, rank, piv_cols, kernel: None)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
     assert [out is None for _, out in reconstructions] == [True]

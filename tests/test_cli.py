@@ -77,7 +77,7 @@ def test_scenario_list_contains_catalog(capsys):
     code, out, _ = run_cli(["scenario", "list"], capsys)
     assert code == 0
     for name in ("so6-222-grid", "so9-333-regularity", "su3-torus-flag",
-                 "triple-shape-demo", "so12-partition4-genmet1"):
+                 "triple-shape-demo", "so12-partition4-genmet1", "so16-partition4"):
         assert name in out
 
 
@@ -283,9 +283,12 @@ def _first_certificate(records):
     return next(r for r in records if r.get("certificates"))["certificates"]
 
 
+def _sweep_record(records):
+    return next(r for r in records if r.get("name") == "sweep")
+
+
 def _first_tuple_counterexample(records):
-    sweep = next(r for r in records if r.get("name") == "sweep")
-    return next(t["counterexample"] for t in sweep["tuples"] if t["counterexample"])
+    return next(t["counterexample"] for t in _sweep_record(records)["tuples"] if t["counterexample"])
 
 
 @pytest.mark.parametrize("kind, damage, message", [
@@ -295,8 +298,14 @@ def _first_tuple_counterexample(records):
      "direction has 14 entries, not 15"),
     ("sweep", lambda r: _first_tuple_counterexample(r).pop("rank_a"), "counterexample lacks ['rank_a']"),
     ("sweep", lambda r: _first_tuple_counterexample(r).update(rank_a="x"), "rank_a 'x' is not an int"),
+    ("go", lambda r: next(x for x in r if x.get("certificates")).update(certificates=5),
+     "go record certificates is int, not a list"),
+    ("sweep", lambda r: _sweep_record(r).pop("tuples"), "sweep record tuples is NoneType, not a list"),
+    ("sweep", lambda r: _sweep_record(r)["tuples"].__setitem__(0, 3),
+     "sweep tuple None lacks ['counterexample', 'params']"),
 ], ids=["short-certificate-direction", "empty-certificate", "short-tuple-direction",
-        "tuple-without-rank_a", "tuple-with-a-string-rank_a"])
+        "tuple-without-rank_a", "tuple-with-a-string-rank_a", "certificates-not-a-list",
+        "sweep-without-tuples", "tuple-not-an-object"])
 def test_replay_of_a_malformed_certificate_is_an_error_line(certified_reports, kind, damage,
                                                             message, tmp_path):
     records = json.loads(json.dumps(certified_reports[kind]))

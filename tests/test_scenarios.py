@@ -236,6 +236,7 @@ def _golden_specs():
             {**flag.to_obj(), "metric": {"flaggrid": {"tuples": 4}}}),
         "so9-333-regularity": catalog["so9-333-regularity"],
         "so12-partition4-genmet1": catalog["so12-partition4-genmet1"],
+        "so16-partition4": catalog["so16-partition4"],
     }
 
 
@@ -246,13 +247,16 @@ def _golden_specs():
 # elimination, is the one whose rank estimates fail rational reconstruction.
 # The so(12) report, recorded while every form-dependent function still took
 # the form as an argument, is the only catalog one that runs go, natred, dazi
-# and split on a large algebra.
+# and split on a large algebra.  The so(16) report, recorded while every rank
+# estimate still built five exact centralizers by Bareiss elimination, is the
+# one whose centralizer bases (entries near 220 bits) need the multi-prime lift.
 GOLDEN_SHA256 = {
     "so6-probe": "b8e88216ceddcfc9c3b10409e1414d92ca90a796707ae8f4aa261386aaab12cd",
     "triple-shape-demo": "66b76f3e57624ebdf16c4c4cbbb094f5d671cb7f9e81aaf35f95b4326bddea4a",
     "su3-torus-flag": "003354c4d94641894d22a4c6cde2a6d52f1565b79fe25ff903443f31ffdbba9a",
     "so9-333-regularity": "74ce939d8ae2547347bf6689cb29a2372ead8e31f2e013cdc0d778d1e3b1bb4d",
     "so12-partition4-genmet1": "be93d0fe581f7791062a3293f7b249fd1bfeccafda241bac344d2bb7cf0d6879",
+    "so16-partition4": "dcf1ea712d935d173a04596a1d2125d381e70e7174b6857206d5a0ecf908ee03",
 }
 
 
@@ -391,6 +395,20 @@ def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
     calls.clear()
     run_check(_pipeline_so9(1))
     assert calls["intertwiner_space"] == 2
+
+
+def test_regular_check_builds_one_exact_centralizer_per_span(monkeypatch):
+    """The so(9) pipeline's regular check ranks all of so(9), so(3)^3 and its
+    normalizer (the same span): two exact centralizers, where building one for
+    each of the five draws on each of the three took fifteen."""
+    built = []
+    witness = subspaces._centralizer_witness
+    monkeypatch.setattr(subspaces, "_centralizer_witness",
+                        lambda space, element: built.append(space.dim) or witness(space, element))
+    report = run_check(dataclasses.replace(_pipeline_so9(1), checks=("regular",)))
+    assert built == [36, 9]
+    assert [(r["rank_ambient"], r["rank_subalgebra"], r["rank_normalizer"])
+            for r in report.records] == [(4, 3, 3)]
 
 
 def test_bi_invariance_agrees_with_the_block_form_on_the_catalog(monkeypatch):

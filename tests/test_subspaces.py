@@ -14,7 +14,7 @@ from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
                                 ideal_decomposition, is_regular, is_subalgebra,
                                 normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
-from oracles import fmatmul
+from oracles import fmatmul, rank_estimate_all_exact
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +288,19 @@ def test_normalizer_cross_check_raises_on_wrong_centralizer(monkeypatch):
     monkeypatch.setattr(subspaces, "centralizer_in", lambda space, within: within)
     with pytest.raises(arith.ExactComputationError, match="normalizer"):
         normalizer(k)
+
+
+@pytest.mark.parametrize("n, partition", [(9, (3, 3, 3)), (12, (3, 3, 3, 3))], ids=["so9", "so12"])
+def test_modular_first_rank_matches_the_all_exact_reference(n, partition):
+    """Value and Cartan witness on all of so(n), on so(3)^s and on its normalizer."""
+    layout = embed_so_partition(n, partition)
+    spaces = [Subspace.full(layout.algebra), layout.subalgebra, normalizer(layout.subalgebra)]
+    for space in spaces:
+        got, expected = rank_estimate(space), rank_estimate_all_exact(space)
+        assert got.value == expected.value
+        assert got.witness.abelian and expected.witness.abelian
+        assert got.witness.centralizer_basis.equals(expected.witness.centralizer_basis)
+    assert [rank_estimate(s).value for s in spaces] == [n // 2, len(partition), len(partition)]
 
 
 def test_centralizer_witness_detects_nonabelian_centralizer():
