@@ -24,13 +24,14 @@ returned.  When the reconstruction mod ``_P`` fails or does not verify,
 verifies each reconstruction over the growing modulus the same way.  Bareiss
 elimination takes over only when no lift verifies.
 
-Solves that must return a solution or a rank gap run Bareiss.  Stacks of
-small systems whose solvability is all a caller needs go to
-:func:`certify_consistent`: one Gauss-Jordan elimination mod ``_P`` over the
-whole stack, rational reconstruction of each particular solution and one
-exact product to check them.  It certifies or leaves a system undecided,
-never declares one inconsistent; undecided systems fall back to
-:func:`solve_int`.
+Stacks of small systems, the witness systems of a geodesic-orbit verdict, go
+to :func:`solve_stack`: one Gauss-Jordan elimination mod ``_P`` over the
+whole stack; each system consistent mod ``_P`` gets its particular solution
+and, when asked, its canonical nullspace, both rationally reconstructed from
+the same reduced stack and checked by one exact product.  Systems that are
+inconsistent mod ``_P`` run Bareiss (:func:`solve_int`), which also gives the
+exact rank gap of an inconsistent one; the stack lifts nothing after the
+first of those, and leaves undecided what does not lift.
 
 Modular screening works over GF(p) for primes ``p < 2**31``, passed
 explicitly: ``_P`` for screening, ranks and :func:`kernel_modp`, and
@@ -703,10 +704,11 @@ def _nullspace_int(rows: list[list[int]], ncols: int) -> Scaled:
 
 @dataclass(frozen=True)
 class Solution:
-    """A particular solution together with a nullspace basis (rows)."""
+    """A particular solution together with a nullspace basis (rows), which
+    :func:`solve_stack` leaves None unless asked for kernels."""
 
     x: Scaled
-    nullspace: Scaled
+    nullspace: Scaled | None
 
 
 @dataclass(frozen=True)
@@ -744,33 +746,27 @@ def solve_int(aug: np.ndarray):
                     nullspace=_nullspace_from_rref(rows, pivots, ncols, det))
 
 
-def certify_consistent(aug) -> np.ndarray:
-    """Which of the stacked systems ``aug[n] = [A_n | b_n]`` provably have a rational solution.
+def solve_stack(aug, kernels: bool) -> list:
+    """The exact answers of the stacked systems ``aug[n] = [A_n | b_n]``, in stack order.
 
     ``aug`` holds integers (int64 or Python ints) of shape ``(N, rows, k + 1)``;
-    each system may carry its own positive scale.  ``mask[n]`` is True when
-    the particular solution of :func:`_certified_solutions` satisfies
-    ``A_n x_n = b_n`` exactly.  False means undecided, never inconsistent:
-    rank can drop mod ``_P`` and reconstruction can fail, so such systems
-    belong to :func:`solve_int`.
-    """
-    return _certified_solutions(aug)[:, -1] != 0
+    each system may carry its own positive scale.  One Gauss-Jordan
+    elimination mod ``_P`` runs on the whole stack, column by column, each
+    system taking its own first free nonzero pivot row.  Entry ``n`` is
 
+    - a :class:`Solution` read off the reduced stack for a system consistent
+      mod ``_P`` (see :func:`_lift_solutions`);
+    - the :func:`solve_int` answer of a system inconsistent mod ``_P``: rank
+      can drop mod p, so only Bareiss decides it;
+    - None (undecided) where the lift fails, and for every system after the
+      first one that :func:`solve_int` finds inconsistent, so that a stack
+      with a counterexample lifts only the systems before it.
 
-def _certified_solutions(aug) -> np.ndarray:
-    """Integer vectors ``y[n]`` with ``aug[n] @ y[n] == 0`` checked exactly, and
-    ``y[n, -1] = -d_n < 0`` where certified; zero rows where undecided.
-
-    One Gauss-Jordan elimination mod ``_P`` runs on the whole stack, column
-    by column, each system taking its own first nonzero pivot row.  A system
-    that is consistent mod ``_P`` gives the particular solution with its free
-    variables 0; its entries are rationally reconstructed over one common
-    denominator ``d_n``, so ``y[n] = [d_n x_n, -d_n]``, and every candidate
-    is checked by one stacked :class:`Scaled` product.
+    ``kernels`` says whether the solutions carry their nullspaces.
     """
     aug = np.asarray(aug)
     if aug.ndim != 3:
-        raise ContractViolation("certify_consistent expects a stack of augmented matrices")
+        raise ContractViolation("solve_stack expects a stack of augmented matrices")
     nsys, nrows, ncols = aug.shape
     work = (aug % _P).astype(np.int64)
     every = np.arange(nsys)
@@ -791,30 +787,70 @@ def _certified_solutions(aug) -> np.ndarray:
         work[every[has], pr[has]] = pivots[has]
         free[every[has], pr[has]] = False
         pivot_row[has, c] = pr[has]
-    y = np.zeros((nsys, ncols), dtype=object)
     # free rows are zero on A; a system is consistent mod p iff they are zero on b
-    consistent = np.flatnonzero(~np.any((work[:, :, -1] != 0) & free, axis=1))
-    if consistent.size == 0:
-        return y
-    # the particular solution: each pivot row's b on its column, 0 on the free columns
-    piv = pivot_row[consistent]
-    residues = np.where(piv >= 0, work[consistent[:, None], np.maximum(piv, 0), -1], 0)
+    consistent = ~np.any((work[:, :, -1] != 0) & free, axis=1)
+    out: list = [None] * nsys
+    stop = nsys
+    for n in np.flatnonzero(~consistent).tolist():
+        out[n] = solve_int(aug[n])
+        if isinstance(out[n], Inconsistent):
+            stop = n
+            break
+    lift = np.flatnonzero(consistent[:stop])
+    if lift.size:
+        # row c of rref[n] is the pivot row of column c, zero where c is free
+        piv = pivot_row[lift]
+        rref = np.where((piv >= 0)[:, :, None], work[lift[:, None], np.maximum(piv, 0)], 0)
+        for n, sol in zip(lift.tolist(), _lift_solutions(aug[lift], rref, kernels)):
+            out[n] = sol
+    return out
+
+
+def _lift_solutions(aug: np.ndarray, rref: np.ndarray, kernels: bool) -> list:
+    """Verified rational solutions of the systems ``aug[n]`` from their reduced
+    forms mod ``_P``, or None for each one that does not lift.
+
+    ``rref[n]`` is ``(k, k + 1)``: row c is the reduced pivot row of column c,
+    zero on free columns; the system must be consistent mod ``_P``.  Its
+    particular solution sets the free variables to 0, ``x = rref[n, :, -1]``,
+    and its canonical nullspace (the identity on the free columns) is the
+    rows of ``I - rref[n, :, :k].T``, which are zero on pivot columns.  Both are
+    rationally reconstructed over one denominator ``d_n`` per system into
+    ``Y_n = d_n [[N.T, x], [0, -1]]`` (only ``[x; -1]`` without ``kernels``),
+    and one stacked :class:`Scaled` product checks ``aug[n] @ Y_n = 0``, that
+    is ``A x = b`` and ``A N.T = 0``.  Rank mod p never exceeds the rational
+    rank, so a verified kernel of ``k - rank_p`` independent rows is the
+    whole nullspace.  ``Solution.nullspace`` is None without ``kernels``.
+    """
+    nsys, k = rref.shape[:2]
+    y = np.zeros((nsys, k + 1, k + 1 if kernels else 1), dtype=np.int64)
+    y[:, :k, -1] = rref[:, :, -1]
+    if kernels:
+        y[:, :k, :k] = (np.eye(k, dtype=np.int64) - rref[:, :, :k]) % _P
     fracs = {}
-    for a in set(residues.ravel().tolist()):     # np.unique would import numpy.ma, 1 MiB
+    for a in set(y.ravel().tolist()):     # np.unique would import numpy.ma, 1 MiB
         if (v := _rational_reconstruct(a)) is not None:
             fracs[a] = (v.numerator, v.denominator)
-    lifted, lifts = [], []
-    for n, row in zip(consistent.tolist(), residues.tolist()):
-        if all(a in fracs for a in row):
-            xs = [fracs[a] for a in row]
-            d = math.lcm(*(den for _, den in xs))
-            lifts.append([num * (d // den) for num, den in xs] + [-d])
-            lifted.append(n)
-    if lifted:
-        y[lifted] = lifts
-        residual = Scaled(aug[lifted]) @ Scaled(y[lifted][:, :, None])
-        y[np.array(lifted)[np.any(residual.ints != 0, axis=(1, 2))]] = 0
-    return y
+    ys, scales, lifted = [], [], []
+    for n, residues in enumerate(y.tolist()):
+        entries = [fracs.get(a) for row in residues for a in row]
+        if None in entries:
+            continue
+        d = math.lcm(*(den for _, den in entries))
+        ys.append([num * (d // den) for num, den in entries[:-1]] + [-d])
+        scales.append(d)
+        lifted.append(n)
+    out: list = [None] * nsys
+    if not lifted:
+        return out
+    ys = Scaled(np.array(ys, dtype=object).reshape(len(lifted), k + 1, -1))
+    ok = ~np.any((Scaled(aug[lifted]) @ ys).ints != 0, axis=(1, 2))
+    for n, d, good, yn in zip(lifted, scales, ok.tolist(), ys.ints):
+        if good:
+            # a pivot column's kernel row is zero, a free one's is d on the diagonal
+            null = Scaled(yn[:k, :k][:, yn.diagonal()[:k] != 0].T, d) if kernels else None
+            out[n] = Solution(x=Scaled(yn[:k, -1], d), nullspace=null)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ geodesic orbit (the criterion is an equivalence), while a solvable sweep
 over sampled directions is reported as NotDisproved, never as a proof.
 
 A verdict screens all sampled directions as one stack: where [X, L X] = 0
-the zero witness already works.  A verdict that keeps no certificates hands
-the witness systems of the other directions to one stacked modular solve,
-:func:`arith.certify_consistent`; a system it certifies has a checked
-rational solution, and only the ones it leaves undecided get an exact
-Bareiss solve, in label order, so the first inconsistent direction and its
-rank gap are those of solving every direction.  A verdict that keeps
-certificates solves every moving direction for its minimal-norm witness.
+the zero witness already works.  The witness systems of the other directions
+go to one stacked modular solve, :func:`arith.solve_stack`, whether or not
+the verdict keeps certificates: a solution it lifts is checked exactly and
+gives the minimal-norm witness of a kept certificate, and a system
+inconsistent mod p gets its Bareiss solve there.  Only the systems it leaves
+undecided get :func:`go_solve_at`, in label order, so the first inconsistent
+direction and its exact rank gap are those of solving every direction.
 """
 
 from __future__ import annotations
@@ -110,25 +110,35 @@ def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
     if not np.any(aug[:, -1]):
         # [X, L X] = 0 already; the zero witness is minimal
         return GoCertificate(direction, Scaled.zeros(operator.algebra.dim))
-    sol = arith.solve_int(aug)
+    return _outcome(operator, subalgebra, direction, ad_lx, arith.solve_int(aug))
+
+
+def _outcome(operator: MetricOperator, subalgebra: Subspace, direction: Scaled, ad_lx: Scaled,
+             sol: arith.Solution | arith.Inconsistent):
+    """Unsolvable with the rank gap of an inconsistent witness system, or the
+    GoCertificate of a solvable one, whose minimal-norm witness is checked by
+    ``[W + X, L X] = 0``."""
     if isinstance(sol, arith.Inconsistent):
         return Unsolvable(direction, sol.rank_a, sol.rank_ab)
-    witness = _minimal_norm(sol, subalgebra, operator) @ subalgebra.basis
+    witness = _minimal_norm(sol, subalgebra) @ subalgebra.basis
     if not is_zero(ad_lx @ (witness + direction)):  # [W + X, L X]; pragma: no cover - solver identity
         raise arith.ExactComputationError("witness verification failed")
     return GoCertificate(direction, witness)
 
 
-def _minimal_norm(sol: arith.Solution, subalgebra: Subspace, operator: MetricOperator):
-    """Minimal ambient-norm coefficient vector among x0 + nullspace."""
+def _minimal_norm(sol: arith.Solution, subalgebra: Subspace):
+    """Minimal ambient-norm coefficient vector among x0 + nullspace.
+
+    The form is positive definite on k, so the Gram matrix of the nullspace
+    basis is invertible and the minimum is unique: the form-orthogonal
+    projection of the origin onto x0 + nullspace, whichever particular
+    solution and nullspace basis describe that affine space.
+    """
     if sol.nullspace.shape[0] == 0 or subalgebra.dim == 0:
         return sol.x
     gram = subalgebra.gram
     n = sol.nullspace
-    t = arith.solve_linear(n @ gram @ n.T, -(n @ (gram @ sol.x)))
-    if isinstance(t, arith.Inconsistent):  # pragma: no cover - gram is definite
-        raise arith.ExactComputationError("minimal-norm solve failed")
-    return sol.x + t.x @ n
+    return sol.x - (n @ (gram @ sol.x)) @ arith.inverse(n @ gram @ n.T) @ n
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +182,13 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
 
     All directions are screened as one stack: ``L X``, ``ad(L X)`` and
     ``[L X, X]`` are batched products.  A direction with ``[L X, X] = 0`` has
-    the zero witness.  Without ``keep_certificates`` the witness systems of
-    all other directions go to one :func:`arith.certify_consistent`, and only
-    those it leaves undecided are solved; with it, every one of them is
-    solved for its minimal-norm witness.  Exact solves take the direction's
-    row of the stacked ``ad(L X)``, in label order, so a negative verdict
-    carries the exact rank-gap certificate of the first failing direction.
+    the zero witness.  The witness systems of all other directions go to one
+    :func:`arith.solve_stack`, which lifts their solutions (with nullspaces
+    when certificates are kept) and solves the ones inconsistent mod p by
+    Bareiss, up to the first inconsistent one.  The labels are walked in
+    order: a lifted solution gives its minimal-norm witness, only a system the
+    stacked solve leaves undecided gets :func:`go_solve_at`, and a negative
+    verdict carries the exact rank gap of the first failing direction.
     NotDisproved is explicitly a sampling outcome, not a proof.
     """
     if not equivariance_check(operator, subalgebra):
@@ -185,19 +196,22 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
     labels, directions = _directions(operator, strategy, within)
     ad_lx = operator.algebra.contract(directions @ operator.matrix.T)   # row n: ad(L X_n)
     bracket = ad_lx @ directions.reshape(*directions.shape, 1)          # row n: [L X_n, X_n]
-    unsolved = np.any(bracket.ints != 0, axis=(1, 2))
-    if not keep_certificates:
-        moving = np.flatnonzero(unsolved)
-        aug = Scaled.concat([-(ad_lx[moving] @ subalgebra.basis.T), bracket[moving]], axis=2)
-        unsolved[moving[arith.certify_consistent(aug.ints)]] = False
+    moving = np.flatnonzero(np.any(bracket.ints != 0, axis=(1, 2)))
+    aug = Scaled.concat([-(ad_lx[moving] @ subalgebra.basis.T), bracket[moving]], axis=2)
+    solved = dict(zip(moving.tolist(), arith.solve_stack(aug.ints, keep_certificates)))
     certificates = []
     for n, label in enumerate(labels):
-        if not unsolved[n]:
+        if n not in solved:
             if keep_certificates:
                 certificates.append(GoCertificate(directions[n], Scaled.zeros(operator.algebra.dim)))
             continue
-        result = go_solve_at(operator, subalgebra, directions[n], check_equivariance=False,
-                             ad_lx=ad_lx[n])
+        if solved[n] is None:
+            result = go_solve_at(operator, subalgebra, directions[n], check_equivariance=False,
+                                 ad_lx=ad_lx[n])
+        elif keep_certificates or isinstance(solved[n], arith.Inconsistent):
+            result = _outcome(operator, subalgebra, directions[n], ad_lx[n], solved[n])
+        else:
+            continue
         if isinstance(result, Unsolvable):
             return GoVerdict(True, n + 1, strategy, counterexample=result,
                              counterexample_label=label, certificates=tuple(certificates))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -567,39 +568,72 @@ def _random_stack(rng, nsys, nrows, ncols):
     return stack
 
 
+def _same_span(a, b):
+    """Whether the rows of two rational matrices span the same space."""
+    both = arith.Scaled.concat([arith.Scaled.of(a), arith.Scaled.of(b)])
+    return arith.rank_exact(a) == arith.rank_exact(b) == arith.rank_exact(both)
+
+
 @pytest.mark.parametrize("scale", [1, 3**40])
-def test_certify_consistent_matches_the_exact_solve(scale):
-    """Every certified system has the :func:`solve_int` solution, with the same
-    particular x; these small systems keep their minors far below ``_P``, so
-    every consistent one is certified."""
+def test_solve_stack_matches_the_exact_solve(scale):
+    """Every system up to the first inconsistent one gets :func:`solve_int`'s
+    answer: its x and a nullspace of the same span, or its rank gap; every
+    system after it is undecided.  These small systems keep their minors far
+    below ``_P``, so nothing before the first inconsistent one is undecided."""
     rng = np.random.RandomState(17)
-    counts = {True: 0, False: 0}
+    counts = Counter()
     for _ in range(60):
         shape = rng.randint(0, 7), rng.randint(1, 7), rng.randint(0, 5)
         aug = _random_stack(rng, *shape)
         aug = aug if scale == 1 else aug.astype(object) * scale
-        mask = arith.certify_consistent(aug)
-        solutions = arith._certified_solutions(aug)
-        assert mask.dtype == bool and mask.shape == (shape[0],)
+        out = arith.solve_stack(aug, True)
+        bare = arith.solve_stack(aug, False)
+        assert len(out) == len(bare) == shape[0]
+        stopped = False
         for n in range(shape[0]):
             sol = arith.solve_int(aug[n])
-            assert mask[n] == isinstance(sol, Solution)
-            counts[bool(mask[n])] += 1
-            if mask[n]:
-                x = arith.Scaled(solutions[n, :-1], -solutions[n, -1])
-                assert x.equals(sol.x)
-    assert min(counts.values()) > 20
+            counts[type(out[n]).__name__] += 1
+            if stopped:
+                assert out[n] is None and bare[n] is None
+            elif isinstance(out[n], Inconsistent):
+                assert _as_tuple(out[n]) == _as_tuple(sol) == _as_tuple(bare[n])
+                stopped = True
+            else:
+                assert isinstance(out[n], Solution) and isinstance(sol, Solution)
+                assert out[n].x.equals(sol.x) and bare[n].x.equals(sol.x)
+                assert out[n].nullspace.shape == sol.nullspace.shape and bare[n].nullspace is None
+                assert _same_span(out[n].nullspace, sol.nullspace)
+    assert min(counts[k] for k in ("Solution", "Inconsistent", "NoneType")) > 20
 
 
-def test_certify_consistent_leaves_systems_that_mislead_mod_p_undecided():
-    """A pivot divisible by ``_P`` is lost mod p, and a system consistent mod p
-    only fails the exact check; both are left to the exact solve."""
+def test_solve_stack_lifts_only_up_to_the_first_inconsistent_system(monkeypatch):
+    """A system inconsistent mod ``_P`` gets the exact solve; the stack goes on
+    past it only when that solve succeeds (a pivot divisible by ``_P``), and
+    nothing after an exactly inconsistent system is lifted."""
+    lifted = _record(monkeypatch, "_lift_solutions", lambda aug, *_: len(aug))
+    rank_drop = [[arith._P, 0, 1], [0, 1, 2]]            # x = (1/_P, 2): inconsistent mod p
+    plain = [[2, 0, 1], [0, 3, 1]]                       # x = (1/2, 1/3)
+    wrong = [[1, 1, 1], [1, 1, 2]]                       # rank 1 < 2
+    out = arith.solve_stack(np.array([rank_drop, plain]), True)
+    assert [list(sol.x) for sol in out] == [[Fraction(1, arith._P), 2],
+                                            [Fraction(1, 2), Fraction(1, 3)]]
+    assert all(sol.nullspace.shape == (0, 2) for sol in out) and [n for n, _ in lifted] == [1]
+    lifted.clear()
+    out = arith.solve_stack(np.array([plain, wrong, plain, rank_drop]), False)
+    assert isinstance(out[0], Solution) and _as_tuple(out[1]) == ("inconsistent", 1, 2)
+    assert out[2:] == [None, None] and [n for n, _ in lifted] == [1]
+
+
+def test_solve_stack_leaves_systems_that_mislead_mod_p_to_the_exact_solve():
+    """A pivot divisible by ``_P`` is lost mod p, so the stack takes the exact
+    solve's answer; a system consistent mod p only fails the exact check and
+    is left undecided."""
     aug = np.array([[[arith._P, 1]]])
-    assert arith.certify_consistent(aug).tolist() == [False]
     sol = arith.solve_int(aug[0])
     assert isinstance(sol, Solution) and list(sol.x) == [Fraction(1, arith._P)]
+    assert [list(s.x) for s in arith.solve_stack(aug, True)] == [[Fraction(1, arith._P)]]
     aug = np.array([[[1, 1], [1 + arith._P, 1]]])
-    assert arith.certify_consistent(aug).tolist() == [False]
+    assert arith.solve_stack(aug, True) == [None]
     assert isinstance(arith.solve_int(aug[0]), Inconsistent)
 
 

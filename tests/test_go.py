@@ -139,19 +139,21 @@ def _verdict_case(so6, name):
         "no-samples": (dazi, merged, SamplingStrategy(basis_vectors=False, structured=False,
                                                       random_count=0), None, True),
         "reconstruction-fails": (distinct, k, STRATEGY, None, False),
+        "reconstruction-fails-with-certificates": (dazi, merged, STRATEGY, None, True),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["disproved", "solved-with-certificates", "coset-sweep",
                                   "python-ints", "zero-dimensional-within", "no-samples",
-                                  "reconstruction-fails"])
+                                  "reconstruction-fails",
+                                  "reconstruction-fails-with-certificates"])
 def test_batched_verdict_equals_per_direction_oracle(so6, name, monkeypatch):
     """The batched screen gives the verdict of one exact solve per direction:
     kind, samples, counterexample and every certificate.  With rational
-    reconstruction failing, the stacked consistency screen certifies nothing
-    and every moving direction falls back to its exact solve."""
+    reconstruction failing, the stacked solve lifts nothing and every moving
+    direction falls back to its exact solve."""
     op, k, strategy, within, keep = _verdict_case(so6, name)
-    if name == "reconstruction-fails":
+    if name.startswith("reconstruction-fails"):
         monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
     got = go_verdict(op, k, strategy, within=within, keep_certificates=keep)
     expected = go_verdict_by_direction(op, k, strategy, within=within, keep_certificates=keep)
@@ -169,34 +171,49 @@ def test_batched_verdict_equals_per_direction_oracle(so6, name, monkeypatch):
 
 
 def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
-    """Only a direction with [L X, X] != 0 reaches an exact witness solve: every
-    one of them when certificates are kept, otherwise only those the stacked
-    consistency screen leaves undecided."""
+    """A direction with [L X, X] != 0 goes to the stacked witness solve, with
+    or without kept certificates, and reaches go_solve_at only when that solve
+    leaves it undecided: never here.  The kept certificates are the
+    per-direction go_solve_at results, and the one exact (Bareiss) solve of a
+    disproved verdict is its counterexample's."""
     layout, named = so6
     dazi = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     distinct = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
     merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
     moving = sum(1 for _, x in sampled_directions(dazi, STRATEGY)
                  if not is_zero(fbracket(layout.algebra, fmatmul(dazi.matrix, x), x)))
-    calls = []
-    solve = go.go_solve_at
+    expected = go_verdict_by_direction(dazi, merged, STRATEGY, keep_certificates=True)
+    reference = go_verdict_by_direction(distinct, layout.subalgebra, STRATEGY)
+    calls, exact = [], []
+    solve, solve_int = go.go_solve_at, arith.solve_int
 
     def counting_solve(*args, **kwargs):
         calls.append(args[2])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(go, "go_solve_at", counting_solve)
-    verdict = go_verdict(dazi, merged, STRATEGY, keep_certificates=True)
-    assert not verdict.disproved
-    assert 0 < len(calls) == moving < verdict.samples
+    def counting_exact(aug):
+        exact.append(aug)
+        return solve_int(aug)
 
-    calls.clear()
+    monkeypatch.setattr(go, "go_solve_at", counting_solve)
+    monkeypatch.setattr(arith, "solve_int", counting_exact)
+    verdict = go_verdict(dazi, merged, STRATEGY, keep_certificates=True)
+    assert not verdict.disproved and 0 < moving < verdict.samples
+    assert calls == [] and exact == []
+    assert len(verdict.certificates) == len(expected.certificates) == verdict.samples
+    for got, want in zip(verdict.certificates, expected.certificates):
+        assert got.direction.equals(want.direction) and got.witness.equals(want.witness)
+
     assert not go_verdict(dazi, merged, STRATEGY).disproved
-    assert calls == []
+    assert calls == [] and exact == []
 
     verdict = go_verdict(distinct, layout.subalgebra, STRATEGY)
-    assert verdict.disproved and len(calls) >= 1
-    assert calls[-1].equals(verdict.counterexample.direction)
+    assert verdict.disproved and calls == [] and len(exact) == 1
+    assert (verdict.samples, verdict.counterexample_label) == (reference.samples,
+                                                               reference.counterexample_label)
+    assert verdict.counterexample.direction.equals(reference.counterexample.direction)
+    assert (verdict.counterexample.rank_a, verdict.counterexample.rank_ab) == \
+        (reference.counterexample.rank_a, reference.counterexample.rank_ab)
 
 
 # -- trilinear condition -----------------------------------------------------------

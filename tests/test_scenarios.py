@@ -237,6 +237,7 @@ def _golden_specs():
         "so9-333-regularity": catalog["so9-333-regularity"],
         "so12-partition4-genmet1": catalog["so12-partition4-genmet1"],
         "so16-partition4": catalog["so16-partition4"],
+        "pipeline-so9": _pipeline_so9(1),
     }
 
 
@@ -250,6 +251,9 @@ def _golden_specs():
 # and split on a large algebra.  The so(16) report, recorded while every rank
 # estimate still built five exact centralizers by Bareiss elimination, is the
 # one whose centralizer bases (entries near 220 bits) need the multi-prime lift.
+# The so(9) pipeline report, recorded while every kept witness came from its
+# own Bareiss solve, holds the 55 go-isometry certificates of a verdict that
+# now takes them from one stacked modular solve.
 GOLDEN_SHA256 = {
     "so6-probe": "b8e88216ceddcfc9c3b10409e1414d92ca90a796707ae8f4aa261386aaab12cd",
     "triple-shape-demo": "66b76f3e57624ebdf16c4c4cbbb094f5d671cb7f9e81aaf35f95b4326bddea4a",
@@ -257,6 +261,7 @@ GOLDEN_SHA256 = {
     "so9-333-regularity": "74ce939d8ae2547347bf6689cb29a2372ead8e31f2e013cdc0d778d1e3b1bb4d",
     "so12-partition4-genmet1": "be93d0fe581f7791062a3293f7b249fd1bfeccafda241bac344d2bb7cf0d6879",
     "so16-partition4": "dcf1ea712d935d173a04596a1d2125d381e70e7174b6857206d5a0ecf908ee03",
+    "pipeline-so9": "4a213dd0e6a9b23cc95fdf6da90f2a9d365843906fb95ef8116fd5e9145e5f66",
 }
 
 
@@ -329,6 +334,34 @@ def _pipeline_so9(seed):
                         subgroup={"partition": [3, 3, 3]},
                         metric={"params": ["2", "2", "3", "2", "1", "1"]},
                         checks=ALL_CHECKS, samples=16, seed=seed)
+
+
+def test_pipeline_witnesses_need_no_exact_solve_but_the_counterexample(monkeypatch):
+    """On the pinned so(9) pipeline the go-isometry verdict takes all its
+    certificates from the stacked solve, with no Bareiss solve, and the go
+    verdict makes exactly one: the rank gap of its counterexample."""
+    solves, verdicts = [], []
+    solve_int, go_verdict = arith.solve_int, go.go_verdict
+
+    def counting_solve(aug):
+        solves.append(aug)
+        return solve_int(aug)
+
+    def counting_verdict(*args, **kwargs):
+        solves.clear()
+        verdict = go_verdict(*args, **kwargs)
+        verdicts.append((verdict, len(solves)))
+        return verdict
+
+    monkeypatch.setattr(arith, "solve_int", counting_solve)
+    monkeypatch.setattr(go, "go_verdict", counting_verdict)
+    spec = dataclasses.replace(_pipeline_so9(1), checks=("go",))
+    records = {r["name"]: r for r in run_check(spec).records}
+    (subgroup, subgroup_solves), (isometry, isometry_solves) = verdicts
+    assert records["go"]["verdict"] == subgroup.kind == "Disproved" and subgroup_solves == 1
+    assert records["go-isometry"]["verdict"] == isometry.kind == "NotDisproved"
+    assert len(records["go-isometry"]["certificates"]) == isometry.samples == 55
+    assert isometry_solves == 0
 
 
 def test_structural_records_do_not_depend_on_the_seed():
