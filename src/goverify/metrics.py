@@ -148,7 +148,7 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec) -> MetricOper
     matrix = sum(p * v for p, v in zip(projectors, [v for s, v in spec.blocks if s.dim]))
     if spec.center_block is not None and center.dim:
         # Q(L u, v) = inner(u, v) on the center: L = B^T G^-1 inner G^-1 B Q there
-        gram_inv = arith.inverse(center.gram)
+        gram_inv = center.gram_inverse
         matrix = matrix + center.basis.T @ (gram_inv @ inner @ gram_inv) @ center.basis @ form.matrix
     return MetricOperator(algebra, matrix, spec)
 

@@ -5,6 +5,12 @@ disjointness, isotypic decompositions and the weak-regularity decision.
 Everything here is exact; equivalence of real modules is decided purely by
 intertwiner-space dimension, which for the completely reducible actions of
 compact subalgebras coincides with sharing an irreducible constituent.
+
+The Casimir of the acting algebra (:func:`casimir`) commutes with the action
+and is one scalar on each irreducible constituent.  It decides an
+intertwiner space whose modules it separates, and it splits a module into
+primary components that each contain whole isotypic components, before any
+equivariance system is solved.
 """
 
 from __future__ import annotations
@@ -126,6 +132,43 @@ def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
     return arith.nullspace_exact(np.concatenate([_block(d, c, unknowns) for d, c in zip(dom, cod)]))
 
 
+def casimir(restriction: AdRestriction) -> Scaled:
+    """The Casimir ``Omega = sum_ij (G^-1)_ij rho_i rho_j`` of the action, G the
+    Gram matrix of the acting basis.
+
+    The form is invariant and nondegenerate on the acting algebra, so Omega
+    commutes with every ``rho_i``: it acts by one scalar on each irreducible
+    constituent.  One stacked product ``(d, k*d) @ (k*d, d)`` of ``rho`` with
+    ``G^-1 rho``.
+    """
+    rho = restriction.matrices
+    k, d, _ = rho.shape
+    mixed = restriction.acting.gram_inverse @ rho.reshape(k, d * d)
+    return rho.transpose(1, 0, 2).reshape(d, k * d) @ mixed.reshape(k * d, d)
+
+
+def _casimirs_separate(dom: AdRestriction, cod: AdRestriction) -> bool:
+    """True when the Casimirs prove that no nonzero intertwiner exists.
+
+    Every intertwiner T has ``T Omega_V = Omega_W T``, hence
+    ``f(Omega_W) T = T f(Omega_V)`` for every polynomial f.  Two scalar
+    Casimirs separate iff they differ.  Otherwise f is the minimal polynomial
+    of the smaller module's Omega (``x - c`` when it is scalar ``c``), so
+    ``f(Omega_large) T = 0`` or ``T f(Omega_large) = 0``: T vanishes when
+    ``f(Omega_large)`` is invertible, which a full rank mod ``_P`` proves (a
+    rank mod p never exceeds the rational rank).
+    """
+    small, large = sorted((casimir(dom), casimir(cod)), key=len)
+    c_small, c_large = small.scalar(), large.scalar()
+    if c_small is not None and c_large is not None:
+        return c_small != c_large
+    poly = [1, -c_small] if c_small is not None else arith.minimal_polynomial_exact(small)
+    # f(C / s) as a positive multiple of f evaluated on the integers C
+    coeffs = [a * large.scale ** i for i, a in enumerate(arith._primitive(poly))]
+    value = arith._eval_poly(coeffs, Scaled(large.ints), Scaled(np.eye(len(large), dtype=np.int64)))
+    return arith._modp_pivots(value.ints, arith._P)[0] == len(large)
+
+
 @dataclass(frozen=True)
 class IntertwinerSpace:
     """Basis of maps T with action_cod(X) T = T action_dom(X) for all X."""
@@ -140,7 +183,14 @@ class IntertwinerSpace:
 
 
 def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> IntertwinerSpace:
-    """Solve the intertwining system between two invariant subspaces."""
+    """The maps T with ``cod(X) T = T dom(X)`` for every X of ``acting``.
+
+    When the Casimirs of the two modules prove that no nonzero T exists
+    (:func:`_casimirs_separate`: distinct scalars, or ``f(Omega)`` of full rank
+    mod ``_P`` for f the smaller module's minimal polynomial), the space is
+    empty with no linear system; this is exact because every T satisfies
+    ``T Omega_V = Omega_W T``.  Otherwise the equivariance system is solved.
+    """
     dom = ad_restriction(acting, space1)
     cod = ad_restriction(acting, space2)
     d1, d2 = space1.dim, space2.dim
@@ -148,6 +198,8 @@ def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> I
         return IntertwinerSpace(dom, cod, ())
     if acting.dim == 0:
         null = Scaled(np.eye(d2 * d1, dtype=np.int64))
+    elif _casimirs_separate(dom, cod):
+        return IntertwinerSpace(dom, cod, ())
     else:
         entries = np.arange(d2 * d1).reshape(d2, d1)
         null = _solve_equivariance(*_int_stacks(dom, cod), entries, seed_tag=f"itw:{d1}:{d2}")
@@ -194,7 +246,7 @@ def symmetric_commutant(restriction: AdRestriction) -> list[Scaled]:
         sym = _solve_equivariance(rho, -rho.transpose(0, 2, 1), unknowns, seed_tag=f"comm:{p}")
     else:
         sym = Scaled(np.eye(len(upper[0]), dtype=np.int64))   # nothing acts: every symmetric S
-    maps = arith.inverse(restriction.space.gram) @ Scaled(sym.ints[:, unknowns], sym.scale)
+    maps = restriction.space.gram_inverse @ Scaled(sym.ints[:, unknowns], sym.scale)
     return [maps[r] for r in range(len(maps))]
 
 
@@ -208,7 +260,11 @@ class IsotypicDecomposition:
 def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecomposition:
     """Isotypic decomposition of the action of ``acting`` on ``space``.
 
-    Splits with primary decompositions of generic symmetric commutant
+    When the Casimir on ``space`` is not scalar, the split starts from its
+    primary components: the Casimir is one scalar on each irreducible
+    constituent, so each isotypic component lies inside one of them, and the
+    commutant of the whole space is never solved.  Each piece is then split
+    with primary decompositions of generic symmetric commutant
     elements over the rationals (up to three fixed pseudo-random combinations
     per piece, from the stream ``isotypic:0:{dim}``), then merges pieces whose
     mutual intertwiner space is nonzero.  A piece whose symmetric commutant is scalar is
@@ -224,6 +280,12 @@ def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecompo
 
     final: list[tuple[Subspace, str]] = []
     stack = [space]
+    omega = casimir(ad_restriction(acting, space))
+    if omega.scalar() is None:
+        try:
+            stack = _primary_pieces(space, omega)
+        except arith.ExactComputationError:
+            pass
     while stack:
         piece = stack.pop()
         restriction = ad_restriction(acting, piece)
@@ -245,16 +307,23 @@ def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecompo
     return IsotypicDecomposition(components, labels, mults)
 
 
+def _primary_pieces(piece: Subspace, operator: Scaled) -> list[Subspace]:
+    """The subspaces of ``piece`` spanned by the primary components of an
+    operator written in its coordinates."""
+    return [Subspace(piece.algebra, rows @ piece.basis, check=False)
+            for _, rows in arith.primary_invariant_split(operator)]
+
+
 def _try_split(piece: Subspace, commutant: list[Scaled],
                rng: random.Random) -> list[Subspace] | None:
     for _ in range(3):
         combo = sum((rng.randint(-9, 9) * c for c in commutant), Scaled.zeros(commutant[0].shape))
         try:
-            parts = arith.primary_invariant_split(combo)
+            parts = _primary_pieces(piece, combo)
         except arith.ExactComputationError:
             continue
         if len(parts) > 1:
-            return [Subspace(piece.algebra, rows @ piece.basis, check=False) for _, rows in parts]
+            return parts
     return None
 
 

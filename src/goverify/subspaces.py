@@ -123,6 +123,11 @@ class Subspace:
         return self.basis @ (self.algebra.form().matrix @ self.basis.T)
 
     @cached_property
+    def gram_inverse(self) -> Scaled:
+        """Inverse of :attr:`gram`, computed once per subspace."""
+        return arith.inverse(self.gram)
+
+    @cached_property
     def ad_matrices(self) -> Scaled:
         """Adjoint operators of the basis vectors, stacked as ambient matrices."""
         return self.algebra.contract(self.basis)

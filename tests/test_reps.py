@@ -1,6 +1,7 @@
 """Intertwiners, isotypic decompositions and the weak-regularity decision."""
 
 import dataclasses
+import functools
 import random
 import types
 
@@ -491,3 +492,124 @@ def test_decompositions_equal_those_built_on_the_oracle(case, monkeypatch):
         (pieces, tags), (want, want_tags) = _pieces(got), _pieces(expected)
         assert tags == want_tags and len(pieces) == len(want)
         assert all(a.basis.equals(b.basis) for a, b in zip(pieces, want))
+
+
+# -- Casimir separation before the equivariance solve ---------------------------
+
+@pytest.fixture(scope="module")
+def so7_3211():
+    """so(7)/(3,2,1,1): the Casimir of k is -3/10 on m1_2, -1/5 on m1_3 and
+    m1_4, -1/10 on m2_3 and m2_4 and 0 on m3_4."""
+    return embed_so_partition(7, (3, 2, 1, 1))
+
+
+def _stacked_intertwiners(acting, space1, space2):
+    """Today's intertwiner basis, from the stacked Kronecker system of every
+    generator with no Casimir test."""
+    return _stacked_kernel(*reps._int_stacks(ad_restriction(acting, space1),
+                                             ad_restriction(acting, space2)))
+
+
+def _shared_constituent_case(case, so6_layout, so7_3211):
+    if case == "so6-m12-to-itself":
+        m12 = so6_layout.offdiag_blocks[(1, 2)]
+        return so6_layout.subalgebra, m12, m12, 4
+    blocks = so7_3211.offdiag_blocks
+    return so7_3211.subalgebra, blocks[(1, 3)], blocks[(1, 4)], 1
+
+
+@pytest.mark.parametrize("case", ["so6-m12-to-itself", "so7-two-pieces-of-one-component"])
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_shared_constituents_keep_the_solved_intertwiners(case, python_ints, so6_layout, so7_3211,
+                                                         monkeypatch):
+    """Modules with a common constituent have equal scalar Casimirs: the solve
+    runs and gives the stacked system's dimension and span, on int64 and on
+    Python ints (every action matrix scaled by 2**60)."""
+    acting, space1, space2, dim = _shared_constituent_case(case, so6_layout, so7_3211)
+    if case == "so7-two-pieces-of-one-component":
+        component, = (c for c in isotypic_decomposition(acting, orthogonal_complement(acting)).components
+                      if c.contains_space(space1))
+        assert component.spans_equal(space1.add(space2))
+    expected = _stacked_intertwiners(acting, space1, space2)
+    if python_ints:
+        restrict = reps.ad_restriction
+        monkeypatch.setattr(reps, "ad_restriction",
+                            lambda acting, space: _scaled(restrict(acting, space), 2**60))
+    solves = []
+    solve = reps._solve_equivariance
+    monkeypatch.setattr(reps, "_solve_equivariance", lambda *args, **kwargs: solves.append(1)
+                        or solve(*args, **kwargs))
+    itw = intertwiner_space(acting, space1, space2)
+    assert reps._int_stacks(itw.domain, itw.codomain)[0].dtype == (object if python_ints else np.int64)
+    assert itw.dim == expected.shape[0] == dim
+    assert len(solves) == 1
+    assert _same_span(list(itw.basis), [expected[r].reshape(space2.dim, space1.dim)
+                                        for r in range(dim)])
+
+
+@pytest.mark.parametrize("small, large, dim", [
+    (["2,3"], ["1,2", "1,3"], 0),            # scalar small side, f(Omega_W) nonsingular
+    (["1,3"], ["1,4", "2,3"], 1),            # scalar small side, f(Omega_W) singular
+    (["1,3", "2,3"], ["1,2", "3,4"], 0),     # minimal polynomial of degree 2, nonsingular
+    (["1,3", "2,3"], ["1,4", "1,2"], 1),     # minimal polynomial of degree 2, singular
+])
+def test_minimal_polynomial_test_solves_only_when_it_cannot_separate(small, large, dim, so7_3211,
+                                                                     monkeypatch):
+    """A non-scalar Casimir on the larger module: ``f(Omega_W)`` of full rank
+    proves Hom = 0 with no solve; a singular one leaves the solve, which gives
+    the stacked system's dimension.  Both directions are asked."""
+    def span(keys):
+        pieces = [so7_3211.offdiag_blocks[tuple(int(i) for i in key.split(","))] for key in keys]
+        return functools.reduce(Subspace.add, pieces)
+    k, space_v, space_w = so7_3211.subalgebra, span(small), span(large)
+    assert reps.casimir(ad_restriction(k, space_w)).scalar() is None
+    assert (reps.casimir(ad_restriction(k, space_v)).scalar() is None) == (len(small) == 2)
+    solves = []
+    solve = reps._solve_equivariance
+    monkeypatch.setattr(reps, "_solve_equivariance", lambda *args, **kwargs: solves.append(1)
+                        or solve(*args, **kwargs))
+    for first, second in ((space_v, space_w), (space_w, space_v)):
+        expected = _stacked_intertwiners(k, first, second)
+        itw = intertwiner_space(k, first, second)
+        assert itw.dim == expected.shape[0] == dim
+        assert _same_span(list(itw.basis), [expected[r].reshape(second.dim, first.dim)
+                                            for r in range(dim)])
+    assert len(solves) == (2 if dim else 0)
+
+
+@pytest.mark.parametrize("casimir_split_fails", [False, True])
+def test_casimir_commutes_with_the_action_and_splits_the_isotypic_stack(so7_3211, monkeypatch,
+                                                                       casimir_split_fails):
+    """Omega commutes with every generator and does not depend on the acting
+    basis; on k's complement in so(7)/(3,2,1,1) it has four eigenvalues, and the isotypic split starts from its four
+    primary components, so no commutant of the whole complement is solved.
+    When that split raises, the whole complement's commutant is solved, with
+    the same components."""
+    k = so7_3211.subalgebra
+    m = orthogonal_complement(k)
+    restriction = ad_restriction(k, m)
+    omega = reps.casimir(restriction)
+    rho = restriction.matrices
+    assert (rho @ omega).equals(omega @ rho)
+    shear = np.eye(k.dim, dtype=np.int64) + np.triu(np.arange(k.dim) % 3 - 1, 1)
+    sheared = Subspace(k.algebra, arith.Scaled(shear) @ k.basis, check=False)
+    assert reps.casimir(ad_restriction(sheared, m)).equals(omega)     # independent of the basis
+    assert len(arith.primary_invariant_split(omega)) == 4
+    expected = isotypic_decomposition(k, m)
+    if casimir_split_fails:
+        split = arith.primary_invariant_split
+
+        def split_all_but_omega(c):
+            if c.equals(omega):
+                raise arith.ExactComputationError("no split")
+            return split(c)
+        monkeypatch.setattr(arith, "primary_invariant_split", split_all_but_omega)
+    sizes = []
+    commutant = reps.symmetric_commutant
+    monkeypatch.setattr(reps, "symmetric_commutant",
+                        lambda r: sizes.append(r.space.dim) or commutant(r))
+    dec = isotypic_decomposition(k, m)
+    assert (max(sizes) == m.dim) == casimir_split_fails
+    assert [c.dim for c in dec.components] == [1, 4, 6, 6]
+    assert all(a.spans_equal(b) for a, b in zip(dec.components, expected.components))
+    assert dec.labels == expected.labels and dec.multiplicities == expected.multiplicities

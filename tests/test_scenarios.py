@@ -410,24 +410,52 @@ def test_decoding_rejects_anything_but_n_or_n_over_d(text):
         decode_vector(["1", text])
 
 
-def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
-    """The weak-regularity decision and its sufficient criterion meet the same
-    system when the subalgebra is self-normalizing: one equivariance solve on
-    so(9)/so(3)^3.  The full so(9) pipeline solves two intertwiner spaces: the
-    weak-regularity one, which the split check's hypotheses reuse, and the one
-    that the ideal decomposition of the isometry algebra so(6) + so(3) in the
-    dazi check needs; bi-invariance and semisimplicity decompose nothing."""
+def _count_calls(monkeypatch, module, *names):
+    """A Counter of the calls of ``module``'s functions ``names`` from now on."""
     calls = Counter()
-    for name in ("_solve_equivariance", "intertwiner_space"):
-        original = getattr(reps, name)
-        monkeypatch.setattr(reps, name, lambda *args, name=name, original=original, **kwargs:
+    for name in names:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, original=original, **kwargs:
                             calls.update([name]) or original(*args, **kwargs))
+    return calls
+
+
+def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
+    """An intertwiner system that the Casimirs do not decide is solved once per
+    triple of spans: the two so(4) ideals share their Casimir scalar, and asking
+    again, with one ideal in another basis, reuses the solve.  The
+    Casimirs decide the rest: so(9)/so(3)^3 solves nothing for weak regularity
+    and its sufficient criterion (the same system, as it is self-normalizing).
+    The full so(9) pipeline asks for two intertwiner spaces, the weak-regularity
+    one, which the split check's hypotheses reuse, and the one that the ideal
+    decomposition of the isometry algebra so(6) + so(3) in the dazi check
+    needs, and solves neither; its two solves are the symmetric commutants of
+    the two ideals, which the Casimir split apart."""
+    calls = _count_calls(monkeypatch, reps, "_solve_equivariance", "intertwiner_space")
+    so4 = lie.build_classical("so", 4)
+    full = subspaces.Subspace.full(so4)
+    first, second = subspaces.ideal_decomposition(full).ideals
+    calls.clear()
+    assert reps.intertwiner_dim(full, second, first) == 0
+    assert reps.modules_disjoint(full, second, subspaces.Subspace(so4, 2 * first.basis, check=False))
+    assert calls == {"_solve_equivariance": 1, "intertwiner_space": 1}
+    calls.clear()
     report = run_check(scenario_catalog()["so9-333-regularity"])
-    assert calls["_solve_equivariance"] == 1
+    assert calls["_solve_equivariance"] == 0
     assert [r["self_normalizing"] for r in report.records if r["name"] == "weakly-regular"] == [True]
     calls.clear()
     run_check(_pipeline_so9(1))
-    assert calls["intertwiner_space"] == 2
+    assert calls == {"intertwiner_space": 2, "_solve_equivariance": 2}
+
+
+def test_so16_weak_regularity_solves_no_equivariance_system(monkeypatch):
+    """The Casimirs of so(4)^4 on k and on its complement in so(16) are distinct
+    scalars, so the weakly-regular check decides with no equivariance solve."""
+    spec = dataclasses.replace(scenario_catalog()["so16-partition4"], checks=("weakly-regular",))
+    calls = _count_calls(monkeypatch, reps, "_solve_equivariance")
+    record, = (r for r in run_check(spec).records if r["name"] == "weakly-regular")
+    assert calls["_solve_equivariance"] == 0
+    assert record["verdict"] and record["intertwiner_dim"] == 0
 
 
 def test_regular_check_builds_one_exact_centralizer_per_span(monkeypatch):

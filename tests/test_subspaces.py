@@ -15,6 +15,7 @@ from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
                                 normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
 from oracles import fmatmul, rank_estimate_all_exact
+import partition_table
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,18 @@ def test_cartan_subalgebra_is_regular():
 
 def test_zero_subalgebra_is_regular(so6_layout):
     assert is_regular(Subspace.zero(so6_layout.algebra)).regular
+
+
+def test_block_subgroup_table_up_to_so10():
+    """Every proper partition of 3 <= n <= 10: is_regular equals the rank
+    count, regular implies weakly regular, and exactly the 11 pinned
+    subgroups are not weakly regular (``tests/partition_table.py``)."""
+    rows = [row for n in range(3, 11) for row in partition_table.table(n)]
+    assert len(rows) == 127
+    assert partition_table.disagreements(rows) == []
+    not_weak = {partition for partition, _, weak in rows if not weak}
+    assert not_weak == {p for p in partition_table.NOT_WEAKLY_REGULAR if sum(p) <= 10}
+    assert len(not_weak) == 11
 
 
 def test_maximal_rank_implies_trivial_complement_centralizer(so6_layout):
