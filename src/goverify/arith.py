@@ -15,38 +15,39 @@ minors, Sylvester's criterion), Gauss-Jordan for :func:`solve_int`,
 divides by the previous pivot; the quotients are minors of the input, so
 every division is exact, and Gauss-Jordan leaves ``det * rref``.
 
-Nullspaces are certified: a candidate from the modular screening path is
-verified by an exact integer product with the candidate before it is
-returned.  When the reconstruction mod ``_P`` fails or does not verify,
-:func:`_crt_lift` combines it with the kernels mod the further primes of
+Nullspaces are certified: every exact kernel has one checked lift and one
+Bareiss fallback.  The lift, :func:`_crt_lift`, starts from the rational
+reconstruction of the canonical kernel mod ``_P`` and, while the candidate
+fails, combines it with the kernels mod the further primes of
 ``_CRT_PRIMES`` by the Chinese remainder theorem (Dixon, Numer. Math. 40,
-1982; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5) and
-verifies each reconstruction over the growing modulus the same way.  Bareiss
-elimination takes over only when no lift verifies.
+1982; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5); each
+candidate is verified by an exact integer product before it is returned.
+Bareiss elimination of all rows takes over when no lift verifies, at once
+when a further prime shows that the rank dropped mod ``_P``.
 
 Stacks of small systems, the witness systems of a geodesic-orbit verdict, go
 to :func:`solve_stack`: one Gauss-Jordan elimination mod ``_P`` over the
 whole stack; each system consistent mod ``_P`` gets its particular solution
 and, when asked, its canonical nullspace, both rationally reconstructed from
-the same reduced stack and checked by one exact product.  Systems that are
-inconsistent mod ``_P`` run Bareiss (:func:`solve_int`), which also gives the
-exact rank gap of an inconsistent one; the stack lifts nothing after the
-first of those, and leaves undecided what does not lift.
+the same reduced stack and checked by one exact product.  Every other system
+runs Bareiss (:func:`solve_int`), which also gives the exact rank gap of an
+inconsistent one; every system up to the first exactly inconsistent one is
+decided, and the stack lifts nothing after it.
 
 Modular screening works over GF(p) for primes ``p < 2**31``, passed
 explicitly: ``_P`` for screening, ranks and :func:`kernel_modp`, and
 ``_CRT_PRIMES`` for the multi-prime lift.  :func:`kernel_modp` gives the
-canonical kernel (identity on the free columns of the rref) and :func:`_lift`
-its rational reconstruction, for :func:`nullspace_exact` and the
-equivariance solver of :mod:`goverify.reps`; the rank estimate of
-:mod:`goverify.subspaces` ranks its generic elements by :func:`_modp_pivots`
-alone.  The elimination (:func:`_modp_pivots`) reduces wide systems in
-panels of ``_PANEL = 64`` columns; each panel's update of the other rows is
-one :func:`_mulmod` product mod p (float64 BLAS products on 16-bit limbs),
-and :func:`matmul_modp` sums such products over longer inner dimensions.
-Residues are below ``2**31`` and limbs below ``2**16``, so a sum of at most
-64 products stays below ``2**53`` and every product is exact, whatever the
-BLAS summation order or thread count.
+canonical kernel (identity on the free columns of the rref) and
+:func:`_reconstruct` its rational reconstruction, for :func:`nullspace_exact`
+and the equivariance solver of :mod:`goverify.reps`; the rank estimate of
+:mod:`goverify.subspaces` and the Casimir test of :mod:`goverify.reps` decide
+by :func:`rank_modp` alone.  The elimination (:func:`_modp_pivots`) reduces
+wide systems in panels of ``_PANEL = 64`` columns; each panel's update of
+the other rows is one :func:`_mulmod` product mod p (float64 BLAS products
+on 16-bit limbs), and :func:`matmul_modp` sums such products over longer
+inner dimensions.  Residues are below ``2**31`` and limbs below ``2**16``,
+so a sum of at most 64 products stays below ``2**53`` and every product is
+exact, whatever the BLAS summation order or thread count.
 
 Primary decompositions (:func:`primary_invariant_split`) split a matrix along
 the irreducible factors of its minimal polynomial, built from Krylov chains
@@ -511,9 +512,8 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _modp_pivots(mat_int: np.ndarray, p: int):
     """Gauss-Jordan elimination mod the prime ``p < 2**31``.
 
-    Returns ``(rank, pivot row ids, pivot cols, reduced)`` where pivot row
-    ids refer to the original numbering and ``reduced`` is the working array,
-    a fully reduced rref.
+    Returns ``(rank, pivot cols, reduced)`` where ``reduced`` is the working
+    array, a fully reduced rref.
 
     Up to ``_PANEL`` columns this is the scalar loop.  Wider inputs run
     blocked Gauss-Jordan over panels of ``_PANEL`` columns: the scalar loop,
@@ -521,16 +521,14 @@ def _modp_pivots(mat_int: np.ndarray, p: int):
     the pivot rows are multiplied by the inverse of their pivot block, and
     every other row drops its pivot-column part as one :func:`_mulmod`
     product (exact: ``_PANEL`` inner terms keep float64 partial sums below
-    ``2**53``).  The rref mod ``p`` is unique, so all four outputs equal the
+    ``2**53``).  The rref mod ``p`` is unique, so all three outputs equal the
     scalar loop's.
     """
     work = (np.asarray(mat_int) % p).astype(np.int64)
     nrows, ncols = work.shape
-    row_ids = np.arange(nrows)
     if ncols <= _PANEL:
-        piv_cols, swaps = _eliminate_modp(work, reduce_above=True, p=p)
-        _swap_rows(row_ids, swaps)
-        return len(piv_cols), row_ids[:len(piv_cols)].tolist(), piv_cols, work
+        piv_cols, _ = _eliminate_modp(work, reduce_above=True, p=p)
+        return len(piv_cols), piv_cols, work
     piv_cols = []
     r = 0
     for c0 in range(0, ncols, _PANEL):
@@ -539,9 +537,8 @@ def _modp_pivots(mat_int: np.ndarray, p: int):
         cols, swaps = _eliminate_modp(work[r:, c0:c0 + _PANEL].copy(), reduce_above=False, p=p)
         if not cols:
             continue
-        swaps = [(r + a, r + b) for a, b in swaps]
-        _swap_rows(work, swaps)
-        _swap_rows(row_ids, swaps)
+        for a, b in swaps:
+            work[[r + a, r + b]] = work[[r + b, r + a]]
         k = len(cols)
         pcols = [c0 + c for c in cols]
         pivots = work[r:r + k, c0:]
@@ -553,12 +550,7 @@ def _modp_pivots(mat_int: np.ndarray, p: int):
                 rows[:, c0:] %= p
         piv_cols.extend(pcols)
         r += k
-    return r, row_ids[:r].tolist(), piv_cols, work
-
-
-def _swap_rows(arr: np.ndarray, swaps: list[tuple[int, int]]) -> None:
-    for a, b in swaps:
-        arr[[a, b]] = arr[[b, a]]
+    return r, piv_cols, work
 
 
 def _inverse_modp(block: np.ndarray, p: int) -> np.ndarray:
@@ -592,8 +584,14 @@ def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int], p: int) ->
 def kernel_modp(mat) -> np.ndarray:
     """The canonical kernel basis (rows) of an integer matrix over GF(``_P``):
     the identity on the free columns of its rref."""
-    rank, _, piv_cols, reduced = _modp_pivots(mat, _P)
+    rank, piv_cols, reduced = _modp_pivots(mat, _P)
     return _kernel_rows(reduced, rank, piv_cols, _P)
+
+
+def rank_modp(mat) -> int:
+    """The rank of an integer matrix over GF(``_P``): a lower bound on its
+    rational rank, equal to it when the matrix has full rank mod ``_P``."""
+    return _modp_pivots(mat, _P)[0]
 
 
 def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
@@ -613,11 +611,6 @@ def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _lift(residues: np.ndarray) -> Scaled | None:
-    """The rational matrix whose entries reconstruct from ``residues`` mod ``_P``, or None."""
-    return _reconstruct(residues, _P)
-
-
 def _reconstruct(residues: np.ndarray, modulus: int) -> Scaled | None:
     """The rational matrix whose entries reconstruct from ``residues`` mod
     ``modulus``, or None as soon as one entry does not."""
@@ -633,22 +626,27 @@ def _reconstruct(residues: np.ndarray, modulus: int) -> Scaled | None:
 
 
 def _crt_lift(value: Scaled, rank: int, piv_cols: list[int], kernel: np.ndarray) -> Scaled | None:
-    """The verified nullspace lifted from ``kernel`` mod ``_P`` and the kernels
-    mod the primes of ``_CRT_PRIMES``, or None when none of the lifts verifies.
+    """The verified nullspace lifted from ``kernel``, the canonical kernel mod
+    ``_P``, and the kernels mod the primes of ``_CRT_PRIMES``, or None.
 
-    A prime whose rank or pivot columns differ from ``_P``'s is skipped.  The
-    others' canonical kernels are combined by the Chinese remainder theorem;
-    after each one the combination is rationally reconstructed over the
-    product of the primes used, and a candidate is returned only once
-    ``value @ candidate.T`` is exactly zero.
+    The first candidate reconstructs ``kernel`` mod ``_P``; while it fails
+    ``value @ candidate.T == 0``, the next prime adds its kernel by the
+    Chinese remainder theorem and the combination is reconstructed over the
+    product of the primes used.  A prime with a lower rank or other pivot
+    columns is skipped.  A higher rank proves that ``kernel`` has more rows
+    than the nullspace (a rank mod p never exceeds the rational rank), so no
+    lift can verify and the loop stops.
     """
     residues, modulus = kernel.astype(object), _P
-    for p in _CRT_PRIMES:
-        rank_p, _, cols, reduced = _modp_pivots(value.ints, p)
-        if rank_p != rank or cols != piv_cols:
-            continue
-        step = (_kernel_rows(reduced, rank, piv_cols, p) - residues) * pow(modulus, -1, p) % p
-        residues, modulus = residues + modulus * step, modulus * p
+    for p in (_P, *_CRT_PRIMES):
+        if p != _P:
+            rank_p, cols, reduced = _modp_pivots(value.ints, p)
+            if rank_p > rank:
+                return None
+            if rank_p < rank or cols != piv_cols:
+                continue
+            step = (_kernel_rows(reduced, rank, piv_cols, p) - residues) * pow(modulus, -1, p) % p
+            residues, modulus = residues + modulus * step, modulus * p
         candidate = _reconstruct(residues, modulus)
         if candidate is not None and not np.any((value @ candidate.T).ints):
             return candidate
@@ -659,16 +657,16 @@ def nullspace_exact(mat) -> Scaled:
     """Certified rational nullspace basis (rows) of ``mat``.
 
     Small systems run fraction-free (Bareiss) Gauss-Jordan on the integers.
-    Larger ones are screened mod ``_P``: the modular rref gives the canonical
-    kernel (the identity on its free columns), whose rational reconstruction
-    is a candidate, verified against the full matrix as an integer product
-    (int64 when safe, Python ints otherwise).  When that candidate fails,
-    :func:`_crt_lift` adds the kernels mod further primes by the Chinese
-    remainder theorem and verifies each reconstruction the same way.  A
-    candidate has ``ncols - rank_p`` independent rows and rank mod p never
-    exceeds rank over the rationals, so a verified one pins the nullity
-    exactly.  Otherwise Bareiss runs on the modular pivot rows and, if that
-    candidate fails too, on all rows.
+    Larger ones are eliminated mod ``_P``, whose rref gives the canonical
+    kernel (the identity on its free columns); :func:`_crt_lift` reconstructs
+    it rationally, adding the kernels mod further primes by the Chinese
+    remainder theorem while the candidate fails, and verifies each candidate
+    against the full matrix as an integer product (int64 when safe, Python
+    ints otherwise).  A candidate has ``ncols - rank_p`` independent rows and
+    rank mod p never exceeds rank over the rationals, so a verified one pins
+    the nullity exactly, and it is the one nullspace basis that is the
+    identity on those free columns.  When no lift verifies, Bareiss runs on
+    all rows.
     """
     value = Scaled.of(mat)
     if value.ints.ndim != 2:
@@ -676,18 +674,11 @@ def nullspace_exact(mat) -> Scaled:
     nrows, ncols = value.shape
     if nrows * ncols <= _DIRECT:
         return _nullspace_int(value.ints.tolist(), ncols)
-    rank_p, piv_rows, piv_cols, reduced = _modp_pivots(value.ints, _P)
+    rank_p, piv_cols, reduced = _modp_pivots(value.ints, _P)
     if rank_p == ncols:
         return Scaled.zeros((0, ncols))
-    kernel = _kernel_rows(reduced, rank_p, piv_cols, _P)
-    candidate = _lift(kernel)
-    if candidate is not None and not np.any((value @ candidate.T).ints):
-        return candidate
-    candidate = _crt_lift(value, rank_p, piv_cols, kernel)
+    candidate = _crt_lift(value, rank_p, piv_cols, _kernel_rows(reduced, rank_p, piv_cols, _P))
     if candidate is not None:
-        return candidate
-    candidate = _nullspace_int(value.ints[piv_rows].tolist(), ncols)
-    if candidate.shape[0] == ncols - rank_p and not np.any((value @ candidate.T).ints):
         return candidate
     return _nullspace_int(value.ints.tolist(), ncols)
 
@@ -755,12 +746,13 @@ def solve_stack(aug, kernels: bool) -> list:
     system taking its own first free nonzero pivot row.  Entry ``n`` is
 
     - a :class:`Solution` read off the reduced stack for a system consistent
-      mod ``_P`` (see :func:`_lift_solutions`);
-    - the :func:`solve_int` answer of a system inconsistent mod ``_P``: rank
-      can drop mod p, so only Bareiss decides it;
-    - None (undecided) where the lift fails, and for every system after the
-      first one that :func:`solve_int` finds inconsistent, so that a stack
-      with a counterexample lifts only the systems before it.
+      mod ``_P`` whose lift verifies (see :func:`_lift_solutions`);
+    - the :func:`solve_int` answer of every other system: rank can drop mod
+      p, so only Bareiss decides a system inconsistent mod ``_P`` or one
+      whose lift fails;
+    - None for every system after the first one that :func:`solve_int` finds
+      inconsistent, so that a stack with a counterexample lifts only the
+      systems before it.
 
     ``kernels`` says whether the solutions carry their nullspaces.
     """
@@ -803,6 +795,11 @@ def solve_stack(aug, kernels: bool) -> list:
         rref = np.where((piv >= 0)[:, :, None], work[lift[:, None], np.maximum(piv, 0)], 0)
         for n, sol in zip(lift.tolist(), _lift_solutions(aug[lift], rref, kernels)):
             out[n] = sol
+    for n in range(stop):
+        if out[n] is None:
+            out[n] = solve_int(aug[n])
+            if isinstance(out[n], Inconsistent):
+                return out[:n + 1] + [None] * (nsys - n - 1)
     return out
 
 
@@ -1008,24 +1005,31 @@ def _eval_poly(poly: list[int], c: Scaled, v: Scaled) -> Scaled:
     return out
 
 
+def polynomial_at(poly: list, C) -> Scaled:
+    """A positive multiple of ``poly(C)`` for a rational polynomial (highest
+    degree first) with a positive lead: its primitive integer form
+    ``sum(a_i x**(d-i))`` evaluated as ``sum(a_i scale**i c**(d-i))`` on the
+    integers ``c = scale * C``, which is ``scale**d`` times it at ``C``."""
+    value = Scaled.of(C)
+    coeffs = [a * value.scale ** i for i, a in enumerate(_primitive(poly))]
+    return _eval_poly(coeffs, Scaled(value.ints), Scaled(np.eye(len(value), dtype=np.int64)))
+
+
 def primary_invariant_split(C) -> list[tuple[list[int], Scaled]]:
     """Primary decomposition of a rational matrix over the rationals.
 
     Returns ``(factor, basis rows)`` per irreducible factor of the minimal
     polynomial, in :func:`rational_factors` form and order; the kernels are
     exact and their dimensions sum to the ambient dimension whenever ``C`` is
-    diagonalizable (always, for form-symmetric inputs).  A factor
-    ``sum(a_i x**(d-i))`` is evaluated as ``sum(a_i scale**i c**(d-i))`` on
-    ``c = scale * C``, a positive multiple with the same kernel.
+    diagonalizable (always, for form-symmetric inputs).  Each factor's kernel
+    is that of :func:`polynomial_at`, a positive multiple of it at ``C``.
     """
     value = Scaled.of(C)
-    c, n = Scaled(value.ints), value.shape[0]
-    eye = Scaled(np.eye(n, dtype=np.int64))
+    n = value.shape[0]
     pieces = []
     total = 0
     for factor in rational_factors(minimal_polynomial_exact(value)):
-        kernel = nullspace_exact(_eval_poly([a * value.scale ** i for i, a in enumerate(factor)],
-                                            c, eye))
+        kernel = nullspace_exact(polynomial_at(factor, value))
         if kernel.shape[0]:
             pieces.append((factor, kernel))
             total += kernel.shape[0]

@@ -11,10 +11,10 @@ A verdict screens all sampled directions as one stack: where [X, L X] = 0
 the zero witness already works.  The witness systems of the other directions
 go to one stacked modular solve, :func:`arith.solve_stack`, whether or not
 the verdict keeps certificates: a solution it lifts is checked exactly and
-gives the minimal-norm witness of a kept certificate, and a system
-inconsistent mod p gets its Bareiss solve there.  Only the systems it leaves
-undecided get :func:`go_solve_at`, in label order, so the first inconsistent
-direction and its exact rank gap are those of solving every direction.
+gives the minimal-norm witness of a kept certificate, and every system it
+cannot lift gets its Bareiss solve there, in label order, so the first
+inconsistent direction and its exact rank gap are those of solving every
+direction with :func:`go_solve_at`.
 """
 
 from __future__ import annotations
@@ -79,34 +79,30 @@ class GoVerdict:
         return "Disproved" if self.disproved else "NotDisproved"
 
 
-def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction: Scaled,
-                    ad_lx: Scaled | None = None):
+def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction: Scaled):
     """Integer augmented matrix ``[A | b]`` for [W, L X] = [L X, X] in W, and ``ad(L X)``.
 
     Column i of A is [k_i, L X] and b is [L X, X]: ``ad(L X)`` applied to the
     basis of k and to the direction, brought to one common scale, so
-    ``[A | b]`` is a positive multiple of the rational system.  ``ad(L X)`` is
-    built here unless the caller has it already.
+    ``[A | b]`` is a positive multiple of the rational system.
     """
-    if ad_lx is None:
-        ad_lx = operator.algebra.contract(operator.apply(direction))
+    ad_lx = operator.algebra.contract(operator.apply(direction))
     aug = Scaled.concat([-(ad_lx @ subalgebra.basis.T), (ad_lx @ direction).reshape(-1, 1)], axis=1)
     return aug.ints, ad_lx
 
 
 def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
-                check_equivariance: bool = True, ad_lx: Scaled | None = None):
+                check_equivariance: bool = True):
     """Witness solve for one direction: GoCertificate or Unsolvable.
 
     The metric must be equivariant over the subalgebra (two-sided invariance);
     the returned witness has minimal norm for the ambient inner product among
     all solutions, making certificates deterministic and replayable.
-    ``ad_lx`` is ``ad(L X)`` when the caller has computed it already.
     """
     if check_equivariance and not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
     direction = Scaled.of(direction)
-    aug, ad_lx = _witness_system(operator, subalgebra, direction, ad_lx)
+    aug, ad_lx = _witness_system(operator, subalgebra, direction)
     if not np.any(aug[:, -1]):
         # [X, L X] = 0 already; the zero witness is minimal
         return GoCertificate(direction, Scaled.zeros(operator.algebra.dim))
@@ -184,11 +180,10 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
     ``[L X, X]`` are batched products.  A direction with ``[L X, X] = 0`` has
     the zero witness.  The witness systems of all other directions go to one
     :func:`arith.solve_stack`, which lifts their solutions (with nullspaces
-    when certificates are kept) and solves the ones inconsistent mod p by
+    when certificates are kept) and solves every system it cannot lift by
     Bareiss, up to the first inconsistent one.  The labels are walked in
-    order: a lifted solution gives its minimal-norm witness, only a system the
-    stacked solve leaves undecided gets :func:`go_solve_at`, and a negative
-    verdict carries the exact rank gap of the first failing direction.
+    order: a solution gives its minimal-norm witness, and a negative verdict
+    carries the exact rank gap of the first failing direction.
     NotDisproved is explicitly a sampling outcome, not a proof.
     """
     if not equivariance_check(operator, subalgebra):
@@ -205,13 +200,9 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
             if keep_certificates:
                 certificates.append(GoCertificate(directions[n], Scaled.zeros(operator.algebra.dim)))
             continue
-        if solved[n] is None:
-            result = go_solve_at(operator, subalgebra, directions[n], check_equivariance=False,
-                                 ad_lx=ad_lx[n])
-        elif keep_certificates or isinstance(solved[n], arith.Inconsistent):
-            result = _outcome(operator, subalgebra, directions[n], ad_lx[n], solved[n])
-        else:
+        if not keep_certificates and not isinstance(solved[n], arith.Inconsistent):
             continue
+        result = _outcome(operator, subalgebra, directions[n], ad_lx[n], solved[n])
         if isinstance(result, Unsolvable):
             return GoVerdict(True, n + 1, strategy, counterexample=result,
                              counterexample_label=label, certificates=tuple(certificates))

@@ -593,8 +593,8 @@ def ingest_structure_table(source: str) -> StructureAlgebra:
                 dim = int(parts[1])
             except (IndexError, ValueError) as exc:
                 raise ValidationError(f"line {lineno}: malformed dim header") from exc
-            if dim < 0:
-                raise ValidationError(f"line {lineno}: dim must be nonnegative")
+            if dim < 1:
+                raise ValidationError(f"line {lineno}: dim must be positive")
             continue
         if dim is None:
             raise ValidationError(f"line {lineno}: entry precedes dim header")

@@ -124,7 +124,7 @@ def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
             residual = (arith.matmul_modp(cod_i, maps) - arith.matmul_modp(maps, dom_i)) % arith._P
             if np.any(residual):
                 basis = arith.matmul_modp(arith.kernel_modp(residual[:, rows, cols].T), basis)
-        candidate = arith._lift(basis)
+        candidate = arith._reconstruct(basis, arith._P)
         if candidate is not None:
             maps = Scaled(candidate.ints[:, unknowns])
             if not any(np.any((Scaled(c) @ maps - maps @ Scaled(d)).ints) for d, c in zip(dom, cod)):
@@ -163,10 +163,7 @@ def _casimirs_separate(dom: AdRestriction, cod: AdRestriction) -> bool:
     if c_small is not None and c_large is not None:
         return c_small != c_large
     poly = [1, -c_small] if c_small is not None else arith.minimal_polynomial_exact(small)
-    # f(C / s) as a positive multiple of f evaluated on the integers C
-    coeffs = [a * large.scale ** i for i, a in enumerate(arith._primitive(poly))]
-    value = arith._eval_poly(coeffs, Scaled(large.ints), Scaled(np.eye(len(large), dtype=np.int64)))
-    return arith._modp_pivots(value.ints, arith._P)[0] == len(large)
+    return arith.rank_modp(arith.polynomial_at(poly, large).ints) == len(large)
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,9 @@ def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecompo
     with primary decompositions of generic symmetric commutant
     elements over the rationals (up to three fixed pseudo-random combinations
     per piece, from the stream ``isotypic:0:{dim}``), then merges pieces whose
-    mutual intertwiner space is nonzero.  A piece whose symmetric commutant is scalar is
+    mutual intertwiner space is nonzero.  The Casimir and those combinations
+    are form-symmetric, hence diagonalizable, so each primary split exhausts
+    its piece.  A piece whose symmetric commutant is scalar is
     irreducible (its label says so); a piece that resists rational splitting
     is labeled ``not-split-by-this-procedure`` -- downstream decisions only
     need the disjointness of distinct components, which holds either way.
@@ -282,10 +281,7 @@ def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecompo
     stack = [space]
     omega = casimir(ad_restriction(acting, space))
     if omega.scalar() is None:
-        try:
-            stack = _primary_pieces(space, omega)
-        except arith.ExactComputationError:
-            pass
+        stack = _primary_pieces(space, omega)
     while stack:
         piece = stack.pop()
         restriction = ad_restriction(acting, piece)
@@ -318,10 +314,7 @@ def _try_split(piece: Subspace, commutant: list[Scaled],
                rng: random.Random) -> list[Subspace] | None:
     for _ in range(3):
         combo = sum((rng.randint(-9, 9) * c for c in commutant), Scaled.zeros(commutant[0].shape))
-        try:
-            parts = _primary_pieces(piece, combo)
-        except arith.ExactComputationError:
-            continue
+        parts = _primary_pieces(piece, combo)
         if len(parts) > 1:
             return parts
     return None

@@ -20,7 +20,7 @@ from .lie import (EmbeddingLayout, StructureAlgebra, build_classical, embed_so_p
                   ingest_structure_table, serialize_structure_table)
 from .metrics import BlockSpec, MetricOperator
 from .report import Report, decode_vector, encode_fraction, encode_vector, parse_machine
-from .subspaces import Subspace, is_regular, orthogonal_complement
+from .subspaces import Subspace, is_regular, is_subalgebra, orthogonal_complement
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -89,6 +89,13 @@ def _block_names(partition) -> list[str]:
     return names
 
 
+def _require_subalgebra(space: Subspace, what: str) -> None:
+    """Raise unless ``space`` is closed under the bracket, naming a pair that escapes."""
+    check = is_subalgebra(space)
+    if not check:
+        raise ContractViolation(f"{what} is not a subalgebra; pair {check.witness_pair} escapes")
+
+
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     algebra = build_algebra(spec.algebra)
     layout = None
@@ -102,6 +109,7 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     elif "subspace" in sub:
         from .subspaces import parse_subspace
         subgroup = parse_subspace(algebra, sub["subspace"])
+        _require_subalgebra(subgroup, "subspace")
         named["k"] = subgroup
         named["m"] = orthogonal_complement(subgroup)
     elif sub.get("kind") == "cartan-diagonal":
@@ -114,6 +122,8 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     elif "chain" in sub:
         inner = Subspace.from_indices(algebra, [int(i) for i in sub["chain"]["inner"]])
         outer = Subspace.from_indices(algebra, [int(i) for i in sub["chain"]["outer"]])
+        _require_subalgebra(inner, "chain: inner space")
+        _require_subalgebra(outer, "chain: outer space")
         if not outer.contains_space(inner):
             raise ContractViolation("chain: inner subalgebra must lie inside the outer one")
         named["h"] = inner

@@ -362,7 +362,7 @@ def _nullity_modp(space: Subspace, element) -> int:
     """``dim`` minus the rank mod ``_P`` of ``ad(element)`` on the subalgebra: an
     upper bound on the dimension of the element's centralizer in it."""
     system = space.algebra.contract(element) @ space.basis.T
-    return space.dim - arith._modp_pivots(system.ints, arith._P)[0]
+    return space.dim - arith.rank_modp(system.ints)
 
 
 def _centralizer_witness(space: Subspace, element) -> CartanWitness:

@@ -246,10 +246,10 @@ def test_panel_elimination_matches_scalar_loop(build, monkeypatch):
     mat = build(np.random.RandomState(5))
     assert mat.shape[1] > 2 * arith._PANEL
     for p in (arith._P, arith._CRT_PRIMES[-1]):
-        rank, piv_rows, piv_cols, reduced = arith._modp_pivots(mat, p)
-        ref_rank, ref_rows, ref_cols, ref_reduced = _scalar_modp_pivots(mat, p, monkeypatch)
-        assert (rank, piv_rows, piv_cols) == (ref_rank, ref_rows, ref_cols)
-        assert np.array_equal(reduced[:rank], ref_reduced[:ref_rank])
+        rank, piv_cols, reduced = arith._modp_pivots(mat, p)
+        ref_rank, ref_cols, ref_reduced = _scalar_modp_pivots(mat, p, monkeypatch)
+        assert (rank, piv_cols) == (ref_rank, ref_cols)
+        assert np.array_equal(reduced, ref_reduced) and not reduced[rank:].any()
         if build is _rank_deficient:
             assert rank == 40
         if build is _pivotless_panel:
@@ -445,32 +445,36 @@ def test_crt_primes_are_distinct_primes_below_the_mulmod_bound():
     assert all(sympy.isprime(p) and p < 2**31 for p in primes)
 
 
+def _modulus(residues, modulus):
+    return modulus
+
+
 def test_reconstruction_mod_p_needs_no_second_prime(monkeypatch):
     rng = np.random.RandomState(11)
     base = rng.randint(-3, 4, size=(6, 40))
     stack = np.concatenate([base * (i + 1) for i in range(40)], axis=0)
-    reconstructions = _record(monkeypatch, "_lift")
-    crt = _record(monkeypatch, "_crt_lift")
+    reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
+    primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(stack)
-    assert [out is None for _, out in reconstructions] == [False]
-    assert crt == [] and eliminations == []
+    assert [(m, out is None) for m, out in reconstructions] == [(arith._P, False)]
+    assert [p for p, _ in primes] == [arith._P] and eliminations == []
     assert null.tolist() == _reference_nullspace(stack)
 
 
 @pytest.mark.parametrize("scale", [1, 3**45])
 def test_failed_reconstruction_mod_p_lifts_over_several_primes(so9_rank_system, scale, monkeypatch):
     system = so9_rank_system * scale
-    reconstructions = _record(monkeypatch, "_lift")
-    crt = _record(monkeypatch, "_crt_lift")
+    reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
     primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
-    assert [out is None for _, out in reconstructions] == [True]
-    assert [out is None for _, out in crt] == [False] and eliminations == []
     used = [p for p, _ in primes]
     assert used[0] == arith._P and used[1:] == list(arith._CRT_PRIMES[:len(used) - 1])
     assert len(used) >= 3    # 55-bit entries need a modulus of more than 62 bits
+    # one reconstruction per prime, over the product of the primes so far
+    assert [m for m, _ in reconstructions] == [math.prod(used[:i + 1]) for i in range(len(used))]
+    assert reconstructions[0][1] is None and eliminations == []
     assert null.tolist() == _reference_nullspace(so9_rank_system)
     bound = math.isqrt(arith._P // 2)
     assert max(max(abs(v.numerator), v.denominator) for v in null.fractions().reshape(-1)) > bound
@@ -504,36 +508,44 @@ def test_prime_with_other_rank_or_pivots_is_skipped(so9_rank_system, build, monk
     kernels = _record(monkeypatch, "_kernel_rows", lambda reduced, rank, cols, p: p)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(mat)
-    ranks = {p: (rank, cols) for p, (rank, _, cols, _) in screens}
+    ranks = {p: (rank, cols) for p, (rank, cols, _) in screens}
     assert ranks[skipped] != ranks[arith._P]
+    if build is _rank_drop_at:        # a lower rank is skipped; only a higher one stops the lift
+        assert ranks[skipped][0] == ranks[arith._P][0] - 1
     assert skipped not in [p for p, _ in kernels] and len(kernels) >= 3
     assert eliminations == []
     assert null.tolist() == _reference_nullspace(mat)
 
 
 @pytest.mark.parametrize("scale", [1, 3**45])
-def test_failed_reconstruction_runs_bareiss_on_the_pivot_rows(so9_rank_system, scale, monkeypatch):
+def test_failed_lift_runs_bareiss_on_all_rows(so9_rank_system, scale, monkeypatch):
+    """When no prime's reconstruction verifies, the lift tries every prime
+    and Bareiss runs once, on all 36 rows."""
     system = so9_rank_system * scale
-    reconstructions = _record(monkeypatch, "_lift")
-    monkeypatch.setattr(arith, "_crt_lift", lambda value, rank, piv_cols, kernel: None)
+    monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
+    primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
-    assert [out is None for _, out in reconstructions] == [True]
-    assert [rows for (rows, _), _ in eliminations] == [32]   # the pivot rows only
+    assert [p for p, _ in primes] == [arith._P, *arith._CRT_PRIMES]
+    assert [rows for (rows, _), _ in eliminations] == [36]
     biggest = eliminations[0][0][1]
     assert biggest >= 2**63 if scale != 1 else biggest < 2**63
     assert null.tolist() == _reference_nullspace(so9_rank_system)
 
 
 def test_rank_drop_mod_p_runs_bareiss_on_all_rows(monkeypatch):
+    """The first further prime ranks higher than ``_P``, which proves that
+    ``_P``'s kernel is too large: the lift stops and Bareiss runs on all rows."""
     rng = np.random.RandomState(5)
     mat = rng.randint(-9, 10, size=(30, 50))
     mat[29] = mat[0]
     mat[29, 7] += arith._P            # equal to row 0 mod p, independent over the rationals
     assert mat.size > 1_200
+    screens = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(mat)
-    assert [rows for (rows, _), _ in eliminations] == [29, 30]
+    assert [(p, out[0]) for p, out in screens] == [(arith._P, 29), (arith._CRT_PRIMES[0], 30)]
+    assert [rows for (rows, _), _ in eliminations] == [30]
     assert null.shape == (20, 50) and null.tolist() == _reference_nullspace(mat)
 
 
@@ -626,15 +638,20 @@ def test_solve_stack_lifts_only_up_to_the_first_inconsistent_system(monkeypatch)
 
 def test_solve_stack_leaves_systems_that_mislead_mod_p_to_the_exact_solve():
     """A pivot divisible by ``_P`` is lost mod p, so the stack takes the exact
-    solve's answer; a system consistent mod p only fails the exact check and
-    is left undecided."""
+    solve's answer.  A system consistent mod p whose lift fails the exact
+    check, or whose solution does not reconstruct mod p, gets the exact solve
+    in stack order too, and nothing after an inconsistent one is decided."""
     aug = np.array([[[arith._P, 1]]])
     sol = arith.solve_int(aug[0])
     assert isinstance(sol, Solution) and list(sol.x) == [Fraction(1, arith._P)]
     assert [list(s.x) for s in arith.solve_stack(aug, True)] == [[Fraction(1, arith._P)]]
-    aug = np.array([[[1, 1], [1 + arith._P, 1]]])
-    assert arith.solve_stack(aug, True) == [None]
-    assert isinstance(arith.solve_int(aug[0]), Inconsistent)
+    mislead = [[1, 1], [1 + arith._P, 1]]                # x = 1 mod p, inconsistent
+    assert _as_tuple(arith.solve_stack(np.array([mislead]), True)[0]) == ("inconsistent", 1, 2)
+    large = [[7, 10**6], [0, 0]]                         # x = 10**6 / 7 does not reconstruct mod p
+    plain = [[2, 1], [0, 0]]
+    out = arith.solve_stack(np.array([large, mislead, plain]), False)
+    assert list(out[0].x) == [Fraction(10**6, 7)]
+    assert _as_tuple(out[1]) == ("inconsistent", 1, 2) and out[2] is None
 
 
 # -- inverse ----------------------------------------------------------------------

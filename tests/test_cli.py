@@ -361,6 +361,25 @@ def test_subspace_file_subgroup(tmp_path, capsys):
     assert "regular: yes" in out
 
 
+@pytest.mark.parametrize("criterion", ["go", "regular"])
+def test_subspace_that_is_not_a_subalgebra_is_an_error_line(criterion, tmp_path):
+    path = tmp_path / "plane.subspace"
+    path.write_text("ambient 3\nrows 2\n1 0 0\n0 1 0\n")     # [e0, e1] = e2 leaves the plane
+    code, err = _cli_error("check", criterion, "--family", "so", "--n", "3", "--subspace", str(path),
+                           "--scalar", "1")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    assert "not a subalgebra; pair (0, 1) escapes" in err
+
+
+@pytest.mark.parametrize("criterion", ["go", "natred", "all"])
+def test_zero_dimensional_table_is_an_error_line(criterion, tmp_path):
+    path = tmp_path / "zero.table"
+    path.write_text("dim 0\n")
+    code, err = _cli_error("check", criterion, "--table", str(path), "--scalar", "1")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    assert "dim must be positive" in err
+
+
 def test_human_report_bi_invariant_phrase(capsys):
     code, out, _ = run_cli(["check", "natred", "--family", "so", "--n", "6",
                             "--partition", "2,2,2", "--params", "1,1,1,1,1,1"], capsys)

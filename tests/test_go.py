@@ -172,10 +172,10 @@ def test_batched_verdict_equals_per_direction_oracle(so6, name, monkeypatch):
 
 def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
     """A direction with [L X, X] != 0 goes to the stacked witness solve, with
-    or without kept certificates, and reaches go_solve_at only when that solve
-    leaves it undecided: never here.  The kept certificates are the
-    per-direction go_solve_at results, and the one exact (Bareiss) solve of a
-    disproved verdict is its counterexample's."""
+    or without kept certificates, and never reaches go_solve_at: the stacked
+    solve decides every system, by Bareiss where its lift fails.  The kept
+    certificates are the per-direction go_solve_at results, and the one exact
+    (Bareiss) solve of a disproved verdict is its counterexample's."""
     layout, named = so6
     dazi = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     distinct = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
@@ -214,6 +214,18 @@ def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
     assert verdict.counterexample.direction.equals(reference.counterexample.direction)
     assert (verdict.counterexample.rank_a, verdict.counterexample.rank_ab) == \
         (reference.counterexample.rank_a, reference.counterexample.rank_ab)
+
+    # no lift reconstructs: every moving direction up to the first failing one
+    # gets its Bareiss solve inside the stacked solve, still no go_solve_at
+    monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
+    exact.clear()
+    assert _fields(go_verdict(dazi, merged, STRATEGY, keep_certificates=True)) == _fields(expected)
+    assert calls == [] and len(exact) == moving
+    exact.clear()
+    assert _fields(go_verdict(distinct, layout.subalgebra, STRATEGY)) == _fields(reference)
+    tried = sampled_directions(distinct, STRATEGY)[:reference.samples]
+    assert calls == [] and len(exact) == sum(
+        1 for _, x in tried if not is_zero(fbracket(layout.algebra, fmatmul(distinct.matrix, x), x)))
 
 
 # -- trilinear condition -----------------------------------------------------------

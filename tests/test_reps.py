@@ -335,7 +335,7 @@ def test_failed_lift_falls_back_to_the_stacked_nullspace(equivariance_problems, 
     expected = _stacked_kernel(dom, cod)
     exact = []
     solve = arith.nullspace_exact
-    monkeypatch.setattr(arith, "_lift", lambda residues: None)
+    monkeypatch.setattr(arith, "_reconstruct", lambda residues, modulus: None)
     monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
     result = reps._solve_equivariance(dom, cod, _entries(dom, cod), seed_tag="test")
     assert exact == [(dom.shape[0] * 36, 36)]
@@ -349,8 +349,9 @@ def test_modular_kernel_too_large_fails_the_exact_check(equivariance_problems, m
     expected = _stacked_kernel(shifted, shifted)
     assert expected.shape[0] < 2
     lifts = []
-    lift = arith._lift
-    monkeypatch.setattr(arith, "_lift", lambda residues: lifts.append(residues.shape) or lift(residues))
+    lift = arith._reconstruct
+    monkeypatch.setattr(arith, "_reconstruct",
+                        lambda residues, modulus: lifts.append(residues.shape) or lift(residues, modulus))
     result = reps._solve_equivariance(shifted, shifted, _entries(shifted, shifted), seed_tag="test")
     assert lifts[0] == (2, 36)        # the modular kernel is the unshifted commutant
     assert _identical(result, expected)
@@ -456,7 +457,7 @@ def test_symmetric_commutant_failed_lift_falls_back_to_the_exact_solve(commutant
     p, count = restriction.space.dim, restriction.acting.dim
     exact = []
     solve = arith.nullspace_exact
-    monkeypatch.setattr(arith, "_lift", lambda residues: None)
+    monkeypatch.setattr(arith, "_reconstruct", lambda residues, modulus: None)
     monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
     comm = symmetric_commutant(restriction)
     size = p * (p + 1) // 2
@@ -577,14 +578,10 @@ def test_minimal_polynomial_test_solves_only_when_it_cannot_separate(small, larg
     assert len(solves) == (2 if dim else 0)
 
 
-@pytest.mark.parametrize("casimir_split_fails", [False, True])
-def test_casimir_commutes_with_the_action_and_splits_the_isotypic_stack(so7_3211, monkeypatch,
-                                                                       casimir_split_fails):
+def test_casimir_commutes_with_the_action_and_splits_the_isotypic_stack(so7_3211, monkeypatch):
     """Omega commutes with every generator and does not depend on the acting
     basis; on k's complement in so(7)/(3,2,1,1) it has four eigenvalues, and the isotypic split starts from its four
-    primary components, so no commutant of the whole complement is solved.
-    When that split raises, the whole complement's commutant is solved, with
-    the same components."""
+    primary components, so no commutant of the whole complement is solved."""
     k = so7_3211.subalgebra
     m = orthogonal_complement(k)
     restriction = ad_restriction(k, m)
@@ -595,21 +592,10 @@ def test_casimir_commutes_with_the_action_and_splits_the_isotypic_stack(so7_3211
     sheared = Subspace(k.algebra, arith.Scaled(shear) @ k.basis, check=False)
     assert reps.casimir(ad_restriction(sheared, m)).equals(omega)     # independent of the basis
     assert len(arith.primary_invariant_split(omega)) == 4
-    expected = isotypic_decomposition(k, m)
-    if casimir_split_fails:
-        split = arith.primary_invariant_split
-
-        def split_all_but_omega(c):
-            if c.equals(omega):
-                raise arith.ExactComputationError("no split")
-            return split(c)
-        monkeypatch.setattr(arith, "primary_invariant_split", split_all_but_omega)
     sizes = []
     commutant = reps.symmetric_commutant
     monkeypatch.setattr(reps, "symmetric_commutant",
                         lambda r: sizes.append(r.space.dim) or commutant(r))
     dec = isotypic_decomposition(k, m)
-    assert (max(sizes) == m.dim) == casimir_split_fails
+    assert max(sizes) < m.dim
     assert [c.dim for c in dec.components] == [1, 4, 6, 6]
-    assert all(a.spans_equal(b) for a, b in zip(dec.components, expected.components))
-    assert dec.labels == expected.labels and dec.multiplicities == expected.multiplicities

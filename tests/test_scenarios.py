@@ -87,6 +87,17 @@ def test_chain_subgroup_slices():
     assert restrict_operator(built.metric, built.named["p"])[0, 0] == Fraction(2)
 
 
+@pytest.mark.parametrize("inner, outer, message", [
+    ([0, 1], [0, 1, 2, 4, 5, 7], r"inner space is not a subalgebra; pair \(0, 1\) escapes"),
+    ([0, 1, 4], [0, 1, 2, 4], r"outer space is not a subalgebra; pair \(0, 2\) escapes"),
+], ids=["inner", "outer"])
+def test_chain_of_a_non_subalgebra_is_rejected(inner, outer, message):
+    spec = scenario_catalog()["triple-shape-demo"]
+    spec = dataclasses.replace(spec, subgroup={"chain": {"inner": inner, "outer": outer}})
+    with pytest.raises(arith.ContractViolation, match=message):
+        build_scenario(spec)
+
+
 def test_cartan_subgroup_for_su3():
     spec = scenario_catalog()["su3-torus-flag"]
     built = build_scenario(spec)
