@@ -7,22 +7,25 @@ appear only at the edges: parsing (:meth:`Scaled.of`), single entries and the
 report.  There is no floating-point backend, and zero tests are literal.
 
 Exact ranks, solves, nullspaces, rrefs and inverses all run
-:func:`_eliminate_int`, fraction-free (Bareiss, Math. Comp. 22, 1968)
-elimination of the integer matrix: forward for :func:`rank_exact` and
-:func:`is_positive_definite_exact` (whose pivots are the leading principal
-minors, Sylvester's criterion), Gauss-Jordan for :func:`solve_int`,
-:func:`nullspace_exact`, :func:`rref_exact` and :func:`inverse`.  Each step
-divides by the previous pivot; the quotients are minors of the input, so
-every division is exact, and Gauss-Jordan leaves ``det * rref``.
+:func:`_eliminate_int`, fraction-free elimination on primitive rows:
+forward for :func:`rank_exact` and :func:`is_positive_definite_exact`
+(Sylvester's criterion on the pivot signs), Gauss-Jordan for
+:func:`solve_int`, :func:`nullspace_exact`, :func:`rref_exact` and
+:func:`inverse`.  Rows with head 0 are left alone, and every other row is the
+primitive part of the row Bareiss (Math. Comp. 22, 1968) elimination holds,
+so no entry is larger than Bareiss's; Gauss-Jordan leaves ``det * rref``.
+Products run on float64 BLAS while every partial sum is an integer below
+``2**53``, exact in any summation order (Dumas, Giorgi and Pernet, ACM TOMS
+35(3), 2008), on int64 below ``2**62``, and on Python ints past that.
 
 Nullspaces are certified: every exact kernel has one checked lift and one
-Bareiss fallback.  The lift, :func:`_crt_lift`, starts from the rational
+elimination fallback.  The lift, :func:`_crt_lift`, starts from the rational
 reconstruction of the canonical kernel mod ``_P`` and, while the candidate
 fails, combines it with the kernels mod the further primes of
 ``_CRT_PRIMES`` by the Chinese remainder theorem (Dixon, Numer. Math. 40,
 1982; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5); each
 candidate is verified by an exact integer product before it is returned.
-Bareiss elimination of all rows takes over when no lift verifies, at once
+Exact elimination of all rows takes over when no lift verifies, at once
 when a further prime shows that the rank dropped mod ``_P``.
 
 Stacks of small systems, the witness systems of a geodesic-orbit verdict, go
@@ -30,7 +33,7 @@ to :func:`solve_stack`: one Gauss-Jordan elimination mod ``_P`` over the
 whole stack; each system consistent mod ``_P`` gets its particular solution
 and, when asked, its canonical nullspace, both rationally reconstructed from
 the same reduced stack and checked by one exact product.  Every other system
-runs Bareiss (:func:`solve_int`), which also gives the exact rank gap of an
+runs :func:`solve_int`, which also gives the exact rank gap of an
 inconsistent one; every system up to the first exactly inconsistent one is
 decided, and the stack lifts nothing after it.
 
@@ -164,6 +167,31 @@ def from_ints(ints: np.ndarray, denom: int = 1) -> np.ndarray:
 
 _PRODUCT_LIMIT = 2**62   # int64 products, sums and their operands' bounds stay below this
 _NARROW_LIMIT = 2**60    # Python-int arrays and scalar multiples below this become int64
+_FLOAT_LIMIT = 2**53     # products whose every partial sum stays below this run on float64 BLAS
+
+
+def _float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of int64 arrays whose every partial sum is an integer below
+    ``2**53`` through float64 BLAS, exact in any summation order (as in
+    :func:`_mulmod`).  The operands that carry the result's first axis are
+    converted in blocks of about ``_CHUNK`` rows into the int64 result."""
+    if a.size <= _CHUNK * a.shape[-1] and b.size <= _CHUNK * b.shape[-1]:   # one block each
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    stacks = a.shape[:-2] == b.shape[:-2]
+    cut_a, cut_b = a.ndim > 1 and (b.ndim <= 2 or stacks), b.ndim > 2 and (a.ndim <= 2 or stacks)
+    lead = a if cut_a else b
+    step = max(1, _CHUNK * max(1, lead.shape[-1]) // max(1, lead[:1].size))
+    if not (cut_a or cut_b) or len(lead) <= step:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    whole_a, whole_b = (None if cut else x.astype(np.float64) for x, cut in ((a, cut_a), (b, cut_b)))
+    out = None
+    for s in range(0, len(lead), step):
+        part = ((a[s:s + step].astype(np.float64) if cut_a else whole_a)
+                @ (b[s:s + step].astype(np.float64) if cut_b else whole_b))
+        if out is None:
+            out = np.empty((len(lead),) + part.shape[1:], dtype=np.int64)
+        out[s:s + step] = part
+    return out
 
 
 class Scaled:
@@ -171,10 +199,11 @@ class Scaled:
 
     ``ints`` is int64 or an object array of Python ints.  :attr:`bound`, an
     upper bound on the absolute entries computed at most once, decides in
-    O(1) whether a product can stay int64 (``bound * bound * inner < 2**62``);
-    past that, int64 operands are first divided by their gcd, and whatever
-    still does not fit runs on Python ints, is divided by its gcd and goes
-    back to int64 when it fits.  Values are immutable and support ``@``,
+    O(1) whether a product can stay int64 (``bound * bound * inner < 2**62``),
+    on float64 BLAS below ``2**53`` (:func:`_float_matmul`); past that, int64
+    operands are first divided by their gcd, and whatever still does not fit
+    runs on Python ints, is divided by its gcd and goes back to int64 when it
+    fits.  Values are immutable and support ``@``,
     ``+``, ``-``, scalar products, indexing (a single entry is a Fraction),
     ``.T`` and ``reshape``.  :meth:`fractions` (also ``np.asarray``) is the
     Fraction view, built on demand and never cached.
@@ -325,10 +354,11 @@ class Scaled:
         inner = a.ints.shape[-1] if a.ints.ndim else 1
         if not a.fits(b, inner):
             a, b = (s.reduced() if s.ints.dtype == np.int64 else s for s in (a, b))
-        if a.fits(b, inner):
-            return Scaled(a.ints @ b.ints, a.scale * b.scale)
-        return Scaled._exact(np.matmul(a.ints.astype(object), b.ints.astype(object)),
-                             a.scale * b.scale)
+        if not a.fits(b, inner):
+            return Scaled._exact(np.matmul(a.ints.astype(object), b.ints.astype(object)),
+                                 a.scale * b.scale)
+        floats = max(1, a.bound) * max(1, b.bound) * max(1, inner) < _FLOAT_LIMIT
+        return Scaled((_float_matmul if floats else np.matmul)(a.ints, b.ints), a.scale * b.scale)
 
     def __mul__(self, k) -> "Scaled":
         if isinstance(k, (Scaled, np.ndarray)):
@@ -371,12 +401,11 @@ class Scaled:
 # ---------------------------------------------------------------------------
 
 def _over(rows: list[list[int]], det: int, ncols: int) -> Scaled:
-    """The integer ``rows`` divided by ``det``, reduced."""
-    ints = np.array(rows, dtype=object).reshape(len(rows), ncols)
-    return Scaled._exact(-ints if det < 0 else ints, abs(det))
+    """The integer ``rows`` divided by the positive ``det``, reduced."""
+    return Scaled._exact(np.array(rows, dtype=object).reshape(len(rows), ncols), det)
 
 
-def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: int = 1) -> Scaled:
+def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: int) -> Scaled:
     """Nullspace basis (rows) from ``rows``, which are ``det`` times an rref."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = [[0] * ncols for _ in free]
@@ -388,26 +417,28 @@ def _nullspace_from_rref(rows: list[list], pivots: list[int], ncols: int, det: i
 
 
 def rank_exact(mat) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    """Rank over the rationals via fraction-free elimination."""
     return len(_eliminate_int(Scaled.of(mat).ints.tolist(), reduce_above=False)[0])
 
 
 def _eliminate_int(work: list[list[int]], reduce_above: bool,
                    minors: list[int] | None = None) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination of the integer rows ``work`` in place.
+    """Fraction-free elimination of the integer rows ``work`` in place, on primitive rows.
 
-    Returns the pivot columns and the last pivot ``det``.  Each step replaces
-    every other row by ``(p * row - head * pivot_row) // prev`` with ``p`` the
-    new pivot and ``prev`` the one before; every quotient is a minor of the
-    row-permuted input, so each division is exact.  Forward only, the first
-    rows are an echelon form; with ``reduce_above`` (Gauss-Jordan) every
-    pivot row ends equal to ``det`` times its row of the rref.  ``minors``
-    receives each step's entry at the pivot position before any row swap.
+    Returns the pivot columns and ``det``, the positive lcm of the pivot
+    entries.  At a pivot ``p`` a row with head ``h`` becomes
+    ``(a * row - b * pivot_row) / content`` (``a/b = p/h`` in lowest terms);
+    a row with head 0 is left alone.  Each row is the input row or the
+    primitive part of Bareiss's (Math. Comp. 22, 1968), so no entry is larger.
+    Forward only, the first rows are an echelon form; with ``reduce_above``
+    each pivot row ends as ``det`` times its row of the rref.  ``minors``
+    receives each step's entry at the pivot position before any swap; while
+    the earlier pivots are positive so is ``a``, and the entry is a positive
+    multiple of the Schur-complement pivot.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     piv_cols: list[int] = []
-    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -418,22 +449,25 @@ def _eliminate_int(work: list[list[int]], reduce_above: bool,
         if minors is not None:
             minors.append(work[r][c])
         work[r], work[pr] = work[pr], work[r]
-        wr = work[r]
-        p = wr[c]
+        p = work[r][c]
         lo = 0 if reduce_above else c
+        tail = work[r][lo:]
         for i in range(0 if reduce_above else r + 1, nrows):
-            wi = work[i]
-            head = wi[c]
-            if i == r:
-                continue
-            if head:
-                wi[lo:] = [(x * p - head * y) // prev for x, y in zip(wi[lo:], wr[lo:])]
-            elif p != prev and any(wi):         # a zero row stays zero
-                wi[lo:] = [x * p // prev for x in wi[lo:]]
-        prev = p
+            head = work[i][c]
+            if head and i != r:
+                g = math.gcd(p, head)
+                a, b = p // g, head // g
+                new = [a * x - b * y for x, y in zip(work[i][lo:], tail)]
+                g = math.gcd(*new)
+                work[i][lo:] = [v // g for v in new] if g > 1 else new
         piv_cols.append(c)
         r += 1
-    return piv_cols, prev
+    det = math.lcm(*(work[r][c] for r, c in enumerate(piv_cols)))
+    if reduce_above:
+        for r, c in enumerate(piv_cols):
+            if (f := det // work[r][c]) != 1:
+                work[r] = [v * f for v in work[r]]
+    return piv_cols, det
 
 
 def rref_exact(mat) -> tuple[Scaled, list[int]]:
@@ -656,7 +690,7 @@ def _crt_lift(value: Scaled, rank: int, piv_cols: list[int], kernel: np.ndarray)
 def nullspace_exact(mat) -> Scaled:
     """Certified rational nullspace basis (rows) of ``mat``.
 
-    Small systems run fraction-free (Bareiss) Gauss-Jordan on the integers.
+    Small systems run fraction-free Gauss-Jordan on the integers.
     Larger ones are eliminated mod ``_P``, whose rref gives the canonical
     kernel (the identity on its free columns); :func:`_crt_lift` reconstructs
     it rationally, adding the kernels mod further primes by the Chinese
@@ -665,8 +699,8 @@ def nullspace_exact(mat) -> Scaled:
     ints otherwise).  A candidate has ``ncols - rank_p`` independent rows and
     rank mod p never exceeds rank over the rationals, so a verified one pins
     the nullity exactly, and it is the one nullspace basis that is the
-    identity on those free columns.  When no lift verifies, Bareiss runs on
-    all rows.
+    identity on those free columns.  When no lift verifies, exact
+    elimination runs on all rows.
     """
     value = Scaled.of(mat)
     if value.ints.ndim != 2:
@@ -748,7 +782,7 @@ def solve_stack(aug, kernels: bool) -> list:
     - a :class:`Solution` read off the reduced stack for a system consistent
       mod ``_P`` whose lift verifies (see :func:`_lift_solutions`);
     - the :func:`solve_int` answer of every other system: rank can drop mod
-      p, so only Bareiss decides a system inconsistent mod ``_P`` or one
+      p, so only the exact solve decides a system inconsistent mod ``_P`` or one
       whose lift fails;
     - None for every system after the first one that :func:`solve_int` finds
       inconsistent, so that a stack with a counterexample lifts only the
@@ -857,8 +891,9 @@ def _lift_solutions(aug: np.ndarray, rref: np.ndarray, kernels: bool) -> list:
 def is_positive_definite_exact(S) -> bool:
     """Exact positive definiteness of a symmetric rational matrix.
 
-    Sylvester's criterion on the Bareiss pivots of the integers: while no
-    row swap occurs the k-th pivot is the k-th leading principal minor.
+    Sylvester's criterion: every Schur-complement pivot is positive, with no
+    row swap.  While the earlier ones are, each recorded pivot entry of
+    :func:`_eliminate_int` is a positive multiple of the next one.
     """
     value = Scaled.of(S)
     if np.any(value.ints != value.ints.T):

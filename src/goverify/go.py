@@ -12,7 +12,7 @@ the zero witness already works.  The witness systems of the other directions
 go to one stacked modular solve, :func:`arith.solve_stack`, whether or not
 the verdict keeps certificates: a solution it lifts is checked exactly and
 gives the minimal-norm witness of a kept certificate, and every system it
-cannot lift gets its Bareiss solve there, in label order, so the first
+cannot lift gets its exact solve there, in label order, so the first
 inconsistent direction and its exact rank gap are those of solving every
 direction with :func:`go_solve_at`.
 """
@@ -180,8 +180,8 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
     ``[L X, X]`` are batched products.  A direction with ``[L X, X] = 0`` has
     the zero witness.  The witness systems of all other directions go to one
     :func:`arith.solve_stack`, which lifts their solutions (with nullspaces
-    when certificates are kept) and solves every system it cannot lift by
-    Bareiss, up to the first inconsistent one.  The labels are walked in
+    when certificates are kept) and solves every system it cannot lift
+    exactly, up to the first inconsistent one.  The labels are walked in
     order: a solution gives its minimal-norm witness, and a negative verdict
     carries the exact rank gap of the first failing direction.
     NotDisproved is explicitly a sampling outcome, not a proof.
@@ -261,7 +261,7 @@ def natred_condition_check(operator: MetricOperator, subalgebra: Subspace,
     # U[a,b,c] = metric([v_a, v_c]_m, v_b); condition: U[a,b,c] + U[b,a,c] = 0
     flat = complement.brackets(complement).transpose(0, 2, 1).reshape(m * m, -1)  # [(a,c), k]
     proj = projector(complement)
-    u = (flat @ proj.T @ operator.metric_matrix @ complement.basis.T).reshape(m, m, m)
+    u = (flat @ (proj.T @ operator.metric_matrix @ complement.basis.T)).reshape(m, m, m)
     total = u.transpose(0, 2, 1) + u.transpose(2, 0, 1)    # u[a,c,b] = metric([v_a,v_c]_m, v_b)
     if is_zero(total):
         return NatredResult(True)

@@ -257,26 +257,33 @@ class IsotypicDecomposition:
 def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecomposition:
     """Isotypic decomposition of the action of ``acting`` on ``space``.
 
-    When the Casimir on ``space`` is not scalar, the split starts from its
-    primary components: the Casimir is one scalar on each irreducible
-    constituent, so each isotypic component lies inside one of them, and the
-    commutant of the whole space is never solved.  Each piece is then split
-    with primary decompositions of generic symmetric commutant
-    elements over the rationals (up to three fixed pseudo-random combinations
-    per piece, from the stream ``isotypic:0:{dim}``), then merges pieces whose
-    mutual intertwiner space is nonzero.  The Casimir and those combinations
-    are form-symmetric, hence diagonalizable, so each primary split exhausts
-    its piece.  A piece whose symmetric commutant is scalar is
-    irreducible (its label says so); a piece that resists rational splitting
-    is labeled ``not-split-by-this-procedure`` -- downstream decisions only
+    The pieces of :func:`split_pieces` are merged where their mutual
+    intertwiner space is nonzero.  A piece that resists rational splitting
+    stays labeled ``not-split-by-this-procedure`` -- downstream decisions only
     need the disjointness of distinct components, which holds either way.
     """
     if space.dim == 0:
         return IsotypicDecomposition((), (), ())
     if acting.dim == 0:
         return IsotypicDecomposition((space,), ("trivial",), (space.dim,))
-    rng = random.Random(f"isotypic:0:{space.dim}")
+    merged = _merge_equivalent(acting, split_pieces(acting, space))
+    return IsotypicDecomposition(*(tuple(column) for column in zip(*merged)))
 
+
+def split_pieces(acting: Subspace, space: Subspace) -> list[tuple[Subspace, str]]:
+    """Invariant pieces of ``space`` under a nonzero ``acting`` in sort order,
+    each labeled ``irreducible`` or ``not-split-by-this-procedure``.
+
+    When the Casimir on ``space`` is not scalar, the split starts from its
+    primary components: the Casimir is one scalar on each irreducible
+    constituent, so each isotypic component lies inside one of them.  Each
+    piece is then split with primary decompositions of generic symmetric
+    commutant elements (up to three fixed pseudo-random combinations per
+    piece, from the stream ``isotypic:0:{dim}``); these and the Casimir are
+    form-symmetric, hence diagonalizable, so each primary split exhausts its
+    piece.  A piece whose symmetric commutant is scalar is irreducible.
+    """
+    rng = random.Random(f"isotypic:0:{space.dim}")
     final: list[tuple[Subspace, str]] = []
     stack = [space]
     omega = casimir(ad_restriction(acting, space))
@@ -284,8 +291,7 @@ def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecompo
         stack = _primary_pieces(space, omega)
     while stack:
         piece = stack.pop()
-        restriction = ad_restriction(acting, piece)
-        commutant = symmetric_commutant(restriction)
+        commutant = symmetric_commutant(ad_restriction(acting, piece))
         if len(commutant) <= 1:
             final.append((piece, "irreducible"))
             continue
@@ -294,13 +300,7 @@ def isotypic_decomposition(acting: Subspace, space: Subspace) -> IsotypicDecompo
             final.append((piece, "not-split-by-this-procedure"))
         else:
             stack.extend(split)
-
-    final.sort(key=lambda pair: pair[0].sort_key())
-    merged = _merge_equivalent(acting, final)
-    components = tuple(c for c, _, _ in merged)
-    labels = tuple(l for _, l, _ in merged)
-    mults = tuple(m for _, _, m in merged)
-    return IsotypicDecomposition(components, labels, mults)
+    return sorted(final, key=lambda pair: pair[0].sort_key())
 
 
 def _primary_pieces(piece: Subspace, operator: Scaled) -> list[Subspace]:

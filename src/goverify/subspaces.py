@@ -422,8 +422,10 @@ def ideal_decomposition(space: Subspace) -> DecomposedSubalgebra:
     """Split a compact subalgebra into its center and simple ideals.
 
     The center is the kernel of the adjoint action of the subalgebra on
-    itself; the ideals are the isotypic components of the derived part acting
-    on itself (pairwise inequivalent, hence recovered exactly).
+    itself; the ideals are the irreducible pieces of the derived part acting
+    on itself (:func:`reps.split_pieces`).  Two distinct simple ideals are
+    never equivalent, since each acts trivially on the other, so no
+    intertwiner is solved; a piece not labeled irreducible raises.
     """
     def build():
         check = is_subalgebra(space)
@@ -437,8 +439,10 @@ def ideal_decomposition(space: Subspace) -> DecomposedSubalgebra:
         if derived.dim == 0:
             return DecomposedSubalgebra(center=center, ideals=())
         from . import reps  # local import: reps builds on this module
-        decomposition = reps.isotypic_decomposition(derived, derived)
-        ideals = tuple(sorted(decomposition.components, key=Subspace.sort_key))
+        pieces = reps.split_pieces(derived, derived)
+        if any(label != "irreducible" for _, label in pieces):
+            raise arith.ExactComputationError("derived algebra did not split into simple ideals")
+        ideals = tuple(piece for piece, _ in pieces)
         for ideal in ideals:
             if not is_subalgebra(ideal):
                 raise arith.ExactComputationError("ideal candidate is not bracket-closed")

@@ -15,7 +15,8 @@ decomposition, against which the commutation check of
 ``metrics.bi_invariance_check`` is checked.  Last,
 :func:`rank_estimate_all_exact` builds every drawn element's centralizer
 exactly, against which the modular-first ``subspaces.rank_estimate`` is
-checked.
+checked.  :func:`bareiss` is the classic fraction-free elimination, against
+which the primitive-row elimination ``arith._eliminate_int`` is checked.
 """
 
 import itertools
@@ -61,6 +62,46 @@ def fbracket(algebra, x, y) -> np.ndarray:
 def fad(algebra, x) -> np.ndarray:
     """The matrix of ``ad_x`` from the dense Fraction structure tensor."""
     return np.tensordot(fractions(x), algebra.tensor, axes=1).T
+
+
+def bareiss(work: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
+    """Classic fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of the
+    integer rows ``work`` in place; the pivot columns and the last pivot.
+
+    Each step replaces every other row, including those with head 0, by
+    ``(p * row - head * pivot_row) // prev``, ``p`` the new pivot and ``prev``
+    the one before; every quotient is a minor of the row-permuted input.  With
+    ``reduce_above`` every pivot row ends equal to the last pivot times its row
+    of the rref.
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    piv_cols: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        wr = work[r]
+        p = wr[c]
+        lo = 0 if reduce_above else c
+        for i in range(0 if reduce_above else r + 1, nrows):
+            wi = work[i]
+            head = wi[c]
+            if i == r:
+                continue
+            if head:
+                wi[lo:] = [(x * p - head * y) // prev for x, y in zip(wi[lo:], wr[lo:])]
+            elif p != prev and any(wi):
+                wi[lo:] = [x * p // prev for x in wi[lo:]]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols, prev
 
 
 def positive_definite(S) -> bool:

@@ -15,7 +15,7 @@ from goverify.arith import (ContractViolation, ExactComputationError, Inconsiste
                             Solution, q, qarray, qeye, qzeros)
 from goverify.lie import build_classical
 from goverify.subspaces import Subspace
-from oracles import fmatmul, positive_definite
+from oracles import bareiss, fmatmul, positive_definite
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -406,6 +406,76 @@ def test_gauss_jordan_pivot_rows_are_det_times_rref():
     for r in range(len(pivots)):
         assert rows[r] == [v * det for v in ref_rows[r]]
     assert not any(any(row) for row in rows[len(pivots):])
+
+
+def _elimination_input(rng, kind):
+    """An integer matrix (lists of Python ints) of the named kind, up to 9 x 9."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "diagonal":
+        rows = [[rng.choice([-1, 1]) * rng.randint(1, 30) * (i == j) for j in range(ncols)]
+                for i in range(nrows)]
+    if kind == "block-sparse":
+        cut_r, cut_c = rng.randint(0, nrows), rng.randint(0, ncols)
+        rows = [[v if (i < cut_r) == (j < cut_c) else 0 for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+    if kind == "zero-columns":
+        for j in rng.sample(range(ncols), rng.randint(1, ncols)):
+            for row in rows:
+                row[j] = 0
+    if kind == "rank-deficient":
+        inner = rng.randint(0, min(nrows, ncols) - 1)
+        left = [[rng.randint(-5, 5) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum(a * b for a, b in zip(l, col)) for col in zip(*right)] if inner else [0] * ncols
+                for l in left]
+    if kind == "negative-pivots":
+        for row in rows:
+            row[0] = -abs(row[0]) - 1
+    if kind == "past-int64":
+        rows = [[v * 3**40 for v in row] for row in rows]
+    return rows
+
+
+def _direction(row):
+    """The row divided by its first nonzero entry (None for a zero row)."""
+    lead = next((v for v in row if v), None)
+    return None if lead is None else [Fraction(v, lead) for v in row]
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "block-sparse", "zero-columns",
+                                  "rank-deficient", "negative-pivots", "past-int64"])
+def test_primitive_elimination_matches_bareiss(kind):
+    """Forward and Gauss-Jordan, the primitive-row elimination has Bareiss's
+    pivots and, row by row, the same rational rows up to scale, with no
+    larger entry; Gauss-Jordan leaves ``det * rref`` for the positive
+    ``det``, the lcm of the pivot entries."""
+    rng = random.Random(kind)
+    for _ in range(100):
+        mat = _elimination_input(rng, kind)
+        ref_rows, ref_pivots = _reference_rref(np.array(mat, dtype=object))
+        for reduce_above in (False, True):
+            rows, oracle = [list(r) for r in mat], [list(r) for r in mat]
+            pivots, det = arith._eliminate_int(rows, reduce_above)
+            assert pivots == bareiss(oracle, reduce_above)[0] == ref_pivots
+            assert det > 0 and all(det % rows[r][c] == 0 for r, c in enumerate(pivots))
+            assert [_direction(r) for r in rows] == [_direction(r) for r in oracle]
+            assert max((abs(v) for r in rows for v in r), default=0) <= max(
+                (abs(v) for r in oracle for v in r), default=0)
+            if reduce_above:
+                assert rows[:len(pivots)] == [[v * det for v in r] for r in ref_rows[:len(pivots)]]
+                assert not any(any(r) for r in rows[len(pivots):])
+
+
+def test_forward_elimination_leaves_rows_with_zero_head_untouched():
+    """On a diagonal matrix no row has a nonzero head below a pivot, so forward
+    elimination changes no row, where Bareiss rescales every row at every pivot."""
+    mat = [[3 * (i == j) * (i + 2) for j in range(6)] for i in range(6)]
+    rows, oracle = [list(r) for r in mat], [list(r) for r in mat]
+    pivots, det = arith._eliminate_int(rows, reduce_above=False)
+    assert pivots == bareiss(oracle, reduce_above=False)[0] == list(range(6))
+    assert rows == mat and det == math.lcm(*(3 * (i + 2) for i in range(6)))
+    assert oracle != mat
 
 
 # -- Bareiss paths of nullspace_exact, against the Fraction reference -----------
@@ -887,3 +957,54 @@ def test_positive_definite_by_bareiss_pivots_matches_fraction_elimination(kind):
         assert arith.is_positive_definite_exact(s) == positive_definite(s) == (kind == "definite")
         scaled = arith.Scaled.of(s) * 3**45        # the pivots past int64
         assert arith.is_positive_definite_exact(scaled) == (kind == "definite")
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([[-1, 0], [0, 1]], False),                         # negative first pivot
+    ([[-2, 1, 0], [1, -3, 0], [0, 0, 5]], False),       # negative first pivot, positive later heads
+    ([[0, 1], [1, 2]], False),                          # zero leading entry: a row swap
+    ([[0, 0], [0, 1]], False),                          # zero first column
+    ([[4, 2, 2], [2, 1, 1], [2, 1, 3]], False),         # semidefinite: a zero pivot, then a swap
+    ([[1, 2], [2, 1]], False),                          # indefinite
+    ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], True),
+])
+def test_positive_definite_at_the_pivot_edges(matrix, expected):
+    """Sylvester's test on the recorded pivot entries: a pivot that is not
+    positive, or a zero that forces a row swap, decides False."""
+    s = qarray(matrix)
+    assert arith.is_positive_definite_exact(s) == positive_definite(s) == expected
+    assert arith.is_positive_definite_exact(arith.Scaled.of(s) * 3**45) == expected
+
+
+def test_float_tier_is_exact_up_to_its_bound(monkeypatch):
+    """A product with ``bound_a * bound_b * inner < 2**53`` runs through float64
+    BLAS and equals the Python-int product, for a sum just below ``2**53``; one
+    just past the bound, an odd sum that float64 would round, stays on int64."""
+    floats = _record(monkeypatch, "_float_matmul", lambda a, b: a.shape)
+    big = 2**26 + 1
+    below = (2**53 - 1) // (3 * big) // 2 * 2 - 1          # odd, 3 * big * below < 2**53
+    for entry, tier in ((below, True), (below + 2, False)):
+        a, b = np.full((2, 3), big, dtype=np.int64), np.full((3, 2), entry, dtype=np.int64)
+        a[1, 0] = -big
+        assert (3 * big * entry < 2**53) == tier
+        out = arith.Scaled(a) @ arith.Scaled(b)
+        assert out.ints.dtype == np.int64 and bool(floats) == tier
+        assert out.ints.tolist() == np.matmul(a.astype(object), b.astype(object)).tolist()
+        floats.clear()
+    rounded = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    assert rounded.tolist() != out.ints.tolist()           # past the bound float64 is inexact
+
+
+@pytest.mark.parametrize("shapes", [((600, 7), (7, 5)), ((3, 300, 4), (4, 2)),
+                                    ((5, 120, 6), (5, 6, 3)), ((130, 6), (300, 6, 9)),
+                                    ((6,), (300, 6, 2)), ((300, 6, 4), (4,)), ((2, 3), (3,))])
+def test_float_tier_matches_python_ints_on_stacks_and_blocks(monkeypatch, shapes):
+    """Matrices with more rows than one conversion block, stacks times
+    matrices, matrices times stacks and stacks times stacks: the blocked float
+    tier gives the Python-int product."""
+    floats = _record(monkeypatch, "_float_matmul", lambda a, b: a.shape)
+    rng = np.random.RandomState(len(floats) + sum(map(len, shapes)))
+    a, b = (rng.randint(-2**20, 2**20, size=shape) for shape in shapes)
+    out = arith.Scaled(a) @ arith.Scaled(b)
+    assert len(floats) == 1 and out.ints.dtype == np.int64
+    assert out.ints.tolist() == np.matmul(a.astype(object), b.astype(object)).tolist()

@@ -437,11 +437,12 @@ def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
     again, with one ideal in another basis, reuses the solve.  The
     Casimirs decide the rest: so(9)/so(3)^3 solves nothing for weak regularity
     and its sufficient criterion (the same system, as it is self-normalizing).
-    The full so(9) pipeline asks for two intertwiner spaces, the weak-regularity
-    one, which the split check's hypotheses reuse, and the one that the ideal
-    decomposition of the isometry algebra so(6) + so(3) in the dazi check
-    needs, and solves neither; its two solves are the symmetric commutants of
-    the two ideals, which the Casimir split apart."""
+    The full so(9) pipeline asks for one intertwiner space, the weak-regularity
+    one, which the split check's hypotheses reuse, and solves it not; the ideal
+    decomposition of the isometry algebra so(6) + so(3) in the dazi check asks
+    for none, as distinct simple ideals are never equivalent.  Its two solves
+    are the symmetric commutants of the two ideals, which the Casimir split
+    apart."""
     calls = _count_calls(monkeypatch, reps, "_solve_equivariance", "intertwiner_space")
     so4 = lie.build_classical("so", 4)
     full = subspaces.Subspace.full(so4)
@@ -456,7 +457,7 @@ def test_intertwiner_systems_are_solved_once_per_span(monkeypatch):
     assert [r["self_normalizing"] for r in report.records if r["name"] == "weakly-regular"] == [True]
     calls.clear()
     run_check(_pipeline_so9(1))
-    assert calls == {"intertwiner_space": 2, "_solve_equivariance": 2}
+    assert calls == {"intertwiner_space": 1, "_solve_equivariance": 2}
 
 
 def test_so16_weak_regularity_solves_no_equivariance_system(monkeypatch):
@@ -467,6 +468,21 @@ def test_so16_weak_regularity_solves_no_equivariance_system(monkeypatch):
     record, = (r for r in run_check(spec).records if r["name"] == "weakly-regular")
     assert calls["_solve_equivariance"] == 0
     assert record["verdict"] and record["intertwiner_dim"] == 0
+
+
+def test_so16_dazi_solves_no_intertwiner_system(monkeypatch):
+    """The dazi check of so(16)/so(4)^4 decomposes an isometry algebra with eight
+    su(2) ideals, which share one Casimir scalar.  Distinct simple ideals are
+    never equivalent, so the ideal decomposition solves no intertwiner system
+    (pairwise merging solved 28); only symmetric commutants are solved."""
+    spec = dataclasses.replace(scenario_catalog()["so16-partition4"], checks=("dazi",))
+    tags = []
+    solve = reps._solve_equivariance
+    monkeypatch.setattr(reps, "_solve_equivariance", lambda dom, cod, unknowns, seed_tag:
+                        tags.append(seed_tag) or solve(dom, cod, unknowns, seed_tag))
+    record, = run_check(spec).records
+    assert record["name"] == "dazi"
+    assert tags and not any(tag.startswith("itw:") for tag in tags)
 
 
 def test_regular_check_builds_one_exact_centralizer_per_span(monkeypatch):
@@ -504,9 +520,10 @@ def test_bi_invariance_agrees_with_the_block_form_on_the_catalog(monkeypatch):
 def test_split_and_hypotheses_decompose_no_ideals_and_solve_no_weak_regularity(monkeypatch):
     """On a 4-tuple so(8)/(2,3,3) sweep (its tuple 3 has all of so(8) as isometry
     algebra), bi-invariance, the hypothesis flags and the split never run an ideal
-    decomposition, no isotypic decomposition runs on the 28-dimensional so(8), and
-    no weak-regularity decision runs at all."""
-    depth, ideals_inside, isotypic_dims, weak = [0], [], [], []
+    decomposition, no piece split (``reps.split_pieces``, which isotypic and ideal
+    decompositions both run) runs on the 28-dimensional so(8), and no
+    weak-regularity decision runs at all."""
+    depth, ideals_inside, split_dims, weak = [0], [], [], []
 
     def entering(module, name):
         original = getattr(module, name)
@@ -527,9 +544,9 @@ def test_split_and_hypotheses_decompose_no_ideals_and_solve_no_weak_regularity(m
         if hasattr(module, "ideal_decomposition"):
             monkeypatch.setattr(module, "ideal_decomposition", lambda space: ideals_inside.append(
                 depth[0]) or ideal_decomposition(space))
-    isotypic, is_weakly_regular = reps.isotypic_decomposition, reps.is_weakly_regular
-    monkeypatch.setattr(reps, "isotypic_decomposition", lambda acting, space: isotypic_dims.append(
-        space.dim) or isotypic(acting, space))
+    split_pieces, is_weakly_regular = reps.split_pieces, reps.is_weakly_regular
+    monkeypatch.setattr(reps, "split_pieces", lambda acting, space: split_dims.append(
+        space.dim) or split_pieces(acting, space))
     monkeypatch.setattr(reps, "is_weakly_regular", lambda space: weak.append(space.dim)
                         or is_weakly_regular(space))
     report = run_check(ScenarioSpec(name="so8", algebra={"family": "so", "n": 8},
@@ -540,5 +557,5 @@ def test_split_and_hypotheses_decompose_no_ideals_and_solve_no_weak_regularity(m
     assert [t["kprime_dim"] for t in sweep["tuples"]][3] == 28
     assert [t["split_ok"] for t in sweep["tuples"]][3] is True
     assert ideals_inside and not any(ideals_inside)    # dazi still decomposes its k'
-    assert isotypic_dims and 28 not in isotypic_dims
+    assert split_dims and 28 not in split_dims
     assert weak == []

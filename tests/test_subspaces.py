@@ -240,6 +240,17 @@ def test_ideal_decomposition_so4():
     assert sorted(i.dim for i in dec.ideals) == [3, 3]
 
 
+def test_ideal_decomposition_rejects_a_piece_that_is_not_irreducible(monkeypatch):
+    """An ideal is read off an irreducible piece only; a piece that the split
+    could not resolve raises instead of passing for a simple ideal."""
+    from goverify import reps
+    full = Subspace.full(build_classical("so", 4))
+    monkeypatch.setattr(reps, "split_pieces", lambda acting, space: [
+        (space, "not-split-by-this-procedure")])
+    with pytest.raises(arith.ExactComputationError, match="simple ideals"):
+        ideal_decomposition(full)
+
+
 def test_ideal_decomposition_abelian(so6_layout):
     dec = ideal_decomposition(so6_layout.subalgebra)
     assert dec.center.dim == 3 and not dec.ideals
