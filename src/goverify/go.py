@@ -15,6 +15,9 @@ gives the minimal-norm witness of a kept certificate, and every system it
 cannot lift gets its exact solve there, in label order, so the first
 inconsistent direction and its exact rank gap are those of solving every
 direction with :func:`go_solve_at`.
+
+Replay checks a record's certificates as stacks too, with one outcome per
+certificate (:func:`replay_certificates`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class SamplingStrategy:
 
 @dataclass(frozen=True)
 class GoCertificate:
-    """A replayable witness: [W + X, L X] = 0 exactly."""
+    """A replayable witness: [W + X, L X] = 0 exactly.  For
+    :func:`replay_certificates` the fields are the ``(N, dim)`` stacks of N
+    certificates."""
 
     direction: Scaled
     witness: Scaled
@@ -211,14 +216,21 @@ def go_verdict(operator: MetricOperator, subalgebra: Subspace,
     return GoVerdict(False, len(labels), strategy, certificates=tuple(certificates))
 
 
-def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
-                       subalgebra: Subspace) -> bool:
-    """Re-verify a witness exactly: membership in k and the defining identity."""
-    witness = Scaled.of(certificate.witness)
-    if not subalgebra.contains(witness):
-        return False
-    return is_zero(operator.algebra.bracket(witness + certificate.direction,
-                                            operator.apply(certificate.direction)))
+def replay_certificates(operator: MetricOperator, certificates: GoCertificate,
+                        subalgebra: Subspace) -> list[bool]:
+    """Re-verify N witnesses exactly, as stacks; one outcome per certificate.
+
+    ``certificates`` holds the ``(N, dim)`` stacks of the directions X and
+    witnesses W.  Certificate n holds when W_n lies in k and
+    ``[W_n + X_n, L X_n] = 0``: the membership is one :meth:`Subspace.locate`
+    of all witnesses, and the brackets are one stacked product
+    ``contract(W + X) @ (L X)``.
+    """
+    directions, witnesses = certificates.direction, certificates.witness
+    _, outside = subalgebra.locate(witnesses.T)
+    lx = directions @ operator.matrix.T
+    brackets = operator.algebra.contract(witnesses + directions) @ lx.reshape(*lx.shape, 1)
+    return (~outside.any(axis=0) & ~brackets.ints.any(axis=(1, 2))).tolist()
 
 
 def replay_counterexample(operator: MetricOperator, subalgebra: Subspace,

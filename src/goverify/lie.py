@@ -30,8 +30,8 @@ Basis conventions
     units, then ``i`` times them).
 
 Complex matrices are stored through their real ``2m x 2m`` embedding
-``[[Re, -Im], [Im, Re]]`` so that every realization check stays in exact
-rational arithmetic.
+``[[Re, -Im], [Im, Re]]``, so every classical realization is an integer
+stack and its check stays exact.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ import numpy as np
 
 from . import arith
 from .arith import ContractViolation, Scaled, qzeros
+
+
+# matrix entries of R_a R_b per block of the realization check: small enough that
+# the block's temporaries go back to the allocator rather than grow the heap
+_PAIR_BLOCK = 2**14
 
 
 class ValidationError(ValueError):
@@ -94,11 +99,12 @@ class StructureAlgebra:
     The constants come as ``coo=(i, j, k, c)`` and ``scale`` (integer entries
     in any order, repeats summed).
     ``realization`` optionally holds real-embedded basis matrices whose
-    commutators must reproduce the constants.
+    commutators must reproduce the constants: the classical families store
+    an integer ``(dim, m, m)`` stack, and any exact stack is accepted.
     """
 
     def __init__(self, dim: int, labels: tuple[str, ...] = (),
-                 realization: tuple[np.ndarray, ...] | None = None, name: str = "",
+                 realization=None, name: str = "",
                  inner_product: SymmetricForm | None = None, *, coo=None, scale: int = 1):
         self.dim = dim
         self.coo, self.scale = _canonical_coo(dim, coo or ((), (), (), ()), scale)
@@ -209,26 +215,42 @@ class StructureAlgebra:
         self.validated = True
 
     def _validate_realization(self) -> None:
+        """``[R_a, R_b] = sum_k c[a,b,k] R_k`` for every pair ``a < b``, in blocks of rows ``a``
+        of about ``_PAIR_BLOCK`` entries (no all-pairs stack).
+
+        Both sides are exact :class:`Scaled` products, on float64 BLAS while
+        bounded: ``R_a R_b`` and ``R_b R_a`` for a block's rows and every later
+        b, and the block's constants times the ``R_k`` they name.  Pairs
+        ``b <= a`` in a block are checked too; both sides are antisymmetric
+        (the constants are checked first), so the first failure in row order is
+        the lexicographically first failing pair ``a < b``, which is named.
+        """
         if len(self.realization) != self.dim:
             raise ValidationError("realization length does not match dim")
-        stack = Scaled.of(np.stack(self.realization))
-        mats, d = stack.ints, self.dim
+        stack = Scaled.of(self.realization)
+        d, m = self.dim, stack.shape[-1]
         i, j, k, c = self.coo
-        # scale * [R_a, R_b] must equal sum_k c[a,b,k] R_k, entrywise, for a < b
-        if not (stack.fits(stack, 2 * mats.shape[-1] * self.scale)
-                and self._constants.fits(stack, d)):
-            mats, c = mats.astype(object), c.astype(object)
-        rows = np.searchsorted(i, np.arange(d + 1))
-        for a in range(d - 1):
-            later = mats[a + 1:]
-            diff = (mats[a] @ later - later @ mats[a]) * self.scale
-            mine = np.arange(rows[a], rows[a + 1])
-            mine = mine[j[mine] > a]
-            np.subtract.at(diff, j[mine] - a - 1, c[mine, None, None] * mats[k[mine]])
-            failing = np.flatnonzero((diff != 0).reshape(d - a - 1, -1).any(axis=1))
-            if failing.size:
+        starts = np.searchsorted(i, np.arange(d + 1))
+        step = max(1, _PAIR_BLOCK // (d * m * m))
+        for a0 in range(0, d - 1, step):
+            rows, later = stack[a0:a0 + step], stack[a0 + 1:]
+            size, count = len(rows), len(later)
+            ab = (rows.reshape(-1, m) @ later.transpose(1, 0, 2).reshape(m, -1))   # [(a,r),(b,t)]
+            ba = (later.reshape(-1, m) @ rows.transpose(1, 0, 2).reshape(m, -1))   # [(b,r),(a,t)]
+            mine = np.arange(starts[a0], starts[a0 + size])
+            mine = mine[j[mine] > a0]
+            targets, column = np.unique(k[mine], return_inverse=True)
+            coef = np.zeros((size, count, targets.size), dtype=c.dtype)
+            coef[i[mine] - a0, j[mine] - a0 - 1, column] = c[mine]
+            expected = (Scaled(coef.reshape(size * count, -1), self.scale)
+                        @ stack[targets].reshape(targets.size, m * m))
+            diff = (ab.reshape(size, m, count, m).transpose(0, 2, 1, 3)
+                    - ba.reshape(count, m, size, m).transpose(2, 0, 1, 3)).reshape(size * count, -1)
+            failing = (diff - expected).ints.any(axis=1).reshape(size, count)
+            if failing.any():
+                a, b = np.argwhere(failing)[0]
                 raise ValidationError(
-                    f"realization bracket mismatch at basis pair ({a+1},{a+2+failing[0]})")
+                    f"realization bracket mismatch at basis pair ({a0 + a + 1},{a0 + b + 2})")
 
     # -- derived structure ---------------------------------------------------
 
@@ -352,23 +374,25 @@ def _build_so(n: int) -> StructureAlgebra:
                         np.where(p < r, sign, -sign)))
     coo = tuple(np.concatenate(column) for column in zip(*entries))
     labels = tuple(f"A{i}_{j}" for (i, j) in pairs)
-    realization = tuple(_sparse_matrix(n, (i, j, 1), (j, i, -1)) for (i, j) in pairs)
+    realization = np.zeros((d, n, n), dtype=np.int64)     # A_ij = E_ij - E_ji
+    realization[np.arange(d), first - 1, second - 1] = 1
+    realization[np.arange(d), second - 1, first - 1] = -1
     return StructureAlgebra(dim=d, coo=coo, labels=labels,
                             realization=realization, name=f"so({n})")
 
 
 def _sparse_matrix(n: int, *entries) -> np.ndarray:
-    """The n x n Fraction matrix with the 1-based ``(row, col, value)`` entries, zero elsewhere."""
-    m = qzeros((n, n))
+    """The n x n int64 matrix with the 1-based ``(row, col, value)`` entries, zero elsewhere."""
+    m = np.zeros((n, n), dtype=np.int64)
     for r, c, v in entries:
-        m[r - 1, c - 1] = Fraction(v)
+        m[r - 1, c - 1] = v
     return m
 
 
 def _complex_embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Real 2m x 2m embedding [[Re, -Im], [Im, Re]] of a complex matrix."""
+    """Real 2m x 2m embedding [[Re, -Im], [Im, Re]] of a complex integer matrix."""
     m = re.shape[0]
-    out = qzeros((2 * m, 2 * m))
+    out = np.zeros((2 * m, 2 * m), dtype=np.int64)
     out[:m, :m] = re
     out[m:, m:] = re
     out[:m, m:] = -im
@@ -377,7 +401,7 @@ def _complex_embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _su_basis(n: int) -> tuple[list[str], list[np.ndarray]]:
-    z = qzeros((n, n))
+    z = np.zeros((n, n), dtype=np.int64)
     labels, mats = [], []
     for i, j in _so_pairs(n):
         labels += [f"S{i}_{j}", f"T{i}_{j}"]
@@ -394,15 +418,15 @@ def _sp_basis(n: int) -> tuple[list[str], list[np.ndarray]]:
     m = 2 * n
 
     def block(a_re, a_im, b_re, b_im):
-        re = qzeros((m, m))
-        im = qzeros((m, m))
+        re = np.zeros((m, m), dtype=np.int64)
+        im = np.zeros((m, m), dtype=np.int64)
         re[:n, :n], im[:n, :n] = a_re, a_im
         re[n:, n:], im[n:, n:] = a_re, -a_im
         re[:n, n:], im[:n, n:] = b_re, b_im
         re[n:, :n], im[n:, :n] = -b_re, b_im
         return _complex_embed(re, im)
 
-    z = qzeros((n, n))
+    z = np.zeros((n, n), dtype=np.int64)
     labels, mats = [], []
     for i, j in _so_pairs(n):
         labels += [f"AS{i}_{j}", f"AT{i}_{j}"]
@@ -466,13 +490,13 @@ def build_classical(family: str, n: int) -> StructureAlgebra:
         labels, mats = _su_basis(n)
         coo, scale = _tensor_from_realization(mats)
         alg = StructureAlgebra(dim=len(mats), coo=coo, scale=scale, labels=tuple(labels),
-                               realization=tuple(mats), name=f"su({n})")
+                               realization=np.stack(mats), name=f"su({n})")
         alg._known_simple = True
     elif family == "sp":
         labels, mats = _sp_basis(n)
         coo, scale = _tensor_from_realization(mats)
         alg = StructureAlgebra(dim=len(mats), coo=coo, scale=scale, labels=tuple(labels),
-                               realization=tuple(mats), name=f"sp({n})")
+                               realization=np.stack(mats), name=f"sp({n})")
         alg._known_simple = True
     else:
         raise ContractViolation(f"unsupported family {family!r}")

@@ -31,26 +31,49 @@ def encode_vector(vec) -> list:
     return arith.Scaled.of(vec).strs()
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# patterns compiled on first use (by ``re``'s cache), not at import
+_RATIONAL = "-?[0-9]+(?:/0*[1-9][0-9]*)?"           # n or n/d, ASCII digits, d nonzero
+_ENTRIES = f"{_RATIONAL}(?:,{_RATIONAL})*"
+_SHORT = "-?[0-9]{1,18}(?:,-?[0-9]{1,18})*"         # integers below 10**18: int64 at once
+_DENOMINATOR = "/([0-9]+)"
 
 
-def _decode_rational(text) -> tuple[int, int]:
-    """``n`` or ``n/d`` (d positive) as the reduced pair ``(n, d)``."""
-    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
-    num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
-    if den == 0:
-        raise arith.ContractViolation(f"malformed rational {text!r} in an encoded vector")
-    g = math.gcd(num, den)
-    return num // g, den // g
+def decode_vectors(rows) -> arith.Scaled:
+    """The ``(N, n)`` stack of ``N >= 1`` encoded vectors of ``n`` entries each, over
+    the least common denominator, in one strict pass.
 
-
-def decode_vector(items) -> arith.Scaled:
-    """Encoded entries, parsed as two ints each, over their least common denominator."""
-    if not isinstance(items, list):
+    The entries, joined by commas, must match ``-?[0-9]+(/[0-9]+)?`` with a
+    nonzero denominator one by one (ASCII digits only), and the comma count
+    rules out an entry holding a comma; only then is the text read, integers
+    below ``10**18`` straight into int64.  Anything else is a
+    :class:`ContractViolation` naming the first bad entry.
+    """
+    if not rows or not all(isinstance(row, list) for row in rows) \
+            or any(len(row) != len(rows[0]) for row in rows):
         raise arith.ContractViolation("an encoded vector must be a list of strings")
-    pairs = [_decode_rational(s) for s in items]
-    scale = math.lcm(*(d for _, d in pairs))
-    return arith.Scaled(np.array([n * (scale // d) for n, d in pairs], dtype=object), scale)
+    items = [s for row in rows for s in row]
+    if not items:
+        return arith.Scaled.zeros((len(rows), 0))
+    try:
+        text = ",".join(items)
+    except TypeError:
+        text = ""
+    separated = text.count(",") == len(items) - 1
+    if separated and re.fullmatch(_SHORT, text):
+        return arith.Scaled(np.fromstring(text, dtype=np.int64, sep=",").reshape(len(rows), -1))
+    if not (separated and re.fullmatch(_ENTRIES, text)):
+        bad = next(s for s in items if not (isinstance(s, str) and re.fullmatch(_RATIONAL, s)))
+        raise arith.ContractViolation(f"malformed rational {bad!r} in an encoded vector")
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    where = np.cumsum(chars == ord(","))[chars == ord("/")]     # the entry of each denominator
+    denominators = [int(d) for d in re.findall(_DENOMINATOR, text)]
+    scale = math.lcm(*denominators)
+    factor = np.full(len(items), scale, dtype=object)
+    factor[where] = [scale // d for d in denominators]
+    numerators = re.sub(_DENOMINATOR, "", text)
+    ints = (np.fromstring(numerators, dtype=np.int64, sep=",") if re.fullmatch(_SHORT, numerators)
+            else np.array([int(s) for s in numerators.split(",")], dtype=object))
+    return arith.Scaled((ints * factor).reshape(len(rows), -1), scale)
 
 
 def canonical_json(obj) -> str:

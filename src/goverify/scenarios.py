@@ -19,8 +19,8 @@ from .arith import ContractViolation
 from .lie import (EmbeddingLayout, StructureAlgebra, build_classical, embed_so_partition,
                   ingest_structure_table, serialize_structure_table)
 from .metrics import BlockSpec, MetricOperator
-from .report import Report, decode_vector, encode_fraction, encode_vector, parse_machine
-from .subspaces import Subspace, is_regular, is_subalgebra, orthogonal_complement
+from .report import Report, decode_vectors, encode_fraction, encode_vector, parse_machine
+from .subspaces import Subspace, forget_spans, is_regular, is_subalgebra, orthogonal_complement
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -144,7 +144,7 @@ def _rational(text, where: str) -> Fraction:
     """``Fraction(text)``; a malformed value is a :class:`ContractViolation` naming ``where``."""
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ContractViolation(f"{where}: malformed rational {text!r}") from exc
 
 
@@ -448,6 +448,9 @@ def grid_parameter_tuples(partition, count: int, seed: int):
 def _grid_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
     """The block metric of one grid-sweep tuple, from the block parameters of its ``params``."""
     params, names = fields["params"], _block_names(built.layout.partition)
+    if not isinstance(params, dict):
+        raise ContractViolation(f"grid tuple {fields.get('index')} params is "
+                                f"{type(params).__name__}, not an object")
     if missing := [n for n in names if n not in params]:
         raise ContractViolation(f"grid tuple {fields.get('index')} lacks parameters {missing}")
     where = f"grid tuple {fields.get('index')} params"
@@ -476,12 +479,14 @@ def _flag_tuples(count: int, seed: int):
 def _flag_operator(built: BuiltScenario, fields: dict) -> MetricOperator:
     """The metric of one flag-sweep tuple: torus block ``[[a, b], [b, c]]``, root scalars."""
     where = f"flag tuple {fields.get('index')}"
-    center = [_rational(v, f"{where} center") for v in fields["center"]]
-    if len(center) != 3:
-        raise ContractViolation(f"{where} center has {len(center)} entries, not 3")
-    a, b, c = center
-    blocks = tuple((built.named[f"r{i}"], _rational(mu, f"{where} root_scalars"))
-                   for i, mu in enumerate(fields["root_scalars"], start=1))
+    values = {}
+    for name in ("center", "root_scalars"):
+        items = _payload_list(fields[name], f"{where} {name}")
+        values[name] = [_rational(v, f"{where} {name}") for v in items]
+        if len(items) != 3:
+            raise ContractViolation(f"{where} {name} has {len(items)} entries, not 3")
+    a, b, c = values["center"]
+    blocks = tuple((built.named[f"r{i}"], mu) for i, mu in enumerate(values["root_scalars"], start=1))
     torus_block = (built.named["t"], arith.qarray([[a, b], [b, c]]))
     return metrics.metric_from_blocks(built.algebra, BlockSpec(blocks, torus_block))
 
@@ -653,12 +658,16 @@ def replay_report(text: str) -> dict:
     """Re-verify every embedded exact certificate of a machine report.
 
     Counterexamples, including those of grid and flag sweep tuples, are
-    replayed through the rank-gap check and witnesses through the defining
-    identity; returns the ``verified`` and ``failed`` counts and ``ok``.  A
-    sweep tuple's operator is rebuilt from its record by the builder of the
-    spec's sweep check.  A sweep record of another kind, a tuple without that
-    kind's fields, and a record whose tuples or certificates are not a list
-    are each a :class:`ContractViolation`.
+    replayed through the rank-gap check.  A GO record's certificates are
+    decoded and checked as stacks: one strict decode of all their directions
+    and witnesses, then one :func:`go.replay_certificates`, with one outcome
+    per certificate.  Returns the ``verified`` and ``failed`` counts and
+    ``ok``.  A sweep tuple's operator is rebuilt from its record by the
+    builder of the spec's sweep check.  A sweep record of another kind, a
+    tuple without that kind's fields, a record whose tuples or certificates
+    are not a list, and a GO record or tuple whose counterexample is not
+    present exactly when its verdict is ``Disproved`` are each a
+    :class:`ContractViolation`.
     """
     header, records, _summary = parse_machine(text)
     spec = ScenarioSpec.from_obj(header["spec"])
@@ -684,27 +693,52 @@ def replay_report(text: str) -> dict:
                 missing = [f for f in ("counterexample", *fields) if f not in tup]
                 if missing:
                     raise ContractViolation(f"{kind} tuple {tup.get('index')} lacks {missing}")
-                if tup["counterexample"] is not None:
+                counterexample = _verdict_counterexample(f"{kind} tuple {tup.get('index')}",
+                                                         tup.get("go"), tup)
+                if counterexample is not None:
                     operator = build(built, tup)
                     outcomes.append(_replay_counterexample(
-                        operator, metrics.isometry_subalgebra(operator), tup["counterexample"]))
+                        operator, metrics.isometry_subalgebra(operator), counterexample))
+    forget_spans(built.algebra)      # the rebuilt scenario is freed now, not at a full collection
     failed = outcomes.count(False)
     return {"verified": outcomes.count(True), "failed": failed, "ok": failed == 0}
 
 
 def _replay_go_record(operator, subgroup, record) -> list[bool]:
+    """The outcomes of a ``go`` or ``go-isometry`` record: its counterexample, then
+    one per certificate.  The certificates are decoded in one strict pass into
+    ``(N, dim)`` direction and witness stacks and checked by one
+    :func:`go.replay_certificates`."""
+    name = record["name"]
     outcomes = []
-    if record.get("counterexample") is not None:
-        outcomes.append(_replay_counterexample(operator, subgroup, record["counterexample"]))
-    for cert in _payload_list(record.get("certificates", []), f"{record['name']} record certificates"):
-        certificate = _decode_payload(go.GoCertificate, cert, operator.algebra.dim)
-        outcomes.append(go.replay_certificate(operator, certificate, subgroup))
+    counterexample = _verdict_counterexample(f"{name} record", record.get("verdict"), record)
+    if counterexample is not None:
+        outcomes.append(_replay_counterexample(operator, subgroup, counterexample))
+    certificates = _payload_list(record.get("certificates"), f"{name} record certificates")
+    if certificates:
+        fields = [_payload_fields(go.GoCertificate, c, operator.algebra.dim) for c in certificates]
+        stacks = go.GoCertificate(*(decode_vectors([f[field] for f in fields])
+                                    for field in ("direction", "witness")))
+        outcomes += go.replay_certificates(operator, stacks, subgroup)
     return outcomes
 
 
+def _verdict_counterexample(what: str, verdict, item: dict):
+    """``item``'s counterexample, which a ``Disproved`` verdict must carry and any other
+    verdict must leave ``None``; a missing field or a mismatch is a :class:`ContractViolation`."""
+    if "counterexample" not in item:
+        raise ContractViolation(f"{what} lacks ['counterexample']")
+    counterexample = item["counterexample"]
+    if (counterexample is not None) != (verdict == "Disproved"):
+        raise ContractViolation(f"{what} has verdict {verdict!r} and counterexample "
+                                f"{type(counterexample).__name__}")
+    return counterexample
+
+
 def _replay_counterexample(operator, subgroup, payload) -> bool:
-    counterexample = _decode_payload(go.Unsolvable, payload, operator.algebra.dim)
-    return go.replay_counterexample(operator, subgroup, counterexample)
+    fields = _payload_fields(go.Unsolvable, payload, operator.algebra.dim)
+    fields["direction"] = decode_vectors([fields["direction"]])[0]
+    return go.replay_counterexample(operator, subgroup, go.Unsolvable(**fields))
 
 
 def _payload_list(value, what: str) -> list:
@@ -714,10 +748,10 @@ def _payload_list(value, what: str) -> list:
     return value
 
 
-def _decode_payload(kind, payload, dim: int):
-    """The certificate or counterexample ``kind`` from its report ``payload``: an object with
-    every field of ``kind``, each rank an int and each vector ``dim`` encoded rationals.
-    Anything else is a :class:`ContractViolation`."""
+def _payload_fields(kind, payload, dim: int) -> dict:
+    """The fields of the certificate or counterexample ``kind`` in its report ``payload``,
+    still encoded: an object with every field of ``kind``, each rank an int and each
+    vector a list of ``dim`` entries.  Anything else is a :class:`ContractViolation`."""
     what = "certificate" if kind is go.GoCertificate else "counterexample"
     payload = payload if isinstance(payload, dict) else {}
     fields = {f.name: payload.get(f.name) for f in dataclasses.fields(kind)}
@@ -727,8 +761,8 @@ def _decode_payload(kind, payload, dim: int):
         if name in ("rank_a", "rank_ab"):
             if type(value) is not int:
                 raise ContractViolation(f"{what} {name} {value!r} is not an int")
-            continue
-        fields[name] = decode_vector(value)
-        if fields[name].shape != (dim,):
+        elif not isinstance(value, list):
+            raise ContractViolation("an encoded vector must be a list of strings")
+        elif len(value) != dim:
             raise ContractViolation(f"{what} {name} has {len(value)} entries, not {dim}")
-    return kind(**fields)
+    return fields

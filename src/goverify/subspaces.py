@@ -206,6 +206,12 @@ def span_memo(space: Subspace, build, kind: str, *extras):
     return memo[key]
 
 
+def forget_spans(algebra: StructureAlgebra) -> None:
+    """Drop the span memo of an algebra that is no longer used.  Its entries
+    reference the algebra, a cycle that only a full garbage collection frees."""
+    algebra.__dict__.pop("_memo", None)
+
+
 def shared_subspace(space: Subspace, kind: str) -> Subspace:
     """The subspace stored under ``kind`` for this span (``space`` itself if
     new), sharing its cached integer data; ``space``'s basis must be canonical,

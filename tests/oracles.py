@@ -17,6 +17,9 @@ decomposition, against which the commutation check of
 exactly, against which the modular-first ``subspaces.rank_estimate`` is
 checked.  :func:`bareiss` is the classic fraction-free elimination, against
 which the primitive-row elimination ``arith._eliminate_int`` is checked.
+And :func:`replay_certificate` re-verifies one GO certificate at a time, the
+per-certificate route against which the stacked ``go.replay_certificates`` of
+replay is checked.
 """
 
 import itertools
@@ -27,7 +30,7 @@ import numpy as np
 
 from goverify import arith, reps
 from goverify.arith import ContractViolation, is_zero, q, qzeros
-from goverify.go import GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
+from goverify.go import GoCertificate, GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
 from goverify.lie import StructureAlgebra
 from goverify.metrics import (BlockSpec, MetricOperator, equivariance_check, invariant_subspace,
                               restrict_operator)
@@ -47,6 +50,22 @@ def algebra_from_tensor(tensor) -> StructureAlgebra:
     where = np.nonzero(tensor != 0)
     entries = arith.Scaled.of(tensor[where])
     return StructureAlgebra(dim=tensor.shape[0], coo=(*where, entries.ints), scale=entries.scale)
+
+
+def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
+                       subalgebra: Subspace) -> bool:
+    """Re-verify one witness exactly: membership in k and the defining identity."""
+    witness = arith.Scaled.of(certificate.witness)
+    if not subalgebra.contains(witness):
+        return False
+    return is_zero(operator.algebra.bracket(witness + certificate.direction,
+                                            operator.apply(certificate.direction)))
+
+
+def stacked(certificates) -> GoCertificate:
+    """GO certificates as one ``GoCertificate`` of ``(N, dim)`` direction and witness stacks."""
+    return GoCertificate(*(arith.Scaled.concat([getattr(c, field).reshape(1, -1) for c in certificates])
+                           for field in ("direction", "witness")))
 
 
 def fmatmul(a, b) -> np.ndarray:

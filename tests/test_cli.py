@@ -1,11 +1,14 @@
 """Command-line front end, report formats, determinism, and replay."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from goverify import scenarios
 from goverify.cli import main
@@ -265,14 +268,19 @@ def test_replay_of_a_malformed_flag_tuple_is_an_error_line(field, edit, tmp_path
 
 @pytest.fixture(scope="module")
 def certified_reports(tmp_path_factory):
-    """Machine reports with GO certificates (so(5)/(2,3)) and with sweep-tuple
-    counterexamples (so(6)/(2,2,2), 4 tuples), as lists of JSON records."""
+    """Machine reports with GO certificates (so(5)/(2,3)), with a disproved GO
+    verdict and its counterexample (so(6)/(2,2,2)), and with the counterexamples
+    of grid-sweep (so(6)/(2,2,2), 4 tuples) and flag-sweep tuples (su(3), 4
+    tuples), as lists of JSON records."""
     out = tmp_path_factory.mktemp("certified")
     reports = {}
     for kind, args in (("go", ["check", "go", "--family", "so", "--n", "5", "--partition", "2,3",
                                "--params", "1,2,3", "--samples", "2"]),
+                       ("disproved", ["check", "go", "--family", "so", "--n", "6", "--partition",
+                                      "2,2,2", "--params", "1,2,3,4,5,6", "--samples", "2"]),
                        ("sweep", ["scenario", "run", "so6-222-grid", "--tuples", "4",
-                                  "--samples", "4"])):
+                                  "--samples", "4"]),
+                       ("flag", ["scenario", "run", "su3-torus-flag", "--tuples", "4"])):
         path = out / f"{kind}.jsonl"
         assert main([*args, "--out", str(path)]) in (0, 2)
         reports[kind] = [json.loads(line) for line in path.read_text().splitlines()]
@@ -314,6 +322,62 @@ def test_replay_of_a_malformed_certificate_is_an_error_line(certified_reports, k
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     code, err = _cli_error("replay", str(path))
     assert code == 1 and err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def _replayed_fields(records):
+    """Paths to every field that replay reads in ``records``: each GO record's subject,
+    certificates and counterexample, the fields of its first certificate, each
+    sweep record's tuples, and the fields of the first tuple with a counterexample;
+    and the fields of every counterexample among them."""
+    paths = []
+    for r, record in enumerate(records):
+        if record.get("name") in ("go", "go-isometry"):
+            paths += [(r, "with_respect_to"), (r, "certificates"), (r, "counterexample")]
+            if record["certificates"]:
+                paths += [(r, "certificates", 0, "direction"), (r, "certificates", 0, "witness")]
+            payload = (r, "counterexample") if record["counterexample"] else None
+        elif record.get("name") == "sweep":
+            t = next(i for i, tup in enumerate(record["tuples"]) if tup["counterexample"])
+            fields = ("center", "root_scalars") if record.get("flag") else ("params",)
+            paths += [(r, "tuples")] + [(r, "tuples", t, f) for f in ("counterexample", *fields)]
+            payload = (r, "tuples", t, "counterexample")
+        else:
+            continue
+        if payload:
+            paths += [(*payload, f) for f in ("direction", "rank_a", "rank_ab")]
+    return paths
+
+
+_RETYPED = {int: st.integers(), str: st.text(max_size=6), type(None): st.none(),
+            list: st.lists(st.integers() | st.text(max_size=3), max_size=3),
+            dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_replay_of_a_report_with_a_deleted_or_retyped_field_never_crashes(certified_reports,
+                                                                          tmp_path_factory, data):
+    """Deleting one field that replay reads, or giving it another JSON type, gives an
+    ``error:`` line and exit 1, or a replay with a failed certificate; never a traceback."""
+    kind = data.draw(st.sampled_from(sorted(certified_reports)), label="report")
+    records = json.loads(json.dumps(certified_reports[kind]))
+    *path, field = data.draw(st.sampled_from(_replayed_fields(records)), label="field")
+    owner = records
+    for key in path:
+        owner = owner[key]
+    kinds = [t for t in _RETYPED if not isinstance(owner[field], t)]
+    new_type = data.draw(st.sampled_from(["delete", *kinds]), label="change")
+    if new_type == "delete":
+        del owner[field]
+    else:
+        owner[field] = data.draw(_RETYPED[new_type], label="value")
+    report = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    report.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["replay", str(report)])
+    assert code == 1 and "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("error:") or "failed=0" not in out.getvalue()
 
 
 def _cli_error(*args):

@@ -11,13 +11,14 @@ from goverify import arith, go, metrics, reps
 from goverify.arith import is_zero, q, qarray
 from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_solve_at, go_verdict,
                          natred_condition_check, normalizer_equivariance_check,
-                         replay_certificate, replay_counterexample, split_check)
+                         replay_certificates, replay_counterexample, split_check)
 from goverify.lie import build_classical, direct_sum, embed_so_partition, attach_form
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
 from goverify.scenarios import ScenarioSpec, run_check
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement, projector
 from oracles import (fbracket, fmatmul, geodesic_lemma_solvable, go_verdict_by_direction,
-                     metric_inner, rescale, sampled_directions, two_step_identity_check)
+                     metric_inner, replay_certificate, rescale, sampled_directions, stacked,
+                     two_step_identity_check)
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 STRATEGY = SamplingStrategy(seed=11, random_count=16)
@@ -52,7 +53,9 @@ def test_solvable_along_dazi_form_every_sample(so6):
     merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
     verdict = go_verdict(op, merged, STRATEGY, keep_certificates=True)
     assert not verdict.disproved
-    assert all(replay_certificate(op, c, merged) for c in verdict.certificates)
+    assert replay_certificates(op, stacked(verdict.certificates), merged) == \
+        [replay_certificate(op, c, merged) for c in verdict.certificates] == \
+        [True] * len(verdict.certificates)
 
 
 def test_unsolvable_direction_two_block_sum(so6):
@@ -458,6 +461,7 @@ def test_witnesses_on_python_ints_match_int64(so6):
     for mine, ref in zip(scaled.certificates, plain.certificates):
         assert list(mine.witness) == list(ref.witness)
         assert replay_certificate(big, mine, merged)
+    assert all(replay_certificates(big, stacked(scaled.certificates), merged))
 
 
 def test_direction_loop_metric_build_and_isotypic_split_build_no_fraction_array(monkeypatch):

@@ -192,6 +192,44 @@ def test_realization_mismatch_names_the_first_failing_pair():
         algebra.validate()
 
 
+def _first_failing_pair(algebra, mats):
+    """The first pair a < b with ``[R_a, R_b] != sum_k c[a,b,k] R_k``, pair by pair in Fractions."""
+    mats = [fmatmul(np.eye(len(m), dtype=np.int64), m) for m in mats]
+    tensor = algebra.tensor
+    for a in range(algebra.dim):
+        for b in range(a + 1, algebra.dim):
+            expected = sum(tensor[a, b, k] * mats[k] for k in range(algebra.dim))
+            if not is_zero(np.dot(mats[a], mats[b]) - np.dot(mats[b], mats[a]) - expected):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("family, n, swap", [("so", 9, (14, 20)), ("so", 9, (3, 35)),
+                                             ("su", 4, (7, 12)), ("sp", 2, (0, 9))])
+def test_blocked_realization_check_names_the_first_failing_pair(family, n, swap):
+    """With many rows per block and several blocks, the check names the same first
+    failing pair as a pair-by-pair Fraction check."""
+    algebra = build_classical(family, n)
+    assert lie._PAIR_BLOCK // (algebra.dim * algebra.realization.shape[-1] ** 2) > 1
+    mats = list(algebra.realization)
+    mats[swap[0]], mats[swap[1]] = mats[swap[1]], mats[swap[0]]
+    a, b = _first_failing_pair(algebra, mats)
+    broken = lie.StructureAlgebra(dim=algebra.dim, coo=algebra.coo, scale=algebra.scale,
+                                  realization=np.stack(mats))
+    with pytest.raises(ValidationError, match=re.escape(f"basis pair ({a + 1},{b + 1})")):
+        broken.validate()
+
+
+def test_realization_check_is_exact_for_rational_matrices():
+    """Halving every so(3) matrix halves the structure constants: the halved
+    realization fits the constants over scale 2 and not the original ones."""
+    so3 = build_classical("so", 3)
+    halves = np.array([[[Fraction(int(v), 2) for v in row] for row in m] for m in so3.realization])
+    lie.StructureAlgebra(dim=3, coo=so3.coo, scale=2, realization=halves).validate()
+    with pytest.raises(ValidationError, match="realization bracket mismatch"):
+        lie.StructureAlgebra(dim=3, coo=so3.coo, realization=halves).validate()
+
+
 def test_dependent_realization_matrices_are_rejected():
     _, mats = lie._su_basis(3)
     with pytest.raises(arith.ContractViolation, match="realization matrices are linearly dependent"):

@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from goverify import arith, go, lie, metrics, reps, subspaces
+from goverify import arith, go, lie, metrics, reps, scenarios, subspaces
 from goverify.metrics import BlockSpec
-from goverify.report import decode_vector, encode_fraction
+from goverify.report import decode_vectors, encode_fraction
 from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _grid_follow_up, _sweep_tuple,
                                 build_scenario, grid_parameter_tuples, parse_blockspec,
                                 replay_report, run_check, scenario_catalog, with_sweep_tuples)
-from oracles import bi_invariant_by_blocks
+from oracles import bi_invariant_by_blocks, replay_certificate
 
 
 def test_grid_tuples_deterministic_and_alternating():
@@ -404,21 +404,140 @@ def _encoded_vectors(obj):
             yield from _encoded_vectors(value)
 
 
-def test_decoded_vectors_equal_the_fraction_parse():
-    specs = (_pipeline_so9(1), scenario_catalog()["so12-partition4-genmet1"])
-    records = [json.loads(line) for spec in specs for line in run_check(spec).to_machine().splitlines()]
+@pytest.fixture(scope="module")
+def certified_texts():
+    """Machine reports of ``pipeline-so9`` (seed 1) and ``so12-partition4-genmet1``."""
+    return {"pipeline-so9": run_check(_pipeline_so9(1)).to_machine(),
+            "so12-partition4-genmet1":
+                run_check(scenario_catalog()["so12-partition4-genmet1"]).to_machine()}
+
+
+def test_decoded_vectors_equal_the_fraction_parse(certified_texts):
+    records = [json.loads(line) for text in certified_texts.values() for line in text.splitlines()]
     vectors = list(_encoded_vectors(records))
     assert len(vectors) > 100
     for items in vectors:
-        decoded = decode_vector(items)
+        decoded = decode_vectors([items])[0]
         assert decoded.tolist() == [Fraction(s) for s in items]
         assert decoded.equals(arith.Scaled.of([Fraction(s) for s in items]))
+    same_length = [v for v in vectors if len(v) == len(vectors[0])]
+    assert decode_vectors(same_length).equals(
+        arith.Scaled.of([[Fraction(s) for s in items] for items in same_length]))
 
 
-@pytest.mark.parametrize("text", ["1/0", "1/-2", "x", "1.5", "", "1/", " 1", "+1", "1e3"])
+@pytest.mark.parametrize("rows", [
+    [["0", "-0", "007", "-12"], ["3", "4", "5", "6"]],
+    [["1/2", "-3/4", "5", "0/7"], ["2/6", "1", "-1/3", "9"]],
+    [[str(10**18 - 1), str(-10**18 + 1), "1", "2"]],
+    [[str(10**18), "-1", "2", "3"], [str(-2**70), "1/3", str(3**50) + "/2", "0"]],
+    [["1", "2"]] * 5,
+], ids=["int64", "fractions", "just-below-10**18", "python-ints", "repeated-rows"])
+def test_stacked_decoding_equals_the_fraction_parse(rows):
+    decoded = decode_vectors(rows)
+    assert decoded.shape == (len(rows), len(rows[0]))
+    assert decoded.equals(arith.Scaled.of([[Fraction(s) for s in row] for row in rows]))
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/-2", "x", "1.5", "", "1/", " 1", "+1", "1e3", "1/00",
+                                  "1_000", "\u0661", "\t1", "1\n", "1,2", "0x1", "--1",
+                                  1, None, ["1"]])
 def test_decoding_rejects_anything_but_n_or_n_over_d(text):
+    """The grammar is ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, on one
+    vector and on a stack; what ``int()`` or ``Fraction()`` would also take, such
+    as underscores, non-ASCII digits, surrounding whitespace or a non-string, is not."""
     with pytest.raises(arith.ContractViolation, match="malformed rational"):
-        decode_vector(["1", text])
+        decode_vectors([["1", text]])
+    with pytest.raises(arith.ContractViolation, match="malformed rational"):
+        decode_vectors([["1", "2"], ["3", text]])
+
+
+def test_decoding_rejects_rows_of_other_lengths_or_types():
+    for rows in ([], [["1"], ["1", "2"]], [["1"], "1"], "1"):
+        with pytest.raises(arith.ContractViolation, match="must be a list of strings"):
+            decode_vectors(rows)
+    assert decode_vectors([[], []]).shape == (2, 0)
+
+
+# -- stacked certificate replay against the per-certificate oracle ----------------
+
+def _first_moving(record) -> int:
+    """Index of the record's first certificate with a nonzero witness (0 without one)."""
+    return next((n for n, c in enumerate(record["certificates"])
+                 if any(v != "0" for v in c["witness"])), 0)
+
+
+def _shift(items: list, index: int, by: Fraction) -> None:
+    items[index] = encode_fraction(Fraction(items[index]) + by)
+
+
+def _corrupt(kind: str, records: list, built) -> None:
+    """Corrupt one certificate of each GO record of ``records`` in place."""
+    go_records = [r for r in records if r.get("name") in ("go", "go-isometry")]
+    for record, other in zip(go_records, reversed(go_records)):
+        n = _first_moving(record)
+        cert = record["certificates"][n]
+        if kind == "witness-outside-k":
+            k = _subject(built, record)
+            i = next(i for i in range(built.algebra.dim) if not k.contains(built.algebra.basis_vector(i)))
+            _shift(cert["witness"], i, Fraction(1))
+        elif kind == "direction-changed":
+            _shift(cert["direction"], 0, Fraction(1))
+        elif kind == "witness-entry-changed":
+            _shift(cert["witness"], next((i for i, v in enumerate(cert["witness"]) if v != "0"), 0),
+                   Fraction(1, 2))
+        elif kind == "other-record":
+            record["certificates"][n] = json.loads(json.dumps(other["certificates"][_first_moving(other)]))
+        elif kind == "empty":
+            record["certificates"] = []
+
+
+def _fraction_parse(items) -> arith.Scaled:
+    return arith.Scaled.of([Fraction(s) for s in items])
+
+
+def _subject(built, record):
+    if record["with_respect_to"] == "subgroup":
+        return built.subgroup
+    return metrics.isometry_subalgebra(built.metric)
+
+
+@pytest.mark.parametrize("kind", ["untouched", "witness-outside-k", "direction-changed",
+                                  "witness-entry-changed", "other-record", "empty"])
+@pytest.mark.parametrize("name", ["pipeline-so9", "so12-partition4-genmet1"])
+def test_stacked_replay_equals_the_per_certificate_oracle(certified_texts, name, kind):
+    """Every certificate's outcome under the stacked ``go.replay_certificates`` (through
+    the report decoder) is the per-certificate oracle's, and so are the report's counts,
+    on the report as it is and with one certificate per GO record corrupted."""
+    lines = [json.loads(line) for line in certified_texts[name].splitlines()]
+    built = build_scenario(ScenarioSpec.from_obj(lines[0]["spec"]))
+    _corrupt(kind, lines, built)
+    verified = failed = 0
+    for record in lines:
+        if record.get("name") not in ("go", "go-isometry"):
+            continue
+        k = _subject(built, record)
+        stacked = scenarios._replay_go_record(built.metric, k, record)
+        oracle = [replay_certificate(built.metric, go.GoCertificate(_fraction_parse(c["direction"]),
+                                                                    _fraction_parse(c["witness"])), k)
+                  for c in record["certificates"]]
+        mine = stacked[len(stacked) - len(oracle):]
+        assert mine == oracle
+        if kind == "witness-outside-k":
+            assert not oracle[_first_moving(record)]
+        outcomes = stacked[:len(stacked) - len(oracle)] + oracle
+        verified, failed = verified + outcomes.count(True), failed + outcomes.count(False)
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in lines) + "\n"
+    assert replay_report(text) == {"verified": verified, "failed": failed, "ok": failed == 0}
+    if kind == "untouched":
+        assert failed == 0 and verified == {"pipeline-so9": 92, "so12-partition4-genmet1": 170}[name]
+
+
+def test_stacked_replay_of_no_certificates_is_empty():
+    layout = lie.embed_so_partition(6, (2, 2, 2))
+    operator = metrics.metric_from_blocks(layout.algebra, BlockSpec(
+        ((subspaces.Subspace.full(layout.algebra), Fraction(2)),)))
+    empty = arith.Scaled.zeros((0, layout.algebra.dim))
+    assert go.replay_certificates(operator, go.GoCertificate(empty, empty), layout.subalgebra) == []
 
 
 def _count_calls(monkeypatch, module, *names):
