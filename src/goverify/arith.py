@@ -16,7 +16,10 @@ primitive part of the row Bareiss (Math. Comp. 22, 1968) elimination holds,
 so no entry is larger than Bareiss's; Gauss-Jordan leaves ``det * rref``.
 Products run on float64 BLAS while every partial sum is an integer below
 ``2**53``, exact in any summation order (Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008), on int64 below ``2**62``, and on Python ints past that.
+35(3), 2008), on int64 below ``2**62``, and on Python ints past that.  The
+bounds that decide are carried from the operands to every int64 result
+(``bound_a * bound_b * inner`` for a product), and entries are scanned only
+when a carried bound would cross a limit.
 
 Nullspaces are certified: every exact kernel has one checked lift and one
 elimination fallback.  The lift, :func:`_crt_lift`, starts from the rational
@@ -197,24 +200,25 @@ def _float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Scaled:
     """The exact rational array ``ints / scale``: integers and one positive scale.
 
-    ``ints`` is int64 or an object array of Python ints.  :attr:`bound`, an
-    upper bound on the absolute entries computed at most once, decides in
-    O(1) whether a product can stay int64 (``bound * bound * inner < 2**62``),
-    on float64 BLAS below ``2**53`` (:func:`_float_matmul`); past that, int64
-    operands are first divided by their gcd, and whatever still does not fit
-    runs on Python ints, is divided by its gcd and goes back to int64 when it
-    fits.  Values are immutable and support ``@``,
-    ``+``, ``-``, scalar products, indexing (a single entry is a Fraction),
-    ``.T`` and ``reshape``.  :meth:`fractions` (also ``np.asarray``) is the
-    Fraction view, built on demand and never cached.
+    ``ints`` is int64 or an object array of Python ints.  :attr:`bound`, an upper
+    bound on the absolute entries, carried by int64 results and scanned before it
+    rules a tier out, decides in O(1) whether a product can stay int64 (``bound *
+    bound * inner < 2**62``), on float64 BLAS below ``2**53`` (:func:`_float_matmul`);
+    past that, int64 operands are first divided by their gcd, and whatever still
+    does not fit runs on Python ints, is divided by its gcd and goes back to
+    int64 when it fits.  Values are immutable and support ``@``, ``+``, ``-``,
+    scalar products, indexing (a single entry is a Fraction), ``.T`` and
+    ``reshape``.  :meth:`fractions` (also ``np.asarray``) is the Fraction view,
+    built on demand and never cached.
     """
 
-    __slots__ = ("ints", "scale", "_bound")
+    __slots__ = ("ints", "scale", "_bound", "_scanned")
     __array_ufunc__ = None     # ndarray operands defer to the reflected operators below
 
     def __init__(self, ints, scale: int = 1, bound: int | None = None):
         ints = np.asarray(ints)
-        if ints.dtype == object:
+        scanned = ints.dtype == object
+        if scanned:
             bound = Scaled._scan(ints)
             if bound < _NARROW_LIMIT:
                 ints = ints.astype(np.int64)
@@ -222,9 +226,17 @@ class Scaled:
             if not np.issubdtype(ints.dtype, np.integer):
                 raise ContractViolation(f"exact integers cannot have dtype {ints.dtype}")
             ints = ints.astype(np.int64)
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "scale", int(scale))
-        object.__setattr__(self, "_bound", bound)
+        Scaled._carry(ints, int(scale), bound, scanned, self)
+
+    @staticmethod
+    def _carry(ints, scale: int, bound: int | None, scanned=False, value=None) -> "Scaled":
+        """``ints / scale`` (a new value unless ``value`` is given), built without
+        checks: entries at most ``bound`` (None: not known yet), attained if ``scanned``."""
+        value = object.__new__(Scaled) if value is None else value
+        put = object.__setattr__
+        put(value, "ints", ints), put(value, "scale", scale), put(value, "_bound", bound)
+        put(value, "_scanned", scanned)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Scaled values are immutable")
@@ -251,12 +263,21 @@ class Scaled:
     def concat(parts, axis: int = 0) -> "Scaled":
         """The parts joined along ``axis`` over the lcm of their scales."""
         scale = math.lcm(*(p.scale for p in parts))
-        return Scaled(np.concatenate([(p * (scale // p.scale)).ints for p in parts], axis=axis),
-                      scale)
+        parts = [p * (scale // p.scale) for p in parts]
+        return Scaled(np.concatenate([p.ints for p in parts], axis=axis), scale,
+                      max(p.bound for p in parts))
 
     @staticmethod
     def _scan(ints: np.ndarray) -> int:
         return max(int(ints.max()), -int(ints.min())) if ints.size else 0
+
+    @staticmethod
+    def _rescan(*values: "Scaled") -> bool:
+        """Replace carried bounds by scanned ones; whether any bound was carried."""
+        carried = [v for v in values if not v._scanned]
+        for v in carried:
+            Scaled._carry(v.ints, v.scale, Scaled._scan(v.ints), True, v)
+        return bool(carried)
 
     @staticmethod
     def _exact(ints, scale: int) -> "Scaled":
@@ -270,7 +291,7 @@ class Scaled:
     @property
     def bound(self) -> int:
         if self._bound is None:
-            object.__setattr__(self, "_bound", Scaled._scan(self.ints))
+            Scaled._rescan(self)
         return self._bound
 
     @property
@@ -280,10 +301,11 @@ class Scaled:
     def __len__(self) -> int:
         return len(self.ints)
 
-    def fits(self, other: "Scaled", inner: int) -> bool:
-        """Whether every sum of ``inner`` products of entries of both fits int64."""
+    def fits(self, other: "Scaled", inner: int, limit: int = _PRODUCT_LIMIT) -> bool:
+        """Whether every sum of ``inner`` products of entries of both is below ``limit``."""
         return (self.ints.dtype == np.int64 and other.ints.dtype == np.int64
-                and max(1, self.bound) * max(1, other.bound) * max(1, inner) < _PRODUCT_LIMIT)
+                and (max(1, self.bound) * max(1, other.bound) * max(1, inner) < limit
+                     or Scaled._rescan(self, other) and self.fits(other, inner, limit)))
 
     def reduced(self) -> "Scaled":
         """The same value with the integers and the scale divided by their gcd."""
@@ -294,7 +316,8 @@ class Scaled:
         g = math.gcd(self.scale, int(np.gcd.reduce(self.ints.reshape(-1))) if self.ints.size else 0)
         if g == 1:
             return self
-        return Scaled(self.ints // g, self.scale // g, None if self._bound is None else self._bound // g)
+        return Scaled._carry(self.ints // g, self.scale // g, self._bound and self._bound // g,
+                             self._scanned)
 
     def equals(self, other) -> bool:
         """Equality of values (shape and every entry)."""
@@ -331,7 +354,8 @@ class Scaled:
     def __getitem__(self, key):
         part = self.ints[key]
         if isinstance(part, np.ndarray):
-            return Scaled(part, self.scale, self._bound)
+            return (Scaled._carry(part, self.scale, self._bound) if part.dtype == np.int64
+                    else Scaled(part, self.scale))      # a part of a Python-int array may fit int64
         return Fraction(int(part), self.scale)
 
     def __iter__(self):
@@ -339,13 +363,13 @@ class Scaled:
 
     @property
     def T(self) -> "Scaled":
-        return Scaled(self.ints.T, self.scale, self._bound)
+        return Scaled._carry(self.ints.T, self.scale, self._bound, self._scanned)
 
     def transpose(self, *axes) -> "Scaled":
-        return Scaled(self.ints.transpose(*axes), self.scale, self._bound)
+        return Scaled._carry(self.ints.transpose(*axes), self.scale, self._bound, self._scanned)
 
     def reshape(self, *shape) -> "Scaled":
-        return Scaled(self.ints.reshape(*shape), self.scale, self._bound)
+        return Scaled._carry(self.ints.reshape(*shape), self.scale, self._bound, self._scanned)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -357,23 +381,26 @@ class Scaled:
         if not a.fits(b, inner):
             return Scaled._exact(np.matmul(a.ints.astype(object), b.ints.astype(object)),
                                  a.scale * b.scale)
-        floats = max(1, a.bound) * max(1, b.bound) * max(1, inner) < _FLOAT_LIMIT
-        return Scaled((_float_matmul if floats else np.matmul)(a.ints, b.ints), a.scale * b.scale)
+        floats = a.fits(b, inner, _FLOAT_LIMIT)
+        return Scaled._carry((_float_matmul if floats else np.matmul)(a.ints, b.ints),
+                             a.scale * b.scale, a.bound * b.bound * inner)
 
     def __mul__(self, k) -> "Scaled":
         if isinstance(k, (Scaled, np.ndarray)):
             return NotImplemented
         k = q(k)
         num = k.numerator
+        if self.ints.dtype == np.int64 and max(1, self.bound) * abs(num) >= _NARROW_LIMIT:
+            Scaled._rescan(self)
         if self.ints.dtype == np.int64 and max(1, self.bound) * abs(num) < _NARROW_LIMIT:
-            return Scaled(self.ints * num if num != 1 else self.ints,
-                          self.scale * k.denominator, self.bound * abs(num))
+            return Scaled._carry(self.ints * num if num != 1 else self.ints,
+                                 self.scale * k.denominator, self.bound * abs(num), self._scanned)
         return Scaled(self.ints.astype(object) * num, self.scale * k.denominator)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Scaled":
-        return Scaled(-self.ints, self.scale, self._bound)
+        return Scaled._carry(-self.ints, self.scale, self._bound, self._scanned)
 
     def __add__(self, other) -> "Scaled":
         if isinstance(other, int) and other == 0:   # the start of sum()
@@ -381,10 +408,13 @@ class Scaled:
         other = Scaled.of(other)
         scale = math.lcm(self.scale, other.scale)
         fa, fb = scale // self.scale, scale // other.scale
-        if (self.ints.dtype == np.int64 and other.ints.dtype == np.int64
+        if self.ints.dtype == np.int64 and other.ints.dtype == np.int64 and (
+                max(1, self.bound) * fa + max(1, other.bound) * fb < _PRODUCT_LIMIT
+                or Scaled._rescan(self, other)
                 and max(1, self.bound) * fa + max(1, other.bound) * fb < _PRODUCT_LIMIT):
-            return Scaled((self.ints if fa == 1 else self.ints * fa)
-                          + (other.ints if fb == 1 else other.ints * fb), scale)
+            return Scaled._carry((self.ints if fa == 1 else self.ints * fa)
+                                 + (other.ints if fb == 1 else other.ints * fb),
+                                 scale, self.bound * fa + other.bound * fb)
         return Scaled._exact(self.ints.astype(object) * fa + other.ints.astype(object) * fb, scale)
 
     __radd__ = __add__

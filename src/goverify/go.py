@@ -160,17 +160,19 @@ def _directions(operator: MetricOperator, strategy: SamplingStrategy,
             span_memo(p, lambda p=p: p.intersect(within), "intersect", within.sort_key())
             for p in operator.invariant_pieces)
         pieces = [p for p in pieces if p.dim > 0]
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                rng = random.Random(f"pair:{strategy.seed}:{i}:{j}")
-                vi = pieces[i].random_element(rng)
-                vj = pieces[j].random_element(rng)
-                labels.append(f"pair:{i}:{j}")
-                parts.append((vi + vj).reshape(1, -1))
+        rows = []      # pair coefficients on the pieces' bases stacked together
+        for i, j in ((i, j) for i in range(len(pieces)) for j in range(i + 1, len(pieces))):
+            rng = random.Random(f"pair:{strategy.seed}:{i}:{j}")
+            drawn = {n: pieces[n].random_coefficients(rng) for n in (i, j)}     # i first
+            rows.append([c for n, p in enumerate(pieces) for c in drawn.get(n, [0] * p.dim)])
+            labels.append(f"pair:{i}:{j}")
+        if rows:
+            parts.append(Scaled(np.array(rows, dtype=np.int64), 1, 9)
+                         @ Scaled.concat([p.basis for p in pieces]))
     coeffs = [space.random_coefficients(random.Random(f"random:{strategy.seed}:{r}"))
               for r in range(strategy.random_count)]
     labels += [f"random:{r}" for r in range(strategy.random_count)]
-    parts.append(Scaled(np.array(coeffs, dtype=np.int64).reshape(len(coeffs), space.dim))
+    parts.append(Scaled(np.array(coeffs, dtype=np.int64).reshape(len(coeffs), space.dim), 1, 9)
                  @ space.basis)
     return labels, Scaled.concat(parts)
 

@@ -123,8 +123,8 @@ class StructureAlgebra:
         """``ad(v)``: entry ``[..., k, j]`` is ``[v, e_j]_k``.
 
         ``v`` is a vector or a stack of row vectors (a :class:`Scaled`, or
-        anything :meth:`Scaled.of` takes).  The sums are int64 when the
-        bounds rule out overflow and Python ints otherwise.
+        anything :meth:`Scaled.of` takes).  The sums are int64, bounded by
+        ``bound_v * bound_c * dim``, when that rules out overflow and Python ints otherwise.
         """
         v = Scaled.of(v)
         i, c, starts, places = self._contraction
@@ -133,7 +133,8 @@ class StructureAlgebra:
             if not v.fits(self._constants, self.dim):    # a place sums at most dim terms
                 v_int, c, out = v_int.astype(object), c.astype(object), out.astype(object)
             out[..., places] = np.add.reduceat(v_int[..., i] * c, starts, axis=-1)
-        return Scaled(out.reshape(v.shape[:-1] + (self.dim, self.dim)), self.scale * v.scale)
+        return Scaled(out.reshape(v.shape[:-1] + (self.dim, self.dim)), self.scale * v.scale,
+                      v.bound * self._constants.bound * self.dim)
 
     ad = contract
 

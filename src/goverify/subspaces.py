@@ -137,10 +137,17 @@ class Subspace:
         return self.ad_matrices @ other.basis.T
 
     def random_coefficients(self, rng: random.Random) -> list[int]:
-        """Deterministic integer coefficients in [-9, 9], not all zero unless ``dim`` is 0."""
+        """Deterministic integer coefficients in [-9, 9], not all zero unless ``dim`` is 0:
+        ``getrandbits(5) - 9``, drawn again from 19 up, which gives the values and the final
+        ``rng`` state of ``rng.randint(-9, 9)`` (CPython's ``_randbelow_with_getrandbits``)."""
+        dim, bits = self.dim, rng.getrandbits
         while True:
-            coeffs = [rng.randint(-9, 9) for _ in range(self.dim)]
-            if any(coeffs) or self.dim == 0:
+            coeffs = []
+            while len(coeffs) < dim:
+                r = bits(5)
+                if r < 19:
+                    coeffs.append(r - 9)
+            if any(coeffs) or dim == 0:
                 return coeffs
 
     def random_element(self, rng: random.Random) -> Scaled:

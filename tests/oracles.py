@@ -245,9 +245,26 @@ def geodesic_lemma_solvable(operator: MetricOperator, subalgebra, complement, di
     return isinstance(arith.solve_linear(a, np.asarray(rhs, dtype=object)), arith.Solution)
 
 
+def randint_coefficients(rng: random.Random, dim: int) -> list[int]:
+    """``dim`` draws of ``rng.randint(-9, 9)``, all drawn again while every one is
+    zero (unless ``dim`` is 0): the contract of ``Subspace.random_coefficients``."""
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(dim)]
+        if any(coeffs) or dim == 0:
+            return coeffs
+
+
+def _randint_element(space: Subspace, rng: random.Random) -> np.ndarray:
+    """A combination of the basis rows with :func:`randint_coefficients`, in Fractions."""
+    coeffs = np.array([Fraction(c) for c in randint_coefficients(rng, space.dim)], dtype=object)
+    return np.dot(coeffs, fractions(space.basis)) if space.dim else qzeros(space.algebra.dim)
+
+
 def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, within=None) -> list:
     """``(label, direction)`` pairs built one direction at a time: basis rows,
-    sums of random elements of two invariant pieces, then random elements."""
+    sums of random elements of two invariant pieces, then random elements.
+    The coefficients are CPython's ``randint(-9, 9)`` draws and the directions
+    Fraction combinations, not ``Subspace.random_element``."""
     space = within if within is not None else Subspace.full(operator.algebra)
     out = []
     if strategy.basis_vectors:
@@ -257,12 +274,12 @@ def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, wit
         pieces = [p for p in pieces if p.dim > 0]
         for i, j in itertools.combinations(range(len(pieces)), 2):
             rng = random.Random(f"pair:{strategy.seed}:{i}:{j}")
-            vi = pieces[i].random_element(rng)
-            vj = pieces[j].random_element(rng)
+            vi = _randint_element(pieces[i], rng)
+            vj = _randint_element(pieces[j], rng)
             out.append((f"pair:{i}:{j}", vi + vj))
     for r in range(strategy.random_count):
         rng = random.Random(f"random:{strategy.seed}:{r}")
-        out.append((f"random:{r}", space.random_element(rng)))
+        out.append((f"random:{r}", _randint_element(space, rng)))
     return out
 
 

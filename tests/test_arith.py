@@ -1008,3 +1008,184 @@ def test_float_tier_matches_python_ints_on_stacks_and_blocks(monkeypatch, shapes
     out = arith.Scaled(a) @ arith.Scaled(b)
     assert len(floats) == 1 and out.ints.dtype == np.int64
     assert out.ints.tolist() == np.matmul(a.astype(object), b.astype(object)).tolist()
+
+
+# -- carried bounds: never below the entries, never a different tier ----------
+
+def _largest(value) -> int:
+    """The largest absolute entry, read off the integers afresh."""
+    return max((abs(int(v)) for v in value.ints.reshape(-1)), default=0)
+
+
+def _tier_log(mp) -> list:
+    """Log ``float`` for every float64 product and ``object`` for every Scaled
+    built from a Python-int array; any other product or sum ran on int64."""
+    log = []
+    floats, init = arith._float_matmul, arith.Scaled.__init__
+
+    def float_matmul(a, b):
+        log.append("float")
+        return floats(a, b)
+
+    def scaled_init(self, ints, *args):
+        if np.asarray(ints).dtype == object:
+            log.append("object")
+        init(self, ints, *args)
+
+    mp.setattr(arith, "_float_matmul", float_matmul)
+    mp.setattr(arith.Scaled, "__init__", scaled_init)
+    return log
+
+
+def _taken(log, run):
+    """``run()`` and the tier it took."""
+    log.clear()
+    out = run()
+    return out, "object" if "object" in log else "float" if "float" in log else "int64"
+
+
+def _product_tier(a, b) -> str:
+    """The tier of ``a @ b`` by scanned bounds, with both sides divided by their
+    gcd (integers and scale) past ``2**62``, as ``Scaled.__matmul__`` states it."""
+    def divided(x):
+        g = math.gcd(x.scale, *x.ints.reshape(-1).tolist())
+        return arith.Scaled(x.ints // g, x.scale // g)
+
+    inner = max(1, a.shape[-1])
+    for _ in range(2):
+        if a.ints.dtype != np.int64 or b.ints.dtype != np.int64:
+            return "object"
+        size = max(1, _largest(a)) * max(1, _largest(b)) * inner
+        if size < 2**53:
+            return "float"
+        if size < 2**62:
+            return "int64"
+        a, b = divided(a), divided(b)
+    return "object"
+
+
+def _int64_if(condition: bool) -> str:
+    return "int64" if condition else "object"
+
+
+def _operand(data, shape, inflate):
+    """A builder of fresh, equal Scaled values of ``shape``: entries up to a drawn
+    magnitude (entry 0 at it; past ``2**60`` they are Python ints), a scale with
+    an optional common factor, and a bound carried ``2**inflate`` times too high
+    (None: scanned when first needed)."""
+    magnitude = data.draw(st.sampled_from([1, 2**12, 2**25, 2**29, 2**31, 2**61]))
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**31)))
+    ints = rng.randint(-magnitude, magnitude + 1, size=shape, dtype=np.int64).astype(object)
+    ints.reshape(-1)[0] = magnitude
+    factor = data.draw(st.sampled_from([1, 1, 2**8]))
+    ints, scale = ints * factor, data.draw(st.integers(1, 30)) * factor
+    if magnitude < 2**60:
+        ints = ints.astype(np.int64)
+    bound = None if inflate is None else magnitude * factor << inflate
+    return lambda: arith.Scaled(ints.copy(), scale, bound)
+
+
+_SHAPES = {   # the two operands of ``@``: matrices, stacks, a matrix past one row block
+    "matrix": lambda n, k, m: ((n, k), (k, m)),
+    "stack-matrix": lambda n, k, m: ((2, n, k), (k, m)),
+    "stacks": lambda n, k, m: ((2, n, k), (2, k, m)),
+    "row-blocks": lambda n, k, m: ((300, k), (k, m)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SHAPES)), st.data())
+def test_carried_bounds_bound_the_entries_and_pick_the_scanned_tier(shapes, data):
+    """Every result carries a bound at least its largest entry, and every
+    product, sum, difference, scalar multiple and concatenation of fresh
+    operands takes the tier (float64, int64 or Python ints) that their
+    scanned bounds pick, also when their carried bounds are far too high."""
+    n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    left, right = _SHAPES[shapes](n, k, m)
+    inflate = st.sampled_from([None, 0, 12, 30, 60])
+    makers = [_operand(data, shape, data.draw(inflate)) for shape in (left, right, left)]
+    a, b, c = (make() for make in makers)
+    la, lc = _largest(a), _largest(c)
+    factor = data.draw(st.fractions(min_value=-2**12, max_value=2**12, max_denominator=9))
+    scale = math.lcm(a.scale, c.scale)
+    fa, fc = scale // a.scale, scale // c.scale
+    int64 = a.ints.dtype == c.ints.dtype == np.int64
+    summed = _int64_if(int64 and max(1, la) * fa + max(1, lc) * fc < 2**62)
+    cases = {   # the operation, the tier of the scanned bounds, the Fraction value
+        "a @ b": (lambda x, y, z: x @ y, _product_tier(a, b),
+                  np.matmul(a.fractions(), b.fractions())),
+        "a + c": (lambda x, y, z: x + z, summed, a.fractions() + c.fractions()),
+        "a - c": (lambda x, y, z: x - z, summed, a.fractions() - c.fractions()),
+        "a * k": (lambda x, y, z: x * factor,
+                  _int64_if(a.ints.dtype == np.int64 and max(1, la) * abs(factor.numerator) < 2**60),
+                  a.fractions() * factor),
+        "concat": (lambda x, y, z: arith.Scaled.concat([x, z], axis=-1),
+                   _int64_if(int64 and max(1, la) * fa < 2**60 and max(1, lc) * fc < 2**60),
+                   np.concatenate([a.fractions(), c.fractions()], axis=-1)),
+    }
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        log = _tier_log(mp)
+        for name, (run, tier, value) in cases.items():
+            operands = [make() for make in makers]
+            out, taken = _taken(log, lambda: run(*operands))
+            assert taken == tier, name
+            assert out.tolist() == value.tolist(), name
+            results.append(out)
+    x = makers[0]()
+    views = [-x, x.T, x.reshape(-1), x.transpose(), x[0], x[..., :1], x.reduced(),
+             results[0][0], results[1].reduced()]
+    for out in results + views:
+        assert out.bound >= _largest(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contract_carries_its_bound_and_picks_the_scanned_tier(data):
+    """``ad`` of a vector stack carries ``bound_v * bound_c * dim`` and sums on
+    int64 exactly when the scanned bounds fit, whatever the carried one says
+    (su(3): some entries of ``ad`` sum two structure constants)."""
+    algebra = build_classical("su", 3)
+    make = _operand(data, (data.draw(st.integers(1, 3)), algebra.dim),
+                    data.draw(st.sampled_from([None, 0, 20, 40, 60])))
+    v = make()
+    constants = max(abs(int(x)) for x in algebra.coo[3])
+    expected = _int64_if(v.ints.dtype == np.int64
+                         and max(1, _largest(v)) * constants * algebra.dim < 2**62)
+    with pytest.MonkeyPatch.context() as mp:
+        out, tier = _taken(_tier_log(mp), lambda: algebra.contract(v))
+    assert tier == expected
+    assert out.bound >= _largest(out)
+    assert out.tolist() == [fmatmul(algebra.contract(row).fractions(), np.eye(algebra.dim,
+                                    dtype=np.int64).astype(object)).tolist() for row in v]
+
+
+def test_carried_bounds_past_a_limit_are_scanned_before_the_tier(monkeypatch):
+    """Products whose entries cancel carry bounds far above their entries.  A
+    carried bound past ``2**53`` or ``2**62`` is scanned before the tier is
+    picked, so the next products still run on float64 or int64, as the scanned
+    bounds say, and carry bounds from the scanned ones."""
+    floats = _record(monkeypatch, "_float_matmul", lambda a, b: a.shape)
+    ints = arith.Scaled
+
+    def cancelled(big, small):
+        """``[[big, big]] @ [[small], [-small]]``: zero, carried bound ``2 * big * small``."""
+        return ints(np.array([[big, big]])) @ ints(np.array([[small], [-small]]))
+
+    zero = cancelled(2**20, 2**5)
+    assert zero.tolist() == [[0]] and zero.bound == 2**26
+    floats.clear()
+    out = zero @ ints(np.array([[2**30]]))               # carried 2**56: int64 by that bound
+    assert out.tolist() == [[0]] and len(floats) == 1 and zero.bound == out.bound == 0
+
+    zero = cancelled(2**40, 2**20)                       # carried 2**61
+    assert zero.bound == 2**61
+    floats.clear()
+    out = zero @ ints(np.array([[2**10]]))               # carried 2**71: Python ints by that bound
+    assert out.tolist() == [[0]] and len(floats) == 1 and zero.bound == out.bound == 0
+
+    wide = ints(np.array([[2**30, 2**30]]), 1, 2**55)      # carried 2**55, largest entry 2**30
+    floats.clear()
+    out = wide @ ints(np.array([[2**22], [3]]))          # scanned: 2 * 2**52 = 2**53, int64
+    assert out.ints.dtype == np.int64 and floats == [] and wide.bound == 2**30
+    assert out.tolist() == [[2**52 + 3 * 2**30]] and out.bound == 2**53

@@ -16,9 +16,9 @@ from goverify.lie import build_classical, direct_sum, embed_so_partition, attach
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
 from goverify.scenarios import ScenarioSpec, run_check
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement, projector
-from oracles import (fbracket, fmatmul, geodesic_lemma_solvable, go_verdict_by_direction,
-                     metric_inner, replay_certificate, rescale, sampled_directions, stacked,
-                     two_step_identity_check)
+from oracles import (fbracket, fmatmul, fractions, geodesic_lemma_solvable,
+                     go_verdict_by_direction, metric_inner, replay_certificate, rescale,
+                     sampled_directions, stacked, two_step_identity_check)
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 STRATEGY = SamplingStrategy(seed=11, random_count=16)
@@ -171,6 +171,19 @@ def test_batched_verdict_equals_per_direction_oracle(so6, name, monkeypatch):
         assert len(got.certificates) == got.samples == STRATEGY.random_count
     if name == "no-samples":
         assert got.samples == 0 and not got.disproved
+
+
+@pytest.mark.parametrize("name", ["disproved", "coset-sweep", "zero-dimensional-within"])
+def test_sampled_directions_are_the_randint_oracle(so6, name):
+    """The stacked directions of a verdict (basis rows, pair sums drawn as one
+    product over the stacked piece bases, random elements) are the oracle's,
+    whose coefficients are CPython's ``randint(-9, 9)`` draws."""
+    op, _, strategy, within, _ = _verdict_case(so6, name)
+    labels, directions = go._directions(op, strategy, within)
+    expected = sampled_directions(op, strategy, within)
+    assert labels == [label for label, _ in expected]
+    assert any(label.startswith("pair:") for label in labels) == (name != "zero-dimensional-within")
+    assert directions.tolist() == [list(fractions(x)) for _, x in expected]
 
 
 def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
