@@ -22,14 +22,13 @@ bounds that decide are carried from the operands to every int64 result
 when a carried bound would cross a limit.
 
 Nullspaces are certified: every exact kernel has one checked lift and one
-elimination fallback.  The lift, :func:`_crt_lift`, starts from the rational
-reconstruction of the canonical kernel mod ``_P`` and, while the candidate
-fails, combines it with the kernels mod the further primes of
-``_CRT_PRIMES`` by the Chinese remainder theorem (Dixon, Numer. Math. 40,
-1982; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5); each
-candidate is verified by an exact integer product before it is returned.
-Exact elimination of all rows takes over when no lift verifies, at once
-when a further prime shows that the rank dropped mod ``_P``.
+elimination fallback.  The canonical kernel mod ``_P`` is rationally
+reconstructed and verified by one exact integer product; when that fails,
+:func:`_padic_lift` lifts it p-adically on the pivot block that the
+elimination mod ``_P`` found (Dixon, Numer. Math. 40, 1982) and verifies its
+reconstructions the same way.  Exact elimination of all rows takes over when
+a lifted candidate shows that the rank or the pivot columns moved mod
+``_P``, or when the lift passes its Hadamard bound.
 
 Stacks of small systems, the witness systems of a geodesic-orbit verdict, go
 to :func:`solve_stack`: one Gauss-Jordan elimination mod ``_P`` over the
@@ -40,20 +39,19 @@ runs :func:`solve_int`, which also gives the exact rank gap of an
 inconsistent one; every system up to the first exactly inconsistent one is
 decided, and the stack lifts nothing after it.
 
-Modular screening works over GF(p) for primes ``p < 2**31``, passed
-explicitly: ``_P`` for screening, ranks and :func:`kernel_modp`, and
-``_CRT_PRIMES`` for the multi-prime lift.  :func:`kernel_modp` gives the
-canonical kernel (identity on the free columns of the rref) and
-:func:`_reconstruct` its rational reconstruction, for :func:`nullspace_exact`
-and the equivariance solver of :mod:`goverify.reps`; the rank estimate of
-:mod:`goverify.subspaces` and the Casimir test of :mod:`goverify.reps` decide
-by :func:`rank_modp` alone.  The elimination (:func:`_modp_pivots`) reduces
-wide systems in panels of ``_PANEL = 64`` columns; each panel's update of
-the other rows is one :func:`_mulmod` product mod p (float64 BLAS products
-on 16-bit limbs), and :func:`matmul_modp` sums such products over longer
-inner dimensions.  Residues are below ``2**31`` and limbs below ``2**16``,
-so a sum of at most 64 products stays below ``2**53`` and every product is
-exact, whatever the BLAS summation order or thread count.
+Modular screening works over GF(``_P``), one prime below ``2**31``.
+:func:`kernel_modp` gives the canonical kernel (identity on the free columns
+of the rref) and :func:`_reconstruct` its rational reconstruction, for
+:func:`nullspace_exact` and the equivariance solver of :mod:`goverify.reps`;
+the rank estimate of :mod:`goverify.subspaces` and the Casimir test of
+:mod:`goverify.reps` decide by :func:`rank_modp` alone.  The elimination
+(:func:`_modp_pivots`) reduces wide systems in panels of ``_PANEL = 64``
+columns; each panel's update of the other rows is one :func:`_mulmod`
+product mod p (float64 BLAS products on 16-bit limbs), and
+:func:`matmul_modp` sums such products over longer inner dimensions.
+Residues are below ``2**31`` and limbs below ``2**16``, so a sum of at most
+64 products stays below ``2**53`` and every product is exact, whatever the
+BLAS summation order or thread count.
 
 Primary decompositions (:func:`primary_invariant_split`) split a matrix along
 the irreducible factors of its minimal polynomial, built from Krylov chains
@@ -77,14 +75,6 @@ import numpy as np
 EXACT = "exact"
 
 _P = 2_147_483_647  # prime modulus for the screening eliminations
-# further primes below 2**31 (so that _mulmod stays exact) for the multi-prime lift
-_CRT_PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483_549,
-               2_147_483_543, 2_147_483_497, 2_147_483_489, 2_147_483_477, 2_147_483_423,
-               2_147_483_399, 2_147_483_353, 2_147_483_323, 2_147_483_269, 2_147_483_249,
-               2_147_483_237, 2_147_483_179, 2_147_483_171, 2_147_483_137, 2_147_483_123,
-               2_147_483_077, 2_147_483_069, 2_147_483_059, 2_147_483_053, 2_147_483_033,
-               2_147_483_029, 2_147_482_951, 2_147_482_949, 2_147_482_943, 2_147_482_937,
-               2_147_482_921)
 _PANEL = 64         # columns per elimination panel, fixed by the 2**53 bound in _mulmod
 _CHUNK = 256        # rows per trailing panel update, to keep temporaries small
 _DIRECT = 1_200     # systems with at most this many entries skip the modular screen
@@ -525,9 +515,8 @@ def inverse(mat) -> Scaled:
     return _over([row[k:] for row in rows], det, n)
 
 
-def _eliminate_modp(work: np.ndarray, reduce_above: bool,
-                    p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Scalar elimination mod the prime ``p`` of ``work`` in place, one pivot at a time.
+def _eliminate_modp(work: np.ndarray, reduce_above: bool) -> tuple[list[int], list[tuple[int, int]]]:
+    """Scalar elimination mod ``_P`` of ``work`` in place, one pivot at a time.
 
     Returns the pivot columns and the row swaps ``(r, pr)`` in the order made.
     """
@@ -545,36 +534,35 @@ def _eliminate_modp(work: np.ndarray, reduce_above: bool,
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
             swaps.append((r, pr))
-        inv = pow(int(work[r, c]), -1, p)
-        work[r, c:] = (work[r, c:] * inv) % p
+        inv = pow(int(work[r, c]), -1, _P)
+        work[r, c:] = (work[r, c:] * inv) % _P
         lo = 0 if reduce_above else r + 1
         others = lo + np.flatnonzero(work[lo:, c])
         others = others[others != r]
         if others.size:
-            work[others, c:] = (work[others, c:] - work[others, c][:, None] * work[r, c:][None, :]) % p
+            work[others, c:] = (work[others, c:] - work[others, c][:, None] * work[r, c:][None, :]) % _P
         piv_cols.append(c)
         r += 1
     return piv_cols, swaps
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``(a @ b) % p`` of int64 residues mod a prime ``p < 2**31``, with
-    at most ``_PANEL`` inner terms.
+def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``(a @ b) % _P`` of int64 residues, with at most ``_PANEL`` inner terms.
 
     Float64 products on the 16-bit limbs of ``b``: every partial sum is an
-    integer below ``_PANEL * (p - 1) * 0xFFFF < 2**53``, hence exact in any
+    integer below ``_PANEL * (_P - 1) * 0xFFFF < 2**53``, hence exact in any
     summation order.
     """
     if a.shape[-1] > _PANEL:
         raise ContractViolation(f"_mulmod sums at most {_PANEL} products")
     af = a.astype(np.float64)
-    low = (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64) % p
-    high = (af @ (b >> 16).astype(np.float64)).astype(np.int64) % p
-    return (low + (high << 16)) % p
+    low = (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64) % _P
+    high = (af @ (b >> 16).astype(np.float64)).astype(np.int64) % _P
+    return (low + (high << 16)) % _P
 
 
-def _modp_pivots(mat_int: np.ndarray, p: int):
-    """Gauss-Jordan elimination mod the prime ``p < 2**31``.
+def _modp_pivots(mat_int: np.ndarray):
+    """Gauss-Jordan elimination mod ``_P``.
 
     Returns ``(rank, pivot cols, reduced)`` where ``reduced`` is the working
     array, a fully reduced rref.
@@ -585,20 +573,20 @@ def _modp_pivots(mat_int: np.ndarray, p: int):
     the pivot rows are multiplied by the inverse of their pivot block, and
     every other row drops its pivot-column part as one :func:`_mulmod`
     product (exact: ``_PANEL`` inner terms keep float64 partial sums below
-    ``2**53``).  The rref mod ``p`` is unique, so all three outputs equal the
+    ``2**53``).  The rref mod ``_P`` is unique, so all three outputs equal the
     scalar loop's.
     """
-    work = (np.asarray(mat_int) % p).astype(np.int64)
+    work = (np.asarray(mat_int) % _P).astype(np.int64)
     nrows, ncols = work.shape
     if ncols <= _PANEL:
-        piv_cols, _ = _eliminate_modp(work, reduce_above=True, p=p)
+        piv_cols, _ = _eliminate_modp(work, reduce_above=True)
         return len(piv_cols), piv_cols, work
     piv_cols = []
     r = 0
     for c0 in range(0, ncols, _PANEL):
         if r == nrows:
             break
-        cols, swaps = _eliminate_modp(work[r:, c0:c0 + _PANEL].copy(), reduce_above=False, p=p)
+        cols, swaps = _eliminate_modp(work[r:, c0:c0 + _PANEL].copy(), reduce_above=False)
         if not cols:
             continue
         for a, b in swaps:
@@ -606,22 +594,22 @@ def _modp_pivots(mat_int: np.ndarray, p: int):
         k = len(cols)
         pcols = [c0 + c for c in cols]
         pivots = work[r:r + k, c0:]
-        pivots[:] = _mulmod(_inverse_modp(work[r:r + k, pcols], p), pivots, p)
+        pivots[:] = _mulmod(_inverse_modp(work[r:r + k, pcols]), pivots)
         for lo, hi in ((0, r), (r + k, nrows)):
             for start in range(lo, hi, _CHUNK):
                 rows = work[start:min(start + _CHUNK, hi)]
-                rows[:, c0:] -= _mulmod(rows[:, pcols], pivots, p)
-                rows[:, c0:] %= p
+                rows[:, c0:] -= _mulmod(rows[:, pcols], pivots)
+                rows[:, c0:] %= _P
         piv_cols.extend(pcols)
         r += k
     return r, piv_cols, work
 
 
-def _inverse_modp(block: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod ``p`` of an invertible square residue block, by the scalar loop on ``[A | I]``."""
+def _inverse_modp(block: np.ndarray) -> np.ndarray:
+    """Inverse mod ``_P`` of an invertible square residue block, by the scalar loop on ``[A | I]``."""
     k = block.shape[0]
     aug = np.concatenate([block, np.eye(k, dtype=np.int64)], axis=1)
-    piv_cols, _ = _eliminate_modp(aug, reduce_above=True, p=p)
+    piv_cols, _ = _eliminate_modp(aug, reduce_above=True)
     if piv_cols != list(range(k)):
         raise ExactComputationError("pivot block is singular mod p")
     return aug[:, k:]
@@ -630,32 +618,32 @@ def _inverse_modp(block: np.ndarray, p: int) -> np.ndarray:
 def matmul_modp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact ``(a @ b) % _P`` of int64 residues: :func:`_mulmod` summed over
     slices of at most ``_PANEL`` of the inner dimension."""
-    out = _mulmod(a[..., :_PANEL], b[..., :_PANEL, :], _P)
+    out = _mulmod(a[..., :_PANEL], b[..., :_PANEL, :])
     for s in range(_PANEL, a.shape[-1], _PANEL):
-        out = (out + _mulmod(a[..., s:s + _PANEL], b[..., s:s + _PANEL, :], _P)) % _P
+        out = (out + _mulmod(a[..., s:s + _PANEL], b[..., s:s + _PANEL, :])) % _P
     return out
 
 
-def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int], p: int) -> np.ndarray:
-    """Kernel basis (rows) mod ``p`` read off a fully reduced rref: the
+def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int]) -> np.ndarray:
+    """Kernel basis (rows) mod ``_P`` read off a fully reduced rref: the
     identity on the free columns, minus the rref's entries on the pivot columns."""
     free = sorted(set(range(reduced.shape[1])) - set(piv_cols))
     kernel = np.eye(reduced.shape[1], dtype=np.int64)[free]
-    kernel[:, piv_cols] = (-reduced[:rank, free].T) % p
+    kernel[:, piv_cols] = (-reduced[:rank, free].T) % _P
     return kernel
 
 
 def kernel_modp(mat) -> np.ndarray:
     """The canonical kernel basis (rows) of an integer matrix over GF(``_P``):
     the identity on the free columns of its rref."""
-    rank, piv_cols, reduced = _modp_pivots(mat, _P)
-    return _kernel_rows(reduced, rank, piv_cols, _P)
+    rank, piv_cols, reduced = _modp_pivots(mat)
+    return _kernel_rows(reduced, rank, piv_cols)
 
 
 def rank_modp(mat) -> int:
     """The rank of an integer matrix over GF(``_P``): a lower bound on its
     rational rank, equal to it when the matrix has full rank mod ``_P``."""
-    return _modp_pivots(mat, _P)[0]
+    return _modp_pivots(mat)[0]
 
 
 def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
@@ -689,48 +677,56 @@ def _reconstruct(residues: np.ndarray, modulus: int) -> Scaled | None:
     return Scaled._exact(np.array([ints[a] for a in flat], dtype=object).reshape(residues.shape), scale)
 
 
-def _crt_lift(value: Scaled, rank: int, piv_cols: list[int], kernel: np.ndarray) -> Scaled | None:
-    """The verified nullspace lifted from ``kernel``, the canonical kernel mod
-    ``_P``, and the kernels mod the primes of ``_CRT_PRIMES``, or None.
+def _padic_lift(value: Scaled, piv_cols: list[int]) -> Scaled | None:
+    """The canonical nullspace of ``value`` by Dixon's p-adic lift (Numer.
+    Math. 40, 1982) on its pivot columns ``piv_cols`` mod ``_P``, or None.
 
-    The first candidate reconstructs ``kernel`` mod ``_P``; while it fails
-    ``value @ candidate.T == 0``, the next prime adds its kernel by the
-    Chinese remainder theorem and the combination is reconstructed over the
-    product of the primes used.  A prime with a lower rank or other pivot
-    columns is skipped.  A higher rank proves that ``kernel`` has more rows
-    than the nullspace (a rank mod p never exceeds the rational rank), so no
-    lift can verify and the loop stops.
+    ``rows`` are the first rows independent mod ``_P`` on the pivot columns,
+    and ``B``, ``F`` their pivot and free columns; ``B`` is invertible mod
+    ``_P``, hence over the rationals.  From ``r = -F``, each step adds
+    ``x = B^-1 r mod _P`` to ``X = -B^-1 F mod _P^k`` and sets
+    ``r = (r - B x) / _P``.  At ``k = 2, 4, 8, ...`` the kernel ``[X | I]`` is
+    reconstructed and checked against every row with one product.  A
+    candidate that solves ``rows`` is ``X``: the canonical kernel if it solves
+    every row and is zero right of each free column; otherwise the rank or
+    the pivot columns moved mod ``_P`` (None).  Cramer's rule bounds the
+    numerators and denominators of ``X`` by the Hadamard bound ``H`` of
+    ``[B | F]``, so ``X`` reconstructs once ``_P^k > 2 H**2``, where the lift stops.
     """
-    residues, modulus = kernel.astype(object), _P
-    for p in (_P, *_CRT_PRIMES):
-        if p != _P:
-            rank_p, cols, reduced = _modp_pivots(value.ints, p)
-            if rank_p > rank:
-                return None
-            if rank_p < rank or cols != piv_cols:
-                continue
-            step = (_kernel_rows(reduced, rank, piv_cols, p) - residues) * pow(modulus, -1, p) % p
-            residues, modulus = residues + modulus * step, modulus * p
-        candidate = _reconstruct(residues, modulus)
-        if candidate is not None and not np.any((value @ candidate.T).ints):
-            return candidate
+    ncols = value.shape[1]
+    free = sorted(set(range(ncols)) - set(piv_cols))
+    rows = _modp_pivots(value.ints[:, piv_cols].T)[1]
+    b, residual = Scaled(value.ints[rows][:, piv_cols]), -Scaled(value.ints[rows][:, free])
+    inverse = _inverse_modp((b.ints % _P).astype(np.int64))
+    limit = 2 * math.prod(sum(v * v for v in row) for row in value.ints[rows].tolist())
+    kernel, beyond = np.eye(ncols, dtype=object)[free], np.arange(ncols) > np.array(free)[:, None]
+    lifted, modulus, attempt = np.zeros(residual.shape, dtype=object), 1, _P**2
+    while modulus <= limit:
+        x = matmul_modp(inverse, (residual.ints % _P).astype(np.int64))
+        lifted += x.astype(object) * modulus
+        residual = Scaled((residual - b @ Scaled(x)).ints // _P)
+        modulus *= _P
+        if modulus == attempt or modulus > limit:
+            attempt *= attempt
+            kernel[:, piv_cols] = lifted.T
+            if (candidate := _reconstruct(kernel, modulus)) is not None:
+                product = (value @ candidate.T).ints
+                if not np.any(product[rows]):
+                    return None if np.any(product) or np.any(candidate.ints[beyond]) else candidate
     return None
 
 
 def nullspace_exact(mat) -> Scaled:
     """Certified rational nullspace basis (rows) of ``mat``.
 
-    Small systems run fraction-free Gauss-Jordan on the integers.
-    Larger ones are eliminated mod ``_P``, whose rref gives the canonical
-    kernel (the identity on its free columns); :func:`_crt_lift` reconstructs
-    it rationally, adding the kernels mod further primes by the Chinese
-    remainder theorem while the candidate fails, and verifies each candidate
-    against the full matrix as an integer product (int64 when safe, Python
-    ints otherwise).  A candidate has ``ncols - rank_p`` independent rows and
-    rank mod p never exceeds rank over the rationals, so a verified one pins
-    the nullity exactly, and it is the one nullspace basis that is the
-    identity on those free columns.  When no lift verifies, exact
-    elimination runs on all rows.
+    Small systems run fraction-free Gauss-Jordan on the integers.  Larger
+    ones are eliminated mod ``_P``; the rational reconstruction of the
+    canonical kernel mod ``_P`` (the identity on its free columns) is
+    verified against the full matrix by one integer product, and when it
+    fails :func:`_padic_lift` lifts it.  Rank mod p never exceeds rank over
+    the rationals, so a verified candidate of ``ncols - rank_p`` rows pins
+    the nullity; zero right of each free column, it is the canonical basis.
+    Without a candidate, exact elimination runs on all rows.
     """
     value = Scaled.of(mat)
     if value.ints.ndim != 2:
@@ -738,13 +734,14 @@ def nullspace_exact(mat) -> Scaled:
     nrows, ncols = value.shape
     if nrows * ncols <= _DIRECT:
         return _nullspace_int(value.ints.tolist(), ncols)
-    rank_p, piv_cols, reduced = _modp_pivots(value.ints, _P)
+    rank_p, piv_cols, reduced = _modp_pivots(value.ints)
     if rank_p == ncols:
         return Scaled.zeros((0, ncols))
-    candidate = _crt_lift(value, rank_p, piv_cols, _kernel_rows(reduced, rank_p, piv_cols, _P))
-    if candidate is not None:
+    candidate = _reconstruct(_kernel_rows(reduced, rank_p, piv_cols), _P)
+    if candidate is not None and not np.any((value @ candidate.T).ints):
         return candidate
-    return _nullspace_int(value.ints.tolist(), ncols)
+    lifted = _padic_lift(value, piv_cols)
+    return lifted if lifted is not None else _nullspace_int(value.ints.tolist(), ncols)
 
 
 def _nullspace_int(rows: list[list[int]], ncols: int) -> Scaled:

@@ -104,8 +104,9 @@ def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
     system, so one rational lift gives the basis :func:`arith.nullspace_exact`
     returns for the stacked blocks of all generators.  It is checked exactly
     against every generator (rank mod p never exceeds the rational rank, so it
-    then spans the kernel); small systems, a failed lift and a failed check
-    take that exact call.
+    then spans the kernel).  Small systems, a failed reconstruction and a
+    failed check take that exact call, which lifts a kernel that does not
+    reconstruct mod ``_P`` p-adically before it runs Bareiss.
     """
     rows, cols = _equations(unknowns)
     count, size = dom.shape[0], len(rows)

@@ -217,11 +217,11 @@ def test_nullspace_python_int_check_matches_int64(monkeypatch):
 
 # -- blocked modular elimination ----------------------------------------------
 
-def _scalar_modp_pivots(mat, p, monkeypatch):
+def _scalar_modp_pivots(mat, monkeypatch):
     """The one-pivot-at-a-time loop: a panel wider than any test matrix."""
     with monkeypatch.context() as patched:
         patched.setattr(arith, "_PANEL", 10**9)
-        return arith._modp_pivots(mat, p)
+        return arith._modp_pivots(mat)
 
 
 def _rank_deficient(rng):
@@ -245,29 +245,27 @@ def _pivotless_panel(rng):
 def test_panel_elimination_matches_scalar_loop(build, monkeypatch):
     mat = build(np.random.RandomState(5))
     assert mat.shape[1] > 2 * arith._PANEL
-    for p in (arith._P, arith._CRT_PRIMES[-1]):
-        rank, piv_cols, reduced = arith._modp_pivots(mat, p)
-        ref_rank, ref_cols, ref_reduced = _scalar_modp_pivots(mat, p, monkeypatch)
-        assert (rank, piv_cols) == (ref_rank, ref_cols)
-        assert np.array_equal(reduced, ref_reduced) and not reduced[rank:].any()
-        if build is _rank_deficient:
-            assert rank == 40
-        if build is _pivotless_panel:
-            assert not [c for c in piv_cols if 64 <= c < 128]
+    rank, piv_cols, reduced = arith._modp_pivots(mat)
+    ref_rank, ref_cols, ref_reduced = _scalar_modp_pivots(mat, monkeypatch)
+    assert (rank, piv_cols) == (ref_rank, ref_cols)
+    assert np.array_equal(reduced, ref_reduced) and not reduced[rank:].any()
+    if build is _rank_deficient:
+        assert rank == 40
+    if build is _pivotless_panel:
+        assert not [c for c in piv_cols if 64 <= c < 128]
 
 
 def test_mulmod_exact_at_its_bound():
     assert arith._PANEL * (arith._P - 1) * 0xFFFF < 2**53
-    assert max(arith._CRT_PRIMES) < arith._P
     rng = np.random.RandomState(7)
     a = rng.randint(arith._P - 2**20, arith._P, size=(5, arith._PANEL), dtype=np.int64)
     a[0] = arith._P - 1
     b = np.full((arith._PANEL, 9), arith._P - 1, dtype=np.int64)
     expected = (a.astype(object) @ b.astype(object)) % arith._P
-    assert np.array_equal(arith._mulmod(a, b, arith._P), expected.astype(np.int64))
+    assert np.array_equal(arith._mulmod(a, b), expected.astype(np.int64))
     with pytest.raises(ContractViolation):
         arith._mulmod(np.ones((1, arith._PANEL + 1), dtype=np.int64),
-                      np.ones((arith._PANEL + 1, 1), dtype=np.int64), arith._P)
+                      np.ones((arith._PANEL + 1, 1), dtype=np.int64))
 
 
 def test_matmul_modp_exact_past_one_panel():
@@ -509,12 +507,6 @@ def so9_rank_system():
     return full.algebra.contract(element) @ full.basis.T
 
 
-def test_crt_primes_are_distinct_primes_below_the_mulmod_bound():
-    primes = arith._CRT_PRIMES
-    assert len(set(primes)) == len(primes) and arith._P not in primes
-    assert all(sympy.isprime(p) and p < 2**31 for p in primes)
-
-
 def _modulus(residues, modulus):
     return modulus
 
@@ -524,40 +516,52 @@ def test_reconstruction_mod_p_needs_no_second_prime(monkeypatch):
     base = rng.randint(-3, 4, size=(6, 40))
     stack = np.concatenate([base * (i + 1) for i in range(40)], axis=0)
     reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
-    primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
+    screens = _record(monkeypatch, "_modp_pivots")
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(stack)
     assert [(m, out is None) for m, out in reconstructions] == [(arith._P, False)]
-    assert [p for p, _ in primes] == [arith._P] and eliminations == []
+    assert len(screens) == 1 and eliminations == []
     assert null.tolist() == _reference_nullspace(stack)
 
 
+def _lift_rows(system):
+    """The rows the p-adic lift takes: the first ones independent mod ``_P``
+    on the pivot columns, and ``2 H**2`` for the Hadamard bound ``H`` of them."""
+    ints = arith.Scaled.of(system).ints
+    cols = arith._modp_pivots(ints)[1]
+    rows = arith._modp_pivots(ints[:, cols].T)[1]
+    return rows, 2 * math.prod(sum(v * v for v in row) for row in ints[rows].tolist())
+
+
 @pytest.mark.parametrize("scale", [1, 3**45])
-def test_failed_reconstruction_mod_p_lifts_over_several_primes(so9_rank_system, scale, monkeypatch):
+def test_failed_reconstruction_mod_p_lifts_p_adically(so9_rank_system, scale, monkeypatch):
     system = so9_rank_system * scale
     reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
-    primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
+    screens = _record(monkeypatch, "_modp_pivots", lambda mat: mat.shape)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
-    used = [p for p, _ in primes]
-    assert used[0] == arith._P and used[1:] == list(arith._CRT_PRIMES[:len(used) - 1])
-    assert len(used) >= 3    # 55-bit entries need a modulus of more than 62 bits
-    # one reconstruction per prime, over the product of the primes so far
-    assert [m for m, _ in reconstructions] == [math.prod(used[:i + 1]) for i in range(len(used))]
-    assert reconstructions[0][1] is None and eliminations == []
+    # the kernel mod p, then the lift mod p**2 and p**4: 55-bit entries need more than 110 bits
+    assert [m for m, _ in reconstructions] == [arith._P, arith._P**2, arith._P**4]
+    assert [out is None for _, out in reconstructions] == [True, True, False]
+    # one screen of the system and one of its pivot columns, transposed, to pick the rows
+    assert [shape for shape, _ in screens] == [(36, 36), (32, 36)]
+    assert eliminations == []
     assert null.tolist() == _reference_nullspace(so9_rank_system)
     bound = math.isqrt(arith._P // 2)
     assert max(max(abs(v.numerator), v.denominator) for v in null.fractions().reshape(-1)) > bound
 
 
-def _rank_drop_at(system, p):
-    """``system`` with one more row: its row 0 plus ``p`` on a free column, so
-    that the rank rises by one over the rationals but not mod ``p``."""
-    ints = system.ints
-    _, pivots = _reference_rref(ints.astype(object))
-    row = ints[0].copy()
-    row[next(c for c in range(ints.shape[1]) if c not in pivots)] += p
-    return np.concatenate([ints, row[None, :]])
+def test_lift_past_1000_bits_runs_no_bareiss(monkeypatch):
+    """A dense 40 x 42 system with 31-bit entries: its kernel needs more than
+    1,000 bits, past any fixed table of primes below ``2**31``."""
+    mat = np.random.RandomState(3).randint(-2**30, 2**30, size=(40, 42), dtype=np.int64)
+    expected = arith._nullspace_int(mat.tolist(), 42)
+    eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
+    null = arith.nullspace_exact(mat)
+    assert eliminations == []
+    assert null.shape == (2, 42) and null.equals(expected)
+    assert max(max(abs(v.numerator), v.denominator).bit_length()
+               for v in null.fractions().reshape(-1)) > 1_000
 
 
 def _pivots_move_at(system, p):
@@ -570,33 +574,34 @@ def _pivots_move_at(system, p):
     return out
 
 
-@pytest.mark.parametrize("build", [_rank_drop_at, _pivots_move_at], ids=["rank", "pivot-columns"])
-def test_prime_with_other_rank_or_pivots_is_skipped(so9_rank_system, build, monkeypatch):
-    skipped = arith._CRT_PRIMES[0]
-    mat = build(so9_rank_system, skipped)
-    screens = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
-    kernels = _record(monkeypatch, "_kernel_rows", lambda reduced, rank, cols, p: p)
+def test_pivot_columns_moved_mod_p_run_bareiss_on_all_rows(so9_rank_system, monkeypatch):
+    """Beside the block ``[[p, 1]]`` the last pivot moves from column 36 to 37
+    mod ``p``: the lifted kernel solves every row, but its row for column 36 is
+    nonzero on column 37, so it is not the canonical basis and Bareiss runs."""
+    mat = _pivots_move_at(so9_rank_system, arith._P)
+    reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(mat)
-    ranks = {p: (rank, cols) for p, (rank, cols, _) in screens}
-    assert ranks[skipped] != ranks[arith._P]
-    if build is _rank_drop_at:        # a lower rank is skipped; only a higher one stops the lift
-        assert ranks[skipped][0] == ranks[arith._P][0] - 1
-    assert skipped not in [p for p, _ in kernels] and len(kernels) >= 3
-    assert eliminations == []
+    assert reconstructions[-1][1] is not None
+    assert not np.any((arith.Scaled(mat) @ reconstructions[-1][1].T).ints)
+    assert [rows for (rows, _), _ in eliminations] == [37]
     assert null.tolist() == _reference_nullspace(mat)
 
 
 @pytest.mark.parametrize("scale", [1, 3**45])
 def test_failed_lift_runs_bareiss_on_all_rows(so9_rank_system, scale, monkeypatch):
-    """When no prime's reconstruction verifies, the lift tries every prime
-    and Bareiss runs once, on all 36 rows."""
+    """When no reconstruction succeeds, the lift runs until ``p**k`` passes
+    ``2 H**2`` and Bareiss runs once, on all 36 rows."""
     system = so9_rank_system * scale
+    _, limit = _lift_rows(system)
     monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
-    primes = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
+    reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
-    assert [p for p, _ in primes] == [arith._P, *arith._CRT_PRIMES]
+    moduli = [m for m, _ in reconstructions]
+    last = next(k for k in range(1, 10**4) if arith._P**k > limit)
+    powers = [2**i for i in range(1, last.bit_length()) if 2**i < last]
+    assert moduli == [arith._P**k for k in (1, *powers, last)]    # last: the first past 2 H**2
     assert [rows for (rows, _), _ in eliminations] == [36]
     biggest = eliminations[0][0][1]
     assert biggest >= 2**63 if scale != 1 else biggest < 2**63
@@ -604,17 +609,24 @@ def test_failed_lift_runs_bareiss_on_all_rows(so9_rank_system, scale, monkeypatc
 
 
 def test_rank_drop_mod_p_runs_bareiss_on_all_rows(monkeypatch):
-    """The first further prime ranks higher than ``_P``, which proves that
-    ``_P``'s kernel is too large: the lift stops and Bareiss runs on all rows."""
+    """The first lifted candidate solves the 29 rows independent mod ``_P``
+    but not row 29, which proves that the rank dropped mod ``_P``: the lift
+    stops there and Bareiss runs on all rows."""
     rng = np.random.RandomState(5)
     mat = rng.randint(-9, 10, size=(30, 50))
     mat[29] = mat[0]
     mat[29, 7] += arith._P            # equal to row 0 mod p, independent over the rationals
     assert mat.size > 1_200
-    screens = _record(monkeypatch, "_modp_pivots", lambda mat, p: p)
+    lift_rows, _ = _lift_rows(mat)
+    screens = _record(monkeypatch, "_modp_pivots")
+    reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(mat)
-    assert [(p, out[0]) for p, out in screens] == [(arith._P, 29), (arith._CRT_PRIMES[0], 30)]
+    assert [out[0] for _, out in screens] == [29, 29] and lift_rows == list(range(29))
+    candidate = reconstructions[-1][1]
+    assert [out is None for _, out in reconstructions[:-1]] == [True] * (len(reconstructions) - 1)
+    residual = (arith.Scaled(mat) @ candidate.T).ints
+    assert not np.any(residual[:29]) and np.any(residual[29])
     assert [rows for (rows, _), _ in eliminations] == [30]
     assert null.shape == (20, 50) and null.tolist() == _reference_nullspace(mat)
 

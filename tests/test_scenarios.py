@@ -261,7 +261,7 @@ def _golden_specs():
 # the form as an argument, is the only catalog one that runs go, natred, dazi
 # and split on a large algebra.  The so(16) report, recorded while every rank
 # estimate still built five exact centralizers by Bareiss elimination, is the
-# one whose centralizer bases (entries near 220 bits) need the multi-prime lift.
+# one whose centralizer bases (entries near 220 bits) need the p-adic lift.
 # The so(9) pipeline report, recorded while every kept witness came from its
 # own Bareiss solve, holds the 55 go-isometry certificates of a verdict that
 # now takes them from one stacked modular solve.
