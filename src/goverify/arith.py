@@ -21,29 +21,23 @@ bounds that decide are carried from the operands to every int64 result
 (``bound_a * bound_b * inner`` for a product), and entries are scanned only
 when a carried bound would cross a limit.
 
-Nullspaces are certified: every exact kernel has one checked lift and one
-elimination fallback.  The canonical kernel mod ``_P`` is rationally
-reconstructed and verified by one exact integer product; when that fails,
-:func:`_padic_lift` lifts it p-adically on the pivot block that the
-elimination mod ``_P`` found (Dixon, Numer. Math. 40, 1982) and verifies its
-reconstructions the same way.  Exact elimination of all rows takes over when
-a lifted candidate shows that the rank or the pivot columns moved mod
-``_P``, or when the lift passes its Hadamard bound.
+Nullspaces are certified by :func:`certified_kernel` from a canonical kernel
+mod ``_P`` (the identity on the free columns of the rref): its rational
+reconstruction is verified by one exact product; failing that,
+:func:`_padic_lift` lifts it on the pivot columns the kernel shows (Dixon,
+Numer. Math. 40, 1982), and exact elimination of all rows runs when a lifted
+candidate shows that the rank or the pivot columns moved mod ``_P``, or when
+the lift passes its Hadamard bound.
 
 Stacks of small systems, the witness systems of a geodesic-orbit verdict, go
 to :func:`solve_stack`: one Gauss-Jordan elimination mod ``_P`` over the
-whole stack; each system consistent mod ``_P`` gets its particular solution
-and, when asked, its canonical nullspace, both rationally reconstructed from
-the same reduced stack and checked by one exact product.  Every other system
-runs :func:`solve_int`, which also gives the exact rank gap of an
-inconsistent one; every system up to the first exactly inconsistent one is
-decided, and the stack lifts nothing after it.
+stack, then one stacked :func:`_reconstruct` and one exact product for the
+canonical kernels of the systems consistent mod ``_P``.  Every other system
+runs :func:`solve_int`, which also gives the rank gap of an inconsistent one;
+every system up to the first exactly inconsistent one is decided.
 
-Modular screening works over GF(``_P``), one prime below ``2**31``.
-:func:`kernel_modp` gives the canonical kernel (identity on the free columns
-of the rref) and :func:`_reconstruct` its rational reconstruction, for
-:func:`nullspace_exact` and the equivariance solver of :mod:`goverify.reps`;
-the rank estimate of :mod:`goverify.subspaces` and the Casimir test of
+Modular screening works over GF(``_P``), one prime below ``2**31``.  The
+rank estimate of :mod:`goverify.subspaces` and the Casimir test of
 :mod:`goverify.reps` decide by :func:`rank_modp` alone.  The elimination
 (:func:`_modp_pivots`) reduces wide systems in panels of ``_PANEL = 64``
 columns; each panel's update of the other rows is one :func:`_mulmod`
@@ -624,20 +618,15 @@ def matmul_modp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_rows(reduced: np.ndarray, rank: int, piv_cols: list[int]) -> np.ndarray:
-    """Kernel basis (rows) mod ``_P`` read off a fully reduced rref: the
-    identity on the free columns, minus the rref's entries on the pivot columns."""
+def kernel_modp(mat) -> np.ndarray:
+    """The canonical kernel basis (rows) of an integer matrix over GF(``_P``):
+    the identity on the free columns of its rref, minus the rref's entries on
+    the pivot columns."""
+    rank, piv_cols, reduced = _modp_pivots(mat)
     free = sorted(set(range(reduced.shape[1])) - set(piv_cols))
     kernel = np.eye(reduced.shape[1], dtype=np.int64)[free]
     kernel[:, piv_cols] = (-reduced[:rank, free].T) % _P
     return kernel
-
-
-def kernel_modp(mat) -> np.ndarray:
-    """The canonical kernel basis (rows) of an integer matrix over GF(``_P``):
-    the identity on the free columns of its rref."""
-    rank, piv_cols, reduced = _modp_pivots(mat)
-    return _kernel_rows(reduced, rank, piv_cols)
 
 
 def rank_modp(mat) -> int:
@@ -646,8 +635,9 @@ def rank_modp(mat) -> int:
     return _modp_pivots(mat)[0]
 
 
-def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
-    """Rational n/d with n = a*d mod modulus and |n|, d below sqrt(modulus/2)."""
+def _rational_reconstruct(a: int, modulus: int) -> tuple[int, int] | None:
+    """``(n, d)`` in lowest terms with n = a*d mod modulus and |n|, d below
+    sqrt(modulus/2), or None."""
     bound = math.isqrt(modulus // 2)
     r0, r1 = modulus, a % modulus
     s0, s1 = 0, 1
@@ -660,26 +650,55 @@ def _rational_reconstruct(a: int, modulus: int = _P) -> Fraction | None:
     n, d = (r1, s1) if s1 > 0 else (-r1, -s1)
     if math.gcd(abs(n), d) != 1:
         return None
-    return Fraction(n, d)
+    return n, d
 
 
-def _reconstruct(residues: np.ndarray, modulus: int) -> Scaled | None:
-    """The rational matrix whose entries reconstruct from ``residues`` mod
-    ``modulus``, or None as soon as one entry does not."""
-    flat = residues.reshape(-1).tolist()
-    fracs = {}
-    for a in set(flat):
-        if (v := _rational_reconstruct(a, modulus)) is None:
-            return None
-        fracs[a] = v
-    scale = math.lcm(*(v.denominator for v in fracs.values()))
-    ints = {a: v.numerator * (scale // v.denominator) for a, v in fracs.items()}
-    return Scaled._exact(np.array([ints[a] for a in flat], dtype=object).reshape(residues.shape), scale)
+def _reconstruct(residues: np.ndarray, modulus: int) -> tuple[np.ndarray, list[int | None]]:
+    """``(ints, scales)`` with ``ints[n] / scales[n]`` the rational reconstruction
+    mod ``modulus`` of ``residues[n]`` over its least denominator, or a None
+    scale (zero ints) once one of its entries fails.  The stack shares one
+    table of reconstructed residues."""
+    table: dict[int, tuple[int, int] | None] = {}
+    ints, scales = [], []
+    for system in residues.reshape(len(residues), -1).tolist():
+        for a in set(system).difference(table):
+            table[a] = _rational_reconstruct(a, modulus)
+            if table[a] is None:
+                break
+        entries = list(map(table.get, system))
+        d = None if None in entries else math.lcm(*(den for _, den in entries))
+        ints.append([0] * len(system) if d is None else [num * (d // den) for num, den in entries])
+        scales.append(d)
+    return np.array(ints, dtype=object).reshape(residues.shape), scales
 
 
-def _padic_lift(value: Scaled, piv_cols: list[int]) -> Scaled | None:
+def certified_kernel(mat, kernel: np.ndarray) -> Scaled:
+    """The certified canonical rational nullspace basis (rows) of the integer
+    system ``mat`` from ``kernel``, its canonical kernel mod ``_P``.  ``mat`` is
+    a :class:`Scaled` or any value with its ``ints`` and ``@``.
+
+    The reconstruction of ``kernel`` mod ``_P`` is checked against every row
+    by one exact product; when that fails, :func:`_padic_lift` lifts it on the
+    pivot columns (each row's last nonzero entry is its free column), and
+    without a candidate Bareiss runs on all rows.  Rank mod p never exceeds
+    the rational rank, so a verified candidate of ``len(kernel)`` rows, zero
+    right of each free column, is the canonical basis.
+    """
+    ncols = kernel.shape[1]
+    ints, (scale,) = _reconstruct(kernel[None], _P)
+    if scale is not None:
+        candidate = Scaled(ints[0], scale)
+        if not np.any((mat @ candidate.T).ints):
+            return candidate
+    free = ncols - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
+    lifted = _padic_lift(mat, free.tolist())
+    return lifted if lifted is not None else _nullspace_int(mat.ints.tolist(), ncols)
+
+
+def _padic_lift(value, free: list[int]) -> Scaled | None:
     """The canonical nullspace of ``value`` by Dixon's p-adic lift (Numer.
-    Math. 40, 1982) on its pivot columns ``piv_cols`` mod ``_P``, or None.
+    Math. 40, 1982) on its pivot columns mod ``_P``, the complement of the
+    ascending free columns ``free``, or None.
 
     ``rows`` are the first rows independent mod ``_P`` on the pivot columns,
     and ``B``, ``F`` their pivot and free columns; ``B`` is invertible mod
@@ -693,8 +712,8 @@ def _padic_lift(value: Scaled, piv_cols: list[int]) -> Scaled | None:
     numerators and denominators of ``X`` by the Hadamard bound ``H`` of
     ``[B | F]``, so ``X`` reconstructs once ``_P^k > 2 H**2``, where the lift stops.
     """
-    ncols = value.shape[1]
-    free = sorted(set(range(ncols)) - set(piv_cols))
+    ncols = value.ints.shape[1]
+    piv_cols = sorted(set(range(ncols)) - set(free))
     rows = _modp_pivots(value.ints[:, piv_cols].T)[1]
     b, residual = Scaled(value.ints[rows][:, piv_cols]), -Scaled(value.ints[rows][:, free])
     inverse = _inverse_modp((b.ints % _P).astype(np.int64))
@@ -709,7 +728,9 @@ def _padic_lift(value: Scaled, piv_cols: list[int]) -> Scaled | None:
         if modulus == attempt or modulus > limit:
             attempt *= attempt
             kernel[:, piv_cols] = lifted.T
-            if (candidate := _reconstruct(kernel, modulus)) is not None:
+            ints, (scale,) = _reconstruct(kernel[None], modulus)
+            if scale is not None:
+                candidate = Scaled(ints[0], scale)
                 product = (value @ candidate.T).ints
                 if not np.any(product[rows]):
                     return None if np.any(product) or np.any(candidate.ints[beyond]) else candidate
@@ -717,31 +738,16 @@ def _padic_lift(value: Scaled, piv_cols: list[int]) -> Scaled | None:
 
 
 def nullspace_exact(mat) -> Scaled:
-    """Certified rational nullspace basis (rows) of ``mat``.
-
-    Small systems run fraction-free Gauss-Jordan on the integers.  Larger
-    ones are eliminated mod ``_P``; the rational reconstruction of the
-    canonical kernel mod ``_P`` (the identity on its free columns) is
-    verified against the full matrix by one integer product, and when it
-    fails :func:`_padic_lift` lifts it.  Rank mod p never exceeds rank over
-    the rationals, so a verified candidate of ``ncols - rank_p`` rows pins
-    the nullity; zero right of each free column, it is the canonical basis.
-    Without a candidate, exact elimination runs on all rows.
+    """Certified rational nullspace basis (rows) of ``mat``: fraction-free
+    Gauss-Jordan on the integers for systems of at most ``_DIRECT`` entries,
+    :func:`certified_kernel` of the canonical kernel mod ``_P`` for larger ones.
     """
     value = Scaled.of(mat)
     if value.ints.ndim != 2:
         raise ContractViolation("nullspace expects a 2-d matrix")
-    nrows, ncols = value.shape
-    if nrows * ncols <= _DIRECT:
-        return _nullspace_int(value.ints.tolist(), ncols)
-    rank_p, piv_cols, reduced = _modp_pivots(value.ints)
-    if rank_p == ncols:
-        return Scaled.zeros((0, ncols))
-    candidate = _reconstruct(_kernel_rows(reduced, rank_p, piv_cols), _P)
-    if candidate is not None and not np.any((value @ candidate.T).ints):
-        return candidate
-    lifted = _padic_lift(value, piv_cols)
-    return lifted if lifted is not None else _nullspace_int(value.ints.tolist(), ncols)
+    if value.ints.size <= _DIRECT:
+        return _nullspace_int(value.ints.tolist(), value.shape[1])
+    return certified_kernel(value, kernel_modp(value.ints))
 
 
 def _nullspace_int(rows: list[list[int]], ncols: int) -> Scaled:
@@ -869,45 +875,33 @@ def _lift_solutions(aug: np.ndarray, rref: np.ndarray, kernels: bool) -> list:
     forms mod ``_P``, or None for each one that does not lift.
 
     ``rref[n]`` is ``(k, k + 1)``: row c is the reduced pivot row of column c,
-    zero on free columns; the system must be consistent mod ``_P``.  Its
-    particular solution sets the free variables to 0, ``x = rref[n, :, -1]``,
-    and its canonical nullspace (the identity on the free columns) is the
-    rows of ``I - rref[n, :, :k].T``, which are zero on pivot columns.  Both are
-    rationally reconstructed over one denominator ``d_n`` per system into
-    ``Y_n = d_n [[N.T, x], [0, -1]]`` (only ``[x; -1]`` without ``kernels``),
-    and one stacked :class:`Scaled` product checks ``aug[n] @ Y_n = 0``, that
-    is ``A x = b`` and ``A N.T = 0``.  Rank mod p never exceeds the rational
-    rank, so a verified kernel of ``k - rank_p`` independent rows is the
-    whole nullspace.  ``Solution.nullspace`` is None without ``kernels``.
+    zero on free columns; the system must be consistent mod ``_P``.  With
+    ``x = rref[n, :, -1]`` (free variables 0) and ``N`` the rows of
+    ``I - rref[n, :, :k].T``, ``Y_n = [[N.T, x], [0, -1]]`` (only ``[x; -1]``
+    without ``kernels``) is the canonical kernel of ``[A | b]`` as columns, up
+    to zero columns and the sign of ``[x; -1]``.  One stacked
+    :func:`_reconstruct` lifts every ``Y_n`` and one stacked product checks
+    ``aug[n] @ Y_n = 0``; rank mod p never exceeds the rational rank, so a
+    verified kernel of ``k - rank_p`` rows is the whole nullspace.
     """
     nsys, k = rref.shape[:2]
     y = np.zeros((nsys, k + 1, k + 1 if kernels else 1), dtype=np.int64)
     y[:, :k, -1] = rref[:, :, -1]
+    y[:, k, -1] = _P - 1
     if kernels:
         y[:, :k, :k] = (np.eye(k, dtype=np.int64) - rref[:, :, :k]) % _P
-    fracs = {}
-    for a in set(y.ravel().tolist()):     # np.unique would import numpy.ma, 1 MiB
-        if (v := _rational_reconstruct(a)) is not None:
-            fracs[a] = (v.numerator, v.denominator)
-    ys, scales, lifted = [], [], []
-    for n, residues in enumerate(y.tolist()):
-        entries = [fracs.get(a) for row in residues for a in row]
-        if None in entries:
-            continue
-        d = math.lcm(*(den for _, den in entries))
-        ys.append([num * (d // den) for num, den in entries[:-1]] + [-d])
-        scales.append(d)
-        lifted.append(n)
+    ints, scales = _reconstruct(y, _P)
+    lifted = [n for n, d in enumerate(scales) if d is not None]
     out: list = [None] * nsys
     if not lifted:
         return out
-    ys = Scaled(np.array(ys, dtype=object).reshape(len(lifted), k + 1, -1))
+    ys = Scaled(ints[lifted])
     ok = ~np.any((Scaled(aug[lifted]) @ ys).ints != 0, axis=(1, 2))
-    for n, d, good, yn in zip(lifted, scales, ok.tolist(), ys.ints):
+    for n, good, yn in zip(lifted, ok.tolist(), ys.ints):
         if good:
             # a pivot column's kernel row is zero, a free one's is d on the diagonal
-            null = Scaled(yn[:k, :k][:, yn.diagonal()[:k] != 0].T, d) if kernels else None
-            out[n] = Solution(x=Scaled(yn[:k, -1], d), nullspace=null)
+            null = Scaled(yn[:k, :k][:, yn.diagonal()[:k] != 0].T, scales[n]) if kernels else None
+            out[n] = Solution(x=Scaled(yn[:k, -1], scales[n]), nullspace=null)
     return out
 
 

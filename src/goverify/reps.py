@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,23 +69,34 @@ def _int_stacks(*restrictions: AdRestriction) -> list[np.ndarray]:
     return [(r.matrices * (scale // r.matrices.scale)).ints for r in restrictions]
 
 
-def _equations(unknowns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries (rows, cols) of T with one equation each: every unknown's
-    first entry (the upper triangle when ``unknowns`` is symmetric)."""
-    _, first = np.unique(unknowns, return_index=True)
-    return np.divmod(first, unknowns.shape[1])
+class _Stack:
+    """The rows enforcing ``cod[i] T = T dom[i]`` for every generator i, stacked
+    by generator, on the unknowns of T (``unknowns[a, b]`` numbers entry (a, b));
+    each unknown's first entry (the upper triangle when ``unknowns`` is
+    symmetric) has one equation.  ``ints`` scatters the rows straight from the
+    action matrices; ``self @ x.T`` multiplies them by the maps T in the rows of
+    ``x`` without building them, as ``cod[i] T - T dom[i]`` on the equations."""
 
+    def __init__(self, dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray):
+        self.dom, self.cod, self.unknowns = dom, cod, unknowns
+        self.rows, self.cols = np.divmod(np.unique(unknowns, return_index=True)[1], unknowns.shape[1])
 
-def _block(rho_dom: np.ndarray, rho_cod: np.ndarray, unknowns: np.ndarray) -> np.ndarray:
-    """Rows enforcing ``rho_cod T = T rho_dom`` on the unknowns of T, where
-    ``unknowns[a, b]`` numbers the unknown at entry (a, b) of T; scattered
-    straight from the action matrices."""
-    rows, cols = _equations(unknowns)
-    eq = np.arange(len(rows))[:, None]
-    block = np.zeros((len(rows), len(rows)), dtype=rho_dom.dtype)
-    np.add.at(block, (eq, unknowns[:, cols].T), rho_cod[rows])          # sum_c cod[a,c] T[c,b]
-    np.subtract.at(block, (eq, unknowns[rows]), rho_dom[:, cols].T)     # sum_c T[a,c] dom[c,b]
-    return block
+    @cached_property
+    def ints(self) -> np.ndarray:
+        count, size, rows, cols = len(self.dom), len(self.rows), self.rows, self.cols
+        eq = size * np.arange(count * size).reshape(count, size, 1)   # flat start of each row
+        block = np.zeros(count * size * size, dtype=self.dom.dtype)
+        # 1-d indices and values: np.add.at is several times faster on them than on 3-d ones
+        np.add.at(block, (eq + self.unknowns[:, cols].T).ravel(), self.cod[:, rows].ravel())
+        np.subtract.at(block, (eq + self.unknowns[rows]).ravel(),
+                       self.dom[:, :, cols].transpose(0, 2, 1).ravel())
+        return block.reshape(count * size, size)
+
+    def __matmul__(self, xt: Scaled) -> Scaled:
+        maps = Scaled(xt.ints.T[:, self.unknowns], xt.scale)[:, None]       # (k, 1, d2, d1)
+        residual = Scaled(self.cod) @ maps - maps @ Scaled(self.dom)        # (k, count, d2, d1)
+        return (residual[:, :, self.rows, self.cols].transpose(1, 2, 0)
+                .reshape(len(self.dom) * len(self.rows), -1))
 
 
 def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
@@ -94,43 +106,35 @@ def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
     ``dom`` and ``cod`` are integer stacks of the generators' action matrices
     (see :func:`_int_stacks`); ``unknowns`` numbers the unknowns of T by entry,
     every entry for intertwiners and the upper triangle of a symmetric T, whose
-    equations are then symmetric too, for the commutant.
-    Over GF(p), the block of one constraint -- a random integer combination
-    of the generators, or generator 0 when there are at most three -- is
-    eliminated to its canonical kernel (identity on the free columns); each
-    later constraint (a second combination, then every generator) replaces
-    that basis by the canonical kernel of its residual ``cod[i] T - T dom[i]``
-    times the basis.  The product is the canonical kernel of the stacked
-    system, so one rational lift gives the basis :func:`arith.nullspace_exact`
-    returns for the stacked blocks of all generators.  It is checked exactly
-    against every generator (rank mod p never exceeds the rational rank, so it
-    then spans the kernel).  Small systems, a failed reconstruction and a
-    failed check take that exact call, which lifts a kernel that does not
-    reconstruct mod ``_P`` p-adically before it runs Bareiss.
+    equations are then symmetric too, for the commutant.  Over GF(p), the
+    block of one constraint -- a random integer combination of the
+    generators, or generator 0 when there are at most three -- is eliminated
+    to its canonical kernel (identity on the free columns); each later
+    constraint (a second combination, then every generator) replaces that
+    basis by the canonical kernel of its residual ``cod[i] T - T dom[i]``
+    times the basis.  The product is the canonical kernel mod p of the
+    :class:`_Stack` of all generators, which :func:`arith.certified_kernel`
+    lifts without eliminating the stack again.  Systems of at most
+    ``arith._DIRECT`` entries skip the modular stage.
     """
-    rows, cols = _equations(unknowns)
-    count, size = dom.shape[0], len(rows)
-    if count * size * size > arith._DIRECT:
-        res_dom, res_cod = ((stack % arith._P).astype(np.int64) for stack in (dom, cod))
-        constraints = list(zip(res_dom, res_cod))
-        if count > 3:
-            rng = random.Random(f"equiv:{seed_tag}:{count}:{size}")
-            coeffs = np.array([[rng.randint(-9, 9) for _ in range(count)] for _ in range(2)]) % arith._P
-            combos = [arith.matmul_modp(coeffs, res.reshape(count, -1)).reshape(2, *res.shape[1:])
-                      for res in (res_dom, res_cod)]
-            constraints[:0] = zip(*combos)
-        basis = arith.kernel_modp(_block(*constraints[0], unknowns))
-        for dom_i, cod_i in constraints[1:]:
-            maps = basis[:, unknowns]
-            residual = (arith.matmul_modp(cod_i, maps) - arith.matmul_modp(maps, dom_i)) % arith._P
-            if np.any(residual):
-                basis = arith.matmul_modp(arith.kernel_modp(residual[:, rows, cols].T), basis)
-        candidate = arith._reconstruct(basis, arith._P)
-        if candidate is not None:
-            maps = Scaled(candidate.ints[:, unknowns])
-            if not any(np.any((Scaled(c) @ maps - maps @ Scaled(d)).ints) for d, c in zip(dom, cod)):
-                return candidate
-    return arith.nullspace_exact(np.concatenate([_block(d, c, unknowns) for d, c in zip(dom, cod)]))
+    stack = _Stack(dom, cod, unknowns)
+    count, size = len(dom), len(stack.rows)
+    if count * size * size <= arith._DIRECT:
+        return arith.nullspace_exact(stack.ints)
+    res_dom, res_cod = ((gens % arith._P).astype(np.int64) for gens in (dom, cod))
+    if count > 3:
+        rng = random.Random(f"equiv:{seed_tag}:{count}:{size}")
+        coeffs = np.array([[rng.randint(-9, 9) for _ in range(count)] for _ in range(2)]) % arith._P
+        res_dom, res_cod = (np.concatenate([arith.matmul_modp(coeffs, res.reshape(count, -1))
+                                            .reshape(2, *res.shape[1:]), res])
+                            for res in (res_dom, res_cod))
+    basis = arith.kernel_modp(_Stack(res_dom[:1], res_cod[:1], unknowns).ints)
+    for dom_i, cod_i in zip(res_dom[1:], res_cod[1:]):
+        maps = basis[:, unknowns]
+        residual = (arith.matmul_modp(cod_i, maps) - arith.matmul_modp(maps, dom_i)) % arith._P
+        if np.any(residual):
+            basis = arith.matmul_modp(arith.kernel_modp(residual[:, stack.rows, stack.cols].T), basis)
+    return arith.certified_kernel(stack, basis)
 
 
 def casimir(restriction: AdRestriction) -> Scaled:

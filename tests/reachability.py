@@ -1,0 +1,80 @@
+"""The functions of ``src/goverify`` that the small catalog scenarios never enter.
+
+Runs the catalog scenarios so6-222-grid, so9-333-regularity, su3-torus-flag,
+triple-shape-demo and so12-partition4-genmet1 (sweeps cut to 6 tuples) and
+replays each report, in-process under a ``sys.setprofile`` hook, then prints
+every function defined in ``src/goverify`` that was never called, one
+Markdown list item each.  Report only: it exits 0 whatever it finds.
+
+    PYTHONPATH=src python3 tests/reachability.py
+
+pytest does not collect this file (its name has no ``test_`` prefix).
+"""
+
+import ast
+import sys
+import time
+from pathlib import Path
+
+from goverify import scenarios
+
+SCENARIOS = ("so6-222-grid", "so9-333-regularity", "su3-torus-flag", "triple-shape-demo",
+             "so12-partition4-genmet1")
+SWEEP_TUPLES = 6
+PACKAGE = Path(scenarios.__file__).resolve().parent
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """``(file, first line) -> module.qualified.name`` of every function in the
+    package; the first line is that of a code object, the first decorator's."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE.parent).with_suffix("").as_posix().replace("/", ".")
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[str(path), first] = f"{module}.{prefix}{child.name}"
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+
+        visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def entered_code() -> set:
+    """``(file, first line)`` of every code object called while the scenarios run and replay."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        catalog = scenarios.scenario_catalog()
+        for name in SCENARIOS:
+            start = time.perf_counter()
+            spec = scenarios.with_sweep_tuples(catalog[name], SWEEP_TUPLES)
+            outcome = scenarios.replay_report(scenarios.run_check(spec).to_machine())
+            print(f"- {name}: replay verified={outcome['verified']} failed={outcome['failed']}, "
+                  f"{time.perf_counter() - start:.1f} s under the profile hook", file=sys.stderr)
+    finally:
+        sys.setprofile(None)
+    return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
+
+
+def main() -> int:
+    functions = defined_functions()
+    entered = entered_code()
+    missed = sorted(name for key, name in functions.items() if key not in entered)
+    print(f"Functions of src/goverify never entered by {', '.join(SCENARIOS)} and their replays "
+          f"({len(missed)} of {len(functions)}):\n")
+    print("\n".join(f"- `{name}`" for name in missed) or "- none")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -191,7 +191,19 @@ def test_positive_definite_exact():
 def test_rational_reconstruction_roundtrip():
     for frac in (Fraction(3, 7), Fraction(-22, 9), Fraction(12345, 67)):
         residue = frac.numerator * pow(frac.denominator, arith._P - 2, arith._P) % arith._P
-        assert arith._rational_reconstruct(residue) == frac
+        assert arith._rational_reconstruct(residue, arith._P) == (frac.numerator, frac.denominator)
+
+
+def test_reconstruct_gives_each_system_its_own_least_denominator():
+    """A stack of three systems over one residue table: 1/2 and 3, then 1/3 and
+    2/9, then 40000/40001, whose numerator and denominator pass sqrt(_P/2)."""
+    def residue(n, d):
+        return n * pow(d, -1, arith._P) % arith._P
+    stack = np.array([[residue(1, 2), 3], [residue(1, 3), residue(2, 9)],
+                      [residue(40000, 40001), residue(1, 2)]])
+    ints, scales = arith._reconstruct(stack, arith._P)
+    assert scales == [2, 9, None]
+    assert ints.tolist() == [[1, 6], [3, 2], [0, 0]]
 
 
 def test_nullspace_python_int_check_matches_int64(monkeypatch):
@@ -511,6 +523,12 @@ def _modulus(residues, modulus):
     return modulus
 
 
+def _lifted(out):
+    """The one system of a stacked ``_reconstruct`` result: a Scaled, or None when it failed."""
+    ints, (scale,) = out
+    return None if scale is None else arith.Scaled(ints[0], scale)
+
+
 def test_reconstruction_mod_p_needs_no_second_prime(monkeypatch):
     rng = np.random.RandomState(11)
     base = rng.randint(-3, 4, size=(6, 40))
@@ -519,7 +537,7 @@ def test_reconstruction_mod_p_needs_no_second_prime(monkeypatch):
     screens = _record(monkeypatch, "_modp_pivots")
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(stack)
-    assert [(m, out is None) for m, out in reconstructions] == [(arith._P, False)]
+    assert [(m, _lifted(out) is None) for m, out in reconstructions] == [(arith._P, False)]
     assert len(screens) == 1 and eliminations == []
     assert null.tolist() == _reference_nullspace(stack)
 
@@ -542,7 +560,7 @@ def test_failed_reconstruction_mod_p_lifts_p_adically(so9_rank_system, scale, mo
     null = arith.nullspace_exact(system)
     # the kernel mod p, then the lift mod p**2 and p**4: 55-bit entries need more than 110 bits
     assert [m for m, _ in reconstructions] == [arith._P, arith._P**2, arith._P**4]
-    assert [out is None for _, out in reconstructions] == [True, True, False]
+    assert [_lifted(out) is None for _, out in reconstructions] == [True, True, False]
     # one screen of the system and one of its pivot columns, transposed, to pick the rows
     assert [shape for shape, _ in screens] == [(36, 36), (32, 36)]
     assert eliminations == []
@@ -582,8 +600,8 @@ def test_pivot_columns_moved_mod_p_run_bareiss_on_all_rows(so9_rank_system, monk
     reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(mat)
-    assert reconstructions[-1][1] is not None
-    assert not np.any((arith.Scaled(mat) @ reconstructions[-1][1].T).ints)
+    candidate = _lifted(reconstructions[-1][1])
+    assert candidate is not None and not np.any((arith.Scaled(mat) @ candidate.T).ints)
     assert [rows for (rows, _), _ in eliminations] == [37]
     assert null.tolist() == _reference_nullspace(mat)
 
@@ -594,7 +612,7 @@ def test_failed_lift_runs_bareiss_on_all_rows(so9_rank_system, scale, monkeypatc
     ``2 H**2`` and Bareiss runs once, on all 36 rows."""
     system = so9_rank_system * scale
     _, limit = _lift_rows(system)
-    monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
+    monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus: None)
     reconstructions = _record(monkeypatch, "_reconstruct", _modulus)
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(system)
@@ -623,8 +641,8 @@ def test_rank_drop_mod_p_runs_bareiss_on_all_rows(monkeypatch):
     eliminations = _record(monkeypatch, "_eliminate_int", _rows_and_max)
     null = arith.nullspace_exact(mat)
     assert [out[0] for _, out in screens] == [29, 29] and lift_rows == list(range(29))
-    candidate = reconstructions[-1][1]
-    assert [out is None for _, out in reconstructions[:-1]] == [True] * (len(reconstructions) - 1)
+    candidate = _lifted(reconstructions[-1][1])
+    assert [_lifted(out) is None for _, out in reconstructions[:-1]] == [True] * (len(reconstructions) - 1)
     residual = (arith.Scaled(mat) @ candidate.T).ints
     assert not np.any(residual[:29]) and np.any(residual[29])
     assert [rows for (rows, _), _ in eliminations] == [30]

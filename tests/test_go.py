@@ -157,7 +157,7 @@ def test_batched_verdict_equals_per_direction_oracle(so6, name, monkeypatch):
     direction falls back to its exact solve."""
     op, k, strategy, within, keep = _verdict_case(so6, name)
     if name.startswith("reconstruction-fails"):
-        monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
+        monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus: None)
     got = go_verdict(op, k, strategy, within=within, keep_certificates=keep)
     expected = go_verdict_by_direction(op, k, strategy, within=within, keep_certificates=keep)
     assert _fields(got) == _fields(expected)
@@ -233,7 +233,7 @@ def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
 
     # no lift reconstructs: every moving direction up to the first failing one
     # gets its Bareiss solve inside the stacked solve, still no go_solve_at
-    monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus=arith._P: None)
+    monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus: None)
     exact.clear()
     assert _fields(go_verdict(dazi, merged, STRATEGY, keep_certificates=True)) == _fields(expected)
     assert calls == [] and len(exact) == moving

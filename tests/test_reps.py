@@ -330,16 +330,81 @@ def test_solve_equivariance_equals_stacked_nullspace(equivariance_problems, name
         assert result.shape[0] == 2
 
 
+@pytest.mark.parametrize("name", ["dom-ne-cod", "python-int", "symmetric"])
+def test_stack_product_equals_the_built_rows(equivariance_problems, name):
+    """``_Stack @ x.T`` multiplies the maps in the rows of x by every generator
+    without building the rows; it equals the product with the rows that
+    ``ints`` builds, row for row."""
+    dom, cod = equivariance_problems["so4-commutant" if name == "symmetric" else name]
+    unknowns = _entries(dom, cod)
+    if name == "symmetric":                  # the commutant's S rho + rho^T S = 0 on S = S^T
+        cod, upper = -dom.transpose(0, 2, 1), np.triu_indices(dom.shape[1])
+        unknowns[upper] = unknowns[upper[::-1]] = np.arange(len(upper[0]))
+    stack = reps._Stack(dom, cod, unknowns)
+    x = arith.Scaled(np.random.RandomState(0).randint(-5, 6, size=(3, stack.ints.shape[1])), 7)
+    assert (stack @ x.T).equals(arith.Scaled(stack.ints) @ x.T)
+
+
+def _no_reconstruction(residues, modulus):
+    """A stacked ``_reconstruct`` result in which no system reconstructs."""
+    return np.zeros(residues.shape, dtype=object), [None] * len(residues)
+
+
+def _watch_the_lift(monkeypatch):
+    """Record the shapes that ``_padic_lift`` and ``_modp_pivots`` get and the
+    row count of every ``_eliminate_int`` (Bareiss) call."""
+    seen = {"lift": [], "modp": [], "bareiss": []}
+    lift, pivots, eliminate = arith._padic_lift, arith._modp_pivots, arith._eliminate_int
+    monkeypatch.setattr(arith, "_padic_lift",
+                        lambda value, free: seen["lift"].append(value.ints.shape) or lift(value, free))
+    monkeypatch.setattr(arith, "_modp_pivots",
+                        lambda mat: seen["modp"].append(np.shape(mat)) or pivots(mat))
+    monkeypatch.setattr(arith, "_eliminate_int",
+                        lambda work, **kwargs: seen["bareiss"].append(len(work))
+                        or eliminate(work, **kwargs))
+    return seen
+
+
 def test_failed_lift_falls_back_to_the_stacked_nullspace(equivariance_problems, monkeypatch):
+    """With no reconstruction, the p-adic lift and then Bareiss run on the
+    stacked system of all generators, which is never eliminated mod p."""
     dom, cod = equivariance_problems["so4-commutant"]
     expected = _stacked_kernel(dom, cod)
-    exact = []
-    solve = arith.nullspace_exact
-    monkeypatch.setattr(arith, "_reconstruct", lambda residues, modulus: None)
-    monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
+    stack = (dom.shape[0] * 36, 36)
+    seen = _watch_the_lift(monkeypatch)
+    monkeypatch.setattr(arith, "_reconstruct", _no_reconstruction)
     result = reps._solve_equivariance(dom, cod, _entries(dom, cod), seed_tag="test")
-    assert exact == [(dom.shape[0] * 36, 36)]
+    assert seen["lift"] == [stack] and seen["bareiss"] == [stack[0]]
+    assert seen["modp"] and all(rows != stack[0] for rows, _ in seen["modp"])
     assert _identical(result, expected)
+
+
+def test_commutant_past_31_bits_is_lifted_p_adically(so4_ideals, monkeypatch):
+    """The so(4) adjoint action conjugated by a unimodular ``U`` with entries
+    near ``2**20``: its canonical commutant basis has entries past 31 bits, so
+    it does not reconstruct mod ``_P``.  One p-adic lift on the stacked system
+    solves it, with no Bareiss and no elimination of the stack mod p."""
+    _, full, _ = so4_ideals
+    rho, = reps._int_stacks(ad_restriction(full, full))
+    upper, lower = np.eye(6, dtype=np.int64), np.eye(6, dtype=np.int64)
+    upper[:3, 3:], lower[3:, :3] = (np.random.RandomState(seed).randint(2**9, 2**10, size=(3, 3))
+                                    for seed in (1, 2))
+    eye = np.eye(6, dtype=np.int64)
+    u, u_inv = upper @ lower, (2 * eye - lower) @ (2 * eye - upper)   # (I + N)^-1 = I - N, N^2 = 0
+    assert np.array_equal(u @ u_inv, eye) and u.max() > 2**20
+    conj = u @ rho @ u_inv
+    expected = _stacked_kernel(conj, conj)
+    seen = _watch_the_lift(monkeypatch)
+    reconstructions = []
+    reconstruct = arith._reconstruct
+    monkeypatch.setattr(arith, "_reconstruct", lambda residues, modulus: reconstructions.append(modulus)
+                        or reconstruct(residues, modulus))
+    result = reps._solve_equivariance(conj, conj, _entries(conj, conj), seed_tag="test")
+    assert seen["lift"] == [(6 * 36, 36)] and seen["bareiss"] == []
+    assert all(rows != 6 * 36 for rows, _ in seen["modp"])
+    assert reconstructions[0] == arith._P and len(reconstructions) > 1
+    assert _identical(result, expected) and result.shape[0] == 2
+    assert max(max(abs(v.numerator), v.denominator) for v in result.fractions().reshape(-1)) > 2**31
 
 
 def test_modular_kernel_too_large_fails_the_exact_check(equivariance_problems, monkeypatch):
@@ -353,7 +418,7 @@ def test_modular_kernel_too_large_fails_the_exact_check(equivariance_problems, m
     monkeypatch.setattr(arith, "_reconstruct",
                         lambda residues, modulus: lifts.append(residues.shape) or lift(residues, modulus))
     result = reps._solve_equivariance(shifted, shifted, _entries(shifted, shifted), seed_tag="test")
-    assert lifts[0] == (2, 36)        # the modular kernel is the unshifted commutant
+    assert lifts[0] == (1, 2, 36)     # the modular kernel is the unshifted commutant
     assert _identical(result, expected)
 
 
@@ -452,16 +517,17 @@ def test_symmetric_commutant_spans_the_two_stage_oracle(commutant_cases, name):
 @pytest.mark.parametrize("name", ["so4-adjoint", "so6-k-on-sheared-m"])
 def test_symmetric_commutant_failed_lift_falls_back_to_the_exact_solve(commutant_cases, name,
                                                                        monkeypatch):
+    """With no reconstruction, the p-adic lift and then Bareiss run on the
+    stacked system on S alone, which is never eliminated mod p."""
     restriction = commutant_cases[name]
     expected = symmetric_commutant_two_stage(restriction)
     p, count = restriction.space.dim, restriction.acting.dim
-    exact = []
-    solve = arith.nullspace_exact
-    monkeypatch.setattr(arith, "_reconstruct", lambda residues, modulus: None)
-    monkeypatch.setattr(arith, "nullspace_exact", lambda mat: exact.append(mat.shape) or solve(mat))
-    comm = symmetric_commutant(restriction)
     size = p * (p + 1) // 2
-    assert exact == [(count * size, size)]                   # the stacked system on S alone
+    seen = _watch_the_lift(monkeypatch)
+    monkeypatch.setattr(arith, "_reconstruct", _no_reconstruction)
+    comm = symmetric_commutant(restriction)
+    assert seen["lift"] == [(count * size, size)] and seen["bareiss"] == [count * size]
+    assert seen["modp"] and all(rows != count * size for rows, _ in seen["modp"])
     assert _same_span(comm, expected)
 
 
