@@ -2,9 +2,11 @@
 
 Exact data lives in :class:`Scaled` values, an integer array over one
 positive scale, like FLINT's cleared-denominator rational matrices
-(``fmpq_mat_get_fmpz_mat_matwise``, ``fmpq_mat_mul_cleared``).  Fractions
-appear only at the edges: parsing (:meth:`Scaled.of`), single entries and the
-report.  There is no floating-point backend, and zero tests are literal.
+(``fmpq_mat_get_fmpz_mat_matwise``, ``fmpq_mat_mul_cleared``), and it is the
+only exact array type: ``np.asarray`` of a value raises.  Fractions appear
+only at the edges: parsing (:meth:`Scaled.of`, through :func:`qarray`), single
+entries and the report.  There is no floating-point backend, and zero tests
+are literal.
 
 Exact ranks, solves, nullspaces, rrefs and inverses all run
 :func:`_eliminate_int`, fraction-free elimination on primitive rows:
@@ -106,46 +108,13 @@ def qarray(data) -> np.ndarray:
     return arr
 
 
-def qzeros(shape) -> np.ndarray:
-    arr = np.empty(shape, dtype=object)
-    arr.fill(Fraction(0))
-    return arr
-
-
-def qeye(n: int) -> np.ndarray:
-    arr = qzeros((n, n))
-    for i in range(n):
-        arr[i, i] = Fraction(1)
-    return arr
-
-
 def is_zero(arr) -> bool:
-    if isinstance(arr, Scaled):
-        return not np.any(arr.ints)
-    arr = np.asarray(arr)
-    if arr.dtype != object:
-        return not np.any(arr)
-    return all(v == 0 for v in arr.reshape(-1))
+    return not np.any(Scaled.of(arr).ints)
 
 
 def fraction_str(value: Fraction) -> str:
     value = q(value)
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
-def clear_denominators(arr) -> tuple[np.ndarray, int]:
-    """Return ``(ints, scale)`` with ``ints == arr * scale`` entrywise and the least such scale."""
-    value = Scaled.of(arr)
-    return value.ints, value.scale
-
-
-def from_ints(ints: np.ndarray, denom: int = 1) -> np.ndarray:
-    """Fraction array from an integer array divided by ``denom``."""
-    flat = ints.reshape(-1)
-    out = np.empty(flat.shape[0], dtype=object)
-    for i in range(flat.shape[0]):
-        out[i] = Fraction(int(flat[i]), denom)
-    return out.reshape(ints.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +161,8 @@ class Scaled:
     does not fit runs on Python ints, is divided by its gcd and goes back to
     int64 when it fits.  Values are immutable and support ``@``, ``+``, ``-``,
     scalar products, indexing (a single entry is a Fraction), ``.T`` and
-    ``reshape``.  :meth:`fractions` (also ``np.asarray``) is the Fraction view,
-    built on demand and never cached.
+    ``reshape``.  There is no Fraction-array view: ``np.asarray`` of a value
+    raises ``TypeError``, and callers read ``ints`` and ``scale``.
     """
 
     __slots__ = ("ints", "scale", "_bound", "_scanned")
@@ -323,15 +292,8 @@ class Scaled:
             out.append(str(n // g) if g == self.scale else f"{n // g}/{self.scale // g}")
         return out
 
-    def fractions(self) -> np.ndarray:
-        """The Fraction array of the value, built afresh on every call."""
-        return from_ints(self.ints, self.scale)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.fractions() if dtype is None else self.fractions().astype(dtype)
-
-    def tolist(self) -> list:
-        return self.fractions().tolist()
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a Scaled value has no implicit array form; read .ints and .scale")
 
     # -- views ---------------------------------------------------------------
 
@@ -405,9 +367,6 @@ class Scaled:
 
     def __sub__(self, other) -> "Scaled":
         return self + -Scaled.of(other)
-
-    def __rsub__(self, other) -> "Scaled":
-        return -self + other
 
 
 # ---------------------------------------------------------------------------

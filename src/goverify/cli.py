@@ -45,7 +45,7 @@ def _add_common(parser: argparse.ArgumentParser, metric: bool = True):
 def _algebra_spec(args) -> dict:
     if args.table is not None:
         return {"table": args.table.read_text()}
-    if args.family is None or (args.family != "abelian" and args.n is None):
+    if args.family is None or args.n is None:
         raise SystemExit("error: need --family/--n or --table")
     return {"family": args.family, "n": args.n}
 

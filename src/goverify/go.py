@@ -14,7 +14,7 @@ the verdict keeps certificates: a solution it lifts is checked exactly and
 gives the minimal-norm witness of a kept certificate, and every system it
 cannot lift gets its exact solve there, in label order, so the first
 inconsistent direction and its exact rank gap are those of solving every
-direction with :func:`go_solve_at`.
+direction's witness system on its own.
 
 Replay checks a record's certificates as stacks too, with one outcome per
 certificate (:func:`replay_certificates`).
@@ -94,24 +94,6 @@ def _witness_system(operator: MetricOperator, subalgebra: Subspace, direction: S
     ad_lx = operator.algebra.contract(operator.apply(direction))
     aug = Scaled.concat([-(ad_lx @ subalgebra.basis.T), (ad_lx @ direction).reshape(-1, 1)], axis=1)
     return aug.ints, ad_lx
-
-
-def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction,
-                check_equivariance: bool = True):
-    """Witness solve for one direction: GoCertificate or Unsolvable.
-
-    The metric must be equivariant over the subalgebra (two-sided invariance);
-    the returned witness has minimal norm for the ambient inner product among
-    all solutions, making certificates deterministic and replayable.
-    """
-    if check_equivariance and not equivariance_check(operator, subalgebra):
-        raise ContractViolation("metric operator is not equivariant over the subalgebra")
-    direction = Scaled.of(direction)
-    aug, ad_lx = _witness_system(operator, subalgebra, direction)
-    if not np.any(aug[:, -1]):
-        # [X, L X] = 0 already; the zero witness is minimal
-        return GoCertificate(direction, Scaled.zeros(operator.algebra.dim))
-    return _outcome(operator, subalgebra, direction, ad_lx, arith.solve_int(aug))
 
 
 def _outcome(operator: MetricOperator, subalgebra: Subspace, direction: Scaled, ad_lx: Scaled,

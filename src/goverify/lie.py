@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .arith import ContractViolation, Scaled, qzeros
+from .arith import ContractViolation, Scaled
 
 
 # matrix entries of R_a R_b per block of the realization check: small enough that
@@ -136,8 +136,6 @@ class StructureAlgebra:
         return Scaled(out.reshape(v.shape[:-1] + (self.dim, self.dim)), self.scale * v.scale,
                       v.bound * self._constants.bound * self.dim)
 
-    ad = contract
-
     @cached_property
     def _constants(self) -> Scaled:
         """The stored constants ``c`` (over ``scale``), which carry their bound."""
@@ -168,15 +166,6 @@ class StructureAlgebra:
         a = np.zeros((self.dim,) * 3, dtype=h_int.dtype)
         np.add.at(a, (i, j), c[:, None] * h_int[k])
         return Scaled(a + a.transpose(0, 2, 1), self.scale * h.scale)
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """Read-only dense ``d x d x d`` Fraction view of the constants, built on every use."""
-        i, j, k, _ = self.coo
-        out = qzeros((self.dim,) * 3)
-        out[i, j, k] = self._constants.fractions()
-        out.flags.writeable = False
-        return out
 
     def basis_vector(self, i: int) -> Scaled:
         return Scaled(np.eye(self.dim, dtype=np.int64)[i], 1, 1)
@@ -503,20 +492,6 @@ def build_classical(family: str, n: int) -> StructureAlgebra:
         raise ContractViolation(f"unsupported family {family!r}")
     alg.validate()
     return alg
-
-
-def direct_sum(algebras: list[StructureAlgebra]) -> StructureAlgebra:
-    """Block-diagonal direct sum; summands commute."""
-    scale = math.lcm(*(a.scale for a in algebras))
-    offsets = np.cumsum([0] + [a.dim for a in algebras])
-    parts = [(*(index + offset for index in a.coo[:3]), a.coo[3].astype(object) * (scale // a.scale))
-             for a, offset in zip(algebras, offsets)]
-    labels = tuple(f"{idx+1}:{lab}" for idx, a in enumerate(algebras) for lab in a.labels)
-    out = StructureAlgebra(dim=int(offsets[-1]), coo=[np.concatenate(col) for col in zip(*parts)],
-                           scale=scale, labels=labels, name=" + ".join(a.name or "?" for a in algebras))
-    if len(algebras) > 1:
-        out._known_simple = False
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,15 @@ class BlockSpec:
 class MetricOperator:
     """A positive Q-self-adjoint operator with the block data it was built from."""
 
-    def __init__(self, algebra: StructureAlgebra, matrix, block_spec: BlockSpec,
-                 check: bool = True):
+    def __init__(self, algebra: StructureAlgebra, matrix, block_spec: BlockSpec):
         self.algebra = algebra
         self.matrix = Scaled.of(matrix).reduced()
         self.block_spec = block_spec
-        if check:
-            h = self.metric_matrix
-            if np.any(h.ints != h.ints.T):
-                raise ContractViolation("operator is not self-adjoint for the form")
-            if not arith.is_positive_definite_exact(h):
-                raise ContractViolation("metric operator is not positive definite")
+        h = self.metric_matrix
+        if np.any(h.ints != h.ints.T):
+            raise ContractViolation("operator is not self-adjoint for the form")
+        if not arith.is_positive_definite_exact(h):
+            raise ContractViolation("metric operator is not positive definite")
 
     @cached_property
     def metric_matrix(self) -> Scaled:

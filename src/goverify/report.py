@@ -171,7 +171,7 @@ def _human_record(r: dict, timing) -> str:
 _DECISIONS = {"regular", "weakly-regular", "equivariance", "natred", "split", "sweep"}
 
 
-def _verdict_text(name: str, verdict, reason: str = "") -> str:
+def _verdict_text(name: str, verdict, reason: str) -> str:
     if verdict is None:
         return "done"
     if name in ("go", "go-isometry"):

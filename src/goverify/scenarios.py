@@ -51,13 +51,30 @@ class ScenarioSpec:
 
     @staticmethod
     def from_obj(obj: dict) -> "ScenarioSpec":
-        """The spec of ``obj``; ``tolerances`` is ignored and only the exact backend is accepted."""
+        """The spec of ``obj``; ``tolerances`` is ignored and only the exact backend is accepted.
+        A name that is not a string, an algebra (or a subgroup or metric other than None)
+        that is not an object, a seed or sample count that is not an int and checks that
+        are not a list of strings are each a :class:`ContractViolation`."""
+        if not isinstance(obj, dict):
+            raise ContractViolation(f"spec {obj!r} is not an object")
         if obj.get("backend", arith.EXACT) != arith.EXACT:
             raise ContractViolation(f"unknown backend {obj['backend']!r}: only 'exact' is supported")
-        return ScenarioSpec(
-            name=obj["name"], algebra=obj["algebra"], subgroup=obj.get("subgroup"),
-            metric=obj.get("metric"), checks=tuple(obj.get("checks", ())),
-            seed=int(obj.get("seed", 0)), samples=int(obj.get("samples", 64)))
+        for field in ("algebra", "subgroup", "metric"):
+            value = obj.get(field)
+            if not isinstance(value, dict) and (field == "algebra" or value is not None):
+                raise ContractViolation(f"spec {field} {value!r} is not an object")
+        name, checks, seed, samples = (obj.get("name"), obj.get("checks", []), obj.get("seed", 0),
+                                       obj.get("samples", 64))
+        if type(name) is not str:
+            raise ContractViolation(f"spec name {name!r} is not a string")
+        if not isinstance(checks, list) or any(type(c) is not str for c in checks):
+            raise ContractViolation(f"spec checks {checks!r} is not a list of strings")
+        for field, value in (("seed", seed), ("samples", samples)):
+            if type(value) is not int:
+                raise ContractViolation(f"spec {field} {value!r} is not an int")
+        return ScenarioSpec(name=name, algebra=obj.get("algebra"), subgroup=obj.get("subgroup"),
+                            metric=obj.get("metric"), checks=tuple(checks), seed=seed,
+                            samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +93,13 @@ class BuiltScenario:
 
 def build_algebra(algebra_spec: dict) -> StructureAlgebra:
     if "family" in algebra_spec:
-        return build_classical(algebra_spec["family"], int(algebra_spec["n"]))
+        if type(n := algebra_spec.get("n")) is not int:
+            raise ContractViolation(f"algebra n {n!r} is not an int")
+        return build_classical(algebra_spec["family"], n)
     if "table" in algebra_spec:
-        return ingest_structure_table(algebra_spec["table"])
+        if type(table := algebra_spec["table"]) is not str:
+            raise ContractViolation(f"algebra table is {type(table).__name__}, not a string")
+        return ingest_structure_table(table)
     raise ContractViolation("algebra spec needs 'family'+'n' or 'table'")
 
 
@@ -103,7 +124,10 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     subgroup = None
     sub = spec.subgroup or {}
     if "partition" in sub:
-        layout = embed_so_partition(algebra, tuple(sub["partition"]))
+        parts = sub["partition"]
+        if not isinstance(parts, list) or any(type(k) is not int for k in parts):
+            raise ContractViolation(f"subgroup partition {parts!r} is not a list of ints")
+        layout = embed_so_partition(algebra, tuple(parts))
         named = layout.named_subspaces()
         subgroup = layout.subalgebra
     elif "subspace" in sub:
@@ -158,7 +182,8 @@ def build_metric(metric_spec: dict, algebra: StructureAlgebra,
         if layout is None:
             raise ContractViolation("params metric needs a partition subgroup")
         names = _block_names(layout.partition)
-        values = [_rational(v, "params") for v in metric_spec["params"]]
+        params = _payload_list(metric_spec["params"], "metric params")
+        values = [_rational(v, "params") for v in params]
         if len(values) != len(names):
             raise ContractViolation(f"expected {len(names)} parameters {names}")
         blocks = tuple((named[n], v) for n, v in zip(names, values))

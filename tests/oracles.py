@@ -1,15 +1,17 @@
 """Fraction oracles for the tests.
 
-Everything here works on plain ``Fraction`` object arrays with ``np.dot``
-(``np.asarray`` turns a ``Scaled`` value into one), so it shares no
-arithmetic with goverify's scaled-integer kernels.  These checks are kept as
+Everything here works on plain ``Fraction`` object arrays with ``np.dot``.
+They are built here, not by goverify: :func:`fractions` reads a ``Scaled``
+value off its ``ints`` and ``scale``, and :func:`tensor` reads an algebra's
+dense structure tensor off its ``coo`` and ``scale``.  So these checks share
+no arithmetic with goverify's scaled-integer kernels, and are kept as
 independent routes to results the package computes another way.  The one
 exception is :func:`go_verdict_by_direction`, the per-direction route to a
-geodesic-orbit verdict: one exact ``go_solve_at`` for every sampled direction,
-against which the batched screen of ``go.go_verdict`` is checked.  Another is
-:func:`symmetric_commutant_two_stage`, the commutant solved on all entries of
-T and then cut to the form-symmetric maps, against which the solve on the
-symmetric unknowns of ``reps.symmetric_commutant`` is checked.  And
+geodesic-orbit verdict: one exact :func:`go_solve_at` for every sampled
+direction, against which the batched screen of ``go.go_verdict`` is checked.
+Another is :func:`symmetric_commutant_two_stage`, the commutant solved on all
+entries of T and then cut to the form-symmetric maps, against which the solve
+on the symmetric unknowns of ``reps.symmetric_commutant`` is checked.  And
 :func:`bi_invariant_by_blocks` decides bi-invariance through the ideal
 decomposition, against which the commutation check of
 ``metrics.bi_invariance_check`` is checked.  Last,
@@ -19,18 +21,19 @@ checked.  :func:`bareiss` is the classic fraction-free elimination, against
 which the primitive-row elimination ``arith._eliminate_int`` is checked.
 And :func:`replay_certificate` re-verifies one GO certificate at a time, the
 per-certificate route against which the stacked ``go.replay_certificates`` of
-replay is checked.
+replay is checked.  :func:`direct_sum` builds product algebras for the tests.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from goverify import arith, reps
-from goverify.arith import ContractViolation, is_zero, q, qzeros
-from goverify.go import GoCertificate, GoVerdict, SamplingStrategy, Unsolvable, go_solve_at
+from goverify import arith, go, reps
+from goverify.arith import ContractViolation, is_zero, q
+from goverify.go import GoCertificate, GoVerdict, SamplingStrategy, Unsolvable
 from goverify.lie import StructureAlgebra
 from goverify.metrics import (BlockSpec, MetricOperator, equivariance_check, invariant_subspace,
                               restrict_operator)
@@ -38,18 +41,64 @@ from goverify.subspaces import (CartanWitness, RankEstimate, Subspace, _centrali
                                 ideal_decomposition, projector)
 
 
+def _fraction(value) -> Fraction:
+    """``value`` (an int, a NumPy integer or a Fraction) as a Fraction."""
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
+    if isinstance(value, Fraction):
+        return value
+    raise TypeError(f"no exact Fraction for {value!r}")
+
+
 def fractions(x) -> np.ndarray:
-    """The Fraction array of ``x`` (a ``Scaled``, an array or nested lists)."""
-    return arith.qarray(np.asarray(x))
+    """The Fraction array of ``x``: a ``Scaled`` read off its ``ints`` and ``scale``,
+    nested lists (which may hold ``Scaled`` rows) item by item, and an array or a
+    scalar entry by entry."""
+    if isinstance(x, arith.Scaled):
+        entries, shape = [Fraction(v, x.scale) for v in x.ints.reshape(-1).tolist()], x.shape
+    elif isinstance(x, (list, tuple)):
+        return np.array([fractions(item) for item in x], dtype=object)
+    else:
+        arr = np.asarray(x, dtype=object)
+        entries, shape = [_fraction(v) for v in arr.reshape(-1)], arr.shape
+    return np.array(entries, dtype=object).reshape(shape)
 
 
-def algebra_from_tensor(tensor) -> StructureAlgebra:
-    """The (unvalidated) algebra whose dense rational structure tensor is ``tensor``,
+def fzeros(shape) -> np.ndarray:
+    """A Fraction array of zeros."""
+    return np.full(shape, Fraction(0), dtype=object)
+
+
+def tensor(algebra: StructureAlgebra) -> np.ndarray:
+    """The dense ``d x d x d`` Fraction structure tensor, read off ``algebra.coo`` and
+    ``algebra.scale``."""
+    out = fzeros((algebra.dim,) * 3)
+    for i, j, k, c in zip(*(a.tolist() for a in algebra.coo)):
+        out[i, j, k] = Fraction(c, algebra.scale)
+    return out
+
+
+def direct_sum(algebras: list[StructureAlgebra]) -> StructureAlgebra:
+    """Block-diagonal direct sum; summands commute."""
+    scale = math.lcm(*(a.scale for a in algebras))
+    offsets = np.cumsum([0] + [a.dim for a in algebras])
+    parts = [(*(index + offset for index in a.coo[:3]), a.coo[3].astype(object) * (scale // a.scale))
+             for a, offset in zip(algebras, offsets)]
+    labels = tuple(f"{idx+1}:{lab}" for idx, a in enumerate(algebras) for lab in a.labels)
+    out = StructureAlgebra(dim=int(offsets[-1]), coo=[np.concatenate(col) for col in zip(*parts)],
+                           scale=scale, labels=labels, name=" + ".join(a.name or "?" for a in algebras))
+    if len(algebras) > 1:
+        out._known_simple = False
+    return out
+
+
+def algebra_from_tensor(dense) -> StructureAlgebra:
+    """The (unvalidated) algebra whose dense rational structure tensor is ``dense``,
     stored as the COO arrays of its nonzero entries."""
-    tensor = np.asarray(tensor, dtype=object)
-    where = np.nonzero(tensor != 0)
-    entries = arith.Scaled.of(tensor[where])
-    return StructureAlgebra(dim=tensor.shape[0], coo=(*where, entries.ints), scale=entries.scale)
+    dense = np.asarray(dense, dtype=object)
+    where = np.nonzero(dense != 0)
+    entries = arith.Scaled.of(dense[where])
+    return StructureAlgebra(dim=dense.shape[0], coo=(*where, entries.ints), scale=entries.scale)
 
 
 def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
@@ -75,12 +124,12 @@ def fmatmul(a, b) -> np.ndarray:
 
 def fbracket(algebra, x, y) -> np.ndarray:
     """``[x, y]`` summed over the dense Fraction structure tensor."""
-    return np.dot(fractions(y), np.tensordot(fractions(x), algebra.tensor, axes=1))
+    return np.dot(fractions(y), np.tensordot(fractions(x), tensor(algebra), axes=1))
 
 
 def fad(algebra, x) -> np.ndarray:
     """The matrix of ``ad_x`` from the dense Fraction structure tensor."""
-    return np.tensordot(fractions(x), algebra.tensor, axes=1).T
+    return np.tensordot(fractions(x), tensor(algebra), axes=1).T
 
 
 def bareiss(work: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
@@ -147,8 +196,8 @@ def rescale(operator: MetricOperator, factor) -> MetricOperator:
     center = operator.block_spec.center_block
     spec = BlockSpec(
         blocks=tuple((s, v * factor) for s, v in operator.block_spec.blocks),
-        center_block=None if center is None else (center[0], fractions(center[1]) * factor))
-    return MetricOperator(operator.algebra, fractions(operator.matrix) * factor, spec, check=False)
+        center_block=None if center is None else (center[0], arith.Scaled.of(center[1]) * factor))
+    return MetricOperator(operator.algebra, operator.matrix * factor, spec)
 
 
 def metric_inner(operator: MetricOperator, x, y) -> Fraction:
@@ -165,7 +214,7 @@ def check_homomorphism(restriction) -> bool:
             coords = h.coords(fbracket(h.algebra, h.basis[i], h.basis[j]))
             if coords is None:
                 return False
-            expected = sum((c * m for c, m in zip(fractions(coords), mats)), qzeros(mats[0].shape))
+            expected = sum((c * m for c, m in zip(fractions(coords), mats)), fzeros(mats[0].shape))
             comm = np.dot(mats[i], mats[j]) - np.dot(mats[j], mats[i])
             if not is_zero(comm - expected):
                 return False
@@ -241,7 +290,7 @@ def geodesic_lemma_solvable(operator: MetricOperator, subalgebra, complement, di
         rows.append(-np.dot(np.dot(fractions(subalgebra.basis), fad(algebra, y).T), hx))
         rhs.append(-np.dot(fbracket(algebra, x, y), hx))
     a = np.stack(rows).reshape(complement.dim, subalgebra.dim) if subalgebra.dim else \
-        qzeros((complement.dim, 0))
+        fzeros((complement.dim, 0))
     return isinstance(arith.solve_linear(a, np.asarray(rhs, dtype=object)), arith.Solution)
 
 
@@ -257,7 +306,7 @@ def randint_coefficients(rng: random.Random, dim: int) -> list[int]:
 def _randint_element(space: Subspace, rng: random.Random) -> np.ndarray:
     """A combination of the basis rows with :func:`randint_coefficients`, in Fractions."""
     coeffs = np.array([Fraction(c) for c in randint_coefficients(rng, space.dim)], dtype=object)
-    return np.dot(coeffs, fractions(space.basis)) if space.dim else qzeros(space.algebra.dim)
+    return np.dot(coeffs, fractions(space.basis)) if space.dim else fzeros(space.algebra.dim)
 
 
 def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, within=None) -> list:
@@ -283,15 +332,30 @@ def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, wit
     return out
 
 
+def go_solve_at(operator: MetricOperator, subalgebra: Subspace, direction):
+    """Witness solve for one direction: GoCertificate or Unsolvable.
+
+    The metric must be equivariant over the subalgebra, which is not checked
+    here.  The direction's own witness system gets its own exact solve; the
+    witness has minimal norm for the ambient inner product among all solutions.
+    """
+    direction = arith.Scaled.of(direction)
+    aug, ad_lx = go._witness_system(operator, subalgebra, direction)
+    if not np.any(aug[:, -1]):
+        # [X, L X] = 0 already; the zero witness is minimal
+        return GoCertificate(direction, arith.Scaled.zeros(operator.algebra.dim))
+    return go._outcome(operator, subalgebra, direction, ad_lx, arith.solve_int(aug))
+
+
 def go_verdict_by_direction(operator: MetricOperator, subalgebra, strategy: SamplingStrategy,
                             within=None, keep_certificates: bool = False) -> GoVerdict:
-    """The geodesic-orbit verdict with one ``go_solve_at`` per sampled direction."""
+    """The geodesic-orbit verdict with one :func:`go_solve_at` per sampled direction."""
     if not equivariance_check(operator, subalgebra):
         raise ContractViolation("metric operator is not equivariant over the subalgebra")
     certificates = []
     directions = sampled_directions(operator, strategy, within)
     for count, (label, direction) in enumerate(directions, start=1):
-        result = go_solve_at(operator, subalgebra, direction, check_equivariance=False)
+        result = go_solve_at(operator, subalgebra, direction)
         if isinstance(result, Unsolvable):
             return GoVerdict(True, count, strategy, counterexample=result,
                              counterexample_label=label,

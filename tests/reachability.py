@@ -1,10 +1,15 @@
-"""The functions of ``src/goverify`` that the small catalog scenarios never enter.
+"""The functions of ``src/goverify`` that the small catalog scenarios and the
+README's command lines never enter.
 
 Runs the catalog scenarios so6-222-grid, so9-333-regularity, su3-torus-flag,
 triple-shape-demo and so12-partition4-genmet1 (sweeps cut to 6 tuples) and
-replays each report, in-process under a ``sys.setprofile`` hook, then prints
-every function defined in ``src/goverify`` that was never called, one
-Markdown list item each.  Report only: it exits 0 whatever it finds.
+replays each report, then every ``goverify`` line of the README's CLI block
+through ``cli.main`` in a temporary directory (sweeps cut to 6 tuples, the
+so(5) structure table as ``my_algebra.table``, and every command that takes
+``--out`` writing ``report.jsonl``, which the README's replay line replays),
+all in-process under a ``sys.setprofile`` hook.  Then it prints every function
+defined in ``src/goverify`` that was never called, one Markdown list item
+each.  Report only: it exits 0 whatever it finds.
 
     PYTHONPATH=src python3 tests/reachability.py
 
@@ -12,16 +17,22 @@ pytest does not collect this file (its name has no ``test_`` prefix).
 """
 
 import ast
+import contextlib
+import io
+import shlex
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from goverify import scenarios
+from goverify import cli, scenarios
+from goverify.lie import build_classical, serialize_structure_table
 
 SCENARIOS = ("so6-222-grid", "so9-333-regularity", "su3-torus-flag", "triple-shape-demo",
              "so12-partition4-genmet1")
 SWEEP_TUPLES = 6
 PACKAGE = Path(scenarios.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -44,8 +55,42 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return found
 
 
+def readme_commands(workdir: Path) -> list[list[str]]:
+    """The arguments of every ``goverify`` line of the README's CLI block, comments
+    dropped, with files in ``workdir``, sweeps cut to ``SWEEP_TUPLES`` tuples and
+    ``--out report.jsonl`` on every command that takes it."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if not line.startswith("goverify "):
+            continue
+        args = shlex.split(line, comments=True)[1:]
+        if "--tuples" in args:
+            args[args.index("--tuples") + 1] = str(SWEEP_TUPLES)
+        if args[0] not in ("replay", "scenario") or args[1] == "run":
+            args += ["--out", "report.jsonl"]
+        commands.append([str(workdir / a) if a.endswith((".table", ".jsonl")) else a
+                         for a in args])
+    return commands
+
+
+def run_readme() -> None:
+    """Every README command line through ``cli.main``, its output discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / "my_algebra.table").write_text(serialize_structure_table(build_classical("so", 5)))
+        for args in readme_commands(workdir):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(args)
+            print(f"- goverify {' '.join(Path(a).name for a in args)}: exit {code}"
+                  f"{', ' + out.getvalue().strip() if args[0] == 'replay' else ''}, "
+                  f"{time.perf_counter() - start:.1f} s under the profile hook", file=sys.stderr)
+
+
 def entered_code() -> set:
-    """``(file, first line)`` of every code object called while the scenarios run and replay."""
+    """``(file, first line)`` of every code object called while the scenarios run and
+    replay and the README's command lines run."""
     entered = set()
 
     def hook(frame, event, arg):
@@ -61,6 +106,7 @@ def entered_code() -> set:
             outcome = scenarios.replay_report(scenarios.run_check(spec).to_machine())
             print(f"- {name}: replay verified={outcome['verified']} failed={outcome['failed']}, "
                   f"{time.perf_counter() - start:.1f} s under the profile hook", file=sys.stderr)
+        run_readme()
     finally:
         sys.setprofile(None)
     return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
@@ -70,8 +116,8 @@ def main() -> int:
     functions = defined_functions()
     entered = entered_code()
     missed = sorted(name for key, name in functions.items() if key not in entered)
-    print(f"Functions of src/goverify never entered by {', '.join(SCENARIOS)} and their replays "
-          f"({len(missed)} of {len(functions)}):\n")
+    print(f"Functions of src/goverify never entered by {', '.join(SCENARIOS)}, their replays "
+          f"and the README's command lines ({len(missed)} of {len(functions)}):\n")
     print("\n".join(f"- `{name}`" for name in missed) or "- none")
     return 0
 

@@ -396,6 +396,50 @@ def test_empty_sweep_is_an_error_line(args, capsys):
     assert "agreement" not in out
 
 
+@pytest.fixture(scope="module")
+def params_report():
+    """A small machine report whose spec has a partition subgroup and a params metric."""
+    spec = ScenarioSpec(name="spec", algebra={"family": "so", "n": 6},
+                        subgroup={"partition": [2, 2, 2]},
+                        metric={"params": ["1", "2", "3", "4", "5", "6"]}, checks=("validate",))
+    return scenarios.run_check(spec).to_machine()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda header: header.update(spec=[1]), "spec [1] is not an object"),
+    (lambda header: header["spec"].pop("name"), "spec name"),
+    (lambda header: header["spec"].update(seed="x"), "spec seed"),
+    (lambda header: header["spec"].update(samples=[1]), "spec samples"),
+    (lambda header: header["spec"].update(checks=5), "spec checks"),
+    (lambda header: header["spec"].pop("algebra"), "spec algebra"),
+    (lambda header: header["spec"].update(subgroup=5), "spec subgroup"),
+    (lambda header: header["spec"].update(metric="x"), "spec metric"),
+    (lambda header: header["spec"]["algebra"].pop("n"), "algebra n"),
+    (lambda header: header["spec"]["algebra"].update(n="abc"), "algebra n"),
+    (lambda header: header["spec"].update(algebra={"table": 5}), "algebra table"),
+    (lambda header: header["spec"]["subgroup"].update(partition="ab"), "subgroup partition"),
+    (lambda header: header["spec"]["metric"].update(params=5), "metric params"),
+], ids=["spec-list", "name-missing", "seed-string", "samples-list", "checks-int",
+        "algebra-missing", "subgroup-int", "metric-string", "n-missing", "n-string", "table-int",
+        "partition-string", "params-int"])
+def test_replay_of_a_malformed_spec_is_an_error_line(params_report, edit, field, tmp_path, capsys):
+    """A header spec with a missing or mistyped field, under a matching spec hash,
+    gives one ``error:`` line that names the field."""
+    header, *rest = params_report.splitlines()
+    header = json.loads(header)
+    edit(header)
+    header["spec_hash"] = spec_hash(header["spec"])
+    path = tmp_path / "report.jsonl"
+    path.write_text("\n".join([json.dumps(header)] + rest) + "\n")
+    code, _, err = run_cli(["replay", str(path)], capsys)
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1 and field in err
+
+
+def test_abelian_family_without_n_is_an_error_line():
+    code, err = _cli_error("algebra", "validate", "--family", "abelian")
+    assert code == 1 and err == "error: need --family/--n or --table\n"
+
+
 def test_malformed_partition_is_an_error_line():
     code, err = _cli_error("check", "regular", "--family", "so", "--n", "6", "--partition", "2,x")
     assert code == 1 and err.startswith("error:") and "'2,x'" in err and "Traceback" not in err

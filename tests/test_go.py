@@ -9,16 +9,16 @@ import pytest
 
 from goverify import arith, go, metrics, reps
 from goverify.arith import is_zero, q, qarray
-from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_solve_at, go_verdict,
+from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_verdict,
                          natred_condition_check, normalizer_equivariance_check,
                          replay_certificates, replay_counterexample, split_check)
-from goverify.lie import build_classical, direct_sum, embed_so_partition, attach_form
+from goverify.lie import build_classical, embed_so_partition, attach_form
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
 from goverify.scenarios import ScenarioSpec, run_check
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement, projector
-from oracles import (fbracket, fmatmul, fractions, geodesic_lemma_solvable,
-                     go_verdict_by_direction, metric_inner, replay_certificate, rescale,
-                     sampled_directions, stacked, two_step_identity_check)
+from oracles import (direct_sum, fbracket, fmatmul, fractions, geodesic_lemma_solvable,
+                     go_solve_at, go_verdict_by_direction, metric_inner, replay_certificate,
+                     rescale, sampled_directions, stacked, two_step_identity_check)
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 STRATEGY = SamplingStrategy(seed=11, random_count=16)
@@ -89,8 +89,8 @@ def test_equivariance_precondition_enforced(so6):
     layout, named = so6
     op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
     full = Subspace.full(layout.algebra)
-    with pytest.raises(arith.ContractViolation):
-        go_solve_at(op, full, layout.algebra.basis_vector(0))
+    with pytest.raises(arith.ContractViolation, match="not equivariant"):
+        go_verdict(op, full, STRATEGY)
 
 
 def test_go_verdict_disproved_and_replay(so6):
@@ -183,15 +183,15 @@ def test_sampled_directions_are_the_randint_oracle(so6, name):
     expected = sampled_directions(op, strategy, within)
     assert labels == [label for label, _ in expected]
     assert any(label.startswith("pair:") for label in labels) == (name != "zero-dimensional-within")
-    assert directions.tolist() == [list(fractions(x)) for _, x in expected]
+    assert fractions(directions).tolist() == [list(fractions(x)) for _, x in expected]
 
 
 def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
     """A direction with [L X, X] != 0 goes to the stacked witness solve, with
-    or without kept certificates, and never reaches go_solve_at: the stacked
-    solve decides every system, by Bareiss where its lift fails.  The kept
-    certificates are the per-direction go_solve_at results, and the one exact
-    (Bareiss) solve of a disproved verdict is its counterexample's."""
+    or without kept certificates, and the stacked solve decides every system,
+    by Bareiss where its lift fails.  The kept certificates are the results of
+    the per-direction oracle go_solve_at, and the one exact (Bareiss) solve of
+    a disproved verdict is its counterexample's."""
     layout, named = so6
     dazi = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     distinct = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
@@ -200,31 +200,26 @@ def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
                  if not is_zero(fbracket(layout.algebra, fmatmul(dazi.matrix, x), x)))
     expected = go_verdict_by_direction(dazi, merged, STRATEGY, keep_certificates=True)
     reference = go_verdict_by_direction(distinct, layout.subalgebra, STRATEGY)
-    calls, exact = [], []
-    solve, solve_int = go.go_solve_at, arith.solve_int
-
-    def counting_solve(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    exact = []
+    solve_int = arith.solve_int
 
     def counting_exact(aug):
         exact.append(aug)
         return solve_int(aug)
 
-    monkeypatch.setattr(go, "go_solve_at", counting_solve)
     monkeypatch.setattr(arith, "solve_int", counting_exact)
     verdict = go_verdict(dazi, merged, STRATEGY, keep_certificates=True)
     assert not verdict.disproved and 0 < moving < verdict.samples
-    assert calls == [] and exact == []
+    assert exact == []
     assert len(verdict.certificates) == len(expected.certificates) == verdict.samples
     for got, want in zip(verdict.certificates, expected.certificates):
         assert got.direction.equals(want.direction) and got.witness.equals(want.witness)
 
     assert not go_verdict(dazi, merged, STRATEGY).disproved
-    assert calls == [] and exact == []
+    assert exact == []
 
     verdict = go_verdict(distinct, layout.subalgebra, STRATEGY)
-    assert verdict.disproved and calls == [] and len(exact) == 1
+    assert verdict.disproved and len(exact) == 1
     assert (verdict.samples, verdict.counterexample_label) == (reference.samples,
                                                                reference.counterexample_label)
     assert verdict.counterexample.direction.equals(reference.counterexample.direction)
@@ -232,15 +227,15 @@ def test_go_solve_at_runs_only_for_directions_that_move(so6, monkeypatch):
         (reference.counterexample.rank_a, reference.counterexample.rank_ab)
 
     # no lift reconstructs: every moving direction up to the first failing one
-    # gets its Bareiss solve inside the stacked solve, still no go_solve_at
+    # gets its Bareiss solve inside the stacked solve
     monkeypatch.setattr(arith, "_rational_reconstruct", lambda a, modulus: None)
     exact.clear()
     assert _fields(go_verdict(dazi, merged, STRATEGY, keep_certificates=True)) == _fields(expected)
-    assert calls == [] and len(exact) == moving
+    assert len(exact) == moving
     exact.clear()
     assert _fields(go_verdict(distinct, layout.subalgebra, STRATEGY)) == _fields(reference)
     tried = sampled_directions(distinct, STRATEGY)[:reference.samples]
-    assert calls == [] and len(exact) == sum(
+    assert len(exact) == sum(
         1 for _, x in tried if not is_zero(fbracket(layout.algebra, fmatmul(distinct.matrix, x), x)))
 
 
@@ -271,10 +266,10 @@ def test_natred_fails_with_witness_triple(so6):
     assert not result and result.witness_triple is not None
     # the witness value is metric([v_a, v_c]_m, v_b) + metric([v_b, v_c]_m, v_a)
     a, b, c = (m.basis[i] for i in result.witness_triple)
-    proj = np.asarray(projector(m))
+    proj = fractions(projector(m))
     g = layout.algebra
-    expected = metric_inner(op, np.dot(proj, np.asarray(g.bracket(a, c))), b) + \
-        metric_inner(op, np.dot(proj, np.asarray(g.bracket(b, c))), a)
+    expected = metric_inner(op, np.dot(proj, fractions(g.bracket(a, c))), b) + \
+        metric_inner(op, np.dot(proj, fractions(g.bracket(b, c))), a)
     assert expected != 0 and result.witness_value == expected
     scaled = natred_condition_check(rescale(op, Fraction(5, 3)), k, m)
     assert scaled.witness_triple == result.witness_triple
@@ -478,9 +473,10 @@ def test_witnesses_on_python_ints_match_int64(so6):
 
 
 def test_direction_loop_metric_build_and_isotypic_split_build_no_fraction_array(monkeypatch):
-    """Fractions stay at the edges: with the Fraction view of ``Scaled`` and
-    ``arith.from_ints`` raising, the so(6)/(2,2,2) metric build, both kinds of
-    direction loop and the isotypic decomposition still run on a fresh algebra."""
+    """Fractions stay at the edges: with ``arith.qarray``, the one Fraction-array
+    builder of goverify (reached through ``Scaled.of`` at the parse edges),
+    raising, the so(6)/(2,2,2) metric build, both kinds of direction loop and
+    the isotypic decomposition still run on a fresh algebra."""
     layout = embed_so_partition(6, (2, 2, 2))   # fresh algebra: nothing memoized
     named = layout.named_subspaces()
     g = layout.algebra
@@ -490,10 +486,9 @@ def test_direction_loop_metric_build_and_isotypic_split_build_no_fraction_array(
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fraction array was built")
 
-    monkeypatch.setattr(arith, "from_ints", forbidden)
-    monkeypatch.setattr(arith.Scaled, "fractions", forbidden)
+    monkeypatch.setattr(arith, "qarray", forbidden)
     with pytest.raises(AssertionError, match="Fraction array"):
-        np.asarray(g.basis_vector(0))
+        arith.Scaled.of([Fraction(1, 2)])
     disproved = go_verdict(block_metric(layout, named, [1, 2, 3, 4, 5, 6]), layout.subalgebra, STRATEGY)
     solved = go_verdict(block_metric(layout, named, [2, 2, 7, 2, 3, 3]), merged, STRATEGY,
                         keep_certificates=True)

@@ -9,19 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goverify import arith, lie
-from goverify.arith import is_zero, q, qzeros
-from goverify.lie import (ValidationError, build_classical, direct_sum, embed_so_partition,
+from goverify.arith import is_zero, q
+from goverify.lie import (ValidationError, build_classical, embed_so_partition,
                           ingest_structure_table, serialize_structure_table,
                           so_pair_index)
 from goverify.subspaces import Subspace, orthogonal_complement
-from oracles import algebra_from_tensor, fad, fmatmul
+from oracles import algebra_from_tensor, direct_sum, fad, fmatmul, fractions, fzeros, tensor
 
 
 def brute_force_killing(algebra):
     """Independent oracle: B(e_i, e_j) = tr(ad_i ad_j) summed entry by entry."""
     d = algebra.dim
-    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(d)]
-    out = qzeros((d, d))
+    ads = [fractions(algebra.contract(algebra.basis_vector(i))) for i in range(d)]
+    out = fzeros((d, d))
     for i in range(d):
         for j in range(d):
             prod = np.dot(ads[i], ads[j])
@@ -38,7 +38,7 @@ def test_so3_bracket_table():
 
 def test_abelian():
     ab = build_classical("abelian", 3)
-    assert ab.dim == 3 and is_zero(ab.tensor)
+    assert ab.dim == 3 and is_zero(tensor(ab))
     assert ab.killing.degenerate
 
 
@@ -56,33 +56,33 @@ def test_dimensions(family, n, dim):
 
 def test_validation_catches_broken_jacobi():
     # [e1,e2] = e3 and [e1,e3] = e1 leave a nonzero cyclic sum
-    tensor = qzeros((3, 3, 3))
-    tensor[0, 1, 2], tensor[1, 0, 2] = q(1), q(-1)
-    tensor[0, 2, 0], tensor[2, 0, 0] = q(1), q(-1)
-    broken = algebra_from_tensor(tensor)
+    dense = fzeros((3, 3, 3))
+    dense[0, 1, 2], dense[1, 0, 2] = q(1), q(-1)
+    dense[0, 2, 0], dense[2, 0, 0] = q(1), q(-1)
+    broken = algebra_from_tensor(dense)
     with pytest.raises(ValidationError, match="Jacobi"):
         broken.validate()
 
 
 def test_validation_catches_broken_antisymmetry():
-    tensor = qzeros((3, 3, 3))
-    tensor[0, 1, 2] = q(1)
-    broken = algebra_from_tensor(tensor)
+    dense = fzeros((3, 3, 3))
+    dense[0, 1, 2] = q(1)
+    broken = algebra_from_tensor(dense)
     with pytest.raises(ValidationError, match="antisymmetry"):
         broken.validate()
 
 
-def _first_failure(tensor):
+def _first_failure(dense):
     """Brute-force reference: the first failing antisymmetry or Jacobi index, 1-based."""
-    d = tensor.shape[0]
+    d = dense.shape[0]
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                if tensor[i, j, k] + tensor[j, i, k] != 0:
+                if dense[i, j, k] + dense[j, i, k] != 0:
                     return "antisymmetry", (i + 1, j + 1, k + 1)
     for i, j, k, l in np.ndindex(d, d, d, d):
-        cyclic = sum(tensor[i, j, m] * tensor[m, k, l] + tensor[j, k, m] * tensor[m, i, l]
-                     + tensor[k, i, m] * tensor[m, j, l] for m in range(d))
+        cyclic = sum(dense[i, j, m] * dense[m, k, l] + dense[j, k, m] * dense[m, i, l]
+                     + dense[k, i, m] * dense[m, j, l] for m in range(d))
         if cyclic != 0:
             return "Jacobi", (i + 1, j + 1, k + 1, l + 1)
     return None
@@ -96,7 +96,7 @@ def _python_int_path(algebra):
 def test_scaled_tensor_validates_on_python_ints():
     """Jacobi is quadratic and antisymmetry linear, so scaling keeps both."""
     so5 = build_classical("so", 5)
-    scaled = algebra_from_tensor(so5.tensor * 2**40)
+    scaled = algebra_from_tensor(tensor(so5) * 2**40)
     assert _python_int_path(scaled)
     scaled.validate()
     assert is_zero(scaled.killing.matrix - so5.killing.matrix * 2**80)
@@ -105,15 +105,15 @@ def test_scaled_tensor_validates_on_python_ints():
 
 @pytest.mark.parametrize("kind", ["antisymmetry", "Jacobi"])
 def test_broken_entry_reports_the_reference_index_on_both_paths(kind):
-    tensor = build_classical("so", 5).tensor.copy()
-    tensor[3, 6, 8] += 1                       # [e4,e7] gains a stray e9 component
+    dense = tensor(build_classical("so", 5))
+    dense[3, 6, 8] += 1                       # [e4,e7] gains a stray e9 component
     if kind == "Jacobi":
-        tensor[6, 3, 8] -= 1                   # ... kept antisymmetric
-    expected_kind, idx = _first_failure(tensor)
+        dense[6, 3, 8] -= 1                   # ... kept antisymmetric
+    expected_kind, idx = _first_failure(dense)
     assert expected_kind == kind
     messages = []
     for scale in (1, 2**40):
-        algebra = algebra_from_tensor(tensor * scale)
+        algebra = algebra_from_tensor(dense * scale)
         assert _python_int_path(algebra) == (scale != 1)
         with pytest.raises(ValidationError) as excinfo:
             algebra.validate()
@@ -127,16 +127,16 @@ def test_broken_entry_reports_the_reference_index_on_both_paths(kind):
 def test_sparse_validation_matches_the_reference_on_both_paths(algebra, data):
     """One perturbed entry, antisymmetric or not: validate names the oracle's index,
     at scale 1 on int64 and at scale 2**40 on Python ints."""
-    tensor = build_classical(*algebra).tensor.copy()
-    d = tensor.shape[0]
+    dense = tensor(build_classical(*algebra))
+    d = dense.shape[0]
     i, j, k = (data.draw(st.integers(0, d - 1)) for _ in range(3))
     delta = Fraction(data.draw(st.sampled_from([-2, -1, 1, 3])), data.draw(st.integers(1, 2)))
-    tensor[i, j, k] += delta
+    dense[i, j, k] += delta
     if data.draw(st.booleans()):
-        tensor[j, i, k] -= delta                # kept antisymmetric; a no-op when i == j
-    expected = _first_failure(tensor)
+        dense[j, i, k] -= delta                # kept antisymmetric; a no-op when i == j
+    expected = _first_failure(dense)
     for scale in (1, 2**40):
-        scaled = algebra_from_tensor(tensor * scale)
+        scaled = algebra_from_tensor(dense * scale)
         assert _python_int_path(scaled) == (scale != 1)
         if expected is None:
             scaled.validate()
@@ -151,7 +151,7 @@ def test_sparse_validation_matches_the_reference_on_both_paths(algebra, data):
 def test_structure_constants_are_read_only_and_validated_once(monkeypatch):
     so4 = build_classical("so", 4)
     assert so4.validated
-    for arr in (*so4.coo, so4.tensor):
+    for arr in so4.coo:
         with pytest.raises(ValueError):
             arr[0] = 0
     monkeypatch.setattr(lie, "_check_sums", None)
@@ -176,7 +176,7 @@ def test_realization_tensor_on_python_ints_scales_exactly(family, n):
     assert not stack.fits(stack, stack.shape[-1])
     coo, scale = lie._tensor_from_realization(mats)
     scaled = lie.StructureAlgebra(dim=len(mats), coo=coo, scale=scale, realization=tuple(mats))
-    assert is_zero(scaled.tensor - build_classical(family, n).tensor * 2**40)
+    assert is_zero(tensor(scaled) - tensor(build_classical(family, n)) * 2**40)
     scaled.validate()
 
 
@@ -184,9 +184,10 @@ def test_realization_mismatch_names_the_first_failing_pair():
     so4 = build_classical("so", 4)
     mats = list(so4.realization)
     mats[2], mats[4] = mats[4], mats[2]
+    dense = tensor(so4)
     a, b = next((a, b) for a in range(6) for b in range(a + 1, 6)
                 if not is_zero(np.dot(mats[a], mats[b]) - np.dot(mats[b], mats[a])
-                               - sum(so4.tensor[a, b, k] * mats[k] for k in range(6))))
+                               - sum(dense[a, b, k] * mats[k] for k in range(6))))
     algebra = lie.StructureAlgebra(dim=6, coo=so4.coo, realization=tuple(mats))
     with pytest.raises(ValidationError, match=re.escape(f"basis pair ({a + 1},{b + 1})")):
         algebra.validate()
@@ -195,10 +196,10 @@ def test_realization_mismatch_names_the_first_failing_pair():
 def _first_failing_pair(algebra, mats):
     """The first pair a < b with ``[R_a, R_b] != sum_k c[a,b,k] R_k``, pair by pair in Fractions."""
     mats = [fmatmul(np.eye(len(m), dtype=np.int64), m) for m in mats]
-    tensor = algebra.tensor
+    dense = tensor(algebra)
     for a in range(algebra.dim):
         for b in range(a + 1, algebra.dim):
-            expected = sum(tensor[a, b, k] * mats[k] for k in range(algebra.dim))
+            expected = sum(dense[a, b, k] * mats[k] for k in range(algebra.dim))
             if not is_zero(np.dot(mats[a], mats[b]) - np.dot(mats[b], mats[a]) - expected):
                 return a, b
     return None
@@ -241,7 +242,7 @@ def test_killing_constant_so_n():
     for n in (3, 5, 6):
         alg = build_classical("so", n)
         oracle = brute_force_killing(alg)
-        assert is_zero(oracle - alg.killing.matrix)
+        assert is_zero(oracle - fractions(alg.killing.matrix))
         expected = q(2 * (n - 2))
         for i in range(alg.dim):
             assert -alg.killing.matrix[i, i] == expected
@@ -421,13 +422,13 @@ def test_table_roundtrip_so3():
     so3 = build_classical("so", 3)
     text = serialize_structure_table(so3)
     again = ingest_structure_table(text)
-    assert is_zero(again.tensor - so3.tensor)
+    assert is_zero(tensor(again) - tensor(so3))
     assert serialize_structure_table(again) == text
 
 
 def test_table_empty_is_abelian():
     alg = ingest_structure_table("dim 2\n")
-    assert alg.dim == 2 and is_zero(alg.tensor)
+    assert alg.dim == 2 and is_zero(tensor(alg))
 
 
 def test_table_missing_antisymmetric_mate_rejected():
@@ -438,11 +439,11 @@ def test_table_missing_antisymmetric_mate_rejected():
 def test_table_jacobi_violation_reported_with_indices():
     text = "dim 3\n1 2 3 1\n2 1 3 -1\n1 3 2 1\n3 1 2 -1\n2 3 1 1\n3 2 1 -1\n" \
            "1 2 2 1\n2 1 2 -1\n"
-    tensor = qzeros((3, 3, 3))
+    dense = fzeros((3, 3, 3))
     for line in text.splitlines()[1:]:
         i, j, k, v = (int(p) for p in line.split())
-        tensor[i - 1, j - 1, k - 1] = q(v)
-    kind, idx = _first_failure(tensor)
+        dense[i - 1, j - 1, k - 1] = q(v)
+    kind, idx = _first_failure(dense)
     assert kind == "Jacobi"
     with pytest.raises(ValidationError, match=re.escape(f"Jacobi fails at (i,j,k,l)={idx}")):
         ingest_structure_table(text)
@@ -461,7 +462,7 @@ def test_table_parse_errors():
 @given(st.integers(2, 5))
 def test_random_small_so_roundtrip(n):
     alg = build_classical("so", n)
-    assert is_zero(ingest_structure_table(serialize_structure_table(alg)).tensor - alg.tensor)
+    assert is_zero(tensor(ingest_structure_table(serialize_structure_table(alg))) - tensor(alg))
 
 
 @pytest.mark.slow
@@ -472,11 +473,11 @@ def test_validity_up_to_so10():
 
 def test_bracket_on_python_ints_matches_fraction_reference():
     so5 = build_classical("so", 5)
-    scaled = algebra_from_tensor(so5.tensor * 2**40)
+    scaled = algebra_from_tensor(tensor(so5) * 2**40)
     rng = np.random.RandomState(2)
     x = np.array([q(int(v)) / 7 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
     y = np.array([q(int(v)) / 11 for v in rng.randint(-10**6, 10**6, size=10)], dtype=object)
     assert not arith.Scaled.of(x).fits(arith.Scaled(scaled.coo[3]), 10)
-    reference = np.dot(x, np.tensordot(scaled.tensor, y, axes=([1], [0])))
+    reference = np.dot(x, np.tensordot(tensor(scaled), y, axes=([1], [0])))
     assert is_zero(scaled.bracket(x, y) - reference)
     assert is_zero(scaled.bracket(x, y) - so5.bracket(x, y) * 2**40)

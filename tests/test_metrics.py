@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from goverify import arith, metrics, subspaces
-from goverify.arith import is_zero, q, qarray, qeye
+from goverify.arith import is_zero, qarray
 from goverify.lie import build_classical, embed_so_partition
 from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
                               dazi_structure_check, equivariance_check,
                               invariant_subspace, isometry_subalgebra,
                               metric_from_blocks, restrict_operator)
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement
-from oracles import bi_invariant_by_blocks, fmatmul, metric_inner, rescale
+from oracles import bi_invariant_by_blocks, fmatmul, fractions, metric_inner, rescale
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 
@@ -33,7 +33,7 @@ def block_metric(layout, named, params):
 def test_scalar_metric_is_identity_scaled(so6):
     layout, named = so6
     op = block_metric(layout, named, [3, 3, 3, 3, 3, 3])
-    assert is_zero(op.matrix - q(3) * qeye(15))
+    assert is_zero(op.matrix - 3 * np.eye(15, dtype=np.int64))
     assert op.is_scalar() == 3
 
 
@@ -58,12 +58,12 @@ def test_blocks_must_be_positive(so6):
 def test_operator_must_be_self_adjoint_and_positive(so6):
     layout, named = so6
     op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
-    skewed = np.asarray(op.matrix).copy()
+    skewed = fractions(op.matrix)
     skewed[0, 1] += 1                        # Q is diagonal, so Q L is no longer symmetric
     with pytest.raises(arith.ContractViolation, match="self-adjoint"):
         MetricOperator(layout.algebra, skewed, op.block_spec)
     with pytest.raises(arith.ContractViolation, match="positive definite"):
-        MetricOperator(layout.algebra, -np.asarray(op.matrix), op.block_spec)
+        MetricOperator(layout.algebra, -op.matrix, op.block_spec)
 
 
 def test_blocks_must_span(so6):
@@ -185,7 +185,7 @@ def _so4_ideal_mixing():
     3 and a[0] - b[0] 1."""
     so4 = build_classical("so", 4)
     full = Subspace.full(so4)
-    a, b = (np.asarray(ideal.basis) for ideal in ideal_decomposition(full).ideals)
+    a, b = (fractions(ideal.basis) for ideal in ideal_decomposition(full).ideals)
     blocks = ((Subspace(so4, qarray([a[0] + b[0]])), Fraction(3)),
               (Subspace(so4, qarray([a[0] - b[0]])), Fraction(1)),
               (Subspace(so4, qarray([a[1], a[2], b[1], b[2]])), Fraction(2)))
@@ -204,7 +204,7 @@ def test_bi_invariance_on_so4():
 
 def test_bi_invariance_fails_for_ideal_mixing():
     op, full = _so4_ideal_mixing()
-    a, b = (np.asarray(ideal.basis) for ideal in ideal_decomposition(full).ideals)
+    a, b = (fractions(ideal.basis) for ideal in ideal_decomposition(full).ideals)
     assert is_zero(fmatmul(op.matrix, a[0]) - (2 * a[0] + b[0]))
     assert not bi_invariance_check(op, full)
 
@@ -224,8 +224,8 @@ def _so5_center_mixed_into_ideal():
     """so(2) + so(3) in so(5) with L coupling the so(2) generator c to an so(3) vector a."""
     layout = embed_so_partition(5, (2, 3))
     named = layout.named_subspaces()
-    c, = np.asarray(named["k1"].basis)
-    a = np.asarray(named["k2"].basis)
+    c, = fractions(named["k1"].basis)
+    a = fractions(named["k2"].basis)
     g = layout.algebra
     blocks = ((Subspace(g, qarray([c + a[0]])), Fraction(3)),
               (Subspace(g, qarray([c - a[0]])), Fraction(1)),

@@ -15,7 +15,7 @@ from goverify.report import decode_vectors, encode_fraction
 from goverify.scenarios import (ALL_CHECKS, ScenarioSpec, _grid_follow_up, _sweep_tuple,
                                 build_scenario, grid_parameter_tuples, parse_blockspec,
                                 replay_report, run_check, scenario_catalog, with_sweep_tuples)
-from oracles import bi_invariant_by_blocks, replay_certificate
+from oracles import bi_invariant_by_blocks, fractions, replay_certificate
 
 
 def test_grid_tuples_deterministic_and_alternating():
@@ -418,7 +418,7 @@ def test_decoded_vectors_equal_the_fraction_parse(certified_texts):
     assert len(vectors) > 100
     for items in vectors:
         decoded = decode_vectors([items])[0]
-        assert decoded.tolist() == [Fraction(s) for s in items]
+        assert fractions(decoded).tolist() == [Fraction(s) for s in items]
         assert decoded.equals(arith.Scaled.of([Fraction(s) for s in items]))
     same_length = [v for v in vectors if len(v) == len(vectors[0])]
     assert decode_vectors(same_length).equals(

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from goverify import arith, subspaces
 from goverify.arith import is_zero, q, qarray
-from goverify.lie import (build_classical, direct_sum, embed_so_partition,
-                          ingest_structure_table, serialize_structure_table)
+from goverify.lie import (build_classical, embed_so_partition, ingest_structure_table,
+                          serialize_structure_table)
 from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
                                 centralizer_in_complement, derived_subalgebra,
                                 ideal_decomposition, is_regular, is_subalgebra,
                                 normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
-from oracles import fmatmul, rank_estimate_all_exact
+from oracles import direct_sum, fmatmul, fractions, fzeros, rank_estimate_all_exact
 import partition_table
 
 
@@ -118,7 +118,7 @@ def test_rank_and_normalizer_on_an_ingested_structure_table(monkeypatch):
 
     def checked(mat):
         out = original(mat)
-        assert out.tolist() == _reference_nullspace(mat)
+        assert fractions(out).tolist() == _reference_nullspace(mat)
         shapes.append(mat.shape)
         return out
 
@@ -128,7 +128,7 @@ def test_rank_and_normalizer_on_an_ingested_structure_table(monkeypatch):
     monkeypatch.undo()
     assert min(r * c for r, c in shapes) <= 1_200 < max(r * c for r, c in shapes)
     expected = normalizer(layout.subalgebra)
-    assert found.basis.tolist() == expected.basis.tolist()
+    assert fractions(found.basis).tolist() == fractions(expected.basis).tolist()
     assert ranks == (rank_estimate(Subspace.full(layout.algebra)).value,
                      rank_estimate(expected).value) == (3, 3)
 
@@ -212,13 +212,13 @@ def test_rank_invariant_under_exp_ad_conjugation():
     base = rank_estimate(k).value
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     rng = random.Random(7)
-    eye = arith.qeye(5)
+    eye = fractions(np.eye(5, dtype=np.int64))
     for _ in range(3):
-        a = arith.qzeros((5, 5))
+        a = fzeros((5, 5))
         for i, j in pairs:
             a[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             a[j, i] = -a[i, j]
-        inv = np.asarray(arith.inverse(eye + a))
+        inv = fractions(arith.inverse(eye + a))
         rot = np.dot(eye - a, inv)
         assert is_zero(np.dot(rot, rot.T) - eye) and not is_zero(rot - eye)
         rows = []
@@ -272,7 +272,7 @@ def test_ideal_decomposition_reassembles_bracket():
     dec = ideal_decomposition(full)
     assert dec.center.dim == 1
     pieces = [dec.center, *dec.ideals]
-    stacked = np.concatenate([p.basis for p in pieces if p.dim], axis=0)
+    stacked = arith.Scaled.concat([p.basis for p in pieces if p.dim])
     reassembled = Subspace.span(s, stacked)
     assert reassembled.dim == s.dim
     for a in pieces:
@@ -330,7 +330,7 @@ def test_modular_first_rank_matches_the_all_exact_reference(n, partition):
 def test_centralizer_witness_detects_nonabelian_centralizer():
     g = build_classical("so", 4)
     # ad of the zero element vanishes, so its centralizer is all of so(4)
-    witness = subspaces._centralizer_witness(Subspace.full(g), arith.qzeros(g.dim))
+    witness = subspaces._centralizer_witness(Subspace.full(g), np.zeros(g.dim, dtype=np.int64))
     assert witness.dim == 6 and not witness.abelian
 
 
@@ -342,8 +342,8 @@ def _fraction_random_element(space, rng, bound=9):
         coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(space.dim)]
         if any(c != 0 for c in coeffs) or space.dim == 0:
             break
-    vec = arith.qzeros(space.algebra.dim)
-    for c, row in zip(coeffs, np.asarray(space.basis)):
+    vec = fzeros(space.algebra.dim)
+    for c, row in zip(coeffs, fractions(space.basis)):
         if c != 0:
             vec = vec + c * row
     return vec
@@ -352,7 +352,7 @@ def _fraction_random_element(space, rng, bound=9):
 def _spaces():
     layout = embed_so_partition(6, (2, 2, 2))
     g = layout.algebra
-    basis = np.asarray(layout.offdiag_blocks[(1, 2)].basis)
+    basis = fractions(layout.offdiag_blocks[(1, 2)].basis)
     mixed = qarray([basis[0] * Fraction(1, 3) + basis[1] * Fraction(2, 7),
                     basis[1] * Fraction(5, 2), basis[2] - basis[3] * Fraction(1, 9)])
     return {"full": Subspace.full(g),
