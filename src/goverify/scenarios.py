@@ -255,6 +255,7 @@ def run_check(spec: ScenarioSpec) -> Report:
         elapsed = time.perf_counter() - start
         for record in rep.records[before:]:
             rep.timings[record["name"]] = elapsed
+    forget_spans(built.algebra)      # the scenario is freed now, not at a full collection
     return rep
 
 

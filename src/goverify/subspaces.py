@@ -319,71 +319,52 @@ def centralizer_in_complement(space: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CartanWitness:
-    """The centralizer of the generic element that realized the rank estimate."""
+class RankEstimate:
+    """A maximal abelian subalgebra, as independent rows ``cartan``; its dimension is the rank."""
 
-    centralizer_basis: Scaled
-    abelian: bool
+    cartan: Scaled
 
     @property
-    def dim(self) -> int:
-        return self.centralizer_basis.shape[0]
-
-
-@dataclass(frozen=True)
-class RankEstimate:
-    value: int
-    witness: CartanWitness
+    def value(self) -> int:
+        return self.cartan.shape[0]
 
 
 def rank_estimate(space: Subspace) -> RankEstimate:
-    """Rank of a compact subalgebra as the minimal generic-centralizer dimension
-    (memoized per span).
+    """Rank of a compact subalgebra as the dimension of a maximal abelian
+    subalgebra, which in a compact Lie algebra is a Cartan subalgebra (memoized
+    per span).
 
-    Five fixed pseudo-random elements ``h`` (stream ``rank:0:{dim}``) are
-    drawn and each system ``ad(h)`` on the subalgebra is ranked mod ``_P``.
-    A rank mod p never exceeds the rational rank, so ``dim - rank_p`` bounds
-    the centralizer from above; only the first element of largest modular
-    rank gets its centralizer computed exactly, and that centralizer must be
-    abelian.  While it is not, further elements are drawn (13 in all at
-    most), and one is computed exactly only when its modular nullity is below
-    the best exact dimension.  An abelian centralizer in a compact algebra is
-    a Cartan subalgebra, so its dimension is the rank, whichever element
-    produced it, and no other draw can undercut it.
+    The basis rows are walked in order, and a row is kept when it commutes
+    with every row kept before it: each kept row is bracketed with the rows
+    left by one product, and those it does not commute with are dropped.  The
+    kept rows span an abelian ``a``.  Its centralizer in the subalgebra is the
+    kernel of the stacked system ``[a_i, x] = 0``, whose nullity mod ``_P``
+    bounds the rational nullity from above.  While that bound exceeds
+    ``dim a``, the exact kernel is taken, and its first row outside ``a`` is
+    added (it commutes with ``a``), unless the kernel is ``a`` itself.  When
+    they meet, ``a`` is its own centralizer, hence maximal abelian.
     """
-    if space.dim == 0:
-        return RankEstimate(0, CartanWitness(Scaled.zeros((0, space.algebra.dim)), True))
+    algebra, basis = space.algebra, space.basis
 
     def build():
-        rng = random.Random(f"rank:0:{space.dim}")
-        elements = [space.random_element(rng) for _ in range(5)]
-        nullities = [_nullity_modp(space, h) for h in elements]
-        best = _centralizer_witness(space, elements[nullities.index(min(nullities))])
-        for _ in range(8):
-            if best.abelian:
+        rest, kept = list(range(space.dim)), []
+        while rest:
+            kept.append(rest.pop(0))
+            if rest:
+                moves = ((algebra.contract(basis[kept[-1]]) @ basis[rest].T).ints != 0).any(axis=0)
+                rest = [r for r, move in zip(rest, moves) if not move]
+        cartan = basis[kept]
+        while len(cartan) < space.dim:
+            system = (algebra.contract(cartan) @ basis.T).reshape(-1, space.dim)
+            if space.dim - arith.rank_modp(system.ints) == len(cartan):
                 break
-            element = space.random_element(rng)
-            if _nullity_modp(space, element) < best.dim:
-                best = _centralizer_witness(space, element)
-        if not best.abelian:
-            raise arith.ExactComputationError("rank estimate failed to find an abelian centralizer")
-        return RankEstimate(best.dim, best)
+            centralizer = arith.nullspace_exact(system) @ basis
+            if len(centralizer) == len(cartan):
+                break
+            _, outside = Subspace(algebra, cartan, check=False).locate(centralizer.T)
+            cartan = Scaled.concat([cartan, centralizer[[int(np.argmax(outside.any(axis=0)))]]])
+        return RankEstimate(cartan)
     return span_memo(space, build, "rank")
-
-
-def _nullity_modp(space: Subspace, element) -> int:
-    """``dim`` minus the rank mod ``_P`` of ``ad(element)`` on the subalgebra: an
-    upper bound on the dimension of the element's centralizer in it."""
-    system = space.algebra.contract(element) @ space.basis.T
-    return space.dim - arith.rank_modp(system.ints)
-
-
-def _centralizer_witness(space: Subspace, element) -> CartanWitness:
-    null = arith.nullspace_exact(space.algebra.contract(element) @ space.basis.T)
-    vectors = null @ space.basis
-    brackets = (space.algebra.contract(vectors) @ vectors.T).ints   # [a, k, b] = [v_a, v_b]_k
-    abelian = not np.any(np.transpose(brackets, (0, 2, 1))[np.triu_indices(len(vectors), 1)])
-    return CartanWitness(vectors, abelian)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ on the symmetric unknowns of ``reps.symmetric_commutant`` is checked.  And
 :func:`bi_invariant_by_blocks` decides bi-invariance through the ideal
 decomposition, against which the commutation check of
 ``metrics.bi_invariance_check`` is checked.  Last,
-:func:`rank_estimate_all_exact` builds every drawn element's centralizer
-exactly, against which the modular-first ``subspaces.rank_estimate`` is
-checked.  :func:`bareiss` is the classic fraction-free elimination, against
-which the primitive-row elimination ``arith._eliminate_int`` is checked.
+:func:`rank_estimate_all_exact` takes the rank from the exact centralizers of
+drawn elements, against which the greedy maximal abelian subalgebra of
+``subspaces.rank_estimate`` is checked.  :func:`bareiss` is the classic
+fraction-free elimination, against which the primitive-row elimination
+``arith._eliminate_int`` is checked.
 And :func:`replay_certificate` re-verifies one GO certificate at a time, the
 per-certificate route against which the stacked ``go.replay_certificates`` of
 replay is checked.  :func:`direct_sum` builds product algebras for the tests.
@@ -32,13 +33,12 @@ from fractions import Fraction
 import numpy as np
 
 from goverify import arith, go, reps
-from goverify.arith import ContractViolation, is_zero, q
+from goverify.arith import ContractViolation, q
 from goverify.go import GoCertificate, GoVerdict, SamplingStrategy, Unsolvable
 from goverify.lie import StructureAlgebra
 from goverify.metrics import (BlockSpec, MetricOperator, equivariance_check, invariant_subspace,
                               restrict_operator)
-from goverify.subspaces import (CartanWitness, RankEstimate, Subspace, _centralizer_witness,
-                                ideal_decomposition, projector)
+from goverify.subspaces import RankEstimate, Subspace, ideal_decomposition, projector
 
 
 def _fraction(value) -> Fraction:
@@ -62,6 +62,11 @@ def fractions(x) -> np.ndarray:
         arr = np.asarray(x, dtype=object)
         entries, shape = [_fraction(v) for v in arr.reshape(-1)], arr.shape
     return np.array(entries, dtype=object).reshape(shape)
+
+
+def all_zero(x) -> bool:
+    """Whether every entry of a Fraction array (or of :func:`fractions` of ``x``) is 0."""
+    return all(v == 0 for v in np.ravel(fractions(x)))
 
 
 def fzeros(shape) -> np.ndarray:
@@ -107,8 +112,8 @@ def replay_certificate(operator: MetricOperator, certificate: GoCertificate,
     witness = arith.Scaled.of(certificate.witness)
     if not subalgebra.contains(witness):
         return False
-    return is_zero(operator.algebra.bracket(witness + certificate.direction,
-                                            operator.apply(certificate.direction)))
+    return all_zero(operator.algebra.bracket(witness + certificate.direction,
+                                             operator.apply(certificate.direction)))
 
 
 def stacked(certificates) -> GoCertificate:
@@ -216,7 +221,7 @@ def check_homomorphism(restriction) -> bool:
                 return False
             expected = sum((c * m for c, m in zip(fractions(coords), mats)), fzeros(mats[0].shape))
             comm = np.dot(mats[i], mats[j]) - np.dot(mats[j], mats[i])
-            if not is_zero(comm - expected):
+            if not all_zero(comm - expected):
                 return False
     return True
 
@@ -268,9 +273,9 @@ def two_step_identity_check(operator: MetricOperator, subalgebra, z, w) -> bool:
     x = z - w
     first = fbracket(algebra, x, np.dot(op, x)) - np.dot(op, fbracket(algebra, z, w))
     second = fbracket(algebra, w + x, np.dot(op, x))
-    if is_zero(first) != is_zero(second):
+    if all_zero(first) != all_zero(second):
         raise arith.ExactComputationError("two-step identity expressions disagree")
-    return is_zero(first) and is_zero(second)
+    return all_zero(first) and all_zero(second)
 
 
 def geodesic_lemma_solvable(operator: MetricOperator, subalgebra, complement, direction) -> bool:
@@ -367,19 +372,23 @@ def go_verdict_by_direction(operator: MetricOperator, subalgebra, strategy: Samp
 
 
 def rank_estimate_all_exact(space: Subspace) -> RankEstimate:
-    """The rank estimate with an exact centralizer for every drawn element: five
-    elements of the stream ``rank:0:{dim}``, more (13 in all at most) while the
-    smallest centralizer so far is not abelian; the first smallest one wins."""
+    """The rank from drawn elements: the exact centralizer of each element of the
+    stream ``rank:0:{dim}`` (:func:`randint_coefficients`), five elements and more
+    (13 in all at most) while the smallest centralizer so far is not abelian.  An
+    abelian centralizer is a Cartan subalgebra; the first smallest one is returned."""
+    algebra = space.algebra
     if space.dim == 0:
-        return RankEstimate(0, CartanWitness(arith.Scaled.zeros((0, space.algebra.dim)), True))
+        return RankEstimate(arith.Scaled.zeros((0, algebra.dim)))
     rng = random.Random(f"rank:0:{space.dim}")
-    best = None
-    attempts = 0
-    while attempts < 5 or not best.abelian:
-        if attempts >= 13:
-            raise arith.ExactComputationError("rank estimate failed to find an abelian centralizer")
-        witness = _centralizer_witness(space, space.random_element(rng))
-        attempts += 1
-        if best is None or witness.dim < best.dim:
-            best = witness
-    return RankEstimate(best.dim, best)
+    best, abelian = None, False
+    for attempt in range(13):
+        if attempt >= 5 and abelian:
+            break
+        element = arith.Scaled.of(_randint_element(space, rng))
+        vectors = arith.nullspace_exact(algebra.contract(element) @ space.basis.T) @ space.basis
+        if best is None or len(vectors) < len(best):
+            best = vectors
+            abelian = not np.any((algebra.contract(best) @ best.T).ints)
+    if not abelian:
+        raise arith.ExactComputationError("no drawn element has an abelian centralizer")
+    return RankEstimate(best)

@@ -5,8 +5,10 @@ Runs the catalog scenarios so6-222-grid, so9-333-regularity, su3-torus-flag,
 triple-shape-demo and so12-partition4-genmet1 (sweeps cut to 6 tuples) and
 replays each report, then every ``goverify`` line of the README's CLI block
 through ``cli.main`` in a temporary directory (sweeps cut to 6 tuples, the
-so(5) structure table as ``my_algebra.table``, and every command that takes
-``--out`` writing ``report.jsonl``, which the README's replay line replays),
+so(5) structure table as ``my_algebra.table``, sp(1) + sp(1) in sp(2) as
+``my_subgroup.subspace``, a six-block metric of so(6)/(2,2,2) as
+``my_metric.blockspec``, and every command that takes ``--out`` writing
+``report.jsonl``, which the README's replay line replays),
 all in-process under a ``sys.setprofile`` hook.  Then it prints every function
 defined in ``src/goverify`` that was never called, one Markdown list item
 each.  Report only: it exits 0 whatever it finds.
@@ -27,10 +29,12 @@ from pathlib import Path
 
 from goverify import cli, scenarios
 from goverify.lie import build_classical, serialize_structure_table
+from goverify.subspaces import Subspace, serialize_subspace
 
 SCENARIOS = ("so6-222-grid", "so9-333-regularity", "su3-torus-flag", "triple-shape-demo",
              "so12-partition4-genmet1")
 SWEEP_TUPLES = 6
+INPUTS = (".table", ".subspace", ".blockspec", ".jsonl")
 PACKAGE = Path(scenarios.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
 
@@ -69,8 +73,7 @@ def readme_commands(workdir: Path) -> list[list[str]]:
             args[args.index("--tuples") + 1] = str(SWEEP_TUPLES)
         if args[0] not in ("replay", "scenario") or args[1] == "run":
             args += ["--out", "report.jsonl"]
-        commands.append([str(workdir / a) if a.endswith((".table", ".jsonl")) else a
-                         for a in args])
+        commands.append([str(workdir / a) if a.endswith(INPUTS) else a for a in args])
     return commands
 
 
@@ -79,6 +82,11 @@ def run_readme() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         (workdir / "my_algebra.table").write_text(serialize_structure_table(build_classical("so", 5)))
+        sp1_sp1 = Subspace.from_indices(build_classical("sp", 2), [2, 3, 4, 5, 8, 9])
+        (workdir / "my_subgroup.subspace").write_text(serialize_subspace(sp1_sp1))
+        (workdir / "my_metric.blockspec").write_text("".join(
+            f"block {name} scalar {value}\n" for name, value in
+            (("k1", 1), ("k2", 1), ("k3", 1), ("m1_2", 2), ("m1_3", 3), ("m2_3", "5/2"))))
         for args in readme_commands(workdir):
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -532,9 +532,11 @@ def _rows_and_max(work, reduce_above):
 
 @pytest.fixture(scope="module")
 def so9_rank_system():
-    """The system ``ad(h)`` on all of so(9) for the first element ``h`` of the
-    ``rank_estimate`` stream, as it reaches ``nullspace_exact``: 36 x 36,
-    nullity 4, nullspace entries near 55 bits."""
+    """The system ``ad(h)`` on all of so(9) for the first pseudo-random element
+    ``h`` of the stream ``rank:0:36``, which the rank estimate drew before it
+    took a greedy abelian basis: 36 x 36, nullity 4, nullspace entries near 55
+    bits.  No rank estimate reaches this system any more; it stays as a fixed
+    kernel with large entries."""
     full = Subspace.full(build_classical("so", 9))
     element = full.random_element(random.Random(f"rank:0:{full.dim}"))
     return full.algebra.contract(element) @ full.basis.T

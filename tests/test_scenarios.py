@@ -1,9 +1,11 @@
 """Scenario pipeline: builders, sweeps, catalog entries, replay."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -604,18 +606,48 @@ def test_so16_dazi_solves_no_intertwiner_system(monkeypatch):
     assert tags and not any(tag.startswith("itw:") for tag in tags)
 
 
-def test_regular_check_builds_one_exact_centralizer_per_span(monkeypatch):
+def test_regular_check_ranks_so9_without_an_exact_kernel(monkeypatch):
     """The so(9) pipeline's regular check ranks all of so(9), so(3)^3 and its
-    normalizer (the same span): two exact centralizers, where building one for
-    each of the five draws on each of the three took fifteen."""
-    built = []
-    witness = subspaces._centralizer_witness
-    monkeypatch.setattr(subspaces, "_centralizer_witness",
-                        lambda space, element: built.append(space.dim) or witness(space, element))
+    normalizer (the same span, memoized): the greedy abelian basis of each is
+    maximal by its rank mod p alone, so no rank takes an exact kernel."""
+    ranked, kernels = [], []
+    rank_estimate, nullspace = subspaces.rank_estimate, arith.nullspace_exact
+
+    def counted(space):
+        before = len(kernels)
+        result = rank_estimate(space)
+        ranked.append((space.dim, result.value, len(kernels) - before))
+        return result
+
+    monkeypatch.setattr(subspaces, "rank_estimate", counted)
+    monkeypatch.setattr(arith, "nullspace_exact", lambda mat: kernels.append(1) or nullspace(mat))
     report = run_check(dataclasses.replace(_pipeline_so9(1), checks=("regular",)))
-    assert built == [36, 9]
+    assert ranked == [(36, 4, 0), (9, 3, 0), (9, 3, 0)]
     assert [(r["rank_ambient"], r["rank_subalgebra"], r["rank_normalizer"])
             for r in report.records] == [(4, 3, 3)]
+
+
+@pytest.mark.parametrize("checks", [("regular",), ALL_CHECKS], ids=["regular", "all-checks"])
+def test_run_check_frees_its_algebra_without_a_collection(monkeypatch, checks):
+    """``run_check`` drops its algebra's span memo, whose entries point back at the
+    algebra, so the algebra is freed by reference counting alone."""
+    algebras = []
+    build = scenarios.build_scenario
+
+    def held(spec):
+        built = build(spec)
+        algebras.append(weakref.ref(built.algebra))
+        return built
+
+    monkeypatch.setattr(scenarios, "build_scenario", held)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_check(dataclasses.replace(_pipeline_so9(1), checks=checks))
+        assert len(algebras) == 1 and algebras[0]() is None
+    finally:
+        gc.enable()
+    assert report.records
 
 
 def test_bi_invariance_agrees_with_the_block_form_on_the_catalog(monkeypatch):

@@ -9,12 +9,13 @@ from goverify import arith, subspaces
 from goverify.arith import is_zero, q, qarray
 from goverify.lie import (build_classical, embed_so_partition, ingest_structure_table,
                           serialize_structure_table)
-from goverify.subspaces import (CartanWitness, Subspace, centralizer_in,
+from goverify.subspaces import (Subspace, centralizer_in,
                                 centralizer_in_complement, derived_subalgebra,
                                 ideal_decomposition, is_regular, is_subalgebra,
                                 normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
-from oracles import direct_sum, fmatmul, fractions, fzeros, rank_estimate_all_exact
+from oracles import (algebra_from_tensor, direct_sum, fmatmul, fractions, fzeros,
+                     rank_estimate_all_exact, tensor)
 import partition_table
 
 
@@ -149,11 +150,12 @@ def test_rank_estimates():
 
 
 def test_rank_witness_is_abelian():
-    est = rank_estimate(Subspace.full(build_classical("so", 5)))
-    assert isinstance(est.witness, CartanWitness)
-    assert est.witness.abelian
-    c = est.witness.centralizer_basis
-    assert c.shape[0] == 2
+    g = build_classical("so", 5)
+    est = rank_estimate(Subspace.full(g))
+    assert isinstance(est.cartan, arith.Scaled) and est.cartan.shape == (2, g.dim)
+    assert est.value == 2
+    cartan = Subspace(g, est.cartan)
+    assert is_zero(cartan.brackets(cartan))
 
 
 def test_regularity_so6_maximal_rank(so6_layout):
@@ -314,24 +316,67 @@ def test_normalizer_cross_check_raises_on_wrong_centralizer(monkeypatch):
         normalizer(k)
 
 
-@pytest.mark.parametrize("n, partition", [(9, (3, 3, 3)), (12, (3, 3, 3, 3))], ids=["so9", "so12"])
-def test_modular_first_rank_matches_the_all_exact_reference(n, partition):
-    """Value and Cartan witness on all of so(n), on so(3)^s and on its normalizer."""
-    layout = embed_so_partition(n, partition)
-    spaces = [Subspace.full(layout.algebra), layout.subalgebra, normalizer(layout.subalgebra)]
-    for space in spaces:
-        got, expected = rank_estimate(space), rank_estimate_all_exact(space)
-        assert got.value == expected.value
-        assert got.witness.abelian and expected.witness.abelian
-        assert got.witness.centralizer_basis.equals(expected.witness.centralizer_basis)
-    assert [rank_estimate(s).value for s in spaces] == [n // 2, len(partition), len(partition)]
+_SO_PARTITIONS = {4: (2, 2), 5: (2, 3), 6: (2, 2, 2), 7: (1, 3, 3), 8: (2, 3, 3), 9: (3, 3, 3),
+                  10: (2, 4, 4), 11: (3, 4, 4), 12: (3, 3, 3, 3)}
 
 
-def test_centralizer_witness_detects_nonabelian_centralizer():
-    g = build_classical("so", 4)
-    # ad of the zero element vanishes, so its centralizer is all of so(4)
-    witness = subspaces._centralizer_witness(Subspace.full(g), np.zeros(g.dim, dtype=np.int64))
-    assert witness.dim == 6 and not witness.abelian
+def _changed_basis(algebra, seed: int, steps: int = 20):
+    """``algebra`` in the basis ``U e``, ``U`` a unimodular integer matrix made of
+    ``steps`` elementary row operations, so that few basis vectors commute."""
+    rng = np.random.RandomState(seed)
+    u = np.eye(algebra.dim, dtype=np.int64)
+    for _ in range(steps):
+        a, b = rng.choice(algebra.dim, 2, replace=False)
+        u[a] += rng.randint(-2, 3) * u[b]
+    uf = fractions(u)
+    dense = np.tensordot(uf, np.tensordot(uf, tensor(algebra), axes=(1, 0)), axes=(1, 1))
+    return algebra_from_tensor(np.tensordot(dense.transpose(1, 0, 2),
+                                            fractions(arith.inverse(u)), axes=(2, 0)))
+
+
+def _rank_cases():
+    """``(name, spaces, ranks)``: all of so(n), a block subalgebra and its normalizer
+    for n <= 12; all of su(3)-su(6) and sp(2)-sp(4); a direct sum with a center;
+    so(6) in a changed basis, where the basis walk falls short."""
+    for n, partition in _SO_PARTITIONS.items():
+        def spaces(n=n, partition=partition):
+            layout = embed_so_partition(n, partition)
+            return [Subspace.full(layout.algebra), layout.subalgebra, normalizer(layout.subalgebra)]
+        yield f"so{n}", spaces, [n // 2, sum(k // 2 for k in partition), None]
+    for n in range(3, 7):
+        yield f"su{n}", lambda n=n: [Subspace.full(build_classical("su", n))], [n - 1]
+    for n in range(2, 5):
+        yield f"sp{n}", lambda n=n: [Subspace.full(build_classical("sp", n))], [n]
+    yield "so4+su3+center", lambda: [Subspace.full(direct_sum(
+        [build_classical("so", 4), build_classical("su", 3), build_classical("abelian", 2)]))], [6]
+    yield ("so6-changed-basis", lambda: [Subspace.full(_changed_basis(build_classical("so", 6), 5))],
+           [3])
+
+
+@pytest.mark.parametrize("spaces, ranks", [case[1:] for case in _rank_cases()],
+                         ids=[case[0] for case in _rank_cases()])
+def test_modular_first_rank_matches_the_all_exact_reference(spaces, ranks):
+    """The greedy maximal abelian subalgebra has the rank of the drawn elements'
+    centralizers; it is abelian and its exact centralizer in the space is its span."""
+    for space, rank in zip(spaces(), ranks):
+        got = rank_estimate(space)
+        assert got.value == rank_estimate_all_exact(space).value
+        assert rank is None or got.value == rank
+        cartan = Subspace(space.algebra, got.cartan)
+        assert space.contains_space(cartan) and is_zero(cartan.brackets(cartan))
+        assert centralizer_in(cartan, space).spans_equal(cartan)
+
+
+@pytest.mark.parametrize("family, n, rank", [("so", 12, 6), ("su", 4, 3)], ids=["so12", "su4"])
+def test_rank_takes_an_exact_kernel_only_to_complete_the_greedy_basis(monkeypatch, family, n, rank):
+    """The greedy walk over the basis of so(12) is already maximal abelian: the
+    rank needs no exact kernel.  On su(4) it is not, so the completion takes at
+    least one exact kernel and adds one of its rows."""
+    calls = []
+    nullspace = arith.nullspace_exact
+    monkeypatch.setattr(arith, "nullspace_exact", lambda mat: calls.append(1) or nullspace(mat))
+    assert rank_estimate(Subspace.full(build_classical(family, n))).value == rank
+    assert (len(calls) == 0) if family == "so" else (len(calls) >= 1)
 
 
 # -- random elements ---------------------------------------------------------------
