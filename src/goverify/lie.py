@@ -279,8 +279,8 @@ class StructureAlgebra:
         form = self.inner_product if self.inner_product is not None else self.canonical_form
         if form is None:
             raise ContractViolation(
-                "algebra has no positive canonical form; attach an invariant inner "
-                "product with attach_form() first")
+                "the negative Killing form is not positive definite; checks need a compact "
+                "semisimple algebra, or a form attached from Python with goverify.lie.attach_form")
         self.form_fixed = True
         return form
 

@@ -24,7 +24,7 @@ from .arith import ContractViolation, Scaled, is_zero, q
 from .lie import StructureAlgebra
 from .subspaces import (DecomposedSubalgebra, Subspace, ideal_decomposition,
                         is_subalgebra, orthogonal_complement, projector,
-                        shared_subspace)
+                        shared_subspace, span_memo)
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,25 @@ class MetricOperator:
         """Maximal subalgebra whose adjoint operators are metric-skew.
 
         Solves ad_X^T H + H ad_X = 0 for X, with H the metric's matrix; the
-        solution space is verified to be bracket-closed.
+        solution space is verified to be bracket-closed.  Q is ad-invariant, so
+        ad_X^T H + H ad_X = Q [L, ad_X]: X is an isometry exactly when ad_X
+        commutes with L.  With scalar blocks only, L = sum(value_a * E_a) over
+        distinct values, each E_a a polynomial in L, so that holds exactly when
+        ad_X preserves each E_a's range: the solve is memoized per block set and
+        grouping of the blocks by equal value.
         """
-        space = Subspace(self.algebra, arith.nullspace_exact(skewness_system(self)), check=False)
-        shared = shared_subspace(space, "isometry")   # closure is checked once per span
-        if shared is space and not is_subalgebra(space):  # pragma: no cover - mathematically impossible
-            raise arith.ExactComputationError("isometry candidate is not a subalgebra")
-        return shared
+        def solve():
+            space = Subspace(self.algebra, arith.nullspace_exact(skewness_system(self)), check=False)
+            shared = shared_subspace(space, "isometry")   # closure is checked once per span
+            if shared is space and not is_subalgebra(space):  # pragma: no cover - mathematically impossible
+                raise arith.ExactComputationError("isometry candidate is not a subalgebra")
+            return shared
+        if self.block_spec.center_block and self.block_spec.center_block[0].dim:
+            return solve()
+        blocks = [(s, v) for s, v in self.block_spec.blocks if s.dim]
+        groups = {v: tuple(i for i, (_, w) in enumerate(blocks) if w == v) for _, v in blocks}
+        return span_memo(blocks[0][0], solve, "isometry-of", tuple(sorted(groups.values())),
+                         *(s.sort_key() for s, _ in blocks[1:]))
 
     def is_scalar(self) -> Fraction | None:
         return self.matrix.scalar()
@@ -114,10 +126,10 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec) -> MetricOper
     parameters must be positive.  The optional center block contributes an
     arbitrary positive-definite symmetric matrix in its subspace coordinates.
     The operator is ``sum(value * P)`` over the blocks' form-orthogonal
-    projectors ``P``, which are memoized per span.
+    projectors ``P``; the projectors and both checks on the blocks depend on
+    the spans alone, so they are made once per block set (:func:`_block_projectors`).
     """
     form = algebra.form()
-    d = algebra.dim
     if any(q(value) <= 0 for _, value in spec.blocks):
         raise ContractViolation("block parameters must be positive")
     if spec.center_block is not None:
@@ -130,18 +142,9 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec) -> MetricOper
                                     "inner-product matrix")
     spaces = [s for s in spec.subspaces() if s.dim]
     total = sum(s.dim for s in spaces)
-    if total != d:
-        raise ContractViolation(f"blocks span dimension {total}, expected {d}")
-    # each block's rows are scaled by a positive integer, which keeps zero blocks zero
-    basis = Scaled.concat([Scaled(s.basis.ints) for s in spaces])
-    gram = (basis @ Scaled(form.matrix.ints) @ basis.T).ints
-    starts = np.cumsum([0] + [s.dim for s in spaces])
-    for a in range(len(spaces)):
-        if np.any(gram[starts[a]:starts[a + 1], starts[a + 1]:]):
-            raise ContractViolation("blocks are not orthogonal for the form")
-    projectors = [projector(s) for s in spaces]
-    if not sum(projectors).equals(np.eye(d, dtype=np.int64)):
-        raise ContractViolation("blocks do not span the algebra")
+    if total != algebra.dim:
+        raise ContractViolation(f"blocks span dimension {total}, expected {algebra.dim}")
+    projectors = _block_projectors(spaces)
     # the center's projector, if any, comes last and is left out by zip
     matrix = sum(p * v for p, v in zip(projectors, [v for s, v in spec.blocks if s.dim]))
     if spec.center_block is not None and center.dim:
@@ -149,6 +152,25 @@ def metric_from_blocks(algebra: StructureAlgebra, spec: BlockSpec) -> MetricOper
         gram_inv = center.gram_inverse
         matrix = matrix + center.basis.T @ (gram_inv @ inner @ gram_inv) @ center.basis @ form.matrix
     return MetricOperator(algebra, matrix, spec)
+
+
+def _block_projectors(spaces: list[Subspace]) -> tuple[Scaled, ...]:
+    """Projectors of nonzero blocks, checked pairwise orthogonal and spanning the algebra,
+    memoized per block set (the spans, in order); failing blocks raise and store nothing."""
+    def build():
+        algebra = spaces[0].algebra
+        # each block's rows are scaled by a positive integer, which keeps zero blocks zero
+        basis = Scaled.concat([Scaled(s.basis.ints) for s in spaces])
+        gram = (basis @ Scaled(algebra.form().matrix.ints) @ basis.T).ints
+        starts = np.cumsum([0] + [s.dim for s in spaces])
+        for a in range(len(spaces)):
+            if np.any(gram[starts[a]:starts[a + 1], starts[a + 1]:]):
+                raise ContractViolation("blocks are not orthogonal for the form")
+        projectors = tuple(projector(s) for s in spaces)
+        if not sum(projectors).equals(np.eye(algebra.dim, dtype=np.int64)):
+            raise ContractViolation("blocks do not span the algebra")
+        return projectors
+    return span_memo(spaces[0], build, "blocks", *(s.sort_key() for s in spaces[1:]))
 
 
 # ---------------------------------------------------------------------------

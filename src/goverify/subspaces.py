@@ -9,10 +9,12 @@ Orthogonality, Gram matrices and projectors use the algebra's one invariant
 inner product, ``space.algebra.form()``; no function here takes a form.
 
 Structural results are memoized per span (:func:`span_memo`, keyed by the
-rref in :meth:`Subspace.sort_key`), so a sweep that meets one subalgebra on
-many metrics computes its complement, normalizer, ideals and projector once.
-A stored subspace serves every basis of its span; that is sound because each
-stored basis is canonical: an rref, or a nullspace basis read off an rref.
+rref in :meth:`Subspace.sort_key` and any extras), so a sweep that meets one
+subalgebra on many metrics computes its complement, normalizer, ideals and
+projector once, and its block checks and isometry solve once per block set
+and grouping of the blocks by equal value.  A stored subspace serves every
+basis of its span; that is sound because each stored basis is canonical: an
+rref, or a nullspace basis read off an rref.
 """
 
 from __future__ import annotations
@@ -149,10 +151,6 @@ class Subspace:
                     coeffs.append(r - 9)
             if any(coeffs) or dim == 0:
                 return coeffs
-
-    def random_element(self, rng: random.Random) -> Scaled:
-        """Deterministic random combination with coefficients in [-9, 9]."""
-        return Scaled(np.array(self.random_coefficients(rng), dtype=np.int64), 1, 9) @ self.basis
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.algebra.name or self.algebra.dim})"

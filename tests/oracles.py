@@ -308,6 +308,13 @@ def randint_coefficients(rng: random.Random, dim: int) -> list[int]:
             return coeffs
 
 
+def random_element(space: Subspace, rng: random.Random) -> np.ndarray:
+    """A combination of the basis rows with ``space.random_coefficients(rng)``, in Fractions:
+    the values of a sampled random direction of ``space``."""
+    coeffs = np.array([Fraction(c) for c in space.random_coefficients(rng)], dtype=object)
+    return np.dot(coeffs, fractions(space.basis)) if space.dim else fzeros(space.algebra.dim)
+
+
 def _randint_element(space: Subspace, rng: random.Random) -> np.ndarray:
     """A combination of the basis rows with :func:`randint_coefficients`, in Fractions."""
     coeffs = np.array([Fraction(c) for c in randint_coefficients(rng, space.dim)], dtype=object)
@@ -317,8 +324,8 @@ def _randint_element(space: Subspace, rng: random.Random) -> np.ndarray:
 def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, within=None) -> list:
     """``(label, direction)`` pairs built one direction at a time: basis rows,
     sums of random elements of two invariant pieces, then random elements.
-    The coefficients are CPython's ``randint(-9, 9)`` draws and the directions
-    Fraction combinations, not ``Subspace.random_element``."""
+    The coefficients are CPython's ``randint(-9, 9)`` draws, not
+    ``Subspace.random_coefficients``, and the directions Fraction combinations."""
     space = within if within is not None else Subspace.full(operator.algebra)
     out = []
     if strategy.basis_vectors:

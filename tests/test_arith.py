@@ -15,7 +15,7 @@ from goverify.arith import (ContractViolation, ExactComputationError, Inconsiste
                             Solution, q, qarray)
 from goverify.lie import build_classical
 from goverify.subspaces import Subspace
-from oracles import bareiss, fmatmul, fractions, fzeros, positive_definite
+from oracles import bareiss, fmatmul, fractions, fzeros, positive_definite, random_element
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -538,7 +538,7 @@ def so9_rank_system():
     bits.  No rank estimate reaches this system any more; it stays as a fixed
     kernel with large entries."""
     full = Subspace.full(build_classical("so", 9))
-    element = full.random_element(random.Random(f"rank:0:{full.dim}"))
+    element = random_element(full, random.Random(f"rank:0:{full.dim}"))
     return full.algebra.contract(element) @ full.basis.T
 
 

@@ -440,6 +440,16 @@ def test_abelian_family_without_n_is_an_error_line():
     assert code == 1 and err == "error: need --family/--n or --table\n"
 
 
+def test_algebra_without_a_positive_form_is_an_error_line(tmp_path):
+    """The abelian algebra's Killing form is zero, and no command line attaches a form."""
+    path = tmp_path / "ab.subspace"
+    path.write_text("ambient 2\nrows 1\n1 0\n")
+    code, err = _cli_error("check", "regular", "--family", "abelian", "--n", "2", "--subspace", str(path))
+    assert code == 1 and err == (
+        "error: the negative Killing form is not positive definite; checks need a compact "
+        "semisimple algebra, or a form attached from Python with goverify.lie.attach_form\n")
+
+
 def test_malformed_partition_is_an_error_line():
     code, err = _cli_error("check", "regular", "--family", "so", "--n", "6", "--partition", "2,x")
     assert code == 1 and err.startswith("error:") and "'2,x'" in err and "Traceback" not in err

@@ -17,8 +17,9 @@ from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
 from goverify.scenarios import ScenarioSpec, run_check
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement, projector
 from oracles import (direct_sum, fbracket, fmatmul, fractions, geodesic_lemma_solvable,
-                     go_solve_at, go_verdict_by_direction, metric_inner, replay_certificate,
-                     rescale, sampled_directions, stacked, two_step_identity_check)
+                     go_solve_at, go_verdict_by_direction, metric_inner, random_element,
+                     replay_certificate, rescale, sampled_directions, stacked,
+                     two_step_identity_check)
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 STRATEGY = SamplingStrategy(seed=11, random_count=16)
@@ -65,8 +66,8 @@ def test_unsolvable_direction_two_block_sum(so6):
     op = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
     k = layout.subalgebra
     rng = random.Random(3)
-    v4 = layout.offdiag_blocks[(1, 2)].random_element(rng)
-    v5 = layout.offdiag_blocks[(1, 3)].random_element(rng)
+    v4 = random_element(layout.offdiag_blocks[(1, 2)], rng)
+    v5 = random_element(layout.offdiag_blocks[(1, 3)], rng)
     result = go_solve_at(op, k, v4 + v5)
     assert isinstance(result, Unsolvable)
     assert result.rank_a < result.rank_ab
@@ -78,7 +79,7 @@ def test_witness_minimal_norm_deterministic(so6):
     op = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     merged = embed_so_partition(layout.algebra, (4, 2)).subalgebra
     rng = random.Random(9)
-    x = Subspace.full(layout.algebra).random_element(rng)
+    x = random_element(Subspace.full(layout.algebra), rng)
     first = go_solve_at(op, merged, x)
     second = go_solve_at(op, merged, x)
     assert isinstance(first, GoCertificate)
@@ -335,20 +336,20 @@ def test_two_step_identity(so6):
     # W = 0 reduces both expressions to [Z, LZ]: zero for a scalar operator
     op = block_metric(layout, named, [2] * 6)
     rng = random.Random(1)
-    z = Subspace.full(g).random_element(rng)
+    z = random_element(Subspace.full(g), rng)
     assert two_step_identity_check(op, layout.subalgebra, z, qarray([0] * 15))
     # commuting pair: both expressions vanish (bi-invariant case)
     w = layout.subalgebra.basis[0]
     z_comm = w * q(3)
     assert two_step_identity_check(op, layout.subalgebra, z_comm, w)
     # non-commuting pair: both expressions are nonzero together, never split
-    w2 = layout.subalgebra.random_element(rng)
-    z2 = Subspace.full(g).random_element(rng)
+    w2 = random_element(layout.subalgebra, rng)
+    z2 = random_element(Subspace.full(g), rng)
     two_step_identity_check(op, layout.subalgebra, z2, w2)  # must not raise
     # replayed witness from the solver satisfies the identity with X = Z - W
     op2 = block_metric(layout, named, [2, 2, 7, 2, 3, 3])
     merged = embed_so_partition(g, (4, 2)).subalgebra
-    x = Subspace.full(g).random_element(rng)
+    x = random_element(Subspace.full(g), rng)
     cert = go_solve_at(op2, merged, x)
     assert isinstance(cert, GoCertificate)
     assert two_step_identity_check(op2, merged, x + cert.witness, cert.witness)
@@ -364,7 +365,7 @@ def test_geodesic_lemma_route_agrees_with_witness_route(so6):
         op = block_metric(layout, named, params)
         m = orthogonal_complement(k)
         for _ in range(6):
-            x = m.random_element(rng)
+            x = random_element(m, rng)
             strict = isinstance(go_solve_at(op, k, x), GoCertificate)
             projected = geodesic_lemma_solvable(op, k, m, x)
             assert strict == projected

@@ -1,12 +1,13 @@
 """Metric operators: construction, equivariance, isometry subalgebra,
 bi-invariance and the naturally reductive normal form."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from goverify import arith, metrics, subspaces
+from goverify import arith, metrics, scenarios, subspaces
 from goverify.arith import is_zero, qarray
 from goverify.lie import build_classical, embed_so_partition
 from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
@@ -14,7 +15,8 @@ from goverify.metrics import (BlockSpec, MetricOperator, bi_invariance_check,
                               invariant_subspace, isometry_subalgebra,
                               metric_from_blocks, restrict_operator)
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement
-from oracles import bi_invariant_by_blocks, fmatmul, fractions, metric_inner, rescale
+from oracles import (bi_invariant_by_blocks, fmatmul, fractions, metric_inner, rescale,
+                     tensor)
 
 PARAM_NAMES = ["k1", "k2", "k3", "m1_2", "m1_3", "m2_3"]
 
@@ -144,6 +146,100 @@ def test_isometry_subalgebra_is_shared_per_span():
     subspaces.shared_subspace(Subspace(other.algebra, kp.basis * 2), "isometry")
     with pytest.raises(arith.ExactComputationError, match="basis differs"):
         isometry_subalgebra(op)
+
+
+def _set_partitions(items):
+    """Every set partition of ``items``, as lists of parts."""
+    if not items:
+        yield []
+        return
+    for rest in _set_partitions(items[1:]):
+        for i in range(len(rest)):
+            yield rest[:i] + [[items[0]] + rest[i]] + rest[i + 1:]
+        yield [[items[0]]] + rest
+
+
+def _integers(x) -> np.ndarray:
+    """A rational array times the lcm of its denominators, as Python ints."""
+    x = fractions(x)
+    scale = math.lcm(*(v.denominator for v in x.flat))
+    return np.array([int(v * scale) for v in x.flat], dtype=object).reshape(x.shape)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = metrics.skewness_system
+    monkeypatch.setattr(metrics, "skewness_system", lambda op: calls.append(1) or solve(op))
+    return calls
+
+
+def test_isometry_memo_is_the_solve_for_every_grouping(monkeypatch):
+    """For each of the 203 groupings of the six blocks of so(6)/(2,2,2) by equal
+    value, a second operator with other values in another order gets the first
+    one's isometry subalgebra from the memo, and that is its own exact solve,
+    also when rescaled past int64; each basis vector X satisfies
+    ``ad_X^T H + H ad_X = 0`` on the Fraction structure tensor, scaled to integers."""
+    layout = embed_so_partition(6, (2, 2, 2))   # fresh algebra: nothing memoized
+    named, g = layout.named_subspaces(), layout.algebra
+    dense, ads = tensor(g), {}
+    partitions = list(_set_partitions(list(range(6))))
+    assert len(partitions) == 203
+    calls = _count_solves(monkeypatch)
+    for parts in partitions:
+        value = {b: p for p, part in enumerate(parts) for b in part}
+        first = block_metric(layout, named, [value[b] + 1 for b in range(6)])
+        other = block_metric(layout, named, [Fraction(2 * (len(parts) - value[b]) + 1, 3)
+                                             for b in range(6)])
+        kprime = first.isometry_subalgebra
+        assert other.isometry_subalgebra is kprime
+        for op in (other, rescale(other, Fraction(3**40, 7))):
+            assert isometry_subalgebra(op) is kprime
+            assert kprime.basis.equals(Subspace(g, arith.nullspace_exact(
+                metrics.skewness_system(op)), check=False).basis)
+        if kprime not in ads:           # ad_X for each basis vector X, scaled to integers
+            ads[kprime] = _integers(np.tensordot(fractions(kprime.basis), dense, axes=1)
+                                    .transpose(0, 2, 1))
+        skew = np.matmul(_integers(other.metric_matrix), ads[kprime])
+        assert not (skew + skew.transpose(0, 2, 1)).any()
+    assert len(calls) == 203 + 2 * 203        # one memoized solve per grouping, and the references
+
+
+def test_isometry_subalgebra_with_a_center_block_is_solved_every_time(monkeypatch):
+    su3 = build_classical("su", 3)
+    torus = Subspace.from_indices(su3, [i for i, lab in enumerate(su3.labels) if lab.startswith("D")])
+    blocks = ((orthogonal_complement(torus), Fraction(5)),)
+    calls = _count_solves(monkeypatch)
+    kprimes = [metric_from_blocks(su3, BlockSpec(blocks, (torus, qarray([[2, 1], [1, 3]]))))
+               .isometry_subalgebra for _ in range(3)]
+    assert len(calls) == 3 and kprimes[1] is kprimes[0] and kprimes[2] is kprimes[0]
+
+
+def test_so6_grid_sweep_solves_once_per_grouping(monkeypatch):
+    spec = scenarios.ScenarioSpec(name="so6-grid", algebra={"family": "so", "n": 6},
+                                  subgroup={"partition": [2, 2, 2]},
+                                  metric={"grid": {"tuples": 36}}, checks=("sweep",),
+                                  samples=24, seed=1)
+    calls = _count_solves(monkeypatch)
+    record, = scenarios.run_check(spec).records
+    assert len(record["tuples"]) == 36 and len(calls) == 16
+
+
+def test_block_checks_raise_after_a_valid_block_set_is_memoized():
+    layout = embed_so_partition(6, (2, 2, 2))   # fresh algebra: nothing memoized
+    named, g = layout.named_subspaces(), layout.algebra
+    warm = block_metric(layout, named, [1, 2, 3, 4, 5, 6])
+    hit = block_metric(layout, named, [7, 1, 2, 2, 9, 1])
+    cold = embed_so_partition(6, (2, 2, 2))
+    assert hit.matrix.equals(block_metric(cold, cold.named_subspaces(), [7, 1, 2, 2, 9, 1]).matrix)
+    assert not hit.matrix.equals(warm.matrix)
+    tilted = Subspace(g, named["k1"].basis + named["m1_2"].basis[:1])
+    for _ in range(2):
+        blocks = ((tilted, Fraction(1)),) + tuple((named[n], Fraction(1)) for n in PARAM_NAMES[1:])
+        with pytest.raises(arith.ContractViolation, match="not orthogonal"):
+            metric_from_blocks(g, BlockSpec(blocks))
+        with pytest.raises(arith.ContractViolation, match="span dimension 14"):
+            metric_from_blocks(g, BlockSpec(((tilted, Fraction(1)),) + blocks[2:]))
+    assert sum(key[0] == "blocks" for key in g._memo) == 1
 
 
 def test_isometry_subalgebra_contains_equivariant_skew_subalgebras(so6):

@@ -15,7 +15,7 @@ from goverify.subspaces import (Subspace, centralizer_in,
                                 normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
 from oracles import (algebra_from_tensor, direct_sum, fmatmul, fractions, fzeros,
-                     rank_estimate_all_exact, tensor)
+                     random_element, rank_estimate_all_exact, tensor)
 import partition_table
 
 
@@ -408,12 +408,14 @@ def _spaces():
 
 @pytest.mark.parametrize("name", ["full", "denominators", "past-int64", "zero"])
 def test_random_element_matches_fraction_loop(name):
+    """The oracle's ``random_element``, over ``Subspace.random_coefficients``, is the
+    Fraction sum of ``randint(-9, 9)`` draws, and leaves the generator in its state."""
     space = _spaces()[name]
     for seed in range(25):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = space.random_element(rng)
+        got = random_element(space, rng)
         expected = _fraction_random_element(space, ref_rng)
-        assert isinstance(got, arith.Scaled) and all(isinstance(v, Fraction) for v in got)
+        assert all(isinstance(v, Fraction) for v in got)
         assert list(got) == list(expected)
         assert rng.getstate() == ref_rng.getstate()
     if name == "past-int64":
