@@ -11,6 +11,10 @@ and is one scalar on each irreducible constituent.  It decides an
 intertwiner space whose modules it separates, and it splits a module into
 primary components that each contain whole isotypic components, before any
 equivariance system is solved.
+
+Homomorphism spaces are solved by spinning (Lux & Szoke, Exp. Math. 12,
+2003): with V spanned by words in the generators applied to r start vectors,
+a map is fixed by the images of the starts, ``r * dim W`` unknowns.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -55,86 +60,128 @@ def ad_restriction(acting: Subspace, space: Subspace) -> AdRestriction:
 
 
 # ---------------------------------------------------------------------------
-# linear systems for intertwiners and commutants
+# homomorphism spaces by spinning
 # ---------------------------------------------------------------------------
 
 def _int_stacks(*restrictions: AdRestriction) -> list[np.ndarray]:
-    """Each restriction's action matrices as an integer stack (count, d, d).
-
-    All stacks are brought to one common denominator, which is dropped:
-    scaling every action matrix by the same nonzero integer leaves the
-    equivariance nullspace unchanged.
-    """
+    """The action matrices as integer stacks (count, d, d) over one common
+    denominator, which is dropped: it leaves the equivariance nullspace alone."""
     scale = math.lcm(*(r.matrices.scale for r in restrictions))
     return [(r.matrices * (scale // r.matrices.scale)).ints for r in restrictions]
 
 
-class _Stack:
-    """The rows enforcing ``cod[i] T = T dom[i]`` for every generator i, stacked
-    by generator, on the unknowns of T (``unknowns[a, b]`` numbers entry (a, b));
-    each unknown's first entry (the upper triangle when ``unknowns`` is
-    symmetric) has one equation.  ``ints`` scatters the rows straight from the
-    action matrices; ``self @ x.T`` multiplies them by the maps T in the rows of
-    ``x`` without building them, as ``cod[i] T - T dom[i]`` on the equations."""
+def _spin(gens: np.ndarray):
+    """Words spanning V mod ``_P``: from the first unit vector outside their span,
+    every generator applied to every new word, breadth first, keeping each image
+    independent of the words and images before it.  Word j is the start
+    ``e_label[j]`` if ``parent[j]`` is -1, else generator ``label[j]``
+    applied to word ``parent[j]``; ``levels`` are the index ranges made at once."""
+    count, n, _ = gens.shape
+    unit, vectors = np.eye(n, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+    images, parent, label, levels = vectors, [], [], []
+    while len(vectors) < n:
+        found = np.array(arith._modp_pivots(np.concatenate([vectors, images, unit]).T)[1][len(vectors):])
+        chosen = found[found < len(vectors) + len(images)] - len(vectors)
+        words = ([(levels[-1][0] + i // count, i % count) for i in chosen] if len(chosen)
+                 else [(-1, found[0] - len(vectors) - len(images))])
+        levels.append((len(parent), len(parent) + len(words)))
+        parent, label = parent + [p for p, _ in words], label + [g for _, g in words]
+        vectors = np.concatenate([vectors, images[chosen] if len(chosen) else unit[label[-1:]]])
+        images = arith.matmul_modp(gens, vectors[levels[-1][0]:].T).transpose(2, 0, 1).reshape(-1, n)
+    return parent, label, levels
 
-    def __init__(self, dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray):
-        self.dom, self.cod, self.unknowns = dom, cod, unknowns
-        self.rows, self.cols = np.divmod(np.unique(unknowns, return_index=True)[1], unknowns.shape[1])
+
+def _words(gens: np.ndarray, start, tree) -> Scaled:
+    """The words of ``tree`` (:func:`_spin`) in ``gens``, from ``start(s)`` at the start ``e_s``."""
+    parent, label, levels = tree
+    values = start(label[0])
+    for lo, hi in levels[1:]:
+        values = Scaled.concat([values, start(label[lo]) if parent[lo] < 0
+                                else Scaled(gens[label[lo:hi]]) @ values[parent[lo:hi]]])
+    return values
+
+
+class _Spun:
+    """The equivariance system of ``dom`` and ``cod`` on the images ``u`` of the
+    starts of the word basis ``B`` (:func:`_spin`), of full rank mod ``_P`` and
+    hence over Q.  ``T = X B^-1`` with ``X_j = P_j u_block(j)``, ``P_j`` word j
+    applied in W, intertwines iff ``D cod_k X_j = sum_l (D M_k)[l, j] X_l`` for
+    every generator k and word j, ``D M_k`` the integer ``D B^-1 dom_k B``.
+    ``self @ x`` evaluates these on the columns of x; ``ints`` builds the rows."""
+
+    def __init__(self, dom: np.ndarray, cod: np.ndarray):
+        n, self.dim = dom.shape[1], cod.shape[1]
+        self.tree = parent, label, _ = _spin((dom % arith._P).astype(np.int64))
+        self.starts, self.block = np.flatnonzero(np.array(parent) < 0), np.cumsum(np.array(parent) < 0) - 1
+        self.unknowns = len(self.starts) * self.dim
+        unit, eye = np.eye(n, dtype=np.int64), Scaled(np.eye(self.dim, dtype=np.int64)[None])
+        basis = _words(dom, lambda s: Scaled(unit[[s], :, None]), self.tree).reshape(n, n).T
+        self.inverse = arith.inverse(basis)
+        coeffs = self.inverse @ Scaled(dom) @ basis                  # M_k = B^-1 dom_k B over D
+        self.words, self.cod = _words(cod, lambda s: eye, self.tree), Scaled(cod)
+        self.coeffs_t, self.scale = Scaled(coeffs.ints.transpose(0, 2, 1)), coeffs.scale
+
+    def images(self, x: Scaled) -> Scaled:
+        """``X_j`` for the unknowns in the columns of x, stacked by word j."""
+        return self.words @ x.reshape(len(self.starts), self.dim, x.shape[-1])[self.block]
+
+    def equations(self, x: Scaled, words=slice(None)) -> Scaled:
+        """The equations at the words ``words`` on the columns of x, one row per
+        generator, word and entry of ``X_j``."""
+        images = self.images(x)
+        (count, dim, _), (n, _, width) = self.cod.shape, images.shape
+        chosen = images[words].transpose(1, 0, 2)
+        first = self.cod.reshape(count * dim, dim) @ chosen.reshape(dim, -1)
+        first = first.reshape(count, dim, chosen.shape[1], width).transpose(0, 2, 1, 3)
+        second = self.coeffs_t[:, words].reshape(-1, n) @ images.reshape(n, -1)
+        return (self.scale * first - second.reshape(first.shape)).reshape(math.prod(first.shape[:3]), width)
+
+    __matmul__ = equations
 
     @cached_property
     def ints(self) -> np.ndarray:
-        count, size, rows, cols = len(self.dom), len(self.rows), self.rows, self.cols
-        eq = size * np.arange(count * size).reshape(count, size, 1)   # flat start of each row
-        block = np.zeros(count * size * size, dtype=self.dom.dtype)
-        # 1-d indices and values: np.add.at is several times faster on them than on 3-d ones
-        np.add.at(block, (eq + self.unknowns[:, cols].T).ravel(), self.cod[:, rows].ravel())
-        np.subtract.at(block, (eq + self.unknowns[rows]).ravel(),
-                       self.dom[:, :, cols].transpose(0, 2, 1).ravel())
-        return block.reshape(count * size, size)
-
-    def __matmul__(self, xt: Scaled) -> Scaled:
-        maps = Scaled(xt.ints.T[:, self.unknowns], xt.scale)[:, None]       # (k, 1, d2, d1)
-        residual = Scaled(self.cod) @ maps - maps @ Scaled(self.dom)        # (k, count, d2, d1)
-        return (residual[:, :, self.rows, self.cols].transpose(1, 2, 0)
-                .reshape(len(self.dom) * len(self.rows), -1))
+        return (self @ Scaled(np.eye(self.unknowns, dtype=np.int64))).ints
 
 
-def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray,
-                        seed_tag: str) -> Scaled:
+def _hom(dom: np.ndarray, cod: np.ndarray) -> Scaled:
+    """A basis (dim Hom, dim W, dim V) of the maps T with ``cod[i] T = T dom[i]``
+    for every generator i.  The equations of :class:`_Spun` at the start words
+    give a kernel mod ``_P``; unless it reconstructs to exact solutions of all
+    equations (then the kernel: rank mod p <= rank), all equations cut it down."""
+    spun = _Spun(dom, cod)
+    first = spun.equations(Scaled(np.eye(spun.unknowns, dtype=np.int64)), spun.starts).ints % arith._P
+    kernel = arith.kernel_modp(first[first.any(axis=1)])
+    ints, (scale,) = arith._reconstruct(kernel[None], arith._P)
+    if scale is None or np.any((spun @ (u := Scaled(ints[0], scale)).T).ints):
+        rest = arith.kernel_modp(spun.equations(Scaled(kernel.T)).ints % arith._P)
+        u = arith.certified_kernel(spun, arith.matmul_modp(rest, kernel))
+    return spun.images(u.T).transpose(2, 1, 0) @ spun.inverse
+
+
+def _solve_equivariance(dom: np.ndarray, cod: np.ndarray, unknowns: np.ndarray) -> Scaled:
     """The maps T with cod[i] T = T dom[i] for every generator i, as rows of unknowns.
 
-    ``dom`` and ``cod`` are integer stacks of the generators' action matrices
-    (see :func:`_int_stacks`); ``unknowns`` numbers the unknowns of T by entry,
-    every entry for intertwiners and the upper triangle of a symmetric T, whose
-    equations are then symmetric too, for the commutant.  Over GF(p), the
-    block of one constraint -- a random integer combination of the
-    generators, or generator 0 when there are at most three -- is eliminated
-    to its canonical kernel (identity on the free columns); each later
-    constraint (a second combination, then every generator) replaces that
-    basis by the canonical kernel of its residual ``cod[i] T - T dom[i]``
-    times the basis.  The product is the canonical kernel mod p of the
-    :class:`_Stack` of all generators, which :func:`arith.certified_kernel`
-    lifts without eliminating the stack again.  Systems of at most
-    ``arith._DIRECT`` entries skip the modular stage.
-    """
-    stack = _Stack(dom, cod, unknowns)
-    count, size = len(dom), len(stack.rows)
+    ``dom`` and ``cod`` are integer stacks (:func:`_int_stacks`); ``unknowns``
+    numbers T's entries, all apart for intertwiners, the upper triangle of a
+    symmetric T for the commutant.  The result is the canonical nullspace basis
+    of the rows of every generator on the unknowns, solved directly up to
+    ``arith._DIRECT`` entries.  Larger systems read it off the maps of
+    :func:`_hom` that are equal where the unknowns are: the rref of their
+    unknowns with the columns reversed, read back to front."""
+    rows, cols = np.divmod(np.unique(unknowns, return_index=True)[1], unknowns.shape[1])
+    count, size = len(dom), len(rows)
     if count * size * size <= arith._DIRECT:
-        return arith.nullspace_exact(stack.ints)
-    res_dom, res_cod = ((gens % arith._P).astype(np.int64) for gens in (dom, cod))
-    if count > 3:
-        rng = random.Random(f"equiv:{seed_tag}:{count}:{size}")
-        coeffs = np.array([[rng.randint(-9, 9) for _ in range(count)] for _ in range(2)]) % arith._P
-        res_dom, res_cod = (np.concatenate([arith.matmul_modp(coeffs, res.reshape(count, -1))
-                                            .reshape(2, *res.shape[1:]), res])
-                            for res in (res_dom, res_cod))
-    basis = arith.kernel_modp(_Stack(res_dom[:1], res_cod[:1], unknowns).ints)
-    for dom_i, cod_i in zip(res_dom[1:], res_cod[1:]):
-        maps = basis[:, unknowns]
-        residual = (arith.matmul_modp(cod_i, maps) - arith.matmul_modp(maps, dom_i)) % arith._P
-        if np.any(residual):
-            basis = arith.matmul_modp(arith.kernel_modp(residual[:, stack.rows, stack.cols].T), basis)
-    return arith.certified_kernel(stack, basis)
+        eq = size * np.arange(count * size).reshape(count, size, 1)   # flat start of each row
+        block = np.zeros(count * size * size, dtype=dom.dtype)
+        # 1-d indices and values: np.add.at is several times faster on them than on 3-d ones
+        np.add.at(block, (eq + unknowns[:, cols].T).ravel(), cod[:, rows].ravel())
+        np.subtract.at(block, (eq + unknowns[rows]).ravel(), dom[:, :, cols].transpose(0, 2, 1).ravel())
+        return arith.nullspace_exact(block.reshape(count * size, size))
+    maps = _hom(dom, cod)
+    values = maps[:, rows, cols]
+    if size < unknowns.size and len(maps):
+        values = arith.nullspace_exact((maps - values[:, unknowns]).reshape(len(maps), -1).T) @ values
+    return arith.rref_exact(values[:, ::-1])[0][::-1, ::-1]
 
 
 def casimir(restriction: AdRestriction) -> Scaled:
@@ -191,20 +238,14 @@ def intertwiner_space(acting: Subspace, space1: Subspace, space2: Subspace) -> I
     (:func:`_casimirs_separate`: distinct scalars, or ``f(Omega)`` of full rank
     mod ``_P`` for f the smaller module's minimal polynomial), the space is
     empty with no linear system; this is exact because every T satisfies
-    ``T Omega_V = Omega_W T``.  Otherwise the equivariance system is solved.
+    ``T Omega_V = Omega_W T``.  Otherwise the equivariance system is solved
+    (with nothing acting, every map solves it).
     """
-    dom = ad_restriction(acting, space1)
-    cod = ad_restriction(acting, space2)
+    dom, cod = ad_restriction(acting, space1), ad_restriction(acting, space2)
     d1, d2 = space1.dim, space2.dim
-    if d1 == 0 or d2 == 0:
+    if d1 == 0 or d2 == 0 or acting.dim and _casimirs_separate(dom, cod):
         return IntertwinerSpace(dom, cod, ())
-    if acting.dim == 0:
-        null = Scaled(np.eye(d2 * d1, dtype=np.int64))
-    elif _casimirs_separate(dom, cod):
-        return IntertwinerSpace(dom, cod, ())
-    else:
-        entries = np.arange(d2 * d1).reshape(d2, d1)
-        null = _solve_equivariance(*_int_stacks(dom, cod), entries, seed_tag=f"itw:{d1}:{d2}")
+    null = _solve_equivariance(*_int_stacks(dom, cod), np.arange(d2 * d1).reshape(d2, d1))
     return IntertwinerSpace(dom, cod, tuple(null[r].reshape(d2, d1) for r in range(null.shape[0])))
 
 
@@ -240,16 +281,11 @@ def symmetric_commutant(restriction: AdRestriction) -> list[Scaled]:
     p = restriction.space.dim
     if p == 0:
         return []
-    unknowns = np.zeros((p, p), dtype=np.int64)
-    upper = np.triu_indices(p)
+    unknowns, upper = np.zeros((p, p), dtype=np.int64), np.triu_indices(p)
     unknowns[upper] = unknowns[upper[::-1]] = np.arange(len(upper[0]))
-    if restriction.acting.dim:
-        rho, = _int_stacks(restriction)
-        sym = _solve_equivariance(rho, -rho.transpose(0, 2, 1), unknowns, seed_tag=f"comm:{p}")
-    else:
-        sym = Scaled(np.eye(len(upper[0]), dtype=np.int64))   # nothing acts: every symmetric S
-    maps = restriction.space.gram_inverse @ Scaled(sym.ints[:, unknowns], sym.scale)
-    return [maps[r] for r in range(len(maps))]
+    rho, = _int_stacks(restriction)
+    sym = _solve_equivariance(rho, -rho.transpose(0, 2, 1), unknowns)
+    return list(restriction.space.gram_inverse @ Scaled(sym.ints[:, unknowns], sym.scale))
 
 
 @dataclass(frozen=True)
@@ -290,21 +326,18 @@ def split_pieces(acting: Subspace, space: Subspace) -> list[tuple[Subspace, str]
     """
     rng = random.Random(f"isotypic:0:{space.dim}")
     final: list[tuple[Subspace, str]] = []
-    stack = [space]
     omega = casimir(ad_restriction(acting, space))
-    if omega.scalar() is None:
-        stack = _primary_pieces(space, omega)
+    stack = [space] if omega.scalar() is not None else _primary_pieces(space, omega)
     while stack:
         piece = stack.pop()
         commutant = symmetric_commutant(ad_restriction(acting, piece))
-        if len(commutant) <= 1:
-            final.append((piece, "irreducible"))
-            continue
-        split = _try_split(piece, commutant, rng)
-        if split is None:
-            final.append((piece, "not-split-by-this-procedure"))
+        for _ in range(3 if len(commutant) > 1 else 0):
+            combo = sum((rng.randint(-9, 9) * c for c in commutant), Scaled.zeros(commutant[0].shape))
+            if len(parts := _primary_pieces(piece, combo)) > 1:
+                stack.extend(parts)
+                break
         else:
-            stack.extend(split)
+            final.append((piece, "irreducible" if len(commutant) <= 1 else "not-split-by-this-procedure"))
     return sorted(final, key=lambda pair: pair[0].sort_key())
 
 
@@ -315,52 +348,26 @@ def _primary_pieces(piece: Subspace, operator: Scaled) -> list[Subspace]:
             for _, rows in arith.primary_invariant_split(operator)]
 
 
-def _try_split(piece: Subspace, commutant: list[Scaled],
-               rng: random.Random) -> list[Subspace] | None:
-    for _ in range(3):
-        combo = sum((rng.randint(-9, 9) * c for c in commutant), Scaled.zeros(commutant[0].shape))
-        parts = _primary_pieces(piece, combo)
-        if len(parts) > 1:
-            return parts
-    return None
-
-
 def _merge_equivalent(acting: Subspace, pieces: list[tuple[Subspace, str]]):
-    n = len(pieces)
-    parent = list(range(n))
+    """Pieces joined where chains of nonzero intertwiner spaces link them, labeled, in sort order."""
+    parent = list(range(len(pieces)))
 
     def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            if not modules_disjoint(acting, pieces[i][0], pieces[j][0]):
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        return a if parent[a] == a else find(parent[a])
+    for i, j in combinations(range(len(pieces)), 2):
+        if find(i) != find(j) and not modules_disjoint(acting, pieces[i][0], pieces[j][0]):
+            parent[find(j)] = find(i)
+    groups: dict[int, list[tuple[Subspace, str]]] = {}
+    for i, piece in enumerate(pieces):
+        groups.setdefault(find(i), []).append(piece)
     out = []
     for members in groups.values():
-        total = pieces[members[0]][0]
-        for idx in members[1:]:
-            total = total.add(pieces[idx][0])
-        all_irr = all(pieces[idx][1] == "irreducible" for idx in members)
-        dims = {pieces[idx][0].dim for idx in members}
-        if all_irr and len(dims) == 1:
-            label = "irreducible" if len(members) == 1 else "isotypic"
-            mult = len(members)
-        else:
-            label = "not-split-by-this-procedure"
-            mult = None
-        out.append((total, label, mult))
-    out.sort(key=lambda triple: triple[0].sort_key())
-    return out
+        equal = (all(label == "irreducible" for _, label in members)
+                 and len({s.dim for s, _ in members}) == 1)
+        kind = "irreducible" if len(members) == 1 else "isotypic"
+        label = kind if equal else "not-split-by-this-procedure"
+        out.append((reduce(Subspace.add, (s for s, _ in members)), label, len(members) if equal else None))
+    return sorted(out, key=lambda triple: triple[0].sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +401,8 @@ def is_weakly_regular(space: Subspace) -> WeakRegularityReport:
         norm = normalizer(space)
         p = orthogonal_complement(norm)
         itw_dim = intertwiner_dim(norm, space, p)
-        return WeakRegularityReport(
-            weakly_regular=itw_dim == 0,
-            dim_subalgebra=space.dim,
-            dim_centralizer_in_complement=centralizer_in_complement(space).dim,
-            dim_opposite=p.dim,
-            intertwiner_dim=itw_dim,
-        )
+        return WeakRegularityReport(itw_dim == 0, space.dim, centralizer_in_complement(space).dim,
+                                    p.dim, itw_dim)
     return span_memo(space, build, "weakreg")
 
 
@@ -411,7 +413,4 @@ def criterion_weak_regularity(space: Subspace) -> bool:
     m, then the subalgebra is weakly regular (the normalizer only refines
     both sides).
     """
-    if space.dim == 0:
-        return True
-    complement = orthogonal_complement(space)
-    return modules_disjoint(space, space, complement)
+    return space.dim == 0 or modules_disjoint(space, space, orthogonal_complement(space))

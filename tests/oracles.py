@@ -235,7 +235,7 @@ def symmetric_commutant_two_stage(restriction) -> list:
         return []
     if restriction.acting.dim:
         rho, = reps._int_stacks(restriction)
-        comm = reps._solve_equivariance(rho, rho, np.arange(p * p).reshape(p, p), seed_tag=f"comm:{p}")
+        comm = reps._solve_equivariance(rho, rho, np.arange(p * p).reshape(p, p))
     else:
         comm = arith.Scaled(np.eye(p * p, dtype=np.int64))
     if comm.shape[0] == 0:
@@ -315,7 +315,7 @@ def random_element(space: Subspace, rng: random.Random) -> np.ndarray:
     return np.dot(coeffs, fractions(space.basis)) if space.dim else fzeros(space.algebra.dim)
 
 
-def _randint_element(space: Subspace, rng: random.Random) -> np.ndarray:
+def randint_element(space: Subspace, rng: random.Random) -> np.ndarray:
     """A combination of the basis rows with :func:`randint_coefficients`, in Fractions."""
     coeffs = np.array([Fraction(c) for c in randint_coefficients(rng, space.dim)], dtype=object)
     return np.dot(coeffs, fractions(space.basis)) if space.dim else fzeros(space.algebra.dim)
@@ -335,12 +335,12 @@ def sampled_directions(operator: MetricOperator, strategy: SamplingStrategy, wit
         pieces = [p for p in pieces if p.dim > 0]
         for i, j in itertools.combinations(range(len(pieces)), 2):
             rng = random.Random(f"pair:{strategy.seed}:{i}:{j}")
-            vi = _randint_element(pieces[i], rng)
-            vj = _randint_element(pieces[j], rng)
+            vi = randint_element(pieces[i], rng)
+            vj = randint_element(pieces[j], rng)
             out.append((f"pair:{i}:{j}", vi + vj))
     for r in range(strategy.random_count):
         rng = random.Random(f"random:{strategy.seed}:{r}")
-        out.append((f"random:{r}", _randint_element(space, rng)))
+        out.append((f"random:{r}", randint_element(space, rng)))
     return out
 
 
@@ -391,7 +391,7 @@ def rank_estimate_all_exact(space: Subspace) -> RankEstimate:
     for attempt in range(13):
         if attempt >= 5 and abelian:
             break
-        element = arith.Scaled.of(_randint_element(space, rng))
+        element = arith.Scaled.of(randint_element(space, rng))
         vectors = arith.nullspace_exact(algebra.contract(element) @ space.basis.T) @ space.basis
         if best is None or len(vectors) < len(best):
             best = vectors

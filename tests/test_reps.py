@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import random
-import types
 
 import numpy as np
 import pytest
@@ -322,7 +321,7 @@ def test_solve_equivariance_equals_stacked_nullspace(equivariance_problems, name
     assert count * unknowns * unknowns > arith._DIRECT    # the modular path, not the direct one
     assert (count <= 3) == (name == "three-generators")
     assert (dom.dtype == object) == (name == "python-int")
-    result = reps._solve_equivariance(dom, cod, _entries(dom, cod), seed_tag="test")
+    result = reps._solve_equivariance(dom, cod, _entries(dom, cod))
     expected = _stacked_kernel(dom, cod)
     assert _identical(result, expected)
     assert result.shape[0] > 0
@@ -331,18 +330,17 @@ def test_solve_equivariance_equals_stacked_nullspace(equivariance_problems, name
 
 
 @pytest.mark.parametrize("name", ["dom-ne-cod", "python-int", "symmetric"])
-def test_stack_product_equals_the_built_rows(equivariance_problems, name):
-    """``_Stack @ x.T`` multiplies the maps in the rows of x by every generator
-    without building the rows; it equals the product with the rows that
-    ``ints`` builds, row for row."""
+def test_spun_product_equals_the_built_rows(equivariance_problems, name):
+    """``_Spun @ x.T`` evaluates the equations on the images of the starts in
+    the rows of x without building the rows; it equals the product with the
+    rows that ``ints`` builds, row for row."""
     dom, cod = equivariance_problems["so4-commutant" if name == "symmetric" else name]
-    unknowns = _entries(dom, cod)
-    if name == "symmetric":                  # the commutant's S rho + rho^T S = 0 on S = S^T
-        cod, upper = -dom.transpose(0, 2, 1), np.triu_indices(dom.shape[1])
-        unknowns[upper] = unknowns[upper[::-1]] = np.arange(len(upper[0]))
-    stack = reps._Stack(dom, cod, unknowns)
-    x = arith.Scaled(np.random.RandomState(0).randint(-5, 6, size=(3, stack.ints.shape[1])), 7)
-    assert (stack @ x.T).equals(arith.Scaled(stack.ints) @ x.T)
+    if name == "symmetric":                  # the commutant's Hom(rho, -rho^T)
+        cod = -dom.transpose(0, 2, 1)
+    spun = reps._Spun(dom, cod)
+    assert spun.ints.shape == (len(dom) * dom.shape[1] * cod.shape[1], spun.unknowns)
+    x = arith.Scaled(np.random.RandomState(0).randint(-5, 6, size=(3, spun.unknowns)), 7)
+    assert (spun @ x.T).equals(arith.Scaled(spun.ints) @ x.T)
 
 
 def _no_reconstruction(residues, modulus):
@@ -366,24 +364,26 @@ def _watch_the_lift(monkeypatch):
 
 
 def test_failed_lift_falls_back_to_the_stacked_nullspace(equivariance_problems, monkeypatch):
-    """With no reconstruction, the p-adic lift and then Bareiss run on the
-    stacked system of all generators, which is never eliminated mod p."""
+    """With no reconstruction, the p-adic lift and then Bareiss run on the spun
+    system (every generator and word, dim W unknowns for one start), which is
+    never eliminated mod p."""
     dom, cod = equivariance_problems["so4-commutant"]
     expected = _stacked_kernel(dom, cod)
-    stack = (dom.shape[0] * 36, 36)
+    spun = (dom.shape[0] * 6 * 6, 6)
     seen = _watch_the_lift(monkeypatch)
     monkeypatch.setattr(arith, "_reconstruct", _no_reconstruction)
-    result = reps._solve_equivariance(dom, cod, _entries(dom, cod), seed_tag="test")
-    assert seen["lift"] == [stack] and seen["bareiss"] == [stack[0]]
-    assert seen["modp"] and all(rows != stack[0] for rows, _ in seen["modp"])
+    result = reps._solve_equivariance(dom, cod, _entries(dom, cod))
+    assert seen["lift"] == [spun] and seen["bareiss"].count(spun[0]) == 1
+    assert seen["modp"] and spun not in seen["modp"]
     assert _identical(result, expected)
 
 
 def test_commutant_past_31_bits_is_lifted_p_adically(so4_ideals, monkeypatch):
     """The so(4) adjoint action conjugated by a unimodular ``U`` with entries
     near ``2**20``: its canonical commutant basis has entries past 31 bits, so
-    it does not reconstruct mod ``_P``.  One p-adic lift on the stacked system
-    solves it, with no Bareiss and no elimination of the stack mod p."""
+    neither it nor the kernel on the images of the spun start reconstructs mod
+    ``_P``.  One p-adic lift on the spun system solves it, with no Bareiss on
+    its rows and no elimination of them mod p."""
     _, full, _ = so4_ideals
     rho, = reps._int_stacks(ad_restriction(full, full))
     upper, lower = np.eye(6, dtype=np.int64), np.eye(6, dtype=np.int64)
@@ -399,9 +399,9 @@ def test_commutant_past_31_bits_is_lifted_p_adically(so4_ideals, monkeypatch):
     reconstruct = arith._reconstruct
     monkeypatch.setattr(arith, "_reconstruct", lambda residues, modulus: reconstructions.append(modulus)
                         or reconstruct(residues, modulus))
-    result = reps._solve_equivariance(conj, conj, _entries(conj, conj), seed_tag="test")
-    assert seen["lift"] == [(6 * 36, 36)] and seen["bareiss"] == []
-    assert all(rows != 6 * 36 for rows, _ in seen["modp"])
+    result = reps._solve_equivariance(conj, conj, _entries(conj, conj))
+    assert seen["lift"] == [(6 * 36, 6)] and 6 * 36 not in seen["bareiss"]
+    assert (6 * 36, 6) not in seen["modp"]
     assert reconstructions[0] == arith._P and len(reconstructions) > 1
     assert _identical(result, expected) and result.shape[0] == 2
     assert max(max(abs(v.numerator), v.denominator) for v in fractions(result).reshape(-1)) > 2**31
@@ -417,45 +417,40 @@ def test_modular_kernel_too_large_fails_the_exact_check(equivariance_problems, m
     lift = arith._reconstruct
     monkeypatch.setattr(arith, "_reconstruct",
                         lambda residues, modulus: lifts.append(residues.shape) or lift(residues, modulus))
-    result = reps._solve_equivariance(shifted, shifted, _entries(shifted, shifted), seed_tag="test")
-    assert lifts[0] == (1, 2, 36)     # the modular kernel is the unshifted commutant
+    result = reps._solve_equivariance(shifted, shifted, _entries(shifted, shifted))
+    assert lifts[0] == (1, 2, 6)      # the modular kernel is the unshifted commutant's, on u
     assert _identical(result, expected)
 
 
-def test_candidate_failing_a_generator_is_rejected(so4_ideals, monkeypatch):
-    _, full, _ = so4_ideals
-    rho, = reps._int_stacks(ad_restriction(full, full))
-    count = rho.shape[0]
-    direct = _stacked_kernel(rho, rho)
-
-    class FirstGeneratorOnly:
-        """Random combinations that are all just the first generator."""
-
-        def __init__(self, seed):
-            self.calls = 0
-
-        def randint(self, low, high):
-            self.calls += 1
-            return 1 if self.calls % count == 1 else 0
-
+def test_start_word_kernel_is_cut_down_by_the_other_equations(monkeypatch):
+    """so(8)/(2,3,3), k acting on itself: the equations at the three start
+    words leave five maps mod p, whose candidate fails the exact check; the
+    equations at every word cut them to the three of the commutant, which is
+    the direct solve's."""
+    k = embed_so_partition(8, (2, 3, 3)).subalgebra
+    restriction = ad_restriction(k, k)
+    rho, = reps._int_stacks(restriction)
+    assert len(reps._Spun(rho, -rho.transpose(0, 2, 1)).starts) == 3
     kernels = []
     kernel_modp = arith.kernel_modp
-    monkeypatch.setattr(reps, "random", types.SimpleNamespace(Random=FirstGeneratorOnly))
     monkeypatch.setattr(arith, "kernel_modp", lambda mat: kernels.append(kernel_modp(mat)) or kernels[-1])
-    result = reps._solve_equivariance(rho, rho, _entries(rho, rho), seed_tag="test")
-    assert kernels[0].shape[0] > direct.shape[0]  # commutant of one generator only
-    assert len(kernels) > 1                        # later generators restrict it
-    assert _identical(result, direct)
+    comm = symmetric_commutant(restriction)
+    assert [kernel.shape for kernel in kernels] == [(5, 3 * 7), (3, 5)]
+    monkeypatch.setattr(arith, "_DIRECT", 10**9)
+    direct = symmetric_commutant(restriction)
+    assert len(comm) == 3 and all(_identical(a, b) for a, b in zip(comm, direct, strict=True))
 
 
 def test_so8_commutant_eliminates_no_stacked_system(monkeypatch):
+    """The so(8) adjoint is one spun module: every elimination has at most 28
+    unknown columns (the upper triangle of ``S = G T`` had 406)."""
     so8 = build_classical("so", 8)
     full = Subspace.full(so8)
-    heights = []
-    pivots = arith._modp_pivots
-    monkeypatch.setattr(arith, "_modp_pivots", lambda mat: heights.append(len(mat)) or pivots(mat))
+    widths = []
+    kernel_modp = arith.kernel_modp
+    monkeypatch.setattr(arith, "kernel_modp", lambda mat: widths.append(mat.shape[1]) or kernel_modp(mat))
     assert len(symmetric_commutant(ad_restriction(full, full))) == 1
-    assert max(heights) == 406    # the upper triangle of S = G T: 28 * 29 / 2 unknowns
+    assert widths and max(widths) <= 28
 
 
 # -- symmetric commutant on the symmetric unknowns S = G T ---------------------
@@ -517,17 +512,17 @@ def test_symmetric_commutant_spans_the_two_stage_oracle(commutant_cases, name):
 @pytest.mark.parametrize("name", ["so4-adjoint", "so6-k-on-sheared-m"])
 def test_symmetric_commutant_failed_lift_falls_back_to_the_exact_solve(commutant_cases, name,
                                                                        monkeypatch):
-    """With no reconstruction, the p-adic lift and then Bareiss run on the
-    stacked system on S alone, which is never eliminated mod p."""
+    """With no reconstruction, the p-adic lift and then Bareiss run on the spun
+    system of ``Hom(rho, -rho^T)``, which is never eliminated mod p."""
     restriction = commutant_cases[name]
     expected = symmetric_commutant_two_stage(restriction)
-    p, count = restriction.space.dim, restriction.acting.dim
-    size = p * (p + 1) // 2
+    rho, = reps._int_stacks(restriction)
+    spun = reps._Spun(rho, -rho.transpose(0, 2, 1)).ints.shape
     seen = _watch_the_lift(monkeypatch)
     monkeypatch.setattr(arith, "_reconstruct", _no_reconstruction)
     comm = symmetric_commutant(restriction)
-    assert seen["lift"] == [(count * size, size)] and seen["bareiss"] == [count * size]
-    assert seen["modp"] and all(rows != count * size for rows, _ in seen["modp"])
+    assert seen["lift"][0] == spun and seen["bareiss"].count(spun[0]) == 1
+    assert seen["modp"] and spun not in seen["modp"]
     assert _same_span(comm, expected)
 
 
@@ -665,3 +660,36 @@ def test_casimir_commutes_with_the_action_and_splits_the_isotypic_stack(so7_3211
     dec = isotypic_decomposition(k, m)
     assert max(sizes) < m.dim
     assert [c.dim for c in dec.components] == [1, 4, 6, 6]
+
+
+# -- pinned outputs: a non-cyclic module and so(7)/(3,2,1,1) ------------------------
+
+def test_non_cyclic_module_equals_the_stacked_nullspace(monkeypatch):
+    """k of so(6)/(2,2,2), a torus, acting on itself: three trivial
+    constituents, so no single vector generates the module.  With the direct
+    path switched off, the modular solve gives the stacked system's basis, and
+    the symmetric commutant the direct path's."""
+    k = embed_so_partition(6, (2, 2, 2)).subalgebra
+    rho, = reps._int_stacks(ad_restriction(k, k))
+    expected = _stacked_kernel(rho, rho)
+    direct = symmetric_commutant(ad_restriction(k, k))
+    monkeypatch.setattr(arith, "_DIRECT", 0)
+    assert len(reps._Spun(rho, rho).starts) == 3
+    assert _identical(reps._solve_equivariance(rho, rho, _entries(rho, rho)), expected)
+    assert expected.shape[0] == 9
+    spun = symmetric_commutant(ad_restriction(k, k))
+    assert len(spun) == 6 and all(_identical(a, b) for a, b in zip(spun, direct))
+
+
+def test_so7_3211_isotypic_decomposition_is_pinned(so7_3211):
+    """k acting on its complement in so(7)/(3,2,1,1): components, labels and
+    multiplicities as computed before the spinning solver, including the two
+    components of multiplicity 2 that stay ``not-split-by-this-procedure``."""
+    k = so7_3211.subalgebra
+    dec = isotypic_decomposition(k, orthogonal_complement(k))
+    assert dec.labels == ("irreducible", "not-split-by-this-procedure",
+                          "irreducible", "not-split-by-this-procedure")
+    assert dec.multiplicities == (1, None, 1, None)
+    pinned = [[20], [16, 17, 18, 19], [2, 3, 7, 8, 11, 12], [4, 5, 9, 10, 13, 14]]
+    for component, indices in zip(dec.components, pinned, strict=True):
+        assert _identical(component.basis, arith.Scaled(np.eye(k.algebra.dim, dtype=np.int64)[indices]))

@@ -9,6 +9,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from goverify import arith, go, lie, metrics, reps, scenarios, subspaces
@@ -597,13 +598,14 @@ def test_so16_dazi_solves_no_intertwiner_system(monkeypatch):
     never equivalent, so the ideal decomposition solves no intertwiner system
     (pairwise merging solved 28); only symmetric commutants are solved."""
     spec = dataclasses.replace(scenario_catalog()["so16-partition4"], checks=("dazi",))
-    tags = []
+    symmetric = []                 # intertwiners number every entry, commutants the upper triangle
     solve = reps._solve_equivariance
-    monkeypatch.setattr(reps, "_solve_equivariance", lambda dom, cod, unknowns, seed_tag:
-                        tags.append(seed_tag) or solve(dom, cod, unknowns, seed_tag))
+    monkeypatch.setattr(reps, "_solve_equivariance", lambda dom, cod, unknowns:
+                        symmetric.append(np.array_equal(unknowns, unknowns.T))
+                        or solve(dom, cod, unknowns))
     record, = run_check(spec).records
     assert record["name"] == "dazi"
-    assert tags and not any(tag.startswith("itw:") for tag in tags)
+    assert symmetric and all(symmetric)
 
 
 def test_regular_check_ranks_so9_without_an_exact_kernel(monkeypatch):

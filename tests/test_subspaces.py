@@ -15,7 +15,7 @@ from goverify.subspaces import (Subspace, centralizer_in,
                                 normalizer, orthogonal_complement, rank_estimate)
 from test_arith import _reference_nullspace
 from oracles import (algebra_from_tensor, direct_sum, fmatmul, fractions, fzeros,
-                     random_element, rank_estimate_all_exact, tensor)
+                     randint_element, random_element, rank_estimate_all_exact, tensor)
 import partition_table
 
 
@@ -381,19 +381,6 @@ def test_rank_takes_an_exact_kernel_only_to_complete_the_greedy_basis(monkeypatc
 
 # -- random elements ---------------------------------------------------------------
 
-def _fraction_random_element(space, rng, bound=9):
-    """Direction sampling as a Fraction sum over basis rows (the reference)."""
-    while True:
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(space.dim)]
-        if any(c != 0 for c in coeffs) or space.dim == 0:
-            break
-    vec = fzeros(space.algebra.dim)
-    for c, row in zip(coeffs, fractions(space.basis)):
-        if c != 0:
-            vec = vec + c * row
-    return vec
-
-
 def _spaces():
     layout = embed_so_partition(6, (2, 2, 2))
     g = layout.algebra
@@ -409,12 +396,13 @@ def _spaces():
 @pytest.mark.parametrize("name", ["full", "denominators", "past-int64", "zero"])
 def test_random_element_matches_fraction_loop(name):
     """The oracle's ``random_element``, over ``Subspace.random_coefficients``, is the
-    Fraction sum of ``randint(-9, 9)`` draws, and leaves the generator in its state."""
+    Fraction sum of ``randint(-9, 9)`` draws (``randint_element``), and leaves the
+    generator in its state."""
     space = _spaces()[name]
     for seed in range(25):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = random_element(space, rng)
-        expected = _fraction_random_element(space, ref_rng)
+        expected = randint_element(space, ref_rng)
         assert all(isinstance(v, Fraction) for v in got)
         assert list(got) == list(expected)
         assert rng.getstate() == ref_rng.getstate()
