@@ -219,10 +219,11 @@ def replay_certificates(operator: MetricOperator, certificates: GoCertificate,
 
 def replay_counterexample(operator: MetricOperator, subalgebra: Subspace,
                           counterexample: Unsolvable) -> bool:
-    """Re-verify the exact rank gap of a disproving direction."""
+    """Re-verify the exact rank gap of a disproving direction (one elimination ranks both)."""
     aug, _ = _witness_system(operator, subalgebra, Scaled.of(counterexample.direction))
-    rank_a = arith.rank_exact(aug[:, :-1])
-    rank_ab = arith.rank_exact(aug)
+    pivots, _ = arith._eliminate_int(aug.tolist(), reduce_above=False)   # forward, on [A | b]
+    rank_ab = len(pivots)
+    rank_a = rank_ab - (aug.shape[1] - 1 in pivots)     # a pivot in b's column is not A's
     return rank_a == counterexample.rank_a and rank_ab == counterexample.rank_ab \
         and rank_a < rank_ab
 

@@ -6,9 +6,10 @@ nonzero constants are stored: :attr:`StructureAlgebra.coo` holds read-only
 integer arrays ``(i, j, k, c)``, 0-based and sorted by ``(i, j, k)``, with
 ``c[i,j,k] = c / scale`` for one positive, reduced ``scale``.  Every
 contraction with the constants goes through :meth:`StructureAlgebra.contract`,
-which returns ``ad(v)`` as integers and a scale.  Validation (antisymmetry,
-Jacobi, an optional matrix realization) is exact and sparse, and runs once per
-algebra: a success is recorded in :attr:`StructureAlgebra.validated`.
+which returns ``ad(v)`` as integers and a scale.  Validation is exact and sparse
+and runs once per algebra (:attr:`StructureAlgebra.validated`): antisymmetry, then
+one check, by COO joins in blocks of index pairs, that the adjoint matrices and
+any realization ``R_a`` satisfy ``[R_a, R_b] = sum_k c[a,b,k] R_k``.
 
 Basis conventions
 -----------------
@@ -47,9 +48,8 @@ from . import arith
 from .arith import ContractViolation, Scaled
 
 
-# matrix entries of R_a R_b per block of the realization check: small enough that
-# the block's temporaries go back to the allocator rather than grow the heap
-_PAIR_BLOCK = 2**14
+# terms summed at once by the representation check (about 100 bytes each at the peak)
+_TERM_BUDGET = 2**18
 
 
 class ValidationError(ValueError):
@@ -173,74 +173,79 @@ class StructureAlgebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Exact antisymmetry, Jacobi and realization checks; raises on failure.
-
-        A success is recorded in ``validated`` and a later call returns at
-        once.  The axioms are summed over the stored entries, int64 when every
-        Jacobi sum fits and Python ints otherwise; the reported index is the
-        lexicographically first failing one.
+        """Exact antisymmetry, Jacobi and realization checks, run once (a success is recorded
+        in ``validated``); raises on failure, naming the lexicographically first failing index.
+        Given antisymmetry, ``J(i,j,k,l) = -([ad_i, ad_j] - ad_[e_i,e_j])[l, k]``, so Jacobi is
+        :meth:`_check_representation` of ``ad_i[l, k] = c[i,k,l]``, as the realization is of
+        its matrices.
         """
         if self.validated:
             return
         d = self.dim
         i, j, k, c = self.coo
-        if not self._constants.fits(self._constants, 3 * d):
-            c = c.astype(object)
         _check_sums("antisymmetry", d, np.ravel_multi_index(
             (np.r_[i, j], np.r_[j, i], np.r_[k, k]), (d,) * 3), np.r_[c, c])
-        # T(a,b,g,l) = [[e_a,e_b],e_g]_l = sum_m c[a,b,m] c[m,g,l]: join each entry
-        # (a,b,m) with the entries (m,g,l), which are contiguous since i is sorted
-        lo, count = np.searchsorted(i, k), np.bincount(i, minlength=d)[k]
-        left = np.repeat(np.arange(k.size), count)
-        right = np.arange(left.size) + np.repeat(lo - np.cumsum(count) + count, count)
-        a, b, g, l = i[left], j[left], j[right], k[right]
-        term = c[left] * c[right]
-        # J(i,j,k,l) = T(i,j,k,l) + T(k,i,j,l) + T(j,k,i,l), so T(a,b,g,l) is a
-        # summand of J(a,b,g,l), J(b,g,a,l) and J(g,a,b,l)
-        _check_sums("Jacobi", d, np.ravel_multi_index(
-            (np.r_[a, b, g], np.r_[b, g, a], np.r_[g, a, b], np.r_[l, l, l]), (d,) * 4),
-            np.tile(term, 3))
+        failing = self._check_representation((i, k, j, c), self.scale, d)
+        if failing is not None:
+            raise ValidationError(f"Jacobi fails at (i,j,k,l)={tuple(t + 1 for t in failing)}")
         if self.realization is not None:
-            self._validate_realization()
+            if len(self.realization) != d:
+                raise ValidationError("realization length does not match dim")
+            stack = Scaled.of(self.realization)
+            entries = np.nonzero(stack.ints)
+            failing = self._check_representation((*entries, stack.ints[entries]), stack.scale,
+                                                 stack.shape[-1])
+            if failing is not None:
+                raise ValidationError(f"realization bracket mismatch at basis pair "
+                                      f"({failing[0] + 1},{failing[1] + 1})")
         self.validated = True
 
-    def _validate_realization(self) -> None:
-        """``[R_a, R_b] = sum_k c[a,b,k] R_k`` for every pair ``a < b``, in blocks of rows ``a``
-        of about ``_PAIR_BLOCK`` entries (no all-pairs stack).
+    def _check_representation(self, mats, scale: int, size: int) -> tuple[int, ...] | None:
+        """The first key ``(a, b, col, row)`` at which ``[R_a, R_b] - sum_k c[a,b,k] R_k`` is
+        nonzero, or None; ``mats = (mat, row, col, value)`` are the nonzero entries of the
+        ``size x size`` matrices ``R = value / scale``, sorted by ``mat``.
 
-        Both sides are exact :class:`Scaled` products, on float64 BLAS while
-        bounded: ``R_a R_b`` and ``R_b R_a`` for a block's rows and every later
-        b, and the block's constants times the ``R_k`` they name.  Pairs
-        ``b <= a`` in a block are checked too; both sides are antisymmetric
-        (the constants are checked first), so the first failure in row order is
-        the lexicographically first failing pair ``a < b``, which is named.
+        The defect is antisymmetric in ``(a, b)`` as the constants are, so only ``a < b`` is
+        joined.  The terms of key ``(a, b, ...)`` are counted per pair and summed by key in
+        blocks of consecutive pairs of about ``_TERM_BUDGET`` terms (one pair at least), on
+        int64 when a key's absolute terms sum below ``2**62`` and Python ints otherwise.
         """
-        if len(self.realization) != self.dim:
-            raise ValidationError("realization length does not match dim")
-        stack = Scaled.of(self.realization)
-        d, m = self.dim, stack.shape[-1]
-        i, j, k, c = self.coo
-        starts = np.searchsorted(i, np.arange(d + 1))
-        step = max(1, _PAIR_BLOCK // (d * m * m))
-        for a0 in range(0, d - 1, step):
-            rows, later = stack[a0:a0 + step], stack[a0 + 1:]
-            size, count = len(rows), len(later)
-            ab = (rows.reshape(-1, m) @ later.transpose(1, 0, 2).reshape(m, -1))   # [(a,r),(b,t)]
-            ba = (later.reshape(-1, m) @ rows.transpose(1, 0, 2).reshape(m, -1))   # [(b,r),(a,t)]
-            mine = np.arange(starts[a0], starts[a0 + size])
-            mine = mine[j[mine] > a0]
-            targets, column = np.unique(k[mine], return_inverse=True)
-            coef = np.zeros((size, count, targets.size), dtype=c.dtype)
-            coef[i[mine] - a0, j[mine] - a0 - 1, column] = c[mine]
-            expected = (Scaled(coef.reshape(size * count, -1), self.scale)
-                        @ stack[targets].reshape(targets.size, m * m))
-            diff = (ab.reshape(size, m, count, m).transpose(0, 2, 1, 3)
-                    - ba.reshape(count, m, size, m).transpose(2, 0, 1, 3)).reshape(size * count, -1)
-            failing = (diff - expected).ints.any(axis=1).reshape(size, count)
-            if failing.any():
-                a, b = np.argwhere(failing)[0]
-                raise ValidationError(
-                    f"realization bracket mismatch at basis pair ({a0 + a + 1},{a0 + b + 2})")
+        d, (mat, row, col, value), (i, j, k, c) = self.dim, mats, self.coo
+        g, value = math.gcd(self.scale, scale), Scaled(value)
+        s, t = self.scale // g, scale // g          # the defect times scale**2 * self.scale / g
+        wide = s * 2 * size * value.bound ** 2 + t * d * self._constants.bound * value.bound
+        value, c = (value.ints, c) if wide < arith._PRODUCT_LIMIT else (value.ints.astype(object),
+                                                                        c.astype(object))
+        starts, pair = np.searchsorted(mat, np.arange(d + 1)), i * d + j
+        lo3, hi3 = starts[k], np.where(j > i, starts[k + 1], starts[k])
+        by_row, by_col = np.lexsort((mat, row)), np.lexsort((mat, col))
+        row_keys, col_keys = (row * d + mat)[by_row], (col * d + mat)[by_col]
+        # terms per pair: where a column of R_a meets a row of R_b (R_a R_b), the converse, and c
+        in_row, in_col = (np.bincount(mat * size + x, np.ones(mat.size), d * size).reshape(d, size)
+                          for x in (row, col))
+        meet = in_col @ in_row.T + np.bincount(pair, hi3 - lo3, d * d).reshape(d, d)
+        block = np.cumsum(np.triu(meet + meet.T, 1)) // _TERM_BUDGET   # of each pair a * d + b
+        heads = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), d * d]
+        # key = ((a * d + b) * size + col) * size + row, split between the two factors of a term
+        n2, cell = size * size, col * size + row
+        a_row, a_col = mat * d * n2 + row, mat * d * n2 + col * size
+        b_row, b_col = mat * n2 + row, mat * n2 + col * size
+        for h0, h1 in zip(heads, heads[1:]):
+            e = np.arange(starts[h0 // d], starts[-(-h1 // d)])
+            bounds = np.clip(np.array([[h0], [h1]]) - mat[e] * d, mat[e] + 1, d)   # the b of each e
+            (l1, p1), (l2, p2) = (_join(e, *np.searchsorted(keys, inner[e] * d + bounds))
+                                  for keys, inner in ((row_keys, col), (col_keys, row)))
+            q = np.arange(*np.searchsorted(pair, (h0, h1)))
+            (l3, p3), p1, p2 = _join(q, lo3[q], hi3[q]), by_row[p1], by_col[p2]
+            keys = np.concatenate([a_row[l1] + b_col[p1], a_col[l2] + b_row[p2],
+                                   pair[l3] * n2 + cell[p3]])
+            keys, sums = _sum_by_key(keys, np.concatenate([s * value[l1] * value[p1],
+                                                            -s * value[p2] * value[l2],
+                                                            -t * c[l3] * value[p3]]))
+            failing = keys[sums != 0]
+            if failing.size:
+                return tuple(int(x) for x in np.unravel_index(failing[0], (d, d, size, size)))
+        return None
 
     # -- derived structure ---------------------------------------------------
 
@@ -258,8 +263,7 @@ class StructureAlgebra:
         group = np.minimum(np.searchsorted(places, j * d + k), max(places.size - 1, 0))
         hit = places[group] == j * d + k
         count = np.where(hit, np.diff(np.r_[starts, first.size])[group], 0)
-        left = np.repeat(np.arange(i.size), count)
-        right = np.arange(left.size) + np.repeat(starts[group] - np.cumsum(count) + count, count)
+        left, right = _join(np.arange(i.size), starts[group], starts[group] + count)
         if not self._constants.fits(self._constants, d * d):
             c, coef = c.astype(object), coef.astype(object)
         keys, sums = _sum_by_key(i[left] * d + first[right], c[left] * coef[right])
@@ -298,22 +302,28 @@ def _canonical_coo(dim: int, coo, scale: int) -> tuple[tuple[np.ndarray, ...], i
     return arrays, scale // g
 
 
+def _join(left: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of ``left`` once per position of its range ``lo:hi``, and those positions."""
+    count = hi - lo
+    offset = np.repeat(lo - np.cumsum(count) + count, count)
+    return np.repeat(left, count), np.arange(offset.size) + offset
+
+
 def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order and the exact sum of each key's values."""
     order = np.argsort(keys, kind="stable")
-    keys, starts = np.unique(keys[order], return_index=True)
-    return keys, np.add.reduceat(values[order], starts) if keys.size else values[:0]
+    keys = keys[order]
+    first = np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1]))   # of each run, if any
+    return keys[first], np.add.reduceat(values[order], np.flatnonzero(first))
 
 
 def _check_sums(axiom: str, dim: int, keys: np.ndarray, values: np.ndarray) -> None:
-    """Raise for the lexicographically first index tuple whose values sum to nonzero."""
+    """Raise for the lexicographically first index ``(i, j, k)`` whose values sum to nonzero."""
     keys, sums = _sum_by_key(keys, values)
     failing = keys[sums != 0]
     if failing.size:
-        letters = "ijk" if axiom == "antisymmetry" else "ijkl"
-        index = np.unravel_index(failing[0], (dim,) * len(letters))
-        raise ValidationError(f"{axiom} fails at ({','.join(letters)})="
-                              f"{tuple(int(t) + 1 for t in index)}")
+        index = np.unravel_index(failing[0], (dim,) * 3)
+        raise ValidationError(f"{axiom} fails at (i,j,k)={tuple(int(t) + 1 for t in index)}")
 
 
 def attach_form(algebra: StructureAlgebra, matrix) -> StructureAlgebra:

@@ -22,7 +22,9 @@ fraction-free elimination, against which the primitive-row elimination
 ``arith._eliminate_int`` is checked.
 And :func:`replay_certificate` re-verifies one GO certificate at a time, the
 per-certificate route against which the stacked ``go.replay_certificates`` of
-replay is checked.  :func:`direct_sum` builds product algebras for the tests.
+replay is checked.  :func:`direct_sum` builds product algebras for the tests,
+and :func:`unimodular` with :func:`change_basis` writes an algebra in another
+integer basis, where its structure table is dense.
 """
 
 import itertools
@@ -95,6 +97,40 @@ def direct_sum(algebras: list[StructureAlgebra]) -> StructureAlgebra:
     if len(algebras) > 1:
         out._known_simple = False
     return out
+
+
+def first_failing_pair(dense, mats) -> tuple[int, int] | None:
+    """The first pair ``a < b`` with ``[R_a, R_b] != sum_k c[a,b,k] R_k``, pair by pair in
+    Fractions (``dense`` the Fraction structure tensor), or None.  Nothing of
+    ``goverify.arith`` is used: the matrices are read entry by entry."""
+    mats = [np.array([[_fraction(v) for v in row] for row in m], dtype=object) for m in mats]
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        defect = np.dot(mats[a], mats[b]) - np.dot(mats[b], mats[a])
+        defect = defect - sum(dense[a, b, k] * mats[k] for k in range(len(mats)))
+        if any(v != 0 for v in defect.ravel()):
+            return a, b
+    return None
+
+
+def unimodular(dim: int, operations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A unimodular integer ``P`` and its inverse (Python-int object arrays), the product of
+    ``operations`` elementary row operations ``row_p += t * row_q`` with ``t`` in +-1, +-2."""
+    rng = random.Random(f"unimodular:{seed}")
+    p, inverse = np.eye(dim, dtype=object), np.eye(dim, dtype=object)
+    for _ in range(operations):
+        r, s = rng.sample(range(dim), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        p[r] += t * p[s]                        # P <- E P
+        inverse[:, s] -= t * inverse[:, r]      # P^-1 <- P^-1 E^-1
+    return p, inverse
+
+
+def change_basis(dense, p, inverse) -> np.ndarray:
+    """The structure tensor in the basis ``f_i = sum_a P[i,a] e_a``: ``c'[i,j,l] =
+    sum P[i,a] P[j,b] c[a,b,k] P^-1[k,l]``, in Fractions."""
+    dense = np.tensordot(np.tensordot(p, np.tensordot(p, dense, axes=(1, 1)), axes=(1, 1)),
+                         inverse, axes=1)
+    return np.array([_fraction(v) for v in dense.ravel()], dtype=object).reshape(dense.shape)
 
 
 def algebra_from_tensor(dense) -> StructureAlgebra:

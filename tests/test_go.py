@@ -2,6 +2,7 @@
 the trilinear condition, normalizer equivariance, and splitting."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from goverify.go import (GoCertificate, SamplingStrategy, Unsolvable, go_verdict
                          replay_certificates, replay_counterexample, split_check)
 from goverify.lie import build_classical, embed_so_partition, attach_form
 from goverify.metrics import BlockSpec, isometry_subalgebra, metric_from_blocks
-from goverify.scenarios import ScenarioSpec, run_check
+from goverify.scenarios import ScenarioSpec, replay_report, run_check
 from goverify.subspaces import Subspace, ideal_decomposition, orthogonal_complement, projector
 from oracles import (direct_sum, fbracket, fmatmul, fractions, geodesic_lemma_solvable,
                      go_solve_at, go_verdict_by_direction, metric_inner, random_element,
@@ -101,6 +102,30 @@ def test_go_verdict_disproved_and_replay(so6):
     assert verdict.disproved
     assert verdict.counterexample_label.startswith("pair:")
     assert replay_counterexample(op, layout.subalgebra, verdict.counterexample)
+
+
+def test_replayed_ranks_from_one_elimination_match_two_rank_calls(monkeypatch):
+    """On every counterexample of the so(6)/(2,2,2) grid sweep (36 tuples, seed 1), replay
+    reads the two ranks that ``rank_exact`` gives for A and [A | b] off one elimination;
+    a counterexample with a tampered rank or direction is rejected."""
+    spec = ScenarioSpec(name="sweep-so6", algebra={"family": "so", "n": 6},
+                        subgroup={"partition": [2, 2, 2]}, metric={"grid": {"tuples": 36}},
+                        checks=("sweep",), samples=24, seed=1)
+    seen, replay = [], go.replay_counterexample
+    monkeypatch.setattr(go, "replay_counterexample",
+                        lambda *args: seen.append(args) or replay(*args))
+    outcome = replay_report(run_check(spec).to_machine())
+    assert outcome["ok"] and len(seen) == outcome["verified"] > 0
+    for operator, subalgebra, counterexample in seen:
+        aug, _ = go._witness_system(operator, subalgebra, counterexample.direction)
+        ranks = (arith.rank_exact(aug[:, :-1]), arith.rank_exact(aug))
+        assert (counterexample.rank_a, counterexample.rank_ab) == ranks
+        assert replay(operator, subalgebra, counterexample)
+        zero = arith.Scaled.zeros(operator.algebra.dim)
+        for tampered in (replace(counterexample, rank_a=ranks[0] + 1),
+                         replace(counterexample, rank_ab=ranks[1] - 1),
+                         replace(counterexample, direction=zero)):
+            assert not replay(operator, subalgebra, tampered)
 
 
 def test_eigenspace_pair_completeness(so6):

@@ -14,7 +14,8 @@ from goverify.lie import (ValidationError, build_classical, embed_so_partition,
                           ingest_structure_table, serialize_structure_table,
                           so_pair_index)
 from goverify.subspaces import Subspace, orthogonal_complement
-from oracles import algebra_from_tensor, direct_sum, fad, fmatmul, fractions, fzeros, tensor
+from oracles import (algebra_from_tensor, change_basis, direct_sum, fad, first_failing_pair,
+                     fmatmul, fractions, fzeros, tensor, unimodular)
 
 
 def brute_force_killing(algebra):
@@ -193,32 +194,89 @@ def test_realization_mismatch_names_the_first_failing_pair():
         algebra.validate()
 
 
-def _first_failing_pair(algebra, mats):
-    """The first pair a < b with ``[R_a, R_b] != sum_k c[a,b,k] R_k``, pair by pair in Fractions."""
-    mats = [fmatmul(np.eye(len(m), dtype=np.int64), m) for m in mats]
-    dense = tensor(algebra)
-    for a in range(algebra.dim):
-        for b in range(a + 1, algebra.dim):
-            expected = sum(dense[a, b, k] * mats[k] for k in range(algebra.dim))
-            if not is_zero(np.dot(mats[a], mats[b]) - np.dot(mats[b], mats[a]) - expected):
-                return a, b
-    return None
+def _counting_sums(monkeypatch) -> list:
+    """Record the number of keys of every ``_sum_by_key`` call, one call per block of terms."""
+    sizes, sum_by_key = [], lie._sum_by_key
+    monkeypatch.setattr(lie, "_sum_by_key", lambda keys, values: sizes.append(keys.size)
+                        or sum_by_key(keys, values))
+    return sizes
 
 
 @pytest.mark.parametrize("family, n, swap", [("so", 9, (14, 20)), ("so", 9, (3, 35)),
-                                             ("su", 4, (7, 12)), ("sp", 2, (0, 9))])
-def test_blocked_realization_check_names_the_first_failing_pair(family, n, swap):
-    """With many rows per block and several blocks, the check names the same first
-    failing pair as a pair-by-pair Fraction check."""
+                                             ("su", 4, (11, 14)), ("sp", 2, (5, 8))])
+def test_blocked_realization_check_names_the_first_failing_pair(family, n, swap, monkeypatch):
+    """With one pair (a, b) per block of terms, the failing pair lands in a later block
+    and the check names the same first failing pair as a pair-by-pair Fraction check."""
     algebra = build_classical(family, n)
-    assert lie._PAIR_BLOCK // (algebra.dim * algebra.realization.shape[-1] ** 2) > 1
     mats = list(algebra.realization)
     mats[swap[0]], mats[swap[1]] = mats[swap[1]], mats[swap[0]]
-    a, b = _first_failing_pair(algebra, mats)
+    a, b = first_failing_pair(tensor(algebra), mats)
     broken = lie.StructureAlgebra(dim=algebra.dim, coo=algebra.coo, scale=algebra.scale,
                                   realization=np.stack(mats))
+    monkeypatch.setattr(lie, "_TERM_BUDGET", 1)
+    sizes = _counting_sums(monkeypatch)
+    lie.StructureAlgebra(dim=algebra.dim, coo=algebra.coo, scale=algebra.scale).validate()
+    axioms = len(sizes)                         # the antisymmetry sum and the Jacobi blocks
     with pytest.raises(ValidationError, match=re.escape(f"basis pair ({a + 1},{b + 1})")):
         broken.validate()
+    assert len(sizes) - 2 * axioms > 1          # the realization failed past its first block
+
+
+def test_blocked_jacobi_check_names_the_reference_index(monkeypatch):
+    """With one pair (i, j) per block of terms, a Jacobi failure past the first block is the
+    brute-force reference's index."""
+    dense = tensor(build_classical("so", 5))
+    dense[8, 9, 9] += 1
+    dense[9, 8, 9] -= 1
+    kind, idx = _first_failure(dense)
+    assert kind == "Jacobi"
+    monkeypatch.setattr(lie, "_TERM_BUDGET", 1)
+    sizes = _counting_sums(monkeypatch)
+    with pytest.raises(ValidationError) as excinfo:
+        algebra_from_tensor(dense).validate()
+    assert str(excinfo.value) == f"Jacobi fails at (i,j,k,l)={idx}"
+    assert len(sizes) > 2                       # antisymmetry, then more than one Jacobi block
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([("so", 5), ("su", 3), ("sp", 2)]), st.data())
+def test_perturbed_realization_names_the_reference_pair_on_both_paths(algebra, data):
+    """One perturbed realization entry: validate names the Fraction reference's pair, on
+    int64 at scale 1 and on Python ints with matrices and constants times 2**40."""
+    algebra = build_classical(*algebra)
+    mats = [m.astype(object) for m in algebra.realization]
+    a, r, c = (data.draw(st.integers(0, bound - 1)) for bound in (algebra.dim, *mats[0].shape))
+    mats[a][r, c] += data.draw(st.sampled_from([-2, -1, 1, 3]))
+    expected = first_failing_pair(tensor(algebra), mats)
+    for scale in (1, 2**40):
+        scaled = lie.StructureAlgebra(dim=algebra.dim, scale=algebra.scale,
+                                      coo=(*algebra.coo[:3], algebra.coo[3] * scale),
+                                      realization=np.stack(mats) * scale)
+        assert (arith.Scaled.of(scaled.realization).bound ** 2 >= 2**62) == (scale != 1)
+        if expected is None:
+            scaled.validate()
+            continue
+        with pytest.raises(ValidationError) as excinfo:
+            scaled.validate()
+        assert str(excinfo.value) == f"realization bracket mismatch at basis pair " \
+            f"({expected[0] + 1},{expected[1] + 1})"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_table_from_a_basis_change_names_the_reference_index(seed):
+    """so(5) in a basis changed by elementary integer row operations has a dense table;
+    it validates, and one perturbed entry (kept antisymmetric) fails at the reference's index."""
+    p, inverse = unimodular(10, 12, seed)
+    dense = change_basis(tensor(build_classical("so", 5)), p, inverse)
+    assert sum(v != 0 for v in dense.ravel()) > dense.size // 3
+    algebra_from_tensor(dense).validate()
+    dense[2, 7, 4] += 1
+    dense[7, 2, 4] -= 1
+    kind, idx = _first_failure(dense)
+    assert kind == "Jacobi"
+    with pytest.raises(ValidationError) as excinfo:
+        algebra_from_tensor(dense).validate()
+    assert str(excinfo.value) == f"Jacobi fails at (i,j,k,l)={idx}"
 
 
 def test_realization_check_is_exact_for_rational_matrices():
